@@ -260,12 +260,18 @@ func runGoBench(path string, pkgList []string, benchtime string) error {
 	// internal/region carries the cache-level parallel benches
 	// (BenchmarkCreadParallel, BenchmarkPrefetchPipeline) that track the
 	// concurrent-cache trajectory; internal/bulk carries the data-plane
-	// benches (legacy vs eager transfer) behind the read fast paths;
-	// internal/core carries the protocol-level read benches
-	// (BenchmarkSmallRead fastpath vs legacy). Benchmark names are
-	// distinct across the four, so the flat report stays collision-free.
+	// benches (legacy vs eager transfer, over the in-memory fabric and
+	// over usocket framing) behind the read fast paths; internal/core
+	// carries the protocol-level read benches (BenchmarkSmallRead
+	// fastpath vs legacy); internal/usocket, internal/transport and
+	// internal/sim carry the per-frame costs under all of them (one
+	// frame through a socket and through the transport adapter, one
+	// datagram through the fabric and through loopback UDP, the virtual
+	// clock's event queue). Benchmark names are distinct across the
+	// seven, so the flat report stays collision-free.
 	if len(pkgList) == 0 {
-		pkgList = []string{".", "./internal/region", "./internal/bulk", "./internal/core"}
+		pkgList = []string{".", "./internal/region", "./internal/bulk", "./internal/core",
+			"./internal/usocket", "./internal/transport", "./internal/sim"}
 	}
 	if benchtime == "" {
 		benchtime = "1x"

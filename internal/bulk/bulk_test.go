@@ -158,37 +158,35 @@ func TestBulkTransferSizes(t *testing.T) {
 	}
 }
 
+// unetEndpointPair builds two endpoints over usocket transports on one
+// fresh segment, with 256-frame receive rings.
+func unetEndpointPair(tb testing.TB, cfg Config) (*Endpoint, *Endpoint) {
+	tb.Helper()
+	seg := usocket.NewSegment()
+	var eps [2]*Endpoint
+	for i := range eps {
+		sock, err := seg.Socket(64, 256)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if err := sock.Bind(usocket.MACAddr{5: byte(i + 1)}); err != nil {
+			tb.Fatal(err)
+		}
+		tr, err := usocket.NewTransport(sock)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		ep := NewEndpoint(tr, cfg, nil)
+		tb.Cleanup(func() { ep.Close() })
+		eps[i] = ep
+	}
+	return eps[0], eps[1]
+}
+
 func TestBulkTransferOverUNetMTU(t *testing.T) {
 	// Over U-Net the chunk size is ~1.4 KB, so a 128 KB region needs ~90
 	// packets and multiple windows — the paper's dmine request size.
-	seg := usocket.NewSegment()
-	sa, err := seg.Socket(64, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sb, err := seg.Socket(64, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ma, _ := usocket.Aton("00:00:00:00:00:01")
-	mb, _ := usocket.Aton("00:00:00:00:00:02")
-	if err := sa.Bind(ma); err != nil {
-		t.Fatal(err)
-	}
-	if err := sb.Bind(mb); err != nil {
-		t.Fatal(err)
-	}
-	ta, err := usocket.NewTransport(sa)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb, err := usocket.NewTransport(sb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := NewEndpoint(ta, fastCfg(), nil)
-	b := NewEndpoint(tb, fastCfg(), nil)
-	t.Cleanup(func() { a.Close(); b.Close() })
+	a, b := unetEndpointPair(t, fastCfg())
 
 	data := make([]byte, 128<<10)
 	rand.New(rand.NewSource(2)).Read(data)

@@ -144,6 +144,14 @@ type Endpoint struct {
 	rx map[rxKey]*rxTransfer
 	// dodo:guardedby mu
 	tx map[uint64]chan wire.Message
+	// tombs, tombQueue and tombTimer are the consumed-transfer records
+	// (see "Tombstones" in transfer.go).
+	// dodo:guardedby mu
+	tombs map[rxKey]time.Time
+	// dodo:guardedby mu
+	tombQueue []tombstone
+	// dodo:guardedby mu
+	tombTimer sim.StopTimer
 	// dodo:guardedby mu
 	nextSeq uint32
 	// dodo:guardedby mu
@@ -187,6 +195,7 @@ func NewEndpoint(tr transport.Transport, cfg Config, handler Handler) *Endpoint 
 		calls:   make(map[uint32]chan wire.Message),
 		rx:      make(map[rxKey]*rxTransfer),
 		tx:      make(map[uint64]chan wire.Message),
+		tombs:   make(map[rxKey]time.Time),
 		stop:    make(chan struct{}),
 	}
 	ep.mu.SetRank(locks.RankBulkEndpoint)
@@ -225,6 +234,10 @@ func (ep *Endpoint) Close() error {
 	for key, rx := range ep.rx {
 		rx.fail(ErrClosed)
 		delete(ep.rx, key)
+	}
+	if ep.tombTimer != nil {
+		ep.tombTimer.Stop()
+		ep.tombTimer = nil
 	}
 	ep.mu.Unlock()
 	err := ep.tr.Close()

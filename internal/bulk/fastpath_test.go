@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"dodo/internal/locks"
 	"dodo/internal/simnet"
 	"dodo/internal/transport"
 )
@@ -146,21 +147,68 @@ func BenchmarkEagerTransfer64KBMem(b *testing.B) {
 	b.SetBytes(64 << 10)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		id := dst.NextTransferID()
-		window, err := dst.ExpectBulkInto(buf, "a", id, a.ChunkSize())
-		if err != nil {
-			b.Fatal(err)
-		}
-		done := make(chan error, 1)
-		go func() {
-			_, err := dst.RecvBulkInto(buf, "a", id, 30*time.Second)
-			done <- err
-		}()
-		if err := a.SendBulkEager("b", id, data, a.ChunkSize(), window); err != nil {
-			b.Fatal(err)
-		}
-		if err := <-done; err != nil {
-			b.Fatal(err)
-		}
+		eagerTransfer(b, a, dst, data, buf)
+	}
+}
+
+// eagerTransfer runs one eager transfer of data from a into buf at dst
+// and fails tb unless both sides report success.
+func eagerTransfer(tb testing.TB, a, dst *Endpoint, data, buf []byte) {
+	id := dst.NextTransferID()
+	window, err := dst.ExpectBulkInto(buf, a.LocalAddr(), id, a.ChunkSize())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := dst.RecvBulkInto(buf, a.LocalAddr(), id, 30*time.Second)
+		done <- err
+	}()
+	if err := a.SendBulkEager(dst.LocalAddr(), id, data, a.ChunkSize(), window); err != nil {
+		tb.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// BenchmarkEagerTransfer128KBUNet is the eager transfer at the framing
+// the per-frame budget is about: a 128 KB region over two usocket
+// endpoints is 91 BulkData frames, two windows.
+func BenchmarkEagerTransfer128KBUNet(b *testing.B) {
+	a, dst := unetEndpointPair(b, Config{})
+	data := make([]byte, 128<<10)
+	buf := make([]byte, 128<<10)
+	b.SetBytes(128 << 10)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		eagerTransfer(b, a, dst, data, buf)
+	}
+}
+
+// TestEagerTransferAllocationBudgetUNet holds the per-frame allocation
+// budget end to end: a 128 KB eager transfer between two usocket
+// endpoints — sender, both receive loops, window acks and the
+// completion included — allocates at most 3 times per data frame on
+// average. The frame itself is one; the address parse and format, the
+// receive's timer and the per-packet NACK timer that used to make it
+// about 20 are gone.
+func TestEagerTransferAllocationBudgetUNet(t *testing.T) {
+	if locks.CheckEnabled {
+		t.Skip("the lockcheck runtime allocates on every Lock")
+	}
+	a, dst := unetEndpointPair(t, Config{})
+	data := make([]byte, 128<<10)
+	rand.New(rand.NewSource(5)).Read(data)
+	buf := make([]byte, len(data))
+	frames := (len(data) + a.ChunkSize() - 1) / a.ChunkSize()
+
+	perTransfer := testing.AllocsPerRun(50, func() { eagerTransfer(t, a, dst, data, buf) })
+	if !bytes.Equal(buf, data) {
+		t.Fatal("eager transfer over U-Net corrupted")
+	}
+	if perFrame := perTransfer / float64(frames); perFrame > 3 {
+		t.Errorf("128 KB eager transfer: %.0f allocations over %d data frames = %.1f per frame, want at most 3",
+			perTransfer, frames, perFrame)
 	}
 }

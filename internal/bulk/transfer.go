@@ -22,15 +22,18 @@ func (ep *Endpoint) chunkSize() int {
 // transport supports it (the payload rides the send as its own segment,
 // no sender-side frame is built), and a pooled frame otherwise — either
 // way the per-packet heap allocation of the old Encode path is gone.
-func (ep *Endpoint) sendData(to string, id uint64, seq uint32, payload []byte) error {
-	var prefix [wire.BulkDataPrefixSize]byte
-	wire.PutBulkDataPrefix(prefix[:], id, seq, len(payload))
+// prefix is the caller's scratch for the packet's header and fixed
+// fields, wire.BulkDataPrefixSize long: a transfer brings one for all
+// its packets, because an array declared here would escape through the
+// interface call and be allocated per packet.
+func (ep *Endpoint) sendData(to string, id uint64, seq uint32, payload, prefix []byte) error {
+	wire.PutBulkDataPrefix(prefix, id, seq, len(payload))
 	if vs, ok := ep.tr.(transport.VecSender); ok {
-		return vs.SendVec(to, prefix[:], payload)
+		return vs.SendVec(to, prefix, payload)
 	}
 	frame := wire.GetFrame(wire.BulkDataPrefixSize + len(payload))
 	defer wire.PutFrame(frame)
-	copy(frame, prefix[:])
+	copy(frame, prefix)
 	copy(frame[wire.BulkDataPrefixSize:], payload)
 	return ep.tr.Send(to, frame)
 }
@@ -125,6 +128,7 @@ func (ep *Endpoint) runTransfer(to string, id uint64, data []byte, chunk, window
 	if len(data) > 0 {
 		npkts = (len(data) + chunk - 1) / chunk
 	}
+	prefix := make([]byte, wire.BulkDataPrefixSize)
 	blast := func(seqs []uint32) error {
 		for _, s := range seqs {
 			lo := int(s) * chunk
@@ -132,7 +136,7 @@ func (ep *Endpoint) runTransfer(to string, id uint64, data []byte, chunk, window
 			if hi > len(data) {
 				hi = len(data)
 			}
-			if err := ep.sendData(to, id, s, data[lo:hi]); err != nil {
+			if err := ep.sendData(to, id, s, data[lo:hi], prefix); err != nil {
 				return fmt.Errorf("bulk: blasting packet %d of transfer %d: %w", s, id, err)
 			}
 		}
@@ -281,7 +285,7 @@ func (ep *Endpoint) ExpectBulkInto(dst []byte, from string, id uint64, chunk int
 		ep.mu.Unlock()
 		return 0, ErrClosed
 	}
-	if _, ok := ep.rx[key]; ok {
+	if _, ok := ep.rx[key]; ok || ep.entombedLocked(key) {
 		ep.mu.Unlock()
 		return 0, fmt.Errorf("bulk: transfer %d from %s already registered", id, from)
 	}
@@ -371,6 +375,12 @@ func (ep *Endpoint) recvBulk(from string, id uint64, timeout time.Duration) (buf
 	}
 	rx, ok := ep.rx[key]
 	if !ok {
+		if ep.entombedLocked(key) {
+			// A duplicated announcement for a transfer whose bytes an
+			// earlier receive already took.
+			ep.mu.Unlock()
+			return nil, false, fmt.Errorf("bulk: transfer %d from %s: %w", id, from, ErrConsumed)
+		}
 		rx = newRxTransfer(ep, from, id)
 		ep.rx[key] = rx
 	}
@@ -382,15 +392,19 @@ func (ep *Endpoint) recvBulk(from string, id uint64, timeout time.Duration) (buf
 		defer timer.Stop()
 		timeoutCh = c
 	}
+	// Giving up fails the transfer before returning: a packet the
+	// receive loop is handling right now must not land in the caller's
+	// buffer (ExpectBulkInto) after the caller has it back.
 	select {
 	case <-rx.done:
 	case <-timeoutCh:
 		ep.mu.Lock()
 		delete(ep.rx, key)
 		ep.mu.Unlock()
-		rx.stopTimer()
+		rx.fail(ErrTimeout)
 		return nil, false, fmt.Errorf("bulk: receiving transfer %d from %s: %w", id, from, ErrTimeout)
 	case <-ep.stop:
+		rx.fail(ErrClosed)
 		return nil, false, ErrClosed
 	}
 	rx.mu.Lock()
@@ -398,20 +412,22 @@ func (ep *Endpoint) recvBulk(from string, id uint64, timeout time.Duration) (buf
 	buf = rx.buf
 	external = rx.external
 	consumed := err == nil && buf == nil
-	// Leave a tombstone: if the sender's copy of our BulkDone was lost,
-	// its re-offer or retransmissions must be answered with Done again
-	// rather than resurrecting an empty transfer. Transfer ids are never
-	// reused — restartable senders seed an incarnation-unique id base
-	// (SeedTransferIDs) — so the tombstone cannot mask a future transfer.
 	rx.buf = nil
 	rx.mu.Unlock()
-	sim.AfterFunc(ep.cfg.Clock, tombstoneTTL, func() {
-		ep.mu.Lock()
-		if ep.rx[key] == rx {
-			delete(ep.rx, key)
+	// The transfer's state ends here; what outlives it is a tombstone.
+	// If the sender's copy of our BulkDone was lost, its re-offer must
+	// be answered with Done again rather than resurrecting an empty
+	// transfer. Transfer ids are never reused — restartable senders seed
+	// an incarnation-unique id base (SeedTransferIDs) — so the tombstone
+	// cannot mask a future transfer.
+	ep.mu.Lock()
+	if ep.rx[key] == rx {
+		delete(ep.rx, key)
+		if err == nil {
+			ep.entombLocked(key)
 		}
-		ep.mu.Unlock()
-	})
+	}
+	ep.mu.Unlock()
 	if err != nil {
 		return nil, false, err
 	}
@@ -423,9 +439,94 @@ func (ep *Endpoint) recvBulk(from string, id uint64, timeout time.Duration) (buf
 	return buf, external, nil
 }
 
-// tombstoneTTL is how long a consumed transfer's completion record
-// lingers to answer the sender's loss-recovery duplicates.
-const tombstoneTTL = 30 * time.Second
+// Tombstones. A consumed transfer leaves only its key behind, for
+// tombstoneTTL: that is all answering a late re-offer or a duplicated
+// announcement takes (stale data packets need no record at all — a
+// packet for an unknown transfer is answered with BulkDone anyway).
+// The records of one endpoint share a map and a queue in expiry order
+// (the TTL is constant, so that is insertion order) and one timer that
+// sweeps the queue's head, instead of a timer, a closure and the whole
+// rxTransfer per finished transfer.
+const (
+	// tombstoneTTL is how long a consumed transfer's completion record
+	// lingers to answer the sender's loss-recovery duplicates.
+	tombstoneTTL = 30 * time.Second
+	// tombstoneSweep is the least interval between two firings of the
+	// sweep timer. An entry past its TTL no longer answers (lookups
+	// check the time); the sweep only returns its memory.
+	tombstoneSweep = time.Second
+	// maxTombstones bounds the table, oldest dropped first. A sender
+	// stops re-offering once its window budget is spent (2.25 s at the
+	// default Config), so 64 Ki records cover every sender that can
+	// still ask at up to ~29 000 transfers a second into one endpoint;
+	// at ~100 B a record the table tops out near 8 MB.
+	maxTombstones = 1 << 16
+)
+
+type tombstone struct {
+	key   rxKey
+	until time.Time
+}
+
+// entombedLocked reports whether key names a transfer consumed within
+// the last tombstoneTTL. Caller holds ep.mu.
+func (ep *Endpoint) entombedLocked(key rxKey) bool {
+	until, ok := ep.tombs[key]
+	return ok && ep.cfg.Clock.Now().Before(until)
+}
+
+// entombLocked records key as consumed. Caller holds ep.mu.
+func (ep *Endpoint) entombLocked(key rxKey) {
+	now := ep.cfg.Clock.Now()
+	ep.sweepTombsLocked(now)
+	if len(ep.tombQueue) >= maxTombstones {
+		ep.dropOldestTombLocked()
+	}
+	until := now.Add(tombstoneTTL)
+	ep.tombs[key] = until
+	ep.tombQueue = append(ep.tombQueue, tombstone{key: key, until: until})
+	if ep.tombTimer == nil && !ep.closed {
+		ep.tombTimer = sim.AfterFunc(ep.cfg.Clock, tombstoneTTL, ep.tombTimeout)
+	}
+}
+
+// sweepTombsLocked drops every record that has expired by now. Caller
+// holds ep.mu.
+func (ep *Endpoint) sweepTombsLocked(now time.Time) {
+	for len(ep.tombQueue) > 0 && !now.Before(ep.tombQueue[0].until) {
+		ep.dropOldestTombLocked()
+	}
+}
+
+func (ep *Endpoint) dropOldestTombLocked() {
+	t := ep.tombQueue[0]
+	ep.tombQueue[0] = tombstone{} // drop the key's string for the collector
+	ep.tombQueue = ep.tombQueue[1:]
+	delete(ep.tombs, t.key)
+}
+
+// tombTimeout is the sweep timer: drop what expired and sleep until the
+// next record does, but never less than tombstoneSweep — an endpoint
+// finishing thousands of transfers a second arms about one timer a
+// second here, not one per transfer.
+func (ep *Endpoint) tombTimeout() {
+	ep.mu.Lock()
+	defer ep.mu.Unlock()
+	ep.tombTimer = nil
+	if ep.closed {
+		return
+	}
+	now := ep.cfg.Clock.Now()
+	ep.sweepTombsLocked(now)
+	if len(ep.tombQueue) == 0 {
+		return
+	}
+	wait := ep.tombQueue[0].until.Sub(now)
+	if wait < tombstoneSweep {
+		wait = tombstoneSweep
+	}
+	ep.tombTimer = sim.AfterFunc(ep.cfg.Clock, wait, ep.tombTimeout)
+}
 
 // rxTransfer is receive-side per-transfer state.
 type rxTransfer struct {
@@ -464,8 +565,16 @@ type rxTransfer struct {
 	err error
 	// dodo:unguarded — set at construction; closed once under mu
 	done chan struct{}
+	// timer is the pending selective-NACK timer, nil when none is. It is
+	// armed once per stall interval, not per packet: a packet only
+	// stamps lastProgress, and the callback re-arms for the remainder
+	// when the stamp moved since it was armed.
 	// dodo:guardedby mu
 	timer sim.StopTimer
+	// lastProgress is when the transfer last gained a packet, was sized
+	// by an offer, or sent a NACK; the next NACK is due NackDelay later.
+	// dodo:guardedby mu
+	lastProgress time.Time
 }
 
 func newRxTransfer(ep *Endpoint, from string, id uint64) *rxTransfer {
@@ -480,20 +589,8 @@ func (rx *rxTransfer) fail(err error) {
 	if rx.complete {
 		return
 	}
-	rx.complete = true
 	rx.err = err
-	if rx.timer != nil {
-		rx.timer.Stop()
-	}
-	close(rx.done)
-}
-
-func (rx *rxTransfer) stopTimer() {
-	rx.mu.Lock()
-	defer rx.mu.Unlock()
-	if rx.timer != nil {
-		rx.timer.Stop()
-	}
+	rx.completeLocked()
 }
 
 // handleOffer processes a BulkOffer: size (or re-acknowledge) the
@@ -502,12 +599,19 @@ func (ep *Endpoint) handleOffer(from string, seq uint32, m *wire.BulkOffer) {
 	key := rxKey{from: from, id: m.TransferID}
 	ep.mu.Lock()
 	rx, ok := ep.rx[key]
-	if !ok {
+	entombed := !ok && ep.entombedLocked(key)
+	if !ok && !entombed {
 		rx = newRxTransfer(ep, from, m.TransferID)
 		ep.rx[key] = rx
 	}
 	window := ep.cfg.RecvWindow
 	ep.mu.Unlock()
+	if entombed {
+		// Re-offer for a transfer already consumed: our BulkDone was
+		// lost. Accept and say Done again.
+		ep.answerOffer(from, seq, m.TransferID, window, wire.StatusOK, true)
+		return
+	}
 
 	status := wire.StatusOK
 	rx.mu.Lock()
@@ -525,19 +629,24 @@ func (ep *Endpoint) handleOffer(from string, seq uint32, m *wire.BulkOffer) {
 				// Empty transfer: complete immediately.
 				rx.completeLocked()
 			} else {
-				rx.resetTimerLocked()
+				rx.noteProgressLocked()
 			}
 		}
 	}
 	completed := rx.complete && rx.err == nil
 	rx.mu.Unlock()
+	ep.answerOffer(from, seq, m.TransferID, window, status, completed)
+}
 
-	frame, err := wire.Encode(seq, &wire.BulkAccept{TransferID: m.TransferID, Window: uint32(window), Status: status})
+// answerOffer sends the BulkAccept for an offer, and BulkDone after it
+// when the offered transfer is already complete.
+func (ep *Endpoint) answerOffer(from string, seq uint32, id uint64, window int, status wire.Status, completed bool) {
+	frame, err := wire.Encode(seq, &wire.BulkAccept{TransferID: id, Window: uint32(window), Status: status})
 	if err == nil {
 		_ = ep.tr.Send(from, frame)
 	}
 	if completed {
-		_ = ep.Notify(from, &wire.BulkDone{TransferID: m.TransferID, Status: wire.StatusOK})
+		_ = ep.Notify(from, &wire.BulkDone{TransferID: id, Status: wire.StatusOK})
 	}
 }
 
@@ -592,7 +701,7 @@ func (ep *Endpoint) handleData(from string, id uint64, seq uint32, payload []byt
 	copy(rx.buf[lo:], payload)
 	rx.got[s] = true
 	rx.gotCount++
-	rx.resetTimerLocked()
+	rx.noteProgressLocked()
 
 	// Advance past every now-complete window; ack each advance.
 	acked := false
@@ -634,23 +743,35 @@ func (rx *rxTransfer) completeLocked() {
 	rx.complete = true
 	if rx.timer != nil {
 		rx.timer.Stop()
+		rx.timer = nil
 	}
 	close(rx.done)
 }
 
-// resetTimerLocked (re)arms the selective-NACK timer. Caller holds rx.mu.
-func (rx *rxTransfer) resetTimerLocked() {
-	if rx.timer != nil {
-		rx.timer.Stop()
+// noteProgressLocked restarts the NackDelay countdown: it stamps the
+// time and arms the timer only if none is pending. Caller holds rx.mu.
+func (rx *rxTransfer) noteProgressLocked() {
+	rx.lastProgress = rx.ep.cfg.Clock.Now()
+	if rx.timer == nil {
+		rx.timer = sim.AfterFunc(rx.ep.cfg.Clock, rx.ep.cfg.NackDelay, rx.nackTimeout)
 	}
-	rx.timer = sim.AfterFunc(rx.ep.cfg.Clock, rx.ep.cfg.NackDelay, rx.nackTimeout)
 }
 
-// nackTimeout fires when the current window stalls: identify the missing
-// packets by sequence number and send the selective NACK (§4.4).
+// nackTimeout fires NackDelay after the timer was armed. If the
+// transfer progressed meanwhile the stall interval has not run out yet
+// and the timer sleeps on for the remainder; otherwise the current
+// window has stalled: identify the missing packets by sequence number
+// and send the selective NACK (§4.4).
 func (rx *rxTransfer) nackTimeout() {
 	rx.mu.Lock()
+	rx.timer = nil
 	if rx.complete || !rx.sized {
+		rx.mu.Unlock()
+		return
+	}
+	clock, delay := rx.ep.cfg.Clock, rx.ep.cfg.NackDelay
+	if rem := delay - clock.Now().Sub(rx.lastProgress); rem > 0 {
+		rx.timer = sim.AfterFunc(clock, rem, rx.nackTimeout)
 		rx.mu.Unlock()
 		return
 	}
@@ -664,7 +785,7 @@ func (rx *rxTransfer) nackTimeout() {
 			missing = append(missing, uint32(i))
 		}
 	}
-	rx.resetTimerLocked()
+	rx.noteProgressLocked()
 	from, id := rx.from, rx.id
 	rx.mu.Unlock()
 	if len(missing) > 0 {

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"sync"
 	"syscall"
 
 	"dodo/internal/locks"
@@ -40,6 +41,13 @@ type Backing interface {
 // FileBacking adapts an *os.File opened read-write.
 type FileBacking struct {
 	F *os.File
+
+	// inode is resolved once: an open descriptor's inode cannot change,
+	// and the region cache asks for it under its mutex on every access.
+	// dodo:unguarded — sync.Once is internally synchronized
+	inodeOnce sync.Once
+	// dodo:unguarded — written once inside inodeOnce, read after it
+	inode uint64
 }
 
 var _ Backing = (*FileBacking)(nil)
@@ -55,7 +63,9 @@ func NewFileBacking(f *os.File) (*FileBacking, error) {
 	if !fdWritable(f) {
 		return nil, fmt.Errorf("core: backing file %s not open for writing (EINVAL)", f.Name())
 	}
-	return &FileBacking{F: f}, nil
+	b := &FileBacking{F: f}
+	b.Inode()
+	return b, nil
 }
 
 // fdWritable reports whether the file was opened with write access.
@@ -79,9 +89,16 @@ func (b *FileBacking) WriteAt(p []byte, off int64) (int, error) { return b.F.Wri
 // Sync flushes the file.
 func (b *FileBacking) Sync() error { return b.F.Sync() }
 
-// Inode returns the file's inode number.
+// Inode returns the file's inode number. The fstat behind it runs once
+// per backing — in NewFileBacking, or on the first call for a value
+// built as &FileBacking{F: f}.
 func (b *FileBacking) Inode() uint64 {
-	fi, err := b.F.Stat()
+	b.inodeOnce.Do(func() { b.inode = statInode(b.F) })
+	return b.inode
+}
+
+func statInode(f *os.File) uint64 {
+	fi, err := f.Stat()
 	if err != nil {
 		return 0
 	}
@@ -90,7 +107,7 @@ func (b *FileBacking) Inode() uint64 {
 	}
 	// Non-Unix platform: hash the name for a stable identifier.
 	var h uint64 = 14695981039346656037
-	for _, c := range b.F.Name() {
+	for _, c := range f.Name() {
 		h ^= uint64(c)
 		h *= 1099511628211
 	}

@@ -695,18 +695,6 @@ func (c *Client) Mread(fd int, offset int64, buf []byte) (int, error) {
 	return n, nil
 }
 
-// remoteRead performs the wire read against the hosting imd into a
-// private buffer; hedged reads use it so the remote leg never touches
-// the caller's buffer while the disk leg may be racing it.
-func (c *Client) remoteRead(r regionState, offset, want int64) ([]byte, error) {
-	data := make([]byte, want)
-	n, err := c.remoteReadInto(r, offset, want, data)
-	if err != nil {
-		return nil, err
-	}
-	return data[:n], nil
-}
-
 // readCaps returns the fast-path capability set usable against r: the
 // intersection of what the hosting imd advertised and what this client
 // is configured to speak.
@@ -836,12 +824,29 @@ func (c *Client) failChecksum(host string) error {
 	return fmt.Errorf("%w: page checksum mismatch from %s", ErrNoMem, host)
 }
 
-// finishRemoteRead copies remotely served bytes out and counts them.
-func (c *Client) finishRemoteRead(buf, data []byte) int {
-	n := copy(buf, data)
+// remoteLeg is the outcome of a hedged read's remote leg: how many
+// bytes it assembled into the read's private buffer, or why it failed.
+type remoteLeg struct {
+	n   int
+	err error
+}
+
+// finishRemoteLeg ends a hedged read whose remote leg has returned: on
+// success it copies the bytes from the private buffer priv into the
+// caller's buf and counts them, and either way it recycles priv — the
+// leg has returned, and bulk writes nothing into a receive buffer once
+// the receive has returned, with or without error.
+//
+// dodo:releases(frame)
+func (c *Client) finishRemoteLeg(buf, priv []byte, leg remoteLeg) (int, error) {
+	defer wire.PutFrame(priv)
+	if leg.err != nil {
+		return -1, leg.err
+	}
+	n := copy(buf, priv[:leg.n])
 	c.remoteReads.Add(1)
 	c.remoteReadBy.Add(int64(n))
-	return n
+	return n, nil
 }
 
 // recordLatency feeds one successful remote-read round trip into the
@@ -910,47 +915,46 @@ func (c *Client) tryHedgeLeg() bool {
 // return bytes older than the caller could already observe on disk —
 // the write-seq gate is respected by construction.
 func (c *Client) hedgedRead(r regionState, offset, want int64, buf []byte, delay time.Duration) (int, error) {
-	type result struct {
-		data []byte
-		err  error
+	// The remote leg assembles into a private buffer, so it never
+	// touches the caller's while the disk leg may be racing it. In
+	// steady state every read is hedged, so the buffer is a recycled
+	// frame, handed back once the remote leg has been joined.
+	priv := wire.GetFrame(int(want))
+	remote := func() remoteLeg {
+		n, err := c.remoteReadInto(r, offset, want, priv)
+		return remoteLeg{n, err}
 	}
-	remoteCh := make(chan result, 1)
 	if !c.tryHedgeLeg() {
 		// Closing underneath us: run the remote read synchronously so
 		// no goroutine outlives Close's hedgeWG.Wait.
-		data, err := c.remoteRead(r, offset, want)
-		if err != nil {
-			return -1, err
-		}
-		return c.finishRemoteRead(buf, data), nil
+		return c.finishRemoteLeg(buf, priv, remote())
 	}
-	go func() {
-		defer c.hedgeWG.Done()
-		data, err := c.remoteRead(r, offset, want)
-		remoteCh <- result{data, err}
-	}()
+	// The hedge delay runs from the start of the read: the timer is
+	// armed before the leg is launched.
 	timerCh, stopTimer := sim.NewTimer(c.cfg.Clock, delay)
 	defer stopTimer.Stop()
+	remoteCh := make(chan remoteLeg, 1)
+	go func() {
+		defer c.hedgeWG.Done()
+		remoteCh <- remote()
+	}()
 	select {
-	case res := <-remoteCh:
+	case leg := <-remoteCh:
 		// The remote answered within the hedge delay; the common case.
-		if res.err != nil {
-			return -1, res.err
-		}
-		return c.finishRemoteRead(buf, res.data), nil
+		return c.finishRemoteLeg(buf, priv, leg)
 	case <-timerCh:
 	}
 	// The remote is slow: race a backing-file read against it.
-	diskCh := make(chan result, 1)
 	if !c.tryHedgeLeg() {
 		// Closing underneath us: skip the backup leg and wait out the
 		// remote (its WaitGroup slot predates Close's Wait).
-		res := <-remoteCh
-		if res.err != nil {
-			return -1, res.err
-		}
-		return c.finishRemoteRead(buf, res.data), nil
+		return c.finishRemoteLeg(buf, priv, <-remoteCh)
 	}
+	type diskLeg struct {
+		data []byte
+		err  error
+	}
+	diskCh := make(chan diskLeg, 1)
 	c.hedgedReads.Add(1)
 	go func() {
 		defer c.hedgeWG.Done()
@@ -958,48 +962,49 @@ func (c *Client) hedgedRead(r regionState, offset, want int64, buf []byte, delay
 		// A short read past EOF leaves the tail zeroed — bytes never
 		// written through (the recovery repopulation convention).
 		if _, err := r.backing.ReadAt(data, r.backOff+offset); err != nil && err != io.EOF {
-			diskCh <- result{nil, err}
+			diskCh <- diskLeg{nil, err}
 			return
 		}
-		diskCh <- result{data, nil}
+		diskCh <- diskLeg{data, nil}
 	}()
 	select {
-	case res := <-remoteCh:
-		if res.err == nil {
+	case leg := <-remoteCh:
+		n, err := c.finishRemoteLeg(buf, priv, leg)
+		if err == nil {
 			// The remote still won; the backup was wasted work.
 			c.hedgeWasted.Add(1)
-			return c.finishRemoteRead(buf, res.data), nil
+			return n, nil
 		}
 		// The remote leg failed (its descriptors are already dropped);
 		// the backup is the only way to serve this read.
 		d := <-diskCh
 		if d.err != nil {
-			return -1, res.err
+			return -1, err
 		}
 		c.hedgeWins.Add(1)
 		return copy(buf, d.data), nil
 	case d := <-diskCh:
 		if d.err != nil {
 			// The backup failed; fall back to waiting on the remote.
-			res := <-remoteCh
-			if res.err != nil {
-				return -1, res.err
-			}
-			return c.finishRemoteRead(buf, res.data), nil
+			return c.finishRemoteLeg(buf, priv, <-remoteCh)
 		}
 		c.hedgeWins.Add(1)
 		// Join the losing leg in the background so its latency sample
-		// or host drop still lands.
+		// or host drop still lands; priv is its buffer until then.
 		if c.tryHedgeLeg() {
 			go func() {
 				defer c.hedgeWG.Done()
-				if res := <-remoteCh; res.err == nil {
+				defer wire.PutFrame(priv)
+				if leg := <-remoteCh; leg.err == nil {
 					c.hedgeWasted.Add(1)
 				}
 			}()
-		} else if res := <-remoteCh; res.err == nil {
+		} else {
 			// Closing: drain the remote leg inline instead.
-			c.hedgeWasted.Add(1)
+			if leg := <-remoteCh; leg.err == nil {
+				c.hedgeWasted.Add(1)
+			}
+			wire.PutFrame(priv)
 		}
 		return copy(buf, d.data), nil
 	}

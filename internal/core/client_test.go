@@ -254,6 +254,44 @@ func TestRealFileBackingRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFileBackingInodeResolvedOnce: the inode is an fstat away, and the
+// region cache asks for it under its mutex on every access, so it is
+// looked up once per backing — by the constructor, or by the first call
+// on a literal. Closing the file afterwards proves no later call stats.
+func TestFileBackingInodeResolvedOnce(t *testing.T) {
+	open := func() *os.File {
+		f, err := os.OpenFile(filepath.Join(t.TempDir(), "data.bin"), os.O_CREATE|os.O_RDWR, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	f := open()
+	built, err := NewFileBacking(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	if built.Inode() == 0 {
+		t.Error("NewFileBacking did not resolve the inode: Inode() = 0 once the file is closed")
+	}
+
+	f = open()
+	literal := &FileBacking{F: f}
+	want := literal.Inode()
+	f.Close()
+	if want == 0 || literal.Inode() != want {
+		t.Errorf("literal FileBacking: Inode() = %d open, %d closed", want, literal.Inode())
+	}
+
+	// A descriptor that cannot be stat-ed still reports 0.
+	f = open()
+	f.Close()
+	if got := (&FileBacking{F: f}).Inode(); got != 0 {
+		t.Errorf("Inode() of a closed file = %d, want the Stat-failure 0", got)
+	}
+}
+
 func TestReadOnlyFileRejectedByMopen(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ro.dat")

@@ -856,23 +856,29 @@ func (d *Daemon) handleRead(from string, req *wire.ReadReq) wire.Message {
 		d.mu.Unlock()
 		return &wire.DataResp{Status: wire.StatusInvalid}
 	}
-	// Snapshot: the pool buffer may be overwritten while the transfer
-	// is in flight.
-	snap := append([]byte(nil), data...)
 	d.reads++
-	d.readBytes += int64(len(snap))
+	d.readBytes += int64(len(data))
 	d.readCount[req.RegionID]++
 
 	// Inline fast path: the whole read fits one frame alongside the
-	// response fields — answer with the payload, no bulk transfer.
-	if req.Caps&wire.CapInlineRead != 0 && len(snap) <= wire.InlineDataLimit(d.ep.Transport().MTU()) {
+	// response fields — answer with the payload, no bulk transfer. The
+	// payload outlives this handler (the endpoint encodes the response
+	// after it returns), so its snapshot is the heap's.
+	if req.Caps&wire.CapInlineRead != 0 && len(data) <= wire.InlineDataLimit(d.ep.Transport().MTU()) {
 		d.inlineReads++
+		snap := append([]byte(nil), data...)
 		d.mu.Unlock()
 		return &wire.DataResp{
 			Status: wire.StatusOK, Count: uint64(len(snap)), Crc: wire.Checksum(snap),
 			Flags: wire.DataFlagInline, Payload: snap,
 		}
 	}
+
+	// Snapshot: the pool buffer may be overwritten while the transfer
+	// is in flight. The snapshot lives exactly as long as the push, so
+	// it is a recycled buffer, returned when the push has returned.
+	snap := wire.GetFrame(len(data))
+	copy(snap, data)
 
 	// Eager fast path: the requester pre-registered its buffer under
 	// XferID and told us the chunk/window it committed — blast the
@@ -898,6 +904,7 @@ func (d *Daemon) handleRead(from string, req *wire.ReadReq) wire.Message {
 		d.memoize(from, req.XferID, resp)
 		go func() {
 			defer d.transfers.Done()
+			defer wire.PutFrame(snap)
 			if err := d.ep.SendBulkEager(from, req.XferID, snap, int(req.ChunkSize), int(req.Window)); err != nil {
 				d.logf("imd %s: eager read push to %s: %v", d.Addr(), from, err)
 			}
@@ -906,13 +913,15 @@ func (d *Daemon) handleRead(from string, req *wire.ReadReq) wire.Message {
 	}
 
 	id := d.ep.NextTransferID()
+	resp := &wire.DataResp{Status: wire.StatusOK, Count: uint64(len(snap)), TransferID: id, Crc: wire.Checksum(snap)}
 	go func() {
 		defer d.transfers.Done()
+		defer wire.PutFrame(snap)
 		if err := d.ep.SendBulk(from, id, snap); err != nil {
 			d.logf("imd %s: pushing read data to %s: %v", d.Addr(), from, err)
 		}
 	}()
-	return &wire.DataResp{Status: wire.StatusOK, Count: uint64(len(snap)), TransferID: id, Crc: wire.Checksum(snap)}
+	return resp
 }
 
 // handleReadBatch serves several region reads in one exchange: the

@@ -147,6 +147,15 @@ func (c *VirtualClock) Pending() int {
 	return n
 }
 
+// Scheduled reports how many events have ever been scheduled on the
+// clock, fired and cancelled ones included: the difference across an
+// interval is the number of timers armed in it.
+func (c *VirtualClock) Scheduled() uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.seq
+}
+
 // Timer is a handle to a scheduled callback on a VirtualClock.
 type Timer struct {
 	clock *VirtualClock

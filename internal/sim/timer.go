@@ -94,8 +94,13 @@ func Tick(c Clock, interval time.Duration, stop <-chan struct{}) <-chan time.Tim
 // deadline, so waiters wake the instant a producer signals rather than
 // on a polling tick — the receive path of the in-memory and usocket
 // transports sits under every RPC round trip, and polling here puts a
-// floor under the whole system's latency.
+// floor under the whole system's latency. ready is consulted before
+// the timer is armed: a receive from a non-empty queue (every frame of
+// a blast but the first) costs no timer and no allocation.
 func CondWaitTimeout(cond *sync.Cond, timeout time.Duration, ready func() bool) bool {
+	if ready() {
+		return true
+	}
 	if timeout <= 0 {
 		for !ready() {
 			cond.Wait()

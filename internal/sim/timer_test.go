@@ -165,3 +165,22 @@ func TestCondWaitTimeoutBlocking(t *testing.T) {
 		t.Fatal("blocking CondWaitTimeout never woke")
 	}
 }
+
+// TestCondWaitTimeoutReadyArmsNothing: when the condition already holds
+// — a receive from a non-empty queue — the wait returns without arming
+// its timer, so it allocates nothing (the timer, its closure and the
+// flag they share were three allocations per received frame).
+func TestCondWaitTimeoutReadyArmsNothing(t *testing.T) {
+	var mu sync.Mutex
+	cond := sync.NewCond(&mu)
+	queued := 1
+	mu.Lock()
+	defer mu.Unlock()
+	if n := testing.AllocsPerRun(1000, func() {
+		if !CondWaitTimeout(cond, time.Second, func() bool { return queued > 0 }) {
+			t.Fatal("CondWaitTimeout timed out on a ready condition")
+		}
+	}); n != 0 {
+		t.Errorf("CondWaitTimeout with ready() already true allocates %.1f times, want 0", n)
+	}
+}

@@ -213,13 +213,14 @@ func (e *MemEndpoint) SendVec(to string, prefix, payload []byte) error {
 
 // enqueue takes ownership of data: deliver hands it a fresh copy per
 // recipient, never a caller-owned buffer.
+//
+// dodo:adopts(data)
 func (e *MemEndpoint) enqueue(from string, data []byte) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed.Load() {
 		return
 	}
-	//vet:ignore buffer-ownership — ownership transferred: deliver copies the frame before enqueueing
 	e.queue = append(e.queue, memFrame{from: from, data: data})
 	e.cond.Signal()
 }

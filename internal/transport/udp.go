@@ -20,6 +20,12 @@ type UDP struct {
 	// dodo:unguarded — immutable after construction; *net.UDPConn is
 	// safe for concurrent use
 	conn *net.UDPConn
+	// rbuf is where Recv lands every datagram before copying out the
+	// bytes that arrived. One byte longer than the largest datagram
+	// Send accepts, so an oversize datagram from a foreign sender shows
+	// as UDPMTU+1 bytes instead of passing for a full-size one.
+	// dodo:unguarded — touched only by Recv, single receive loop
+	rbuf []byte
 
 	mu locks.Mutex
 	// dodo:guardedby mu
@@ -43,7 +49,7 @@ func ListenUDP(addr string) (*UDP, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: listening on %q: %w", addr, err)
 	}
-	u := &UDP{conn: conn, routes: make(map[string]*net.UDPAddr)}
+	u := &UDP{conn: conn, rbuf: make([]byte, UDPMTU+1), routes: make(map[string]*net.UDPAddr)}
 	u.mu.SetRank(locks.RankUDP)
 	return u, nil
 }
@@ -115,7 +121,12 @@ func (u *UDP) route(to string) (*net.UDPAddr, error) {
 	return a, nil
 }
 
-// Recv blocks for one datagram.
+// Recv blocks for one datagram. The kernel needs room for the largest
+// datagram before it says how long this one is, so the read lands in
+// the endpoint's scratch buffer (Recv is called from a single receive
+// loop) and the caller gets an exact-size copy it owns: a 100-byte
+// control message costs 100 bytes of heap, not 64 KB allocated and
+// zeroed.
 func (u *UDP) Recv(timeout time.Duration) ([]byte, string, error) {
 	var deadline time.Time
 	if timeout > 0 {
@@ -129,8 +140,7 @@ func (u *UDP) Recv(timeout time.Duration) ([]byte, string, error) {
 		}
 		return nil, "", fmt.Errorf("transport: udp deadline: %w", err)
 	}
-	buf := make([]byte, UDPMTU+1)
-	n, raddr, err := u.conn.ReadFromUDP(buf)
+	n, raddr, err := u.conn.ReadFromUDP(u.rbuf)
 	if err != nil {
 		var nerr net.Error
 		if errors.As(err, &nerr) && nerr.Timeout() {
@@ -141,7 +151,7 @@ func (u *UDP) Recv(timeout time.Duration) ([]byte, string, error) {
 		}
 		return nil, "", fmt.Errorf("transport: udp recv: %w", err)
 	}
-	return buf[:n:n], raddr.String(), nil
+	return append([]byte(nil), u.rbuf[:n]...), raddr.String(), nil
 }
 
 // Close shuts the socket down.

@@ -12,7 +12,25 @@ import (
 // the paper's implementation selects UDP or U-Net at startup (§4).
 // Addresses on this transport are MAC strings ("aa:bb:cc:dd:ee:ff").
 type UNet struct {
+	// dodo:unguarded — immutable after construction
 	sock *Socket
+	// local/localStr are the address the socket was bound to when it
+	// was wrapped, and its text form: LocalAddr is asked per message by
+	// callers addressing a peer, and formats only after a re-Bind.
+	// dodo:unguarded — immutable after construction
+	local MACAddr
+	// dodo:unguarded — immutable after construction
+	localStr string
+
+	// lastFrom/lastFromStr cache the text form of the latest sender: a
+	// blast is many frames from one peer, and formatting the same six
+	// bytes for each would be the receive path's only allocation
+	// besides the frame. Recv is called from a single receive loop
+	// (the Transport contract), so the pair needs no lock.
+	// dodo:unguarded — touched only by Recv, single receive loop
+	lastFrom MACAddr
+	// dodo:unguarded — touched only by Recv, single receive loop
+	lastFromStr string
 }
 
 var (
@@ -26,16 +44,19 @@ var (
 //
 // dodo:transfers(sock)
 func NewTransport(sock *Socket) (*UNet, error) {
-	if _, bound := sock.LocalAddr(); !bound {
+	addr, bound := sock.LocalAddr()
+	if !bound {
 		return nil, ErrNotBound
 	}
-	return &UNet{sock: sock}, nil
+	return &UNet{sock: sock, local: addr, localStr: addr.String()}, nil
 }
 
 // LocalAddr returns the socket's MAC string.
 func (u *UNet) LocalAddr() string {
-	addr, _ := u.sock.LocalAddr()
-	return addr.String()
+	if addr, _ := u.sock.LocalAddr(); addr != u.local {
+		return addr.String()
+	}
+	return u.localStr
 }
 
 // MTU returns the single-frame U-Net payload limit.
@@ -75,10 +96,11 @@ func (u *UNet) SendVec(to string, prefix, payload []byte) error {
 	return err
 }
 
-// Recv blocks for one frame.
+// Recv blocks for one frame. The returned slice is the very buffer the
+// sender's gather filled (Socket.RecvFrame): the frame crosses the
+// emulated wire with one copy on the way in and none on the way out.
 func (u *UNet) Recv(timeout time.Duration) ([]byte, string, error) {
-	buf := make([]byte, MTU)
-	n, from, err := u.sock.Recv(buf, timeout)
+	data, from, err := u.sock.RecvFrame(timeout)
 	switch {
 	case errors.Is(err, ErrTimeout):
 		return nil, "", transport.ErrTimeout
@@ -87,7 +109,10 @@ func (u *UNet) Recv(timeout time.Duration) ([]byte, string, error) {
 	case err != nil:
 		return nil, "", err
 	}
-	return buf[:n:n], from.String(), nil
+	if from != u.lastFrom || u.lastFromStr == "" {
+		u.lastFrom, u.lastFromStr = from, from.String()
+	}
+	return data, u.lastFromStr, nil
 }
 
 // Close releases the underlying socket.

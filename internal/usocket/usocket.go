@@ -49,27 +49,60 @@ var (
 // MACAddr is a 6-byte Ethernet MAC address (the paper's macaddr_t).
 type MACAddr [6]byte
 
+// macStrLen is the length of the canonical text form, "aa:bb:cc:dd:ee:ff".
+const macStrLen = 17
+
 // Aton parses "aa:bb:cc:dd:ee:ff" into a MACAddr (the paper's u_aton).
+// It accepts exactly the canonical form: six groups of two hex digits
+// (either case) joined by colons, 17 bytes in all. The transport
+// adapter parses the destination of every frame it sends, so the parse
+// is hand-rolled and allocation-free. The fmt.Sscanf it replaces also
+// took one-digit groups, a sign in place of a digit, leading blanks and
+// trailing text; nothing ever produced those (String is the only
+// writer of addresses), they are rejected now, and the differential
+// test pins both halves of that decision.
 func Aton(s string) (MACAddr, error) {
 	var m MACAddr
-	var parts [6]int
-	n, err := fmt.Sscanf(s, "%02x:%02x:%02x:%02x:%02x:%02x",
-		&parts[0], &parts[1], &parts[2], &parts[3], &parts[4], &parts[5])
-	if err != nil || n != 6 {
-		return MACAddr{}, fmt.Errorf("%w: %q", ErrBadAddress, s)
+	if len(s) != macStrLen {
+		return MACAddr{}, badAddress(s)
 	}
-	for i, p := range parts {
-		if p < 0 || p > 255 {
-			return MACAddr{}, fmt.Errorf("%w: %q", ErrBadAddress, s)
+	for i := range m {
+		hi, lo := unhex(s[3*i]), unhex(s[3*i+1])
+		if hi > 0xf || lo > 0xf || (i < 5 && s[3*i+2] != ':') {
+			return MACAddr{}, badAddress(s)
 		}
-		m[i] = byte(p)
+		m[i] = hi<<4 | lo
 	}
 	return m, nil
 }
 
+func badAddress(s string) error { return fmt.Errorf("%w: %q", ErrBadAddress, s) }
+
+// unhex returns the value of one hex digit, or 0xff for any other byte.
+func unhex(c byte) byte {
+	switch {
+	case '0' <= c && c <= '9':
+		return c - '0'
+	case 'a' <= c && c <= 'f':
+		return c - 'a' + 10
+	case 'A' <= c && c <= 'F':
+		return c - 'A' + 10
+	}
+	return 0xff
+}
+
+const hexDigits = "0123456789abcdef"
+
 // String formats the address as "aa:bb:cc:dd:ee:ff" (the paper's u_ntoa).
 func (m MACAddr) String() string {
-	return fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x", m[0], m[1], m[2], m[3], m[4], m[5])
+	var b [macStrLen]byte
+	for i, v := range m {
+		b[3*i], b[3*i+1] = hexDigits[v>>4], hexDigits[v&0xf]
+		if i < 5 {
+			b[3*i+2] = ':'
+		}
+	}
+	return string(b[:])
 }
 
 // Iovec is a scatter/gather element, mirroring struct iovec. The paper
@@ -120,7 +153,7 @@ func (g *Segment) Socket(sendBuf, recvBuf int) (*Socket, error) {
 	if sendBuf <= 0 || recvBuf <= 0 {
 		return nil, fmt.Errorf("usocket: buffer sizes must be positive (got %d, %d)", sendBuf, recvBuf)
 	}
-	s := &Socket{seg: g, recvCap: recvBuf}
+	s := &Socket{seg: g, recvCap: recvBuf, ring: make([]frame, recvBuf)}
 	s.mu.SetRank(locks.RankSocket)
 	s.cond = sync.NewCond(&s.mu)
 	return s, nil
@@ -141,8 +174,15 @@ type Socket struct {
 	mu locks.Mutex
 	// dodo:unguarded — set at construction; Cond is internally synchronized
 	cond *sync.Cond
+	// ring is the receive queue: recvCap slots, queued frames at
+	// head, head+1, ... (mod recvCap). A fixed ring, as on the NIC: a
+	// deposit or a dequeue moves an index and allocates nothing.
 	// dodo:guardedby mu
-	queue []frame
+	ring []frame
+	// dodo:guardedby mu
+	head int
+	// dodo:guardedby mu
+	queued int
 	// dodo:guardedby mu
 	bound bool
 	// dodo:guardedby mu
@@ -312,18 +352,23 @@ func (s *Socket) SendIovecTo(peer MACAddr, iov []Iovec) (int, error) {
 	return total, nil
 }
 
+// deposit queues one frame on the receiving socket. The senders gather
+// into a fresh buffer and give it away here; it belongs to the queue
+// and then to whoever dequeues it.
+//
+// dodo:adopts(data)
 func (s *Socket) deposit(from MACAddr, data []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return
 	}
-	if len(s.queue) >= s.recvCap {
+	if s.queued >= s.recvCap {
 		s.overflow++ // receive queue overflow: U-Net drops the frame
 		return
 	}
-	//vet:ignore buffer-ownership — ownership transferred: SendTo copies the frame before depositing
-	s.queue = append(s.queue, frame{from: from, data: data})
+	s.ring[(s.head+s.queued)%s.recvCap] = frame{from: from, data: data}
+	s.queued++
 	s.cond.Signal()
 }
 
@@ -337,6 +382,19 @@ func (s *Socket) Recv(buf []byte, timeout time.Duration) (int, MACAddr, error) {
 	}
 	n := copy(buf, f.data)
 	return n, f.from, nil
+}
+
+// RecvFrame blocks for one frame and hands over the buffer the sender
+// deposited, whole and uncopied: the caller owns the returned slice and
+// the socket keeps no reference to it. It is Recv without the second
+// buffer and the copy into it, for callers that would otherwise
+// allocate one per frame (the transport adapter).
+func (s *Socket) RecvFrame(timeout time.Duration) ([]byte, MACAddr, error) {
+	f, err := s.dequeue(timeout)
+	if err != nil {
+		return nil, MACAddr{}, err
+	}
+	return f.data, f.from, nil
 }
 
 // RecvIovec scatters one frame across the iovec (the paper's
@@ -363,15 +421,17 @@ func (s *Socket) dequeue(timeout time.Duration) (frame, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !sim.CondWaitTimeout(s.cond, timeout, func() bool {
-		return len(s.queue) > 0 || s.closed
+		return s.queued > 0 || s.closed
 	}) {
 		return frame{}, ErrTimeout
 	}
-	if len(s.queue) == 0 {
+	if s.queued == 0 {
 		return frame{}, ErrClosed
 	}
-	f := s.queue[0]
-	s.queue = s.queue[1:]
+	f := s.ring[s.head]
+	s.ring[s.head] = frame{} // the frame is the caller's now
+	s.head = (s.head + 1) % s.recvCap
+	s.queued--
 	return f, nil
 }
 
@@ -397,7 +457,7 @@ func (s *Socket) Close() error {
 		s.bound = false
 	}
 	s.closed = true
-	s.queue = nil
+	s.ring, s.head, s.queued = nil, 0, 0
 	s.cond.Broadcast()
 	s.mu.Unlock()
 	s.seg.mu.Unlock()

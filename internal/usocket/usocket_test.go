@@ -10,7 +10,7 @@ import (
 	"dodo/internal/transport"
 )
 
-func mustAton(t *testing.T, s string) MACAddr {
+func mustAton(t testing.TB, s string) MACAddr {
 	t.Helper()
 	m, err := Aton(s)
 	if err != nil {
@@ -19,7 +19,7 @@ func mustAton(t *testing.T, s string) MACAddr {
 	return m
 }
 
-func pair(t *testing.T) (*Segment, *Socket, *Socket, MACAddr, MACAddr) {
+func pair(t testing.TB) (*Segment, *Socket, *Socket, MACAddr, MACAddr) {
 	t.Helper()
 	seg := NewSegment()
 	a, err := seg.Socket(32, 32)
@@ -356,4 +356,38 @@ func BenchmarkSendRecvFrame(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkUNetSendVecRecv is one BulkData-sized frame through the
+// transport adapter: the scatter-gather send the bulk sender uses and
+// the receive its peer's loop makes.
+func BenchmarkUNetSendVecRecv(b *testing.B) {
+	ta, tb := unetPair(b)
+	to := tb.LocalAddr()
+	prefix, payload := make([]byte, 24), make([]byte, MTU-24)
+	b.SetBytes(MTU)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := ta.SendVec(to, prefix, payload); err != nil {
+			b.Fatal(err)
+		}
+		if _, _, err := tb.Recv(time.Second); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// unetPair returns transport adapters over the two sockets of pair.
+func unetPair(tb testing.TB) (*UNet, *UNet) {
+	tb.Helper()
+	_, a, b, _, _ := pair(tb)
+	ta, err := NewTransport(a)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb2, err := NewTransport(b)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ta, tb2
 }

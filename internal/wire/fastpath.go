@@ -2,60 +2,89 @@ package wire
 
 import (
 	"encoding/binary"
+	"math/bits"
 	"sync"
 )
 
-// Frame pool: transmit-side buffers for the data plane. The hot path
-// encodes one BulkData frame per packet; allocating each from the heap
-// made the garbage collector a participant in every bulk transfer.
-// Frames here are recycled through a sync.Pool instead.
+// Frame pool: recycled buffers for the data plane. The hot path
+// encodes one BulkData frame per packet, and every bulk read stages a
+// region-sized snapshot at the imd and (hedged) a region-sized private
+// buffer at the client; allocating each from the heap made the garbage
+// collector a participant in every transfer. Buffers here are recycled
+// through sync.Pools instead, one per size class.
+//
+// Size classes: 64 KiB — a full frame on the largest-MTU transport
+// (kernel UDP, 63 KiB) with header room to spare — and every power of
+// two above it up to maxPooledFrame. A request takes the smallest class
+// that holds it, so a region-sized buffer wastes at most half its
+// class; anything larger falls through to the heap. The pools are
+// sync.Pools, so an idle class is emptied by the garbage collector
+// within two cycles and pins nothing.
 //
 // Ownership rule (checked by the resource-lifecycle vet pass via the
 // dodo:acquires/releases annotations below): whoever calls GetFrame
 // returns that frame with PutFrame, and does so only after the last
-// read of it. A frame handed to a transport Send/SendVec may be
-// returned as soon as the call returns — every transport either copies
-// the frame before queueing it (mem, usocket) or hands it to the kernel
-// synchronously (UDP) — which is what lets senders pair GetFrame with
-// an immediate `defer PutFrame`.
+// read of it — and, for a buffer something else writes into (a bulk
+// receive), after the last write. A frame handed to a transport
+// Send/SendVec may be returned as soon as the call returns — every
+// transport either copies the frame before queueing it (mem, usocket)
+// or hands it to the kernel synchronously (UDP) — which is what lets
+// senders pair GetFrame with an immediate `defer PutFrame`.
 
-// pooledFrameSize is the capacity of pooled frames: big enough for a
-// full frame on the largest-MTU transport (kernel UDP, 63 KiB) with
-// header room to spare. Larger requests fall through to the heap.
-const pooledFrameSize = 64 << 10
+const (
+	// minFrameShift is log2 of the smallest class, 64 KiB.
+	minFrameShift = 16
+	// maxFrameShift is log2 of the largest class, 4 MiB: the data sets
+	// Dodo serves use regions of 8 KiB to 1 MiB (Fig. 8), and a batched
+	// read stages a few of them in one stream.
+	maxFrameShift  = 22
+	maxPooledFrame = 1 << maxFrameShift
+)
 
-var framePool = sync.Pool{
-	New: func() any {
-		b := make([]byte, pooledFrameSize)
-		return &b
-	},
+// framePools[i] recycles buffers of capacity 1<<(minFrameShift+i).
+var framePools [maxFrameShift - minFrameShift + 1]sync.Pool
+
+// frameClass returns the index of the smallest class holding n bytes;
+// n must not exceed maxPooledFrame.
+func frameClass(n int) int {
+	if n <= 1<<minFrameShift {
+		return 0
+	}
+	return bits.Len(uint(n-1)) - minFrameShift
 }
 
-// GetFrame returns a frame buffer of length n, recycled from the pool
-// when n fits a pooled frame and freshly allocated otherwise. The
-// buffer's contents are arbitrary; the caller must overwrite every byte
-// it sends.
+// GetFrame returns a buffer of length n, recycled from the pool when n
+// fits a size class and freshly allocated otherwise. The buffer's
+// contents are arbitrary; the caller must overwrite every byte it
+// reads or sends.
 //
 // dodo:acquires(frame)
 func GetFrame(n int) []byte {
-	if n > pooledFrameSize {
+	if n > maxPooledFrame {
 		return make([]byte, n)
 	}
-	p := framePool.Get().(*[]byte)
-	return (*p)[:n]
+	class := frameClass(n)
+	if p, ok := framePools[class].Get().(*[]byte); ok {
+		return (*p)[:n]
+	}
+	return make([]byte, n, 1<<(minFrameShift+class))
 }
 
-// PutFrame returns a frame obtained from GetFrame to the pool. Oversize
-// frames (heap-allocated by GetFrame) are left for the garbage
-// collector. The frame must not be touched after PutFrame.
+// PutFrame returns a buffer obtained from GetFrame to the pool of its
+// class, which its capacity names: the caller may hand back a prefix
+// of what it got (b[:k]) but not a suffix. A buffer of any other
+// capacity (heap-allocated by GetFrame for an oversize request) is
+// left for the garbage collector. The buffer must not be touched after
+// PutFrame.
 //
 // dodo:releases(frame)
 func PutFrame(b []byte) {
-	if cap(b) != pooledFrameSize {
+	c := cap(b)
+	if c < 1<<minFrameShift || c > maxPooledFrame || c&(c-1) != 0 {
 		return
 	}
-	b = b[:pooledFrameSize]
-	framePool.Put(&b)
+	b = b[:c]
+	framePools[frameClass(c)].Put(&b)
 }
 
 // EncodePooled is Encode into a pooled frame: same wire bytes, but the

@@ -46,6 +46,19 @@ go run ./cmd/dodo-bench -gobench /tmp/bench_region_now.json -pkgs ./internal/reg
 go run ./cmd/dodo-bench -compare BENCH_region_base.json /tmp/bench_region_now.json
 rm -f /tmp/bench_region_now.json
 
+# Data-plane perf gate, the same way: the per-frame and per-transfer
+# benchmarks of usocket, transport and bulk (one frame through a socket
+# and through the transport adapter, one datagram through the fabric
+# and loopback UDP, 64 KB and 128 KB transfers) against a baseline
+# frozen at -benchtime 1s. The per-frame budget of DESIGN.md §14.4 —
+# no address parsing, no timer, one allocation — regresses here first.
+DATAPLANE_PKGS=./internal/usocket,./internal/transport,./internal/bulk
+[ -f BENCH_dataplane_base.json ] || \
+    go run ./cmd/dodo-bench -gobench BENCH_dataplane_base.json -pkgs "$DATAPLANE_PKGS" -benchtime 1s
+go run ./cmd/dodo-bench -gobench /tmp/bench_dataplane_now.json -pkgs "$DATAPLANE_PKGS" -benchtime 1s
+go run ./cmd/dodo-bench -compare BENCH_dataplane_base.json /tmp/bench_dataplane_now.json
+rm -f /tmp/bench_dataplane_now.json
+
 # The same suite with the lockcheck runtime compiled in: every
 # locks.Mutex acquisition is checked against the declared rank hierarchy
 # and panics on inversion, cross-checking the static lock-order pass
