@@ -260,17 +260,20 @@ func runGoBench(path string, pkgList []string, benchtime string) error {
 	// internal/region carries the cache-level parallel benches
 	// (BenchmarkCreadParallel, BenchmarkPrefetchPipeline) that track the
 	// concurrent-cache trajectory; internal/bulk carries the data-plane
-	// benches (legacy vs eager transfer, over the in-memory fabric and
-	// over usocket framing) behind the read fast paths; internal/core
-	// carries the protocol-level read benches (BenchmarkSmallRead
-	// fastpath vs legacy); internal/usocket, internal/transport and
-	// internal/sim carry the per-frame costs under all of them (one
-	// frame through a socket and through the transport adapter, one
-	// datagram through the fabric and through loopback UDP, the virtual
-	// clock's event queue). Benchmark names are distinct across the
-	// seven, so the flat report stays collision-free.
+	// benches (offer-driven vs eager transfer, over the in-memory fabric
+	// and over usocket framing); internal/core and internal/imd carry
+	// the read exchange seen from either end (BenchmarkSmallRead, the
+	// inline shape through a full stack; BenchmarkServeRead8KB, the
+	// eager shape against one daemon); internal/wire and internal/pool
+	// the codec and the allocator under them; internal/usocket,
+	// internal/transport and internal/sim the per-frame costs under all
+	// of them (one frame through a socket and through the transport
+	// adapter, one datagram through the fabric and through loopback
+	// UDP, the virtual clock's event queue). Benchmark names are
+	// distinct across the ten, so the flat report stays collision-free.
 	if len(pkgList) == 0 {
 		pkgList = []string{".", "./internal/region", "./internal/bulk", "./internal/core",
+			"./internal/imd", "./internal/wire", "./internal/pool",
 			"./internal/usocket", "./internal/transport", "./internal/sim"}
 	}
 	if benchtime == "" {

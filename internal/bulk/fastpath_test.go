@@ -113,10 +113,11 @@ func TestExpectBulkIntoRejectsDuplicate(t *testing.T) {
 	b.CancelExpect(a.LocalAddr(), id)
 }
 
-// TestRecvBulkIntoLegacyTransfer: RecvBulkInto also serves the legacy
-// offer/accept ladder, copying the assembled transfer into the
-// caller's buffer.
-func TestRecvBulkIntoLegacyTransfer(t *testing.T) {
+// TestRecvBulkIntoOfferDrivenTransfer: RecvBulkInto also serves a
+// transfer the sender opens with the offer/accept ladder (the write
+// direction, and what benchmark/probes.go's probeBulk drives), copying
+// the assembled transfer into the caller's buffer.
+func TestRecvBulkIntoOfferDrivenTransfer(t *testing.T) {
 	a, b := endpointPair(t, transport.WithMTU(1500))
 	data := make([]byte, 48<<10)
 	rand.New(rand.NewSource(3)).Read(data)
@@ -126,7 +127,7 @@ func TestRecvBulkIntoLegacyTransfer(t *testing.T) {
 	dst := make([]byte, len(data))
 	n, err := b.RecvBulkInto(dst, a.LocalAddr(), id, 10*time.Second)
 	if err != nil || n != len(data) || !bytes.Equal(dst, data) {
-		t.Fatalf("RecvBulkInto legacy = %d, %v, equal=%v", n, err, bytes.Equal(dst[:max(n, 0)], data[:max(n, 0)]))
+		t.Fatalf("RecvBulkInto offer-driven = %d, %v, equal=%v", n, err, bytes.Equal(dst[:max(n, 0)], data[:max(n, 0)]))
 	}
 	if err := <-done; err != nil {
 		t.Fatalf("SendBulk: %v", err)

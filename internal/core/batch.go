@@ -34,10 +34,9 @@ type batchItem struct {
 }
 
 // MreadBatch performs several reads at once. Items whose regions live
-// on the same imd — and whose host advertises the batched-read
-// capability — ride a single request/response exchange feeding one
-// bulk stream, instead of one full read protocol per region; everything
-// else falls back to individual Mread calls. The region cache's
+// on the same imd ride a single request/response exchange feeding one
+// bulk stream, instead of one read exchange per region; a host's lone
+// item goes through Mread. The region cache's
 // prefetch pipeline is the intended caller: a PrefetchWindow of
 // same-file regions usually lands on few hosts, so the window's worth
 // of round trips collapses into one or two.
@@ -70,10 +69,6 @@ func (c *Client) MreadBatch(reqs []BatchRead) []BatchResult {
 			results[i] = BatchResult{0, nil}
 			continue
 		}
-		if c.readCaps(r)&wire.CapBatchRead == 0 {
-			serial = append(serial, i)
-			continue
-		}
 		groups[r.remote.HostAddr] = append(groups[r.remote.HostAddr],
 			&batchItem{idx: i, fd: reqs[i].Fd, off: off, want: want, buf: reqs[i].Buf, r: r})
 	}
@@ -85,8 +80,8 @@ func (c *Client) MreadBatch(reqs []BatchRead) []BatchResult {
 	for _, host := range hosts {
 		items := groups[host]
 		if len(items) == 1 {
-			// A batch of one gains nothing over the single-read fast
-			// path, which can also assemble straight into the buffer.
+			// A batch of one gains nothing over a single read, which
+			// can also assemble straight into the buffer.
 			serial = append(serial, items[0].idx)
 			continue
 		}
@@ -126,7 +121,7 @@ func (c *Client) batchGroup(host string, items []*batchItem, total int64, result
 	// The response stream is one slot per item, each exactly the
 	// requested length (zero-padded on per-item failure), so its total
 	// size is known up front — pre-register the receive before the
-	// request leaves, as for eager single reads.
+	// request leaves, as for a multi-frame single read.
 	stream := make([]byte, total)
 	id := c.ep.NextTransferID()
 	chunk := c.ep.ChunkSize()
@@ -145,7 +140,6 @@ func (c *Client) batchGroup(host string, items []*batchItem, total int64, result
 		}
 	}
 	req := &wire.ReadBatchReq{
-		Caps:      wire.CapInlineRead | wire.CapEagerRead | wire.CapBatchRead,
 		XferID:    id,
 		ChunkSize: uint32(chunk),
 		Window:    uint32(window),
@@ -166,9 +160,9 @@ func (c *Client) batchGroup(host string, items []*batchItem, total int64, result
 		return
 	}
 	if br.Status != wire.StatusOK || len(br.Results) != len(items) {
-		// The imd refused the batch as a whole (draining, oversize,
-		// or a host that stopped speaking batch); each read still has
-		// the full single-read machinery to fall back on.
+		// The imd refused the batch as a whole (draining, oversize);
+		// each read still has the full single-read machinery to fall
+		// back on.
 		c.ep.CancelExpect(host, id)
 		fallback()
 		return
@@ -209,7 +203,7 @@ func (c *Client) batchGroup(host string, items []*batchItem, total int64, result
 		if n > len(slot) {
 			n = len(slot)
 		}
-		if res.Crc != 0 && wire.Checksum(slot[:n]) != res.Crc {
+		if wire.Checksum(slot[:n]) != res.Crc {
 			results[it.idx] = BatchResult{-1, c.failChecksum(host)}
 			continue
 		}

@@ -67,11 +67,6 @@ type Config struct {
 	HedgeFloor time.Duration
 	// DisableHedging turns hedged reads off.
 	DisableHedging bool
-	// DisableReadFastPath turns the negotiated read fast paths off
-	// (inline small reads, eager-first-window transfers, batched
-	// fetches), forcing every read through the legacy
-	// request/offer/accept ladder. For benchmarks and interop tests.
-	DisableReadFastPath bool
 	// Seed seeds recovery-backoff jitter; 0 uses a fixed default so
 	// test runs are reproducible.
 	Seed int64
@@ -127,10 +122,6 @@ type regionState struct {
 	// backOff is the region's base offset within the backing file.
 	backOff int64
 	length  int64
-	// caps is the hosting imd's advertised fast-path capability set,
-	// relayed by the manager with the mapping. Zero means legacy-only:
-	// reads use the request/offer/accept ladder.
-	caps wire.Caps
 	// valid is the local/remote flag: false once the remote copy is
 	// known lost.
 	valid bool
@@ -292,7 +283,6 @@ func New(tr transport.Transport, cfg Config) *Client {
 				RetryExhausted:   uint64(c.ep.RetryExhausted()),
 				ChecksumFailures: uint64(c.checksumFails.Load()),
 				CorruptHosts:     c.corruptHostsSnapshot(),
-				Caps:             wire.LocalCaps,
 			}
 		}
 		return nil
@@ -510,7 +500,6 @@ func (c *Client) Mopen(length int64, backing Backing, offset int64) (int, error)
 		fd:      fd,
 		key:     key,
 		remote:  ar.Region,
-		caps:    ar.HostCaps,
 		backing: backing,
 		backOff: offset,
 		length:  length,
@@ -580,12 +569,8 @@ func (c *Client) dropHost(addr string) {
 // longer vouches for). A newer incarnation than any seen before means
 // the manager restarted: every valid descriptor flips to needsReval
 // and the recovery loop is kicked to confirm each row against the
-// rebuilt directory. Zero (a peer predating incarnation stamping) is
-// always accepted.
+// rebuilt directory.
 func (c *Client) noteIncarnation(inc uint64) bool {
-	if inc == 0 {
-		return true
-	}
 	c.mu.Lock()
 	if inc < c.mgrIncarnation {
 		c.mu.Unlock()
@@ -695,34 +680,21 @@ func (c *Client) Mread(fd int, offset int64, buf []byte) (int, error) {
 	return n, nil
 }
 
-// readCaps returns the fast-path capability set usable against r: the
-// intersection of what the hosting imd advertised and what this client
-// is configured to speak.
-func (c *Client) readCaps(r regionState) wire.Caps {
-	if c.cfg.DisableReadFastPath {
-		return 0
-	}
-	return r.caps & wire.LocalCaps
-}
-
 // remoteReadInto performs the wire read against the hosting imd,
 // assembling the bytes into dst (len(dst) == want), and records a
 // latency sample on success. Failures drop every descriptor on the
 // host (§3.1) and surface as ErrNoMem so callers fall back to the
 // backing file.
 //
-// Three protocols, negotiated per host via the capability bits the
-// manager relays with the mapping:
+// One exchange, two response shapes, chosen by size alone:
 //
-//   - inline: a read that fits one frame comes back in the DataResp
-//     payload itself — one round trip, no bulk machinery;
-//   - eager: the client picks the transfer id, pre-registers the
-//     receive, and advertises its window in the request; the imd
+//   - a read that fits one frame comes back in the DataResp payload
+//     itself — one round trip, no bulk machinery;
+//   - for a larger read the client picks the transfer id, pre-registers
+//     the receive, and advertises its window in the request; the imd
 //     blasts the first window immediately, with the DataResp doubling
-//     as the bulk offer. The selective-NACK engine still governs the
-//     transfer, so a lossy first window degrades to ordinary recovery;
-//   - legacy: the request/offer/accept ladder, for hosts that
-//     advertise no caps (or when DisableReadFastPath is set).
+//     as the bulk offer. The selective-NACK engine governs the
+//     transfer, so a lossy first window degrades to ordinary recovery.
 func (c *Client) remoteReadInto(r regionState, offset, want int64, dst []byte) (int, error) {
 	start := c.cfg.Clock.Now()
 	host := r.remote.HostAddr
@@ -732,24 +704,19 @@ func (c *Client) remoteReadInto(r regionState, offset, want int64, dst []byte) (
 		Offset:   uint64(offset),
 		Length:   uint64(want),
 	}
-	caps := c.readCaps(r)
-	req.Caps = caps & wire.CapInlineRead
-	inlineLikely := caps&wire.CapInlineRead != 0 &&
-		want <= int64(wire.InlineDataLimit(c.ep.Transport().MTU()))
-	// For reads the imd won't inline, pre-register the eager receive
-	// under a client-chosen transfer id BEFORE the request leaves:
-	// the first eager packets may land before the response does.
+	// For a read the imd won't inline, pre-register the receive under a
+	// client-chosen transfer id BEFORE the request leaves: the first
+	// packets may land before the response does.
 	var xferID uint64
-	if caps&wire.CapEagerRead != 0 && !inlineLikely {
+	if want > int64(wire.InlineDataLimit(c.ep.Transport().MTU())) {
 		id := c.ep.NextTransferID()
 		chunk := c.ep.ChunkSize()
-		if window, err := c.ep.ExpectBulkInto(dst[:want], host, id, chunk); err == nil {
-			xferID = id
-			req.Caps = caps
-			req.XferID = id
-			req.ChunkSize = uint32(chunk)
-			req.Window = uint32(window)
+		window, err := c.ep.ExpectBulkInto(dst[:want], host, id, chunk)
+		if err != nil {
+			return -1, fmt.Errorf("%w: registering receive from %s: %v", ErrNoMem, host, err)
 		}
+		xferID = id
+		req.XferID, req.ChunkSize, req.Window = id, uint32(chunk), uint32(window)
 	}
 	cancel := func() {
 		if xferID != 0 {
@@ -782,30 +749,23 @@ func (c *Client) remoteReadInto(r regionState, offset, want int64, dst []byte) (
 		// The bytes rode the response itself; any pre-registered
 		// receive is moot.
 		cancel()
-		if dr.Crc != 0 && wire.Checksum(dr.Payload) != dr.Crc {
-			return -1, c.failChecksum(host)
-		}
 		n = copy(dst, dr.Payload)
 		c.inlineReads.Add(1)
-		c.recordLatency(host, r.remote.Epoch, c.cfg.Clock.Now().Sub(start))
-		return n, nil
 	case dr.Flags&wire.DataFlagEager != 0 && xferID != 0 && dr.TransferID == xferID:
 		n, err = c.ep.RecvBulkInto(dst[:want], host, xferID, dataBudget(want))
-		if err == nil {
-			c.eagerReads.Add(1)
+		if err != nil {
+			c.dropHost(host)
+			return -1, fmt.Errorf("%w: transfer failed: %v", ErrNoMem, err)
 		}
+		c.eagerReads.Add(1)
 	default:
-		// Legacy ladder: the imd allocated its own transfer id and is
-		// waiting on the offer/accept handshake. Drop the eager
-		// registration (if any) and receive normally.
+		// An OK response in neither shape, or one naming a transfer this
+		// read did not register, is a protocol violation.
 		cancel()
-		n, err = c.ep.RecvBulkInto(dst[:want], host, dr.TransferID, dataBudget(want))
-	}
-	if err != nil {
 		c.dropHost(host)
-		return -1, fmt.Errorf("%w: transfer failed: %v", ErrNoMem, err)
+		return -1, fmt.Errorf("%w: read response from %s carries no data", ErrNoMem, host)
 	}
-	if dr.Crc != 0 && wire.Checksum(dst[:n]) != dr.Crc {
+	if wire.Checksum(dst[:n]) != dr.Crc {
 		// The bytes that arrived are not the bytes the imd hashed:
 		// fail the read rather than hand the app a corrupt page. The
 		// drop → revalidate path then repopulates the region from the
@@ -1243,7 +1203,6 @@ func (c *Client) CheckAlloc(fd int) (bool, error) {
 		c.handoffAdopts.Add(1)
 	}
 	live.remote = ca.Region
-	live.caps = ca.HostCaps
 	live.valid = true
 	live.needsReval = false
 	return true, nil

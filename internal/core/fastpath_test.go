@@ -12,14 +12,16 @@ import (
 	"dodo/internal/manager"
 	"dodo/internal/simnet"
 	"dodo/internal/transport"
+	"dodo/internal/wire"
 )
 
 // countingTransport wraps a transport and counts datagrams in each
-// direction. It deliberately does NOT implement transport.VecSender, so
-// every frame the client emits passes through Send exactly once.
+// direction, and the BulkOffer frames among those received. It
+// deliberately does NOT implement transport.VecSender, so every frame
+// the client emits passes through Send exactly once.
 type countingTransport struct {
 	transport.Transport
-	sends, recvs atomic.Int64
+	sends, recvs, offers atomic.Int64
 }
 
 func (t *countingTransport) Send(to string, data []byte) error {
@@ -31,6 +33,9 @@ func (t *countingTransport) Recv(timeout time.Duration) ([]byte, string, error) 
 	data, from, err := t.Transport.Recv(timeout)
 	if err == nil {
 		t.recvs.Add(1)
+		if h, herr := wire.ParseHeader(data); herr == nil && h.Type == wire.TBulkOffer {
+			t.offers.Add(1)
+		}
 	}
 	return data, from, err
 }
@@ -39,7 +44,7 @@ func (t *countingTransport) Recv(timeout time.Duration) ([]byte, string, error) 
 // of seconds (keep-alives, status announces), so that after setup the
 // only frames crossing the client's transport are the ones the test
 // provokes. The client's transport is wrapped in a frame counter.
-func quietStack(t *testing.T, mut func(*Config)) (*stack, *countingTransport) {
+func quietStack(t testing.TB, mut func(*Config)) (*stack, *countingTransport) {
 	t.Helper()
 	n := transport.NewNetwork(transport.WithMTU(1500))
 	mgr := manager.New(n.Host("cmd"), manager.Config{
@@ -79,7 +84,7 @@ func quietStack(t *testing.T, mut func(*Config)) (*stack, *countingTransport) {
 // mopenRetry retries Mopen until the imd's startup announce has reached
 // the manager (stacks with long status intervals announce exactly once,
 // and the client may dial in before that announce lands).
-func mopenRetry(t *testing.T, cli *Client, length int64, back Backing, off int64) int {
+func mopenRetry(t testing.TB, cli *Client, length int64, back Backing, off int64) int {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -94,10 +99,10 @@ func mopenRetry(t *testing.T, cli *Client, length int64, back Backing, off int64
 	}
 }
 
-// TestSmallReadSingleExchange pins the inline fast path at the
-// transport level: a sub-MTU Mread against a capable imd must cost
-// exactly one request frame out and one response frame in — no bulk
-// offer, no accept, no done handshake.
+// TestSmallReadSingleExchange pins the inline response shape at the
+// transport level: a sub-MTU Mread must cost exactly one request frame
+// out and one response frame in — no bulk offer, no accept, no done
+// handshake.
 func TestSmallReadSingleExchange(t *testing.T) {
 	s, ct := quietStack(t, nil)
 	back := NewMemBacking(7, 16<<10)
@@ -131,8 +136,8 @@ func TestSmallReadSingleExchange(t *testing.T) {
 	}
 }
 
-// TestReadFastPathStats: small reads ride the inline path, large reads
-// the eager path, and both return the written bytes.
+// TestReadFastPathStats: small reads come back inline, large reads as
+// an eager transfer, and both return the written bytes.
 func TestReadFastPathStats(t *testing.T) {
 	// Hedging disabled: a hedged read's disk leg can win the race and
 	// satisfy the read without touching the eager path.
@@ -167,39 +172,9 @@ func TestReadFastPathStats(t *testing.T) {
 	}
 }
 
-// TestReadFastPathDisabled: with DisableReadFastPath the client never
-// requests inline or eager service and every read uses the legacy
-// offer/accept ladder — and still returns the right bytes. This is the
-// interop posture a new client takes against an old imd.
-func TestReadFastPathDisabled(t *testing.T) {
-	s, _ := quietStack(t, func(c *Config) { c.DisableReadFastPath = true })
-	back := NewMemBacking(9, 128<<10)
-	fd := mopenRetry(t, s.cli, 128<<10, back, 0)
-	data := make([]byte, 128<<10)
-	rand.New(rand.NewSource(7)).Read(data)
-	if n, err := s.cli.Mwrite(fd, 0, data); err != nil || n != len(data) {
-		t.Fatalf("Mwrite = %d, %v", n, err)
-	}
-	small := make([]byte, 700)
-	if n, err := s.cli.Mread(fd, 100, small); err != nil || n != 700 {
-		t.Fatalf("small Mread = %d, %v", n, err)
-	}
-	large := make([]byte, 128<<10)
-	if n, err := s.cli.Mread(fd, 0, large); err != nil || n != len(large) {
-		t.Fatalf("large Mread = %d, %v", n, err)
-	}
-	if !bytes.Equal(small, data[100:800]) || !bytes.Equal(large, data) {
-		t.Fatal("legacy reads returned wrong bytes")
-	}
-	st := s.cli.Stats()
-	if st.InlineReads != 0 || st.EagerReads != 0 || st.BatchReads != 0 {
-		t.Fatalf("fast-path stats nonzero with the feature disabled: %+v", st)
-	}
-}
-
 // TestMreadBatch: several same-host reads collapse into one batched
 // exchange; per-item validation failures and short reads keep Mread's
-// semantics.
+// semantics; a batch of one is an ordinary Mread.
 func TestMreadBatch(t *testing.T) {
 	s := newStack(t, 1, 1<<20)
 	sizes := []int64{8 << 10, 12 << 10, 20 << 10}
@@ -250,40 +225,17 @@ func TestMreadBatch(t *testing.T) {
 	if results[5].Err != nil || results[5].N != 0 {
 		t.Fatalf("item 5 (zero-length) = %d, %v, want 0, nil", results[5].N, results[5].Err)
 	}
-	if st := s.cli.Stats(); st.BatchReads == 0 {
-		t.Fatalf("BatchReads = 0 after a batched exchange; stats %+v", st)
+	before := s.cli.Stats()
+	if before.BatchReads == 0 {
+		t.Fatalf("BatchReads = 0 after a batched exchange; stats %+v", before)
 	}
-}
-
-// TestMreadBatchSerialFallback: when the fast paths are disabled the
-// batch API still serves every item, one Mread at a time.
-func TestMreadBatchSerialFallback(t *testing.T) {
-	s, _ := quietStack(t, func(c *Config) { c.DisableReadFastPath = true })
-	var fds []int
-	var payloads [][]byte
-	for i := 0; i < 3; i++ {
-		back := NewMemBacking(uint64(40+i), 4096)
-		fd := mopenRetry(t, s.cli, 4096, back, 0)
-		data := make([]byte, 4096)
-		rand.New(rand.NewSource(int64(50 + i))).Read(data)
-		if n, err := s.cli.Mwrite(fd, 0, data); err != nil || n != len(data) {
-			t.Fatalf("Mwrite %d = %d, %v", i, n, err)
-		}
-		fds = append(fds, fd)
-		payloads = append(payloads, data)
+	one := []BatchRead{{Fd: fds[1], Offset: 0, Buf: make([]byte, sizes[1])}}
+	if res := s.cli.MreadBatch(one); res[0].Err != nil || res[0].N != int(sizes[1]) || !bytes.Equal(one[0].Buf, payloads[1]) {
+		t.Fatalf("batch of one = %d, %v", res[0].N, res[0].Err)
 	}
-	reqs := make([]BatchRead, len(fds))
-	for i, fd := range fds {
-		reqs[i] = BatchRead{Fd: fd, Buf: make([]byte, 4096)}
-	}
-	results := s.cli.MreadBatch(reqs)
-	for i := range results {
-		if results[i].Err != nil || results[i].N != 4096 || !bytes.Equal(reqs[i].Buf, payloads[i]) {
-			t.Fatalf("item %d = %d, %v", i, results[i].N, results[i].Err)
-		}
-	}
-	if st := s.cli.Stats(); st.BatchReads != 0 {
-		t.Fatalf("BatchReads = %d with the fast paths disabled, want 0", st.BatchReads)
+	if after := s.cli.Stats(); after.BatchReads != before.BatchReads || after.RemoteReads != before.RemoteReads+1 {
+		t.Fatalf("batch of one: BatchReads %d -> %d, RemoteReads %d -> %d; want an Mread, no batch exchange",
+			before.BatchReads, after.BatchReads, before.RemoteReads, after.RemoteReads)
 	}
 }
 
@@ -366,68 +318,24 @@ func TestMreadFastPathUnderLoss(t *testing.T) {
 }
 
 // BenchmarkSmallRead measures one 1 KB remote read through a full
-// in-process stack: fastpath rides the inline DataResp (1 round trip),
-// legacy walks the request/offer/accept/data/done ladder.
+// in-process stack: one ReadReq out, the bytes back inline in the
+// DataResp.
 func BenchmarkSmallRead(b *testing.B) {
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{{"fastpath", false}, {"legacy", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			n := transport.NewNetwork(transport.WithMTU(1500))
-			mgr := manager.New(n.Host("cmd"), manager.Config{
-				KeepAliveInterval: 10 * time.Second,
-				KeepAliveMisses:   3,
-				Endpoint:          fastEp(),
-			})
-			d := imd.New(n.Host("imd0"), imd.Config{
-				ManagerAddr:    "cmd",
-				PoolSize:       1 << 20,
-				Epoch:          1,
-				StatusInterval: 10 * time.Second,
-				Endpoint:       fastEp(),
-			})
-			cli := New(n.Host("client"), Config{
-				ManagerAddr:         "cmd",
-				ClientID:            1,
-				RefractionPeriod:    300 * time.Millisecond,
-				DisableHedging:      true,
-				DisableReadFastPath: mode.disable,
-				Endpoint:            fastEp(),
-			})
-			defer func() {
-				cli.Close()
-				d.Close()
-				mgr.Close()
-			}()
-			back := NewMemBacking(70, 64<<10)
-			var fd int
-			deadline := time.Now().Add(5 * time.Second)
-			for {
-				var err error
-				fd, err = cli.Mopen(64<<10, back, 0)
-				if err == nil {
-					break
-				}
-				if time.Now().After(deadline) {
-					b.Fatalf("Mopen never succeeded: %v", err)
-				}
-				time.Sleep(20 * time.Millisecond)
-			}
-			data := make([]byte, 64<<10)
-			rand.New(rand.NewSource(21)).Read(data)
-			if _, err := cli.Mwrite(fd, 0, data); err != nil {
-				b.Fatal(err)
-			}
-			buf := make([]byte, 1024)
-			b.SetBytes(1024)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := cli.Mread(fd, int64(i%63)<<10, buf); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	s, _ := quietStack(b, nil)
+	back := NewMemBacking(70, 64<<10)
+	fd := mopenRetry(b, s.cli, 64<<10, back, 0)
+	data := make([]byte, 64<<10)
+	rand.New(rand.NewSource(21)).Read(data)
+	if _, err := s.cli.Mwrite(fd, 0, data); err != nil {
+		b.Fatal(err)
+	}
+	buf := make([]byte, 1024)
+	b.SetBytes(1024)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.cli.Mread(fd, int64(i%63)<<10, buf); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -18,20 +18,27 @@ type outageStack struct {
 	n   *transport.Network
 	d   *imd.Daemon
 	cli *Client
+	// ct counts the frames crossing the client's transport.
+	ct *countingTransport
 }
 
 func newOutageStack(t *testing.T, firstInc uint64) (*outageStack, *manager.Manager) {
 	t.Helper()
 	n := transport.NewNetwork(transport.WithMTU(1500))
 	mgr := manager.New(n.Host("cmd"), outageMgrConfig(firstInc))
+	// StatusInterval is shorter than the manager's RebuildGrace, so the
+	// imd re-reports inside the rebuild window, and long enough that the
+	// client's revalidation lands between that re-report and the next
+	// periodic announce.
 	d := imd.New(n.Host("imd0"), imd.Config{
 		ManagerAddr:    "cmd",
 		PoolSize:       1 << 20,
 		Epoch:          1,
-		StatusInterval: 50 * time.Millisecond,
+		StatusInterval: 200 * time.Millisecond,
 		Endpoint:       fastEp(),
 	})
-	cli := New(n.Host("client"), Config{
+	ct := &countingTransport{Transport: n.Host("client")}
+	cli := New(ct, Config{
 		ManagerAddr: "cmd",
 		ClientID:    1,
 		// OutageWindow defaults to half of this: 5s of queueing.
@@ -47,7 +54,7 @@ func newOutageStack(t *testing.T, firstInc uint64) (*outageStack, *manager.Manag
 	if mgr.Stats().IdleHosts != 1 {
 		t.Fatal("manager never saw the imd")
 	}
-	return &outageStack{n: n, d: d, cli: cli}, mgr
+	return &outageStack{n: n, d: d, cli: cli, ct: ct}, mgr
 }
 
 func outageMgrConfig(inc uint64) manager.Config {
@@ -127,13 +134,31 @@ func TestMopenQueuesThroughManagerOutage(t *testing.T) {
 	}
 
 	// And the client catches up to the new incarnation via keep-alives
-	// or its revalidation traffic.
+	// or its revalidation traffic, and confirms the pre-crash mapping
+	// against the rebuilt directory.
+	revalidated := func() bool {
+		s.cli.mu.Lock()
+		defer s.cli.mu.Unlock()
+		return s.cli.mgrIncarnation == 2 && !s.cli.regions[fd0].needsReval
+	}
 	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) && s.cli.Stats().ManagerIncarnation < 2 {
+	for time.Now().Before(deadline) && !revalidated() {
 		time.Sleep(20 * time.Millisecond)
 	}
-	if st := s.cli.Stats(); st.ManagerIncarnation != 2 {
-		t.Fatalf("client never adopted incarnation 2: %+v", st)
+	if !revalidated() {
+		t.Fatalf("client never revalidated fd %d onto incarnation 2: %+v", fd0, s.cli.Stats())
+	}
+
+	// The revalidated mapping reads exactly as it did before the crash:
+	// a multi-frame read is one eager exchange, and the imd opens no
+	// offer/accept ladder toward the client.
+	eager, offers := s.cli.Stats().EagerReads, s.ct.offers.Load()
+	if n, err := s.cli.Mread(fd0, 0, got); err != nil || n != len(data) || !bytes.Equal(got, data) {
+		t.Fatalf("Mread on revalidated region = %d, %v", n, err)
+	}
+	if st := s.cli.Stats(); st.EagerReads != eager+1 || s.ct.offers.Load() != offers {
+		t.Fatalf("read of a revalidated region: EagerReads %d -> %d, BulkOffers from the imd %d -> %d; want +1 and +0",
+			eager, st.EagerReads, offers, s.ct.offers.Load())
 	}
 }
 

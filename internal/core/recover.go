@@ -149,7 +149,7 @@ func (c *Client) recoverRegion(fd int) bool {
 	// byte this client ever had confirmed; if the write-seq gate is
 	// settled and no disk-only writes could have happened since the
 	// drop, it can be adopted outright, skipping the repopulation.
-	if ca.Fresh && c.adoptHandoff(fd, r.key, ca.Region, ca.HostCaps) {
+	if ca.Fresh && c.adoptHandoff(fd, r.key, ca.Region) {
 		c.logf("dodo: adopted handoff copy for fd %d on %s region %d", fd, ca.Region.HostAddr, ca.Region.RegionID)
 		return true
 	}
@@ -168,7 +168,6 @@ func (c *Client) recoverRegion(fd int) bool {
 	}
 	if !live.valid {
 		live.remote = ca.Region
-		live.caps = ca.HostCaps
 		live.valid = true
 		// The push carried the backing bytes end-to-end, so any
 		// disk-only writes made while invalid are now remote too.
@@ -199,7 +198,6 @@ func (c *Client) confirmReval(fd int, ca *wire.CheckAllocResp) bool {
 	}
 	if ca.Status == wire.StatusOK {
 		live.remote = ca.Region
-		live.caps = ca.HostCaps
 		live.needsReval = false
 		c.mu.Unlock()
 		return true
@@ -229,7 +227,7 @@ func (c *Client) confirmReval(fd int, ca *wire.CheckAllocResp) bool {
 //
 // When either check fails the caller repopulates from the backing file,
 // which settles both concerns at once.
-func (c *Client) adoptHandoff(fd int, key wire.RegionKey, reg wire.Region, caps wire.Caps) bool {
+func (c *Client) adoptHandoff(fd int, key wire.RegionKey, reg wire.Region) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	live, present := c.regions[fd]
@@ -240,7 +238,6 @@ func (c *Client) adoptHandoff(fd int, key wire.RegionKey, reg wire.Region, caps 
 		return false
 	}
 	live.remote = reg
-	live.caps = caps
 	live.valid = true
 	c.handoffAdopts.Add(1)
 	return true
@@ -296,7 +293,7 @@ func (c *Client) reopenRegion(fd int) bool {
 		c.freeKey(r.key)
 		return false
 	}
-	return c.commitReopen(fd, r.key, ar.Region, ar.HostCaps)
+	return c.commitReopen(fd, r.key, ar.Region)
 }
 
 // commitReopen installs the freshly allocated region on fd after a
@@ -307,7 +304,7 @@ func (c *Client) reopenRegion(fd int) bool {
 // the manager until the client dies. Releasing it here whenever no
 // alias remains makes the invariant local: every path out of a re-open
 // either installs the region on a live descriptor or frees it.
-func (c *Client) commitReopen(fd int, key wire.RegionKey, reg wire.Region, caps wire.Caps) bool {
+func (c *Client) commitReopen(fd int, key wire.RegionKey, reg wire.Region) bool {
 	c.mu.Lock()
 	live, present := c.regions[fd]
 	if !present {
@@ -328,7 +325,6 @@ func (c *Client) commitReopen(fd int, key wire.RegionKey, reg wire.Region, caps 
 		return true
 	}
 	live.remote = reg
-	live.caps = caps
 	live.valid = true
 	live.diskDirty = false // the push carried the backing bytes
 	c.reopens.Add(1)

@@ -473,7 +473,7 @@ func TestCommitReopenFreesOrphanedAllocation(t *testing.T) {
 	mu.Lock()
 	liveKey = true
 	mu.Unlock()
-	if !cli.commitReopen(fd, key, reg, 0) {
+	if !cli.commitReopen(fd, key, reg) {
 		t.Fatal("commitReopen on a closed descriptor = false, want true")
 	}
 	mu.Lock()
@@ -500,7 +500,7 @@ func TestCommitReopenFreesOrphanedAllocation(t *testing.T) {
 	liveKey = true
 	preFrees := frees
 	mu.Unlock()
-	if !cli.commitReopen(fd1, key, reg, 0) {
+	if !cli.commitReopen(fd1, key, reg) {
 		t.Fatal("commitReopen with a surviving alias = false, want true")
 	}
 	mu.Lock()

@@ -30,7 +30,7 @@ func TestDrainHandsOffPagesToPeer(t *testing.T) {
 	})
 	cli := bulk.NewEndpoint(n.Host("client"), fastEp(), nil)
 	t.Cleanup(func() { src.Close(); dst.Close(); cli.Close(); cmd.ep.Close() })
-	r := &rig{n: n, cmd: cmd, d: src, cli: cli}
+	r := &rig{t: t, n: n, cmd: cmd, d: src, cli: cli, seq: map[uint64]uint64{}}
 
 	// Two resident regions on the draining imd; only region 1 will be
 	// granted a target.
@@ -81,17 +81,16 @@ func TestDrainHandsOffPagesToPeer(t *testing.T) {
 	}
 
 	// The page is byte-exact on the peer, readable as a normal region.
-	rd, err := cli.CallT("imd2", &wire.ReadReq{RegionID: 901, Epoch: tr.Epoch, Offset: 0, Length: 64 << 10}, 2*time.Second, 2)
+	p, err := startRead(cli, "imd2", 901, tr.Epoch, 0, 64<<10)
 	if err != nil {
 		t.Fatalf("read from peer: %v", err)
 	}
-	dr := rd.(*wire.DataResp)
-	if dr.Status != wire.StatusOK || dr.Count != 64<<10 {
-		t.Fatalf("peer read = %+v", dr)
+	if p.dr.Status != wire.StatusOK || p.dr.Count != 64<<10 {
+		t.Fatalf("peer read = %+v", p.dr)
 	}
-	got, err := cli.RecvBulk("imd2", dr.TransferID, 10*time.Second)
+	got, err := p.finish()
 	if err != nil {
-		t.Fatalf("RecvBulk from peer: %v", err)
+		t.Fatalf("read from peer: %v", err)
 	}
 	if !bytes.Equal(got, data) {
 		t.Fatal("handed-off page differs from the source bytes")

@@ -154,10 +154,6 @@ type Daemon struct {
 	// inventoryReports counts re-reports the manager acknowledged OK.
 	// dodo:guardedby mu
 	inventoryReports int64
-	// inlineReads / eagerReads / batchReads count fast-path read
-	// decisions (inline payload, eager blast, batched fetch).
-	// dodo:guardedby mu
-	inlineReads, eagerReads, batchReads int64
 
 	// eagerResp memoizes the response for each requester-chosen eager
 	// transfer id, and eagerOrder its insertion order. A retransmitted
@@ -262,12 +258,6 @@ func (d *Daemon) announce(state wire.HostState) {
 		AvailBytes:  avail,
 		LargestFree: largest,
 		Incarnation: known,
-		// Advertise the read fast paths; the manager relays these to
-		// clients on every alloc/check-alloc so they know this host
-		// speaks inline, eager and batched reads. Periodic announces
-		// also restore the advertisement after a manager restart (the
-		// rebuilt directory starts with zero caps for every host).
-		Caps: wire.LocalCaps,
 	}
 	resp, err := d.ep.Call(d.cfg.ManagerAddr, msg)
 	if err != nil {
@@ -287,12 +277,8 @@ func (d *Daemon) announce(state wire.HostState) {
 
 // noteIncarnation folds an incarnation observed on a manager ack into
 // the daemon's view, kicking the inventory report loop when the
-// manager is ahead of the last acknowledged report. Zero means the
-// peer predates incarnation stamping and is ignored.
+// manager is ahead of the last acknowledged report.
 func (d *Daemon) noteIncarnation(inc uint64) {
-	if inc == 0 {
-		return
-	}
 	d.mu.Lock()
 	prev := d.mgrIncarnation
 	if inc > d.mgrIncarnation {
@@ -823,10 +809,17 @@ func (d *Daemon) memoize(from string, id uint64, resp wire.Message) {
 	}
 }
 
-// handleRead validates the request, snapshots the bytes and serves them
-// by the fastest path the requester advertised: inline in the DataResp
-// when they fit one frame, an eager blast under the requester's chosen
-// transfer id, or the legacy offer/accept bulk push.
+// canBlast reports whether a request too big to answer in one frame
+// names a receive its bytes can be blasted into: the transfer id the
+// requester pre-registered, and a packet size this endpoint can send.
+func (d *Daemon) canBlast(xferID uint64, chunk uint32) bool {
+	return xferID != 0 && chunk != 0 && int(chunk) <= d.ep.ChunkSize()
+}
+
+// handleRead validates the request, snapshots the bytes and serves
+// them: inline in the DataResp when they fit one frame, otherwise as an
+// eager blast under the transfer id the requester chose and
+// pre-registered.
 func (d *Daemon) handleRead(from string, req *wire.ReadReq) wire.Message {
 	d.mu.Lock()
 	// Retransmitted request for an eager transfer already underway: the
@@ -856,16 +849,20 @@ func (d *Daemon) handleRead(from string, req *wire.ReadReq) wire.Message {
 		d.mu.Unlock()
 		return &wire.DataResp{Status: wire.StatusInvalid}
 	}
+	inline := len(data) <= wire.InlineDataLimit(d.ep.Transport().MTU())
+	if !inline && !d.canBlast(req.XferID, req.ChunkSize) {
+		d.mu.Unlock()
+		return &wire.DataResp{Status: wire.StatusInvalid}
+	}
 	d.reads++
 	d.readBytes += int64(len(data))
 	d.readCount[req.RegionID]++
 
-	// Inline fast path: the whole read fits one frame alongside the
-	// response fields — answer with the payload, no bulk transfer. The
-	// payload outlives this handler (the endpoint encodes the response
-	// after it returns), so its snapshot is the heap's.
-	if req.Caps&wire.CapInlineRead != 0 && len(data) <= wire.InlineDataLimit(d.ep.Transport().MTU()) {
-		d.inlineReads++
+	// The whole read fits one frame alongside the response fields:
+	// answer with the payload, no bulk transfer. The payload outlives
+	// this handler (the endpoint encodes the response after it
+	// returns), so its snapshot is the heap's.
+	if inline {
 		snap := append([]byte(nil), data...)
 		d.mu.Unlock()
 		return &wire.DataResp{
@@ -880,45 +877,27 @@ func (d *Daemon) handleRead(from string, req *wire.ReadReq) wire.Message {
 	snap := wire.GetFrame(len(data))
 	copy(snap, data)
 
-	// Eager fast path: the requester pre-registered its buffer under
-	// XferID and told us the chunk/window it committed — blast the
-	// first window now, DataResp doubles as the offer.
-	eager := req.Caps&wire.CapEagerRead != 0 && req.XferID != 0 &&
-		int(req.ChunkSize) > 0 && int(req.ChunkSize) <= d.ep.ChunkSize()
-	if eager {
-		d.eagerReads++
-	}
+	// The requester pre-registered its buffer under XferID and told us
+	// the chunk/window it committed — blast the first window now,
+	// DataResp doubles as the offer.
 	d.transfers.Add(1)
 	d.mu.Unlock()
 
 	// The checksum covers the snapshot, so the client verifies the
 	// bytes end to end: a frame mangled anywhere between this pool and
 	// the client's buffer fails the read instead of corrupting it.
-	if eager {
-		resp := &wire.DataResp{
-			Status: wire.StatusOK, Count: uint64(len(snap)), TransferID: req.XferID,
-			Crc: wire.Checksum(snap), Flags: wire.DataFlagEager,
-		}
-		// Memoize BEFORE the blast goroutine can finish: a retransmit
-		// must never observe a gap and start a second blast.
-		d.memoize(from, req.XferID, resp)
-		go func() {
-			defer d.transfers.Done()
-			defer wire.PutFrame(snap)
-			if err := d.ep.SendBulkEager(from, req.XferID, snap, int(req.ChunkSize), int(req.Window)); err != nil {
-				d.logf("imd %s: eager read push to %s: %v", d.Addr(), from, err)
-			}
-		}()
-		return resp
+	resp := &wire.DataResp{
+		Status: wire.StatusOK, Count: uint64(len(snap)), TransferID: req.XferID,
+		Crc: wire.Checksum(snap), Flags: wire.DataFlagEager,
 	}
-
-	id := d.ep.NextTransferID()
-	resp := &wire.DataResp{Status: wire.StatusOK, Count: uint64(len(snap)), TransferID: id, Crc: wire.Checksum(snap)}
+	// Memoize BEFORE the blast goroutine can finish: a retransmit
+	// must never observe a gap and start a second blast.
+	d.memoize(from, req.XferID, resp)
 	go func() {
 		defer d.transfers.Done()
 		defer wire.PutFrame(snap)
-		if err := d.ep.SendBulk(from, id, snap); err != nil {
-			d.logf("imd %s: pushing read data to %s: %v", d.Addr(), from, err)
+		if err := d.ep.SendBulkEager(from, req.XferID, snap, int(req.ChunkSize), int(req.Window)); err != nil {
+			d.logf("imd %s: eager read push to %s: %v", d.Addr(), from, err)
 		}
 	}()
 	return resp
@@ -974,22 +953,17 @@ func (d *Daemon) handleReadBatch(from string, req *wire.ReadBatchReq) wire.Messa
 		d.readCount[it.RegionID]++
 		results[i] = wire.ReadBatchResult{Status: wire.StatusOK, Count: uint64(n), Crc: wire.Checksum(slot[:n])}
 	}
-	d.batchReads++
 
 	// Whole response in one frame when it fits: statuses, CRCs and the
 	// stream itself, no bulk transfer.
 	inlineSize := 12 + 13*len(results) + len(stream)
-	if req.Caps&wire.CapInlineRead != 0 && wire.HeaderSize+inlineSize <= d.ep.Transport().MTU() {
+	if wire.HeaderSize+inlineSize <= d.ep.Transport().MTU() {
 		d.mu.Unlock()
 		resp := &wire.ReadBatchResp{Status: wire.StatusOK, Flags: wire.DataFlagInline, Results: results, Payload: stream}
 		d.memoize(from, req.XferID, resp)
 		return resp
 	}
-	eager := req.Caps&wire.CapEagerRead != 0 && req.XferID != 0 &&
-		int(req.ChunkSize) > 0 && int(req.ChunkSize) <= d.ep.ChunkSize()
-	if !eager {
-		// The batch protocol has no legacy ladder: a requester that
-		// cannot receive an eager stream should not have sent a batch.
+	if !d.canBlast(req.XferID, req.ChunkSize) {
 		d.mu.Unlock()
 		return &wire.ReadBatchResp{Status: wire.StatusInvalid, Results: results}
 	}
@@ -1024,7 +998,9 @@ func (d *Daemon) handleWrite(from string, req *wire.WriteReq) wire.Message {
 		return &wire.DataResp{Status: wire.StatusNotFound}
 	}
 	size, _ := d.pool.RegionSize(req.RegionID)
-	if req.Offset > size {
+	if req.Offset > size || req.WriteSeq == 0 {
+		// Bad offset, or a sequence the region's gate cannot order:
+		// clients number their writes from 1.
 		d.mu.Unlock()
 		return &wire.DataResp{Status: wire.StatusInvalid}
 	}
@@ -1066,7 +1042,7 @@ func (d *Daemon) handleWrite(from string, req *wire.WriteReq) wire.Message {
 		d.logf("imd %s: receiving write data from %s: %v", d.Addr(), from, err)
 		return &wire.DataResp{Status: wire.StatusInvalid}
 	}
-	if req.Crc != 0 && wire.Checksum(data) != req.Crc {
+	if wire.Checksum(data) != req.Crc {
 		// The bytes that arrived are not the bytes the client hashed:
 		// refuse the write rather than store a corrupt page the client
 		// believes is durable.
@@ -1084,9 +1060,7 @@ func (d *Daemon) handleWrite(from string, req *wire.WriteReq) wire.Message {
 	if err != nil {
 		return &wire.DataResp{Status: wire.StatusInvalid}
 	}
-	if req.WriteSeq != 0 {
-		d.lastWriteSeq[req.RegionID] = req.WriteSeq
-	}
+	d.lastWriteSeq[req.RegionID] = req.WriteSeq
 	d.writes++
 	d.writeBytes += int64(n)
 	return &wire.DataResp{Status: wire.StatusOK, Count: uint64(n)}
@@ -1140,7 +1114,7 @@ func (d *Daemon) handleHandoffPage(from string, req *wire.HandoffPage) wire.Mess
 		d.logf("imd %s: receiving handoff page from %s: %v", d.Addr(), from, err)
 		return &wire.DataResp{Status: wire.StatusInvalid}
 	}
-	if req.Crc != 0 && wire.Checksum(data) != req.Crc {
+	if wire.Checksum(data) != req.Crc {
 		// A corrupt handoff page must not become the region's new home:
 		// refusing makes the sender report the grant failed, so the
 		// manager frees this copy and the client re-fetches from disk.
@@ -1165,8 +1139,7 @@ func (d *Daemon) handleHandoffPage(from string, req *wire.HandoffPage) wire.Mess
 }
 
 // supersededLocked reports whether req's write has already been applied
-// or overwritten by a newer write to the same region. WriteSeq zero is
-// unordered and never superseded. Caller holds d.mu.
+// or overwritten by a newer write to the same region. Caller holds d.mu.
 func (d *Daemon) supersededLocked(req *wire.WriteReq) bool {
-	return req.WriteSeq != 0 && req.WriteSeq <= d.lastWriteSeq[req.RegionID]
+	return req.WriteSeq <= d.lastWriteSeq[req.RegionID]
 }

@@ -2,6 +2,7 @@ package imd
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -92,13 +93,16 @@ func (c *fakeCMD) lastStatus() (wire.HostStatus, bool) {
 }
 
 type rig struct {
+	t   testing.TB
 	n   *transport.Network
 	cmd *fakeCMD
 	d   *Daemon
 	cli *bulk.Endpoint
+	// seq numbers the rig's writes per region, as a client does.
+	seq map[uint64]uint64
 }
 
-func newRig(t *testing.T, poolSize uint64) *rig {
+func newRig(t testing.TB, poolSize uint64) *rig {
 	t.Helper()
 	n := transport.NewNetwork(transport.WithMTU(1500))
 	cmd := newFakeCMD(n)
@@ -111,7 +115,7 @@ func newRig(t *testing.T, poolSize uint64) *rig {
 	})
 	cli := bulk.NewEndpoint(n.Host("client"), fastEp(), nil)
 	t.Cleanup(func() { d.Close(); cli.Close(); cmd.ep.Close() })
-	return &rig{n: n, cmd: cmd, d: d, cli: cli}
+	return &rig{t: t, n: n, cmd: cmd, d: d, cli: cli, seq: map[uint64]uint64{}}
 }
 
 // allocRegion asks the daemon directly (playing the manager's role).
@@ -124,14 +128,29 @@ func allocRegion(t *testing.T, r *rig, id, size uint64) *wire.IMDAllocResp {
 	return resp.(*wire.IMDAllocResp)
 }
 
-// writeRegion performs the full client write flow.
+// writeRegion performs the full client write flow under the region's
+// next write sequence.
 func writeRegion(t *testing.T, r *rig, id uint64, offset uint64, data []byte) *wire.DataResp {
 	t.Helper()
-	return writeRegionSeq(t, r, id, offset, data, 0)
+	r.seq[id]++
+	return writeRegionSeq(t, r, id, offset, data, r.seq[id])
 }
 
 // writeRegionSeq is writeRegion with an explicit write sequence number.
 func writeRegionSeq(t *testing.T, r *rig, id uint64, offset uint64, data []byte, seq uint64) *wire.DataResp {
+	t.Helper()
+	return push(t, r, data, func(xfer uint64) wire.Message {
+		return &wire.WriteReq{
+			RegionID: id, Epoch: 3, Offset: offset, Length: uint64(len(data)),
+			TransferID: xfer, WriteSeq: seq, Crc: wire.Checksum(data),
+		}
+	})
+}
+
+// push blasts data under a fresh transfer id while announcing it with
+// the message announce builds — a client's write or a peer's handoff
+// page.
+func push(t *testing.T, r *rig, data []byte, announce func(xfer uint64) wire.Message) *wire.DataResp {
 	t.Helper()
 	xfer := r.cli.NextTransferID()
 	var wg sync.WaitGroup
@@ -141,13 +160,10 @@ func writeRegionSeq(t *testing.T, r *rig, id uint64, offset uint64, data []byte,
 		defer wg.Done()
 		sendErr = r.cli.SendBulk("imd1", xfer, data)
 	}()
-	resp, err := r.cli.CallT("imd1", &wire.WriteReq{
-		RegionID: id, Epoch: 3, Offset: offset, Length: uint64(len(data)),
-		TransferID: xfer, WriteSeq: seq,
-	}, 2*time.Second, 2)
+	resp, err := r.cli.CallT("imd1", announce(xfer), 2*time.Second, 2)
 	wg.Wait()
 	if err != nil {
-		t.Fatalf("WriteReq: %v", err)
+		t.Fatalf("announcing the push: %v", err)
 	}
 	if sendErr != nil {
 		t.Fatalf("SendBulk: %v", sendErr)
@@ -155,24 +171,76 @@ func writeRegionSeq(t *testing.T, r *rig, id uint64, offset uint64, data []byte,
 	return resp.(*wire.DataResp)
 }
 
-// readRegion performs the full client read flow.
-func readRegion(t *testing.T, r *rig, id uint64, offset, length uint64) (*wire.DataResp, []byte) {
-	t.Helper()
-	resp, err := r.cli.CallT("imd1", &wire.ReadReq{
-		RegionID: id, Epoch: 3, Offset: offset, Length: length,
-	}, 2*time.Second, 2)
+// pendingRead is a read exchange whose request has been answered and
+// whose bytes may still be arriving.
+type pendingRead struct {
+	cli  *bulk.Endpoint
+	host string
+	dr   *wire.DataResp
+	buf  []byte
+	xfer uint64 // the pre-registered transfer; 0 for a read that fits one frame
+}
+
+// startRead opens the read exchange the way core.Client does: a read
+// too big for one frame pre-registers its receive and names the
+// transfer in the request.
+func startRead(cli *bulk.Endpoint, host string, id, epoch, off, n uint64) (*pendingRead, error) {
+	p := &pendingRead{cli: cli, host: host, buf: make([]byte, n)}
+	req := &wire.ReadReq{RegionID: id, Epoch: epoch, Offset: off, Length: n}
+	if int(n) > wire.InlineDataLimit(cli.Transport().MTU()) {
+		p.xfer = cli.NextTransferID()
+		window, err := cli.ExpectBulkInto(p.buf, host, p.xfer, cli.ChunkSize())
+		if err != nil {
+			return nil, err
+		}
+		req.XferID, req.ChunkSize, req.Window = p.xfer, uint32(cli.ChunkSize()), uint32(window)
+	}
+	resp, err := cli.CallT(host, req, 2*time.Second, 2)
 	if err != nil {
-		t.Fatalf("ReadReq: %v", err)
+		cli.CancelExpect(host, p.xfer)
+		return nil, err
 	}
-	dr := resp.(*wire.DataResp)
-	if dr.Status != wire.StatusOK {
-		return dr, nil
+	p.dr = resp.(*wire.DataResp)
+	return p, nil
+}
+
+// finish collects the served bytes and checks them against the
+// response's CRC. A refused read yields no bytes and no error.
+func (p *pendingRead) finish() ([]byte, error) {
+	var data []byte
+	switch {
+	case p.dr.Status != wire.StatusOK:
+		p.cli.CancelExpect(p.host, p.xfer)
+		return nil, nil
+	case p.dr.Flags&wire.DataFlagInline != 0:
+		data = p.dr.Payload
+	case p.dr.Flags&wire.DataFlagEager != 0 && p.xfer != 0 && p.dr.TransferID == p.xfer:
+		n, err := p.cli.RecvBulkInto(p.buf, p.host, p.xfer, 15*time.Second)
+		if err != nil {
+			return nil, err
+		}
+		data = p.buf[:n]
+	default:
+		return nil, fmt.Errorf("read response in neither shape: %+v", p.dr)
 	}
-	data, err := r.cli.RecvBulk("imd1", dr.TransferID, 10*time.Second)
+	if wire.Checksum(data) != p.dr.Crc {
+		return nil, fmt.Errorf("read of %d bytes fails its CRC", len(data))
+	}
+	return data, nil
+}
+
+// read runs one whole read exchange against the rig's daemon.
+func (r *rig) read(id, epoch, off, n uint64) (*wire.DataResp, []byte) {
+	r.t.Helper()
+	p, err := startRead(r.cli, "imd1", id, epoch, off, n)
 	if err != nil {
-		t.Fatalf("RecvBulk: %v", err)
+		r.t.Fatalf("ReadReq: %v", err)
 	}
-	return dr, data
+	data, err := p.finish()
+	if err != nil {
+		r.t.Fatalf("read: %v", err)
+	}
+	return p.dr, data
 }
 
 func TestAnnouncesIdleOnStartup(t *testing.T) {
@@ -245,7 +313,7 @@ func TestWriteThenReadRoundTrip(t *testing.T) {
 	if wr.Status != wire.StatusOK || wr.Count != uint64(len(data)) {
 		t.Fatalf("write = %+v", wr)
 	}
-	dr, got := readRegion(t, r, 1, 0, uint64(len(data)))
+	dr, got := r.read(1, 3, 0, uint64(len(data)))
 	if dr.Status != wire.StatusOK || dr.Count != uint64(len(data)) {
 		t.Fatalf("read = %+v", dr)
 	}
@@ -265,17 +333,17 @@ func TestPartialReadAndOffsetAccess(t *testing.T) {
 	writeRegion(t, r, 1, 0, payload)
 
 	// Offset read in the middle.
-	dr, got := readRegion(t, r, 1, 4, 8)
+	dr, got := r.read(1, 3, 4, 8)
 	if dr.Status != wire.StatusOK || string(got) != "abcdabcd" {
 		t.Fatalf("offset read = %+v %q", dr, got)
 	}
 	// Short read at the tail (mread semantics, §3.2).
-	dr, got = readRegion(t, r, 1, 990, 100)
+	dr, got = r.read(1, 3, 990, 100)
 	if dr.Status != wire.StatusOK || len(got) != 10 {
 		t.Fatalf("tail read = %+v, %d bytes; want 10", dr, len(got))
 	}
 	// Offset beyond the end: invalid.
-	dr, _ = readRegion(t, r, 1, 1001, 1)
+	dr, _ = r.read(1, 3, 1001, 1)
 	if dr.Status != wire.StatusInvalid {
 		t.Fatalf("read past end = %v, want StatusInvalid", dr.Status)
 	}
@@ -315,7 +383,7 @@ func TestWriteAtOffset(t *testing.T) {
 	if wr.Status != wire.StatusOK || wr.Count != 5 {
 		t.Fatalf("offset write = %+v", wr)
 	}
-	_, got := readRegion(t, r, 1, 48, 9)
+	_, got := r.read(1, 3, 48, 9)
 	if string(got) != "xxHELLOxx" {
 		t.Fatalf("after offset write read = %q", got)
 	}
@@ -361,14 +429,13 @@ func TestReadSnapshotIsolatedFromLaterWrites(t *testing.T) {
 	first := bytes.Repeat([]byte{0xAA}, 64<<10)
 	writeRegion(t, r, 1, 0, first)
 
-	dr, err := r.cli.CallT("imd1", &wire.ReadReq{RegionID: 1, Epoch: 3, Offset: 0, Length: 64 << 10}, 2*time.Second, 2)
+	p, err := startRead(r.cli, "imd1", 1, 3, 0, 64<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	xfer := dr.(*wire.DataResp).TransferID
 	// Overwrite while the push may still be in flight.
 	writeRegion(t, r, 1, 0, bytes.Repeat([]byte{0xBB}, 64<<10))
-	got, err := r.cli.RecvBulk("imd1", xfer, 10*time.Second)
+	got, err := p.finish()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,13 +461,12 @@ func TestConcurrentClientReads(t *testing.T) {
 			defer wg.Done()
 			cli := bulk.NewEndpoint(r.n.Host("reader"+string(rune('0'+i))), fastEp(), nil)
 			defer cli.Close()
-			resp, err := cli.CallT("imd1", &wire.ReadReq{RegionID: 1, Epoch: 3, Offset: uint64(i * 1000), Length: 32 << 10}, 2*time.Second, 2)
+			p, err := startRead(cli, "imd1", 1, 3, uint64(i*1000), 32<<10)
 			if err != nil {
 				errs[i] = err
 				return
 			}
-			dr := resp.(*wire.DataResp)
-			got, err := cli.RecvBulk("imd1", dr.TransferID, 10*time.Second)
+			got, err := p.finish()
 			if err != nil {
 				errs[i] = err
 				return
@@ -435,12 +501,11 @@ func BenchmarkServeRead8KB(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		resp, err := cli.Call("imd1", &wire.ReadReq{RegionID: 1, Epoch: 1, Offset: 0, Length: 8 << 10})
+		p, err := startRead(cli, "imd1", 1, 1, 0, 8<<10)
 		if err != nil {
 			b.Fatal(err)
 		}
-		dr := resp.(*wire.DataResp)
-		if _, err := cli.RecvBulk("imd1", dr.TransferID, 10*time.Second); err != nil {
+		if _, err := p.finish(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -457,13 +522,12 @@ func TestDrainCompletesOngoingTransfers(t *testing.T) {
 	writeRegion(t, r, 1, 0, data)
 
 	// Start the read: the imd answers DataResp and begins blasting.
-	resp, err := r.cli.CallT("imd1", &wire.ReadReq{RegionID: 1, Epoch: 3, Offset: 0, Length: 512 << 10}, 2*time.Second, 2)
+	p, err := startRead(r.cli, "imd1", 1, 3, 0, 512<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dr := resp.(*wire.DataResp)
-	if dr.Status != wire.StatusOK {
-		t.Fatalf("read = %v", dr.Status)
+	if p.dr.Status != wire.StatusOK {
+		t.Fatalf("read = %v", p.dr.Status)
 	}
 	// Drain concurrently with the in-flight push.
 	drained := make(chan struct{})
@@ -471,9 +535,9 @@ func TestDrainCompletesOngoingTransfers(t *testing.T) {
 		r.d.Drain()
 		close(drained)
 	}()
-	got, err := r.cli.RecvBulk("imd1", dr.TransferID, 15*time.Second)
+	got, err := p.finish()
 	if err != nil {
-		t.Fatalf("RecvBulk during drain: %v", err)
+		t.Fatalf("read during drain: %v", err)
 	}
 	if !bytes.Equal(got, data) {
 		t.Fatal("drain corrupted the in-flight transfer")
@@ -484,7 +548,7 @@ func TestDrainCompletesOngoingTransfers(t *testing.T) {
 		t.Fatal("Drain never completed")
 	}
 	// After the drain, new work is refused.
-	resp, err = r.cli.Call("imd1", &wire.ReadReq{RegionID: 1, Epoch: 3, Offset: 0, Length: 16})
+	resp, err := r.cli.Call("imd1", &wire.ReadReq{RegionID: 1, Epoch: 3, Offset: 0, Length: 16})
 	if err == nil {
 		if st := resp.(*wire.DataResp).Status; st == wire.StatusOK {
 			t.Fatal("drained imd accepted new work")
@@ -517,7 +581,12 @@ func TestReplayedWriteCannotRollBack(t *testing.T) {
 	if dr.Status != wire.StatusOK || dr.Count != 8192 {
 		t.Fatalf("replayed write = %v count %d, want confirmed in full", dr.Status, dr.Count)
 	}
-	if _, data := readRegion(t, r, 1, 0, 8192); !bytes.Equal(data, cur) {
+	// Sequences start at 1: zero cannot be ordered against the gate and
+	// is refused outright.
+	if dr := writeRegionSeq(t, r, 1, 0, old, 0); dr.Status != wire.StatusInvalid {
+		t.Fatalf("write seq 0 = %v, want StatusInvalid", dr.Status)
+	}
+	if _, data := r.read(1, 3, 0, 8192); !bytes.Equal(data, cur) {
 		t.Fatal("replayed announcement rolled the region back to stale bytes")
 	}
 
@@ -534,7 +603,45 @@ func TestReplayedWriteCannotRollBack(t *testing.T) {
 	if dr := writeRegionSeq(t, r, 1, 0, old, 1); dr.Status != wire.StatusOK {
 		t.Fatalf("write seq 1 on fresh region = %v", dr.Status)
 	}
-	if _, data := readRegion(t, r, 1, 0, 8192); !bytes.Equal(data, old) {
+	if _, data := r.read(1, 3, 0, 8192); !bytes.Equal(data, old) {
 		t.Fatal("fresh region refused its first write")
+	}
+}
+
+// TestCorruptPushRefused: a write or a handoff page whose bytes do not
+// match the announced CRC is refused and leaves the region untouched —
+// also when the Crc field itself arrives zeroed, which no longer
+// switches the check off.
+func TestCorruptPushRefused(t *testing.T) {
+	good := bytes.Repeat([]byte{0x11}, 4096)
+	bad := bytes.Repeat([]byte{0xEE}, 4096)
+	for _, tc := range []struct {
+		name     string
+		announce func(xfer uint64, crc uint32) wire.Message
+	}{
+		{"write", func(xfer uint64, crc uint32) wire.Message {
+			return &wire.WriteReq{RegionID: 1, Epoch: 3, Length: 4096, TransferID: xfer, WriteSeq: 2, Crc: crc}
+		}},
+		{"handoff", func(xfer uint64, crc uint32) wire.Message {
+			return &wire.HandoffPage{RegionID: 1, Epoch: 3, Length: 4096, TransferID: xfer, Crc: crc}
+		}},
+	} {
+		for _, crc := range []uint32{wire.Checksum(good), 0} {
+			t.Run(fmt.Sprintf("%s/crc-%#x", tc.name, crc), func(t *testing.T) {
+				r := newRig(t, 1<<20)
+				allocRegion(t, r, 1, 4096)
+				writeRegion(t, r, 1, 0, good)
+				dr := push(t, r, bad, func(xfer uint64) wire.Message { return tc.announce(xfer, crc) })
+				if dr.Status != wire.StatusInvalid {
+					t.Fatalf("corrupt push = %v, want StatusInvalid", dr.Status)
+				}
+				if got := r.d.Stats().ChecksumRejects; got != 1 {
+					t.Fatalf("ChecksumRejects = %d, want 1", got)
+				}
+				if _, data := r.read(1, 3, 0, 4096); !bytes.Equal(data, good) {
+					t.Fatal("refused push changed the region's bytes")
+				}
+			})
+		}
 	}
 }

@@ -96,13 +96,6 @@ type hostEntry struct {
 	epoch       uint64
 	availBytes  uint64
 	largestFree uint64
-	// caps is the host imd's advertised fast-path capability set,
-	// relayed to clients in AllocResp/CheckAllocResp so they know which
-	// read protocol the host speaks. Zero (no fast paths) until the
-	// host's next idle announce — inventory re-reports after a manager
-	// restart do not carry caps, so a rebuilt row starts conservative
-	// and upgrades on the next periodic announce.
-	caps wire.Caps
 }
 
 // regionEntry is one RD row.
@@ -138,10 +131,6 @@ type handoffGrant struct {
 type clientEntry struct {
 	addr   string
 	misses int
-	// caps is the client's advertised capability set, piggybacked on
-	// its keep-alive acks. Informational for now: the manager itself
-	// never speaks the data plane to clients.
-	caps wire.Caps
 }
 
 // recovCounters is a client's cumulative recovery totals as last
@@ -373,16 +362,6 @@ func (m *Manager) corruptHostsLocked() []wire.HostCount {
 	return out
 }
 
-// hostCapsLocked returns the advertised capability set of the imd at
-// addr, or zero when the host is unknown (reclaimed, or rebuilt from an
-// inventory report that carries no caps). Caller holds m.mu.
-func (m *Manager) hostCapsLocked(addr string) wire.Caps {
-	if h := m.iwd[addr]; h != nil {
-		return h.caps
-	}
-	return 0
-}
-
 // handle dispatches one request.
 func (m *Manager) handle(from string, msg wire.Message) wire.Message {
 	switch req := msg.(type) {
@@ -471,9 +450,9 @@ func (m *Manager) handleHostStatus(req *wire.HostStatus) wire.Message {
 	// Incarnation fence: a report stamped with another incarnation was
 	// addressed to a dead manager instance. Refusing it (most notably a
 	// delayed pre-crash HostBusy) keeps a stale frame from tearing down
-	// or resurrecting rows in the rebuilt directory. Zero means the
-	// sender has not heard any incarnation yet — first contact — and is
-	// always accepted.
+	// or resurrecting rows in the rebuilt directory. Zero is the
+	// protocol's first-contact state — the sender has not heard from any
+	// manager yet — and is always accepted.
 	if req.Incarnation != 0 && req.Incarnation != m.cfg.Incarnation {
 		m.fencedRequests++
 		m.mu.Unlock()
@@ -489,7 +468,6 @@ func (m *Manager) handleHostStatus(req *wire.HostStatus) wire.Message {
 			epoch:       req.Epoch,
 			availBytes:  req.AvailBytes,
 			largestFree: req.LargestFree,
-			caps:        req.Caps,
 		}
 		// A re-recruited host starts a new epoch; any old drain is moot,
 		// but its unresolved grants still hold pre-allocated regions on
@@ -540,18 +518,11 @@ func (m *Manager) handleInventoryReport(req *wire.InventoryReport) wire.Message 
 	// The report carries the same availability hints as an idle
 	// announce; upsert the IWD row unless the host is mid-drain.
 	if m.draining[req.HostAddr] == nil {
-		// Inventory reports carry no caps; keep whatever the last idle
-		// announce established rather than downgrading the row.
-		var caps wire.Caps
-		if h := m.iwd[req.HostAddr]; h != nil {
-			caps = h.caps
-		}
 		m.iwd[req.HostAddr] = &hostEntry{
 			addr:        req.HostAddr,
 			epoch:       req.Epoch,
 			availBytes:  req.AvailBytes,
 			largestFree: req.LargestFree,
-			caps:        caps,
 		}
 	}
 	var staleCopies []uint64
@@ -674,9 +645,8 @@ func (m *Manager) handleAlloc(from string, req *wire.AllocReq) wire.Message {
 	// Duplicate request (client retry): answer with the existing region.
 	if e, ok := m.rd[req.Key]; ok {
 		region := e.region
-		caps := m.hostCapsLocked(region.HostAddr)
 		m.mu.Unlock()
-		return &wire.AllocResp{Status: wire.StatusOK, Incarnation: inc, Region: region, HostCaps: caps}
+		return &wire.AllocResp{Status: wire.StatusOK, Incarnation: inc, Region: region}
 	}
 	// During the post-restart rebuild window, hold allocations for keys
 	// the directory does not know: the key may be about to reappear in
@@ -739,10 +709,9 @@ func (m *Manager) handleAlloc(from string, req *wire.AllocReq) wire.Message {
 		// Commit, unless a duplicate raced us to it.
 		if e, dup := m.rd[req.Key]; dup {
 			region := e.region
-			caps := m.hostCapsLocked(region.HostAddr)
 			m.mu.Unlock()
 			m.ep.Notify(host, &wire.IMDFreeReq{RegionID: id})
-			return &wire.AllocResp{Status: wire.StatusOK, Incarnation: inc, Region: region, HostCaps: caps}
+			return &wire.AllocResp{Status: wire.StatusOK, Incarnation: inc, Region: region}
 		}
 		region := wire.Region{
 			HostAddr:   host,
@@ -756,10 +725,9 @@ func (m *Manager) handleAlloc(from string, req *wire.AllocReq) wire.Message {
 		// keep-alive probe target whenever the allocation failed.
 		m.trackClientLocked(from)
 		m.allocs++
-		caps := m.hostCapsLocked(host)
 		m.mu.Unlock()
 		m.logf("cmd: allocated %v (%d bytes) on %s", req.Key, req.Length, host)
-		return &wire.AllocResp{Status: wire.StatusOK, Incarnation: inc, Region: region, HostCaps: caps}
+		return &wire.AllocResp{Status: wire.StatusOK, Incarnation: inc, Region: region}
 	}
 	m.mu.Lock()
 	m.allocFailures++
@@ -845,8 +813,7 @@ func (m *Manager) handleCheckAlloc(req *wire.CheckAllocReq) wire.Message {
 			m.untrackIdleClientLocked(e.client)
 			return &wire.CheckAllocResp{Status: wire.StatusStale, Incarnation: inc}
 		}
-		return &wire.CheckAllocResp{Status: wire.StatusOK, Fresh: e.fresh, Incarnation: inc,
-			Region: e.region, HostCaps: h.caps}
+		return &wire.CheckAllocResp{Status: wire.StatusOK, Fresh: e.fresh, Incarnation: inc, Region: e.region}
 	}()
 	m.mu.Unlock()
 	m.freeHandoffTargets(orphans)
@@ -1090,7 +1057,6 @@ func (m *Manager) keepAliveLoop() {
 					// The ack piggybacks the client's cumulative recovery
 					// counters; remember the latest report.
 					if ack, isAck := resp.(*wire.KeepAliveAck); isAck {
-						c.caps = ack.Caps
 						m.recov[addr] = recovCounters{
 							drops:            ack.Drops,
 							revalidations:    ack.Revalidations,

@@ -107,10 +107,11 @@ func EncodePooled(seq uint32, msg Message) ([]byte, error) {
 }
 
 // InlineDataLimit is the largest payload a DataResp can carry inline on
-// a transport with the given MTU: the frame header and the extended
-// DataResp fixed fields (the 21 legacy bytes plus the flags byte) must
-// fit alongside it. Requesters use it to predict whether a read will
-// come back inline; responders use it to decide.
+// a transport with the given MTU: the frame header and the 22 fixed
+// DataResp bytes must fit alongside it. It is the one rule that picks a
+// read's response shape: the requester uses it to decide whether to
+// pre-register a bulk receive, the responder to decide whether to
+// answer inline.
 func InlineDataLimit(mtu int) int { return mtu - HeaderSize - 22 }
 
 // BulkDataPrefixSize is the encoded size of everything in a BulkData

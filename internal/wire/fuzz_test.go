@@ -68,16 +68,15 @@ func FuzzWireRoundTrip(f *testing.F) {
 			},
 		},
 		&InventoryAck{Status: StatusStale, Incarnation: 4},
-		// Fast-path data plane: extended read request (eager fields in
-		// the optional trailer), inline and eager response forms, the
-		// batched read exchange, and every capability-carrying trailer.
+		// The read exchange: a multi-frame request, the inline and eager
+		// response shapes, and the batched form of both.
 		&ReadReq{RegionID: 9, Epoch: 5, Offset: 4096, Length: 1 << 16,
-			Caps: LocalCaps, XferID: 77, ChunkSize: 1408, Window: 32},
+			XferID: 77, ChunkSize: 1408, Window: 32},
 		&DataResp{Status: StatusOK, Count: 16, Crc: 0xFEEDF00D,
 			Flags: DataFlagInline, Payload: []byte("0123456789abcdef")},
 		&DataResp{Status: StatusOK, Count: 1 << 16, TransferID: 77,
 			Crc: 0xFEEDF00D, Flags: DataFlagEager},
-		&ReadBatchReq{Caps: LocalCaps, XferID: 78, ChunkSize: 1408, Window: 32,
+		&ReadBatchReq{XferID: 78, ChunkSize: 1408, Window: 32,
 			Items: []ReadBatchItem{
 				{RegionID: 9, Epoch: 5, Offset: 0, Length: 4096},
 				{RegionID: 10, Epoch: 5, Offset: 8192, Length: 1 << 14},
@@ -90,12 +89,8 @@ func FuzzWireRoundTrip(f *testing.F) {
 		&ReadBatchResp{Status: StatusOK, Flags: DataFlagInline,
 			Results: []ReadBatchResult{{Status: StatusOK, Count: 8, Crc: 1}},
 			Payload: []byte("8bytes!!")},
-		&HostStatus{HostAddr: "ws-4:7071", State: HostIdle, Epoch: 3,
-			AvailBytes: 32 << 20, LargestFree: 8 << 20, Caps: LocalCaps},
-		&AllocResp{Status: StatusOK, HostCaps: LocalCaps,
+		&CheckAllocResp{Status: StatusOK, Fresh: true, Incarnation: 2,
 			Region: Region{HostAddr: "ws-4:7071", RegionID: 12, Length: 1 << 16, Epoch: 3}},
-		&CheckAllocResp{Status: StatusOK, Incarnation: 2, HostCaps: LocalCaps},
-		&KeepAliveAck{ClientID: 7, Caps: LocalCaps},
 	}
 	for _, msg := range populated {
 		frame, err := Encode(99, msg)
@@ -107,7 +102,8 @@ func FuzzWireRoundTrip(f *testing.F) {
 	// A few deliberately broken frames so the fuzzer starts near the
 	// rejection paths too.
 	f.Add([]byte{})
-	f.Add([]byte{0xD0, 0xD0, 1, 0xFF, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{0xD0, 0xD0, Version, 0xFF, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{0xD0, 0xD0, Version - 1, byte(TFreeReq), 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Add(bytes.Repeat([]byte{0xD0}, HeaderSize+4))
 
 	f.Fuzz(func(t *testing.T, frame []byte) {

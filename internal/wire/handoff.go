@@ -164,7 +164,7 @@ type HandoffPage struct {
 	// Crc is the CRC32C of the pushed page bytes; the target imd
 	// refuses the page when the received data does not match, so a
 	// frame corrupted in flight can never become the authoritative
-	// handoff copy. Zero means unchecked.
+	// handoff copy.
 	Crc uint32
 }
 

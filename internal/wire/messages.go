@@ -149,38 +149,20 @@ func (m *AllocReq) decode(b []byte) error {
 // is the responding manager's incarnation number; clients track the
 // highest incarnation seen and discard responses stamped with an older
 // one, so a delayed pre-crash grant can never be acted on after the
-// manager restarted. Zero means the responder predates incarnation
-// stamping and is accepted unconditionally.
+// manager restarted.
 type AllocResp struct {
 	Status      Status
 	Incarnation uint64
 	Region      Region
-	// HostCaps is the capability set the hosting imd advertised, relayed
-	// so the client knows which read fast paths this host understands.
-	// Encoded as an optional trailing field: zero is omitted, and frames
-	// from older managers decode as zero (legacy host).
-	HostCaps Caps
 }
 
-func (*AllocResp) Kind() Type { return TAllocResp }
-func (m *AllocResp) payloadSize() int {
-	n := 9 + m.Region.encodedSize()
-	if m.HostCaps != 0 {
-		n += 4
-	}
-	return n
-}
+func (*AllocResp) Kind() Type         { return TAllocResp }
+func (m *AllocResp) payloadSize() int { return 9 + m.Region.encodedSize() }
 func (m *AllocResp) encode(b []byte) error {
 	b[0] = uint8(m.Status)
 	binary.BigEndian.PutUint64(b[1:], m.Incarnation)
-	n, err := putRegion(b[9:], m.Region)
-	if err != nil {
-		return err
-	}
-	if m.HostCaps != 0 {
-		binary.BigEndian.PutUint32(b[9+n:], uint32(m.HostCaps))
-	}
-	return nil
+	_, err := putRegion(b[9:], m.Region)
+	return err
 }
 func (m *AllocResp) decode(b []byte) error {
 	if len(b) < 9 {
@@ -188,16 +170,9 @@ func (m *AllocResp) decode(b []byte) error {
 	}
 	m.Status = Status(b[0])
 	m.Incarnation = binary.BigEndian.Uint64(b[1:])
-	r, n, err := getRegion(b[9:])
-	if err != nil {
-		return err
-	}
+	r, _, err := getRegion(b[9:])
 	m.Region = r
-	m.HostCaps = 0
-	if len(b) >= 9+n+4 {
-		m.HostCaps = Caps(binary.BigEndian.Uint32(b[9+n:]))
-	}
-	return nil
+	return err
 }
 
 // FreeReq releases the region with the given key (client -> cmd).
@@ -268,19 +243,10 @@ type CheckAllocResp struct {
 	Fresh       bool
 	Incarnation uint64
 	Region      Region
-	// HostCaps relays the hosting imd's capability set, exactly as in
-	// AllocResp: optional trailing field, zero/absent means legacy host.
-	HostCaps Caps
 }
 
-func (*CheckAllocResp) Kind() Type { return TCheckAllocResp }
-func (m *CheckAllocResp) payloadSize() int {
-	n := 10 + m.Region.encodedSize()
-	if m.HostCaps != 0 {
-		n += 4
-	}
-	return n
-}
+func (*CheckAllocResp) Kind() Type         { return TCheckAllocResp }
+func (m *CheckAllocResp) payloadSize() int { return 10 + m.Region.encodedSize() }
 func (m *CheckAllocResp) encode(b []byte) error {
 	b[0] = uint8(m.Status)
 	b[1] = 0
@@ -288,14 +254,8 @@ func (m *CheckAllocResp) encode(b []byte) error {
 		b[1] = 1
 	}
 	binary.BigEndian.PutUint64(b[2:], m.Incarnation)
-	n, err := putRegion(b[10:], m.Region)
-	if err != nil {
-		return err
-	}
-	if m.HostCaps != 0 {
-		binary.BigEndian.PutUint32(b[10+n:], uint32(m.HostCaps))
-	}
-	return nil
+	_, err := putRegion(b[10:], m.Region)
+	return err
 }
 func (m *CheckAllocResp) decode(b []byte) error {
 	if len(b) < 10 {
@@ -304,16 +264,9 @@ func (m *CheckAllocResp) decode(b []byte) error {
 	m.Status = Status(b[0])
 	m.Fresh = b[1] != 0
 	m.Incarnation = binary.BigEndian.Uint64(b[2:])
-	r, n, err := getRegion(b[10:])
-	if err != nil {
-		return err
-	}
+	r, _, err := getRegion(b[10:])
 	m.Region = r
-	m.HostCaps = 0
-	if len(b) >= 10+n+4 {
-		m.HostCaps = Caps(binary.BigEndian.Uint32(b[10+n:]))
-	}
-	return nil
+	return err
 }
 
 // KeepAlive is the cmd's periodic liveness echo to a client (§3.1). The
@@ -374,11 +327,6 @@ type KeepAliveAck struct {
 	// host that served the corrupt frame.
 	ChecksumFailures uint64
 	CorruptHosts     []HostCount
-	// Caps is the client's own capability set, piggybacked so the
-	// manager learns which fast paths each client speaks without an
-	// extra RPC. Optional trailing field: zero is omitted, and acks from
-	// older clients decode as zero (legacy client).
-	Caps Caps
 }
 
 func (*KeepAliveAck) Kind() Type { return TKeepAliveAck }
@@ -386,9 +334,6 @@ func (m *KeepAliveAck) payloadSize() int {
 	n := 4 + 9*8 + 2
 	for _, h := range m.CorruptHosts {
 		n += h.encodedSize()
-	}
-	if m.Caps != 0 {
-		n += 4
 	}
 	return n
 }
@@ -416,9 +361,6 @@ func (m *KeepAliveAck) encode(b []byte) error {
 		at += n
 		binary.BigEndian.PutUint64(b[at:], h.Count)
 		at += 8
-	}
-	if m.Caps != 0 {
-		binary.BigEndian.PutUint32(b[at:], uint32(m.Caps))
 	}
 	return nil
 }
@@ -453,10 +395,6 @@ func (m *KeepAliveAck) decode(b []byte) error {
 		}
 		m.CorruptHosts = append(m.CorruptHosts, HostCount{Addr: addr, Count: binary.BigEndian.Uint64(b[at:])})
 		at += 8
-	}
-	m.Caps = 0
-	if len(b) >= at+4 {
-		m.Caps = Caps(binary.BigEndian.Uint32(b[at:]))
 	}
 	return nil
 }
@@ -495,26 +433,16 @@ type HostStatus struct {
 	AvailBytes  uint64
 	LargestFree uint64
 	// Incarnation is the manager incarnation the sender last heard
-	// from. Zero means first contact (no incarnation known yet) and is
-	// always accepted; a non-zero mismatch is fenced with StatusStale
-	// so a delayed pre-crash HostBusy cannot tear down a row the
-	// restarted manager just rebuilt.
+	// from. Zero is a protocol state, first contact: the sender has not
+	// heard from any manager yet, and the announce is always accepted.
+	// A non-zero mismatch is fenced with StatusStale so a delayed
+	// pre-crash HostBusy cannot tear down a row the restarted manager
+	// just rebuilt.
 	Incarnation uint64
-	// Caps advertises the sender's optional protocol features (inline
-	// reads, eager bulk, batched fetch). Optional trailing field: zero
-	// is omitted, and announces from older imds decode as zero, which
-	// the manager reads as "legacy host, no fast paths".
-	Caps Caps
 }
 
-func (*HostStatus) Kind() Type { return THostStatus }
-func (m *HostStatus) payloadSize() int {
-	n := 2 + len(m.HostAddr) + 1 + 32
-	if m.Caps != 0 {
-		n += 4
-	}
-	return n
-}
+func (*HostStatus) Kind() Type         { return THostStatus }
+func (m *HostStatus) payloadSize() int { return 2 + len(m.HostAddr) + 1 + 32 }
 func (m *HostStatus) encode(b []byte) error {
 	n, err := putString(b, m.HostAddr)
 	if err != nil {
@@ -525,9 +453,6 @@ func (m *HostStatus) encode(b []byte) error {
 	binary.BigEndian.PutUint64(b[n+9:], m.AvailBytes)
 	binary.BigEndian.PutUint64(b[n+17:], m.LargestFree)
 	binary.BigEndian.PutUint64(b[n+25:], m.Incarnation)
-	if m.Caps != 0 {
-		binary.BigEndian.PutUint32(b[n+33:], uint32(m.Caps))
-	}
 	return nil
 }
 func (m *HostStatus) decode(b []byte) error {
@@ -544,10 +469,6 @@ func (m *HostStatus) decode(b []byte) error {
 	m.AvailBytes = binary.BigEndian.Uint64(b[n+9:])
 	m.LargestFree = binary.BigEndian.Uint64(b[n+17:])
 	m.Incarnation = binary.BigEndian.Uint64(b[n+25:])
-	m.Caps = 0
-	if len(b) >= n+37 {
-		m.Caps = Caps(binary.BigEndian.Uint32(b[n+33:]))
-	}
 	return nil
 }
 
@@ -695,65 +616,50 @@ func (m *IMDFreeResp) decode(b []byte) error {
 }
 
 // ReadReq asks an imd for Length bytes at Offset within a region (client
-// -> imd data path). By default the response data travels via the bulk
-// protocol; the optional trailing fields request a fast path instead.
-// Caps names the features the requester speaks — an old imd ignores the
-// extra bytes and serves the legacy ladder, so the request is safe to
-// send to any peer. When Caps includes CapEagerRead, XferID is the
-// requester-chosen bulk transfer id (the requester pre-registers its
-// receive state under this id before sending, so eager data can never
-// race ahead of it), and ChunkSize/Window are the packet size and
-// receive window it committed.
+// -> imd data path). A read that fits one frame (InlineDataLimit) is
+// answered inline in the DataResp and leaves XferID, ChunkSize and
+// Window zero. For a larger read XferID is the requester-chosen bulk
+// transfer id (the requester pre-registers its receive state under this
+// id before sending, so the data can never race ahead of it), and
+// ChunkSize/Window are the packet size and receive window it committed.
 type ReadReq struct {
 	RegionID uint64
 	Epoch    uint64
 	Offset   uint64
 	Length   uint64
 
+	// Deprecated: kept for benchmark/probes.go; nothing reads it.
 	Caps      Caps
 	XferID    uint64
 	ChunkSize uint32
 	Window    uint32
 }
 
-func (*ReadReq) Kind() Type { return TReadReq }
-func (m *ReadReq) extended() bool {
-	return m.Caps != 0 || m.XferID != 0 || m.ChunkSize != 0 || m.Window != 0
-}
-func (m *ReadReq) payloadSize() int {
-	if m.extended() {
-		return 52
-	}
-	return 32
-}
+func (*ReadReq) Kind() Type       { return TReadReq }
+func (*ReadReq) payloadSize() int { return 52 }
 func (m *ReadReq) encode(b []byte) error {
 	binary.BigEndian.PutUint64(b[0:], m.RegionID)
 	binary.BigEndian.PutUint64(b[8:], m.Epoch)
 	binary.BigEndian.PutUint64(b[16:], m.Offset)
 	binary.BigEndian.PutUint64(b[24:], m.Length)
-	if m.extended() {
-		binary.BigEndian.PutUint32(b[32:], uint32(m.Caps))
-		binary.BigEndian.PutUint64(b[36:], m.XferID)
-		binary.BigEndian.PutUint32(b[44:], m.ChunkSize)
-		binary.BigEndian.PutUint32(b[48:], m.Window)
-	}
+	binary.BigEndian.PutUint32(b[32:], uint32(m.Caps))
+	binary.BigEndian.PutUint64(b[36:], m.XferID)
+	binary.BigEndian.PutUint32(b[44:], m.ChunkSize)
+	binary.BigEndian.PutUint32(b[48:], m.Window)
 	return nil
 }
 func (m *ReadReq) decode(b []byte) error {
-	if len(b) < 32 {
+	if len(b) < 52 {
 		return ErrTruncated
 	}
 	m.RegionID = binary.BigEndian.Uint64(b[0:])
 	m.Epoch = binary.BigEndian.Uint64(b[8:])
 	m.Offset = binary.BigEndian.Uint64(b[16:])
 	m.Length = binary.BigEndian.Uint64(b[24:])
-	m.Caps, m.XferID, m.ChunkSize, m.Window = 0, 0, 0, 0
-	if len(b) >= 52 {
-		m.Caps = Caps(binary.BigEndian.Uint32(b[32:]))
-		m.XferID = binary.BigEndian.Uint64(b[36:])
-		m.ChunkSize = binary.BigEndian.Uint32(b[44:])
-		m.Window = binary.BigEndian.Uint32(b[48:])
-	}
+	m.Caps = Caps(binary.BigEndian.Uint32(b[32:]))
+	m.XferID = binary.BigEndian.Uint64(b[36:])
+	m.ChunkSize = binary.BigEndian.Uint32(b[44:])
+	m.Window = binary.BigEndian.Uint32(b[48:])
 	return nil
 }
 
@@ -762,9 +668,9 @@ func (m *ReadReq) decode(b []byte) error {
 // WriteSeq orders writes to one region: the imd ignores an announcement
 // whose sequence is not newer than the last write it applied, so a
 // duplicated or delayed announcement replayed by the network can never
-// roll the region back to older bytes. Zero means unordered (legacy).
-// Crc is the CRC32C of the announced bytes; the imd refuses the write
-// when the received bulk data does not match. Zero means unchecked.
+// roll the region back to older bytes. The first write carries sequence
+// 1; the imd refuses zero. Crc is the CRC32C of the announced bytes; the
+// imd refuses the write when the received bulk data does not match.
 type WriteReq struct {
 	RegionID   uint64
 	Epoch      uint64
@@ -802,20 +708,15 @@ func (m *WriteReq) decode(b []byte) error {
 }
 
 // DataResp reports the outcome of a read or write: the byte count
-// actually served (which may be short, per §3.2) and, for reads, the
-// TransferID under which the bulk data is being sent. For reads, Crc
-// is the CRC32C of the served bytes, computed over the pool snapshot
-// before the bulk send; the receiving client verifies it after the
-// bulk transfer completes. Zero means unchecked.
-//
-// The optional trailing fields carry the read fast paths. With
-// DataFlagInline set, Payload holds the served bytes themselves — the
-// whole read answered in this one frame, no bulk transfer at all. With
-// DataFlagEager set, this response doubles as the bulk offer: the
-// sender is already blasting the first window under the requester's
-// chosen TransferID, no BulkOffer/BulkAccept exchange happens. Old
-// peers never set the flags, and a zero Flags with no payload encodes
-// to the legacy 21-byte form.
+// actually served (which may be short, per §3.2). A successful read
+// sets exactly one flag. With DataFlagInline, Payload holds the served
+// bytes themselves — the whole read answered in this one frame. With
+// DataFlagEager, the bytes are already being blasted under TransferID,
+// the id the requester chose: the response doubles as the bulk offer
+// and no BulkOffer/BulkAccept exchange happens. Either way Crc is the
+// CRC32C of the served bytes, computed over the pool snapshot, and the
+// client verifies it once they have all arrived. Write acks and
+// refusals carry neither flag nor payload.
 type DataResp struct {
 	Status     Status
 	Count      uint64
@@ -834,39 +735,29 @@ const (
 	DataFlagEager
 )
 
-func (*DataResp) Kind() Type { return TDataResp }
-func (m *DataResp) payloadSize() int {
-	if m.Flags != 0 || len(m.Payload) > 0 {
-		return 22 + len(m.Payload)
-	}
-	return 21
-}
+func (*DataResp) Kind() Type         { return TDataResp }
+func (m *DataResp) payloadSize() int { return 22 + len(m.Payload) }
 func (m *DataResp) encode(b []byte) error {
 	b[0] = uint8(m.Status)
 	binary.BigEndian.PutUint64(b[1:], m.Count)
 	binary.BigEndian.PutUint64(b[9:], m.TransferID)
 	binary.BigEndian.PutUint32(b[17:], m.Crc)
-	if m.Flags != 0 || len(m.Payload) > 0 {
-		b[21] = m.Flags
-		copy(b[22:], m.Payload)
-	}
+	b[21] = m.Flags
+	copy(b[22:], m.Payload)
 	return nil
 }
 func (m *DataResp) decode(b []byte) error {
-	if len(b) < 21 {
+	if len(b) < 22 {
 		return ErrTruncated
 	}
 	m.Status = Status(b[0])
 	m.Count = binary.BigEndian.Uint64(b[1:])
 	m.TransferID = binary.BigEndian.Uint64(b[9:])
 	m.Crc = binary.BigEndian.Uint32(b[17:])
-	m.Flags = 0
+	m.Flags = b[21]
 	m.Payload = nil
-	if len(b) >= 22 {
-		m.Flags = b[21]
-		if len(b) > 22 {
-			m.Payload = append([]byte(nil), b[22:]...)
-		}
+	if len(b) > 22 {
+		m.Payload = append([]byte(nil), b[22:]...)
 	}
 	return nil
 }

@@ -14,18 +14,17 @@ type ReadBatchItem struct {
 const readBatchItemSize = 32
 
 // ReadBatchReq asks an imd for several regions in one control exchange
-// (client -> imd data path): the prefetch pipeline's replacement for one
-// full ReadReq ladder per region. The served bytes travel as ONE stream —
+// (client -> imd data path): the read exchange of ReadReq over a packed
+// stream, so a prefetch window costs one round trip instead of one per
+// region. The served bytes travel as ONE stream —
 // the concatenation of per-item slots, each exactly item.Length long
 // (short or failed items are zero-padded so the stream length is
 // sum(Length), predictable before the response arrives). The requester
 // chooses the bulk transfer id (XferID) and pre-registers its receive
-// state, exactly as in an eager ReadReq, so the response stream can be
-// blasted without an offer/accept exchange; when the whole response fits
-// one MTU frame it comes back inline in the ReadBatchResp instead.
-// Batched fetch is only sent to peers that advertised CapBatchRead.
+// state, exactly as in a multi-frame ReadReq, so the response stream can
+// be blasted without an offer/accept exchange; when the whole response
+// fits one MTU frame it comes back inline in the ReadBatchResp instead.
 type ReadBatchReq struct {
-	Caps      Caps
 	XferID    uint64
 	ChunkSize uint32
 	Window    uint32
@@ -34,18 +33,17 @@ type ReadBatchReq struct {
 
 func (*ReadBatchReq) Kind() Type { return TReadBatchReq }
 func (m *ReadBatchReq) payloadSize() int {
-	return 22 + readBatchItemSize*len(m.Items)
+	return 18 + readBatchItemSize*len(m.Items)
 }
 func (m *ReadBatchReq) encode(b []byte) error {
 	if len(m.Items) > math16max {
 		return ErrFieldBounds
 	}
-	binary.BigEndian.PutUint32(b[0:], uint32(m.Caps))
-	binary.BigEndian.PutUint64(b[4:], m.XferID)
-	binary.BigEndian.PutUint32(b[12:], m.ChunkSize)
-	binary.BigEndian.PutUint32(b[16:], m.Window)
-	binary.BigEndian.PutUint16(b[20:], uint16(len(m.Items)))
-	at := 22
+	binary.BigEndian.PutUint64(b[0:], m.XferID)
+	binary.BigEndian.PutUint32(b[8:], m.ChunkSize)
+	binary.BigEndian.PutUint32(b[12:], m.Window)
+	binary.BigEndian.PutUint16(b[16:], uint16(len(m.Items)))
+	at := 18
 	for _, it := range m.Items {
 		binary.BigEndian.PutUint64(b[at:], it.RegionID)
 		binary.BigEndian.PutUint64(b[at+8:], it.Epoch)
@@ -56,22 +54,21 @@ func (m *ReadBatchReq) encode(b []byte) error {
 	return nil
 }
 func (m *ReadBatchReq) decode(b []byte) error {
-	if len(b) < 22 {
+	if len(b) < 18 {
 		return ErrTruncated
 	}
-	m.Caps = Caps(binary.BigEndian.Uint32(b[0:]))
-	m.XferID = binary.BigEndian.Uint64(b[4:])
-	m.ChunkSize = binary.BigEndian.Uint32(b[12:])
-	m.Window = binary.BigEndian.Uint32(b[16:])
-	count := int(binary.BigEndian.Uint16(b[20:]))
-	if len(b) < 22+readBatchItemSize*count {
+	m.XferID = binary.BigEndian.Uint64(b[0:])
+	m.ChunkSize = binary.BigEndian.Uint32(b[8:])
+	m.Window = binary.BigEndian.Uint32(b[12:])
+	count := int(binary.BigEndian.Uint16(b[16:]))
+	if len(b) < 18+readBatchItemSize*count {
 		return ErrTruncated
 	}
 	m.Items = nil
 	if count > 0 {
 		m.Items = make([]ReadBatchItem, 0, count)
 	}
-	at := 22
+	at := 18
 	for i := 0; i < count; i++ {
 		m.Items = append(m.Items, ReadBatchItem{
 			RegionID: binary.BigEndian.Uint64(b[at:]),
@@ -86,7 +83,7 @@ func (m *ReadBatchReq) decode(b []byte) error {
 
 // ReadBatchResult reports one item's outcome: its status, the count of
 // valid leading bytes within the item's slot in the stream, and the
-// CRC32C over those bytes (zero means unchecked).
+// CRC32C over those bytes.
 type ReadBatchResult struct {
 	Status Status
 	Count  uint64

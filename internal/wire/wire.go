@@ -7,6 +7,9 @@
 // payload. Encoding is explicit big-endian binary (no reflection) so the
 // format is stable, allocation-light and identical across transports
 // (kernel UDP, the U-Net usocket layer, and the in-memory test network).
+// Each message has exactly one layout; a payload shorter than it is
+// ErrTruncated, and the header's Version byte is the only compatibility
+// mechanism.
 package wire
 
 import (
@@ -20,8 +23,12 @@ import (
 const (
 	// Magic marks every Dodo frame. 0xD0D0: the bird.
 	Magic uint16 = 0xD0D0
-	// Version is the protocol version carried in every header.
-	Version uint8 = 1
+	// Version is the protocol version carried in every header, and the
+	// protocol's only compatibility mechanism: every message has one
+	// fixed layout, ParseHeader rejects a frame of any other version, and
+	// a change to any layout bumps it. 2 dropped capability negotiation
+	// and the optional trailing fields of version 1.
+	Version uint8 = 2
 	// HeaderSize is the encoded size of a frame header.
 	HeaderSize = 12
 	// MaxPayload bounds a single message payload. Bulk data is split
@@ -80,7 +87,7 @@ const (
 	TInventoryReport
 	TInventoryAck
 
-	// Fast-path data plane: batched region fetch (client <-> imd).
+	// Batched region fetch (client <-> imd).
 	TReadBatchReq
 	TReadBatchResp
 
@@ -127,30 +134,15 @@ var typeNames = map[Type]string{
 	TReadBatchResp: "read-batch-resp",
 }
 
-// Caps is a bitmask of optional protocol features a peer supports.
-// Hosts advertise theirs in HostStatus announces, the manager relays
-// them in AllocResp/CheckAllocResp, and clients piggyback their own on
-// KeepAliveAck — so either end of a data-path conversation knows which
-// fast paths the other understands and can fall back to the legacy
-// ladder otherwise. A zero Caps means "legacy peer": absence of the
-// field decodes as zero, which is exactly the right answer for frames
-// produced by builds that predate it.
+// Caps is the type of the inert ReadReq.Caps field.
+//
+// Deprecated: kept for benchmark/probes.go; nothing reads it.
 type Caps uint32
 
-// Capability bits.
-const (
-	// CapInlineRead: a ReadReq that fits one MTU frame may be answered
-	// by a DataResp carrying the payload inline (one round trip).
-	CapInlineRead Caps = 1 << iota
-	// CapEagerRead: DataResp doubles as the bulk offer and the first
-	// window is blasted without waiting for a BulkAccept.
-	CapEagerRead
-	// CapBatchRead: the peer understands ReadBatchReq/ReadBatchResp.
-	CapBatchRead
-)
-
-// LocalCaps is the full capability set of this build.
-const LocalCaps = CapInlineRead | CapEagerRead | CapBatchRead
+// LocalCaps is the value benchmark/probes.go stores in ReadReq.Caps.
+//
+// Deprecated: kept for benchmark/probes.go; nothing reads it.
+const LocalCaps Caps = 7
 
 func (t Type) String() string {
 	if s, ok := typeNames[t]; ok {

@@ -131,9 +131,11 @@ func TestHeaderRejectsBadMagic(t *testing.T) {
 
 func TestHeaderRejectsBadVersion(t *testing.T) {
 	frame, _ := Encode(1, &KeepAlive{ClientID: 1})
-	frame[2] = 200
-	if _, _, err := Decode(frame); !errors.Is(err, ErrBadVersion) {
-		t.Fatalf("Decode with bad version = %v, want ErrBadVersion", err)
+	for _, v := range []uint8{200, Version - 1, Version + 1} {
+		frame[2] = v
+		if _, _, err := Decode(frame); !errors.Is(err, ErrBadVersion) {
+			t.Fatalf("Decode with version %d = %v, want ErrBadVersion", v, err)
+		}
 	}
 }
 
@@ -167,21 +169,62 @@ func TestHeaderRejectsOversizePayload(t *testing.T) {
 	}
 }
 
+// TestTruncatedPayloadsRejected: every message has one layout, whose
+// minimum is its zero value's encoding, and any shorter payload is
+// ErrTruncated — never a decode that zero-fills the missing tail. The
+// 32-byte ReadReq and the 21-byte DataResp of version 1 are two of the
+// prefixes this walks.
 func TestTruncatedPayloadsRejected(t *testing.T) {
-	// For every message type, claim a zero-length payload where the
-	// decoder needs bytes; every fixed-size decoder must fail cleanly.
 	for ty := TAllocReq; ty < typeSentinel; ty++ {
 		msg := newMessage(ty)
 		if msg == nil {
 			t.Fatalf("newMessage(%v) = nil", ty)
 		}
-		if msg.payloadSize() == 0 {
-			continue
+		full, err := Encode(0, msg)
+		if err != nil {
+			t.Fatalf("Encode(zero %v): %v", ty, err)
 		}
-		frame := make([]byte, HeaderSize)
-		PutHeader(frame, Header{Type: ty, Seq: 0, PayloadLen: 0})
-		if _, _, err := Decode(frame); err == nil {
-			t.Errorf("Decode(%v) with empty payload succeeded, want error", ty)
+		for n := 0; n < len(full)-HeaderSize; n++ {
+			frame := append([]byte(nil), full[:HeaderSize+n]...)
+			PutHeader(frame, Header{Type: ty, Seq: 0, PayloadLen: uint32(n)})
+			if _, _, err := Decode(frame); !errors.Is(err, ErrTruncated) {
+				t.Errorf("Decode(%v) with %d of %d payload bytes = %v, want ErrTruncated",
+					ty, n, len(full)-HeaderSize, err)
+			}
+		}
+	}
+}
+
+// TestFixedLayouts pins the payload sizes version 2 settled: no field
+// is optional, so a message's size depends on its variable-length
+// fields alone, and a payload one byte short of the fixed part — which
+// version 1 decoded by zero-filling the missing tail — is ErrTruncated.
+func TestFixedLayouts(t *testing.T) {
+	for _, tc := range []struct {
+		msg         Message
+		size, fixed int
+	}{
+		{&ReadReq{RegionID: 1, Length: 10}, 52, 52},
+		{&ReadReq{RegionID: 1, Length: 10, XferID: 9, ChunkSize: 1408, Window: 32}, 52, 52},
+		{&DataResp{Status: StatusBusy}, 22, 22},
+		{&DataResp{Flags: DataFlagInline, Payload: []byte("abc")}, 25, 22},
+		{&ReadBatchReq{XferID: 9}, 18, 18},
+		{&HostStatus{HostAddr: "h"}, 36, 36},
+		{&AllocResp{Region: Region{HostAddr: "h"}}, 44, 44},
+		{&CheckAllocResp{Region: Region{HostAddr: "h"}}, 45, 45},
+		{&KeepAliveAck{ClientID: 7}, 78, 78},
+	} {
+		frame, err := Encode(1, tc.msg)
+		if err != nil {
+			t.Fatalf("Encode(%T): %v", tc.msg, err)
+		}
+		if got := len(frame) - HeaderSize; got != tc.size {
+			t.Errorf("%T payload = %d bytes, want %d", tc.msg, got, tc.size)
+		}
+		short := frame[:HeaderSize+tc.fixed-1]
+		PutHeader(short, Header{Type: tc.msg.Kind(), Seq: 1, PayloadLen: uint32(tc.fixed - 1)})
+		if _, _, err := Decode(short); !errors.Is(err, ErrTruncated) {
+			t.Errorf("%T cut to %d payload bytes = %v, want ErrTruncated", tc.msg, tc.fixed-1, err)
 		}
 	}
 }

@@ -16,6 +16,14 @@ go run ./cmd/dodo-vet -only lock-order,buffer-ownership,wire-exhaustiveness,guar
 
 go test -race ./...
 
+# The real-stack benchmark is a module of its own (benchmark/go.mod
+# replaces module dodo with this tree), so nothing above compiles it.
+# Vet and test the harness, then run one second of the workload that
+# builds the whole stack, so a root API change cannot break the
+# separately-built benchmark unseen.
+(cd benchmark && go vet ./... && go test ./...)
+bash benchmark/run.sh -workload fit8k-unet -seed 1 -seconds 1
+
 # Perf trajectory: one pass of every benchmark (-benchtime 1x), parsed
 # into a per-PR JSON point. BENCH_seed.json is written once and then
 # frozen — it is the baseline the trajectory is measured against, so
@@ -50,7 +58,7 @@ rm -f /tmp/bench_region_now.json
 # benchmarks of usocket, transport and bulk (one frame through a socket
 # and through the transport adapter, one datagram through the fabric
 # and loopback UDP, 64 KB and 128 KB transfers) against a baseline
-# frozen at -benchtime 1s. The per-frame budget of DESIGN.md §14.4 —
+# frozen at -benchtime 1s. The per-frame budget of DESIGN.md §14.3 —
 # no address parsing, no timer, one allocation — regresses here first.
 DATAPLANE_PKGS=./internal/usocket,./internal/transport,./internal/bulk
 [ -f BENCH_dataplane_base.json ] || \
