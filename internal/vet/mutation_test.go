@@ -1,19 +1,30 @@
 package vet
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// TestResourceLifecycleMutations pins the analyzer's real-world firing
-// power: deleting any single release call from internal/region — the
-// package whose eviction/clone/prefetch machinery motivated the pass —
-// must produce at least one resource-lifecycle finding (a non-zero
-// dodo-vet exit). The repo is copied to a temp dir and each mutation is
-// applied and reverted in turn, so the working tree is never touched.
-func TestResourceLifecycleMutations(t *testing.T) {
+// A mutation deletes the nth line containing pattern from file (paths
+// relative to the repository root), reloads pkgs and expects dodo-vet
+// to object: any finding when rule is empty — the non-zero-exit shape —
+// or at least one finding of the named rule.
+type mutation struct {
+	name    string
+	pkgs    []string
+	file    string
+	pattern string
+	nth     int
+	rule    string
+}
+
+// runMutations copies the repository to a temp dir and applies and
+// reverts each mutation in turn, so the working tree is never touched.
+// The unmutated copy must be clean for every package set involved.
+func runMutations(t *testing.T, muts []mutation) {
 	if testing.Short() {
 		t.Skip("copies the repository and reloads it per mutation")
 	}
@@ -24,39 +35,28 @@ func TestResourceLifecycleMutations(t *testing.T) {
 	tmp := t.TempDir()
 	copyTree(t, root, tmp)
 
-	load := func() []Finding {
-		passes, skipped, err := LoadPackages(tmp, "./internal/region")
+	load := func(pkgs []string) []Finding {
+		passes, skipped, err := LoadPackages(tmp, pkgs...)
 		if err != nil {
 			t.Fatalf("loading mutated tree: %v", err)
 		}
 		if len(skipped) > 0 {
 			t.Fatalf("mutated tree did not compile: %v", skipped)
 		}
-		return Suppress(passes, runResourceLifecycle(passes))
+		return Check(passes, All())
 	}
-	if fs := load(); len(fs) != 0 {
-		t.Fatalf("baseline tree not clean: %v", fs)
+	clean := make(map[string]bool)
+	for _, m := range muts {
+		key := strings.Join(m.pkgs, " ")
+		if clean[key] {
+			continue
+		}
+		clean[key] = true
+		if fs := load(m.pkgs); len(fs) != 0 {
+			t.Fatalf("baseline tree not clean for %s: %v", key, fs)
+		}
 	}
 
-	// Each mutation deletes the nth line matching pattern from file.
-	// The sites span two files and every tracked kind the package uses:
-	// dodofd clone error paths, the worker-pool WaitGroup handoff, and
-	// lock brackets.
-	muts := []struct {
-		name    string
-		file    string
-		pattern string
-		nth     int
-	}{
-		{"cloneRemote disk-read error path drops Mclose", "internal/region/cache.go", "_ = c.dodo.Mclose(mfd)", 1},
-		{"cloneRemote stale-data abort drops Mclose", "internal/region/cache.go", "_ = c.dodo.Mclose(mfd)", 2},
-		{"cloneRemote push error path drops Mclose", "internal/region/cache.go", "_ = c.dodo.Mclose(mfd)", 3},
-		{"cloneRemote closed-region path drops Mclose", "internal/region/cache.go", "_ = c.dodo.Mclose(mfd)", 4},
-		{"cloneRemote raced-copy path drops Mclose", "internal/region/cache.go", "_ = c.dodo.Mclose(mfd)", 5},
-		{"Stats drops its deferred Unlock", "internal/region/cache.go", "defer c.mu.Unlock()", 1},
-		{"prefetchWorker drops its deferred Done", "internal/region/prefetch.go", "defer c.prefetchWG.Done()", 1},
-		{"finishPrefetchJob drops its Unlock", "internal/region/prefetch.go", "c.mu.Unlock()", 1},
-	}
 	for _, m := range muts {
 		t.Run(m.name, func(t *testing.T) {
 			path := filepath.Join(tmp, m.file)
@@ -76,12 +76,85 @@ func TestResourceLifecycleMutations(t *testing.T) {
 			if err := os.WriteFile(path, []byte(mutated), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			fs := load()
-			if len(fs) == 0 {
-				t.Fatalf("deleting %q (occurrence %d) in %s produced no findings: the analyzer would miss this leak", m.pattern, m.nth, m.file)
+			for _, f := range load(m.pkgs) {
+				if m.rule == "" || f.Analyzer == m.rule {
+					return
+				}
 			}
+			t.Fatalf("deleting %q (occurrence %d) in %s produced no %s finding: the analyzer would miss this", m.pattern, m.nth, m.file, m.rule)
 		})
 	}
+}
+
+// TestResourceLifecycleMutations pins the analyzer's real-world firing
+// power: deleting any single release call from internal/region — the
+// package whose eviction/clone/prefetch machinery motivated the pass —
+// must produce at least one resource-lifecycle finding. The sites span
+// two files and every tracked kind the package uses: dodofd clone error
+// paths, the worker-pool WaitGroup handoff, and lock brackets.
+func TestResourceLifecycleMutations(t *testing.T) {
+	region := func(name, file, pattern string, nth int) mutation {
+		return mutation{name, []string{"./internal/region"}, "internal/region/" + file, pattern, nth, "resource-lifecycle"}
+	}
+	runMutations(t, []mutation{
+		region("cloneRemote disk-read error path drops Mclose", "cache.go", "_ = c.dodo.Mclose(mfd)", 1),
+		region("cloneRemote stale-data abort drops Mclose", "cache.go", "_ = c.dodo.Mclose(mfd)", 2),
+		region("cloneRemote push error path drops Mclose", "cache.go", "_ = c.dodo.Mclose(mfd)", 3),
+		region("cloneRemote closed-region path drops Mclose", "cache.go", "_ = c.dodo.Mclose(mfd)", 4),
+		region("cloneRemote raced-copy path drops Mclose", "cache.go", "_ = c.dodo.Mclose(mfd)", 5),
+		region("Stats drops its deferred Unlock", "cache.go", "defer c.mu.Unlock()", 1),
+		region("prefetchWorker drops its deferred Done", "prefetch.go", "defer c.prefetchWG.Done()", 1),
+		region("finishPrefetchJob drops its Unlock", "prefetch.go", "c.mu.Unlock()", 1),
+	})
+}
+
+// TestLockDeletionMutations is the guarded-by acceptance shape kept as
+// a test: deleting any single .Lock() statement from the two daemons
+// whose state sits under one ranked mutex must make dodo-vet exit
+// non-zero. The counts are pinned so a new Lock site joins the table.
+func TestLockDeletionMutations(t *testing.T) {
+	var muts []mutation
+	for _, d := range []struct {
+		pkg, file string
+		locks     int
+	}{
+		{"./internal/manager", "internal/manager/manager.go", 22},
+		{"./internal/imd", "internal/imd/imd.go", 30},
+	} {
+		src, err := os.ReadFile(filepath.Join("../..", d.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := strings.Count(string(src), ".Lock()"); n != d.locks {
+			t.Fatalf("%s has %d .Lock() sites, the table says %d — update it", d.file, n, d.locks)
+		}
+		for nth := 1; nth <= d.locks; nth++ {
+			muts = append(muts, mutation{fmt.Sprintf("%s Lock %d", filepath.Base(d.file), nth), []string{d.pkg}, d.file, ".Lock()", nth, ""})
+		}
+	}
+	runMutations(t, muts)
+}
+
+// TestFrameReleaseMutations: deleting a pooled-frame release on the
+// data plane must be reported as a leaked dodo:acquires(frame) by
+// resource-lifecycle. internal/wire is loaded alongside because the
+// annotations live on GetFrame/PutFrame. Three PutFrame sites are not
+// rows because the pass cannot see them go: bulk/endpoint.go Notify and
+// bulk/transfer.go sendData name the frame in their return expression
+// (`return ep.tr.Send(to, frame)`), which the pass reads as handing it
+// to the caller, and core/client.go finishRemoteLeg releases a
+// parameter, which only its dodo:releases annotation vouches for.
+func TestFrameReleaseMutations(t *testing.T) {
+	frame := func(pkg, file, pattern string, nth int) mutation {
+		return mutation{fmt.Sprintf("%s PutFrame %d", file, nth), []string{"./internal/wire", "./internal/" + pkg},
+			"internal/" + file, pattern, nth, "resource-lifecycle"}
+	}
+	runMutations(t, []mutation{
+		frame("transport", "transport/udp.go", "wire.PutFrame(frame)", 1),
+		frame("core", "core/client.go", "wire.PutFrame(priv)", 2),
+		frame("core", "core/client.go", "wire.PutFrame(priv)", 3),
+		frame("imd", "imd/imd.go", "wire.PutFrame(snap)", 1),
+	})
 }
 
 // deleteNthMatch removes the nth line containing pattern, reporting

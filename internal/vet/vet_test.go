@@ -2,7 +2,9 @@ package vet
 
 import (
 	"fmt"
+	"os"
 	"regexp"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -79,6 +81,70 @@ func runGolden(t *testing.T, a *Analyzer, fixture, pkgPath string) {
 		if !w.matched {
 			t.Errorf("%s:%d: expected finding matching %q, got none", w.file, w.line, w.pattern)
 		}
+	}
+}
+
+// fixturePaths maps each testdata fixture to the import path it is
+// type-checked under (path-sensitive analyzers key off it).
+var fixturePaths = map[string]string{
+	"bufown":      "dodo/internal/usocket",
+	"clock":       "dodo/internal/experiments",
+	"errcheck":    "dodo/internal/core",
+	"goroutine":   "dodo/internal/manager",
+	"guardedby":   "dodo/internal/manager",
+	"lockorder":   "dodo/internal/transport",
+	"mutex":       "dodo/internal/manager",
+	"rand":        "dodo/internal/workload",
+	"resource":    "dodo/internal/region",
+	"wireexhaust": "dodo/internal/wire",
+}
+
+// TestFixtureFindingsExact pins finding text, not just shape: the
+// // want regexps above match loosely, so every analyzer is run over
+// every fixture and the sorted "file:line: analyzer: message" lines
+// are compared with testdata/findings.golden byte for byte. A change
+// that rewords, moves, adds or loses a finding must edit the golden
+// file in the same commit, where a reviewer sees it.
+func TestFixtureFindingsExact(t *testing.T) {
+	var names []string
+	for name := range fixturePaths {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var got []string
+	for _, name := range names {
+		pass, err := LoadFixtureDir("testdata/"+name, fixturePaths[name])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range Check([]*Pass{pass}, All()) {
+			got = append(got, f.String())
+		}
+	}
+	sort.Strings(got)
+	data, err := os.ReadFile("testdata/findings.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	inWant := make(map[string]bool, len(want))
+	for _, l := range want {
+		inWant[l] = true
+	}
+	inGot := make(map[string]bool, len(got))
+	for _, l := range got {
+		inGot[l] = true
+		if !inWant[l] {
+			t.Errorf("not in findings.golden: %s", l)
+		}
+	}
+	for _, l := range want {
+		if !inGot[l] {
+			t.Errorf("findings.golden line no longer produced: %s", l)
+		}
+	}
+	if !t.Failed() && strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("findings.golden has the right lines in the wrong order or multiplicity; want sorted:\n%s", strings.Join(got, "\n"))
 	}
 }
 
