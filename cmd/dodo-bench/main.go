@@ -7,19 +7,19 @@
 //	dodo-bench -exp all            # everything at paper scale
 //	dodo-bench -exp fig8 -scale 0.125
 //	dodo-bench -exp table1,fig1,fig2,fig7,fig8,reclaim,ablations,transport
-//	dodo-bench -gobench BENCH_seed.json   # one pass of go test -bench
+//	dodo-bench -gobench out.json          # one pass of go test -bench
 //	dodo-bench -compare old.json new.json # per-metric deltas + gate
 //
 // -gobench runs the repository benchmark suite once per benchmark
 // (go test -bench . -benchtime 1x), parses the standard benchmark
 // output — ns/op, B/op, allocs/op and custom units alike — and writes
-// it as JSON to the named file. verify.sh uses it to record the
-// BENCH_*.json perf trajectory.
+// it as JSON to the named file. verify.sh uses it (with -pkgs and
+// -benchtime 1s) to measure against the frozen BENCH_*_base.json.
 //
 // -compare diffs two such reports benchmark by benchmark, printing the
 // percentage change of every shared metric, and exits non-zero when
 // any shared benchmark's ns/op regressed by more than 10%. verify.sh
-// runs it as the perf gate against the seed snapshot.
+// runs it as the perf gate against those baselines.
 package main
 
 import (

@@ -17,7 +17,10 @@
 //
 //	-only lock-order,buffer-ownership   run only the named rules
 //	-skip wire-exhaustiveness           run all but the named rules
-//	-rules a,b                          legacy alias for -only
+//
+// Whatever the selection, a comment the tool is meant to read but
+// cannot — an unknown dodo: verb, a directive where nothing reads it, a
+// //vet:ignore naming no rule — is reported under the name dodo-vet.
 //
 // With -json, a load failure is reported as a JSON object
 // {"error": "..."} on stdout (exit status 2 as usual) so scripted
@@ -58,7 +61,6 @@ func main() {
 	sarifOut := flag.Bool("sarif", false, "emit findings as a SARIF 2.1.0 log on stdout")
 	only := flag.String("only", "", "comma-separated rule names to run (default: all)")
 	skip := flag.String("skip", "", "comma-separated rule names to leave out")
-	rules := flag.String("rules", "", "alias for -only (kept for older scripts)")
 	flag.Parse()
 
 	if *list {
@@ -71,13 +73,6 @@ func main() {
 	if *jsonOut && *sarifOut {
 		fmt.Fprintln(os.Stderr, "dodo-vet: -json and -sarif are mutually exclusive")
 		os.Exit(2)
-	}
-	if *only != "" && *rules != "" {
-		fmt.Fprintln(os.Stderr, "dodo-vet: -only and -rules are aliases; give one")
-		os.Exit(2)
-	}
-	if *rules != "" {
-		*only = *rules
 	}
 	if *only != "" && *skip != "" {
 		fmt.Fprintln(os.Stderr, "dodo-vet: -only and -skip are mutually exclusive")

@@ -14,7 +14,6 @@ package bulk
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -66,19 +65,6 @@ type Config struct {
 	// timeouts, NACK delays, tombstones). Default sim.WallClock{};
 	// inject a sim.VirtualClock to run the protocol in virtual time.
 	Clock sim.Clock
-	// Call is the unified retry budget for request/response calls.
-	// Zero-valued fields derive from the legacy knobs: Base=CallTimeout,
-	// Deadline=(CallRetries+1)*CallTimeout, Factor=1. Setting Factor,
-	// Cap or Jitter makes call retries exponential and/or jittered.
-	Call retry.Policy
-	// Window is the stall budget for bulk-transfer windows, derived
-	// from WindowTimeout/TransferRetries when zero. Receiver progress
-	// (a NACK naming missing packets) resets the budget, so only a
-	// genuine stall can exhaust it.
-	Window retry.Policy
-	// Seed seeds the per-operation RNGs used for retry jitter, keeping
-	// retry schedules reproducible in seeded runs (default 1).
-	Seed int64
 }
 
 func (c Config) withDefaults() Config {
@@ -103,23 +89,23 @@ func (c Config) withDefaults() Config {
 	if c.Clock == nil {
 		c.Clock = sim.WallClock{}
 	}
-	if c.Call.Base == 0 {
-		c.Call.Base = c.CallTimeout
-	}
-	if c.Call.Deadline == 0 {
-		c.Call.Deadline = time.Duration(c.CallRetries+1) * c.CallTimeout
-	}
-	if c.Window.Base == 0 {
-		c.Window.Base = c.WindowTimeout
-	}
-	if c.Window.Deadline == 0 {
-		c.Window.Deadline = time.Duration(c.TransferRetries+1) * c.WindowTimeout
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
 	return c
 }
+
+// fixedBudget is the retry budget of an operation that waits timeout
+// per attempt and gives up after retries re-sends: constant spacing,
+// no jitter.
+func fixedBudget(timeout time.Duration, retries int) retry.Policy {
+	return retry.Policy{Base: timeout, Deadline: time.Duration(retries+1) * timeout}
+}
+
+// callPolicy is the budget of a request/response call.
+func (c Config) callPolicy() retry.Policy { return fixedBudget(c.CallTimeout, c.CallRetries) }
+
+// windowPolicy is the stall budget of a bulk-transfer window. Receiver
+// progress (a NACK naming missing packets) resets the budget, so only a
+// genuine stall can exhaust it.
+func (c Config) windowPolicy() retry.Policy { return fixedBudget(c.WindowTimeout, c.TransferRetries) }
 
 // Handler reacts to an incoming request and returns the response to send
 // back, or nil for no response. Handlers run on their own goroutines, so
@@ -163,11 +149,6 @@ type Endpoint struct {
 	wg sync.WaitGroup
 	// dodo:unguarded — set at construction; closed once under mu in Close
 	stop chan struct{}
-
-	// opSeq numbers retry budgets so each gets a distinct but
-	// reproducible jitter stream derived from cfg.Seed.
-	// dodo:atomic
-	opSeq atomic.Int64
 
 	// Stats counters (atomic).
 	// dodo:atomic
@@ -255,16 +236,9 @@ func (ep *Endpoint) Stats() (retransmits, nacksSent, dupsDropped int64) {
 // ran their unified retry budget dry at this endpoint.
 func (ep *Endpoint) RetryExhausted() int64 { return ep.retryExhausted.Load() }
 
-// newBudget creates a retry budget for one operation. Jittered budgets
-// get a private RNG seeded from cfg.Seed and the operation counter, so
-// concurrent operations never share RNG state and a seeded run replays
-// the same schedules.
+// newBudget starts the retry budget of one operation.
 func (ep *Endpoint) newBudget(p retry.Policy) *retry.Budget {
-	var rng *rand.Rand
-	if p.Jitter > 0 {
-		rng = rand.New(rand.NewSource(ep.cfg.Seed + ep.opSeq.Add(1)))
-	}
-	return retry.New(p, ep.cfg.Clock, rng)
+	return retry.New(p, ep.cfg.Clock, nil)
 }
 
 // NextTransferID returns a fresh locally unique bulk transfer id.
@@ -306,20 +280,15 @@ func (ep *Endpoint) Notify(to string, msg wire.Message) error {
 // on timeout. Responders must tolerate duplicate requests (all Dodo
 // request handlers are idempotent).
 func (ep *Endpoint) Call(to string, msg wire.Message) (wire.Message, error) {
-	return ep.call(to, msg, ep.cfg.Call)
+	return ep.call(to, msg, ep.cfg.callPolicy())
 }
 
 // CallT is Call with an explicit per-attempt timeout and retry count,
 // for callers that probe possibly-dead peers (the central manager's
 // allocation probes and keep-alive echoes) and must give up faster than
-// their own callers' patience. The pair maps onto the unified budget as
-// Base=timeout, Deadline=(retries+1)*timeout; backoff shape (Factor,
-// Cap, Jitter) still comes from cfg.Call.
+// their own callers' patience.
 func (ep *Endpoint) CallT(to string, msg wire.Message, timeout time.Duration, retries int) (wire.Message, error) {
-	p := ep.cfg.Call
-	p.Base = timeout
-	p.Deadline = time.Duration(retries+1) * timeout
-	return ep.call(to, msg, p)
+	return ep.call(to, msg, fixedBudget(timeout, retries))
 }
 
 func (ep *Endpoint) call(to string, msg wire.Message, p retry.Policy) (wire.Message, error) {

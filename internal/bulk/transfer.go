@@ -163,7 +163,7 @@ func (ep *Endpoint) runTransfer(to string, id uint64, data []byte, chunk, window
 		// Per-window stall budget: a selective NACK naming missing
 		// packets is progress (the receiver is alive and converging) and
 		// resets it; only consecutive silent timeouts can exhaust it.
-		budget := ep.newBudget(ep.cfg.Window)
+		budget := ep.newBudget(ep.cfg.windowPolicy())
 	await:
 		for {
 			wait, ok := budget.Next()
@@ -219,7 +219,7 @@ func (ep *Endpoint) runTransfer(to string, id uint64, data []byte, chunk, window
 // NACKs arriving here are served with retransmissions rather than
 // ignored.
 func (ep *Endpoint) awaitDone(to string, id uint64, offer *wire.BulkOffer, respCh chan wire.Message, blast func([]uint32) error) error {
-	budget := ep.newBudget(ep.cfg.Window)
+	budget := ep.newBudget(ep.cfg.windowPolicy())
 	for {
 		wait, ok := budget.Next()
 		if !ok {

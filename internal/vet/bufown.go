@@ -3,8 +3,6 @@ package vet
 import (
 	"go/ast"
 	"go/types"
-	"regexp"
-	"strings"
 )
 
 // BufferOwnership enforces the zero-copy contract in the packet-path
@@ -37,19 +35,9 @@ import (
 // transfers that are not part of a function's contract, mark the site
 // with //vet:ignore buffer-ownership and say so.
 var BufferOwnership = &Analyzer{
-	Name: "buffer-ownership",
-	Doc:  "flag writes to or retention of byte slices after zero-copy sends, and retention of borrowed []byte parameters",
-	Run:  runBufferOwnership,
-}
-
-// bufOwnPackage reports whether path is in the zero-copy set.
-func bufOwnPackage(path string) bool {
-	for _, suf := range []string{"/internal/usocket", "/internal/bulk", "/internal/transport"} {
-		if strings.HasSuffix(path, suf) {
-			return true
-		}
-	}
-	return false
+	Name:       "buffer-ownership",
+	Doc:        "flag writes to or retention of byte slices after zero-copy sends, and retention of borrowed []byte parameters",
+	RunProgram: runBufferOwnership,
 }
 
 // zeroCopySends are the methods that lend their []byte arguments to
@@ -60,44 +48,7 @@ func isZeroCopySend(fn *types.Func) bool {
 	if fn == nil || fn.Pkg() == nil || !zeroCopySends[fn.Name()] {
 		return false
 	}
-	return bufOwnPackage(fn.Pkg().Path())
-}
-
-// adoptsRe matches a dodo:adopts directive naming parameters whose
-// ownership the function takes over by documented contract.
-var adoptsRe = regexp.MustCompile(`^dodo:adopts\(([a-zA-Z0-9_, ]+)\)$`)
-
-// adoptedParams parses dodo:adopts lines from a function's doc
-// comment. Malformed directives are reported so a typo cannot
-// silently disable checking.
-func adoptedParams(pass *Pass, doc *ast.CommentGroup, findings *[]Finding) map[string]bool {
-	if doc == nil {
-		return nil
-	}
-	var names map[string]bool
-	for _, c := range doc.List {
-		text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-		if !strings.HasPrefix(text, "dodo:adopts") {
-			continue
-		}
-		m := adoptsRe.FindStringSubmatch(text)
-		if m == nil {
-			*findings = append(*findings, findingAt(pass, "buffer-ownership", c,
-				"malformed directive %q: want dodo:adopts(param[, param...])", text))
-			continue
-		}
-		for _, name := range strings.Split(m[1], ",") {
-			name = strings.TrimSpace(name)
-			if name == "" {
-				continue
-			}
-			if names == nil {
-				names = map[string]bool{}
-			}
-			names[name] = true
-		}
-	}
-	return names
+	return inScope("buffer-ownership", fn.Pkg().Path())
 }
 
 func isByteSlice(t types.Type) bool {
@@ -183,33 +134,21 @@ func isIdent(expr ast.Expr) bool {
 	return ok
 }
 
-func runBufferOwnership(pass *Pass) []Finding {
-	if !bufOwnPackage(pass.Pkg.Path()) {
-		return nil
-	}
+func runBufferOwnership(prog *program) []Finding {
 	var findings []Finding
-	for _, file := range pass.Files {
-		if pass.isTestFile(file.Pos()) {
-			continue
+	for _, u := range prog.unitsFor("buffer-ownership") {
+		var doc *ast.CommentGroup
+		if u.decl != nil {
+			doc = u.decl.Doc
 		}
-		ast.Inspect(file, func(n ast.Node) bool {
-			switch fn := n.(type) {
-			case *ast.FuncDecl:
-				if fn.Body != nil {
-					findings = append(findings, checkBufferOwnership(pass, fn.Doc, fn.Type, fn.Body)...)
-				}
-				return false
-			case *ast.FuncLit:
-				findings = append(findings, checkBufferOwnership(pass, nil, fn.Type, fn.Body)...)
-				return false
-			}
-			return true
-		})
+		findings = append(findings, checkBufferOwnership(u.pass, prog.directives.of(doc), u.typ, u.body)...)
 	}
 	return findings
 }
 
-func checkBufferOwnership(pass *Pass, doc *ast.CommentGroup, ftype *ast.FuncType, body *ast.BlockStmt) []Finding {
+// checkBufferOwnership checks one function body, and each function
+// literal inside it as a function of its own.
+func checkBufferOwnership(pass *Pass, doc []*directive, ftype *ast.FuncType, body *ast.BlockStmt) []Finding {
 	var findings []Finding
 	report := func(n ast.Node, format string, args ...any) {
 		findings = append(findings, findingAt(pass, "buffer-ownership", n, format, args...))
@@ -217,7 +156,18 @@ func checkBufferOwnership(pass *Pass, doc *ast.CommentGroup, ftype *ast.FuncType
 
 	// Borrowed []byte parameters, minus those the function adopts by
 	// documented contract.
-	adopted := adoptedParams(pass, doc, &findings)
+	adopted := make(map[string]bool)
+	for _, d := range doc {
+		if d.verb != "dodo:adopts" {
+			continue
+		}
+		if d.problem != "" {
+			report(d.comment, "%s", d.problem)
+		}
+		for _, name := range d.args {
+			adopted[name] = true
+		}
+	}
 	borrowed := make(map[*types.Var]bool)
 	if ftype.Params != nil {
 		for _, field := range ftype.Params.List {
@@ -242,11 +192,11 @@ func checkBufferOwnership(pass *Pass, doc *ast.CommentGroup, ftype *ast.FuncType
 
 	// The walk is source-order and flow-insensitive across branches: a
 	// send anywhere earlier in the text lends the buffer for everything
-	// after it. Nested function literals are handled by the caller's
-	// Inspect (each gets its own scan); skip them here.
+	// after it.
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch node := n.(type) {
 		case *ast.FuncLit:
+			findings = append(findings, checkBufferOwnership(pass, nil, node.Type, node.Body)...)
 			return false
 		case *ast.AssignStmt:
 			for i, lhs := range node.Lhs {

@@ -109,26 +109,9 @@ func litHasLifecycle(info *types.Info, lit *ast.FuncLit) bool {
 	return found
 }
 
-func isContext(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "context" && obj.Name() == "Context"
-}
+func isContext(t types.Type) bool { return isNamed(t, "context", "Context") }
 
-func isWaitGroup(t types.Type) bool {
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "sync" && obj.Name() == "WaitGroup"
-}
+func isWaitGroup(t types.Type) bool { return isNamed(t, "sync", "WaitGroup") }
 
 // isLifecycleType reports whether t can act as a shutdown/await handle
 // when passed as an argument: any channel, a context.Context, or a

@@ -5,7 +5,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // GuardedBy is the whole-program shared-state analyzer. Struct fields
@@ -37,33 +36,19 @@ import (
 //     guarding lock outside the declared hierarchy (DESIGN.md §8) would
 //     be invisible to lock-order and the lockcheck runtime.
 //
-// The held-set tracking is the same static under-approximation as
-// lock-order: statement order with optimistic branch merging, function
-// literals inherit the held set at their creation point (except `go`
-// bodies, which start empty), and deferred unlocks release at return.
+// The held sets come from the lock-flow records (lockflow.go), whose
+// header lists the walk's approximations; a function's literals count
+// as part of it here, with the held set of their creation point.
 // Accesses through a variable freshly allocated in the same function
 // (&T{...}, new(T)) are exempt — a struct that has not escaped its
 // constructor needs no lock. Residual false positives carry a
 // //vet:ignore guarded-by directive with a reviewed reason.
 //
-// Like the other whole-program passes it analyzes internal/... only,
-// excluding internal/locks (the mutex wrapper is the mechanism, not a
-// client of it).
+// Analyzed packages: see scopes (program.go).
 var GuardedBy = &Analyzer{
 	Name:       "guarded-by",
 	Doc:        "prove dodo:guardedby fields are accessed under their declared mutex, dodo:atomic fields only via sync/atomic, and mutex-holding structs fully annotated",
-	Run:        func(p *Pass) []Finding { return runGuardedBy([]*Pass{p}) },
 	RunProgram: runGuardedBy,
-}
-
-// gbSkips mirrors the lock-order package policy, minus the internal/sim
-// exclusion: sim's clock mutex is outside the rank hierarchy but its
-// fields still deserve guarded-by classification.
-func gbSkips(path string) bool {
-	if !strings.Contains(path, "/internal/") {
-		return true
-	}
-	return strings.HasSuffix(path, "/internal/locks")
 }
 
 type gbKind int
@@ -74,10 +59,10 @@ const (
 	gbUnguarded
 )
 
-// gbSpec is one annotated field: its protection kind, the guard key for
-// dodo:guardedby ("pkgpath.Type.mutexfield"), and display names. For
-// guards that are locks.Mutex, rankPass/rankPos anchor the SetRank
-// cross-check finding at the annotated field.
+// gbSpec is one annotated field: its protection kind, the guard key
+// ("pkgpath.Type.mutexfield") of a dodo:guardedby field, and display
+// names. For guards that are locks.Mutex, rankPass/rankPos anchor the
+// SetRank cross-check finding at the annotated field.
 type gbSpec struct {
 	kind      gbKind
 	guardKey  string
@@ -87,130 +72,29 @@ type gbSpec struct {
 	rankPos   token.Pos
 }
 
-// gbMutexType classifies t as a lockable mutex type: sync.Mutex,
-// sync.RWMutex or locks.Mutex held by value.
-func gbMutexType(t types.Type) (isMutex, isRW bool) {
+// gbMutexType classifies t as a lockable mutex held by value —
+// sync.Mutex, sync.RWMutex or locks.Mutex — and says whether it is the
+// kind that carries a rank.
+func gbMutexType(t types.Type) (isMutex, ranked bool) {
 	named, ok := t.(*types.Named)
-	if !ok {
+	if !ok || named.Obj().Pkg() == nil {
 		return false, false
 	}
-	obj := named.Obj()
-	if obj == nil || obj.Pkg() == nil {
-		return false, false
-	}
-	switch {
-	case obj.Pkg().Path() == "sync" && obj.Name() == "Mutex":
-		return true, false
-	case obj.Pkg().Path() == "sync" && obj.Name() == "RWMutex":
-		return true, true
-	case isLockPkg(obj.Pkg().Path()) && obj.Name() == "Mutex":
-		return true, false
+	switch path, name := named.Obj().Pkg().Path(), named.Obj().Name(); {
+	case path == "sync":
+		return name == "Mutex" || name == "RWMutex", false
+	case isLockPkg(path):
+		return name == "Mutex", name == "Mutex"
 	}
 	return false, false
 }
 
-func gbIsLocksMutex(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() != "sync" &&
-		isLockPkg(obj.Pkg().Path()) && obj.Name() == "Mutex"
-}
-
-// gbAnnotation is a parsed dodo: field comment.
-type gbAnnotation struct {
-	kind   gbKind
-	target string // guardedby mutex field name
-	reason string // unguarded justification
-}
-
-// parseGBAnnotation extracts the first dodo: directive from the field's
-// doc or trailing comment. ok is false when no directive is present;
-// err carries a grammar problem worth reporting.
-func parseGBAnnotation(af *ast.Field) (ann gbAnnotation, ok bool, err string) {
-	var lines []string
-	if af.Doc != nil {
-		for _, c := range af.Doc.List {
-			lines = append(lines, c.Text)
-		}
-	}
-	if af.Comment != nil {
-		for _, c := range af.Comment.List {
-			lines = append(lines, c.Text)
-		}
-	}
-	for _, line := range lines {
-		text := strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(line), "//"))
-		if !strings.HasPrefix(text, "dodo:") {
-			continue
-		}
-		rest := strings.TrimPrefix(text, "dodo:")
-		fields := strings.Fields(rest)
-		if len(fields) == 0 {
-			return ann, false, "empty dodo: directive"
-		}
-		switch fields[0] {
-		case "guardedby":
-			if len(fields) < 2 {
-				return ann, false, "dodo:guardedby needs a mutex field name"
-			}
-			return gbAnnotation{kind: gbGuarded, target: fields[1]}, true, ""
-		case "atomic":
-			return gbAnnotation{kind: gbAtomic}, true, ""
-		case "unguarded":
-			reason := strings.TrimLeft(strings.TrimPrefix(rest, "unguarded"), " \t—–-")
-			if strings.TrimSpace(reason) == "" {
-				return ann, false, "dodo:unguarded needs a reason (\"// dodo:unguarded — why\")"
-			}
-			return gbAnnotation{kind: gbUnguarded, reason: reason}, true, ""
-		default:
-			return ann, false, fmt.Sprintf("unknown dodo: directive %q (want guardedby/atomic/unguarded)", fields[0])
-		}
-	}
-	return ann, false, ""
-}
-
-// gbNamedOf unwraps pointers to the named type, or nil.
-func gbNamedOf(t types.Type) *types.Named {
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, _ := t.(*types.Named)
-	return named
-}
-
-// gbFieldKey resolves a field selection to its declaring-struct key
-// "pkgpath.Type.field" by walking the selection index path. Returns ""
-// when the owner cannot be named (anonymous structs).
-func gbFieldKey(sel *types.Selection) string {
-	t := sel.Recv()
-	index := sel.Index()
-	for i, idx := range index {
-		named := gbNamedOf(t)
-		if named == nil || named.Obj().Pkg() == nil {
-			return ""
-		}
-		st, ok := named.Underlying().(*types.Struct)
-		if !ok || idx >= st.NumFields() {
-			return ""
-		}
-		f := st.Field(idx)
-		if i == len(index)-1 {
-			return named.Obj().Pkg().Path() + "." + named.Obj().Name() + "." + f.Name()
-		}
-		t = f.Type()
-	}
-	return ""
-}
-
 // gbCollect gathers field specs and annotation-grammar findings across
-// all passes, plus the set of guard keys that receive a SetRank call.
-func gbCollect(passes []*Pass) (specs map[string]*gbSpec, findings []Finding) {
+// the analyzed packages.
+func gbCollect(prog *program) (specs map[string]*gbSpec, findings []Finding) {
 	specs = make(map[string]*gbSpec)
-	for _, pass := range passes {
-		if gbSkips(pass.Pkg.Path()) {
+	for _, pass := range prog.passes {
+		if !inScope("guarded-by", pass.Pkg.Path()) {
 			continue
 		}
 		for _, file := range pass.Files {
@@ -239,7 +123,7 @@ func gbCollect(passes []*Pass) (specs map[string]*gbSpec, findings []Finding) {
 					if !ok {
 						continue
 					}
-					findings = append(findings, gbCollectStruct(pass, obj, st, tst, specs)...)
+					findings = append(findings, gbCollectStruct(prog, pass, obj, st, tst, specs)...)
 				}
 			}
 		}
@@ -247,10 +131,10 @@ func gbCollect(passes []*Pass) (specs map[string]*gbSpec, findings []Finding) {
 	return specs, findings
 }
 
-// gbCollectStruct processes one struct declaration: parses each field's
-// annotation, validates guardedby targets, and enforces completeness
-// when the struct holds a mutex.
-func gbCollectStruct(pass *Pass, obj *types.TypeName, st *ast.StructType, tst *types.Struct, specs map[string]*gbSpec) []Finding {
+// gbCollectStruct processes one struct declaration: reads each field's
+// first dodo: directive, validates guardedby targets, and enforces
+// completeness when the struct holds a mutex.
+func gbCollectStruct(prog *program, pass *Pass, obj *types.TypeName, st *ast.StructType, tst *types.Struct, specs map[string]*gbSpec) []Finding {
 	var findings []Finding
 	typeKey := obj.Pkg().Path() + "." + obj.Name()
 	display := obj.Pkg().Name() + "." + obj.Name()
@@ -272,10 +156,10 @@ func gbCollectStruct(pass *Pass, obj *types.TypeName, st *ast.StructType, tst *t
 		}
 	}
 
-	mutexFields := make(map[string]types.Type)
+	mutexFields := make(map[string]bool) // name -> carries a rank
 	for _, d := range decls {
-		if isMutex, _ := gbMutexType(d.v.Type()); isMutex {
-			mutexFields[d.v.Name()] = d.v.Type()
+		if isMutex, ranked := gbMutexType(d.v.Type()); isMutex {
+			mutexFields[d.v.Name()] = ranked
 		}
 	}
 
@@ -283,13 +167,13 @@ func gbCollectStruct(pass *Pass, obj *types.TypeName, st *ast.StructType, tst *t
 		if _, isMutexField := mutexFields[d.v.Name()]; isMutexField {
 			continue
 		}
-		ann, ok, errText := parseGBAnnotation(d.af)
-		if errText != "" {
+		anns := prog.directives.of(d.af.Doc, d.af.Comment)
+		if len(anns) > 0 && anns[0].problem != "" {
 			findings = append(findings, findingAt(pass, "guarded-by", d.af,
-				"field %s.%s: %s", display, d.v.Name(), errText))
+				"field %s.%s: %s", display, d.v.Name(), anns[0].problem))
 			continue
 		}
-		if !ok {
+		if len(anns) == 0 {
 			if len(mutexFields) > 0 {
 				findings = append(findings, findingAt(pass, "guarded-by", d.af,
 					"field %s.%s has no dodo: annotation but the struct holds a mutex; declare dodo:guardedby <mutex>, dodo:atomic, or dodo:unguarded — reason",
@@ -298,48 +182,34 @@ func gbCollectStruct(pass *Pass, obj *types.TypeName, st *ast.StructType, tst *t
 			continue
 		}
 		fieldKey := typeKey + "." + d.v.Name()
-		switch ann.kind {
-		case gbGuarded:
-			mt, isMutexTarget := mutexFields[ann.target]
+		switch anns[0].verb {
+		case "dodo:guardedby":
+			target := anns[0].args[0]
+			ranked, isMutexTarget := mutexFields[target]
 			if !isMutexTarget {
 				findings = append(findings, findingAt(pass, "guarded-by", d.af,
-					"field %s.%s: dodo:guardedby %q does not name a sibling mutex field", display, d.v.Name(), ann.target))
+					"field %s.%s: dodo:guardedby %q does not name a sibling mutex field", display, d.v.Name(), target))
 				continue
 			}
 			specs[fieldKey] = &gbSpec{
 				kind:      gbGuarded,
-				guardKey:  typeKey + "." + ann.target,
-				guardName: obj.Name() + "." + ann.target,
+				guardKey:  typeKey + "." + target,
+				guardName: obj.Name() + "." + target,
 				owner:     display + "." + d.v.Name(),
 			}
-			if gbIsLocksMutex(mt) {
+			if ranked {
 				// Rank cross-check is resolved after SetRank collection;
 				// remember where to anchor the finding.
 				specs[fieldKey].rankPos = d.af.Pos()
 				specs[fieldKey].rankPass = pass
 			}
-		case gbAtomic:
+		case "dodo:atomic":
 			specs[fieldKey] = &gbSpec{kind: gbAtomic, owner: display + "." + d.v.Name()}
-		case gbUnguarded:
+		case "dodo:unguarded":
 			specs[fieldKey] = &gbSpec{kind: gbUnguarded, owner: display + "." + d.v.Name()}
 		}
 	}
 	return findings
-}
-
-// gbHeld is one held lock in the walker's tracked set.
-type gbHeld struct {
-	key  string // guard key ("pkgpath.Type.mu") or "pkgpath.var"
-	excl bool   // Lock (true) vs RLock (false)
-}
-
-func gbHeldSatisfies(held []gbHeld, key string, write bool) bool {
-	for _, h := range held {
-		if h.key == key && (h.excl || !write) {
-			return true
-		}
-	}
-	return false
 }
 
 // gbPending is a guarded access not dominated by a local Lock; the
@@ -351,607 +221,82 @@ type gbPending struct {
 	node  ast.Node
 }
 
-type gbCallSite struct {
-	callee string
-	held   []gbHeld
-}
-
+// gbSummary is one unit, its literals included.
 type gbSummary struct {
 	key      string
 	pending  []gbPending
-	calls    []gbCallSite
+	calls    []callSite
 	releases map[string]bool // guard keys unlocked anywhere in the body
 }
 
-// gbWalker carries the per-function analysis state.
-type gbWalker struct {
-	pass     *Pass
-	specs    map[string]*gbSpec
-	sum      *gbSummary
-	fresh    map[types.Object]bool
-	findings *[]Finding
-}
-
-// gbLockKey resolves the mutex expression of a Lock/Unlock receiver to
-// its class key, or "".
-func gbLockKey(pass *Pass, recv ast.Expr) string {
-	switch e := ast.Unparen(recv).(type) {
-	case *ast.SelectorExpr:
-		if sel, ok := pass.Info.Selections[e]; ok && sel.Kind() == types.FieldVal {
-			return gbFieldKey(sel)
-		}
-		if obj, ok := pass.Info.Uses[e.Sel].(*types.Var); ok && obj.Pkg() != nil && obj.Parent() == obj.Pkg().Scope() {
-			return obj.Pkg().Path() + "." + obj.Name()
-		}
-	case *ast.Ident:
-		if obj, ok := pass.Info.Uses[e].(*types.Var); ok && obj.Pkg() != nil && obj.Parent() == obj.Pkg().Scope() {
-			return obj.Pkg().Path() + "." + obj.Name()
-		}
-	}
-	return ""
-}
-
-// gbFreshLocals pre-scans a function body for local variables holding a
-// freshly allocated value (&T{...}, T{}, new(T)): accesses through them
-// precede publication and need no lock.
-func gbFreshLocals(pass *Pass, body *ast.BlockStmt) map[types.Object]bool {
-	fresh := make(map[types.Object]bool)
-	isAlloc := func(e ast.Expr) bool {
-		switch x := ast.Unparen(e).(type) {
-		case *ast.CompositeLit:
-			return true
-		case *ast.UnaryExpr:
-			if x.Op == token.AND {
-				_, ok := ast.Unparen(x.X).(*ast.CompositeLit)
-				return ok
-			}
-		case *ast.CallExpr:
-			if id, ok := ast.Unparen(x.Fun).(*ast.Ident); ok {
-				if b, ok := pass.Info.Uses[id].(*types.Builtin); ok && b.Name() == "new" {
-					return true
-				}
-			}
-		}
-		return false
-	}
-	mark := func(lhs ast.Expr) {
-		if id, ok := lhs.(*ast.Ident); ok {
-			if obj := pass.Info.Defs[id]; obj != nil {
-				fresh[obj] = true
-			} else if obj := pass.Info.Uses[id]; obj != nil {
-				fresh[obj] = true
-			}
-		}
-	}
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch st := n.(type) {
-		case *ast.AssignStmt:
-			if len(st.Lhs) == len(st.Rhs) {
-				for i, r := range st.Rhs {
-					if isAlloc(r) {
-						mark(st.Lhs[i])
-					}
-				}
-			}
-		case *ast.ValueSpec:
-			if len(st.Names) == len(st.Values) {
-				for i, r := range st.Values {
-					if isAlloc(r) {
-						mark(st.Names[i])
-					}
-				}
-			}
-		}
-		return true
-	})
-	return fresh
-}
-
-// gbRootIdent returns the identifier at the root of a selector/index
-// path, or nil.
-func gbRootIdent(e ast.Expr) *ast.Ident {
-	for {
-		switch x := ast.Unparen(e).(type) {
-		case *ast.Ident:
-			return x
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.SliceExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		default:
-			return nil
-		}
-	}
-}
-
-func (w *gbWalker) exempt(e ast.Expr) bool {
-	id := gbRootIdent(e)
-	if id == nil {
-		return false
-	}
-	if obj := w.pass.Info.Uses[id]; obj != nil && w.fresh[obj] {
-		return true
-	}
-	return false
-}
-
-// specFor resolves a selector expression to its annotated-field spec.
-func (w *gbWalker) specFor(e *ast.SelectorExpr) *gbSpec {
-	sel, ok := w.pass.Info.Selections[e]
-	if !ok || sel.Kind() != types.FieldVal {
-		return nil
-	}
-	key := gbFieldKey(sel)
-	if key == "" {
-		return nil
-	}
-	return w.specs[key]
-}
-
-func (w *gbWalker) report(n ast.Node, format string, args ...any) {
-	*w.findings = append(*w.findings, findingAt(w.pass, "guarded-by", n, format, args...))
-}
-
-// access records one touch of an annotated field.
-func (w *gbWalker) access(spec *gbSpec, write bool, node ast.Node, held []gbHeld) {
-	switch spec.kind {
-	case gbUnguarded:
-	case gbAtomic:
-		verb := "read of"
-		if write {
-			verb = "write to"
-		}
-		w.report(node, "plain %s dodo:atomic field %s mixes with sync/atomic access; use the atomic API everywhere", verb, spec.owner)
-	case gbGuarded:
-		if gbHeldSatisfies(held, spec.guardKey, write) {
-			return
-		}
-		w.sum.pending = append(w.sum.pending, gbPending{spec: spec, write: write, pass: w.pass, node: node})
-	}
-}
-
-// scan walks an expression recording annotated-field accesses under the
-// given held set. write marks the expression as an assignment target.
-// walkLit is called for function literals so the statement walker can
-// analyze their bodies with the inherited held set.
-func (w *gbWalker) scan(e ast.Expr, write bool, held []gbHeld, walkLit func(*ast.FuncLit, []gbHeld)) {
-	if e == nil {
-		return
-	}
-	switch x := ast.Unparen(e).(type) {
-	case *ast.SelectorExpr:
-		if spec := w.specFor(x); spec != nil && !w.exempt(x) {
-			w.access(spec, write, x, held)
-		}
-		w.scan(x.X, write, held, walkLit)
-	case *ast.IndexExpr:
-		w.scan(x.X, write, held, walkLit)
-		w.scan(x.Index, false, held, walkLit)
-	case *ast.IndexListExpr:
-		w.scan(x.X, write, held, walkLit)
-		for _, i := range x.Indices {
-			w.scan(i, false, held, walkLit)
-		}
-	case *ast.SliceExpr:
-		w.scan(x.X, false, held, walkLit)
-		w.scan(x.Low, false, held, walkLit)
-		w.scan(x.High, false, held, walkLit)
-		w.scan(x.Max, false, held, walkLit)
-	case *ast.StarExpr:
-		w.scan(x.X, false, held, walkLit)
-	case *ast.UnaryExpr:
-		if x.Op == token.AND {
-			w.addrOf(x, held, walkLit)
-			return
-		}
-		w.scan(x.X, false, held, walkLit)
-	case *ast.BinaryExpr:
-		w.scan(x.X, false, held, walkLit)
-		w.scan(x.Y, false, held, walkLit)
-	case *ast.CallExpr:
-		w.call(x, held, walkLit)
-	case *ast.CompositeLit:
-		for _, elt := range x.Elts {
-			if kv, ok := elt.(*ast.KeyValueExpr); ok {
-				w.scan(kv.Value, false, held, walkLit)
-				continue
-			}
-			w.scan(elt, false, held, walkLit)
-		}
-	case *ast.TypeAssertExpr:
-		w.scan(x.X, false, held, walkLit)
-	case *ast.KeyValueExpr:
-		w.scan(x.Key, false, held, walkLit)
-		w.scan(x.Value, false, held, walkLit)
-	case *ast.FuncLit:
-		if walkLit != nil {
-			walkLit(x, held)
-		}
-	}
-}
-
-// addrOf handles &expr: taking the address of a guarded or atomic field
-// defeats the static proof, so outside the sanctioned sync/atomic call
-// forms (intercepted in call) it is a finding.
-func (w *gbWalker) addrOf(x *ast.UnaryExpr, held []gbHeld, walkLit func(*ast.FuncLit, []gbHeld)) {
-	if sel, ok := ast.Unparen(x.X).(*ast.SelectorExpr); ok {
-		if spec := w.specFor(sel); spec != nil && !w.exempt(sel) {
-			switch spec.kind {
-			case gbGuarded:
-				w.report(x, "address of guarded field %s escapes; a pointer cannot be proven to stay under %s", spec.owner, spec.guardName)
-			case gbAtomic:
-				w.report(x, "address of dodo:atomic field %s escapes outside a sync/atomic call", spec.owner)
-			}
-			w.scan(sel.X, false, held, walkLit)
-			return
-		}
-	}
-	w.scan(x.X, false, held, walkLit)
-}
-
-// call handles a call expression: mutex methods are ignored (the
-// statement walker tracks them), sync/atomic forms sanction atomic
-// fields, everything else records a call site and scans operands.
-func (w *gbWalker) call(call *ast.CallExpr, held []gbHeld, walkLit func(*ast.FuncLit, []gbHeld)) {
-	fn := funcFor(w.pass.Info, call)
-
-	// Builtins: delete/copy mutate their first operand.
-	if fn == nil {
-		if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-			if b, ok := w.pass.Info.Uses[id].(*types.Builtin); ok {
-				write := b.Name() == "delete" || b.Name() == "copy"
-				for i, arg := range call.Args {
-					w.scan(arg, write && i == 0, held, walkLit)
-				}
-				return
-			}
-		}
-		w.scan(call.Fun, false, held, walkLit)
-		for _, arg := range call.Args {
-			w.scan(arg, false, held, walkLit)
-		}
-		return
-	}
-
-	if fn.Pkg() != nil && fn.Pkg().Path() == "sync/atomic" {
-		w.atomicCall(call, fn, held, walkLit)
-		return
-	}
-
-	if isMutexMethod(fn) != 0 || (fn.Name() == "SetRank" && fn.Pkg() != nil && isLockPkg(fn.Pkg().Path())) {
-		// Lock/Unlock/SetRank receivers are mutex fields, which carry no
-		// annotation; nothing to scan but the base path.
-		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-			if inner, ok := ast.Unparen(sel.X).(*ast.SelectorExpr); ok {
-				w.scan(inner.X, false, held, walkLit)
-			}
-		}
-		return
-	}
-
-	w.sum.calls = append(w.sum.calls, gbCallSite{callee: fn.FullName(), held: append([]gbHeld(nil), held...)})
-	w.scan(call.Fun, false, held, walkLit)
-	for _, arg := range call.Args {
-		w.scan(arg, false, held, walkLit)
-	}
-}
-
-// atomicCall sanctions the two sync/atomic access forms — method calls
-// on atomic.XXX fields and free functions taking &field — for
-// dodo:atomic fields, and flags them as mixed discipline on guarded
-// fields.
-func (w *gbWalker) atomicCall(call *ast.CallExpr, fn *types.Func, held []gbHeld, walkLit func(*ast.FuncLit, []gbHeld)) {
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		if fieldSel, ok := ast.Unparen(sel.X).(*ast.SelectorExpr); ok {
-			if spec := w.specFor(fieldSel); spec != nil {
-				if spec.kind == gbGuarded && !w.exempt(fieldSel) {
-					w.report(call, "dodo:guardedby field %s accessed through sync/atomic (%s); pick one discipline", spec.owner, fn.Name())
-				}
-				// Sanctioned atomic method call: scan only the base path.
-				w.scan(fieldSel.X, false, held, walkLit)
-				for _, arg := range call.Args {
-					w.scan(arg, false, held, walkLit)
-				}
-				return
-			}
-		}
-		w.scan(sel.X, false, held, walkLit)
-	}
-	for _, arg := range call.Args {
-		if un, ok := ast.Unparen(arg).(*ast.UnaryExpr); ok && un.Op == token.AND {
-			if fieldSel, ok := ast.Unparen(un.X).(*ast.SelectorExpr); ok {
-				if spec := w.specFor(fieldSel); spec != nil {
-					if spec.kind == gbGuarded && !w.exempt(fieldSel) {
-						w.report(call, "dodo:guardedby field %s accessed through sync/atomic (%s); pick one discipline", spec.owner, fn.Name())
-					}
-					w.scan(fieldSel.X, false, held, walkLit)
-					continue
-				}
-			}
-		}
-		w.scan(arg, false, held, walkLit)
-	}
-}
-
-// gbHeldRemove drops the most recent matching hold.
-func gbHeldRemove(held []gbHeld, key string, excl bool) []gbHeld {
-	for i := len(held) - 1; i >= 0; i-- {
-		if held[i].key == key && held[i].excl == excl {
-			return append(append([]gbHeld(nil), held[:i]...), held[i+1:]...)
-		}
-	}
-	// Mode-mismatched unlock (or unlock of something never seen): drop
-	// any hold on the key rather than tracking garbage.
-	for i := len(held) - 1; i >= 0; i-- {
-		if held[i].key == key {
-			return append(append([]gbHeld(nil), held[:i]...), held[i+1:]...)
-		}
-	}
-	return held
-}
-
-func gbHeldIntersect(a []gbHeld, bs ...[]gbHeld) []gbHeld {
-	out := a[:0:0]
-	for _, h := range a {
-		in := true
-		for _, b := range bs {
-			found := false
-			for _, bh := range b {
-				if bh == h {
-					found = true
-					break
-				}
-			}
-			if !found {
-				in = false
-				break
-			}
-		}
-		if in {
-			out = append(out, h)
-		}
-	}
-	return out
-}
-
-// gbSummarize walks one function body, producing its summary and
-// reporting immediately-decidable findings.
-func gbSummarize(pass *Pass, body *ast.BlockStmt, key string, specs map[string]*gbSpec, findings *[]Finding) *gbSummary {
-	sum := &gbSummary{key: key, releases: make(map[string]bool)}
-	w := &gbWalker{pass: pass, specs: specs, sum: sum, fresh: gbFreshLocals(pass, body), findings: findings}
-
-	var walk func(stmts []ast.Stmt, held []gbHeld) ([]gbHeld, bool)
-
-	walkLit := func(lit *ast.FuncLit, held []gbHeld) {
-		walk(lit.Body.List, append([]gbHeld(nil), held...))
-	}
-	scan := func(e ast.Expr, write bool, held []gbHeld) {
-		w.scan(e, write, held, walkLit)
-	}
-
-	walkBranches := func(held []gbHeld, mayskip bool, bodies ...[]ast.Stmt) []gbHeld {
-		var results [][]gbHeld
-		for _, b := range bodies {
-			h, term := walk(b, held)
-			if !term {
-				results = append(results, h)
-			}
-		}
-		if mayskip {
-			results = append(results, held)
-		}
-		if len(results) == 0 {
-			return held
-		}
-		return gbHeldIntersect(results[0], results[1:]...)
-	}
-
-	walk = func(stmts []ast.Stmt, held []gbHeld) ([]gbHeld, bool) {
-		for _, stmt := range stmts {
-			switch st := stmt.(type) {
-			case *ast.ExprStmt:
-				if call, ok := st.X.(*ast.CallExpr); ok {
-					if fn := funcFor(pass.Info, call); fn != nil {
-						if d := isMutexMethod(fn); d != 0 {
-							if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-								key := gbLockKey(pass, sel.X)
-								if key == "" {
-									continue
-								}
-								excl := fn.Name() == "Lock" || fn.Name() == "Unlock"
-								if d > 0 {
-									held = append(append([]gbHeld(nil), held...), gbHeld{key: key, excl: excl})
-								} else {
-									held = gbHeldRemove(held, key, excl)
-									sum.releases[key] = true
-								}
-							}
-							continue
-						}
-					}
-				}
-				scan(st.X, false, held)
-			case *ast.AssignStmt:
-				for _, l := range st.Lhs {
-					if _, isIdent := ast.Unparen(l).(*ast.Ident); isIdent {
-						continue // plain local assignment: no field touched
-					}
-					scan(l, true, held)
-				}
-				for _, r := range st.Rhs {
-					scan(r, false, held)
-				}
-			case *ast.IncDecStmt:
-				scan(st.X, true, held)
-			case *ast.DeclStmt:
-				if gd, ok := st.Decl.(*ast.GenDecl); ok {
-					for _, spec := range gd.Specs {
-						if vs, ok := spec.(*ast.ValueSpec); ok {
-							for _, v := range vs.Values {
-								scan(v, false, held)
-							}
-						}
-					}
-				}
-			case *ast.ReturnStmt:
-				for _, r := range st.Results {
-					scan(r, false, held)
-				}
-				return held, true
-			case *ast.BranchStmt:
-				return held, true
-			case *ast.DeferStmt:
-				// Deferred unlocks release at return, so the held set is
-				// unchanged for the rest of the body. Deferred calls and
-				// literals run with the locks held at return time; we
-				// approximate with the current set.
-				if fn := funcFor(pass.Info, st.Call); fn != nil && isMutexMethod(fn) != 0 {
-					continue
-				}
-				scan(st.Call, false, held)
-			case *ast.GoStmt:
-				// The goroutine body starts with no locks: record the
-				// call site with an empty held set (and walk literals
-				// the same way), but evaluate receiver and arguments in
-				// the spawning goroutine's context.
-				if fn := funcFor(pass.Info, st.Call); fn != nil && isMutexMethod(fn) == 0 {
-					sum.calls = append(sum.calls, gbCallSite{callee: fn.FullName()})
-				}
-				if lit, ok := ast.Unparen(st.Call.Fun).(*ast.FuncLit); ok {
-					walkLit(lit, nil)
-				} else if sel, ok := ast.Unparen(st.Call.Fun).(*ast.SelectorExpr); ok {
-					scan(sel.X, false, held)
-				}
-				for _, arg := range st.Call.Args {
-					scan(arg, false, held)
-				}
-			case *ast.SendStmt:
-				scan(st.Chan, false, held)
-				scan(st.Value, false, held)
-			case *ast.BlockStmt:
-				h, term := walk(st.List, held)
-				held = h
-				if term {
-					return held, true
-				}
-			case *ast.IfStmt:
-				if st.Init != nil {
-					held, _ = walk([]ast.Stmt{st.Init}, held)
-				}
-				scan(st.Cond, false, held)
-				bodyHeld, bodyTerm := walk(st.Body.List, held)
-				elseHeld, elseTerm := held, false
-				hasElse := st.Else != nil
-				if hasElse {
-					elseHeld, elseTerm = walk([]ast.Stmt{st.Else}, held)
-				}
-				switch {
-				case bodyTerm && elseTerm && hasElse:
-					return held, true
-				case bodyTerm:
-					held = elseHeld
-				case elseTerm:
-					held = bodyHeld
-				case hasElse:
-					held = gbHeldIntersect(bodyHeld, elseHeld)
-				default:
-					held = gbHeldIntersect(held, bodyHeld)
-				}
-			case *ast.ForStmt:
-				if st.Init != nil {
-					held, _ = walk([]ast.Stmt{st.Init}, held)
-				}
-				scan(st.Cond, false, held)
-				held = walkBranches(held, true, st.Body.List)
-			case *ast.RangeStmt:
-				scan(st.X, false, held)
-				held = walkBranches(held, true, st.Body.List)
-			case *ast.SwitchStmt:
-				if st.Init != nil {
-					held, _ = walk([]ast.Stmt{st.Init}, held)
-				}
-				scan(st.Tag, false, held)
-				var bodies [][]ast.Stmt
-				for _, c := range st.Body.List {
-					if cc, ok := c.(*ast.CaseClause); ok {
-						bodies = append(bodies, cc.Body)
-					}
-				}
-				held = walkBranches(held, true, bodies...)
-			case *ast.TypeSwitchStmt:
-				if st.Init != nil {
-					held, _ = walk([]ast.Stmt{st.Init}, held)
-				}
-				held, _ = walk([]ast.Stmt{st.Assign}, held)
-				var bodies [][]ast.Stmt
-				for _, c := range st.Body.List {
-					if cc, ok := c.(*ast.CaseClause); ok {
-						bodies = append(bodies, cc.Body)
-					}
-				}
-				held = walkBranches(held, true, bodies...)
-			case *ast.SelectStmt:
-				var bodies [][]ast.Stmt
-				for _, c := range st.Body.List {
-					if cc, ok := c.(*ast.CommClause); ok {
-						body := cc.Body
-						if cc.Comm != nil {
-							body = append([]ast.Stmt{cc.Comm}, body...)
-						}
-						bodies = append(bodies, body)
-					}
-				}
-				held = walkBranches(held, true, bodies...)
-			case *ast.LabeledStmt:
-				h, term := walk([]ast.Stmt{st.Stmt}, held)
-				held = h
-				if term {
-					return held, true
-				}
-			}
-		}
-		return held, false
-	}
-	walk(body.List, nil)
-	return sum
-}
-
-func runGuardedBy(passes []*Pass) []Finding {
-	specs, findings := gbCollect(passes)
+func runGuardedBy(prog *program) []Finding {
+	specs, findings := gbCollect(prog)
 	if len(specs) == 0 {
 		return findings
 	}
+	report := func(pass *Pass, n ast.Node, format string, args ...any) {
+		findings = append(findings, findingAt(pass, "guarded-by", n, format, args...))
+	}
 
-	// SetRank coverage: every locks.Mutex named as a guard must be
-	// ranked somewhere in the program.
+	// One summary per unit; immediately-decidable uses are reported on
+	// the way. SetRank calls are collected from every package: a guard
+	// may be ranked by a constructor outside the analyzed set.
 	ranked := make(map[string]bool)
-	for _, pass := range passes {
-		for _, file := range pass.Files {
-			if pass.isTestFile(file.Pos()) {
+	var order []*gbSummary
+	byRoot := make(map[*lockFlow]*gbSummary)
+	byKey := make(map[string]*gbSummary)
+	for _, flow := range prog.lockFlows() {
+		for _, cs := range flow.calls {
+			if cs.fn.Name() == "SetRank" && cs.fn.Pkg() != nil && isLockPkg(cs.fn.Pkg().Path()) {
+				if sel, ok := ast.Unparen(cs.call.Fun).(*ast.SelectorExpr); ok {
+					ranked[lockRefOf(flow.pass, sel.X).key] = true
+				}
+			}
+		}
+		if !inScope("guarded-by", flow.pass.Pkg.Path()) {
+			continue
+		}
+		s := byRoot[flow.root]
+		if s == nil {
+			s = &gbSummary{releases: make(map[string]bool)}
+			if flow.root.fn != nil {
+				s.key = flow.root.fn.FullName()
+				byKey[s.key] = s
+			}
+			byRoot[flow.root] = s
+			order = append(order, s)
+		}
+		s.calls = append(s.calls, flow.calls...)
+		for k := range flow.unlocks {
+			s.releases[k] = true
+		}
+		for _, u := range flow.uses {
+			spec := specs[fieldKey(flow.pass.Info.Selections[u.sel])]
+			if spec == nil || u.fresh || spec.kind == gbUnguarded {
 				continue
 			}
-			ast.Inspect(file, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
+			switch {
+			case u.kind == useAtomic:
+				if spec.kind == gbGuarded {
+					report(flow.pass, u.at, "dodo:guardedby field %s accessed through sync/atomic (%s); pick one discipline", spec.owner, u.via)
 				}
-				fn := funcFor(pass.Info, call)
-				if fn == nil || fn.Name() != "SetRank" || fn.Pkg() == nil || !isLockPkg(fn.Pkg().Path()) {
-					return true
+			case u.kind == useAddr && spec.kind == gbGuarded:
+				report(flow.pass, u.at, "address of guarded field %s escapes; a pointer cannot be proven to stay under %s", spec.owner, spec.guardName)
+			case u.kind == useAddr:
+				report(flow.pass, u.at, "address of dodo:atomic field %s escapes outside a sync/atomic call", spec.owner)
+			case spec.kind == gbAtomic:
+				verb := "read of"
+				if u.kind == useWrite {
+					verb = "write to"
 				}
-				if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-					if key := gbLockKey(pass, sel.X); key != "" {
-						ranked[key] = true
-					}
-				}
-				return true
-			})
+				report(flow.pass, u.at, "plain %s dodo:atomic field %s mixes with sync/atomic access; use the atomic API everywhere", verb, spec.owner)
+			case !heldSatisfies(u.held, spec.guardKey, u.kind == useWrite):
+				s.pending = append(s.pending, gbPending{spec, u.kind == useWrite, flow.pass, u.at})
+			}
 		}
 	}
+
+	// Every locks.Mutex named as a guard must be ranked somewhere.
 	reportedRank := make(map[string]bool)
 	for _, spec := range specs {
 		if spec.kind != gbGuarded || spec.rankPass == nil || ranked[spec.guardKey] || reportedRank[spec.guardKey] {
@@ -966,101 +311,57 @@ func runGuardedBy(passes []*Pass) []Finding {
 		})
 	}
 
-	// Summarize every function in the analyzed packages.
-	summaries := make(map[string]*gbSummary)
-	var order []*gbSummary
-	for _, pass := range passes {
-		if gbSkips(pass.Pkg.Path()) {
-			continue
-		}
-		for _, file := range pass.Files {
-			if pass.isTestFile(file.Pos()) {
-				continue
-			}
-			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				obj, ok := pass.Info.Defs[fd.Name].(*types.Func)
-				if !ok {
-					continue
-				}
-				s := gbSummarize(pass, fd.Body, obj.FullName(), specs, &findings)
-				summaries[s.key] = s
-				order = append(order, s)
-			}
-		}
-	}
-
 	// Inter-procedural coverage: an access pending in F is accepted when
 	// every call site of F holds the guard (locally, or because the
 	// caller itself qualifies and never releases the guard mid-body).
-	callers := make(map[string][]struct {
+	type site struct {
 		caller *gbSummary
-		held   []gbHeld
-	})
+		held   []heldLock
+	}
+	callers := make(map[*gbSummary][]site)
 	for _, s := range order {
 		for _, c := range s.calls {
-			callers[c.callee] = append(callers[c.callee], struct {
-				caller *gbSummary
-				held   []gbHeld
-			}{s, c.held})
+			if callee := byKey[c.fn.FullName()]; callee != nil {
+				callers[callee] = append(callers[callee], site{s, c.held})
+			}
 		}
 	}
-
 	type needKey struct {
 		guard string
 		write bool
 	}
-	needs := make(map[needKey]bool)
+	covered := make(map[needKey]map[*gbSummary]bool)
 	for _, s := range order {
 		for _, p := range s.pending {
-			needs[needKey{p.spec.guardKey, p.write}] = true
-		}
-	}
-	covered := make(map[needKey]map[string]bool)
-	for nk := range needs {
-		cov := make(map[string]bool)
-		for _, s := range order {
-			if len(callers[s.key]) > 0 {
-				cov[s.key] = true
-			}
-		}
-		for changed := true; changed; {
-			changed = false
-			for _, s := range order {
-				if !cov[s.key] {
-					continue
+			nk := needKey{p.spec.guardKey, p.write}
+			cov := covered[nk]
+			if cov == nil {
+				cov = make(map[*gbSummary]bool)
+				for callee := range callers {
+					cov[callee] = true
 				}
-				for _, site := range callers[s.key] {
-					ok := gbHeldSatisfies(site.held, nk.guard, nk.write) ||
-						(cov[site.caller.key] && !site.caller.releases[nk.guard])
-					if !ok {
-						cov[s.key] = false
-						changed = true
-						break
+				untilStable(0, func() (changed bool) {
+					for callee, sites := range callers {
+						for _, at := range sites {
+							if cov[callee] && !heldSatisfies(at.held, nk.guard, nk.write) &&
+								!(cov[at.caller] && !at.caller.releases[nk.guard]) {
+								cov[callee], changed = false, true
+							}
+						}
 					}
-				}
+					return changed
+				})
+				covered[nk] = cov
 			}
-		}
-		covered[nk] = cov
-	}
-
-	for _, s := range order {
-		for _, p := range s.pending {
-			if covered[needKey{p.spec.guardKey, p.write}][s.key] {
+			if cov[s] {
 				continue
 			}
-			verb := "read of"
-			req := ""
+			verb, req := "read of", ""
 			if p.write {
-				verb = "write to"
-				req = " exclusively"
+				verb, req = "write to", " exclusively"
 			}
-			findings = append(findings, findingAt(p.pass, "guarded-by", p.node,
-				"%s %s is not dominated by %s.Lock%s: lock it here, or ensure every caller holds it",
-				verb, p.spec.owner, p.spec.guardName, req))
+			report(p.pass, p.node, "%s %s is not dominated by %s.Lock%s: lock it here, or ensure every caller holds it",
+				verb, p.spec.owner, p.spec.guardName, req)
 		}
 	}
 	return findings

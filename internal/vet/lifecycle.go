@@ -53,7 +53,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"regexp"
+	"maps"
 	"sort"
 	"strings"
 )
@@ -61,15 +61,7 @@ import (
 var ResourceLifecycle = &Analyzer{
 	Name:       "resource-lifecycle",
 	Doc:        "acquired resources (fds, grants, WaitGroup counts, locks) must be released or transferred on every path, including error returns",
-	Run:        func(p *Pass) []Finding { return runResourceLifecycle([]*Pass{p}) },
 	RunProgram: runResourceLifecycle,
-}
-
-// rlSkips returns true for packages whose internals implement the
-// primitives themselves and would self-flag (locks.Mutex.Lock returns
-// holding its own mutex by design).
-func rlSkips(path string) bool {
-	return strings.HasSuffix(path, "/internal/locks")
 }
 
 // ---------------------------------------------------------------------
@@ -81,111 +73,48 @@ type rlAnnotation struct {
 	transfers map[string]bool
 }
 
-func (a rlAnnotation) empty() bool {
-	return len(a.acquires) == 0 && len(a.releases) == 0 && len(a.transfers) == 0
-}
-
-var rlDirectiveRe = regexp.MustCompile(`^dodo:(acquires|releases|transfers)\(([a-zA-Z0-9_, -]+)\)`)
-
-// rlParseDirectives extracts dodo:acquires/releases/transfers lines
-// from a doc comment. Malformed kind lists are reported as findings so
-// a typo cannot silently disable checking.
-func rlParseDirectives(pass *Pass, doc *ast.CommentGroup, findings *[]Finding) rlAnnotation {
-	ann := rlAnnotation{
-		acquires:  map[string]bool{},
-		releases:  map[string]bool{},
-		transfers: map[string]bool{},
-	}
-	if doc == nil {
-		return ann
-	}
-	for _, c := range doc.List {
-		text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-		if !strings.HasPrefix(text, "dodo:") {
-			continue
-		}
-		verb := text[len("dodo:"):]
-		if !strings.HasPrefix(verb, "acquires") && !strings.HasPrefix(verb, "releases") && !strings.HasPrefix(verb, "transfers") {
-			continue // a guarded-by directive or other dodo: family
-		}
-		m := rlDirectiveRe.FindStringSubmatch(text)
-		if m == nil {
-			*findings = append(*findings, findingAt(pass, "resource-lifecycle", c,
-				"malformed lifecycle directive %q: want dodo:acquires(kind[, kind...]), dodo:releases(...) or dodo:transfers(...)", text))
-			continue
-		}
-		var set map[string]bool
-		switch m[1] {
-		case "acquires":
-			set = ann.acquires
-		case "releases":
-			set = ann.releases
-		case "transfers":
-			set = ann.transfers
-		}
-		for _, kind := range strings.Split(m[2], ",") {
-			kind = strings.TrimSpace(kind)
-			if kind == "" {
-				*findings = append(*findings, findingAt(pass, "resource-lifecycle", c,
-					"empty kind in lifecycle directive %q", text))
-				continue
-			}
-			set[kind] = true
-		}
-	}
-	return ann
-}
-
-// rlCollectAnnotations gathers lifecycle directives from every function
-// declaration and interface method in the program, keyed by the
-// function object's full name (so a call through region.Dodo picks up
-// the interface method's annotation).
-func rlCollectAnnotations(passes []*Pass) (map[string]rlAnnotation, []Finding) {
+// rlCollectAnnotations gathers the dodo:acquires/releases/transfers
+// directives of every function declaration and interface method in the
+// program, keyed by the function object's full name (so a call through
+// region.Dodo picks up the interface method's annotation). Malformed
+// kind lists are reported so a typo cannot silently disable checking.
+func rlCollectAnnotations(prog *program) (map[string]rlAnnotation, []Finding) {
 	anns := make(map[string]rlAnnotation)
 	var findings []Finding
-	record := func(pass *Pass, obj types.Object, doc *ast.CommentGroup) {
-		fn, ok := obj.(*types.Func)
-		if !ok {
-			return
+	record := func(pass *Pass, obj types.Object, groups ...*ast.CommentGroup) {
+		ann := rlAnnotation{map[string]bool{}, map[string]bool{}, map[string]bool{}}
+		sets := map[string]map[string]bool{"dodo:acquires": ann.acquires, "dodo:releases": ann.releases, "dodo:transfers": ann.transfers}
+		for _, d := range prog.directives.of(groups...) {
+			set := sets[d.verb]
+			if set == nil {
+				continue // adopts is buffer-ownership's verb
+			}
+			if d.problem != "" {
+				findings = append(findings, findingAt(pass, "resource-lifecycle", d.comment, "%s", d.problem))
+			}
+			for _, kind := range d.args {
+				set[kind] = true
+			}
 		}
-		ann := rlParseDirectives(pass, doc, &findings)
-		if !ann.empty() {
+		if fn, ok := obj.(*types.Func); ok && len(ann.acquires)+len(ann.releases)+len(ann.transfers) > 0 {
 			anns[fn.FullName()] = ann
 		}
 	}
-	for _, pass := range passes {
+	for _, pass := range prog.passes {
 		for _, file := range pass.Files {
-			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if ok {
-					record(pass, pass.Info.Defs[fd.Name], fd.Doc)
-					continue
-				}
-				gd, ok := decl.(*ast.GenDecl)
-				if !ok || gd.Tok != token.TYPE {
-					continue
-				}
-				for _, spec := range gd.Specs {
-					ts, ok := spec.(*ast.TypeSpec)
-					if !ok {
-						continue
-					}
-					it, ok := ts.Type.(*ast.InterfaceType)
-					if !ok {
-						continue
-					}
-					for _, f := range it.Methods.List {
-						if len(f.Names) != 1 {
-							continue
+			ast.Inspect(file, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.FuncDecl:
+					record(pass, pass.Info.Defs[n.Name], n.Doc)
+				case *ast.InterfaceType:
+					for _, f := range n.Methods.List {
+						if len(f.Names) == 1 {
+							record(pass, pass.Info.Defs[f.Names[0]], f.Doc, f.Comment)
 						}
-						doc := f.Doc
-						if doc == nil {
-							doc = f.Comment
-						}
-						record(pass, pass.Info.Defs[f.Names[0]], doc)
 					}
 				}
-			}
+				return true
+			})
 		}
 	}
 	return anns, findings
@@ -259,67 +188,12 @@ var rlFileAcquirers = map[string]bool{
 	"os.CreateTemp": true,
 }
 
-func rlIsFileClose(fn *types.Func) bool {
-	if fn == nil || fn.Name() != "Close" {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	t := sig.Recv().Type()
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	return ok && named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == "os" && named.Obj().Name() == "File"
-}
-
-// rlWaitGroupMethod reports Add (+1) / Done (-1) on a sync.WaitGroup
-// receiver; atomic counters named Add resolve to different receivers
-// and return 0.
-func rlWaitGroupMethod(fn *types.Func) int {
-	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return 0
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return 0
-	}
-	t := sig.Recv().Type()
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Name() != "WaitGroup" {
-		return 0
-	}
-	switch fn.Name() {
-	case "Add":
-		return 1
-	case "Done":
-		return -1
-	}
-	return 0
-}
-
-// rlMutexMethod classifies (R)Lock/(R)Unlock on sync or locks mutexes:
-// mode "w" or "r", delta +1/-1.
-func rlMutexMethod(fn *types.Func) (mode string, delta int) {
-	if fn == nil || fn.Pkg() == nil || !isLockPkg(fn.Pkg().Path()) {
-		return "", 0
-	}
-	switch fn.Name() {
-	case "Lock":
-		return "w", 1
-	case "RLock":
-		return "r", 1
-	case "Unlock":
-		return "w", -1
-	case "RUnlock":
-		return "r", -1
-	}
-	return "", 0
+// rlMethodOn reports whether fn is the named method of pkg.typ (or of
+// a pointer to it); atomic counters named Add resolve to other
+// receivers.
+func rlMethodOn(fn *types.Func, pkg, typ, method string) bool {
+	sig, _ := fn.Type().(*types.Signature)
+	return fn.Name() == method && sig != nil && sig.Recv() != nil && isNamed(sig.Recv().Type(), pkg, typ)
 }
 
 // rlExprPath renders the textual receiver path of an expression
@@ -375,17 +249,15 @@ func (r rlRes) what() string {
 }
 
 const (
-	rlErrUnknown = iota
-	rlErrNonNil
+	rlErrNonNil = iota + 1
 	rlErrNil
 )
 
 // rlState is the per-path analysis state: live obligations plus what is
-// known about error/ok variables on this path.
+// known about error variables on this path.
 type rlState struct {
 	live map[string]rlRes
 	err  map[types.Object]int // error idents: rlErrNonNil / rlErrNil
-	ok   map[types.Object]int // bool idents: rlErrNonNil = true, rlErrNil = false
 
 	// debt records expr-keyed resources released below the baseline the
 	// function was entered with (CondWaitTimeout's cond.L.Unlock): the
@@ -395,83 +267,34 @@ type rlState struct {
 }
 
 func newRLState() rlState {
-	return rlState{live: map[string]rlRes{}, err: map[types.Object]int{}, ok: map[types.Object]int{}, debt: map[string]bool{}}
+	return rlState{live: map[string]rlRes{}, err: map[types.Object]int{}, debt: map[string]bool{}}
 }
 
 func (s rlState) clone() rlState {
-	c := newRLState()
-	for k, v := range s.live {
-		c.live[k] = v
-	}
-	for k, v := range s.err {
-		c.err[k] = v
-	}
-	for k, v := range s.ok {
-		c.ok[k] = v
-	}
-	for k, v := range s.debt {
-		c.debt[k] = v
-	}
-	return c
+	return rlState{maps.Clone(s.live), maps.Clone(s.err), maps.Clone(s.debt)}
 }
 
 // rlUnion merges path states: obligations union (leak if live on any
 // path), fact maps intersect (kept only where paths agree).
 func rlUnion(states []rlState) rlState {
-	out := newRLState()
-	for _, s := range states {
+	out := states[0].clone()
+	for _, s := range states[1:] {
 		for k, v := range s.live {
 			if _, dup := out.live[k]; !dup {
 				out.live[k] = v
 			}
 		}
-	}
-	if len(states) > 0 {
-		for k, v := range states[0].debt {
-			agree := true
-			for _, s := range states[1:] {
-				if !s.debt[k] {
-					agree = false
-					break
-				}
-			}
-			if agree {
-				out.debt[k] = v
-			}
-		}
-		for obj, v := range states[0].err {
-			agree := true
-			for _, s := range states[1:] {
-				if s.err[obj] != v {
-					agree = false
-					break
-				}
-			}
-			if agree {
-				out.err[obj] = v
-			}
-		}
-		for obj, v := range states[0].ok {
-			agree := true
-			for _, s := range states[1:] {
-				if s.ok[obj] != v {
-					agree = false
-					break
-				}
-			}
-			if agree {
-				out.ok[obj] = v
-			}
-		}
+		maps.DeleteFunc(out.err, func(obj types.Object, v int) bool { return s.err[obj] != v })
+		maps.DeleteFunc(out.debt, func(k string, _ bool) bool { return !s.debt[k] })
 	}
 	return out
 }
 
 // dropPaired removes obligations whose paired error/ok variable proves
 // the acquisition did not happen on this path.
-func (s rlState) dropPaired(errObj types.Object, failed bool) {
+func (s rlState) dropPaired(errObj types.Object) {
 	for k, r := range s.live {
-		if failed && ((r.errObj != nil && r.errObj == errObj) || (r.okObj != nil && r.okObj == errObj)) {
+		if (r.errObj != nil && r.errObj == errObj) || (r.okObj != nil && r.okObj == errObj) {
 			delete(s.live, k)
 		}
 	}
@@ -480,27 +303,16 @@ func (s rlState) dropPaired(errObj types.Object, failed bool) {
 // ---------------------------------------------------------------------
 // Walker.
 
-type rlBreakable struct {
-	isLoop     bool
-	entry      rlState   // state at loop entry (for back-edge checks)
-	breakOuts  []rlState // states at break statements targeting this
-	sawBackRep map[string]bool
-	// bodyPos/bodyEnd bound the loop body: obligations bound to a
-	// variable declared outside it are accumulators (fds = append(fds,
-	// fd)) that stay reachable across iterations, so the back-edge
-	// check defers to the return-path checks instead of flagging them.
-	bodyPos token.Pos
-	bodyEnd token.Pos
-}
-
+// rlWalker is the resource-lifecycle instance of the skeleton: the
+// state is the per-path obligation set, joined by union.
 type rlWalker struct {
+	walker[rlState]
 	pass      *Pass
 	summaries map[string]*rlSummary
 	anns      map[string]rlAnnotation
 	findings  *[]Finding
 	report    bool
 
-	fnName  string           // full name of the declared function ("" for literals)
 	ann     rlAnnotation     // the function's own annotation
 	sig     *types.Signature // for return classification
 	results []*ast.Ident     // named results, for bare returns
@@ -513,27 +325,75 @@ type rlWalker struct {
 	inferred *rlSummary // built during the walk
 	params   []types.Object
 
-	conds     []string // lexical path conditions, for diagnostics
-	ifGuards  []string // enclosing if-branch guards, for correlation
-	breakable []*rlBreakable
-	inlineRet []*[]rlState // collectors for inline-invoked literals
+	backReported map[rlBackEdge]bool // back-edge leaks already reported
+	inlineRet    []*[]rlState        // collectors for inline-invoked literals
+}
+
+// rlBackEdge is one obligation lost on one loop's back-edge.
+type rlBackEdge struct {
+	body *ast.BlockStmt
+	key  string
+}
+
+// newRLWalker plugs the pass's hooks into a skeleton.
+func newRLWalker(w *rlWalker) *rlWalker {
+	w.inferred = newRLSummary()
+	w.backReported = make(map[rlBackEdge]bool)
+	w.walker = walker[rlState]{flow: flow[rlState]{
+		clone:    rlState.clone,
+		join:     rlUnion,
+		stmt:     w.stmt,
+		expr:     func(e ast.Expr, st rlState) rlState { w.scanExprCalls(e, st); return st },
+		ret:      w.ret,
+		split:    w.split,
+		backEdge: w.backEdge,
+	}}
+	return w
+}
+
+// armText renders one step of the lexical path, for diagnostics and for
+// correlating guards.
+func (w *rlWalker) armText(a arm) string {
+	switch s := a.stmt.(type) {
+	case *ast.ForStmt:
+		return rlCondText(w.pass, s.Cond)
+	case *ast.RangeStmt:
+		return "range " + rlCondText(w.pass, s.X)
+	case *ast.SwitchStmt:
+		return rlCaseText(s.Tag, a.clause.(*ast.CaseClause))
+	case *ast.TypeSwitchStmt:
+		return "case …"
+	case *ast.SelectStmt:
+		return "select-case"
+	}
+	cond := rlCondText(w.pass, a.stmt.(*ast.IfStmt).Cond)
+	if a.neg {
+		return "!(" + cond + ")"
+	}
+	return cond
 }
 
 // guard returns the innermost enclosing if-branch condition, used to
 // correlate "if d != nil { acquire }" with a later "if d != nil {
 // release }" over the same untouched condition.
 func (w *rlWalker) guard() string {
-	if len(w.ifGuards) == 0 {
-		return ""
+	for i := len(w.path) - 1; i >= 0; i-- {
+		if _, isIf := w.path[i].stmt.(*ast.IfStmt); isIf {
+			return w.armText(w.path[i])
+		}
 	}
-	return w.ifGuards[len(w.ifGuards)-1]
+	return ""
 }
 
 func (w *rlWalker) condString() string {
-	if len(w.conds) == 0 {
+	if len(w.path) == 0 {
 		return ""
 	}
-	return " [path: " + strings.Join(w.conds, " && ") + "]"
+	conds := make([]string, len(w.path))
+	for i, a := range w.path {
+		conds[i] = w.armText(a)
+	}
+	return " [path: " + strings.Join(conds, " && ") + "]"
 }
 
 func (w *rlWalker) leak(retPos ast.Node, r rlRes, class string) {
@@ -553,12 +413,7 @@ func (w *rlWalker) reportf(n ast.Node, format string, args ...any) {
 	*w.findings = append(*w.findings, findingAt(w.pass, "resource-lifecycle", n, format, args...))
 }
 
-func (w *rlWalker) objOf(id *ast.Ident) types.Object {
-	if obj := w.pass.Info.Defs[id]; obj != nil {
-		return obj
-	}
-	return w.pass.Info.Uses[id]
-}
+func (w *rlWalker) objOf(id *ast.Ident) types.Object { return w.pass.Info.ObjectOf(id) }
 
 // summaryFor resolves the effective summary of a called function:
 // annotation first, then whatever the inference rounds produced.
@@ -591,40 +446,24 @@ func (w *rlWalker) effectOf(call *ast.CallExpr) rlCallEffect {
 		eff.acquires = append(eff.acquires, "file")
 		return eff
 	}
-	if rlIsFileClose(fn) {
+	if rlMethodOn(fn, "os", "File", "Close") {
 		eff.relKinds = append(eff.relKinds, "file")
 		return eff
 	}
-	if d := rlWaitGroupMethod(fn); d != 0 {
-		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-		if !ok {
-			return eff
+	// Expr-keyed kinds: a WaitGroup count, a lock.
+	r, acquire := rlRes{pos: call.Pos()}, false
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && (rlMethodOn(fn, "sync", "WaitGroup", "Add") || rlMethodOn(fn, "sync", "WaitGroup", "Done")) {
+		r.kind, r.expr, acquire = "wg", rlExprPath(sel.X), fn.Name() == "Add"
+	} else if ref, acq, exclusive, ok := lockOp(w.pass, call); ok {
+		r.kind, r.expr, r.mode, acquire = "lock", ref.path, "r", acq
+		if exclusive {
+			r.mode = "w"
 		}
-		path := rlExprPath(sel.X)
-		if path == "" {
-			return eff
-		}
-		r := rlRes{kind: "wg", expr: path, pos: call.Pos()}
-		if d > 0 {
-			eff.exprAcq = &r
-		} else {
-			eff.exprRel = r.key()
-		}
-		return eff
 	}
-	if mode, d := rlMutexMethod(fn); d != 0 {
-		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-		if !ok {
-			return eff
-		}
-		path := rlExprPath(sel.X)
-		if path == "" {
-			return eff
-		}
-		r := rlRes{kind: "lock", expr: path, mode: mode, pos: call.Pos()}
-		if d > 0 {
+	if r.kind != "" {
+		if r.expr != "" && acquire {
 			eff.exprAcq = &r
-		} else {
+		} else if r.expr != "" {
 			eff.exprRel = r.key()
 		}
 		return eff
@@ -669,13 +508,13 @@ func rlArgExprs(call *ast.CallExpr) []ast.Expr {
 	return out
 }
 
-// rlRootIdent is gbRootIdent plus &-unwrapping: settle(&victims[i])
+// rlRootIdent is rootIdent plus &-unwrapping: settle(&victims[i])
 // hands the obligation riding victims to the callee.
 func rlRootIdent(e ast.Expr) *ast.Ident {
 	if ue, ok := ast.Unparen(e).(*ast.UnaryExpr); ok && ue.Op == token.AND {
 		e = ue.X
 	}
-	return gbRootIdent(e)
+	return rootIdent(e)
 }
 
 // discharge removes every live obligation of kind k whose binding
@@ -683,23 +522,39 @@ func rlRootIdent(e ast.Expr) *ast.Ident {
 // was discharged.
 func (w *rlWalker) discharge(st rlState, kind string, exprs []ast.Expr) bool {
 	any := false
-	for _, e := range exprs {
-		id := rlRootIdent(e)
-		if id == nil {
-			continue
-		}
-		obj := w.objOf(id)
-		if obj == nil {
-			continue
-		}
+	for _, obj := range w.rootObjs(exprs) {
 		for k, r := range st.live {
-			if r.kind == kind && r.obj != nil && r.obj == obj {
+			if r.kind == kind && r.obj == obj {
 				delete(st.live, k)
 				any = true
 			}
 		}
 	}
 	return any
+}
+
+// rootObjs resolves each expression's root identifier to its object.
+func (w *rlWalker) rootObjs(exprs []ast.Expr) []types.Object {
+	var objs []types.Object
+	for _, e := range exprs {
+		if id := rlRootIdent(e); id != nil && w.objOf(id) != nil {
+			objs = append(objs, w.objOf(id))
+		}
+	}
+	return objs
+}
+
+// release applies what a call releases or takes over to st, without
+// inferring anything from it: the form shared by returns and by the
+// bodies of deferred and go-launched literals.
+func (w *rlWalker) release(eff rlCallEffect, call *ast.CallExpr, st rlState) {
+	if eff.exprRel != "" {
+		delete(st.live, eff.exprRel)
+	}
+	args := rlArgExprs(call)
+	for _, k := range append(eff.relKinds, eff.trnKinds...) {
+		w.discharge(st, k, args)
+	}
 }
 
 // call processes one call expression's lifecycle effects against st,
@@ -762,74 +617,59 @@ func (w *rlWalker) call(call *ast.CallExpr, st rlState, binds []types.Object, st
 	for i, k := range eff.parRel {
 		if i < len(call.Args) {
 			w.discharge(st, k, []ast.Expr{call.Args[i]})
-			_ = k
 		}
 	}
-	if len(eff.acquires) > 0 {
-		// An acquirer whose results are all bool/error (tryHedgeLeg)
-		// raises an expr-keyed counter for its caller; there is nothing
-		// caller-side to bind, so nothing to demand.
-		if fn := funcFor(w.pass.Info, call); fn != nil {
-			if sig, ok := fn.Type().(*types.Signature); ok {
-				trackable := false
-				for i := 0; i < sig.Results().Len(); i++ {
-					t := sig.Results().At(i).Type()
-					if isErrorType(t) {
-						continue
-					}
-					if basic, ok := t.(*types.Basic); ok && basic.Kind() == types.Bool {
-						continue
-					}
-					trackable = true
-				}
-				if !trackable {
-					return
-				}
-			}
+	if len(eff.acquires) == 0 {
+		return
+	}
+	// An acquirer whose results are all bool/error (tryHedgeLeg) raises
+	// an expr-keyed counter for its caller; there is nothing caller-side
+	// to bind, so nothing to demand.
+	if sig, ok := funcFor(w.pass.Info, call).Type().(*types.Signature); ok {
+		trackable := false
+		for i := 0; i < sig.Results().Len(); i++ {
+			trackable = trackable || rlCarries(sig.Results().At(i).Type())
 		}
-		bound := false
-		for _, obj := range binds {
-			if obj == nil || obj.Name() == "_" {
-				continue
-			}
-			bound = true
-			break
-		}
-		if !bound {
-			w.reportf(stmt, "result of %s carries %s but is discarded; bind it or release it",
-				callName(call), strings.Join(eff.acquires, ", "))
+		if !trackable {
 			return
 		}
-		// Bind every acquired kind to the first usable (non-error,
-		// non-bool) result object; record err/ok pairings.
-		var target types.Object
-		var errObj, okObj types.Object
-		for _, obj := range binds {
-			if obj == nil || obj.Name() == "_" {
-				continue
-			}
-			if isErrorType(obj.Type()) {
-				errObj = obj
-				continue
-			}
-			if basic, ok := obj.Type().(*types.Basic); ok && basic.Kind() == types.Bool {
-				okObj = obj
-				continue
-			}
-			if target == nil {
-				target = obj
-			}
+	}
+	// Bind every acquired kind to the first usable (non-error, non-bool)
+	// result object; record err/ok pairings.
+	var target, errObj, okObj types.Object
+	bound := false
+	for _, obj := range binds {
+		switch {
+		case obj == nil || obj.Name() == "_":
+			continue
+		case isErrorType(obj.Type()):
+			errObj = obj
+		case !rlCarries(obj.Type()):
+			okObj = obj
+		case target == nil:
+			target = obj
 		}
-		if target == nil {
-			// Only error/bool results bound: expr-keyed contract (e.g. an
-			// annotated tryHedgeLeg); nothing trackable caller-side.
-			return
-		}
-		for _, kind := range eff.acquires {
+		bound = true
+	}
+	if !bound {
+		w.reportf(stmt, "result of %s carries %s but is discarded; bind it or release it",
+			callName(call), strings.Join(eff.acquires, ", "))
+	}
+	// With only error/bool results bound (an annotated tryHedgeLeg) there
+	// is nothing trackable caller-side.
+	for _, kind := range eff.acquires {
+		if target != nil {
 			r := rlRes{kind: kind, obj: target, pos: call.Pos(), errObj: errObj, okObj: okObj, cond: w.guard()}
 			st.live[r.key()] = r
 		}
 	}
+}
+
+// rlCarries reports whether a result of type t can carry a resource:
+// anything but the error and bool that report on the acquisition.
+func rlCarries(t types.Type) bool {
+	basic, ok := t.(*types.Basic)
+	return !isErrorType(t) && !(ok && basic.Kind() == types.Bool)
 }
 
 func callName(call *ast.CallExpr) string {
@@ -845,15 +685,7 @@ func callName(call *ast.CallExpr) string {
 // noteParamRelease records that kind k was released through one of this
 // function's own parameters.
 func (w *rlWalker) noteParamRelease(k string, exprs []ast.Expr) {
-	for _, e := range exprs {
-		id := rlRootIdent(e)
-		if id == nil {
-			continue
-		}
-		obj := w.objOf(id)
-		if obj == nil {
-			continue
-		}
+	for _, obj := range w.rootObjs(exprs) {
 		for i, p := range w.params {
 			if p == obj {
 				w.inferred.paramReleases[i] = k
@@ -873,20 +705,8 @@ func (w *rlWalker) noteParamRelease(k string, exprs []ast.Expr) {
 // whose summary releases a kind through an argument.
 func (w *rlWalker) scanRelease(root ast.Node, st rlState) {
 	ast.Inspect(root, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		eff := w.effectOf(call)
-		if eff.exprRel != "" {
-			delete(st.live, eff.exprRel)
-		}
-		args := rlArgExprs(call)
-		for _, k := range eff.relKinds {
-			w.discharge(st, k, args)
-		}
-		for _, k := range eff.trnKinds {
-			w.discharge(st, k, args)
+		if call, ok := n.(*ast.CallExpr); ok {
+			w.release(w.effectOf(call), call, st)
 		}
 		return true
 	})
@@ -897,15 +717,14 @@ func (w *rlWalker) scanRelease(root ast.Node, st rlState) {
 // state, same summaries, leaks inside it reported in place.
 func (w *rlWalker) walkLitFresh(lit *ast.FuncLit) {
 	sig, _ := w.pass.Info.Types[lit].Type.(*types.Signature)
-	sub := &rlWalker{
+	sub := newRLWalker(&rlWalker{
 		pass:      w.pass,
 		summaries: w.summaries,
 		anns:      w.anns,
 		findings:  w.findings,
 		report:    w.report,
 		sig:       sig,
-		inferred:  newRLSummary(),
-	}
+	})
 	out, terminated := sub.walk(lit.Body.List, newRLState())
 	if !terminated {
 		sub.endOfBody(lit, out)
@@ -937,78 +756,63 @@ func (w *rlWalker) walkInlineLit(lit *ast.FuncLit, st rlState) rlState {
 	return rlUnion(states)
 }
 
+// split is the skeleton's if hook: what the condition proves on each
+// arm, plus correlated conditionals — a resource acquired under this
+// same guard text earlier cannot be live on the opposite arm.
+func (w *rlWalker) split(cond ast.Expr, thenSt, elseSt rlState) {
+	w.splitCond(cond, thenSt, elseSt)
+	text := rlCondText(w.pass, cond)
+	rlDropGuard(thenSt, "!("+text+")")
+	rlDropGuard(elseSt, text)
+}
+
 // splitCond prunes obligations and records error facts for the two
 // arms of a condition.
 func (w *rlWalker) splitCond(cond ast.Expr, thenSt, elseSt rlState) {
 	switch e := ast.Unparen(cond).(type) {
+	case *ast.UnaryExpr:
+		if e.Op == token.NOT {
+			w.splitCond(e.X, elseSt, thenSt)
+		}
+	case *ast.Ident:
+		// if ok { ... }: the else path never acquired.
+		if obj := w.objOf(e); obj != nil {
+			elseSt.dropPaired(obj)
+		}
 	case *ast.BinaryExpr:
 		switch e.Op {
 		case token.LAND:
 			w.splitCond(e.X, thenSt, newRLState())
 			w.splitCond(e.Y, thenSt, newRLState())
-			return
 		case token.LOR:
 			w.splitCond(e.X, newRLState(), elseSt)
 			w.splitCond(e.Y, newRLState(), elseSt)
-			return
 		case token.NEQ, token.EQL:
-			id, nilSide := rlIdentVsNil(w.pass, e)
-			if id == nil || !nilSide {
+			id := rlIdentVsNil(w.pass, e)
+			if id == nil || w.objOf(id) == nil {
 				return
 			}
-			obj := w.objOf(id)
-			if obj == nil {
+			obj, nonNil, isNil := w.objOf(id), thenSt, elseSt
+			if e.Op == token.EQL {
+				nonNil, isNil = elseSt, thenSt
+			}
+			if isErrorType(obj.Type()) { // err != nil: failed; err == nil: succeeded
+				nonNil.dropPaired(obj)
+				nonNil.err[obj], isNil.err[obj] = rlErrNonNil, rlErrNil
 				return
 			}
-			neq := e.Op == token.NEQ
-			if isErrorType(obj.Type()) {
-				if neq { // err != nil: then => failed, else => succeeded
-					thenSt.dropPaired(obj, true)
-					thenSt.err[obj] = rlErrNonNil
-					elseSt.err[obj] = rlErrNil
-				} else { // err == nil
-					elseSt.dropPaired(obj, true)
-					thenSt.err[obj] = rlErrNil
-					elseSt.err[obj] = rlErrNonNil
+			// x == nil where x binds a resource: not acquired.
+			for k, r := range isNil.live {
+				if r.obj != nil && r.obj == obj {
+					delete(isNil.live, k)
 				}
-				return
-			}
-			// x != nil where x binds a resource: nil means not acquired.
-			if neq {
-				rlDropBoundTo(thenSt, obj, false)
-				rlDropBoundTo(elseSt, obj, true)
-			} else {
-				rlDropBoundTo(thenSt, obj, true)
-				rlDropBoundTo(elseSt, obj, false)
-			}
-			return
-		}
-	case *ast.Ident:
-		obj := w.objOf(e)
-		if obj == nil {
-			return
-		}
-		// if ok { ... }: the else path never acquired.
-		elseSt.dropPaired(obj, true)
-		thenSt.ok[obj] = rlErrNonNil
-		elseSt.ok[obj] = rlErrNil
-	case *ast.UnaryExpr:
-		if e.Op == token.NOT {
-			if id, ok := ast.Unparen(e.X).(*ast.Ident); ok {
-				obj := w.objOf(id)
-				if obj == nil {
-					return
-				}
-				thenSt.dropPaired(obj, true)
-				thenSt.ok[obj] = rlErrNil
-				elseSt.ok[obj] = rlErrNonNil
 			}
 		}
 	}
 }
 
 // rlIdentVsNil matches `ident OP nil` / `nil OP ident`.
-func rlIdentVsNil(pass *Pass, e *ast.BinaryExpr) (*ast.Ident, bool) {
+func rlIdentVsNil(pass *Pass, e *ast.BinaryExpr) *ast.Ident {
 	isNil := func(x ast.Expr) bool {
 		id, ok := ast.Unparen(x).(*ast.Ident)
 		if !ok {
@@ -1018,12 +822,12 @@ func rlIdentVsNil(pass *Pass, e *ast.BinaryExpr) (*ast.Ident, bool) {
 		return isNilObj
 	}
 	if id, ok := ast.Unparen(e.X).(*ast.Ident); ok && isNil(e.Y) {
-		return id, true
+		return id
 	}
 	if id, ok := ast.Unparen(e.Y).(*ast.Ident); ok && isNil(e.X) {
-		return id, true
+		return id
 	}
-	return nil, false
+	return nil
 }
 
 // rlDropGuard removes obligations that were acquired under the given
@@ -1037,36 +841,8 @@ func rlDropGuard(st rlState, guard string) {
 	}
 }
 
-// rlDropBoundTo removes (drop=true) obligations bound to obj.
-func rlDropBoundTo(st rlState, obj types.Object, drop bool) {
-	if !drop {
-		return
-	}
-	for k, r := range st.live {
-		if r.obj != nil && r.obj == obj {
-			delete(st.live, k)
-		}
-	}
-}
-
 // ---------------------------------------------------------------------
-// Statement walk.
-
-// walk analyzes stmts against st (mutated in place) and reports whether
-// every path through them terminated (returned, broke, or panicked).
-func (w *rlWalker) walk(stmts []ast.Stmt, st rlState) (rlState, bool) {
-	for _, stmt := range stmts {
-		var terminated bool
-		st, terminated = w.stmt(stmt, st)
-		if terminated {
-			return st, true
-		}
-	}
-	return st, false
-}
-
-func (w *rlWalker) pushCond(c string) { w.conds = append(w.conds, c) }
-func (w *rlWalker) popCond()          { w.conds = w.conds[:len(w.conds)-1] }
+// Transfer hooks.
 
 func rlCondText(pass *Pass, e ast.Expr) string {
 	if e == nil {
@@ -1078,7 +854,7 @@ func rlCondText(pass *Pass, e ast.Expr) string {
 	}
 	if be, ok := ast.Unparen(e).(*ast.BinaryExpr); ok {
 		l, r := rlExprPath(be.X), rlExprPath(be.Y)
-		if id, nilSide := rlIdentVsNil(pass, be); id != nil && nilSide {
+		if id := rlIdentVsNil(pass, be); id != nil {
 			return id.Name + " " + be.Op.String() + " nil"
 		}
 		if l != "" && r != "" {
@@ -1093,184 +869,6 @@ func rlCondText(pass *Pass, e ast.Expr) string {
 	return "…"
 }
 
-func (w *rlWalker) stmt(s ast.Stmt, st rlState) (rlState, bool) {
-	switch stmt := s.(type) {
-	case *ast.ExprStmt:
-		if call, ok := ast.Unparen(stmt.X).(*ast.CallExpr); ok {
-			w.scanNestedLits(call)
-			w.call(call, st, nil, stmt)
-		}
-		return st, false
-
-	case *ast.AssignStmt:
-		return w.assign(stmt, st), false
-
-	case *ast.DeclStmt:
-		if gd, ok := stmt.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				vs, ok := spec.(*ast.ValueSpec)
-				if !ok || len(vs.Values) == 0 {
-					continue
-				}
-				w.bindValues(vs.Names, vs.Values, st, stmt)
-			}
-		}
-		return st, false
-
-	case *ast.ReturnStmt:
-		w.ret(stmt, st)
-		return st, true
-
-	case *ast.IfStmt:
-		if stmt.Init != nil {
-			st, _ = w.stmt(stmt.Init, st)
-		}
-		w.scanExprCalls(stmt.Cond, st)
-		thenSt, elseSt := st.clone(), st.clone()
-		w.splitCond(stmt.Cond, thenSt, elseSt)
-		cond := rlCondText(w.pass, stmt.Cond)
-		// Correlated conditionals: a resource acquired under this same
-		// guard text earlier cannot be live on the opposite arm.
-		rlDropGuard(thenSt, "!("+cond+")")
-		rlDropGuard(elseSt, cond)
-		w.pushCond(cond)
-		w.ifGuards = append(w.ifGuards, cond)
-		thenOut, thenTerm := w.walk(stmt.Body.List, thenSt)
-		w.ifGuards = w.ifGuards[:len(w.ifGuards)-1]
-		w.popCond()
-		var elseOut rlState
-		elseTerm := false
-		if stmt.Else != nil {
-			w.pushCond("!(" + cond + ")")
-			w.ifGuards = append(w.ifGuards, "!("+cond+")")
-			elseOut, elseTerm = w.stmt(stmt.Else, elseSt)
-			w.ifGuards = w.ifGuards[:len(w.ifGuards)-1]
-			w.popCond()
-		} else {
-			elseOut = elseSt
-		}
-		switch {
-		case thenTerm && elseTerm:
-			return st, true
-		case thenTerm:
-			return elseOut, false
-		case elseTerm:
-			return thenOut, false
-		default:
-			return rlUnion([]rlState{thenOut, elseOut}), false
-		}
-
-	case *ast.BlockStmt:
-		return w.walk(stmt.List, st)
-
-	case *ast.LabeledStmt:
-		return w.stmt(stmt.Stmt, st)
-
-	case *ast.ForStmt:
-		if stmt.Init != nil {
-			st, _ = w.stmt(stmt.Init, st)
-		}
-		w.scanExprCalls(stmt.Cond, st)
-		return w.loop(stmt.Body, st, stmt.Cond != nil, rlCondText(w.pass, stmt.Cond))
-
-	case *ast.RangeStmt:
-		w.scanExprCalls(stmt.X, st)
-		return w.loop(stmt.Body, st, true, "range "+rlCondText(w.pass, stmt.X))
-
-	case *ast.SwitchStmt:
-		if stmt.Init != nil {
-			st, _ = w.stmt(stmt.Init, st)
-		}
-		w.scanExprCalls(stmt.Tag, st)
-		return w.switchLike(stmt.Body, st, func(cc *ast.CaseClause) ([]ast.Stmt, string, bool) {
-			return cc.Body, rlCaseText(stmt.Tag, cc), cc.List == nil
-		})
-
-	case *ast.TypeSwitchStmt:
-		if stmt.Init != nil {
-			st, _ = w.stmt(stmt.Init, st)
-		}
-		return w.switchLike(stmt.Body, st, func(cc *ast.CaseClause) ([]ast.Stmt, string, bool) {
-			return cc.Body, "case …", cc.List == nil
-		})
-
-	case *ast.SelectStmt:
-		w.breakable = append(w.breakable, &rlBreakable{})
-		var outs []rlState
-		allTerm := true
-		hasDefault := false
-		for _, clause := range stmt.Body.List {
-			comm, ok := clause.(*ast.CommClause)
-			if !ok {
-				continue
-			}
-			cs := st.clone()
-			if comm.Comm == nil {
-				hasDefault = true
-			} else {
-				cs, _ = w.stmt(comm.Comm, cs)
-			}
-			w.pushCond("select-case")
-			out, term := w.walk(comm.Body, cs)
-			w.popCond()
-			if !term {
-				outs = append(outs, out)
-				allTerm = false
-			}
-		}
-		br := w.breakable[len(w.breakable)-1]
-		w.breakable = w.breakable[:len(w.breakable)-1]
-		outs = append(outs, br.breakOuts...)
-		_ = hasDefault
-		if len(outs) == 0 {
-			return st, allTerm && len(stmt.Body.List) > 0
-		}
-		return rlUnion(outs), false
-
-	case *ast.GoStmt:
-		w.goStmt(stmt, st)
-		return st, false
-
-	case *ast.DeferStmt:
-		w.deferStmt(stmt, st)
-		return st, false
-
-	case *ast.SendStmt:
-		w.scanExprCalls(stmt.Value, st)
-		w.transferInto(stmt.Value, st, stmt, "channel send")
-		return st, false
-
-	case *ast.BranchStmt:
-		switch stmt.Tok {
-		case token.BREAK:
-			for i := len(w.breakable) - 1; i >= 0; i-- {
-				if stmt.Label == nil || w.breakable[i].isLoop {
-					w.breakable[i].breakOuts = append(w.breakable[i].breakOuts, st.clone())
-					break
-				}
-			}
-			return st, true
-		case token.CONTINUE:
-			for i := len(w.breakable) - 1; i >= 0; i-- {
-				if w.breakable[i].isLoop {
-					w.backEdge(w.breakable[i], st, stmt)
-					break
-				}
-			}
-			return st, true
-		case token.GOTO:
-			return st, true
-		}
-		return st, false
-
-	case *ast.IncDecStmt, *ast.EmptyStmt:
-		return st, false
-
-	default:
-		return st, false
-	}
-}
-
 func rlCaseText(tag ast.Expr, cc *ast.CaseClause) string {
 	if cc.List == nil {
 		return "default"
@@ -1281,72 +879,58 @@ func rlCaseText(tag ast.Expr, cc *ast.CaseClause) string {
 			t = p + " ="
 		}
 	}
-	if len(cc.List) > 0 {
-		if p := rlExprPath(cc.List[0]); p != "" {
-			return t + " " + p
-		}
+	if p := rlExprPath(cc.List[0]); p != "" {
+		return t + " " + p
 	}
 	return t + " …"
 }
 
-func (w *rlWalker) switchLike(body *ast.BlockStmt, st rlState, caseOf func(*ast.CaseClause) ([]ast.Stmt, string, bool)) (rlState, bool) {
-	w.breakable = append(w.breakable, &rlBreakable{})
-	var outs []rlState
-	hasDefault := false
-	allTerm := true
-	n := 0
-	for _, clause := range body.List {
-		cc, ok := clause.(*ast.CaseClause)
-		if !ok {
-			continue
+// stmt is the transfer function of the statements the skeleton does not
+// take apart.
+func (w *rlWalker) stmt(s ast.Stmt, st rlState) rlState {
+	switch stmt := s.(type) {
+	case *ast.ExprStmt:
+		if call, ok := ast.Unparen(stmt.X).(*ast.CallExpr); ok {
+			w.scanNestedLits(call)
+			w.call(call, st, nil, stmt)
 		}
-		n++
-		stmts, cond, isDefault := caseOf(cc)
-		if isDefault {
-			hasDefault = true
+	case *ast.AssignStmt:
+		w.assign(stmt, st)
+	case *ast.DeclStmt:
+		if gd, ok := stmt.Decl.(*ast.GenDecl); ok {
+			for _, spec := range gd.Specs {
+				if vs, ok := spec.(*ast.ValueSpec); ok && len(vs.Values) > 0 {
+					w.bindValues(vs.Names, vs.Values, st, stmt)
+				}
+			}
 		}
-		w.pushCond(cond)
-		out, term := w.walk(stmts, st.clone())
-		w.popCond()
-		if !term {
-			outs = append(outs, out)
-			allTerm = false
-		}
+	case *ast.GoStmt:
+		w.goStmt(stmt, st)
+	case *ast.DeferStmt:
+		w.deferStmt(stmt, st)
+	case *ast.SendStmt:
+		w.scanExprCalls(stmt.Value, st)
+		w.transferInto(stmt.Value, st, stmt, "channel send")
 	}
-	br := w.breakable[len(w.breakable)-1]
-	w.breakable = w.breakable[:len(w.breakable)-1]
-	outs = append(outs, br.breakOuts...)
-	if len(br.breakOuts) > 0 {
-		allTerm = false
-	}
-	if !hasDefault {
-		outs = append(outs, st)
-		allTerm = false
-	}
-	if len(outs) == 0 {
-		return st, allTerm && n > 0
-	}
-	return rlUnion(outs), allTerm && len(outs) == 0
+	return st
 }
 
 // backEdge flags resources acquired inside a loop body that are still
 // live when control heads back to the top: the next iteration
 // re-acquires and the previous obligation is lost.
-func (w *rlWalker) backEdge(br *rlBreakable, st rlState, at ast.Node) {
+func (w *rlWalker) backEdge(loop *frame[rlState], st rlState, at ast.Node) {
 	for k, r := range st.live {
-		if _, atEntry := br.entry.live[k]; atEntry {
+		if _, atEntry := loop.entry.live[k]; atEntry || w.backReported[rlBackEdge{loop.body, k}] {
 			continue
 		}
-		if br.sawBackRep[k] {
+		if r.obj != nil && (r.obj.Pos() < loop.body.Pos() || r.obj.Pos() >= loop.body.End()) {
+			// Bound to a variable declared outside the loop: an
+			// accumulator (fds = append(fds, fd)) the next iteration
+			// still sees, so nothing is lost on the back-edge. The leak,
+			// if any, is caught at the returns.
 			continue
 		}
-		if r.obj != nil && (r.obj.Pos() < br.bodyPos || r.obj.Pos() >= br.bodyEnd) {
-			// Bound to a variable declared outside the loop: the next
-			// iteration still sees it, so nothing is lost on the
-			// back-edge. The leak, if any, is caught at the returns.
-			continue
-		}
-		br.sawBackRep[k] = true
+		w.backReported[rlBackEdge{loop.body, k}] = true
 		if w.report {
 			pos := w.pass.Fset.Position(r.pos)
 			*w.findings = append(*w.findings, findingAt(w.pass, "resource-lifecycle", at,
@@ -1355,34 +939,6 @@ func (w *rlWalker) backEdge(br *rlBreakable, st rlState, at ast.Node) {
 		}
 		delete(st.live, k)
 	}
-}
-
-func (w *rlWalker) loop(body *ast.BlockStmt, st rlState, mayskip bool, cond string) (rlState, bool) {
-	br := &rlBreakable{
-		isLoop: true, entry: st.clone(), sawBackRep: map[string]bool{},
-		bodyPos: body.Pos(), bodyEnd: body.End(),
-	}
-	w.breakable = append(w.breakable, br)
-	w.pushCond(cond)
-	out, term := w.walk(body.List, st.clone())
-	w.popCond()
-	w.breakable = w.breakable[:len(w.breakable)-1]
-	if !term {
-		w.backEdge(br, out, body)
-	}
-	var outs []rlState
-	if mayskip {
-		outs = append(outs, st)
-	}
-	outs = append(outs, br.breakOuts...)
-	if !term {
-		outs = append(outs, out)
-	}
-	if len(outs) == 0 {
-		// for {} with no break and a terminating body: nothing follows.
-		return st, true
-	}
-	return rlUnion(outs), false
 }
 
 // scanExprCalls handles calls buried in non-statement expressions
@@ -1452,112 +1008,80 @@ func (w *rlWalker) transferInto(rhs ast.Expr, st rlState, at ast.Node, how strin
 
 // assign handles binding acquisitions, rebinding/collecting
 // obligations, and stores that transfer ownership.
-func (w *rlWalker) assign(stmt *ast.AssignStmt, st rlState) rlState {
-	if len(stmt.Lhs) == len(stmt.Rhs) {
-		names := make([]*ast.Ident, len(stmt.Lhs))
-		simple := true
-		for i, l := range stmt.Lhs {
-			if id, ok := ast.Unparen(l).(*ast.Ident); ok {
-				names[i] = id
-			} else {
-				simple = false
-			}
-		}
-		if simple && len(stmt.Rhs) > 1 {
-			for i := range stmt.Rhs {
-				w.bindValues([]*ast.Ident{names[i]}, []ast.Expr{stmt.Rhs[i]}, st, stmt)
-			}
-			return st
-		}
+func (w *rlWalker) assign(stmt *ast.AssignStmt, st rlState) {
+	names := make([]*ast.Ident, len(stmt.Lhs))
+	simple := true // every target is a plain identifier
+	for i, l := range stmt.Lhs {
+		id, ok := ast.Unparen(l).(*ast.Ident)
+		names[i], simple = id, simple && ok
 	}
-	if len(stmt.Rhs) == 1 {
-		rhs := stmt.Rhs[0]
+	switch {
+	case simple && len(stmt.Rhs) > 1 && len(stmt.Lhs) == len(stmt.Rhs):
+		for i := range stmt.Rhs {
+			w.bindValues(names[i:i+1], stmt.Rhs[i:i+1], st, stmt)
+		}
+	case len(stmt.Rhs) == 1 && !simple:
 		// Store into a field/map/slice element: ownership transfer.
-		allIdent := true
-		for _, l := range stmt.Lhs {
-			if _, ok := ast.Unparen(l).(*ast.Ident); !ok {
-				allIdent = false
-			}
+		w.scanExprCalls(stmt.Rhs[0], st)
+		w.transferInto(stmt.Rhs[0], st, stmt, "field, map or element store")
+	case len(stmt.Rhs) == 1:
+		w.bindValues(names, stmt.Rhs, st, stmt)
+	default:
+		// n := m assignments with mixed shapes: conservatively scan calls.
+		for _, r := range stmt.Rhs {
+			w.scanExprCalls(r, st)
 		}
-		if !allIdent {
-			w.scanExprCalls(rhs, st)
-			w.transferInto(rhs, st, stmt, "field, map or element store")
-			return st
-		}
-		var names []*ast.Ident
-		for _, l := range stmt.Lhs {
-			names = append(names, ast.Unparen(l).(*ast.Ident))
-		}
-		w.bindValues(names, []ast.Expr{rhs}, st, stmt)
-		return st
 	}
-	// n := m assignments with mixed shapes: conservatively scan calls.
-	for _, r := range stmt.Rhs {
-		w.scanExprCalls(r, st)
-	}
-	return st
 }
 
 // bindValues binds the lifecycle effects of values (one call with
 // multiple results, or element-wise values) to the named targets.
 func (w *rlWalker) bindValues(names []*ast.Ident, values []ast.Expr, st rlState, at ast.Node) {
-	if len(values) == 1 {
-		rhs := ast.Unparen(values[0])
-		if call, ok := rhs.(*ast.CallExpr); ok {
-			w.scanNestedLits(call)
-			// Nested acquiring calls inside a wrapper (append(xs,
-			// acquire()...)) bind to the first target.
-			binds := make([]types.Object, len(names))
-			for i, id := range names {
-				if id != nil {
-					binds[i] = w.objOf(id)
-				}
+	if len(values) != 1 {
+		for i, v := range values {
+			var n []*ast.Ident
+			if i < len(names) {
+				n = names[i : i+1]
 			}
-			if inner := rlInnerAcquiringCall(w, call); inner != nil && inner != call {
-				w.call(inner, st, []types.Object{rlFirstObj(binds)}, at)
-				// The wrapper may also move live obligations (append).
-				w.rebindInto(call, rlFirstObj(binds), st)
-				return
-			}
-			w.call(call, st, binds, at)
-			// xs = append(xs, job): obligations riding the appended
-			// values follow them into the collection binding.
-			if rlIsAppend(w.pass, call) {
-				w.rebindInto(call, rlFirstObj(binds), st)
-			}
-			return
+			w.bindValues(n, []ast.Expr{v}, st, at)
 		}
-		if _, ok := rhs.(*ast.CompositeLit); ok {
-			// job := evictJob{marker: newInflight()}: the acquisition
-			// binds to the composite's variable.
-			binds := make([]types.Object, len(names))
-			for i, id := range names {
-				if id != nil {
-					binds[i] = w.objOf(id)
-				}
-			}
-			if inner := rlInnerAcquiringCall(w, rhs); inner != nil {
-				w.call(inner, st, []types.Object{rlFirstObj(binds)}, at)
-				return
-			}
-			w.scanExprCalls(values[0], st)
-			return
-		}
-		// Plain expression: a live resource flowing to a new name
-		// (aliasing) or into a collection via append handled above; a
-		// bare `x = res` rebind keeps the original binding object.
-		for _, id := range names {
-			_ = id
-		}
-		w.scanExprCalls(values[0], st)
 		return
 	}
-	for i, v := range values {
-		var n []*ast.Ident
-		if i < len(names) {
-			n = []*ast.Ident{names[i]}
+	binds := make([]types.Object, len(names))
+	for i, id := range names {
+		if id != nil {
+			binds[i] = w.objOf(id)
 		}
-		w.bindValues(n, []ast.Expr{v}, st, at)
+	}
+	switch rhs := ast.Unparen(values[0]).(type) {
+	case *ast.CallExpr:
+		w.scanNestedLits(rhs)
+		// Nested acquiring calls inside a wrapper (append(xs,
+		// acquire()...)) bind to the first target.
+		if inner := rlInnerAcquiringCall(w, rhs); inner != nil && inner != rhs {
+			w.call(inner, st, []types.Object{rlFirstObj(binds)}, at)
+			// The wrapper may also move live obligations (append).
+			w.rebindInto(rhs, rlFirstObj(binds), st)
+			return
+		}
+		w.call(rhs, st, binds, at)
+		// xs = append(xs, job): obligations riding the appended
+		// values follow them into the collection binding.
+		if rlIsAppend(w.pass, rhs) {
+			w.rebindInto(rhs, rlFirstObj(binds), st)
+		}
+	case *ast.CompositeLit:
+		// job := evictJob{marker: newInflight()}: the acquisition
+		// binds to the composite's variable.
+		if inner := rlInnerAcquiringCall(w, rhs); inner != nil {
+			w.call(inner, st, []types.Object{rlFirstObj(binds)}, at)
+			return
+		}
+		w.scanExprCalls(rhs, st)
+	default:
+		// Plain expression: a bare `x = res` rebind keeps the original
+		// binding object.
+		w.scanExprCalls(rhs, st)
 	}
 }
 
@@ -1657,7 +1181,7 @@ func (w *rlWalker) goStmt(stmt *ast.GoStmt, st rlState) {
 			delete(st.live, key)
 		}
 		args := rlArgExprs(call)
-		for _, k := range rlKeys(sum.releases) {
+		for _, k := range sortedKeys(sum.releases) {
 			w.discharge(st, k, args)
 		}
 		for i, k := range sum.paramReleases {
@@ -1676,7 +1200,7 @@ func (w *rlWalker) goStmt(stmt *ast.GoStmt, st rlState) {
 	}
 }
 
-func rlKeys(m map[string]bool) []string {
+func sortedKeys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
 		out = append(out, k)
@@ -1781,16 +1305,7 @@ func (w *rlWalker) ret(stmt *ast.ReturnStmt, st rlState) {
 				// return os.Open(p): acquired and immediately handed to
 				// the caller — apply releases but not a discard finding.
 				eff := w.effectOf(call)
-				if eff.exprRel != "" {
-					delete(st.live, eff.exprRel)
-				}
-				args := rlArgExprs(call)
-				for _, k := range eff.relKinds {
-					w.discharge(st, k, args)
-				}
-				for _, k := range eff.trnKinds {
-					w.discharge(st, k, args)
-				}
+				w.release(eff, call, st)
 				for _, kind := range eff.acquires {
 					w.inferred.acquires[kind] = true
 				}
@@ -1813,7 +1328,7 @@ func (w *rlWalker) ret(stmt *ast.ReturnStmt, st rlState) {
 		})
 	}
 	class := w.retClass(stmt, st)
-	for _, k := range rlSortedLive(st) {
+	for _, k := range sortedKeys(st.live) {
 		r := st.live[k]
 		if w.ann.acquires[r.kind] {
 			// The function's contract is to hand this kind to its
@@ -1829,7 +1344,7 @@ func (w *rlWalker) ret(stmt *ast.ReturnStmt, st rlState) {
 // endOfBody flags obligations still live when a body with no final
 // return falls off the end.
 func (w *rlWalker) endOfBody(at ast.Node, st rlState) {
-	for _, k := range rlSortedLive(st) {
+	for _, k := range sortedKeys(st.live) {
 		r := st.live[k]
 		if w.ann.acquires[r.kind] {
 			continue
@@ -1838,133 +1353,78 @@ func (w *rlWalker) endOfBody(at ast.Node, st rlState) {
 	}
 }
 
-func rlSortedLive(st rlState) []string {
-	keys := make([]string, 0, len(st.live))
-	for k := range st.live {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 // ---------------------------------------------------------------------
 // Driver.
 
-func rlFuncName(pass *Pass, fd *ast.FuncDecl) string {
-	obj, ok := pass.Info.Defs[fd.Name].(*types.Func)
-	if !ok {
-		return ""
-	}
-	return obj.FullName()
-}
-
-// rlAnalyzeFunc walks one declared function and returns its inferred
-// summary.
-func rlAnalyzeFunc(pass *Pass, fd *ast.FuncDecl, summaries map[string]*rlSummary, anns map[string]rlAnnotation, findings *[]Finding, report bool) *rlSummary {
-	name := rlFuncName(pass, fd)
-	obj, _ := pass.Info.Defs[fd.Name].(*types.Func)
-	var sig *types.Signature
-	if obj != nil {
-		sig, _ = obj.Type().(*types.Signature)
-	}
-	w := &rlWalker{
-		pass:      pass,
+// rlAnalyze walks one unit and returns its inferred summary.
+func rlAnalyze(u *funcUnit, summaries map[string]*rlSummary, anns map[string]rlAnnotation, findings *[]Finding, report bool) *rlSummary {
+	w := newRLWalker(&rlWalker{
+		pass:      u.pass,
 		summaries: summaries,
 		anns:      anns,
 		findings:  findings,
 		report:    report,
-		fnName:    name,
-		ann:       anns[name],
-		sig:       sig,
-		inferred:  newRLSummary(),
-		entryPoint: pass.Pkg != nil && pass.Pkg.Name() == "main" &&
-			fd.Name.Name == "main" && fd.Recv == nil,
-	}
-	if w.ann.acquires == nil {
-		w.ann = rlAnnotation{acquires: map[string]bool{}, releases: map[string]bool{}, transfers: map[string]bool{}}
-		if a, ok := anns[name]; ok {
-			w.ann = a
-		}
+		ann:       anns[u.name()],
+	})
+	var recv *ast.FieldList
+	if u.decl != nil {
+		w.sig, _ = u.obj.Type().(*types.Signature)
+		w.entryPoint = u.pass.Pkg.Name() == "main" && u.decl.Name.Name == "main" && u.decl.Recv == nil
+		recv = u.decl.Recv
+	} else {
+		w.sig, _ = u.pass.Info.TypeOf(u.typ).(*types.Signature)
 	}
 	// Parameter objects, receiver first, for param-release inference.
-	if fd.Recv != nil {
-		for _, f := range fd.Recv.List {
-			for _, n := range f.Names {
-				w.params = append(w.params, pass.Info.Defs[n])
+	for _, fields := range []*ast.FieldList{recv, u.typ.Params} {
+		if fields != nil {
+			for _, f := range fields.List {
+				for _, n := range f.Names {
+					w.params = append(w.params, u.pass.Info.Defs[n])
+				}
 			}
 		}
 	}
-	if fd.Type.Params != nil {
-		for _, f := range fd.Type.Params.List {
-			for _, n := range f.Names {
-				w.params = append(w.params, pass.Info.Defs[n])
-			}
+	if u.typ.Results != nil {
+		for _, f := range u.typ.Results.List {
+			w.results = append(w.results, f.Names...)
 		}
 	}
-	if fd.Type.Results != nil {
-		for _, f := range fd.Type.Results.List {
-			for _, n := range f.Names {
-				w.results = append(w.results, n)
-			}
-		}
-	}
-	out, terminated := w.walk(fd.Body.List, newRLState())
+	out, terminated := w.walk(u.body.List, newRLState())
 	if !terminated {
-		w.endOfBody(fd.Body, out)
+		w.endOfBody(u.body, out)
 	}
-	// Annotated releases/transfers carry into the summary verbatim.
+	// Annotated releases carry into the summary verbatim.
 	for k := range w.ann.releases {
 		w.inferred.releases[k] = true
 	}
 	return w.inferred
 }
 
-func runResourceLifecycle(passes []*Pass) []Finding {
-	anns, findings := rlCollectAnnotations(passes)
+func runResourceLifecycle(prog *program) []Finding {
+	anns, findings := rlCollectAnnotations(prog)
 	summaries := make(map[string]*rlSummary)
-	type fnUnit struct {
-		pass *Pass
-		fd   *ast.FuncDecl
-		name string
-	}
-	var units []fnUnit
-	for _, pass := range passes {
-		if pass.Pkg == nil || rlSkips(pass.Pkg.Path()) {
-			continue
-		}
-		for _, file := range pass.Files {
-			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				units = append(units, fnUnit{pass, fd, rlFuncName(pass, fd)})
-			}
-		}
-	}
+	units := prog.unitsFor("resource-lifecycle")
 	// Inference rounds: propagate inferred summaries bottom-up until
 	// stable (call chains through helpers are shallow; cap the rounds).
-	for round := 0; round < 4; round++ {
-		changed := false
+	untilStable(4, func() (changed bool) {
 		var discard []Finding
 		for _, u := range units {
-			inf := rlAnalyzeFunc(u.pass, u.fd, summaries, anns, &discard, false)
-			s, ok := summaries[u.name]
+			inf := rlAnalyze(u, summaries, anns, &discard, false)
+			if u.obj == nil {
+				continue // nothing calls a literal by name
+			}
+			s, ok := summaries[u.name()]
 			if !ok {
 				s = newRLSummary()
-				summaries[u.name] = s
+				summaries[u.name()] = s
 			}
-			if s.merge(inf) {
-				changed = true
-			}
+			changed = s.merge(inf) || changed
 		}
-		if !changed {
-			break
-		}
-	}
+		return changed
+	})
 	// Final reporting pass.
 	for _, u := range units {
-		rlAnalyzeFunc(u.pass, u.fd, summaries, anns, &findings, true)
+		rlAnalyze(u, summaries, anns, &findings, true)
 	}
 	return findings
 }

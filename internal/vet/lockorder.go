@@ -2,7 +2,6 @@ package vet
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"sort"
 	"strings"
@@ -22,79 +21,26 @@ import (
 //     remote peer's latency (or its own blocking on the same locks)
 //     must never extend a multi-lock critical section.
 //
-// The analysis is a static under-approximation: held sets are tracked
-// in statement order per function with optimistic branch merging
-// (intersection of non-terminating branches), calls through interfaces
-// and function values contribute no acquisitions, and goroutine bodies
-// start with an empty held set. The `-tags lockcheck` runtime is the
-// deliberate cross-check for everything this pass cannot resolve.
+// The pass reads the lock-flow records (lockflow.go), whose header lists
+// the walk's approximations; each function literal is a node of its own,
+// starting with no locks — a closure may run on any goroutine — and a
+// `go` call carries none across.
 //
-// Excluded packages: internal/locks (the wrapper's own sync.Mutex is
-// the mechanism, not a class) and internal/sim (the clock mutex sits
-// outside the hierarchy by design — timers are armed from under nearly
-// every lock and fire callbacks that re-enter from the outside).
+// Excluded packages: see scopes (program.go).
 var LockOrder = &Analyzer{
 	Name:       "lock-order",
 	Doc:        "build the whole-program lock-acquisition graph; fail on cycles and on RPC calls under more than one lock",
-	Run:        func(p *Pass) []Finding { return runLockOrder([]*Pass{p}) },
 	RunProgram: runLockOrder,
 }
 
 // lockClass names one lock in the graph: "pkg.Type.field" for struct
 // fields, "pkg.var" for package-level mutexes.
-type lockClass string
-
-// lockSite is a call made with locks held: a plain call (callee may
-// acquire more), or an RPC (callee talks to the network).
-type lockSite struct {
-	callee  string // types.Func.FullName of the callee, "" if unresolved
-	held    []lockClass
-	pos     token.Pos
-	pass    *Pass
-	node    ast.Node
-	rpc     bool
-	rpcWhat string // display name of the RPC callee
-}
+type lockClass = string
 
 type lockEdge struct {
 	from, to lockClass
-	pos      token.Pos
 	pass     *Pass
 	node     ast.Node
-}
-
-type lockSummary struct {
-	acquires map[lockClass]bool // direct acquisitions anywhere in the body
-	calls    []lockSite
-	edges    []lockEdge
-
-	// fixpoint results
-	acquiresAll map[lockClass]bool
-	reachesRPC  bool
-}
-
-// lockOrderSkips returns true for packages whose internal mutexes are
-// outside the analyzed hierarchy.
-func lockOrderSkips(path string) bool {
-	if !strings.Contains(path, "/internal/") {
-		return true // cmd, examples: no lock holders by policy
-	}
-	return strings.HasSuffix(path, "/internal/locks") || strings.HasSuffix(path, "/internal/sim")
-}
-
-// isMutexMethod reports whether fn is Lock/RLock (+1) or Unlock/RUnlock
-// (-1) on a sync or locks mutex.
-func isMutexMethod(fn *types.Func) (delta int) {
-	if fn == nil || fn.Pkg() == nil || !isLockPkg(fn.Pkg().Path()) {
-		return 0
-	}
-	switch fn.Name() {
-	case "Lock", "RLock":
-		return 1
-	case "Unlock", "RUnlock":
-		return -1
-	}
-	return 0
 }
 
 // rpcMethods are the network-facing calls whose latency must never be
@@ -106,7 +52,7 @@ var rpcMethods = map[string]bool{
 }
 
 func isRPCFunc(fn *types.Func) bool {
-	if fn == nil || fn.Pkg() == nil || !rpcMethods[fn.Name()] {
+	if fn.Pkg() == nil || !rpcMethods[fn.Name()] {
 		return false
 	}
 	p := fn.Pkg().Path()
@@ -115,385 +61,122 @@ func isRPCFunc(fn *types.Func) bool {
 		strings.HasSuffix(p, "/internal/usocket")
 }
 
-// classOf resolves the lock class of the mutex expression recv (the X
-// of a recv.Lock() selector). Returns "" when the class cannot be
-// named statically.
-func classOf(pass *Pass, recv ast.Expr) lockClass {
-	switch e := ast.Unparen(recv).(type) {
-	case *ast.SelectorExpr:
-		if sel, ok := pass.Info.Selections[e]; ok && sel.Kind() == types.FieldVal {
-			t := sel.Recv()
-			if ptr, ok := t.(*types.Pointer); ok {
-				t = ptr.Elem()
-			}
-			if named, ok := t.(*types.Named); ok && named.Obj().Pkg() != nil {
-				return lockClass(named.Obj().Pkg().Name() + "." + named.Obj().Name() + "." + sel.Obj().Name())
-			}
-		}
-		// Package-qualified variable: pkg.Var.
-		if obj, ok := pass.Info.Uses[e.Sel].(*types.Var); ok && obj.Pkg() != nil && obj.Parent() == obj.Pkg().Scope() {
-			return lockClass(obj.Pkg().Name() + "." + obj.Name())
-		}
-	case *ast.Ident:
-		if obj, ok := pass.Info.Uses[e].(*types.Var); ok && obj.Pkg() != nil {
-			if obj.Parent() == obj.Pkg().Scope() {
-				return lockClass(obj.Pkg().Name() + "." + obj.Name())
-			}
-			// Local or parameter mutex: name it by its type so two
-			// functions locking the same struct's embedded mutex agree.
-			t := obj.Type()
-			if ptr, ok := t.(*types.Pointer); ok {
-				t = ptr.Elem()
-			}
-			if named, ok := t.(*types.Named); ok && named.Obj().Pkg() != nil {
-				return lockClass(named.Obj().Pkg().Name() + "." + named.Obj().Name())
-			}
-		}
-	}
-	return ""
-}
-
-// heldIntersect returns the classes of a present in every set of bs,
-// preserving a's order.
-func heldIntersect(a []lockClass, bs ...[]lockClass) []lockClass {
-	out := a[:0:0]
-	for _, c := range a {
-		in := true
-		for _, b := range bs {
-			found := false
-			for _, bc := range b {
-				if bc == c {
-					found = true
-					break
-				}
-			}
-			if !found {
-				in = false
-				break
-			}
-		}
-		if in {
-			out = append(out, c)
+// ownClasses lists the nameable locks of held that the function itself
+// took, in acquisition order.
+func ownClasses(held []heldLock) []lockClass {
+	var out []lockClass
+	for _, h := range held {
+		if !h.outer && h.class != "" {
+			out = append(out, h.class)
 		}
 	}
 	return out
 }
 
-func heldRemove(held []lockClass, c lockClass) []lockClass {
-	for i := len(held) - 1; i >= 0; i-- {
-		if held[i] == c {
-			return append(append([]lockClass(nil), held[:i]...), held[i+1:]...)
-		}
-	}
-	return held
+// lockSummary is the transitive closure, through resolved calls, of what
+// a function acquires and whether it reaches the network.
+type lockSummary struct {
+	flow       *lockFlow
+	acquires   map[lockClass]bool
+	reachesRPC bool
 }
 
-// summarizeFunc walks one function body and records direct
-// acquisitions, acquisition edges, and call sites with their held
-// snapshots.
-func summarizeFunc(pass *Pass, body *ast.BlockStmt) *lockSummary {
-	s := &lockSummary{acquires: make(map[lockClass]bool)}
-
-	// collectCalls scans one expression for call sites, skipping nested
-	// function literals (their bodies are summarized on their own, with
-	// an empty held set — a closure may run on any goroutine).
-	collectCalls := func(expr ast.Expr, held []lockClass) {
-		if expr == nil {
-			return
-		}
-		ast.Inspect(expr, func(n ast.Node) bool {
-			if _, ok := n.(*ast.FuncLit); ok {
-				return false
-			}
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			fn := funcFor(pass.Info, call)
-			if fn == nil || isMutexMethod(fn) != 0 {
-				return true
-			}
-			site := lockSite{
-				callee: fn.FullName(),
-				held:   append([]lockClass(nil), held...),
-				pos:    call.Pos(),
-				pass:   pass,
-				node:   call,
-			}
-			if isRPCFunc(fn) {
-				site.rpc = true
-				site.rpcWhat = fn.Name()
-			}
-			s.calls = append(s.calls, site)
-			return true
-		})
-	}
-
-	// walk processes stmts in order with the given entry held set and
-	// returns the fall-through held set plus whether the sequence always
-	// terminates before falling through.
-	var walk func(stmts []ast.Stmt, held []lockClass) ([]lockClass, bool)
-
-	walkBranches := func(held []lockClass, mayskip bool, bodies ...[]ast.Stmt) []lockClass {
-		var results [][]lockClass
-		for _, b := range bodies {
-			h, term := walk(b, held)
-			if !term {
-				results = append(results, h)
-			}
-		}
-		if mayskip {
-			results = append(results, held)
-		}
-		if len(results) == 0 {
-			return held
-		}
-		return heldIntersect(results[0], results[1:]...)
-	}
-
-	walk = func(stmts []ast.Stmt, held []lockClass) ([]lockClass, bool) {
-		for _, stmt := range stmts {
-			switch st := stmt.(type) {
-			case *ast.ExprStmt:
-				if call, ok := st.X.(*ast.CallExpr); ok {
-					if fn := funcFor(pass.Info, call); fn != nil {
-						if d := isMutexMethod(fn); d != 0 {
-							if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-								c := classOf(pass, sel.X)
-								if c == "" {
-									continue
-								}
-								if d > 0 {
-									s.acquires[c] = true
-									for _, h := range held {
-										s.edges = append(s.edges, lockEdge{from: h, to: c, pos: call.Pos(), pass: pass, node: call})
-									}
-									held = append(append([]lockClass(nil), held...), c)
-								} else {
-									held = heldRemove(held, c)
-								}
-							}
-							continue
-						}
-					}
-				}
-				collectCalls(st.X, held)
-			case *ast.AssignStmt:
-				for _, r := range st.Rhs {
-					collectCalls(r, held)
-				}
-			case *ast.DeclStmt:
-				if gd, ok := st.Decl.(*ast.GenDecl); ok {
-					for _, spec := range gd.Specs {
-						if vs, ok := spec.(*ast.ValueSpec); ok {
-							for _, v := range vs.Values {
-								collectCalls(v, held)
-							}
-						}
-					}
-				}
-			case *ast.ReturnStmt:
-				for _, r := range st.Results {
-					collectCalls(r, held)
-				}
-				return held, true
-			case *ast.BranchStmt:
-				return held, true
-			case *ast.DeferStmt, *ast.GoStmt:
-				// Deferred unlocks release at return; goroutine bodies
-				// run with their own (empty) held set and are
-				// summarized via their function literals.
-			case *ast.SendStmt:
-				collectCalls(st.Value, held)
-			case *ast.IncDecStmt:
-			case *ast.BlockStmt:
-				h, term := walk(st.List, held)
-				held = h
-				if term {
-					return held, true
-				}
-			case *ast.IfStmt:
-				if st.Init != nil {
-					held, _ = walk([]ast.Stmt{st.Init}, held)
-				}
-				collectCalls(st.Cond, held)
-				bodyHeld, bodyTerm := walk(st.Body.List, held)
-				elseHeld, elseTerm := held, false
-				hasElse := st.Else != nil
-				if hasElse {
-					elseHeld, elseTerm = walk([]ast.Stmt{st.Else}, held)
-				}
-				switch {
-				case bodyTerm && elseTerm && hasElse:
-					return held, true
-				case bodyTerm:
-					held = elseHeld
-				case elseTerm:
-					held = bodyHeld
-				case hasElse:
-					held = heldIntersect(bodyHeld, elseHeld)
-				default:
-					held = heldIntersect(held, bodyHeld)
-				}
-			case *ast.ForStmt:
-				held = walkBranches(held, true, st.Body.List)
-			case *ast.RangeStmt:
-				collectCalls(st.X, held)
-				held = walkBranches(held, true, st.Body.List)
-			case *ast.SwitchStmt:
-				collectCalls(st.Tag, held)
-				var bodies [][]ast.Stmt
-				for _, c := range st.Body.List {
-					if cc, ok := c.(*ast.CaseClause); ok {
-						bodies = append(bodies, cc.Body)
-					}
-				}
-				held = walkBranches(held, true, bodies...)
-			case *ast.TypeSwitchStmt:
-				var bodies [][]ast.Stmt
-				for _, c := range st.Body.List {
-					if cc, ok := c.(*ast.CaseClause); ok {
-						bodies = append(bodies, cc.Body)
-					}
-				}
-				held = walkBranches(held, true, bodies...)
-			case *ast.SelectStmt:
-				var bodies [][]ast.Stmt
-				for _, c := range st.Body.List {
-					if cc, ok := c.(*ast.CommClause); ok {
-						bodies = append(bodies, cc.Body)
-					}
-				}
-				held = walkBranches(held, true, bodies...)
-			case *ast.LabeledStmt:
-				h, term := walk([]ast.Stmt{st.Stmt}, held)
-				held = h
-				if term {
-					return held, true
-				}
-			}
-		}
-		return held, false
-	}
-	walk(body.List, nil)
-	return s
-}
-
-func runLockOrder(passes []*Pass) []Finding {
-	// Phase 1: summarize every function (and function literal) in the
-	// analyzed packages. Summaries are keyed by types.Func.FullName so
-	// cross-package call sites resolve; literals get synthetic keys and
-	// participate only through their direct edges and sites.
-	summaries := make(map[string]*lockSummary)
-	var anon []*lockSummary
-	for _, pass := range passes {
-		if lockOrderSkips(pass.Pkg.Path()) {
+func runLockOrder(prog *program) []Finding {
+	// Summaries are keyed by types.Func.FullName so cross-package call
+	// sites resolve; literals participate only through their own edges
+	// and sites.
+	var all []*lockSummary
+	byName := make(map[string]*lockSummary)
+	for _, flow := range prog.lockFlows() {
+		if !inScope("lock-order", flow.pass.Pkg.Path()) {
 			continue
 		}
-		for _, file := range pass.Files {
-			if pass.isTestFile(file.Pos()) {
-				continue
+		s := &lockSummary{flow: flow, acquires: make(map[lockClass]bool)}
+		for _, l := range flow.locks {
+			if l.lock.class != "" {
+				s.acquires[l.lock.class] = true
 			}
-			ast.Inspect(file, func(n ast.Node) bool {
-				switch fn := n.(type) {
-				case *ast.FuncDecl:
-					if fn.Body == nil {
-						return true
-					}
-					if obj, ok := pass.Info.Defs[fn.Name].(*types.Func); ok {
-						summaries[obj.FullName()] = summarizeFunc(pass, fn.Body)
-					}
-					return true
-				case *ast.FuncLit:
-					anon = append(anon, summarizeFunc(pass, fn.Body))
-					return false // summarizeFunc skips nested literals itself
-				}
-				return true
-			})
 		}
-	}
-	all := make([]*lockSummary, 0, len(summaries)+len(anon))
-	for _, s := range summaries {
+		for _, cs := range flow.calls {
+			s.reachesRPC = s.reachesRPC || !cs.spawned && isRPCFunc(cs.fn)
+		}
 		all = append(all, s)
-	}
-	all = append(all, anon...)
-
-	// Phase 2: fixpoint. acquiresAll is the transitive closure of
-	// acquisitions through resolved calls; reachesRPC marks functions
-	// that (transitively) perform a network call.
-	for _, s := range all {
-		s.acquiresAll = make(map[lockClass]bool, len(s.acquires))
-		for c := range s.acquires {
-			s.acquiresAll[c] = true
-		}
-		for _, cs := range s.calls {
-			if cs.rpc {
-				s.reachesRPC = true
-			}
+		if flow.fn != nil {
+			byName[flow.fn.FullName()] = s
 		}
 	}
-	for changed := true; changed; {
-		changed = false
+	// callee resolves a site the caller runs itself; a spawned callee
+	// holds and acquires on its own goroutine.
+	callee := func(cs callSite) *lockSummary {
+		if cs.spawned {
+			return nil
+		}
+		return byName[cs.fn.FullName()]
+	}
+	untilStable(0, func() (changed bool) {
 		for _, s := range all {
-			for _, cs := range s.calls {
-				callee := summaries[cs.callee]
-				if callee == nil {
+			for _, cs := range s.flow.calls {
+				c := callee(cs)
+				if c == nil {
 					continue
 				}
-				for c := range callee.acquiresAll {
-					if !s.acquiresAll[c] {
-						s.acquiresAll[c] = true
-						changed = true
+				for class := range c.acquires {
+					if !s.acquires[class] {
+						s.acquires[class], changed = true, true
 					}
 				}
-				if callee.reachesRPC && !s.reachesRPC {
-					s.reachesRPC = true
-					changed = true
+				if c.reachesRPC && !s.reachesRPC {
+					s.reachesRPC, changed = true, true
 				}
 			}
 		}
-	}
+		return changed
+	})
 
-	// Phase 3: assemble the global edge set — direct edges plus, for
-	// every call site with locks held, edges from each held class to
-	// everything the callee may acquire.
+	// The global edge set: an edge from every held class to each lock
+	// taken directly, and to everything a callee may acquire.
 	var edges []lockEdge
 	var findings []Finding
 	for _, s := range all {
-		edges = append(edges, s.edges...)
-		for _, cs := range s.calls {
-			callee := summaries[cs.callee]
-			if callee != nil && len(cs.held) > 0 {
-				for c := range callee.acquiresAll {
-					for _, h := range cs.held {
-						edges = append(edges, lockEdge{from: h, to: c, pos: cs.pos, pass: cs.pass, node: cs.node})
+		for _, l := range s.flow.locks {
+			for _, h := range ownClasses(l.held) {
+				if l.lock.class != "" {
+					edges = append(edges, lockEdge{h, l.lock.class, s.flow.pass, l.call})
+				}
+			}
+		}
+		for _, cs := range s.flow.calls {
+			if cs.spawned {
+				continue
+			}
+			held := ownClasses(cs.held)
+			c := callee(cs)
+			if c != nil {
+				for class := range c.acquires {
+					for _, h := range held {
+						edges = append(edges, lockEdge{h, class, s.flow.pass, cs.call})
 					}
 				}
 			}
 			// Rule 2: RPC under more than one lock, directly or through
 			// a callee that reaches the network.
-			rpc := cs.rpc
-			what := cs.rpcWhat
-			if !rpc && callee != nil && callee.reachesRPC {
-				rpc = true
-				what = cs.callee
+			what := ""
+			if isRPCFunc(cs.fn) {
+				what = cs.fn.Name()
+			} else if c != nil && c.reachesRPC {
+				what = cs.fn.FullName()
 			}
-			if rpc && len(cs.held) >= 2 {
-				names := make([]string, len(cs.held))
-				for i, h := range cs.held {
-					names[i] = string(h)
-				}
-				findings = append(findings, findingAt(cs.pass, "lock-order", cs.node,
+			if what != "" && len(held) >= 2 {
+				findings = append(findings, findingAt(s.flow.pass, "lock-order", cs.call,
 					"RPC %s while holding %d locks (%s); release all but one before going to the network",
-					what, len(cs.held), strings.Join(names, ", ")))
+					what, len(held), strings.Join(held, ", ")))
 			}
 		}
 	}
 
 	// Rule 1: cycles. Tarjan SCC over the class graph; any SCC with
 	// more than one class — or a self-loop — is an ordering violation.
-	findings = append(findings, lockCycles(edges)...)
-	return findings
+	return append(findings, lockCycles(edges)...)
 }
 
 // lockCycles reports one finding per strongly connected component of
@@ -584,7 +267,7 @@ func lockCycles(edges []lockEdge) []Finding {
 				ci = &cycleInfo{}
 				cycles[c] = ci
 			}
-			ci.members = append(ci.members, string(v))
+			ci.members = append(ci.members, v)
 		}
 	}
 	for i := range edges {
@@ -594,7 +277,7 @@ func lockCycles(edges []lockEdge) []Finding {
 		if ci == nil || comp[e.to] != c {
 			continue
 		}
-		if ci.edge == nil || e.pass.Fset.Position(e.pos).Offset < ci.edge.pass.Fset.Position(ci.edge.pos).Offset {
+		if ci.edge == nil || e.pass.Fset.Position(e.node.Pos()).Offset < ci.edge.pass.Fset.Position(ci.edge.node.Pos()).Offset {
 			ci.edge = e
 		}
 	}

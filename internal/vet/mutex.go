@@ -3,7 +3,6 @@ package vet
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 // MutexHygiene enforces three rules about lock-bearing types:
@@ -17,15 +16,15 @@ import (
 //     may be arbitrarily slow (or itself blocked on the same lock),
 //     turning a critical section into a deadlock.
 //
-// The send check is a linear, intra-procedural approximation: lock
-// depth is tracked in statement order, branches that end in return are
-// treated as leaving the lock state unchanged on the fall-through path,
-// and loop bodies are assumed to balance their locks. It under-reports
-// in convoluted flows but never needs annotations.
+// The send check reads the lock-flow records (lockflow.go): a send is
+// flagged when the walk has the sending function itself holding any
+// lock there, nameable or not. A function literal's sends answer for
+// the locks the literal takes, not the ones around its creation point.
+// It under-reports in convoluted flows but never needs annotations.
 var MutexHygiene = &Analyzer{
-	Name: "mutex-hygiene",
-	Doc:  "flag value receivers/copies of mutex-bearing types and channel sends under a held lock",
-	Run:  runMutexHygiene,
+	Name:       "mutex-hygiene",
+	Doc:        "flag value receivers/copies of mutex-bearing types and channel sends under a held lock",
+	RunProgram: runMutexHygiene,
 }
 
 // containsMutex reports whether a value of type t directly embeds a
@@ -68,7 +67,27 @@ func isBlank(e ast.Expr) bool {
 	return ok && id.Name == "_"
 }
 
-func runMutexHygiene(pass *Pass) []Finding {
+func runMutexHygiene(prog *program) []Finding {
+	var findings []Finding
+	for _, pass := range prog.passes {
+		findings = append(findings, checkMutexCopies(pass)...)
+	}
+	for _, flow := range prog.lockFlows() {
+		for _, send := range flow.sends {
+			for _, h := range send.held {
+				if !h.outer {
+					findings = append(findings, findingAt(flow.pass, "mutex-hygiene", send.stmt,
+						"channel send while holding a mutex; the receiver can stall (or deadlock) the critical section — send after unlocking"))
+					break
+				}
+			}
+		}
+	}
+	return findings
+}
+
+// checkMutexCopies enforces the receiver and copy rules on one package.
+func checkMutexCopies(pass *Pass) []Finding {
 	var findings []Finding
 	report := func(n ast.Node, format string, args ...any) {
 		findings = append(findings, findingAt(pass, "mutex-hygiene", n, format, args...))
@@ -96,13 +115,9 @@ func runMutexHygiene(pass *Pass) []Finding {
 	// assigning it copies), as opposed to creating one (composite
 	// literal, function call) — constructors legitimately return
 	// zero-valued lock-bearing structs.
-	var copySource func(expr ast.Expr) bool
-	copySource = func(expr ast.Expr) bool {
-		switch e := ast.Unparen(expr).(type) {
-		case *ast.Ident, *ast.SelectorExpr, *ast.IndexExpr:
-			return true
-		case *ast.StarExpr:
-			_ = e
+	copySource := func(expr ast.Expr) bool {
+		switch ast.Unparen(expr).(type) {
+		case *ast.Ident, *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
 			return true
 		}
 		return false
@@ -142,12 +157,8 @@ func runMutexHygiene(pass *Pass) []Finding {
 					}
 				}
 				checkParams(node.Type)
-				if node.Body != nil {
-					findings = append(findings, checkSendsUnderLock(pass, node.Body)...)
-				}
 			case *ast.FuncLit:
 				checkParams(node.Type)
-				findings = append(findings, checkSendsUnderLock(pass, node.Body)...)
 			case *ast.AssignStmt:
 				for i, rhs := range node.Rhs {
 					// `_ = x` discards the value; no lock escapes.
@@ -183,168 +194,5 @@ func runMutexHygiene(pass *Pass) []Finding {
 			return true
 		})
 	}
-	return findings
-}
-
-// isLockPkg reports whether path is a package whose Lock/Unlock methods
-// manage a mutex: the stdlib sync package or Dodo's rank-ordered
-// wrapper (internal/locks).
-func isLockPkg(path string) bool {
-	return path == "sync" || path == "dodo/internal/locks" || strings.HasSuffix(path, "/internal/locks")
-}
-
-// lockDelta classifies a statement-position call: +1 for
-// Lock/RLock on sync or locks mutexes, -1 for Unlock/RUnlock,
-// 0 otherwise.
-func lockDelta(info *types.Info, stmt ast.Stmt) int {
-	es, ok := stmt.(*ast.ExprStmt)
-	if !ok {
-		return 0
-	}
-	call, ok := es.X.(*ast.CallExpr)
-	if !ok {
-		return 0
-	}
-	fn := funcFor(info, call)
-	if fn == nil || fn.Pkg() == nil || !isLockPkg(fn.Pkg().Path()) {
-		return 0
-	}
-	switch fn.Name() {
-	case "Lock", "RLock":
-		return 1
-	case "Unlock", "RUnlock":
-		return -1
-	}
-	return 0
-}
-
-// checkSendsUnderLock walks one function body (not descending into
-// nested function literals, which run in their own lock context) and
-// flags channel sends made while the lock-depth counter is positive.
-// defer mu.Unlock() intentionally does not decrement: the lock stays
-// held for the remainder of the body.
-func checkSendsUnderLock(pass *Pass, body *ast.BlockStmt) []Finding {
-	var findings []Finding
-	flag := func(s *ast.SendStmt) {
-		findings = append(findings, findingAt(pass, "mutex-hygiene", s,
-			"channel send while holding a mutex; the receiver can stall (or deadlock) the critical section — send after unlocking"))
-	}
-
-	// walk processes stmts in order at the given entry lock depth and
-	// returns the fall-through depth plus whether the sequence always
-	// terminates (return/break/continue/goto) before falling through.
-	var walk func(stmts []ast.Stmt, depth int) (int, bool)
-
-	walkClauses := func(bodies [][]ast.Stmt, depth int, sends []*ast.SendStmt) int {
-		for _, s := range sends {
-			if depth > 0 {
-				flag(s)
-			}
-		}
-		// The fall-through depth is the most optimistic (lowest) over
-		// the entry depth and every non-terminating clause: under-flag
-		// rather than false-positive on asymmetric branches.
-		min := depth
-		for _, b := range bodies {
-			d, term := walk(b, depth)
-			if !term && d < min {
-				min = d
-			}
-		}
-		return min
-	}
-
-	walk = func(stmts []ast.Stmt, depth int) (int, bool) {
-		for _, stmt := range stmts {
-			switch s := stmt.(type) {
-			case *ast.ExprStmt:
-				if d := lockDelta(pass.Info, stmt); d != 0 {
-					depth += d
-					if depth < 0 {
-						depth = 0
-					}
-				}
-			case *ast.SendStmt:
-				if depth > 0 {
-					flag(s)
-				}
-			case *ast.DeferStmt:
-				// Deferred unlocks release at return, not here; deferred
-				// sends run outside this statement order. Skip.
-			case *ast.BlockStmt:
-				d, term := walk(s.List, depth)
-				depth = d
-				if term {
-					return depth, true
-				}
-			case *ast.IfStmt:
-				bodyDepth, bodyTerm := walk(s.Body.List, depth)
-				elseDepth, elseTerm := depth, false
-				hasElse := s.Else != nil
-				if hasElse {
-					elseDepth, elseTerm = walk([]ast.Stmt{s.Else}, depth)
-				}
-				switch {
-				case bodyTerm && elseTerm && hasElse:
-					return depth, true
-				case bodyTerm:
-					depth = elseDepth
-				case elseTerm:
-					depth = bodyDepth
-				default:
-					if bodyDepth < elseDepth {
-						depth = bodyDepth
-					} else {
-						depth = elseDepth
-					}
-				}
-			case *ast.ForStmt:
-				depth = walkClauses([][]ast.Stmt{s.Body.List}, depth, nil)
-			case *ast.RangeStmt:
-				depth = walkClauses([][]ast.Stmt{s.Body.List}, depth, nil)
-			case *ast.SwitchStmt:
-				var bodies [][]ast.Stmt
-				for _, c := range s.Body.List {
-					if cc, ok := c.(*ast.CaseClause); ok {
-						bodies = append(bodies, cc.Body)
-					}
-				}
-				depth = walkClauses(bodies, depth, nil)
-			case *ast.TypeSwitchStmt:
-				var bodies [][]ast.Stmt
-				for _, c := range s.Body.List {
-					if cc, ok := c.(*ast.CaseClause); ok {
-						bodies = append(bodies, cc.Body)
-					}
-				}
-				depth = walkClauses(bodies, depth, nil)
-			case *ast.SelectStmt:
-				var bodies [][]ast.Stmt
-				var sends []*ast.SendStmt
-				for _, c := range s.Body.List {
-					if cc, ok := c.(*ast.CommClause); ok {
-						if send, ok := cc.Comm.(*ast.SendStmt); ok {
-							sends = append(sends, send)
-						}
-						bodies = append(bodies, cc.Body)
-					}
-				}
-				depth = walkClauses(bodies, depth, sends)
-			case *ast.LabeledStmt:
-				d, term := walk([]ast.Stmt{s.Stmt}, depth)
-				depth = d
-				if term {
-					return depth, true
-				}
-			case *ast.ReturnStmt, *ast.BranchStmt:
-				return depth, true
-			case *ast.GoStmt:
-				// The goroutine body runs concurrently with its own lock
-				// state; function literals are analyzed separately.
-			}
-		}
-		return depth, false
-	}
-	walk(body.List, 0)
 	return findings
 }

@@ -19,7 +19,7 @@ func TestSARIFStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings := Suppress([]*Pass{pass}, ResourceLifecycle.Run(pass))
+	findings := Check([]*Pass{pass}, []*Analyzer{ResourceLifecycle})
 	if len(findings) == 0 {
 		t.Fatal("resource fixture produced no findings; the structural checks below would be vacuous")
 	}

@@ -82,3 +82,57 @@ func sendUnderTwoReviewed(c *C, d *D, n *Net) {
 	d.mu.Unlock()
 	c.mu.Unlock()
 }
+
+// A misspelt analyzer name suppresses nothing, so the finding below
+// still fires — and the directive itself is reported, because a
+// suppression nobody can match is a typo, not a review.
+func sendUnderTwoTypo(c *C, d *D, n *Net) {
+	c.mu.Lock()
+	d.mu.Lock()
+	//vet:ignore lock-ordr — fixture: misspelt rule name // want `names "lock-ordr", which is no analyzer`
+	_ = n.Send("v", nil) // want `RPC Send while holding 2 locks`
+	d.mu.Unlock()
+	c.mu.Unlock()
+}
+
+// E and F are taken in both orders, but E -> F exists only through a
+// helper called from a for condition: an expression position, not a
+// statement. The cycle is anchored at its earliest edge.
+type E struct{ mu sync.Mutex }
+
+type F struct{ mu sync.Mutex }
+
+func lockFE(e *E, f *F) {
+	f.mu.Lock()
+	e.mu.Lock() // want `lock acquisition cycle among \{transport.E.mu, transport.F.mu\}`
+	e.mu.Unlock()
+	f.mu.Unlock()
+}
+
+func pollF(f *F) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return false
+}
+
+func spinUnderE(e *E, f *F) {
+	e.mu.Lock()
+	for pollF(f) {
+	}
+	e.mu.Unlock()
+}
+
+// An RPC evaluated in a select comm clause is still an RPC under the
+// two locks held around the select.
+func sendInSelect(c *C, d *D, n *Net) {
+	c.mu.Lock()
+	d.mu.Lock()
+	select {
+	case <-ready(n.Send("s", nil)): // want `RPC Send while holding 2 locks \(transport.C.mu, transport.D.mu\)`
+	default:
+	}
+	d.mu.Unlock()
+	c.mu.Unlock()
+}
+
+func ready(err error) chan struct{} { return nil }

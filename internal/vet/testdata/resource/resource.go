@@ -160,3 +160,9 @@ func slotBalanced() {
 //
 // dodo:acquires() — empty kind list. // want `malformed lifecycle directive`
 func malformedDirective() {}
+
+// A misspelt verb is reported wherever it sits: read as prose, it would
+// leave takeSpare unannotated and every caller's leak invisible.
+//
+// dodo:aquires(slot) // want `unknown directive "dodo:aquires"`
+func takeSpare() int { return 2 }

@@ -25,8 +25,8 @@
 //   - buffer-ownership: in the zero-copy packages (usocket, bulk,
 //     transport), no writes to or retention of a byte slice after it was
 //     handed to Send, and no storing of borrowed []byte parameters
-//     beyond the callback — copy first or transfer ownership explicitly
-//     with a //vet:ignore directive.
+//     beyond the callback — copy first, or declare the transfer in the
+//     function's contract with dodo:adopts(param).
 //   - wire-exhaustiveness: every wire.Type constant has a registered
 //     message (newMessage, Kind, typeNames), and every dispatch switch
 //     over wire.Message handles or explicitly ignores every type.
@@ -37,14 +37,22 @@
 //     atomic fields go only through sync/atomic, guarded addresses
 //     never escape, and guarding locks.Mutexes carry a rank
 //     (DESIGN.md §10).
+//   - resource-lifecycle: whatever a path acquires — an fd, a pooled
+//     frame, a manager grant, a WaitGroup count, a lock — it releases or
+//     hands on before every return, error returns included; functions
+//     declare ownership with dodo:acquires/releases/transfers(kind)
+//     (DESIGN.md §12).
 //
 // A finding can be suppressed at a single site with a trailing or
-// preceding comment: //vet:ignore <analyzer-name>. Directives are for
-// reviewed false positives (ownership transferred by documented
-// contract, deliberately narrow correlation switches); each one should
-// say why on the same comment line.
+// preceding comment: //vet:ignore <analyzer-name>. That is for reviewed
+// false positives (deliberately narrow correlation switches); each one
+// should say why on the same comment line. directive.go lists every
+// comment the tool reads; one it cannot read is itself a finding.
 //
-// The analyzers are written against the stdlib go/ast + go/types stack
+// The lock passes and resource-lifecycle share one analysis core
+// (DESIGN.md §8.4): the control-flow skeleton of flow.go, the lock-flow
+// walk of lockflow.go and the program index of program.go. The
+// analyzers are written against the stdlib go/ast + go/types stack
 // only; package loading shells out to the go command for export data
 // (see load.go), so the tool needs no dependencies beyond the toolchain.
 package vet
@@ -84,20 +92,31 @@ func (p *Pass) isTestFile(pos token.Pos) bool {
 	return strings.HasSuffix(p.Fset.Position(pos).Filename, "_test.go")
 }
 
-// Analyzer is one invariant checker.
+// Analyzer is one invariant checker. Exactly one of Run and RunProgram
+// is set.
 type Analyzer struct {
 	// Name is the short rule name used in findings ("clock-discipline").
 	Name string
 	// Doc is a one-line description for -list output.
 	Doc string
-	// Run inspects one package and returns its violations. For
-	// whole-program analyzers Run analyzes the package in isolation
-	// (used by golden tests); Check prefers RunProgram when set.
+	// Run inspects one package and returns its violations.
 	Run func(*Pass) []Finding
-	// RunProgram, when non-nil, inspects all loaded packages at once.
-	// Inter-procedural analyzers (lock-order) need the whole program:
-	// an acquisition edge can span packages.
-	RunProgram func([]*Pass) []Finding
+	// RunProgram inspects all loaded packages at once, through the
+	// shared index. Inter-procedural analyzers need the whole program:
+	// an acquisition edge or a call chain can span packages.
+	RunProgram func(*program) []Finding
+}
+
+// run applies the analyzer to every package of the program.
+func (a *Analyzer) run(prog *program) []Finding {
+	if a.RunProgram != nil {
+		return a.RunProgram(prog)
+	}
+	var all []Finding
+	for _, pass := range prog.passes {
+		all = append(all, a.Run(pass)...)
+	}
+	return all
 }
 
 // findingAt builds a Finding for the given rule at n's position. Run
@@ -127,21 +146,20 @@ func All() []*Analyzer {
 	}
 }
 
-// Check runs the given analyzers over every pass — whole-program
-// analyzers once over all passes — filters out directive-suppressed
-// findings, and returns the rest sorted by file, line and analyzer.
+// Check runs the given analyzers over the passes, adds the findings
+// about unreadable directives (directive.go), filters out the
+// //vet:ignore-suppressed ones, and returns the rest sorted by file,
+// line, analyzer and message.
 func Check(passes []*Pass, analyzers []*Analyzer) []Finding {
-	var all []Finding
+	prog := newProgram(passes)
+	all := append([]Finding(nil), prog.directives.problems...)
 	for _, a := range analyzers {
-		if a.RunProgram != nil {
-			all = append(all, a.RunProgram(passes)...)
-			continue
-		}
-		for _, pass := range passes {
-			all = append(all, a.Run(pass)...)
+		for _, f := range a.run(prog) {
+			if !prog.directives.suppresses(f) {
+				all = append(all, f)
+			}
 		}
 	}
-	all = Suppress(passes, all)
 	sort.Slice(all, func(i, j int) bool {
 		a, b := all[i], all[j]
 		if a.Pos.Filename != b.Pos.Filename {
@@ -150,7 +168,10 @@ func Check(passes []*Pass, analyzers []*Analyzer) []Finding {
 		if a.Pos.Line != b.Pos.Line {
 			return a.Pos.Line < b.Pos.Line
 		}
-		return a.Analyzer < b.Analyzer
+		if a.Analyzer != b.Analyzer {
+			return a.Analyzer < b.Analyzer
+		}
+		return a.Message < b.Message
 	})
 	return all
 }

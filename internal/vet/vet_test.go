@@ -53,9 +53,10 @@ func collectWants(t *testing.T, pass *Pass) []*expectation {
 
 // runGolden checks one analyzer against its testdata fixture: every
 // finding must match a // want comment on its line, and every want
-// must be hit. //vet:ignore directives are honored, exactly as in
-// Check — a fixture site carrying a directive and no want comment
-// proves the suppression path works.
+// must be hit. The run goes through Check, so //vet:ignore directives
+// are honored — a fixture site carrying a directive and no want comment
+// proves the suppression path works — and a directive the tool cannot
+// read is a finding like any other.
 func runGolden(t *testing.T, a *Analyzer, fixture, pkgPath string) {
 	t.Helper()
 	pass, err := LoadFixtureDir("testdata/"+fixture, pkgPath)
@@ -63,7 +64,7 @@ func runGolden(t *testing.T, a *Analyzer, fixture, pkgPath string) {
 		t.Fatal(err)
 	}
 	wants := collectWants(t, pass)
-	findings := Suppress([]*Pass{pass}, a.Run(pass))
+	findings := Check([]*Pass{pass}, []*Analyzer{a})
 	for _, f := range findings {
 		ok := false
 		for _, w := range wants {
@@ -159,7 +160,7 @@ func TestClockDisciplineAllowlist(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fs := ClockDiscipline.Run(pass); len(fs) != 0 {
+	if fs := ClockDiscipline.run(newProgram([]*Pass{pass})); len(fs) != 0 {
 		t.Fatalf("allowlisted package produced findings: %v", fs)
 	}
 }
@@ -187,7 +188,7 @@ func TestGoroutineLifecycleOnlyDaemonPackages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fs := GoroutineLifecycle.Run(pass); len(fs) != 0 {
+	if fs := GoroutineLifecycle.run(newProgram([]*Pass{pass})); len(fs) != 0 {
 		t.Fatalf("non-daemon package produced findings: %v", fs)
 	}
 }
@@ -203,7 +204,7 @@ func TestLockOrderSkipsNonInternal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fs := LockOrder.Run(pass); len(fs) != 0 {
+	if fs := LockOrder.run(newProgram([]*Pass{pass})); len(fs) != 0 {
 		t.Fatalf("non-internal package produced findings: %v", fs)
 	}
 }
@@ -219,7 +220,7 @@ func TestBufferOwnershipOnlyZeroCopyPackages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fs := BufferOwnership.Run(pass); len(fs) != 0 {
+	if fs := BufferOwnership.run(newProgram([]*Pass{pass})); len(fs) != 0 {
 		t.Fatalf("non-zero-copy package produced findings: %v", fs)
 	}
 }
@@ -239,7 +240,7 @@ func TestGuardedBySkipsNonInternal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fs := GuardedBy.Run(pass); len(fs) != 0 {
+	if fs := GuardedBy.run(newProgram([]*Pass{pass})); len(fs) != 0 {
 		t.Fatalf("non-internal package produced findings: %v", fs)
 	}
 }

@@ -22,10 +22,10 @@ import (
 // within two cycles and pins nothing.
 //
 // Ownership rule (checked by the resource-lifecycle vet pass via the
-// dodo:acquires/releases annotations below): whoever calls GetFrame
-// returns that frame with PutFrame, and does so only after the last
-// read of it — and, for a buffer something else writes into (a bulk
-// receive), after the last write. A frame handed to a transport
+// annotations below, dodo:acquires and dodo:releases): whoever calls
+// GetFrame returns that frame with PutFrame, and does so only after the
+// last read of it — and, for a buffer something else writes into (a
+// bulk receive), after the last write. A frame handed to a transport
 // Send/SendVec may be returned as soon as the call returns — every
 // transport either copies the frame before queueing it (mem, usocket)
 // or hands it to the kernel synchronously (UDP) — which is what lets

@@ -24,30 +24,14 @@ go test -race ./...
 (cd benchmark && go vet ./... && go test ./...)
 bash benchmark/run.sh -workload fit8k-unet -seed 1 -seconds 1
 
-# Perf trajectory: one pass of every benchmark (-benchtime 1x), parsed
-# into a per-PR JSON point. BENCH_seed.json is written once and then
-# frozen — it is the baseline the trajectory is measured against, so
-# rewriting it on every run would erase the very drift the BENCH_*.json
-# series exists to show. Each run appends a BENCH_pr<N>.json point
-# instead, N taken from $DODO_PR when the driver exports it and from
-# the commit count otherwise. Not a settled measurement — a smoke
-# check that the benches still run, plus one point on the trajectory.
-[ -f BENCH_seed.json ] || go run ./cmd/dodo-bench -gobench BENCH_seed.json
-PR_N="${DODO_PR:-$(git rev-list --count HEAD)}"
-go run ./cmd/dodo-bench -gobench "BENCH_pr${PR_N}.json"
+# Smoke: every benchmark still runs, one iteration each. Not a
+# measurement — the gates below and benchmark/ are.
+go test -run '^$' -bench . -benchtime 1x ./...
 
-# Trajectory comparison against the frozen seed: per-metric deltas with
-# REGRESSION markers on >10% ns/op growth. Warn-only — the seed was
-# recorded at -benchtime 1x, where a microsecond-scale benchmark is one
-# iteration of noise, so its ns/op cannot gate anything honestly.
-go run ./cmd/dodo-bench -compare BENCH_seed.json "BENCH_pr${PR_N}.json" \
-    || echo "WARN: benchmark drift vs 1x seed (informational, not gating)" >&2
-
-# Region perf gate, for real: the region-cache benchmarks at a
-# statistically meaningful benchtime against a baseline frozen the same
-# way BENCH_seed.json was — written once, then compared against on
-# every run. A >10% ns/op regression on any shared region benchmark
-# fails verification.
+# Region perf gate: the region-cache benchmarks at a statistically
+# meaningful benchtime against a frozen baseline — written once, then
+# compared against on every run. A >10% ns/op regression on any shared
+# region benchmark fails verification.
 [ -f BENCH_region_base.json ] || \
     go run ./cmd/dodo-bench -gobench BENCH_region_base.json -pkgs ./internal/region -benchtime 1s
 go run ./cmd/dodo-bench -gobench /tmp/bench_region_now.json -pkgs ./internal/region -benchtime 1s
