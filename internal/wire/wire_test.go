@@ -28,95 +28,28 @@ func roundTrip(t *testing.T, seq uint32, msg Message) Message {
 	return got
 }
 
+// TestRoundTripAllMessages: the populated sample of every registered
+// type decodes to a deeply equal message.
 func TestRoundTripAllMessages(t *testing.T) {
-	region := Region{HostAddr: "10.0.0.7:7070", RegionID: 99, PoolOffset: 4096, Length: 1 << 20, Epoch: 12}
-	key := RegionKey{Inode: 123456, Offset: 789, ClientID: 3}
-	msgs := []Message{
-		&AllocReq{Key: key, Length: 1 << 20},
-		&AllocResp{Status: StatusOK, Region: region},
-		&FreeReq{Key: key},
-		&FreeResp{Status: StatusNotFound},
-		&CheckAllocReq{Key: key},
-		&CheckAllocResp{Status: StatusStale, Fresh: true, Region: region},
-		&KeepAlive{ClientID: 77},
-		&KeepAliveAck{ClientID: 77, Drops: 3, Revalidations: 2, Reopens: 1,
-			HandoffAdopts: 4, HedgedReads: 9, HedgeWins: 5, HedgeWasted: 3, RetryExhausted: 1},
-		&HostStatus{HostAddr: "host3:9000", State: HostIdle, Epoch: 5, AvailBytes: 100 << 20, LargestFree: 64 << 20},
-		&HostStatusAck{Status: StatusOK},
-		&IMDAllocReq{RegionID: 42, Length: 8192},
-		&IMDAllocResp{Status: StatusOK, PoolOffset: 12288, Epoch: 5, AvailBytes: 99 << 20, LargestFree: 50 << 20},
-		&IMDFreeReq{RegionID: 42},
-		&IMDFreeResp{Status: StatusOK, Epoch: 5, AvailBytes: 100 << 20, LargestFree: 64 << 20},
-		&ReadReq{RegionID: 42, Epoch: 5, Offset: 100, Length: 8192},
-		&WriteReq{RegionID: 42, Epoch: 5, Offset: 100, Length: 8192, TransferID: 9001, WriteSeq: 17},
-		&DataResp{Status: StatusOK, Count: 8192, TransferID: 9001},
-		&BulkOffer{TransferID: 9001, TotalLen: 1 << 20, ChunkSize: 1400},
-		&BulkAccept{TransferID: 9001, Window: 32, Status: StatusOK},
-		&BulkData{TransferID: 9001, Seq: 17, Payload: []byte("hello dodo")},
-		&BulkNack{TransferID: 9001, Missing: []uint32{3, 5, 8}},
-		&BulkDone{TransferID: 9001, Status: StatusOK},
-		&HandoffOffer{HostAddr: "host3:9000", Epoch: 5, Regions: []HandoffRegion{
-			{RegionID: 42, Length: 8192, Reads: 31},
-			{RegionID: 43, Length: 4096, Reads: 7},
-		}},
-		&HandoffAccept{Status: StatusOK, Grants: []HandoffGrant{
-			{OldRegionID: 42, Target: region},
-		}},
-		&HandoffPage{RegionID: 99, Epoch: 12, Length: 8192, TransferID: 9002, Crc: 0xCAFEF00D},
-		&HandoffDone{HostAddr: "host3:9000", OldRegionID: 42, Status: StatusBusy},
-		&AllocResp{Status: StatusOK, Incarnation: 3, Region: region},
-		&CheckAllocResp{Status: StatusOK, Incarnation: 3, Region: region},
-		&KeepAlive{ClientID: 77, Incarnation: 3},
-		&KeepAliveAck{ClientID: 77, ChecksumFailures: 2,
-			CorruptHosts: []HostCount{{Addr: "host3:9000", Count: 2}}},
-		&HostStatus{HostAddr: "host3:9000", State: HostIdle, Epoch: 5,
-			AvailBytes: 100 << 20, LargestFree: 64 << 20, Incarnation: 3},
-		&HostStatusAck{Status: StatusStale, Incarnation: 4},
-		&IMDAllocReq{RegionID: 42, Length: 8192, Key: key, Client: "client-3:0"},
-		&WriteReq{RegionID: 42, Epoch: 5, Offset: 100, Length: 8192, TransferID: 9001, WriteSeq: 17, Crc: 0x1234ABCD},
-		&DataResp{Status: StatusOK, Count: 8192, TransferID: 9001, Crc: 0xFEEDFACE},
-		&InventoryReport{HostAddr: "host3:9000", Epoch: 5, Incarnation: 2,
-			AvailBytes: 90 << 20, LargestFree: 30 << 20,
-			Regions: []InventoryRegion{
-				{RegionID: 1<<32 | 7, PoolOffset: 4096, Length: 8192, WriteSeq: 3, Key: key, Client: "client-3:0"},
-				{RegionID: 1<<32 | 8, PoolOffset: 16384, Length: 4096, Key: RegionKey{Inode: 9, Offset: -8, ClientID: 1}},
-			}},
-		&InventoryAck{Status: StatusOK, Incarnation: 2},
-	}
-	for _, msg := range msgs {
-		got := roundTrip(t, 12345, msg)
-		if !reflect.DeepEqual(got, msg) {
-			t.Errorf("%T round-trip mismatch:\n got  %+v\n want %+v", msg, got, msg)
+	for _, s := range samples() {
+		if got := roundTrip(t, 12345, s.msg); s.variant == "" && !reflect.DeepEqual(got, s.msg) {
+			t.Errorf("%s round-trip mismatch:\n got  %+v\n want %+v", s.name(), got, s.msg)
 		}
 	}
 }
 
+// TestRoundTripEmptyVariants: an empty string, list or payload
+// round-trips. Some decoders yield nil for an empty list and others an
+// empty slice, so these compare by what the decoded message encodes to.
 func TestRoundTripEmptyVariants(t *testing.T) {
-	msgs := []Message{
-		&BulkData{TransferID: 1, Seq: 0, Payload: nil},
-		&BulkNack{TransferID: 1, Missing: nil},
-		&HostStatus{HostAddr: "", State: HostBusy},
-		&AllocResp{Status: StatusNoMem, Region: Region{}},
-	}
-	for _, msg := range msgs {
-		got := roundTrip(t, 0, msg)
-		// BulkData normalizes nil payloads to empty slices on decode;
-		// compare contents, not representation.
-		switch want := msg.(type) {
-		case *BulkData:
-			g := got.(*BulkData)
-			if g.TransferID != want.TransferID || g.Seq != want.Seq || len(g.Payload) != 0 {
-				t.Errorf("BulkData round-trip = %+v, want %+v", g, want)
-			}
-		case *BulkNack:
-			g := got.(*BulkNack)
-			if g.TransferID != want.TransferID || len(g.Missing) != 0 {
-				t.Errorf("BulkNack round-trip = %+v, want %+v", g, want)
-			}
-		default:
-			if !reflect.DeepEqual(got, msg) {
-				t.Errorf("%T round-trip mismatch: got %+v want %+v", msg, got, msg)
-			}
+	for _, s := range samples() {
+		if s.variant == "" {
+			continue
+		}
+		got := roundTrip(t, 0, s.msg)
+		want, _ := Encode(0, s.msg)
+		if re, err := Encode(0, got); err != nil || !bytes.Equal(re, want) {
+			t.Errorf("%s round-trip = %+v (%v), want %+v", s.name(), got, err, s.msg)
 		}
 	}
 }
@@ -169,29 +102,17 @@ func TestHeaderRejectsOversizePayload(t *testing.T) {
 	}
 }
 
-// TestTruncatedPayloadsRejected: every message has one layout, whose
-// minimum is its zero value's encoding, and any shorter payload is
-// ErrTruncated — never a decode that zero-fills the missing tail. The
-// 32-byte ReadReq and the 21-byte DataResp of version 1 are two of the
-// prefixes this walks.
+// TestTruncatedPayloadsRejected: every message has one layout, and any
+// payload shorter than it is ErrTruncated — never a panic, never a
+// decode that zero-fills the missing tail. Every sample and every
+// type's zero value is cut at every byte; the 32-byte ReadReq and the
+// 21-byte DataResp of version 1 are two of the prefixes this walks.
 func TestTruncatedPayloadsRejected(t *testing.T) {
-	for ty := TAllocReq; ty < typeSentinel; ty++ {
-		msg := newMessage(ty)
-		if msg == nil {
-			t.Fatalf("newMessage(%v) = nil", ty)
-		}
-		full, err := Encode(0, msg)
-		if err != nil {
-			t.Fatalf("Encode(zero %v): %v", ty, err)
-		}
-		for n := 0; n < len(full)-HeaderSize; n++ {
-			frame := append([]byte(nil), full[:HeaderSize+n]...)
-			PutHeader(frame, Header{Type: ty, Seq: 0, PayloadLen: uint32(n)})
-			if _, _, err := Decode(frame); !errors.Is(err, ErrTruncated) {
-				t.Errorf("Decode(%v) with %d of %d payload bytes = %v, want ErrTruncated",
-					ty, n, len(full)-HeaderSize, err)
-			}
-		}
+	for ty := TInvalid + 1; ty < typeSentinel; ty++ {
+		sweepTruncations(t, "zero "+ty.String(), zero(ty))
+	}
+	for _, s := range samples() {
+		sweepTruncations(t, s.name(), s.msg)
 	}
 }
 
