@@ -18,8 +18,9 @@
 //
 // -compare diffs two such reports benchmark by benchmark, printing the
 // percentage change of every shared metric, and exits non-zero when
-// any shared benchmark's ns/op regressed by more than 10%. verify.sh
-// runs it as the perf gate against those baselines.
+// any shared benchmark's ns/op regressed by more than 10%, or its
+// allocs/op by more than 1 and more than 2%. verify.sh runs it as the
+// perf gate against those baselines.
 package main
 
 import (
@@ -52,7 +53,7 @@ func main() {
 	gobench := flag.String("gobench", "", "run 'go test -bench . -benchtime 1x' once and write parsed results as JSON to this file, then exit")
 	benchtime := flag.String("benchtime", "1x", "go test -benchtime for -gobench (e.g. 1x for a smoke pass, 1s for gating-quality numbers)")
 	pkgs := flag.String("pkgs", "", "comma-separated package list for -gobench (default: the standard suite)")
-	compare := flag.Bool("compare", false, "compare two -gobench JSON reports (old new); exit 1 on a >10% ns/op regression")
+	compare := flag.Bool("compare", false, "compare two -gobench JSON reports (old new); exit 1 on a >10% ns/op or a >1 and >2% allocs/op regression")
 	flag.Parse()
 	if *gobench != "" {
 		var pkgList []string
@@ -357,9 +358,24 @@ func loadReport(path string) (*benchReport, error) {
 // -compare fails the comparison.
 const regressionThreshold = 0.10
 
+// regresses reports whether a metric's move from ov to nv fails the
+// comparison: ns/op up by more than regressionThreshold, or allocs/op
+// up by more than 1 and by more than 2 % — the first depends on the
+// machine the baseline was taken on, the second does not. No other
+// unit gates.
+func regresses(unit string, ov, nv float64) bool {
+	switch unit {
+	case "ns/op":
+		return ov > 0 && (nv-ov)/ov > regressionThreshold
+	case "allocs/op":
+		return nv-ov > 1 && nv-ov > 0.02*ov
+	}
+	return false
+}
+
 // compareReports prints per-benchmark metric deltas between two
-// -gobench snapshots and reports whether any benchmark present in both
-// regressed its ns/op by more than regressionThreshold. Benchmarks or
+// -gobench snapshots and reports whether any metric of a benchmark
+// present in both regressed, as regresses defines it. Benchmarks or
 // metrics present on only one side are listed but never gate: a new
 // benchmark has no baseline, and a removed one has no measurement.
 func compareReports(w io.Writer, oldPath, newPath string) (regressed bool, err error) {
@@ -401,7 +417,7 @@ func compareReports(w io.Writer, oldPath, newPath string) (regressed bool, err e
 				pct = (nv - ov) / ov * 100
 			}
 			mark := ""
-			if unit == "ns/op" && ov > 0 && (nv-ov)/ov > regressionThreshold {
+			if regresses(unit, ov, nv) {
 				regressed = true
 				mark = "  REGRESSION"
 			}

@@ -15,7 +15,7 @@ const MaxTransfer = 1 << 30
 
 // chunkSize returns the per-packet payload for this endpoint's transport.
 func (ep *Endpoint) chunkSize() int {
-	return ep.tr.MTU() - wire.HeaderSize - 12 // 12 = BulkData fixed fields
+	return ep.tr.MTU() - wire.BulkDataPrefixSize
 }
 
 // sendData transmits one BulkData packet: scatter-gather when the

@@ -956,12 +956,11 @@ func (d *Daemon) handleReadBatch(from string, req *wire.ReadBatchReq) wire.Messa
 
 	// Whole response in one frame when it fits: statuses, CRCs and the
 	// stream itself, no bulk transfer.
-	inlineSize := 12 + 13*len(results) + len(stream)
-	if wire.HeaderSize+inlineSize <= d.ep.Transport().MTU() {
+	inline := &wire.ReadBatchResp{Status: wire.StatusOK, Flags: wire.DataFlagInline, Results: results, Payload: stream}
+	if wire.HeaderSize+wire.PayloadSize(inline) <= d.ep.Transport().MTU() {
 		d.mu.Unlock()
-		resp := &wire.ReadBatchResp{Status: wire.StatusOK, Flags: wire.DataFlagInline, Results: results, Payload: stream}
-		d.memoize(from, req.XferID, resp)
-		return resp
+		d.memoize(from, req.XferID, inline)
+		return inline
 	}
 	if !d.canBlast(req.XferID, req.ChunkSize) {
 		d.mu.Unlock()

@@ -8,28 +8,22 @@ import (
 	"strings"
 )
 
-// WireExhaustiveness keeps the wire protocol closed under extension.
-// Two checks:
+// WireExhaustiveness keeps the wire protocol closed under extension:
+// in wire, bulk, imd, manager and core, every type switch over
+// wire.Message must list every registered message type. A default
+// clause does not count as coverage — it is exactly how a newly added
+// type gets silently dropped. Narrow correlation switches that
+// intentionally match a message subset (a sender draining its own
+// response channel) are marked //vet:ignore wire-exhaustiveness.
 //
-//  1. registry completeness (in internal/wire itself): every exported
-//     wire.Type constant except TInvalid must have a case in
-//     newMessage, a message whose Kind() returns it, and an entry in
-//     typeNames. A type constant without a registered message encodes
-//     frames nobody can decode.
-//  2. dispatch exhaustiveness (in wire, bulk, imd, manager, core):
-//     every type switch over wire.Message must list every registered
-//     message type. A default clause does not count as coverage — it
-//     is exactly how a newly added type gets silently dropped. Narrow
-//     correlation switches that intentionally match a message subset
-//     (a sender draining its own response channel) are marked
-//     //vet:ignore wire-exhaustiveness.
-//
-// Together with FuzzWireRoundTrip (internal/wire) this means adding a
-// wire.Type constant fails vet until the message is registered and
-// every dispatcher has decided what to do with it.
+// That a wire.Type constant has a name, a constructor and a message is
+// not checked here: internal/wire keeps all three in one table, and its
+// TestTypeTable walks it. Together with FuzzWireRoundTrip this means a
+// new wire.Type fails the wire tests until its row exists, and fails
+// vet until every dispatcher has decided what to do with it.
 var WireExhaustiveness = &Analyzer{
 	Name: "wire-exhaustiveness",
-	Doc:  "every wire.Type has a registered message, and every wire.Message type switch handles or explicitly ignores every type",
+	Doc:  "every wire.Message type switch handles or explicitly ignores every registered message type",
 	Run:  runWireExhaustiveness,
 }
 
@@ -117,135 +111,7 @@ func runWireExhaustiveness(pass *Pass) []Finding {
 	if w == nil {
 		return nil
 	}
-	var findings []Finding
-	if isWirePkg(pass.Pkg.Path()) {
-		findings = append(findings, checkWireRegistry(pass)...)
-	}
-	findings = append(findings, checkWireDispatch(pass, w)...)
-	return findings
-}
-
-// checkWireRegistry verifies newMessage, Kind and typeNames cover every
-// exported Type constant.
-func checkWireRegistry(pass *Pass) []Finding {
-	var findings []Finding
-
-	// The Type named type of this package.
-	typeObj, ok := pass.Pkg.Scope().Lookup("Type").(*types.TypeName)
-	if !ok {
-		return nil
-	}
-	typeType := typeObj.Type()
-
-	// All exported constants of type Type, except TInvalid (the zero
-	// guard; unexported sentinels are excluded by the export check).
-	type constInfo struct {
-		name string
-		node ast.Node
-	}
-	var constants []constInfo
-	isTypeConst := func(obj types.Object) bool {
-		c, ok := obj.(*types.Const)
-		return ok && types.Identical(c.Type(), typeType)
-	}
-	newMessageCases := make(map[string]bool)
-	kindReturns := make(map[string]bool)
-	typeNameKeys := make(map[string]bool)
-
-	for _, file := range pass.Files {
-		if pass.isTestFile(file.Pos()) {
-			continue
-		}
-		ast.Inspect(file, func(n ast.Node) bool {
-			switch node := n.(type) {
-			case *ast.ValueSpec:
-				for _, name := range node.Names {
-					obj := pass.Info.Defs[name]
-					if obj == nil || !isTypeConst(obj) || !obj.Exported() || name.Name == "TInvalid" {
-						continue
-					}
-					constants = append(constants, constInfo{name: name.Name, node: name})
-				}
-			case *ast.FuncDecl:
-				switch {
-				case node.Name.Name == "newMessage" && node.Recv == nil:
-					ast.Inspect(node, func(m ast.Node) bool {
-						cc, ok := m.(*ast.CaseClause)
-						if !ok {
-							return true
-						}
-						for _, e := range cc.List {
-							if id, ok := ast.Unparen(e).(*ast.Ident); ok {
-								if obj := pass.Info.Uses[id]; obj != nil && isTypeConst(obj) {
-									newMessageCases[id.Name] = true
-								}
-							}
-						}
-						return true
-					})
-				case node.Name.Name == "Kind" && node.Recv != nil:
-					ast.Inspect(node, func(m ast.Node) bool {
-						ret, ok := m.(*ast.ReturnStmt)
-						if !ok {
-							return true
-						}
-						for _, r := range ret.Results {
-							if id, ok := ast.Unparen(r).(*ast.Ident); ok {
-								if obj := pass.Info.Uses[id]; obj != nil && isTypeConst(obj) {
-									kindReturns[id.Name] = true
-								}
-							}
-						}
-						return true
-					})
-				}
-				return false
-			case *ast.CompositeLit:
-				return true
-			}
-			return true
-		})
-		// typeNames map keys.
-		ast.Inspect(file, func(n ast.Node) bool {
-			vs, ok := n.(*ast.ValueSpec)
-			if !ok {
-				return true
-			}
-			for i, name := range vs.Names {
-				if name.Name != "typeNames" || i >= len(vs.Values) {
-					continue
-				}
-				if lit, ok := vs.Values[i].(*ast.CompositeLit); ok {
-					for _, elt := range lit.Elts {
-						kv, ok := elt.(*ast.KeyValueExpr)
-						if !ok {
-							continue
-						}
-						if id, ok := ast.Unparen(kv.Key).(*ast.Ident); ok {
-							typeNameKeys[id.Name] = true
-						}
-					}
-				}
-			}
-			return true
-		})
-	}
-
-	for _, c := range constants {
-		if !newMessageCases[c.name] {
-			findings = append(findings, findingAt(pass, "wire-exhaustiveness", c.node,
-				"wire type %s has no case in newMessage; frames of this type cannot be decoded", c.name))
-		}
-		if !kindReturns[c.name] {
-			findings = append(findings, findingAt(pass, "wire-exhaustiveness", c.node,
-				"no message's Kind() returns %s; the type constant has no registered message", c.name))
-		}
-		if !typeNameKeys[c.name] {
-			findings = append(findings, findingAt(pass, "wire-exhaustiveness", c.node,
-				"wire type %s has no entry in typeNames; it will log as an opaque number", c.name))
-		}
-	}
-	return findings
+	return checkWireDispatch(pass, w)
 }
 
 // checkWireDispatch flags type switches over wire.Message that do not

@@ -1,0 +1,109 @@
+package wire
+
+import (
+	"errors"
+	"runtime"
+	"testing"
+)
+
+// TestTypeTable is the registry check: every type between TInvalid and
+// typeSentinel has a row in types with a name no other row has and a
+// constructor whose message reports that type.
+func TestTypeTable(t *testing.T) {
+	names := map[string]Type{}
+	for ty := TInvalid + 1; ty < typeSentinel; ty++ {
+		row := types[ty]
+		if row.name == "" {
+			t.Errorf("wire type %d has no name in types", ty)
+		} else if prev, dup := names[row.name]; dup {
+			t.Errorf("wire types %d and %d are both named %q", prev, ty, row.name)
+		}
+		names[row.name] = ty
+		if row.new == nil {
+			t.Errorf("wire type %v has no constructor in types; frames of this type cannot be decoded", ty)
+		} else if got := row.new().Kind(); got != ty {
+			t.Errorf("types[%v].new().Kind() = %v", ty, got)
+		}
+	}
+}
+
+// TestHostileCountsCostNothing: the smallest frame of every message
+// that carries a list, its count bytes set to 0xFFFF and no element
+// behind them, is ErrTruncated — and is refused before anything is
+// allocated for the elements it claims.
+func TestHostileCountsCostNothing(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		msg  Message
+		// behind is how many payload bytes follow the count in the
+		// message's zero value: the next list's own count.
+		behind int
+	}{
+		{"KeepAliveAck", &KeepAliveAck{}, 0},
+		{"BulkNack", &BulkNack{}, 0},
+		{"ClusterStatsResp/hosts", &ClusterStatsResp{}, 2},
+		{"ClusterStatsResp/corrupt", &ClusterStatsResp{}, 0},
+		{"HandoffOffer", &HandoffOffer{}, 0},
+		{"HandoffAccept", &HandoffAccept{}, 0},
+		{"InventoryReport", &InventoryReport{}, 0},
+		{"ReadBatchReq", &ReadBatchReq{}, 0},
+		{"ReadBatchResp", &ReadBatchResp{}, 0},
+	} {
+		frame, err := Encode(1, tc.msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		count := frame[len(frame)-tc.behind-2:]
+		count[0], count[1] = 0xFF, 0xFF
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, err = Decode(frame)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrTruncated) {
+			t.Errorf("%s with a hostile count = %v, want ErrTruncated", tc.name, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 4<<10 {
+			t.Errorf("%s with a hostile count allocated %d B before refusing it", tc.name, got)
+		}
+	}
+}
+
+// TestAllocBudget pins the codec's allocations, which unlike its ns/op
+// are the same on every machine: the frame on encode, the message on
+// decode, nothing for the walk itself.
+func TestAllocBudget(t *testing.T) {
+	req := &ReadReq{RegionID: 42, Epoch: 5, Offset: 100, Length: 8192}
+	frame, err := Encode(1, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		max  float64
+		f    func()
+	}{
+		{"Encode", 1, func() { _, _ = Encode(1, req) }},
+		{"Decode", 1, func() { _, _, _ = Decode(frame) }},
+		// PutFrame boxes the slice header it returns to the pool.
+		{"EncodePooled+PutFrame", 1, func() { f, _ := EncodePooled(1, req); PutFrame(f) }},
+		{"PayloadSize", 0, func() { _ = PayloadSize(req) }},
+	} {
+		if got := testing.AllocsPerRun(200, tc.f); got > tc.max {
+			t.Errorf("%s = %v allocs/op, budget %v", tc.name, got, tc.max)
+		}
+	}
+}
+
+// TestInlineDataLimit pins the limit against an encoded frame: a
+// DataResp carrying exactly InlineDataLimit(mtu) bytes fills the MTU.
+func TestInlineDataLimit(t *testing.T) {
+	for _, mtu := range []int{1500, 63 << 10} {
+		frame, err := Encode(1, &DataResp{Flags: DataFlagInline, Payload: make([]byte, InlineDataLimit(mtu))})
+		if err != nil || len(frame) != mtu {
+			t.Errorf("DataResp at InlineDataLimit(%d) is %d bytes (%v)", mtu, len(frame), err)
+		}
+	}
+	if want := HeaderSize + PayloadSize(&BulkData{}); BulkDataPrefixSize != want {
+		t.Errorf("BulkDataPrefixSize = %d, BulkData's fixed fields encode to %d", BulkDataPrefixSize, want)
+	}
+}

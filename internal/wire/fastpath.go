@@ -93,31 +93,39 @@ func PutFrame(b []byte) {
 //
 // dodo:acquires(frame)
 func EncodePooled(seq uint32, msg Message) ([]byte, error) {
-	n := msg.payloadSize()
-	if n > MaxPayload {
-		return nil, ErrOversize
+	c := cursors.Get().(*cursor)
+	defer cursors.Put(c)
+	n, err := c.frameSize(msg)
+	if err != nil {
+		return nil, err
 	}
-	frame := GetFrame(HeaderSize + n)
-	PutHeader(frame, Header{Type: msg.Kind(), Seq: seq, PayloadLen: uint32(n)})
-	if err := msg.encode(frame[HeaderSize:]); err != nil {
+	frame := GetFrame(n)
+	if err := c.putFrame(frame, seq, msg); err != nil {
 		PutFrame(frame)
 		return nil, err
 	}
 	return frame, nil
 }
 
+// dataRespFixed is the size of a DataResp payload with nothing inline.
+var dataRespFixed = PayloadSize(new(DataResp))
+
 // InlineDataLimit is the largest payload a DataResp can carry inline on
-// a transport with the given MTU: the frame header and the 22 fixed
-// DataResp bytes must fit alongside it. It is the one rule that picks a
+// a transport with the given MTU: the frame header and the fixed
+// DataResp fields must fit alongside it. It is the one rule that picks a
 // read's response shape: the requester uses it to decide whether to
 // pre-register a bulk receive, the responder to decide whether to
 // answer inline.
-func InlineDataLimit(mtu int) int { return mtu - HeaderSize - 22 }
+func InlineDataLimit(mtu int) int { return mtu - HeaderSize - dataRespFixed }
+
+// bulkDataFixed is the size of BulkData's fixed fields, TransferID and
+// Seq, as the two functions below lay them out by hand.
+const bulkDataFixed = 8 + 4
 
 // BulkDataPrefixSize is the encoded size of everything in a BulkData
 // frame that precedes the payload: the frame header plus the fixed
 // TransferID/Seq fields.
-const BulkDataPrefixSize = HeaderSize + 12
+const BulkDataPrefixSize = HeaderSize + bulkDataFixed
 
 // PutBulkDataPrefix encodes the header and fixed fields of a BulkData
 // frame carrying payloadLen payload bytes into buf (at least
@@ -125,7 +133,7 @@ const BulkDataPrefixSize = HeaderSize + 12
 // send: pair it with a transport SendVec whose second element is the
 // payload itself, and no per-packet payload copy happens on this side.
 func PutBulkDataPrefix(buf []byte, id uint64, seq uint32, payloadLen int) {
-	PutHeader(buf, Header{Type: TBulkData, Seq: 0, PayloadLen: uint32(12 + payloadLen)})
+	PutHeader(buf, Header{Type: TBulkData, Seq: 0, PayloadLen: uint32(bulkDataFixed + payloadLen)})
 	binary.BigEndian.PutUint64(buf[HeaderSize:], id)
 	binary.BigEndian.PutUint32(buf[HeaderSize+8:], seq)
 }
@@ -146,11 +154,11 @@ func DecodeBulkData(frame []byte) (id uint64, seq uint32, payload []byte, err er
 	if h.Type != TBulkData {
 		return 0, 0, nil, ErrBadType
 	}
-	if h.PayloadLen < 12 {
+	if h.PayloadLen < bulkDataFixed {
 		return 0, 0, nil, ErrTruncated
 	}
 	b := frame[HeaderSize : HeaderSize+int(h.PayloadLen)]
 	id = binary.BigEndian.Uint64(b[0:])
 	seq = binary.BigEndian.Uint32(b[8:])
-	return id, seq, b[12:], nil
+	return id, seq, b[bulkDataFixed:], nil
 }

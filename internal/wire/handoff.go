@@ -1,7 +1,5 @@
 package wire
 
-import "encoding/binary"
-
 // Graceful-reclaim handoff sub-protocol. When a workstation owner
 // returns, the draining imd does not simply drop its cached pages: it
 // offers its hottest regions to the manager (HandoffOffer), the
@@ -22,7 +20,9 @@ type HandoffRegion struct {
 	Reads    uint64
 }
 
-const handoffRegionSize = 24
+func (r *HandoffRegion) fields(c *cursor) { c.u64(&r.RegionID, &r.Length, &r.Reads) }
+
+var handoffRegions = newList(math16max, (*HandoffRegion).fields)
 
 // HandoffGrant pairs a draining imd's region with the destination
 // region the manager pre-allocated for it on a peer imd.
@@ -32,6 +32,13 @@ type HandoffGrant struct {
 	// Target is the pre-allocated destination region descriptor.
 	Target Region
 }
+
+func (g *HandoffGrant) fields(c *cursor) {
+	c.u64(&g.OldRegionID)
+	g.Target.fields(c)
+}
+
+var handoffGrants = newList(math16max, (*HandoffGrant).fields)
 
 // HandoffOffer is the draining imd's offer to the manager: its
 // identity (address + epoch, so a stale offer from a previous
@@ -43,53 +50,10 @@ type HandoffOffer struct {
 }
 
 func (*HandoffOffer) Kind() Type { return THandoffOffer }
-func (m *HandoffOffer) payloadSize() int {
-	return 2 + len(m.HostAddr) + 8 + 2 + handoffRegionSize*len(m.Regions)
-}
-func (m *HandoffOffer) encode(b []byte) error {
-	if len(m.Regions) > math16max {
-		return ErrFieldBounds
-	}
-	n, err := putString(b, m.HostAddr)
-	if err != nil {
-		return err
-	}
-	binary.BigEndian.PutUint64(b[n:], m.Epoch)
-	binary.BigEndian.PutUint16(b[n+8:], uint16(len(m.Regions)))
-	at := n + 10
-	for _, r := range m.Regions {
-		binary.BigEndian.PutUint64(b[at:], r.RegionID)
-		binary.BigEndian.PutUint64(b[at+8:], r.Length)
-		binary.BigEndian.PutUint64(b[at+16:], r.Reads)
-		at += handoffRegionSize
-	}
-	return nil
-}
-func (m *HandoffOffer) decode(b []byte) error {
-	addr, n, err := getString(b)
-	if err != nil {
-		return err
-	}
-	if len(b) < n+10 {
-		return ErrTruncated
-	}
-	m.HostAddr = addr
-	m.Epoch = binary.BigEndian.Uint64(b[n:])
-	count := int(binary.BigEndian.Uint16(b[n+8:]))
-	at := n + 10
-	if len(b) < at+handoffRegionSize*count {
-		return ErrTruncated
-	}
-	m.Regions = make([]HandoffRegion, 0, count)
-	for i := 0; i < count; i++ {
-		m.Regions = append(m.Regions, HandoffRegion{
-			RegionID: binary.BigEndian.Uint64(b[at:]),
-			Length:   binary.BigEndian.Uint64(b[at+8:]),
-			Reads:    binary.BigEndian.Uint64(b[at+16:]),
-		})
-		at += handoffRegionSize
-	}
-	return nil
+func (m *HandoffOffer) fields(c *cursor) {
+	c.str(&m.HostAddr)
+	c.u64(&m.Epoch)
+	handoffRegions.counted(c, &m.Regions)
 }
 
 // HandoffAccept is the manager's answer: one grant per region it found
@@ -102,53 +66,9 @@ type HandoffAccept struct {
 }
 
 func (*HandoffAccept) Kind() Type { return THandoffAccept }
-func (m *HandoffAccept) payloadSize() int {
-	n := 1 + 2
-	for _, g := range m.Grants {
-		n += 8 + g.Target.encodedSize()
-	}
-	return n
-}
-func (m *HandoffAccept) encode(b []byte) error {
-	if len(m.Grants) > math16max {
-		return ErrFieldBounds
-	}
-	b[0] = uint8(m.Status)
-	binary.BigEndian.PutUint16(b[1:], uint16(len(m.Grants)))
-	at := 3
-	for _, g := range m.Grants {
-		binary.BigEndian.PutUint64(b[at:], g.OldRegionID)
-		at += 8
-		n, err := putRegion(b[at:], g.Target)
-		if err != nil {
-			return err
-		}
-		at += n
-	}
-	return nil
-}
-func (m *HandoffAccept) decode(b []byte) error {
-	if len(b) < 3 {
-		return ErrTruncated
-	}
-	m.Status = Status(b[0])
-	count := int(binary.BigEndian.Uint16(b[1:]))
-	at := 3
-	m.Grants = make([]HandoffGrant, 0, count)
-	for i := 0; i < count; i++ {
-		if len(b) < at+8 {
-			return ErrTruncated
-		}
-		old := binary.BigEndian.Uint64(b[at:])
-		at += 8
-		r, n, err := getRegion(b[at:])
-		if err != nil {
-			return err
-		}
-		at += n
-		m.Grants = append(m.Grants, HandoffGrant{OldRegionID: old, Target: r})
-	}
-	return nil
+func (m *HandoffAccept) fields(c *cursor) {
+	c.status(&m.Status)
+	handoffGrants.counted(c, &m.Grants)
 }
 
 // HandoffPage announces one page push from the draining imd to the
@@ -168,26 +88,10 @@ type HandoffPage struct {
 	Crc uint32
 }
 
-func (*HandoffPage) Kind() Type       { return THandoffPage }
-func (*HandoffPage) payloadSize() int { return 36 }
-func (m *HandoffPage) encode(b []byte) error {
-	binary.BigEndian.PutUint64(b[0:], m.RegionID)
-	binary.BigEndian.PutUint64(b[8:], m.Epoch)
-	binary.BigEndian.PutUint64(b[16:], m.Length)
-	binary.BigEndian.PutUint64(b[24:], m.TransferID)
-	binary.BigEndian.PutUint32(b[32:], m.Crc)
-	return nil
-}
-func (m *HandoffPage) decode(b []byte) error {
-	if len(b) < 36 {
-		return ErrTruncated
-	}
-	m.RegionID = binary.BigEndian.Uint64(b[0:])
-	m.Epoch = binary.BigEndian.Uint64(b[8:])
-	m.Length = binary.BigEndian.Uint64(b[16:])
-	m.TransferID = binary.BigEndian.Uint64(b[24:])
-	m.Crc = binary.BigEndian.Uint32(b[32:])
-	return nil
+func (*HandoffPage) Kind() Type { return THandoffPage }
+func (m *HandoffPage) fields(c *cursor) {
+	c.u64(&m.RegionID, &m.Epoch, &m.Length, &m.TransferID)
+	c.u32(&m.Crc)
 }
 
 // HandoffDone reports one region's handoff outcome to the manager.
@@ -201,27 +105,9 @@ type HandoffDone struct {
 	Status      Status
 }
 
-func (*HandoffDone) Kind() Type         { return THandoffDone }
-func (m *HandoffDone) payloadSize() int { return 2 + len(m.HostAddr) + 9 }
-func (m *HandoffDone) encode(b []byte) error {
-	n, err := putString(b, m.HostAddr)
-	if err != nil {
-		return err
-	}
-	binary.BigEndian.PutUint64(b[n:], m.OldRegionID)
-	b[n+8] = uint8(m.Status)
-	return nil
-}
-func (m *HandoffDone) decode(b []byte) error {
-	addr, n, err := getString(b)
-	if err != nil {
-		return err
-	}
-	if len(b) < n+9 {
-		return ErrTruncated
-	}
-	m.HostAddr = addr
-	m.OldRegionID = binary.BigEndian.Uint64(b[n:])
-	m.Status = Status(b[n+8])
-	return nil
+func (*HandoffDone) Kind() Type { return THandoffDone }
+func (m *HandoffDone) fields(c *cursor) {
+	c.str(&m.HostAddr)
+	c.u64(&m.OldRegionID)
+	c.status(&m.Status)
 }

@@ -1,7 +1,5 @@
 package wire
 
-import "encoding/binary"
-
 // Manager crash-recovery sub-protocol. The central manager keeps its
 // region directory purely in memory; after a crash it restarts under a
 // new incarnation number and rebuilds the directory as soft state from
@@ -30,7 +28,13 @@ type InventoryRegion struct {
 	Client string
 }
 
-func (r InventoryRegion) encodedSize() int { return 32 + regionKeySize + 2 + len(r.Client) }
+func (r *InventoryRegion) fields(c *cursor) {
+	c.u64(&r.RegionID, &r.PoolOffset, &r.Length, &r.WriteSeq)
+	r.Key.fields(c)
+	c.str(&r.Client)
+}
+
+var inventoryRegions = newList(math16max, (*InventoryRegion).fields)
 
 // InventoryReport is an imd's full inventory re-report to a restarted
 // manager (imd -> cmd). Incarnation is the manager incarnation the imd
@@ -46,87 +50,10 @@ type InventoryReport struct {
 }
 
 func (*InventoryReport) Kind() Type { return TInventoryReport }
-func (m *InventoryReport) payloadSize() int {
-	n := 2 + len(m.HostAddr) + 32 + 2
-	for _, r := range m.Regions {
-		n += r.encodedSize()
-	}
-	return n
-}
-func (m *InventoryReport) encode(b []byte) error {
-	if len(m.Regions) > math16max {
-		return ErrFieldBounds
-	}
-	n, err := putString(b, m.HostAddr)
-	if err != nil {
-		return err
-	}
-	binary.BigEndian.PutUint64(b[n:], m.Epoch)
-	binary.BigEndian.PutUint64(b[n+8:], m.Incarnation)
-	binary.BigEndian.PutUint64(b[n+16:], m.AvailBytes)
-	binary.BigEndian.PutUint64(b[n+24:], m.LargestFree)
-	binary.BigEndian.PutUint16(b[n+32:], uint16(len(m.Regions)))
-	at := n + 34
-	for _, r := range m.Regions {
-		binary.BigEndian.PutUint64(b[at:], r.RegionID)
-		binary.BigEndian.PutUint64(b[at+8:], r.PoolOffset)
-		binary.BigEndian.PutUint64(b[at+16:], r.Length)
-		binary.BigEndian.PutUint64(b[at+24:], r.WriteSeq)
-		at += 32
-		at += putRegionKey(b[at:], r.Key)
-		cn, err := putString(b[at:], r.Client)
-		if err != nil {
-			return err
-		}
-		at += cn
-	}
-	return nil
-}
-func (m *InventoryReport) decode(b []byte) error {
-	addr, n, err := getString(b)
-	if err != nil {
-		return err
-	}
-	if len(b) < n+34 {
-		return ErrTruncated
-	}
-	m.HostAddr = addr
-	m.Epoch = binary.BigEndian.Uint64(b[n:])
-	m.Incarnation = binary.BigEndian.Uint64(b[n+8:])
-	m.AvailBytes = binary.BigEndian.Uint64(b[n+16:])
-	m.LargestFree = binary.BigEndian.Uint64(b[n+24:])
-	count := int(binary.BigEndian.Uint16(b[n+32:]))
-	at := n + 34
-	m.Regions = nil
-	if count > 0 {
-		m.Regions = make([]InventoryRegion, 0, count)
-	}
-	for i := 0; i < count; i++ {
-		if len(b) < at+32 {
-			return ErrTruncated
-		}
-		r := InventoryRegion{
-			RegionID:   binary.BigEndian.Uint64(b[at:]),
-			PoolOffset: binary.BigEndian.Uint64(b[at+8:]),
-			Length:     binary.BigEndian.Uint64(b[at+16:]),
-			WriteSeq:   binary.BigEndian.Uint64(b[at+24:]),
-		}
-		at += 32
-		key, kn, err := getRegionKey(b[at:])
-		if err != nil {
-			return err
-		}
-		at += kn
-		client, cn, err := getString(b[at:])
-		if err != nil {
-			return err
-		}
-		at += cn
-		r.Key = key
-		r.Client = client
-		m.Regions = append(m.Regions, r)
-	}
-	return nil
+func (m *InventoryReport) fields(c *cursor) {
+	c.str(&m.HostAddr)
+	c.u64(&m.Epoch, &m.Incarnation, &m.AvailBytes, &m.LargestFree)
+	inventoryRegions.counted(c, &m.Regions)
 }
 
 // InventoryAck acknowledges an InventoryReport (cmd -> imd). StatusOK
@@ -138,18 +65,8 @@ type InventoryAck struct {
 	Incarnation uint64
 }
 
-func (*InventoryAck) Kind() Type       { return TInventoryAck }
-func (*InventoryAck) payloadSize() int { return 9 }
-func (m *InventoryAck) encode(b []byte) error {
-	b[0] = uint8(m.Status)
-	binary.BigEndian.PutUint64(b[1:], m.Incarnation)
-	return nil
-}
-func (m *InventoryAck) decode(b []byte) error {
-	if len(b) < 9 {
-		return ErrTruncated
-	}
-	m.Status = Status(b[0])
-	m.Incarnation = binary.BigEndian.Uint64(b[1:])
-	return nil
+func (*InventoryAck) Kind() Type { return TInventoryAck }
+func (m *InventoryAck) fields(c *cursor) {
+	c.status(&m.Status)
+	c.u64(&m.Incarnation)
 }

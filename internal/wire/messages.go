@@ -1,122 +1,6 @@
 package wire
 
-import (
-	"encoding/binary"
-	"fmt"
-)
-
-// Message is implemented by every payload type in the protocol.
-type Message interface {
-	// Kind returns the wire type tag of the message.
-	Kind() Type
-	// payloadSize returns the exact encoded payload length.
-	payloadSize() int
-	// encode writes the payload into buf (already payloadSize() long).
-	encode(buf []byte) error
-	// decode parses the payload from buf.
-	decode(buf []byte) error
-}
-
-// Encode serializes msg into a standalone frame with the given sequence
-// number.
-func Encode(seq uint32, msg Message) ([]byte, error) {
-	n := msg.payloadSize()
-	if n > MaxPayload {
-		return nil, ErrOversize
-	}
-	frame := make([]byte, HeaderSize+n)
-	PutHeader(frame, Header{Type: msg.Kind(), Seq: seq, PayloadLen: uint32(n)})
-	if err := msg.encode(frame[HeaderSize:]); err != nil {
-		return nil, err
-	}
-	return frame, nil
-}
-
-// Decode parses a frame into its header and typed message.
-func Decode(frame []byte) (Header, Message, error) {
-	h, err := ParseHeader(frame)
-	if err != nil {
-		return Header{}, nil, err
-	}
-	msg := newMessage(h.Type)
-	if msg == nil {
-		return Header{}, nil, ErrBadType
-	}
-	if err := msg.decode(frame[HeaderSize : HeaderSize+int(h.PayloadLen)]); err != nil {
-		return Header{}, nil, fmt.Errorf("wire: decoding %v: %w", h.Type, err)
-	}
-	return h, msg, nil
-}
-
-func newMessage(t Type) Message {
-	switch t {
-	case TAllocReq:
-		return &AllocReq{}
-	case TAllocResp:
-		return &AllocResp{}
-	case TFreeReq:
-		return &FreeReq{}
-	case TFreeResp:
-		return &FreeResp{}
-	case TCheckAllocReq:
-		return &CheckAllocReq{}
-	case TCheckAllocResp:
-		return &CheckAllocResp{}
-	case TKeepAlive:
-		return &KeepAlive{}
-	case TKeepAliveAck:
-		return &KeepAliveAck{}
-	case THostStatus:
-		return &HostStatus{}
-	case THostStatusAck:
-		return &HostStatusAck{}
-	case TIMDAllocReq:
-		return &IMDAllocReq{}
-	case TIMDAllocResp:
-		return &IMDAllocResp{}
-	case TIMDFreeReq:
-		return &IMDFreeReq{}
-	case TIMDFreeResp:
-		return &IMDFreeResp{}
-	case TReadReq:
-		return &ReadReq{}
-	case TWriteReq:
-		return &WriteReq{}
-	case TDataResp:
-		return &DataResp{}
-	case TBulkOffer:
-		return &BulkOffer{}
-	case TBulkAccept:
-		return &BulkAccept{}
-	case TBulkData:
-		return &BulkData{}
-	case TBulkNack:
-		return &BulkNack{}
-	case TBulkDone:
-		return &BulkDone{}
-	case TClusterStatsReq:
-		return &ClusterStatsReq{}
-	case TClusterStatsResp:
-		return &ClusterStatsResp{}
-	case THandoffOffer:
-		return &HandoffOffer{}
-	case THandoffAccept:
-		return &HandoffAccept{}
-	case THandoffPage:
-		return &HandoffPage{}
-	case THandoffDone:
-		return &HandoffDone{}
-	case TInventoryReport:
-		return &InventoryReport{}
-	case TInventoryAck:
-		return &InventoryAck{}
-	case TReadBatchReq:
-		return &ReadBatchReq{}
-	case TReadBatchResp:
-		return &ReadBatchResp{}
-	}
-	return nil
-}
+import "fmt"
 
 // AllocReq asks the central manager to allocate a remote region of Length
 // bytes keyed by Key (client -> cmd).
@@ -125,24 +9,10 @@ type AllocReq struct {
 	Length uint64
 }
 
-func (*AllocReq) Kind() Type       { return TAllocReq }
-func (*AllocReq) payloadSize() int { return regionKeySize + 8 }
-func (m *AllocReq) encode(b []byte) error {
-	n := putRegionKey(b, m.Key)
-	binary.BigEndian.PutUint64(b[n:], m.Length)
-	return nil
-}
-func (m *AllocReq) decode(b []byte) error {
-	k, n, err := getRegionKey(b)
-	if err != nil {
-		return err
-	}
-	if len(b) < n+8 {
-		return ErrTruncated
-	}
-	m.Key = k
-	m.Length = binary.BigEndian.Uint64(b[n:])
-	return nil
+func (*AllocReq) Kind() Type { return TAllocReq }
+func (m *AllocReq) fields(c *cursor) {
+	m.Key.fields(c)
+	c.u64(&m.Length)
 }
 
 // AllocResp carries the allocation result (cmd -> client). Incarnation
@@ -156,23 +26,11 @@ type AllocResp struct {
 	Region      Region
 }
 
-func (*AllocResp) Kind() Type         { return TAllocResp }
-func (m *AllocResp) payloadSize() int { return 9 + m.Region.encodedSize() }
-func (m *AllocResp) encode(b []byte) error {
-	b[0] = uint8(m.Status)
-	binary.BigEndian.PutUint64(b[1:], m.Incarnation)
-	_, err := putRegion(b[9:], m.Region)
-	return err
-}
-func (m *AllocResp) decode(b []byte) error {
-	if len(b) < 9 {
-		return ErrTruncated
-	}
-	m.Status = Status(b[0])
-	m.Incarnation = binary.BigEndian.Uint64(b[1:])
-	r, _, err := getRegion(b[9:])
-	m.Region = r
-	return err
+func (*AllocResp) Kind() Type { return TAllocResp }
+func (m *AllocResp) fields(c *cursor) {
+	c.status(&m.Status)
+	c.u64(&m.Incarnation)
+	m.Region.fields(c)
 }
 
 // FreeReq releases the region with the given key (client -> cmd).
@@ -180,16 +38,9 @@ type FreeReq struct {
 	Key RegionKey
 }
 
-func (*FreeReq) Kind() Type       { return TFreeReq }
-func (*FreeReq) payloadSize() int { return regionKeySize }
-func (m *FreeReq) encode(b []byte) error {
-	putRegionKey(b, m.Key)
-	return nil
-}
-func (m *FreeReq) decode(b []byte) error {
-	k, _, err := getRegionKey(b)
-	m.Key = k
-	return err
+func (*FreeReq) Kind() Type { return TFreeReq }
+func (m *FreeReq) fields(c *cursor) {
+	m.Key.fields(c)
 }
 
 // FreeResp acknowledges a free (cmd -> client), stamped with the
@@ -199,20 +50,10 @@ type FreeResp struct {
 	Incarnation uint64
 }
 
-func (*FreeResp) Kind() Type       { return TFreeResp }
-func (*FreeResp) payloadSize() int { return 9 }
-func (m *FreeResp) encode(b []byte) error {
-	b[0] = uint8(m.Status)
-	binary.BigEndian.PutUint64(b[1:], m.Incarnation)
-	return nil
-}
-func (m *FreeResp) decode(b []byte) error {
-	if len(b) < 9 {
-		return ErrTruncated
-	}
-	m.Status = Status(b[0])
-	m.Incarnation = binary.BigEndian.Uint64(b[1:])
-	return nil
+func (*FreeResp) Kind() Type { return TFreeResp }
+func (m *FreeResp) fields(c *cursor) {
+	c.status(&m.Status)
+	c.u64(&m.Incarnation)
 }
 
 // CheckAllocReq asks the cmd whether a region is still valid (§4.3
@@ -221,16 +62,9 @@ type CheckAllocReq struct {
 	Key RegionKey
 }
 
-func (*CheckAllocReq) Kind() Type       { return TCheckAllocReq }
-func (*CheckAllocReq) payloadSize() int { return regionKeySize }
-func (m *CheckAllocReq) encode(b []byte) error {
-	putRegionKey(b, m.Key)
-	return nil
-}
-func (m *CheckAllocReq) decode(b []byte) error {
-	k, _, err := getRegionKey(b)
-	m.Key = k
-	return err
+func (*CheckAllocReq) Kind() Type { return TCheckAllocReq }
+func (m *CheckAllocReq) fields(c *cursor) {
+	m.Key.fields(c)
 }
 
 // CheckAllocResp returns the region descriptor if the epoch check passed.
@@ -245,28 +79,12 @@ type CheckAllocResp struct {
 	Region      Region
 }
 
-func (*CheckAllocResp) Kind() Type         { return TCheckAllocResp }
-func (m *CheckAllocResp) payloadSize() int { return 10 + m.Region.encodedSize() }
-func (m *CheckAllocResp) encode(b []byte) error {
-	b[0] = uint8(m.Status)
-	b[1] = 0
-	if m.Fresh {
-		b[1] = 1
-	}
-	binary.BigEndian.PutUint64(b[2:], m.Incarnation)
-	_, err := putRegion(b[10:], m.Region)
-	return err
-}
-func (m *CheckAllocResp) decode(b []byte) error {
-	if len(b) < 10 {
-		return ErrTruncated
-	}
-	m.Status = Status(b[0])
-	m.Fresh = b[1] != 0
-	m.Incarnation = binary.BigEndian.Uint64(b[2:])
-	r, _, err := getRegion(b[10:])
-	m.Region = r
-	return err
+func (*CheckAllocResp) Kind() Type { return TCheckAllocResp }
+func (m *CheckAllocResp) fields(c *cursor) {
+	c.status(&m.Status)
+	c.flag(&m.Fresh)
+	c.u64(&m.Incarnation)
+	m.Region.fields(c)
 }
 
 // KeepAlive is the cmd's periodic liveness echo to a client (§3.1). The
@@ -279,20 +97,10 @@ type KeepAlive struct {
 	Incarnation uint64
 }
 
-func (*KeepAlive) Kind() Type       { return TKeepAlive }
-func (*KeepAlive) payloadSize() int { return 12 }
-func (m *KeepAlive) encode(b []byte) error {
-	binary.BigEndian.PutUint32(b, m.ClientID)
-	binary.BigEndian.PutUint64(b[4:], m.Incarnation)
-	return nil
-}
-func (m *KeepAlive) decode(b []byte) error {
-	if len(b) < 12 {
-		return ErrTruncated
-	}
-	m.ClientID = binary.BigEndian.Uint32(b)
-	m.Incarnation = binary.BigEndian.Uint64(b[4:])
-	return nil
+func (*KeepAlive) Kind() Type { return TKeepAlive }
+func (m *KeepAlive) fields(c *cursor) {
+	c.u32(&m.ClientID)
+	c.u64(&m.Incarnation)
 }
 
 // KeepAliveAck is the client's echo response. It piggybacks the
@@ -330,73 +138,11 @@ type KeepAliveAck struct {
 }
 
 func (*KeepAliveAck) Kind() Type { return TKeepAliveAck }
-func (m *KeepAliveAck) payloadSize() int {
-	n := 4 + 9*8 + 2
-	for _, h := range m.CorruptHosts {
-		n += h.encodedSize()
-	}
-	return n
-}
-func (m *KeepAliveAck) encode(b []byte) error {
-	if len(m.CorruptHosts) > math16max {
-		return ErrFieldBounds
-	}
-	binary.BigEndian.PutUint32(b, m.ClientID)
-	binary.BigEndian.PutUint64(b[4:], m.Drops)
-	binary.BigEndian.PutUint64(b[12:], m.Revalidations)
-	binary.BigEndian.PutUint64(b[20:], m.Reopens)
-	binary.BigEndian.PutUint64(b[28:], m.HandoffAdopts)
-	binary.BigEndian.PutUint64(b[36:], m.HedgedReads)
-	binary.BigEndian.PutUint64(b[44:], m.HedgeWins)
-	binary.BigEndian.PutUint64(b[52:], m.HedgeWasted)
-	binary.BigEndian.PutUint64(b[60:], m.RetryExhausted)
-	binary.BigEndian.PutUint64(b[68:], m.ChecksumFailures)
-	binary.BigEndian.PutUint16(b[76:], uint16(len(m.CorruptHosts)))
-	at := 78
-	for _, h := range m.CorruptHosts {
-		n, err := putString(b[at:], h.Addr)
-		if err != nil {
-			return err
-		}
-		at += n
-		binary.BigEndian.PutUint64(b[at:], h.Count)
-		at += 8
-	}
-	return nil
-}
-func (m *KeepAliveAck) decode(b []byte) error {
-	if len(b) < 78 {
-		return ErrTruncated
-	}
-	m.ClientID = binary.BigEndian.Uint32(b)
-	m.Drops = binary.BigEndian.Uint64(b[4:])
-	m.Revalidations = binary.BigEndian.Uint64(b[12:])
-	m.Reopens = binary.BigEndian.Uint64(b[20:])
-	m.HandoffAdopts = binary.BigEndian.Uint64(b[28:])
-	m.HedgedReads = binary.BigEndian.Uint64(b[36:])
-	m.HedgeWins = binary.BigEndian.Uint64(b[44:])
-	m.HedgeWasted = binary.BigEndian.Uint64(b[52:])
-	m.RetryExhausted = binary.BigEndian.Uint64(b[60:])
-	m.ChecksumFailures = binary.BigEndian.Uint64(b[68:])
-	count := int(binary.BigEndian.Uint16(b[76:]))
-	at := 78
-	m.CorruptHosts = nil
-	if count > 0 {
-		m.CorruptHosts = make([]HostCount, 0, count)
-	}
-	for i := 0; i < count; i++ {
-		addr, n, err := getString(b[at:])
-		if err != nil {
-			return err
-		}
-		at += n
-		if len(b) < at+8 {
-			return ErrTruncated
-		}
-		m.CorruptHosts = append(m.CorruptHosts, HostCount{Addr: addr, Count: binary.BigEndian.Uint64(b[at:])})
-		at += 8
-	}
-	return nil
+func (m *KeepAliveAck) fields(c *cursor) {
+	c.u32(&m.ClientID)
+	c.u64(&m.Drops, &m.Revalidations, &m.Reopens, &m.HandoffAdopts, &m.HedgedReads,
+		&m.HedgeWins, &m.HedgeWasted, &m.RetryExhausted, &m.ChecksumFailures)
+	hostCounts.counted(c, &m.CorruptHosts)
 }
 
 // HostState is the recruit/reclaim state an rmd reports for its host.
@@ -441,35 +187,11 @@ type HostStatus struct {
 	Incarnation uint64
 }
 
-func (*HostStatus) Kind() Type         { return THostStatus }
-func (m *HostStatus) payloadSize() int { return 2 + len(m.HostAddr) + 1 + 32 }
-func (m *HostStatus) encode(b []byte) error {
-	n, err := putString(b, m.HostAddr)
-	if err != nil {
-		return err
-	}
-	b[n] = uint8(m.State)
-	binary.BigEndian.PutUint64(b[n+1:], m.Epoch)
-	binary.BigEndian.PutUint64(b[n+9:], m.AvailBytes)
-	binary.BigEndian.PutUint64(b[n+17:], m.LargestFree)
-	binary.BigEndian.PutUint64(b[n+25:], m.Incarnation)
-	return nil
-}
-func (m *HostStatus) decode(b []byte) error {
-	addr, n, err := getString(b)
-	if err != nil {
-		return err
-	}
-	if len(b) < n+33 {
-		return ErrTruncated
-	}
-	m.HostAddr = addr
-	m.State = HostState(b[n])
-	m.Epoch = binary.BigEndian.Uint64(b[n+1:])
-	m.AvailBytes = binary.BigEndian.Uint64(b[n+9:])
-	m.LargestFree = binary.BigEndian.Uint64(b[n+17:])
-	m.Incarnation = binary.BigEndian.Uint64(b[n+25:])
-	return nil
+func (*HostStatus) Kind() Type { return THostStatus }
+func (m *HostStatus) fields(c *cursor) {
+	c.str(&m.HostAddr)
+	c.u8((*uint8)(&m.State))
+	c.u64(&m.Epoch, &m.AvailBytes, &m.LargestFree, &m.Incarnation)
 }
 
 // HostStatusAck acknowledges a HostStatus. Incarnation carries the
@@ -481,20 +203,10 @@ type HostStatusAck struct {
 	Incarnation uint64
 }
 
-func (*HostStatusAck) Kind() Type       { return THostStatusAck }
-func (*HostStatusAck) payloadSize() int { return 9 }
-func (m *HostStatusAck) encode(b []byte) error {
-	b[0] = uint8(m.Status)
-	binary.BigEndian.PutUint64(b[1:], m.Incarnation)
-	return nil
-}
-func (m *HostStatusAck) decode(b []byte) error {
-	if len(b) < 9 {
-		return ErrTruncated
-	}
-	m.Status = Status(b[0])
-	m.Incarnation = binary.BigEndian.Uint64(b[1:])
-	return nil
+func (*HostStatusAck) Kind() Type { return THostStatusAck }
+func (m *HostStatusAck) fields(c *cursor) {
+	c.status(&m.Status)
+	c.u64(&m.Incarnation)
 }
 
 // IMDAllocReq is the cmd asking an imd to carve a region from its pool.
@@ -508,32 +220,11 @@ type IMDAllocReq struct {
 	Client   string
 }
 
-func (*IMDAllocReq) Kind() Type         { return TIMDAllocReq }
-func (m *IMDAllocReq) payloadSize() int { return 16 + regionKeySize + 2 + len(m.Client) }
-func (m *IMDAllocReq) encode(b []byte) error {
-	binary.BigEndian.PutUint64(b[0:8], m.RegionID)
-	binary.BigEndian.PutUint64(b[8:16], m.Length)
-	putRegionKey(b[16:], m.Key)
-	_, err := putString(b[16+regionKeySize:], m.Client)
-	return err
-}
-func (m *IMDAllocReq) decode(b []byte) error {
-	if len(b) < 16 {
-		return ErrTruncated
-	}
-	m.RegionID = binary.BigEndian.Uint64(b[0:8])
-	m.Length = binary.BigEndian.Uint64(b[8:16])
-	k, n, err := getRegionKey(b[16:])
-	if err != nil {
-		return err
-	}
-	m.Key = k
-	client, _, err := getString(b[16+n:])
-	if err != nil {
-		return err
-	}
-	m.Client = client
-	return nil
+func (*IMDAllocReq) Kind() Type { return TIMDAllocReq }
+func (m *IMDAllocReq) fields(c *cursor) {
+	c.u64(&m.RegionID, &m.Length)
+	m.Key.fields(c)
+	c.str(&m.Client)
 }
 
 // IMDAllocResp reports the pool offset of a new region, with the imd's
@@ -546,26 +237,10 @@ type IMDAllocResp struct {
 	LargestFree uint64
 }
 
-func (*IMDAllocResp) Kind() Type       { return TIMDAllocResp }
-func (*IMDAllocResp) payloadSize() int { return 1 + 32 }
-func (m *IMDAllocResp) encode(b []byte) error {
-	b[0] = uint8(m.Status)
-	binary.BigEndian.PutUint64(b[1:], m.PoolOffset)
-	binary.BigEndian.PutUint64(b[9:], m.Epoch)
-	binary.BigEndian.PutUint64(b[17:], m.AvailBytes)
-	binary.BigEndian.PutUint64(b[25:], m.LargestFree)
-	return nil
-}
-func (m *IMDAllocResp) decode(b []byte) error {
-	if len(b) < 33 {
-		return ErrTruncated
-	}
-	m.Status = Status(b[0])
-	m.PoolOffset = binary.BigEndian.Uint64(b[1:])
-	m.Epoch = binary.BigEndian.Uint64(b[9:])
-	m.AvailBytes = binary.BigEndian.Uint64(b[17:])
-	m.LargestFree = binary.BigEndian.Uint64(b[25:])
-	return nil
+func (*IMDAllocResp) Kind() Type { return TIMDAllocResp }
+func (m *IMDAllocResp) fields(c *cursor) {
+	c.status(&m.Status)
+	c.u64(&m.PoolOffset, &m.Epoch, &m.AvailBytes, &m.LargestFree)
 }
 
 // IMDFreeReq is the cmd asking an imd to release a region.
@@ -573,18 +248,9 @@ type IMDFreeReq struct {
 	RegionID uint64
 }
 
-func (*IMDFreeReq) Kind() Type       { return TIMDFreeReq }
-func (*IMDFreeReq) payloadSize() int { return 8 }
-func (m *IMDFreeReq) encode(b []byte) error {
-	binary.BigEndian.PutUint64(b, m.RegionID)
-	return nil
-}
-func (m *IMDFreeReq) decode(b []byte) error {
-	if len(b) < 8 {
-		return ErrTruncated
-	}
-	m.RegionID = binary.BigEndian.Uint64(b)
-	return nil
+func (*IMDFreeReq) Kind() Type { return TIMDFreeReq }
+func (m *IMDFreeReq) fields(c *cursor) {
+	c.u64(&m.RegionID)
 }
 
 // IMDFreeResp acknowledges a region free, with availability piggybacked.
@@ -595,24 +261,10 @@ type IMDFreeResp struct {
 	LargestFree uint64
 }
 
-func (*IMDFreeResp) Kind() Type       { return TIMDFreeResp }
-func (*IMDFreeResp) payloadSize() int { return 1 + 24 }
-func (m *IMDFreeResp) encode(b []byte) error {
-	b[0] = uint8(m.Status)
-	binary.BigEndian.PutUint64(b[1:], m.Epoch)
-	binary.BigEndian.PutUint64(b[9:], m.AvailBytes)
-	binary.BigEndian.PutUint64(b[17:], m.LargestFree)
-	return nil
-}
-func (m *IMDFreeResp) decode(b []byte) error {
-	if len(b) < 25 {
-		return ErrTruncated
-	}
-	m.Status = Status(b[0])
-	m.Epoch = binary.BigEndian.Uint64(b[1:])
-	m.AvailBytes = binary.BigEndian.Uint64(b[9:])
-	m.LargestFree = binary.BigEndian.Uint64(b[17:])
-	return nil
+func (*IMDFreeResp) Kind() Type { return TIMDFreeResp }
+func (m *IMDFreeResp) fields(c *cursor) {
+	c.status(&m.Status)
+	c.u64(&m.Epoch, &m.AvailBytes, &m.LargestFree)
 }
 
 // ReadReq asks an imd for Length bytes at Offset within a region (client
@@ -635,32 +287,12 @@ type ReadReq struct {
 	Window    uint32
 }
 
-func (*ReadReq) Kind() Type       { return TReadReq }
-func (*ReadReq) payloadSize() int { return 52 }
-func (m *ReadReq) encode(b []byte) error {
-	binary.BigEndian.PutUint64(b[0:], m.RegionID)
-	binary.BigEndian.PutUint64(b[8:], m.Epoch)
-	binary.BigEndian.PutUint64(b[16:], m.Offset)
-	binary.BigEndian.PutUint64(b[24:], m.Length)
-	binary.BigEndian.PutUint32(b[32:], uint32(m.Caps))
-	binary.BigEndian.PutUint64(b[36:], m.XferID)
-	binary.BigEndian.PutUint32(b[44:], m.ChunkSize)
-	binary.BigEndian.PutUint32(b[48:], m.Window)
-	return nil
-}
-func (m *ReadReq) decode(b []byte) error {
-	if len(b) < 52 {
-		return ErrTruncated
-	}
-	m.RegionID = binary.BigEndian.Uint64(b[0:])
-	m.Epoch = binary.BigEndian.Uint64(b[8:])
-	m.Offset = binary.BigEndian.Uint64(b[16:])
-	m.Length = binary.BigEndian.Uint64(b[24:])
-	m.Caps = Caps(binary.BigEndian.Uint32(b[32:]))
-	m.XferID = binary.BigEndian.Uint64(b[36:])
-	m.ChunkSize = binary.BigEndian.Uint32(b[44:])
-	m.Window = binary.BigEndian.Uint32(b[48:])
-	return nil
+func (*ReadReq) Kind() Type { return TReadReq }
+func (m *ReadReq) fields(c *cursor) {
+	c.u64(&m.RegionID, &m.Epoch, &m.Offset, &m.Length)
+	c.u32((*uint32)(&m.Caps))
+	c.u64(&m.XferID)
+	c.u32(&m.ChunkSize, &m.Window)
 }
 
 // WriteReq announces an incoming write of Length bytes at Offset within a
@@ -681,30 +313,10 @@ type WriteReq struct {
 	Crc        uint32
 }
 
-func (*WriteReq) Kind() Type       { return TWriteReq }
-func (*WriteReq) payloadSize() int { return 52 }
-func (m *WriteReq) encode(b []byte) error {
-	binary.BigEndian.PutUint64(b[0:], m.RegionID)
-	binary.BigEndian.PutUint64(b[8:], m.Epoch)
-	binary.BigEndian.PutUint64(b[16:], m.Offset)
-	binary.BigEndian.PutUint64(b[24:], m.Length)
-	binary.BigEndian.PutUint64(b[32:], m.TransferID)
-	binary.BigEndian.PutUint64(b[40:], m.WriteSeq)
-	binary.BigEndian.PutUint32(b[48:], m.Crc)
-	return nil
-}
-func (m *WriteReq) decode(b []byte) error {
-	if len(b) < 52 {
-		return ErrTruncated
-	}
-	m.RegionID = binary.BigEndian.Uint64(b[0:])
-	m.Epoch = binary.BigEndian.Uint64(b[8:])
-	m.Offset = binary.BigEndian.Uint64(b[16:])
-	m.Length = binary.BigEndian.Uint64(b[24:])
-	m.TransferID = binary.BigEndian.Uint64(b[32:])
-	m.WriteSeq = binary.BigEndian.Uint64(b[40:])
-	m.Crc = binary.BigEndian.Uint32(b[48:])
-	return nil
+func (*WriteReq) Kind() Type { return TWriteReq }
+func (m *WriteReq) fields(c *cursor) {
+	c.u64(&m.RegionID, &m.Epoch, &m.Offset, &m.Length, &m.TransferID, &m.WriteSeq)
+	c.u32(&m.Crc)
 }
 
 // DataResp reports the outcome of a read or write: the byte count
@@ -735,31 +347,13 @@ const (
 	DataFlagEager
 )
 
-func (*DataResp) Kind() Type         { return TDataResp }
-func (m *DataResp) payloadSize() int { return 22 + len(m.Payload) }
-func (m *DataResp) encode(b []byte) error {
-	b[0] = uint8(m.Status)
-	binary.BigEndian.PutUint64(b[1:], m.Count)
-	binary.BigEndian.PutUint64(b[9:], m.TransferID)
-	binary.BigEndian.PutUint32(b[17:], m.Crc)
-	b[21] = m.Flags
-	copy(b[22:], m.Payload)
-	return nil
-}
-func (m *DataResp) decode(b []byte) error {
-	if len(b) < 22 {
-		return ErrTruncated
-	}
-	m.Status = Status(b[0])
-	m.Count = binary.BigEndian.Uint64(b[1:])
-	m.TransferID = binary.BigEndian.Uint64(b[9:])
-	m.Crc = binary.BigEndian.Uint32(b[17:])
-	m.Flags = b[21]
-	m.Payload = nil
-	if len(b) > 22 {
-		m.Payload = append([]byte(nil), b[22:]...)
-	}
-	return nil
+func (*DataResp) Kind() Type { return TDataResp }
+func (m *DataResp) fields(c *cursor) {
+	c.status(&m.Status)
+	c.u64(&m.Count, &m.TransferID)
+	c.u32(&m.Crc)
+	c.u8(&m.Flags)
+	c.rest(&m.Payload)
 }
 
 // BulkOffer opens a bulk transfer (§4.4): the sender names the transfer,
@@ -771,22 +365,10 @@ type BulkOffer struct {
 	ChunkSize  uint32
 }
 
-func (*BulkOffer) Kind() Type       { return TBulkOffer }
-func (*BulkOffer) payloadSize() int { return 20 }
-func (m *BulkOffer) encode(b []byte) error {
-	binary.BigEndian.PutUint64(b[0:], m.TransferID)
-	binary.BigEndian.PutUint64(b[8:], m.TotalLen)
-	binary.BigEndian.PutUint32(b[16:], m.ChunkSize)
-	return nil
-}
-func (m *BulkOffer) decode(b []byte) error {
-	if len(b) < 20 {
-		return ErrTruncated
-	}
-	m.TransferID = binary.BigEndian.Uint64(b[0:])
-	m.TotalLen = binary.BigEndian.Uint64(b[8:])
-	m.ChunkSize = binary.BigEndian.Uint32(b[16:])
-	return nil
+func (*BulkOffer) Kind() Type { return TBulkOffer }
+func (m *BulkOffer) fields(c *cursor) {
+	c.u64(&m.TransferID, &m.TotalLen)
+	c.u32(&m.ChunkSize)
 }
 
 // BulkAccept is the receiver's answer: the number of packets it can
@@ -797,22 +379,11 @@ type BulkAccept struct {
 	Status     Status
 }
 
-func (*BulkAccept) Kind() Type       { return TBulkAccept }
-func (*BulkAccept) payloadSize() int { return 13 }
-func (m *BulkAccept) encode(b []byte) error {
-	binary.BigEndian.PutUint64(b[0:], m.TransferID)
-	binary.BigEndian.PutUint32(b[8:], m.Window)
-	b[12] = uint8(m.Status)
-	return nil
-}
-func (m *BulkAccept) decode(b []byte) error {
-	if len(b) < 13 {
-		return ErrTruncated
-	}
-	m.TransferID = binary.BigEndian.Uint64(b[0:])
-	m.Window = binary.BigEndian.Uint32(b[8:])
-	m.Status = Status(b[12])
-	return nil
+func (*BulkAccept) Kind() Type { return TBulkAccept }
+func (m *BulkAccept) fields(c *cursor) {
+	c.u64(&m.TransferID)
+	c.u32(&m.Window)
+	c.status(&m.Status)
 }
 
 // BulkData carries one sequenced chunk of a transfer.
@@ -822,22 +393,11 @@ type BulkData struct {
 	Payload    []byte
 }
 
-func (*BulkData) Kind() Type         { return TBulkData }
-func (m *BulkData) payloadSize() int { return 12 + len(m.Payload) }
-func (m *BulkData) encode(b []byte) error {
-	binary.BigEndian.PutUint64(b[0:], m.TransferID)
-	binary.BigEndian.PutUint32(b[8:], m.Seq)
-	copy(b[12:], m.Payload)
-	return nil
-}
-func (m *BulkData) decode(b []byte) error {
-	if len(b) < 12 {
-		return ErrTruncated
-	}
-	m.TransferID = binary.BigEndian.Uint64(b[0:])
-	m.Seq = binary.BigEndian.Uint32(b[8:])
-	m.Payload = append([]byte(nil), b[12:]...)
-	return nil
+func (*BulkData) Kind() Type { return TBulkData }
+func (m *BulkData) fields(c *cursor) {
+	c.u64(&m.TransferID)
+	c.u32(&m.Seq)
+	c.rest(&m.Payload)
 }
 
 // BulkNack is the receiver's selective NACK (§4.4): the sequence numbers
@@ -848,42 +408,19 @@ type BulkNack struct {
 	Missing    []uint32
 }
 
-func (*BulkNack) Kind() Type         { return TBulkNack }
-func (m *BulkNack) payloadSize() int { return 12 + 4*len(m.Missing) }
-func (m *BulkNack) encode(b []byte) error {
-	if len(m.Missing) > math32max {
-		return ErrFieldBounds
-	}
-	binary.BigEndian.PutUint64(b[0:], m.TransferID)
-	binary.BigEndian.PutUint32(b[8:], uint32(len(m.Missing)))
-	for i, s := range m.Missing {
-		binary.BigEndian.PutUint32(b[12+4*i:], s)
-	}
-	return nil
-}
-func (m *BulkNack) decode(b []byte) error {
-	if len(b) < 12 {
-		return ErrTruncated
-	}
-	m.TransferID = binary.BigEndian.Uint64(b[0:])
-	n := int(binary.BigEndian.Uint32(b[8:]))
-	if len(b) < 12+4*n {
-		return ErrTruncated
-	}
-	m.Missing = make([]uint32, n)
-	for i := range m.Missing {
-		m.Missing[i] = binary.BigEndian.Uint32(b[12+4*i:])
-	}
-	return nil
+func (*BulkNack) Kind() Type { return TBulkNack }
+func (m *BulkNack) fields(c *cursor) {
+	c.u64(&m.TransferID)
+	n := uint32(len(m.Missing))
+	c.u32(&n)
+	nackSeqs.elems(c, &m.Missing, int(n))
 }
 
-const math32max = 1 << 16 // sanity bound on NACK list length (uint32-encoded)
+// math32max bounds a NACK list, whose count travels as uint32, in
+// both directions: a receiver never misses more than a window.
+const math32max = 1 << 16
 
-// math16max bounds element counts that travel as uint16 on the wire.
-// The bound must be strictly below 1<<16: exactly 65536 elements would
-// pass a `> 1<<16` check yet encode as count 0, silently dropping the
-// whole list on decode.
-const math16max = 1<<16 - 1
+var nackSeqs = newList(math32max, func(p *uint32, c *cursor) { c.u32(p) })
 
 // BulkDone closes a transfer from the receiver side: all bytes arrived.
 type BulkDone struct {
@@ -891,18 +428,8 @@ type BulkDone struct {
 	Status     Status
 }
 
-func (*BulkDone) Kind() Type       { return TBulkDone }
-func (*BulkDone) payloadSize() int { return 9 }
-func (m *BulkDone) encode(b []byte) error {
-	binary.BigEndian.PutUint64(b[0:], m.TransferID)
-	b[8] = uint8(m.Status)
-	return nil
-}
-func (m *BulkDone) decode(b []byte) error {
-	if len(b) < 9 {
-		return ErrTruncated
-	}
-	m.TransferID = binary.BigEndian.Uint64(b[0:])
-	m.Status = Status(b[8])
-	return nil
+func (*BulkDone) Kind() Type { return TBulkDone }
+func (m *BulkDone) fields(c *cursor) {
+	c.u64(&m.TransferID)
+	c.status(&m.Status)
 }

@@ -1,7 +1,5 @@
 package wire
 
-import "encoding/binary"
-
 // ReadBatchItem names one region read within a batched fetch: the same
 // (RegionID, Epoch, Offset, Length) quad a ReadReq carries.
 type ReadBatchItem struct {
@@ -11,7 +9,9 @@ type ReadBatchItem struct {
 	Length   uint64
 }
 
-const readBatchItemSize = 32
+func (it *ReadBatchItem) fields(c *cursor) { c.u64(&it.RegionID, &it.Epoch, &it.Offset, &it.Length) }
+
+var readBatchItems = newList(math16max, (*ReadBatchItem).fields)
 
 // ReadBatchReq asks an imd for several regions in one control exchange
 // (client -> imd data path): the read exchange of ReadReq over a packed
@@ -32,53 +32,10 @@ type ReadBatchReq struct {
 }
 
 func (*ReadBatchReq) Kind() Type { return TReadBatchReq }
-func (m *ReadBatchReq) payloadSize() int {
-	return 18 + readBatchItemSize*len(m.Items)
-}
-func (m *ReadBatchReq) encode(b []byte) error {
-	if len(m.Items) > math16max {
-		return ErrFieldBounds
-	}
-	binary.BigEndian.PutUint64(b[0:], m.XferID)
-	binary.BigEndian.PutUint32(b[8:], m.ChunkSize)
-	binary.BigEndian.PutUint32(b[12:], m.Window)
-	binary.BigEndian.PutUint16(b[16:], uint16(len(m.Items)))
-	at := 18
-	for _, it := range m.Items {
-		binary.BigEndian.PutUint64(b[at:], it.RegionID)
-		binary.BigEndian.PutUint64(b[at+8:], it.Epoch)
-		binary.BigEndian.PutUint64(b[at+16:], it.Offset)
-		binary.BigEndian.PutUint64(b[at+24:], it.Length)
-		at += readBatchItemSize
-	}
-	return nil
-}
-func (m *ReadBatchReq) decode(b []byte) error {
-	if len(b) < 18 {
-		return ErrTruncated
-	}
-	m.XferID = binary.BigEndian.Uint64(b[0:])
-	m.ChunkSize = binary.BigEndian.Uint32(b[8:])
-	m.Window = binary.BigEndian.Uint32(b[12:])
-	count := int(binary.BigEndian.Uint16(b[16:]))
-	if len(b) < 18+readBatchItemSize*count {
-		return ErrTruncated
-	}
-	m.Items = nil
-	if count > 0 {
-		m.Items = make([]ReadBatchItem, 0, count)
-	}
-	at := 18
-	for i := 0; i < count; i++ {
-		m.Items = append(m.Items, ReadBatchItem{
-			RegionID: binary.BigEndian.Uint64(b[at:]),
-			Epoch:    binary.BigEndian.Uint64(b[at+8:]),
-			Offset:   binary.BigEndian.Uint64(b[at+16:]),
-			Length:   binary.BigEndian.Uint64(b[at+24:]),
-		})
-		at += readBatchItemSize
-	}
-	return nil
+func (m *ReadBatchReq) fields(c *cursor) {
+	c.u64(&m.XferID)
+	c.u32(&m.ChunkSize, &m.Window)
+	readBatchItems.counted(c, &m.Items)
 }
 
 // ReadBatchResult reports one item's outcome: its status, the count of
@@ -90,7 +47,13 @@ type ReadBatchResult struct {
 	Crc    uint32
 }
 
-const readBatchResultSize = 13
+func (r *ReadBatchResult) fields(c *cursor) {
+	c.status(&r.Status)
+	c.u64(&r.Count)
+	c.u32(&r.Crc)
+}
+
+var readBatchResults = newList(math16max, (*ReadBatchResult).fields)
 
 // ReadBatchResp answers a ReadBatchReq (imd -> client). Results aligns
 // with the request's Items. With DataFlagInline set, Payload carries the
@@ -107,54 +70,10 @@ type ReadBatchResp struct {
 }
 
 func (*ReadBatchResp) Kind() Type { return TReadBatchResp }
-func (m *ReadBatchResp) payloadSize() int {
-	return 12 + readBatchResultSize*len(m.Results) + len(m.Payload)
-}
-func (m *ReadBatchResp) encode(b []byte) error {
-	if len(m.Results) > math16max {
-		return ErrFieldBounds
-	}
-	b[0] = uint8(m.Status)
-	binary.BigEndian.PutUint64(b[1:], m.TransferID)
-	b[9] = m.Flags
-	binary.BigEndian.PutUint16(b[10:], uint16(len(m.Results)))
-	at := 12
-	for _, r := range m.Results {
-		b[at] = uint8(r.Status)
-		binary.BigEndian.PutUint64(b[at+1:], r.Count)
-		binary.BigEndian.PutUint32(b[at+9:], r.Crc)
-		at += readBatchResultSize
-	}
-	copy(b[at:], m.Payload)
-	return nil
-}
-func (m *ReadBatchResp) decode(b []byte) error {
-	if len(b) < 12 {
-		return ErrTruncated
-	}
-	m.Status = Status(b[0])
-	m.TransferID = binary.BigEndian.Uint64(b[1:])
-	m.Flags = b[9]
-	count := int(binary.BigEndian.Uint16(b[10:]))
-	if len(b) < 12+readBatchResultSize*count {
-		return ErrTruncated
-	}
-	m.Results = nil
-	if count > 0 {
-		m.Results = make([]ReadBatchResult, 0, count)
-	}
-	at := 12
-	for i := 0; i < count; i++ {
-		m.Results = append(m.Results, ReadBatchResult{
-			Status: Status(b[at]),
-			Count:  binary.BigEndian.Uint64(b[at+1:]),
-			Crc:    binary.BigEndian.Uint32(b[at+9:]),
-		})
-		at += readBatchResultSize
-	}
-	m.Payload = nil
-	if len(b) > at {
-		m.Payload = append([]byte(nil), b[at:]...)
-	}
-	return nil
+func (m *ReadBatchResp) fields(c *cursor) {
+	c.status(&m.Status)
+	c.u64(&m.TransferID)
+	c.u8(&m.Flags)
+	readBatchResults.counted(c, &m.Results)
+	c.rest(&m.Payload)
 }

@@ -27,7 +27,7 @@ func (s sample) name() string {
 }
 
 // zero returns the zero value of a registered type.
-func zero(t Type) Message { return newMessage(t) }
+func zero(t Type) Message { return types[t].new() }
 
 // samples holds a fully populated value of every registered type, no
 // two fields of one message alike, followed by the variants whose

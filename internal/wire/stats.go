@@ -1,7 +1,5 @@
 package wire
 
-import "encoding/binary"
-
 // Cluster introspection messages: dodo-ctl (and any monitoring agent)
 // asks the central manager for a snapshot of the idle-workstation
 // directory and its counters. These extend the paper's protocol — the
@@ -12,12 +10,8 @@ import "encoding/binary"
 type ClusterStatsReq struct{}
 
 // Kind returns the wire type tag.
-func (*ClusterStatsReq) Kind() Type       { return TClusterStatsReq }
-func (*ClusterStatsReq) payloadSize() int { return 0 }
-func (*ClusterStatsReq) encode([]byte) error {
-	return nil
-}
-func (*ClusterStatsReq) decode([]byte) error { return nil }
+func (*ClusterStatsReq) Kind() Type     { return TClusterStatsReq }
+func (*ClusterStatsReq) fields(*cursor) {}
 
 // HostInfo is one IWD row in a stats snapshot.
 type HostInfo struct {
@@ -27,7 +21,12 @@ type HostInfo struct {
 	LargestFree uint64
 }
 
-func (h HostInfo) encodedSize() int { return 2 + len(h.Addr) + 24 }
+func (h *HostInfo) fields(c *cursor) {
+	c.str(&h.Addr)
+	c.u64(&h.Epoch, &h.AvailBytes, &h.LargestFree)
+}
+
+var hostInfos = newList(math16max, (*HostInfo).fields)
 
 // HostCount pairs a host address with a per-host counter value, used
 // for the checksum-failure breakdown in keep-alive acks and stats
@@ -37,7 +36,12 @@ type HostCount struct {
 	Count uint64
 }
 
-func (h HostCount) encodedSize() int { return 2 + len(h.Addr) + 8 }
+func (h *HostCount) fields(c *cursor) {
+	c.str(&h.Addr)
+	c.u64(&h.Count)
+}
+
+var hostCounts = newList(math16max, (*HostCount).fields)
 
 // ClusterStatsResp is the manager's snapshot.
 type ClusterStatsResp struct {
@@ -70,141 +74,16 @@ type ClusterStatsResp struct {
 
 // Kind returns the wire type tag.
 func (*ClusterStatsResp) Kind() Type { return TClusterStatsResp }
-
-func (m *ClusterStatsResp) payloadSize() int {
-	n := 1 + 2 + 23*8 + 2
-	for _, h := range m.Hosts {
-		n += h.encodedSize()
-	}
-	for _, h := range m.CorruptHosts {
-		n += h.encodedSize()
-	}
-	return n
-}
-
-func (m *ClusterStatsResp) encode(b []byte) error {
-	if len(m.Hosts) > math16max || len(m.CorruptHosts) > math16max {
-		return ErrFieldBounds
-	}
-	b[0] = uint8(m.Status)
-	binary.BigEndian.PutUint64(b[1:], m.Regions)
-	binary.BigEndian.PutUint64(b[9:], m.Clients)
-	binary.BigEndian.PutUint64(b[17:], m.Allocs)
-	binary.BigEndian.PutUint64(b[25:], m.AllocFailures)
-	binary.BigEndian.PutUint64(b[33:], m.Frees)
-	binary.BigEndian.PutUint64(b[41:], m.StaleDrops)
-	binary.BigEndian.PutUint64(b[49:], m.OrphanReclaims)
-	binary.BigEndian.PutUint64(b[57:], m.ClientDrops)
-	binary.BigEndian.PutUint64(b[65:], m.ClientRevalidations)
-	binary.BigEndian.PutUint64(b[73:], m.ClientReopens)
-	binary.BigEndian.PutUint64(b[81:], m.HandoffOffers)
-	binary.BigEndian.PutUint64(b[89:], m.HandoffPagesMoved)
-	binary.BigEndian.PutUint64(b[97:], m.HandoffAborts)
-	binary.BigEndian.PutUint64(b[105:], m.ClientHandoffAdopts)
-	binary.BigEndian.PutUint64(b[113:], m.ClientHedgedReads)
-	binary.BigEndian.PutUint64(b[121:], m.ClientHedgeWins)
-	binary.BigEndian.PutUint64(b[129:], m.ClientHedgeWasted)
-	binary.BigEndian.PutUint64(b[137:], m.ClientRetryExhausted)
-	binary.BigEndian.PutUint64(b[145:], m.Incarnation)
-	binary.BigEndian.PutUint64(b[153:], m.InventoryReports)
-	binary.BigEndian.PutUint64(b[161:], m.RebuiltRegions)
-	binary.BigEndian.PutUint64(b[169:], m.FencedRequests)
-	binary.BigEndian.PutUint64(b[177:], m.ClientChecksumFailures)
-	binary.BigEndian.PutUint16(b[185:], uint16(len(m.Hosts)))
-	at := 187
-	for _, h := range m.Hosts {
-		n, err := putString(b[at:], h.Addr)
-		if err != nil {
-			return err
-		}
-		at += n
-		binary.BigEndian.PutUint64(b[at:], h.Epoch)
-		binary.BigEndian.PutUint64(b[at+8:], h.AvailBytes)
-		binary.BigEndian.PutUint64(b[at+16:], h.LargestFree)
-		at += 24
-	}
-	binary.BigEndian.PutUint16(b[at:], uint16(len(m.CorruptHosts)))
-	at += 2
-	for _, h := range m.CorruptHosts {
-		n, err := putString(b[at:], h.Addr)
-		if err != nil {
-			return err
-		}
-		at += n
-		binary.BigEndian.PutUint64(b[at:], h.Count)
-		at += 8
-	}
-	return nil
-}
-
-func (m *ClusterStatsResp) decode(b []byte) error {
-	if len(b) < 189 {
-		return ErrTruncated
-	}
-	m.Status = Status(b[0])
-	m.Regions = binary.BigEndian.Uint64(b[1:])
-	m.Clients = binary.BigEndian.Uint64(b[9:])
-	m.Allocs = binary.BigEndian.Uint64(b[17:])
-	m.AllocFailures = binary.BigEndian.Uint64(b[25:])
-	m.Frees = binary.BigEndian.Uint64(b[33:])
-	m.StaleDrops = binary.BigEndian.Uint64(b[41:])
-	m.OrphanReclaims = binary.BigEndian.Uint64(b[49:])
-	m.ClientDrops = binary.BigEndian.Uint64(b[57:])
-	m.ClientRevalidations = binary.BigEndian.Uint64(b[65:])
-	m.ClientReopens = binary.BigEndian.Uint64(b[73:])
-	m.HandoffOffers = binary.BigEndian.Uint64(b[81:])
-	m.HandoffPagesMoved = binary.BigEndian.Uint64(b[89:])
-	m.HandoffAborts = binary.BigEndian.Uint64(b[97:])
-	m.ClientHandoffAdopts = binary.BigEndian.Uint64(b[105:])
-	m.ClientHedgedReads = binary.BigEndian.Uint64(b[113:])
-	m.ClientHedgeWins = binary.BigEndian.Uint64(b[121:])
-	m.ClientHedgeWasted = binary.BigEndian.Uint64(b[129:])
-	m.ClientRetryExhausted = binary.BigEndian.Uint64(b[137:])
-	m.Incarnation = binary.BigEndian.Uint64(b[145:])
-	m.InventoryReports = binary.BigEndian.Uint64(b[153:])
-	m.RebuiltRegions = binary.BigEndian.Uint64(b[161:])
-	m.FencedRequests = binary.BigEndian.Uint64(b[169:])
-	m.ClientChecksumFailures = binary.BigEndian.Uint64(b[177:])
-	count := int(binary.BigEndian.Uint16(b[185:]))
-	at := 187
-	m.Hosts = make([]HostInfo, 0, count)
-	for i := 0; i < count; i++ {
-		addr, n, err := getString(b[at:])
-		if err != nil {
-			return err
-		}
-		at += n
-		if len(b) < at+24 {
-			return ErrTruncated
-		}
-		m.Hosts = append(m.Hosts, HostInfo{
-			Addr:        addr,
-			Epoch:       binary.BigEndian.Uint64(b[at:]),
-			AvailBytes:  binary.BigEndian.Uint64(b[at+8:]),
-			LargestFree: binary.BigEndian.Uint64(b[at+16:]),
-		})
-		at += 24
-	}
-	if len(b) < at+2 {
-		return ErrTruncated
-	}
-	ccount := int(binary.BigEndian.Uint16(b[at:]))
-	at += 2
-	m.CorruptHosts = nil
-	if ccount > 0 {
-		m.CorruptHosts = make([]HostCount, 0, ccount)
-	}
-	for i := 0; i < ccount; i++ {
-		addr, n, err := getString(b[at:])
-		if err != nil {
-			return err
-		}
-		at += n
-		if len(b) < at+8 {
-			return ErrTruncated
-		}
-		m.CorruptHosts = append(m.CorruptHosts, HostCount{Addr: addr, Count: binary.BigEndian.Uint64(b[at:])})
-		at += 8
-	}
-	return nil
+func (m *ClusterStatsResp) fields(c *cursor) {
+	c.status(&m.Status)
+	c.u64(&m.Regions, &m.Clients,
+		&m.Allocs, &m.AllocFailures, &m.Frees, &m.StaleDrops, &m.OrphanReclaims,
+		&m.ClientDrops, &m.ClientRevalidations, &m.ClientReopens,
+		&m.HandoffOffers, &m.HandoffPagesMoved, &m.HandoffAborts,
+		&m.ClientHandoffAdopts, &m.ClientHedgedReads, &m.ClientHedgeWins,
+		&m.ClientHedgeWasted, &m.ClientRetryExhausted,
+		&m.Incarnation, &m.InventoryReports, &m.RebuiltRegions, &m.FencedRequests,
+		&m.ClientChecksumFailures)
+	hostInfos.counted(c, &m.Hosts)
+	hostCounts.counted(c, &m.CorruptHosts)
 }

@@ -7,16 +7,19 @@
 // payload. Encoding is explicit big-endian binary (no reflection) so the
 // format is stable, allocation-light and identical across transports
 // (kernel UDP, the U-Net usocket layer, and the in-memory test network).
-// Each message has exactly one layout; a payload shorter than it is
-// ErrTruncated, and the header's Version byte is the only compatibility
-// mechanism.
+// Each message has exactly one layout, stated once: its fields method
+// names every field in wire order to a cursor (codec.go) that sizes,
+// encodes and decodes with the same walk. A payload shorter than the
+// layout is ErrTruncated — the cursor checks every read, no message
+// does — and the header's Version byte is the only compatibility
+// mechanism. The one layout written by hand is the BulkData fast path
+// (fastpath.go), pinned against the walk by a test.
 package wire
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 )
 
 // Protocol constants.
@@ -94,44 +97,46 @@ const (
 	typeSentinel // keep last
 )
 
-var typeNames = map[Type]string{
-	TInvalid:        "invalid",
-	TAllocReq:       "alloc-req",
-	TAllocResp:      "alloc-resp",
-	TFreeReq:        "free-req",
-	TFreeResp:       "free-resp",
-	TCheckAllocReq:  "check-alloc-req",
-	TCheckAllocResp: "check-alloc-resp",
-	TKeepAlive:      "keep-alive",
-	TKeepAliveAck:   "keep-alive-ack",
-	THostStatus:     "host-status",
-	THostStatusAck:  "host-status-ack",
-	TIMDAllocReq:    "imd-alloc-req",
-	TIMDAllocResp:   "imd-alloc-resp",
-	TIMDFreeReq:     "imd-free-req",
-	TIMDFreeResp:    "imd-free-resp",
-	TReadReq:        "read-req",
-	TWriteReq:       "write-req",
-	TDataResp:       "data-resp",
-	TBulkOffer:      "bulk-offer",
-	TBulkAccept:     "bulk-accept",
-	TBulkData:       "bulk-data",
-	TBulkNack:       "bulk-nack",
-	TBulkDone:       "bulk-done",
-
-	TClusterStatsReq:  "cluster-stats-req",
-	TClusterStatsResp: "cluster-stats-resp",
-
-	THandoffOffer:  "handoff-offer",
-	THandoffAccept: "handoff-accept",
-	THandoffPage:   "handoff-page",
-	THandoffDone:   "handoff-done",
-
-	TInventoryReport: "inventory-report",
-	TInventoryAck:    "inventory-ack",
-
-	TReadBatchReq:  "read-batch-req",
-	TReadBatchResp: "read-batch-resp",
+// types is the one registry of the protocol: a type's row gives the
+// name it logs under and the constructor Decode calls. Registering a
+// message is a constant above and a row here.
+var types = [typeSentinel]struct {
+	name string
+	new  func() Message
+}{
+	TInvalid:          {name: "invalid"},
+	TAllocReq:         {"alloc-req", func() Message { return new(AllocReq) }},
+	TAllocResp:        {"alloc-resp", func() Message { return new(AllocResp) }},
+	TFreeReq:          {"free-req", func() Message { return new(FreeReq) }},
+	TFreeResp:         {"free-resp", func() Message { return new(FreeResp) }},
+	TCheckAllocReq:    {"check-alloc-req", func() Message { return new(CheckAllocReq) }},
+	TCheckAllocResp:   {"check-alloc-resp", func() Message { return new(CheckAllocResp) }},
+	TKeepAlive:        {"keep-alive", func() Message { return new(KeepAlive) }},
+	TKeepAliveAck:     {"keep-alive-ack", func() Message { return new(KeepAliveAck) }},
+	THostStatus:       {"host-status", func() Message { return new(HostStatus) }},
+	THostStatusAck:    {"host-status-ack", func() Message { return new(HostStatusAck) }},
+	TIMDAllocReq:      {"imd-alloc-req", func() Message { return new(IMDAllocReq) }},
+	TIMDAllocResp:     {"imd-alloc-resp", func() Message { return new(IMDAllocResp) }},
+	TIMDFreeReq:       {"imd-free-req", func() Message { return new(IMDFreeReq) }},
+	TIMDFreeResp:      {"imd-free-resp", func() Message { return new(IMDFreeResp) }},
+	TReadReq:          {"read-req", func() Message { return new(ReadReq) }},
+	TWriteReq:         {"write-req", func() Message { return new(WriteReq) }},
+	TDataResp:         {"data-resp", func() Message { return new(DataResp) }},
+	TBulkOffer:        {"bulk-offer", func() Message { return new(BulkOffer) }},
+	TBulkAccept:       {"bulk-accept", func() Message { return new(BulkAccept) }},
+	TBulkData:         {"bulk-data", func() Message { return new(BulkData) }},
+	TBulkNack:         {"bulk-nack", func() Message { return new(BulkNack) }},
+	TBulkDone:         {"bulk-done", func() Message { return new(BulkDone) }},
+	TClusterStatsReq:  {"cluster-stats-req", func() Message { return new(ClusterStatsReq) }},
+	TClusterStatsResp: {"cluster-stats-resp", func() Message { return new(ClusterStatsResp) }},
+	THandoffOffer:     {"handoff-offer", func() Message { return new(HandoffOffer) }},
+	THandoffAccept:    {"handoff-accept", func() Message { return new(HandoffAccept) }},
+	THandoffPage:      {"handoff-page", func() Message { return new(HandoffPage) }},
+	THandoffDone:      {"handoff-done", func() Message { return new(HandoffDone) }},
+	TInventoryReport:  {"inventory-report", func() Message { return new(InventoryReport) }},
+	TInventoryAck:     {"inventory-ack", func() Message { return new(InventoryAck) }},
+	TReadBatchReq:     {"read-batch-req", func() Message { return new(ReadBatchReq) }},
+	TReadBatchResp:    {"read-batch-resp", func() Message { return new(ReadBatchResp) }},
 }
 
 // Caps is the type of the inert ReadReq.Caps field.
@@ -145,8 +150,8 @@ type Caps uint32
 const LocalCaps Caps = 7
 
 func (t Type) String() string {
-	if s, ok := typeNames[t]; ok {
-		return s
+	if t < typeSentinel {
+		return types[t].name
 	}
 	return fmt.Sprintf("wire.Type(%d)", uint8(t))
 }
@@ -260,24 +265,10 @@ func (k RegionKey) String() string {
 	return fmt.Sprintf("region(%d@%d/c%d)", k.Inode, k.Offset, k.ClientID)
 }
 
-const regionKeySize = 8 + 8 + 4
-
-func putRegionKey(buf []byte, k RegionKey) int {
-	binary.BigEndian.PutUint64(buf[0:8], k.Inode)
-	binary.BigEndian.PutUint64(buf[8:16], uint64(k.Offset))
-	binary.BigEndian.PutUint32(buf[16:20], k.ClientID)
-	return regionKeySize
-}
-
-func getRegionKey(buf []byte) (RegionKey, int, error) {
-	if len(buf) < regionKeySize {
-		return RegionKey{}, 0, ErrTruncated
-	}
-	return RegionKey{
-		Inode:    binary.BigEndian.Uint64(buf[0:8]),
-		Offset:   int64(binary.BigEndian.Uint64(buf[8:16])),
-		ClientID: binary.BigEndian.Uint32(buf[16:20]),
-	}, regionKeySize, nil
+func (k *RegionKey) fields(c *cursor) {
+	c.u64(&k.Inode)
+	c.i64(&k.Offset)
+	c.u32(&k.ClientID)
 }
 
 // Region is the descriptor the central manager hands back on allocation:
@@ -296,53 +287,7 @@ type Region struct {
 	Epoch uint64
 }
 
-func putString(buf []byte, s string) (int, error) {
-	if len(s) > math.MaxUint16 {
-		return 0, ErrFieldBounds
-	}
-	binary.BigEndian.PutUint16(buf[0:2], uint16(len(s)))
-	copy(buf[2:], s)
-	return 2 + len(s), nil
+func (r *Region) fields(c *cursor) {
+	c.str(&r.HostAddr)
+	c.u64(&r.RegionID, &r.PoolOffset, &r.Length, &r.Epoch)
 }
-
-func getString(buf []byte) (string, int, error) {
-	if len(buf) < 2 {
-		return "", 0, ErrTruncated
-	}
-	n := int(binary.BigEndian.Uint16(buf[0:2]))
-	if len(buf) < 2+n {
-		return "", 0, ErrTruncated
-	}
-	return string(buf[2 : 2+n]), 2 + n, nil
-}
-
-func putRegion(buf []byte, r Region) (int, error) {
-	n, err := putString(buf, r.HostAddr)
-	if err != nil {
-		return 0, err
-	}
-	binary.BigEndian.PutUint64(buf[n:], r.RegionID)
-	binary.BigEndian.PutUint64(buf[n+8:], r.PoolOffset)
-	binary.BigEndian.PutUint64(buf[n+16:], r.Length)
-	binary.BigEndian.PutUint64(buf[n+24:], r.Epoch)
-	return n + 32, nil
-}
-
-func getRegion(buf []byte) (Region, int, error) {
-	addr, n, err := getString(buf)
-	if err != nil {
-		return Region{}, 0, err
-	}
-	if len(buf) < n+32 {
-		return Region{}, 0, ErrTruncated
-	}
-	return Region{
-		HostAddr:   addr,
-		RegionID:   binary.BigEndian.Uint64(buf[n:]),
-		PoolOffset: binary.BigEndian.Uint64(buf[n+8:]),
-		Length:     binary.BigEndian.Uint64(buf[n+16:]),
-		Epoch:      binary.BigEndian.Uint64(buf[n+24:]),
-	}, n + 32, nil
-}
-
-func (r Region) encodedSize() int { return 2 + len(r.HostAddr) + 32 }

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"reflect"
@@ -39,17 +40,12 @@ func TestRoundTripAllMessages(t *testing.T) {
 }
 
 // TestRoundTripEmptyVariants: an empty string, list or payload
-// round-trips. Some decoders yield nil for an empty list and others an
-// empty slice, so these compare by what the decoded message encodes to.
+// round-trips, and every empty list or payload decodes to nil — the
+// samples leave theirs nil, so deep equality checks exactly that.
 func TestRoundTripEmptyVariants(t *testing.T) {
 	for _, s := range samples() {
-		if s.variant == "" {
-			continue
-		}
-		got := roundTrip(t, 0, s.msg)
-		want, _ := Encode(0, s.msg)
-		if re, err := Encode(0, got); err != nil || !bytes.Equal(re, want) {
-			t.Errorf("%s round-trip = %+v (%v), want %+v", s.name(), got, err, s.msg)
+		if got := roundTrip(t, 0, s.msg); s.variant != "" && !reflect.DeepEqual(got, s.msg) {
+			t.Errorf("%s round-trip mismatch:\n got  %+v\n want %+v", s.name(), got, s.msg)
 		}
 	}
 }
@@ -158,10 +154,26 @@ func TestHostAddrTooLongRejected(t *testing.T) {
 	}
 }
 
+// TestBulkNackTooManyMissingRejected: the NACK list bound holds in both
+// directions. A list one over the bound does not encode, and a frame
+// that carries one — count and every entry present, so nothing about
+// it is truncated — does not decode.
 func TestBulkNackTooManyMissingRejected(t *testing.T) {
-	nack := &BulkNack{TransferID: 1, Missing: make([]uint32, math32max+1)}
-	if _, err := Encode(1, nack); err == nil {
-		t.Fatal("Encode of oversized NACK succeeded, want error")
+	if _, err := Encode(1, &BulkNack{TransferID: 1, Missing: make([]uint32, math32max+1)}); !errors.Is(err, ErrFieldBounds) {
+		t.Errorf("Encode of oversized NACK = %v, want ErrFieldBounds", err)
+	}
+	frame, err := Encode(1, &BulkNack{TransferID: 1, Missing: make([]uint32, math32max)})
+	if err != nil {
+		t.Fatalf("Encode of a NACK at the bound: %v", err)
+	}
+	if _, _, err := Decode(frame); err != nil {
+		t.Errorf("Decode of a NACK at the bound: %v", err)
+	}
+	frame = append(frame, 0, 0, 0, 0)
+	PutHeader(frame, Header{Type: TBulkNack, Seq: 1, PayloadLen: uint32(len(frame) - HeaderSize)})
+	binary.BigEndian.PutUint32(frame[HeaderSize+8:], math32max+1)
+	if _, _, err := Decode(frame); !errors.Is(err, ErrFieldBounds) {
+		t.Errorf("Decode of oversized NACK = %v, want ErrFieldBounds", err)
 	}
 }
 
@@ -182,13 +194,15 @@ func TestUint16CountsRejectExactly65536(t *testing.T) {
 		{"ClusterStatsResp/corrupt", &ClusterStatsResp{Status: StatusOK, CorruptHosts: make([]HostCount, 1<<16)}},
 		{"KeepAliveAck", &KeepAliveAck{ClientID: 1, CorruptHosts: make([]HostCount, 1<<16)}},
 		{"InventoryReport", &InventoryReport{HostAddr: "a", Regions: make([]InventoryRegion, 1<<16)}},
+		{"ReadBatchReq", &ReadBatchReq{XferID: 1, Items: make([]ReadBatchItem, 1<<16)}},
+		{"ReadBatchResp", &ReadBatchResp{Status: StatusOK, Results: make([]ReadBatchResult, 1<<16)}},
 	}
 	for _, tc := range cases {
-		if err := tc.msg.encode(make([]byte, tc.msg.payloadSize())); !errors.Is(err, ErrFieldBounds) {
-			t.Errorf("%s.encode with 65536 elements = %v, want ErrFieldBounds", tc.name, err)
+		if _, err := new(cursor).run(putting, tc.msg, make([]byte, 8*MaxPayload)); !errors.Is(err, ErrFieldBounds) {
+			t.Errorf("put walk of %s with 65536 elements = %v, want ErrFieldBounds", tc.name, err)
 		}
-		if _, err := Encode(1, tc.msg); err == nil {
-			t.Errorf("Encode(%s) with 65536 elements succeeded, want error", tc.name)
+		if _, err := Encode(1, tc.msg); !errors.Is(err, ErrFieldBounds) {
+			t.Errorf("Encode(%s) with 65536 elements = %v, want ErrFieldBounds", tc.name, err)
 		}
 	}
 }

@@ -31,7 +31,8 @@ go test -run '^$' -bench . -benchtime 1x ./...
 # Region perf gate: the region-cache benchmarks at a statistically
 # meaningful benchtime against a frozen baseline — written once, then
 # compared against on every run. A >10% ns/op regression on any shared
-# region benchmark fails verification.
+# region benchmark fails verification, and so does an allocs/op rise of
+# more than 1 and more than 2%.
 [ -f BENCH_region_base.json ] || \
     go run ./cmd/dodo-bench -gobench BENCH_region_base.json -pkgs ./internal/region -benchtime 1s
 go run ./cmd/dodo-bench -gobench /tmp/bench_region_now.json -pkgs ./internal/region -benchtime 1s
