@@ -27,9 +27,8 @@
 //     handed to Send, and no storing of borrowed []byte parameters
 //     beyond the callback — copy first, or declare the transfer in the
 //     function's contract with dodo:adopts(param).
-//   - wire-exhaustiveness: every wire.Type constant has a registered
-//     message (newMessage, Kind, typeNames), and every dispatch switch
-//     over wire.Message handles or explicitly ignores every type.
+//   - wire-exhaustiveness: every dispatch switch over wire.Message
+//     handles or explicitly ignores every registered message type.
 //   - guarded-by: struct fields next to a mutex declare their
 //     protection (// dodo:guardedby <mutex>, // dodo:atomic,
 //     // dodo:unguarded — reason) and the whole-program pass proves

@@ -207,11 +207,10 @@ func (l listOf[T]) elems(c *cursor, s *[]T, n int) {
 	case n > l.max:
 		c.err = ErrFieldBounds
 		return
-	case c.mode != getting:
-	case n*l.min > len(c.buf):
+	case c.mode == getting && n*l.min > len(c.buf):
 		c.err = ErrTruncated
 		return
-	case n > 0:
+	case c.mode == getting && n > 0:
 		*s = make([]T, n)
 	}
 	for i := range *s {

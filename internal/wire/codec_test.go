@@ -103,7 +103,4 @@ func TestInlineDataLimit(t *testing.T) {
 			t.Errorf("DataResp at InlineDataLimit(%d) is %d bytes (%v)", mtu, len(frame), err)
 		}
 	}
-	if want := HeaderSize + PayloadSize(&BulkData{}); BulkDataPrefixSize != want {
-		t.Errorf("BulkDataPrefixSize = %d, BulkData's fixed fields encode to %d", BulkDataPrefixSize, want)
-	}
 }

@@ -416,8 +416,8 @@ func (m *BulkNack) fields(c *cursor) {
 	nackSeqs.elems(c, &m.Missing, int(n))
 }
 
-// math32max bounds a NACK list, whose count travels as uint32, in
-// both directions: a receiver never misses more than a window.
+// math32max is the sanity bound on a NACK list, whose count travels as
+// uint32: a longer one neither encodes nor decodes.
 const math32max = 1 << 16
 
 var nackSeqs = newList(math32max, func(p *uint32, c *cursor) { c.u32(p) })

@@ -238,6 +238,9 @@ func sweepTruncations(t *testing.T, name string, msg Message) {
 // PutBulkDataPrefix/DecodeBulkData, byte for byte against the generic
 // codec's BulkData frame.
 func TestBulkDataFastPathMatchesCodec(t *testing.T) {
+	if want := HeaderSize + PayloadSize(&BulkData{}); BulkDataPrefixSize != want {
+		t.Errorf("BulkDataPrefixSize = %d, BulkData's fixed fields encode to %d", BulkDataPrefixSize, want)
+	}
 	for _, payload := range [][]byte{nil, []byte("hello dodo")} {
 		msg := &BulkData{TransferID: 0x0102030405060708, Seq: 0x0A0B0C0D, Payload: payload}
 		want, err := Encode(0, msg)

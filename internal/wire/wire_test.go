@@ -29,26 +29,25 @@ func roundTrip(t *testing.T, seq uint32, msg Message) Message {
 	return got
 }
 
-// TestRoundTripAllMessages: the populated sample of every registered
-// type decodes to a deeply equal message.
-func TestRoundTripAllMessages(t *testing.T) {
+// roundTripSamples requires every populated sample, or every empty
+// variant, to decode to a deeply equal message.
+func roundTripSamples(t *testing.T, seq uint32, variants bool) {
 	for _, s := range samples() {
-		if got := roundTrip(t, 12345, s.msg); s.variant == "" && !reflect.DeepEqual(got, s.msg) {
+		if (s.variant != "") != variants {
+			continue
+		}
+		if got := roundTrip(t, seq, s.msg); !reflect.DeepEqual(got, s.msg) {
 			t.Errorf("%s round-trip mismatch:\n got  %+v\n want %+v", s.name(), got, s.msg)
 		}
 	}
 }
 
+func TestRoundTripAllMessages(t *testing.T) { roundTripSamples(t, 12345, false) }
+
 // TestRoundTripEmptyVariants: an empty string, list or payload
 // round-trips, and every empty list or payload decodes to nil — the
 // samples leave theirs nil, so deep equality checks exactly that.
-func TestRoundTripEmptyVariants(t *testing.T) {
-	for _, s := range samples() {
-		if got := roundTrip(t, 0, s.msg); s.variant != "" && !reflect.DeepEqual(got, s.msg) {
-			t.Errorf("%s round-trip mismatch:\n got  %+v\n want %+v", s.name(), got, s.msg)
-		}
-	}
-}
+func TestRoundTripEmptyVariants(t *testing.T) { roundTripSamples(t, 0, true) }
 
 func TestHeaderRejectsBadMagic(t *testing.T) {
 	frame, _ := Encode(1, &KeepAlive{ClientID: 1})
