@@ -405,7 +405,7 @@ func (ep *Endpoint) dispatch(from string, h wire.Header, msg wire.Message) {
 		*wire.KeepAliveAck, *wire.HostStatusAck,
 		*wire.IMDAllocResp, *wire.IMDFreeResp, *wire.DataResp,
 		*wire.BulkAccept, *wire.ClusterStatsResp, *wire.HandoffAccept,
-		*wire.InventoryAck, *wire.ReadBatchResp:
+		*wire.InventoryAck:
 		ep.mu.Lock()
 		ch, ok := ep.calls[h.Seq]
 		if ok {
@@ -420,7 +420,7 @@ func (ep *Endpoint) dispatch(from string, h wire.Header, msg wire.Message) {
 		*wire.IMDAllocReq, *wire.IMDFreeReq,
 		*wire.ReadReq, *wire.WriteReq, *wire.ClusterStatsReq,
 		*wire.HandoffOffer, *wire.HandoffPage, *wire.HandoffDone,
-		*wire.InventoryReport, *wire.ReadBatchReq:
+		*wire.InventoryReport:
 		if ep.handler == nil {
 			return
 		}

@@ -40,7 +40,8 @@ type Config struct {
 	// extension of the paper's footnote 4).
 	ClientID uint32
 	// RefractionPeriod suppresses allocation attempts after a failed
-	// one (§3.1; default 5s).
+	// one (§3.1; default 5s). Half of it is how long Mopen rides out a
+	// manager outage (outageWindow).
 	RefractionPeriod time.Duration
 	// RecoveryBackoff is the initial delay before the background
 	// recovery pass probes dropped regions; it doubles per failed pass,
@@ -49,14 +50,6 @@ type Config struct {
 	// DisableRecovery turns the background recovery pass off, restoring
 	// the paper's original drop-and-forget behavior.
 	DisableRecovery bool
-	// OutageWindow bounds manager-outage mode: when the manager is
-	// unreachable (crashed, restarting) or still rebuilding its
-	// directory (StatusBusy), Mopen queues behind a capped-exponential
-	// backoff for up to this long before giving up with ErrNoMem.
-	// Reads and writes against already-validated regions never touch
-	// the manager and keep working throughout (default
-	// RefractionPeriod/2).
-	OutageWindow time.Duration
 	// HedgeMultiplier scales the per-host EWMA read latency into the
 	// hedge delay: a remote read still outstanding after Multiplier
 	// times the mean triggers a backup read from the backing file
@@ -85,9 +78,6 @@ func (c Config) withDefaults() Config {
 	if c.RecoveryBackoff == 0 {
 		c.RecoveryBackoff = c.RefractionPeriod / 8
 	}
-	if c.OutageWindow == 0 {
-		c.OutageWindow = c.RefractionPeriod / 2
-	}
 	if c.HedgeMultiplier == 0 {
 		c.HedgeMultiplier = 4
 	}
@@ -102,6 +92,14 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
+
+// outageWindow bounds manager-outage mode: when the manager is
+// unreachable (crashed, restarting) or still rebuilding its directory
+// (StatusBusy), Mopen queues behind a capped-exponential backoff for up
+// to this long before giving up with ErrNoMem. Reads and writes against
+// already-validated regions never touch the manager and keep working
+// throughout.
+func (c Config) outageWindow() time.Duration { return c.RefractionPeriod / 2 }
 
 // hostLatency is the per-host remote-read latency EWMA that sizes
 // hedge delays. Samples are scoped to the host's epoch: a re-recruited
@@ -243,7 +241,7 @@ type Client struct {
 	// dodo:atomic
 	checksumFails atomic.Int64
 	// dodo:atomic
-	inlineReads, eagerReads, batchReads atomic.Int64
+	inlineReads, eagerReads atomic.Int64
 }
 
 // New creates a client runtime over tr.
@@ -351,9 +349,10 @@ type Stats struct {
 	CorruptHosts     []wire.HostCount
 	// InlineReads counts remote reads answered inline in the read
 	// response (1 RTT); EagerReads counts reads served by an
-	// eager-first-window bulk transfer; BatchReads counts batched
-	// multi-region exchanges.
-	InlineReads, EagerReads, BatchReads int64
+	// eager-first-window bulk transfer.
+	InlineReads, EagerReads int64
+	// Deprecated: always 0; read by benchmark/metrics.go, goes with BatchRead.
+	BatchReads int64
 	// ManagerIncarnation is the highest manager incarnation observed.
 	ManagerIncarnation uint64
 	OpenRegions        int
@@ -384,7 +383,6 @@ func (c *Client) Stats() Stats {
 		CorruptHosts:       c.corruptHostsSnapshot(),
 		InlineReads:        c.inlineReads.Load(),
 		EagerReads:         c.eagerReads.Load(),
-		BatchReads:         c.batchReads.Load(),
 		ManagerIncarnation: inc,
 		OpenRegions:        open,
 	}
@@ -434,7 +432,7 @@ func (c *Client) Mopen(length int64, backing Backing, offset int64) (int, error)
 	// Manager-outage mode: a crashed or rebuilding manager answers with
 	// silence or StatusBusy, neither of which means the cluster is out
 	// of memory. Queue the allocation behind a capped-exponential
-	// backoff for up to OutageWindow — long enough to ride out a
+	// backoff for up to outageWindow — long enough to ride out a
 	// restart plus its rebuild grace — before reporting ErrNoMem. The
 	// retry budget is created lazily so the common single-shot success
 	// costs nothing extra.
@@ -461,9 +459,9 @@ func (c *Client) Mopen(length int64, backing Backing, offset int64) (int, error)
 		}
 		if budget == nil {
 			budget = retry.New(retry.Policy{
-				Deadline: c.cfg.OutageWindow,
+				Deadline: c.cfg.outageWindow(),
 				Base:     c.cfg.RecoveryBackoff,
-				Cap:      c.cfg.OutageWindow / 2,
+				Cap:      c.cfg.outageWindow() / 2,
 				Factor:   2,
 				Jitter:   0.1,
 			}, c.cfg.Clock, rand.New(rand.NewSource(c.cfg.Seed)))

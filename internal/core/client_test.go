@@ -143,6 +143,10 @@ func TestMreadShortAtTailAndOffsets(t *testing.T) {
 	if err != nil || n != 10 {
 		t.Fatalf("tail Mread = %d, %v; want 10", n, err)
 	}
+	// Exactly at the end: nothing left to read, and no error.
+	if n, err := s.cli.Mread(fd, 1000, buf); err != nil || n != 0 {
+		t.Fatalf("Mread at end = %d, %v; want 0, nil", n, err)
+	}
 	// Offset beyond end: EINVAL.
 	if _, err := s.cli.Mread(fd, 1001, buf); !errors.Is(err, ErrInval) {
 		t.Fatalf("Mread past end = %v, want ErrInval", err)

@@ -172,73 +172,6 @@ func TestReadFastPathStats(t *testing.T) {
 	}
 }
 
-// TestMreadBatch: several same-host reads collapse into one batched
-// exchange; per-item validation failures and short reads keep Mread's
-// semantics; a batch of one is an ordinary Mread.
-func TestMreadBatch(t *testing.T) {
-	s := newStack(t, 1, 1<<20)
-	sizes := []int64{8 << 10, 12 << 10, 20 << 10}
-	var fds []int
-	var payloads [][]byte
-	for i, size := range sizes {
-		back := NewMemBacking(uint64(20+i), int(size))
-		fd := mopenRetry(t, s.cli, size, back, 0)
-		data := make([]byte, size)
-		rand.New(rand.NewSource(int64(30 + i))).Read(data)
-		if n, err := s.cli.Mwrite(fd, 0, data); err != nil || n != len(data) {
-			t.Fatalf("Mwrite %d = %d, %v", i, n, err)
-		}
-		fds = append(fds, fd)
-		payloads = append(payloads, data)
-	}
-	reqs := []BatchRead{
-		{Fd: fds[0], Offset: 0, Buf: make([]byte, sizes[0])},
-		{Fd: fds[1], Offset: 0, Buf: make([]byte, sizes[1])},
-		// Tail read: buffer larger than what remains — short count.
-		{Fd: fds[2], Offset: 16 << 10, Buf: make([]byte, 8<<10)},
-		// Invalid descriptor.
-		{Fd: 9999, Offset: 0, Buf: make([]byte, 16)},
-		// Offset past the end of the region.
-		{Fd: fds[0], Offset: sizes[0] + 1, Buf: make([]byte, 16)},
-		// Zero-length read at exactly the end.
-		{Fd: fds[0], Offset: sizes[0], Buf: make([]byte, 16)},
-	}
-	results := s.cli.MreadBatch(reqs)
-	if len(results) != len(reqs) {
-		t.Fatalf("MreadBatch returned %d results for %d requests", len(results), len(reqs))
-	}
-	if results[0].Err != nil || results[0].N != int(sizes[0]) || !bytes.Equal(reqs[0].Buf, payloads[0]) {
-		t.Fatalf("item 0 = %d, %v", results[0].N, results[0].Err)
-	}
-	if results[1].Err != nil || results[1].N != int(sizes[1]) || !bytes.Equal(reqs[1].Buf, payloads[1]) {
-		t.Fatalf("item 1 = %d, %v", results[1].N, results[1].Err)
-	}
-	if results[2].Err != nil || results[2].N != 4<<10 || !bytes.Equal(reqs[2].Buf[:4<<10], payloads[2][16<<10:]) {
-		t.Fatalf("item 2 = %d, %v (want short read of 4096)", results[2].N, results[2].Err)
-	}
-	if results[3].Err == nil {
-		t.Fatal("item 3 (bad fd) succeeded, want error")
-	}
-	if results[4].Err == nil {
-		t.Fatal("item 4 (offset out of range) succeeded, want error")
-	}
-	if results[5].Err != nil || results[5].N != 0 {
-		t.Fatalf("item 5 (zero-length) = %d, %v, want 0, nil", results[5].N, results[5].Err)
-	}
-	before := s.cli.Stats()
-	if before.BatchReads == 0 {
-		t.Fatalf("BatchReads = 0 after a batched exchange; stats %+v", before)
-	}
-	one := []BatchRead{{Fd: fds[1], Offset: 0, Buf: make([]byte, sizes[1])}}
-	if res := s.cli.MreadBatch(one); res[0].Err != nil || res[0].N != int(sizes[1]) || !bytes.Equal(one[0].Buf, payloads[1]) {
-		t.Fatalf("batch of one = %d, %v", res[0].N, res[0].Err)
-	}
-	if after := s.cli.Stats(); after.BatchReads != before.BatchReads || after.RemoteReads != before.RemoteReads+1 {
-		t.Fatalf("batch of one: BatchReads %d -> %d, RemoteReads %d -> %d; want an Mread, no batch exchange",
-			before.BatchReads, after.BatchReads, before.RemoteReads, after.RemoteReads)
-	}
-}
-
 func lossyEp() bulk.Config {
 	return bulk.Config{
 		CallTimeout:   150 * time.Millisecond,

@@ -18,15 +18,13 @@ import (
 // switch the check off.
 func corruptHost(t *testing.T, tr transport.Transport, zeroCrc bool) {
 	t.Helper()
-	serve := func(length uint64, corrupt bool) (page []byte, crc uint32) {
+	serve := func(length uint64) (page []byte, crc uint32) {
 		page = make([]byte, length)
 		rand.New(rand.NewSource(int64(length))).Read(page)
 		crc = wire.Checksum(page)
-		if corrupt {
-			page[len(page)/2] ^= 0x40
-			if zeroCrc {
-				crc = 0
-			}
+		page[len(page)/2] ^= 0x40
+		if zeroCrc {
+			crc = 0
 		}
 		return page, crc
 	}
@@ -38,7 +36,7 @@ func corruptHost(t *testing.T, tr transport.Transport, zeroCrc bool) {
 		<-ready
 		switch req := msg.(type) {
 		case *wire.ReadReq:
-			page, crc := serve(req.Length, true)
+			page, crc := serve(req.Length)
 			if req.XferID == 0 {
 				return &wire.DataResp{Status: wire.StatusOK, Count: req.Length, Crc: crc,
 					Flags: wire.DataFlagInline, Payload: page}
@@ -46,15 +44,6 @@ func corruptHost(t *testing.T, tr transport.Transport, zeroCrc bool) {
 			go func() { _ = ep.SendBulkEager(from, req.XferID, page, int(req.ChunkSize), int(req.Window)) }()
 			return &wire.DataResp{Status: wire.StatusOK, Count: req.Length, Crc: crc,
 				TransferID: req.XferID, Flags: wire.DataFlagEager}
-		case *wire.ReadBatchReq:
-			// Every item but the last is served intact.
-			resp := &wire.ReadBatchResp{Status: wire.StatusOK, Flags: wire.DataFlagInline}
-			for i, it := range req.Items {
-				page, crc := serve(it.Length, i == len(req.Items)-1)
-				resp.Results = append(resp.Results, wire.ReadBatchResult{Status: wire.StatusOK, Count: it.Length, Crc: crc})
-				resp.Payload = append(resp.Payload, page...)
-			}
-			return resp
 		}
 		return nil
 	})
@@ -64,11 +53,10 @@ func corruptHost(t *testing.T, tr transport.Transport, zeroCrc bool) {
 
 // TestCorruptReadFailsChecksum: a page mangled between the imd's hash
 // and the client's buffer fails the read, is counted against the host
-// that served it and drops that host — in both response shapes and in
-// one item of a batch, and whether or not the mangling also zeroed the
-// Crc field.
+// that served it and drops that host — in both response shapes, and
+// whether or not the mangling also zeroed the Crc field.
 func TestCorruptReadFailsChecksum(t *testing.T) {
-	for _, shape := range []string{"inline", "eager", "batch"} {
+	for _, shape := range []string{"inline", "eager"} {
 		for _, zeroCrc := range []bool{false, true} {
 			name := shape + "/true-crc"
 			if zeroCrc {
@@ -95,28 +83,12 @@ func TestCorruptReadFailsChecksum(t *testing.T) {
 				defer cli.Close()
 
 				back := NewMemBacking(90, 64<<10)
-				var fd int
-				var err error
-				switch shape {
-				case "inline", "eager":
-					size := int64(512)
-					if shape == "eager" {
-						size = 16 << 10
-					}
-					fd = mopenRetry(t, cli, size, back, 0)
-					_, err = cli.Mread(fd, 0, make([]byte, size))
-				case "batch":
-					fd = mopenRetry(t, cli, 256, back, 0)
-					res := cli.MreadBatch([]BatchRead{
-						{Fd: mopenRetry(t, cli, 256, back, 256), Buf: make([]byte, 256)},
-						{Fd: fd, Buf: make([]byte, 256)},
-					})
-					if res[0].Err != nil || res[0].N != 256 {
-						t.Fatalf("intact batch item = %d, %v", res[0].N, res[0].Err)
-					}
-					err = res[1].Err
+				size := int64(512)
+				if shape == "eager" {
+					size = 16 << 10
 				}
-				if !errors.Is(err, ErrNoMem) {
+				fd := mopenRetry(t, cli, size, back, 0)
+				if _, err := cli.Mread(fd, 0, make([]byte, size)); !errors.Is(err, ErrNoMem) {
 					t.Fatalf("read of a corrupt page = %v, want ErrNoMem", err)
 				}
 				st := cli.Stats()

@@ -41,7 +41,7 @@ func newOutageStack(t *testing.T, firstInc uint64) (*outageStack, *manager.Manag
 	cli := New(ct, Config{
 		ManagerAddr: "cmd",
 		ClientID:    1,
-		// OutageWindow defaults to half of this: 5s of queueing.
+		// The outage window is half of this: 5s of queueing.
 		RefractionPeriod: 10 * time.Second,
 		RecoveryBackoff:  50 * time.Millisecond,
 		Endpoint:         fastEp(),

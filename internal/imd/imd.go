@@ -157,15 +157,15 @@ type Daemon struct {
 
 	// eagerResp memoizes the response for each requester-chosen eager
 	// transfer id, and eagerOrder its insertion order. A retransmitted
-	// ReadReq/ReadBatchReq (the client's Call resends on timeout) MUST
-	// get the original response back without starting a second blast:
+	// ReadReq (the client's Call resends on timeout) MUST get the
+	// original response back without starting a second blast:
 	// the pool may have been written in between, and a second blast
 	// under the same transfer id would interleave two snapshots into
 	// the client's buffer and fail its end-to-end CRC. Bounded FIFO —
 	// old entries only matter for duplicates, which the client's call
 	// deadline bounds far tighter than the table size.
 	// dodo:guardedby mu
-	eagerResp map[eagerKey]wire.Message
+	eagerResp map[eagerKey]*wire.DataResp
 	// dodo:guardedby mu
 	eagerOrder []eagerKey
 }
@@ -206,7 +206,7 @@ func New(tr transport.Transport, cfg Config) *Daemon {
 		regionMeta:     make(map[uint64]regionMeta),
 		reportKick:     make(chan struct{}, 1),
 		stop:           make(chan struct{}),
-		eagerResp:      make(map[eagerKey]wire.Message),
+		eagerResp:      make(map[eagerKey]*wire.DataResp),
 	}
 	d.mu.SetRank(locks.RankIMD)
 	// Handlers may fire before this constructor returns; gate them
@@ -704,8 +704,6 @@ func (d *Daemon) handle(from string, msg wire.Message) wire.Message {
 		return d.handleFree(req)
 	case *wire.ReadReq:
 		return d.handleRead(from, req)
-	case *wire.ReadBatchReq:
-		return d.handleReadBatch(from, req)
 	case *wire.WriteReq:
 		return d.handleWrite(from, req)
 	case *wire.HandoffPage:
@@ -721,7 +719,7 @@ func (d *Daemon) handle(from string, msg wire.Message) wire.Message {
 		*wire.IMDAllocResp, *wire.IMDFreeResp, *wire.DataResp,
 		*wire.BulkOffer, *wire.BulkAccept, *wire.BulkData,
 		*wire.BulkNack, *wire.BulkDone, *wire.ClusterStatsResp,
-		*wire.HandoffAccept, *wire.InventoryAck, *wire.ReadBatchResp:
+		*wire.HandoffAccept, *wire.InventoryAck:
 		// Responses and bulk frames are consumed by the endpoint's
 		// dispatch before the handler runs; they cannot reach here.
 		return nil
@@ -781,7 +779,7 @@ func (d *Daemon) handleFree(req *wire.IMDFreeReq) wire.Message {
 
 // memoizedLocked returns the memoized response for a requester-chosen
 // transfer id, if any. Caller holds d.mu.
-func (d *Daemon) memoizedLocked(from string, id uint64) (wire.Message, bool) {
+func (d *Daemon) memoizedLocked(from string, id uint64) (*wire.DataResp, bool) {
 	if id == 0 {
 		return nil, false
 	}
@@ -789,18 +787,11 @@ func (d *Daemon) memoizedLocked(from string, id uint64) (wire.Message, bool) {
 	return resp, ok
 }
 
-// memoize records the response chosen for a requester-picked transfer
-// id, evicting the oldest entry past the table bound.
-func (d *Daemon) memoize(from string, id uint64, resp wire.Message) {
-	if id == 0 {
-		return
-	}
+// memoizeLocked records the response chosen for a requester-picked
+// transfer id, evicting the oldest entry past the table bound. Caller
+// holds d.mu and has seen memoizedLocked miss under the same hold.
+func (d *Daemon) memoizeLocked(from string, id uint64, resp *wire.DataResp) {
 	key := eagerKey{from: from, id: id}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if _, ok := d.eagerResp[key]; ok {
-		return
-	}
 	d.eagerResp[key] = resp
 	d.eagerOrder = append(d.eagerOrder, key)
 	if len(d.eagerOrder) > eagerMemoCap {
@@ -879,102 +870,25 @@ func (d *Daemon) handleRead(from string, req *wire.ReadReq) wire.Message {
 
 	// The requester pre-registered its buffer under XferID and told us
 	// the chunk/window it committed — blast the first window now,
-	// DataResp doubles as the offer.
-	d.transfers.Add(1)
-	d.mu.Unlock()
-
-	// The checksum covers the snapshot, so the client verifies the
-	// bytes end to end: a frame mangled anywhere between this pool and
-	// the client's buffer fails the read instead of corrupting it.
+	// DataResp doubles as the offer. The checksum covers the snapshot,
+	// so the client verifies the bytes end to end: a frame mangled
+	// anywhere between this pool and the client's buffer fails the read
+	// instead of corrupting it.
 	resp := &wire.DataResp{
 		Status: wire.StatusOK, Count: uint64(len(snap)), TransferID: req.XferID,
 		Crc: wire.Checksum(snap), Flags: wire.DataFlagEager,
 	}
-	// Memoize BEFORE the blast goroutine can finish: a retransmit
-	// must never observe a gap and start a second blast.
-	d.memoize(from, req.XferID, resp)
+	// Memoize under the hold that saw no memo and chose to blast: a
+	// copy of this request queued on d.mu must find the response, never
+	// a gap in which to start a second blast under the same id.
+	d.memoizeLocked(from, req.XferID, resp)
+	d.transfers.Add(1)
+	d.mu.Unlock()
 	go func() {
 		defer d.transfers.Done()
 		defer wire.PutFrame(snap)
 		if err := d.ep.SendBulkEager(from, req.XferID, snap, int(req.ChunkSize), int(req.Window)); err != nil {
 			d.logf("imd %s: eager read push to %s: %v", d.Addr(), from, err)
-		}
-	}()
-	return resp
-}
-
-// handleReadBatch serves several region reads in one exchange: the
-// per-item slots are packed into one stream (failed or short items
-// zero-padded to their full requested length, so the stream length is
-// exactly the sum the requester predicted), answered inline when the
-// whole response fits one frame and blasted eagerly under the
-// requester's transfer id otherwise.
-func (d *Daemon) handleReadBatch(from string, req *wire.ReadBatchReq) wire.Message {
-	d.mu.Lock()
-	if resp, ok := d.memoizedLocked(from, req.XferID); ok {
-		d.mu.Unlock()
-		return resp
-	}
-	if d.draining && d.drainDone {
-		d.mu.Unlock()
-		return &wire.ReadBatchResp{Status: wire.StatusBusy}
-	}
-	total := 0
-	for _, it := range req.Items {
-		if it.Length > bulk.MaxTransfer || total+int(it.Length) > bulk.MaxTransfer {
-			d.mu.Unlock()
-			return &wire.ReadBatchResp{Status: wire.StatusInvalid}
-		}
-		total += int(it.Length)
-	}
-	stream := make([]byte, total)
-	results := make([]wire.ReadBatchResult, len(req.Items))
-	at := 0
-	for i, it := range req.Items {
-		slot := stream[at : at+int(it.Length)]
-		at += int(it.Length)
-		switch {
-		case it.Epoch != d.cfg.Epoch:
-			d.staleRejects++
-			results[i] = wire.ReadBatchResult{Status: wire.StatusStale}
-			continue
-		case !d.pool.Has(it.RegionID):
-			results[i] = wire.ReadBatchResult{Status: wire.StatusNotFound}
-			continue
-		}
-		data, err := d.pool.Read(it.RegionID, it.Offset, it.Length)
-		if err != nil {
-			results[i] = wire.ReadBatchResult{Status: wire.StatusInvalid}
-			continue
-		}
-		n := copy(slot, data)
-		d.reads++
-		d.readBytes += int64(n)
-		d.readCount[it.RegionID]++
-		results[i] = wire.ReadBatchResult{Status: wire.StatusOK, Count: uint64(n), Crc: wire.Checksum(slot[:n])}
-	}
-
-	// Whole response in one frame when it fits: statuses, CRCs and the
-	// stream itself, no bulk transfer.
-	inline := &wire.ReadBatchResp{Status: wire.StatusOK, Flags: wire.DataFlagInline, Results: results, Payload: stream}
-	if wire.HeaderSize+wire.PayloadSize(inline) <= d.ep.Transport().MTU() {
-		d.mu.Unlock()
-		d.memoize(from, req.XferID, inline)
-		return inline
-	}
-	if !d.canBlast(req.XferID, req.ChunkSize) {
-		d.mu.Unlock()
-		return &wire.ReadBatchResp{Status: wire.StatusInvalid, Results: results}
-	}
-	d.transfers.Add(1)
-	d.mu.Unlock()
-
-	resp := &wire.ReadBatchResp{Status: wire.StatusOK, TransferID: req.XferID, Flags: wire.DataFlagEager, Results: results}
-	d.memoize(from, req.XferID, resp)
-	go func() {
-		defer d.transfers.Done()
-		if err := d.ep.SendBulkEager(from, req.XferID, stream, int(req.ChunkSize), int(req.Window)); err != nil {
-			d.logf("imd %s: eager batch push to %s: %v", d.Addr(), from, err)
 		}
 	}()
 	return resp

@@ -484,6 +484,61 @@ func TestConcurrentClientReads(t *testing.T) {
 	}
 }
 
+// TestDuplicatedEagerReadServedOnce: copies of one eager ReadReq that
+// reach the daemon together (a UDP duplicate, a retransmit racing a slow
+// handler; bulk runs every request on its own goroutine) are one read
+// and one blast. A second blast under the same transfer id would take
+// over the first sender's ack channel and leave it re-blasting its
+// window until its retries ran out.
+func TestDuplicatedEagerReadServedOnce(t *testing.T) {
+	const (
+		reads  = 300
+		copies = 4
+		size   = 64 << 10
+	)
+	r := newRig(t, 1<<20)
+	allocRegion(t, r, 1, size)
+	data := make([]byte, size)
+	rand.New(rand.NewSource(3)).Read(data)
+	writeRegion(t, r, 1, 0, data)
+
+	buf := make([]byte, size)
+	for i := 0; i < reads; i++ {
+		xfer := r.cli.NextTransferID()
+		window, err := r.cli.ExpectBulkInto(buf, "imd1", xfer, r.cli.ChunkSize())
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := &wire.ReadReq{RegionID: 1, Epoch: 3, Length: size,
+			XferID: xfer, ChunkSize: uint32(r.cli.ChunkSize()), Window: uint32(window)}
+		resps := make([]wire.Message, copies)
+		var wg sync.WaitGroup
+		for c := range resps {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				resps[c] = r.d.handle("client", req)
+			}(c)
+		}
+		wg.Wait()
+		for c, resp := range resps {
+			if dr := resp.(*wire.DataResp); dr != resps[0] || dr.Status != wire.StatusOK || dr.Crc != wire.Checksum(data) {
+				t.Fatalf("read %d copy %d answered %+v, first copy %+v", i, c, dr, resps[0])
+			}
+		}
+		if n, err := r.cli.RecvBulkInto(buf, "imd1", xfer, 15*time.Second); err != nil || n != size || !bytes.Equal(buf, data) {
+			t.Fatalf("read %d: %d bytes, %v", i, n, err)
+		}
+	}
+	r.d.transfers.Wait()
+	if got := r.d.Stats().Reads; got != reads {
+		t.Errorf("Reads = %d after %d distinct transfer ids, want one read each", got, reads)
+	}
+	if retrans, _, _ := r.d.ep.Stats(); retrans != 0 {
+		t.Errorf("the daemon retransmitted %d frames on a lossless network", retrans)
+	}
+}
+
 func BenchmarkServeRead8KB(b *testing.B) {
 	n := transport.NewNetwork(transport.WithMTU(1500))
 	cmdEp := bulk.NewEndpoint(n.Host("cmd"), fastEp(), func(string, wire.Message) wire.Message {

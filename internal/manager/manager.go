@@ -382,7 +382,7 @@ func (m *Manager) handle(from string, msg wire.Message) wire.Message {
 	case *wire.InventoryReport:
 		return m.handleInventoryReport(req)
 	case *wire.IMDAllocReq, *wire.IMDFreeReq,
-		*wire.ReadReq, *wire.ReadBatchReq, *wire.WriteReq,
+		*wire.ReadReq, *wire.WriteReq,
 		*wire.KeepAlive, *wire.HandoffPage:
 		// Addressed to an imd or a client, not the manager; a frame
 		// routed here is a misdirected peer. Explicitly ignored.
@@ -392,7 +392,7 @@ func (m *Manager) handle(from string, msg wire.Message) wire.Message {
 		*wire.IMDAllocResp, *wire.IMDFreeResp, *wire.DataResp,
 		*wire.BulkOffer, *wire.BulkAccept, *wire.BulkData,
 		*wire.BulkNack, *wire.BulkDone, *wire.ClusterStatsResp,
-		*wire.HandoffAccept, *wire.InventoryAck, *wire.ReadBatchResp:
+		*wire.HandoffAccept, *wire.InventoryAck:
 		// Responses and bulk frames are consumed by the endpoint's
 		// dispatch before the handler runs; they cannot reach here.
 		return nil

@@ -29,16 +29,12 @@ type Dodo interface {
 
 var _ Dodo = (*core.Client)(nil)
 
-// BatchReader is the optional batched-read extension of Dodo: several
-// reads issued as one call, letting the runtime collapse same-host
-// reads into a single wire exchange. The prefetch pipeline feeds a
-// whole PrefetchWindow through it when the Dodo implementation
-// supports it; per-region Mread remains the universal fallback.
+// BatchReader is the retired batched-read extension of Dodo.
+//
+// Deprecated: the cache does not look for it; goes with core.BatchRead.
 type BatchReader interface {
 	MreadBatch(reqs []core.BatchRead) []core.BatchResult
 }
-
-var _ BatchReader = (*core.Client)(nil)
 
 // State is a region's caching state — the four states of §3.3.
 type State int

@@ -19,7 +19,7 @@ import (
 type benchDodo struct {
 	latency time.Duration
 
-	mopens, mreads, mwrites, mcloses, mreadBatches atomic.Int64
+	mopens, mreads, mwrites, mcloses atomic.Int64
 
 	mu       sync.Mutex
 	capacity int64
@@ -65,27 +65,6 @@ func (f *benchDodo) Mread(fd int, offset int64, buf []byte) (int, error) {
 		return -1, core.ErrNoMem
 	}
 	return copy(buf, r.data[offset:]), nil
-}
-
-// MreadBatch serves a whole window of reads for one latency charge,
-// modeling the real client's single-exchange batched fetch. With this
-// method present the cache's prefetch pipeline batches each window
-// instead of paying one round trip per region.
-func (f *benchDodo) MreadBatch(reqs []core.BatchRead) []core.BatchResult {
-	f.mreadBatches.Add(1)
-	time.Sleep(f.latency)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	results := make([]core.BatchResult, len(reqs))
-	for i := range reqs {
-		r, ok := f.regions[reqs[i].Fd]
-		if !ok {
-			results[i] = core.BatchResult{N: -1, Err: core.ErrNoMem}
-			continue
-		}
-		results[i] = core.BatchResult{N: copy(reqs[i].Buf, r.data[reqs[i].Offset:])}
-	}
-	return results
 }
 
 func (f *benchDodo) Mwrite(fd int, offset int64, buf []byte) (int, error) {

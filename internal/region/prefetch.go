@@ -1,10 +1,6 @@
 package region
 
-import (
-	"runtime"
-
-	"dodo/internal/core"
-)
+import "runtime"
 
 // Sequential prefetching is this reproduction's implementation of the
 // direction the paper points at via Voelker et al.'s cooperative
@@ -20,8 +16,9 @@ import (
 // contiguous regions ahead. With Config.PrefetchWorkers > 0 the pulls
 // run on a bounded background pool, overlapping the foreground
 // accesses; with 0 workers they run synchronously on the accessing
-// goroutine, which keeps virtual-time experiments deterministic. The
-// pull itself goes through Prefetch, which callers can also invoke
+// goroutine, which keeps virtual-time experiments deterministic. Each
+// region of a window is pulled by Prefetch, through the fillRegion →
+// Mread path a foreground miss takes; callers can also invoke Prefetch
 // directly for application-directed prefetching (the explicit analogue
 // of the paper's explicit-control philosophy).
 
@@ -76,10 +73,10 @@ func (c *Cache) maybePrefetchLocked(r *cregion) []int {
 
 // dispatchPrefetch hands jobs from maybePrefetchLocked to the pipeline.
 // Must be called without c.mu. With no worker pool the pulls run
-// inline; with a pool the window is queued whole — so the worker can
-// batch its remote fetches — and dropped (prefetches are hints) when
-// the queue is saturated. Every accounted job is retired exactly
-// once — run, dropped on saturation, or drained by Close.
+// inline; with a pool the window is queued whole and dropped
+// (prefetches are hints) when the queue is saturated. Every accounted
+// job is retired exactly once — run, dropped on saturation, or drained
+// by Close.
 //
 // dodo:releases(prefslot)
 func (c *Cache) dispatchPrefetch(jobs []int) {
@@ -87,10 +84,7 @@ func (c *Cache) dispatchPrefetch(jobs []int) {
 		return
 	}
 	if c.prefetchQ == nil {
-		c.prefetchBatch(jobs)
-		for range jobs {
-			c.finishPrefetchJob()
-		}
+		c.prefetchAll(jobs)
 		return
 	}
 	select {
@@ -111,6 +105,15 @@ func (c *Cache) finishPrefetchJob() {
 	c.mu.Unlock()
 }
 
+// prefetchAll pulls each region of one window through prefetch, the
+// path a foreground miss takes, and retires its job.
+func (c *Cache) prefetchAll(fds []int) {
+	for _, fd := range fds {
+		c.prefetch(fd)
+		c.finishPrefetchJob()
+	}
+}
+
 // prefetchWorker drains the prefetch queue until Close.
 func (c *Cache) prefetchWorker() {
 	defer c.prefetchWG.Done()
@@ -119,10 +122,7 @@ func (c *Cache) prefetchWorker() {
 		case <-c.prefetchStop:
 			return
 		case fds := <-c.prefetchQ:
-			c.prefetchBatch(fds)
-			for range fds {
-				c.finishPrefetchJob()
-			}
+			c.prefetchAll(fds)
 		}
 	}
 }
@@ -212,144 +212,6 @@ func (c *Cache) prefetch(fd int) {
 		// contents itself, at the claim that precedes its disk read.
 		c.cloneRemote(fd, nil, 0, false)
 	}
-}
-
-// prefetchBatch pulls one prefetch window of regions. When the
-// runtime library supports batched reads, every region in the window
-// that promotes from a healthy remote copy rides a single MreadBatch
-// call — on the wire, one batched exchange per imd instead of a full
-// read protocol per region; otherwise the regions are pulled one by
-// one, exactly as before.
-func (c *Cache) prefetchBatch(fds []int) {
-	br, batched := c.dodo.(BatchReader)
-	if !batched || len(fds) < 2 {
-		for _, fd := range fds {
-			c.prefetch(fd)
-		}
-		return
-	}
-	c.fillRegionsBatched(fds, br)
-	// Epilogue per region, mirroring prefetch(): whatever could not go
-	// local (policy refused, or the region outsizes the cache) is
-	// staged in remote memory so at least the disk is out of the next
-	// access's path.
-	for _, fd := range fds {
-		c.mu.Lock()
-		r := c.regions[fd]
-		stillRemoteless := r != nil && r.local == nil && r.pend == nil && r.remoteFD < 0
-		c.mu.Unlock()
-		if stillRemoteless {
-			c.cloneRemote(fd, nil, 0, false)
-		}
-	}
-}
-
-// fillRegionsBatched is fillRegion over a prefetch window: one locked
-// admission pass reserves space and registers fill markers for every
-// admissible region, the remote-healthy fills are fetched with a
-// single MreadBatch call, the rest fetch individually, and one final
-// locked pass installs everything. Regions mid-transition or whose
-// backing location is already filling are skipped, not waited on — a
-// prefetch is a hint.
-//
-// dodo:transfers(marker)
-func (c *Cache) fillRegionsBatched(fds []int, br BatchReader) {
-	type fillJob struct {
-		r       *cregion
-		key     prefKey
-		marker  *inflight
-		v       ioView
-		victims []evictJob
-		fit     bool
-		data    []byte
-	}
-	var jobs []*fillJob
-	c.mu.Lock()
-	for _, fd := range fds {
-		r, ok := c.regions[fd]
-		if !ok || r.local != nil || r.pend != nil {
-			continue
-		}
-		c.stats.Prefetches++
-		if r.length > c.cfg.Capacity {
-			continue
-		}
-		key := prefKey{inode: r.backing.Inode(), off: r.backOff}
-		if _, busy := c.fills[key]; busy {
-			continue
-		}
-		victims, fit := c.reserveLocked(r.length)
-		if !fit && len(victims) == 0 {
-			continue
-		}
-		j := &fillJob{r: r, key: key, victims: victims, fit: fit}
-		if fit {
-			marker := newInflight()
-			j.marker = marker
-			r.pend = marker
-			c.fills[key] = marker
-			j.v = c.viewLocked(r)
-		}
-		jobs = append(jobs, j)
-	}
-	c.mu.Unlock()
-	for _, j := range jobs {
-		for i := range j.victims {
-			c.evictIO(&j.victims[i])
-		}
-	}
-	// Remote-healthy fills ride one batched exchange; revive/none modes
-	// keep fetchContents' per-region handling.
-	var batch []core.BatchRead
-	var batchJobs []*fillJob
-	for _, j := range jobs {
-		if !j.fit {
-			continue
-		}
-		if j.v.mode == remoteHealthy {
-			j.data = make([]byte, j.v.length)
-			batch = append(batch, core.BatchRead{Fd: j.v.remoteFD, Offset: 0, Buf: j.data})
-			batchJobs = append(batchJobs, j)
-		} else {
-			j.data = c.fetchContents(j.v)
-		}
-	}
-	if len(batchJobs) > 0 {
-		results := br.MreadBatch(batch)
-		for i, j := range batchJobs {
-			res := results[i]
-			if res.Err == nil && int64(res.N) == j.v.length {
-				c.mu.Lock()
-				c.stats.RemoteReads += int64(res.N)
-				c.mu.Unlock()
-				continue
-			}
-			c.remoteFailed(j.v.fd, res.Err)
-			// Disk fallback, matching fetchContents: a failed remote
-			// attempt may have left partial bytes, so start from zero.
-			for k := range j.data {
-				j.data[k] = 0
-			}
-			if _, err := j.v.backing.ReadAt(j.data, j.v.backOff); err == nil {
-				c.mu.Lock()
-				c.stats.DiskReads += j.v.length
-				c.mu.Unlock()
-			}
-		}
-	}
-	c.mu.Lock()
-	for _, j := range jobs {
-		for i := range j.victims {
-			c.settleEvictionLocked(&j.victims[i])
-		}
-		if j.fit {
-			j.r.local = j.data
-			c.stats.Promotions++
-			c.cfg.Policy.NoteCached(j.r.fd)
-			c.clearFillLocked(j.r, j.marker, j.key)
-		}
-	}
-	c.mu.Unlock()
 }
 
 // registerLocationLocked indexes a region for prefetch lookup. Caller

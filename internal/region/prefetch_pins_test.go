@@ -13,15 +13,11 @@ import (
 // tests of prefetch_test.go and concurrency_test.go reduced to its
 // drive (open, access, Quiesce after every access so a worker pool is
 // observed at the same points as the inline pipeline). The table below
-// pins, per scenario and PrefetchWindow, what the per-region pull
-// (prefetch → fillRegion → Mread) leaves behind: the Stats a prefetch
-// can move and every region's final state and local bytes.
-// TestPrefetchPathsAgree runs each row with 0 and 1 workers against a
-// Dodo with no MreadBatch and against benchDodo, which has one.
-
-// perRegionDodo exposes Dodo's five methods and nothing else, so the
-// cache's BatchReader assertion fails and every pull is per region.
-type perRegionDodo struct{ Dodo }
+// pins, per scenario and PrefetchWindow, what the pull (prefetch →
+// fillRegion → Mread) leaves behind: the Stats a prefetch can move and
+// every region's final state and local bytes. The pins were taken at
+// d748fa1, against a Dodo with no batched read. TestPrefetchPins runs
+// each row with 0 and 1 workers.
 
 type prefetchScenario struct {
 	name     string
@@ -146,9 +142,8 @@ var prefetchScenarios = []prefetchScenario{
 			return fds
 		},
 	},
-	{ // The walk of TestPrefetchWindowBatchesRemoteFills, continued to
-		// the end of the file: the cache holds a whole window, as it
-		// does in the benchmark's sequential workloads.
+	{ // A walk to the end of the file through a cache that holds a
+		// whole window, as in the benchmark's sequential workloads.
 		name: "walk", capacity: 6 * eqRegion, remote: 1 << 20,
 		drive: func(t *testing.T, c *Cache) []int {
 			fds := openRegions(t, c, core.NewMemBacking(1, 1<<20), 16)
@@ -160,17 +155,16 @@ var prefetchScenarios = []prefetchScenario{
 	},
 }
 
-// runPrefetchScenario drives s over the given Dodo and renders what it
-// left behind: the five Stats a prefetch can move, then one token per
+// runPrefetchScenario drives s and renders what it left behind: the five Stats a prefetch can move, then one token per
 // region — state initial (D/L/R/B for disk-only, local, remote, both)
 // and, when local, the CRC of the bytes held.
-func runPrefetchScenario(t *testing.T, s prefetchScenario, wrap func(*benchDodo) Dodo, window, workers int) string {
+func runPrefetchScenario(t *testing.T, s prefetchScenario, window, workers int) string {
 	t.Helper()
 	var policy Policy = NewLRU()
 	if s.firstIn {
 		policy = NewFirstIn()
 	}
-	c := NewCache(wrap(newBenchDodo(s.remote, 0)), Config{
+	c := NewCache(newBenchDodo(s.remote, 0), Config{
 		Capacity:           s.capacity,
 		Policy:             policy,
 		PromoteOnAccess:    true,
@@ -188,7 +182,7 @@ func runPrefetchScenario(t *testing.T, s prefetchScenario, wrap func(*benchDodo)
 	defer c.mu.Unlock()
 	for _, fd := range fds {
 		r := c.regions[fd]
-		b.WriteString(" " + map[State]string{StateDiskOnly: "D", StateLocal: "L", StateRemote: "R", StateLocalRemote: "B"}[r.state()])
+		b.WriteString(" " + stateInitial[r.state()])
 		if r.local != nil {
 			fmt.Fprintf(&b, ":%08x", wire.Checksum(r.local))
 		}
@@ -196,23 +190,15 @@ func runPrefetchScenario(t *testing.T, s prefetchScenario, wrap func(*benchDodo)
 	return b.String()
 }
 
-func TestPrefetchPathsAgree(t *testing.T) {
-	perRegion := func(f *benchDodo) Dodo { return perRegionDodo{f} }
-	batched := func(f *benchDodo) Dodo { return f }
+var stateInitial = map[State]string{StateDiskOnly: "D", StateLocal: "L", StateRemote: "R", StateLocalRemote: "B"}
+
+func TestPrefetchPins(t *testing.T) {
 	for _, s := range prefetchScenarios {
 		for _, window := range []int{1, 2, 4} {
 			for _, workers := range []int{0, 1} {
 				t.Run(fmt.Sprintf("%s/window=%d/workers=%d", s.name, window, workers), func(t *testing.T) {
-					pin := prefetchPins[s.name][window]
-					if got := runPrefetchScenario(t, s, perRegion, window, workers); got != pin.perRegion {
-						t.Errorf("per-region path:\n got %s\nwant %s", got, pin.perRegion)
-					}
-					want := pin.perRegion
-					if pin.batched != "" {
-						want = pin.batched
-					}
-					if got := runPrefetchScenario(t, s, batched, window, workers); got != want {
-						t.Errorf("batched path:\n got %s\nwant %s", got, want)
+					if got, want := runPrefetchScenario(t, s, window, workers), prefetchPins[s.name][window]; got != want {
+						t.Errorf("\n got %s\nwant %s", got, want)
 					}
 				})
 			}
@@ -220,75 +206,44 @@ func TestPrefetchPathsAgree(t *testing.T) {
 	}
 }
 
-// prefetchPin is one row's expectation. batched is empty where the
-// batched path leaves exactly what the per-region path leaves.
-//
-// The two disagree in exactly the rows whose local cache (one region)
-// is smaller than the window. The per-region path fills each region of
-// the list in turn, each evicting its predecessor, so every extra
-// region costs one more promotion, eviction and remote read and the
-// last region of the window is the one left local. The batched path
-// reserves space for the whole list in one locked pass, finds no victim
-// after the first region and skips the rest: they count as Prefetches
-// and are never filled. Where the cache holds a window ("walk", and
-// every benchmark workload) the two leave the same cache.
-type prefetchPin struct{ perRegion, batched string }
-
-var prefetchPins = map[string]map[int]prefetchPin{
+// prefetchPins is keyed by scenario, then window. Where the local cache
+// (one region) is smaller than the window, each region of the list is
+// filled in turn and evicts its predecessor: one more promotion,
+// eviction and remote read per extra region, the last one left local.
+var prefetchPins = map[string]map[int]string{
 	"sequential": {
-		1: {perRegion: "pref=1 prom=3 rr=12288 dr=24576 ev=8 | R R B:f2364862 R R R"},
-		2: {
-			perRegion: "pref=2 prom=4 rr=16384 dr=24576 ev=9 | R R R B:fd497142 R R",
-			batched:   "pref=2 prom=3 rr=12288 dr=24576 ev=8 | R R B:f2364862 R R R",
-		},
-		4: {
-			perRegion: "pref=4 prom=6 rr=24576 dr=24576 ev=11 | R R R R R B:4d67525f",
-			batched:   "pref=4 prom=3 rr=12288 dr=24576 ev=8 | R R B:f2364862 R R R",
-		},
+		1: "pref=1 prom=3 rr=12288 dr=24576 ev=8 | R R B:f2364862 R R R",
+		2: "pref=2 prom=4 rr=16384 dr=24576 ev=9 | R R R B:fd497142 R R",
+		4: "pref=4 prom=6 rr=24576 dr=24576 ev=11 | R R R R R B:4d67525f",
 	},
 	"explicit": {
-		1: {perRegion: "pref=2 prom=0 rr=0 dr=12288 ev=0 | L:42186b7f L:28d76294 R"},
-		2: {perRegion: "pref=2 prom=0 rr=0 dr=12288 ev=0 | L:42186b7f L:28d76294 R"},
-		4: {perRegion: "pref=2 prom=0 rr=0 dr=12288 ev=0 | L:42186b7f L:28d76294 R"},
+		1: "pref=2 prom=0 rr=0 dr=12288 ev=0 | L:42186b7f L:28d76294 R",
+		2: "pref=2 prom=0 rr=0 dr=12288 ev=0 | L:42186b7f L:28d76294 R",
+		4: "pref=2 prom=0 rr=0 dr=12288 ev=0 | L:42186b7f L:28d76294 R",
 	},
 	"integrity": {
-		1: {perRegion: "pref=2 prom=8 rr=32768 dr=16384 ev=11 | R R R B:fd497142"},
-		2: {
-			perRegion: "pref=3 prom=10 rr=40960 dr=16384 ev=13 | R R R B:fd497142",
-			batched:   "pref=3 prom=8 rr=32768 dr=16384 ev=11 | R R R B:fd497142",
-		},
-		4: {
-			perRegion: "pref=3 prom=10 rr=40960 dr=16384 ev=13 | R R R B:fd497142",
-			batched:   "pref=3 prom=8 rr=32768 dr=16384 ev=11 | R R R B:fd497142",
-		},
+		1: "pref=2 prom=8 rr=32768 dr=16384 ev=11 | R R R B:fd497142",
+		2: "pref=3 prom=10 rr=40960 dr=16384 ev=13 | R R R B:fd497142",
+		4: "pref=3 prom=10 rr=40960 dr=16384 ev=13 | R R R B:fd497142",
 	},
 	"interleaved": {
-		1: {perRegion: "pref=2 prom=6 rr=24576 dr=32768 ev=13 | R R R R R R B:f2364862 R"},
-		2: {
-			perRegion: "pref=4 prom=8 rr=32768 dr=32768 ev=15 | R R R R R R R B:fd497142",
-			batched:   "pref=4 prom=6 rr=24576 dr=32768 ev=13 | R R R R R R B:f2364862 R",
-		},
-		4: {
-			perRegion: "pref=4 prom=8 rr=32768 dr=32768 ev=15 | R R R R R R R B:fd497142",
-			batched:   "pref=4 prom=6 rr=24576 dr=32768 ev=13 | R R R R R R B:f2364862 R",
-		},
+		1: "pref=2 prom=6 rr=24576 dr=32768 ev=13 | R R R R R R B:f2364862 R",
+		2: "pref=4 prom=8 rr=32768 dr=32768 ev=15 | R R R R R R R B:fd497142",
+		4: "pref=4 prom=8 rr=32768 dr=32768 ev=15 | R R R R R R R B:fd497142",
 	},
 	"failed-read": {
-		1: {perRegion: "pref=0 prom=0 rr=0 dr=4096 ev=0 | D D D"},
-		2: {perRegion: "pref=0 prom=0 rr=0 dr=4096 ev=0 | D D D"},
-		4: {perRegion: "pref=0 prom=0 rr=0 dr=4096 ev=0 | D D D"},
+		1: "pref=0 prom=0 rr=0 dr=4096 ev=0 | D D D",
+		2: "pref=0 prom=0 rr=0 dr=4096 ev=0 | D D D",
+		4: "pref=0 prom=0 rr=0 dr=4096 ev=0 | D D D",
 	},
 	"after-close": {
-		1: {perRegion: "pref=1 prom=4 rr=16384 dr=32768 ev=11 | R R R B:fd497142 R R R R"},
-		2: {perRegion: "pref=2 prom=4 rr=16384 dr=32768 ev=11 | R R R B:fd497142 R R R R"},
-		4: {
-			perRegion: "pref=4 prom=7 rr=28672 dr=32768 ev=14 | R R R B:fd497142 R R R R",
-			batched:   "pref=4 prom=4 rr=16384 dr=32768 ev=11 | R R R B:fd497142 R R R R",
-		},
+		1: "pref=1 prom=4 rr=16384 dr=32768 ev=11 | R R R B:fd497142 R R R R",
+		2: "pref=2 prom=4 rr=16384 dr=32768 ev=11 | R R R B:fd497142 R R R R",
+		4: "pref=4 prom=7 rr=28672 dr=32768 ev=14 | R R R B:fd497142 R R R R",
 	},
 	"walk": {
-		1: {perRegion: "pref=14 prom=16 rr=65536 dr=65536 ev=26 | R R R R R R R R R R B:395629f4 B:362910d4 B:ecc83a22 B:860733c9 B:5ce6193f B:0bd5f454"},
-		2: {perRegion: "pref=14 prom=16 rr=65536 dr=65536 ev=26 | R R R R R R R R R R B:395629f4 B:362910d4 B:ecc83a22 B:860733c9 B:5ce6193f B:0bd5f454"},
-		4: {perRegion: "pref=14 prom=24 rr=98304 dr=65536 ev=34 | R R R R R R R R R R B:395629f4 B:362910d4 B:ecc83a22 B:860733c9 B:5ce6193f B:0bd5f454"},
+		1: "pref=14 prom=16 rr=65536 dr=65536 ev=26 | R R R R R R R R R R B:395629f4 B:362910d4 B:ecc83a22 B:860733c9 B:5ce6193f B:0bd5f454",
+		2: "pref=14 prom=16 rr=65536 dr=65536 ev=26 | R R R R R R R R R R B:395629f4 B:362910d4 B:ecc83a22 B:860733c9 B:5ce6193f B:0bd5f454",
+		4: "pref=14 prom=24 rr=98304 dr=65536 ev=34 | R R R R R R R R R R B:395629f4 B:362910d4 B:ecc83a22 B:860733c9 B:5ce6193f B:0bd5f454",
 	},
 }

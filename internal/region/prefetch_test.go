@@ -135,70 +135,6 @@ func TestExplicitPrefetchAPI(t *testing.T) {
 	c.Prefetch(9999)
 }
 
-// TestPrefetchWindowBatchesRemoteFills: when the runtime library
-// implements BatchReader, a sequential walk's prefetch window is pulled
-// with batched reads — at least one MreadBatch call — rather than one
-// Mread round trip per region, and every region still carries the right
-// bytes afterwards.
-func TestPrefetchWindowBatchesRemoteFills(t *testing.T) {
-	const regionSize = 4096
-	fake := newBenchDodo(1<<30, 0)
-	c := NewCache(fake, Config{
-		Capacity:           4 * regionSize,
-		Policy:             NewLRU(),
-		PromoteOnAccess:    true,
-		SequentialPrefetch: true,
-		PrefetchWindow:     3,
-	})
-	defer c.Close()
-	back := core.NewMemBacking(1, 6*regionSize)
-	for i := 0; i < 6; i++ {
-		pattern := make([]byte, regionSize)
-		for j := range pattern {
-			pattern[j] = byte(i + 1)
-		}
-		if _, err := back.WriteAt(pattern, int64(i)*regionSize); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Opening faults each region local; with room for four, the earliest
-	// spill to remote memory, so the sequential walk below finds its
-	// prefetch window remotely staged — the batchable case.
-	var fds []int
-	for i := 0; i < 6; i++ {
-		fd, err := c.Copen(regionSize, back, int64(i)*regionSize)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fds = append(fds, fd)
-	}
-	buf := make([]byte, regionSize)
-	if _, err := c.Cread(fds[0], 0, buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Cread(fds[1], 0, buf); err != nil {
-		t.Fatal(err)
-	}
-	c.Quiesce()
-	if got := fake.mreadBatches.Load(); got == 0 {
-		t.Fatalf("mreadBatches = 0 after a sequential walk; want the prefetch window batched (stats %+v)", c.Stats())
-	}
-	if c.Stats().Prefetches == 0 {
-		t.Fatal("no prefetches recorded")
-	}
-	for i := 0; i < 6; i++ {
-		n, err := c.Cread(fds[i], 0, buf)
-		if err != nil || n != regionSize {
-			t.Fatalf("Cread %d = %d, %v", i, n, err)
-		}
-		for j := range buf {
-			if buf[j] != byte(i+1) {
-				t.Fatalf("region %d byte %d = %d, want %d", i, j, buf[j], i+1)
-			}
-		}
-	}
-}
-
 func TestPrefetchIndexFollowsClose(t *testing.T) {
 	c, _, back := prefetchCache(t, 1<<20)
 	fd0, _ := c.Copen(4096, back, 0)

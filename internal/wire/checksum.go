@@ -9,9 +9,9 @@ import "hash/crc32"
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Checksum computes the end-to-end page checksum carried on DataResp,
-// ReadBatchResp, WriteReq and HandoffPage frames: CRC32-C over the raw
-// page bytes. Every sender sets the field and every receiver compares
-// it; no value of it means "unchecked".
+// WriteReq and HandoffPage frames: CRC32-C over the raw page bytes.
+// Every sender sets the field and every receiver compares it; no value
+// of it means "unchecked".
 func Checksum(data []byte) uint32 {
 	return crc32.Checksum(data, castagnoli)
 }

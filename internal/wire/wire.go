@@ -90,7 +90,9 @@ const (
 	TInventoryReport
 	TInventoryAck
 
-	// Batched region fetch (client <-> imd).
+	// Reserved numbers of the retired batched read; ParseHeader refuses them.
+	//
+	// Deprecated: named by benchmark/trace.go; go with core.BatchRead.
 	TReadBatchReq
 	TReadBatchResp
 
@@ -99,7 +101,8 @@ const (
 
 // types is the one registry of the protocol: a type's row gives the
 // name it logs under and the constructor Decode calls. Registering a
-// message is a constant above and a row here.
+// message is a constant above and a row here; a row with no constructor
+// reserves its number, and ParseHeader refuses it.
 var types = [typeSentinel]struct {
 	name string
 	new  func() Message
@@ -135,8 +138,8 @@ var types = [typeSentinel]struct {
 	THandoffDone:      {"handoff-done", func() Message { return new(HandoffDone) }},
 	TInventoryReport:  {"inventory-report", func() Message { return new(InventoryReport) }},
 	TInventoryAck:     {"inventory-ack", func() Message { return new(InventoryAck) }},
-	TReadBatchReq:     {"read-batch-req", func() Message { return new(ReadBatchReq) }},
-	TReadBatchResp:    {"read-batch-resp", func() Message { return new(ReadBatchResp) }},
+	TReadBatchReq:     {name: "read-batch-req"},
+	TReadBatchResp:    {name: "read-batch-resp"},
 }
 
 // Caps is the type of the inert ReadReq.Caps field.
@@ -234,7 +237,7 @@ func ParseHeader(buf []byte) (Header, error) {
 		return Header{}, ErrBadVersion
 	}
 	t := Type(buf[3])
-	if t == TInvalid || t >= typeSentinel {
+	if t >= typeSentinel || types[t].new == nil {
 		return Header{}, ErrBadType
 	}
 	h := Header{

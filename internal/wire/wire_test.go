@@ -103,7 +103,7 @@ func TestHeaderRejectsOversizePayload(t *testing.T) {
 // type's zero value is cut at every byte; the 32-byte ReadReq and the
 // 21-byte DataResp of version 1 are two of the prefixes this walks.
 func TestTruncatedPayloadsRejected(t *testing.T) {
-	for ty := TInvalid + 1; ty < typeSentinel; ty++ {
+	for _, ty := range registered() {
 		sweepTruncations(t, "zero "+ty.String(), zero(ty))
 	}
 	for _, s := range samples() {
@@ -124,7 +124,6 @@ func TestFixedLayouts(t *testing.T) {
 		{&ReadReq{RegionID: 1, Length: 10, XferID: 9, ChunkSize: 1408, Window: 32}, 52, 52},
 		{&DataResp{Status: StatusBusy}, 22, 22},
 		{&DataResp{Flags: DataFlagInline, Payload: []byte("abc")}, 25, 22},
-		{&ReadBatchReq{XferID: 9}, 18, 18},
 		{&HostStatus{HostAddr: "h"}, 36, 36},
 		{&AllocResp{Region: Region{HostAddr: "h"}}, 44, 44},
 		{&CheckAllocResp{Region: Region{HostAddr: "h"}}, 45, 45},
@@ -193,8 +192,6 @@ func TestUint16CountsRejectExactly65536(t *testing.T) {
 		{"ClusterStatsResp/corrupt", &ClusterStatsResp{Status: StatusOK, CorruptHosts: make([]HostCount, 1<<16)}},
 		{"KeepAliveAck", &KeepAliveAck{ClientID: 1, CorruptHosts: make([]HostCount, 1<<16)}},
 		{"InventoryReport", &InventoryReport{HostAddr: "a", Regions: make([]InventoryRegion, 1<<16)}},
-		{"ReadBatchReq", &ReadBatchReq{XferID: 1, Items: make([]ReadBatchItem, 1<<16)}},
-		{"ReadBatchResp", &ReadBatchResp{Status: StatusOK, Results: make([]ReadBatchResult, 1<<16)}},
 	}
 	for _, tc := range cases {
 		if _, err := new(cursor).run(putting, tc.msg, make([]byte, 8*MaxPayload)); !errors.Is(err, ErrFieldBounds) {
