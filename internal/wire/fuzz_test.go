@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/hex"
 	"reflect"
 	"testing"
 )
@@ -41,6 +42,24 @@ func FuzzWireRoundTrip(f *testing.F) {
 	f.Add([]byte{0xD0, 0xD0, Version, 0xFF, 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{0xD0, 0xD0, Version - 1, byte(TFreeReq), 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Add(bytes.Repeat([]byte{0xD0}, HeaderSize+4))
+	// What a peer built before the batched read was retired could still
+	// send: its five frames from frames.golden at d748fa1, and a bare
+	// header of each reserved number. ParseHeader refuses all seven.
+	for _, retired := range []string{
+		"d0d0021f0000006300000052000000000000004e000005800000002000020000000000000009000000000000000500000000000000000000000000001000000000000000000a000000000000000600000000000020000000000000004000",
+		"d0d00220000000630000002e05000000000000004e010002000000000000000008cafef00d040000000000000000000000003862797465732121",
+		"d0d0021f0000006300000012000000000000004e00000580000000200000",
+		"d0d00220000000630000001900000000000000004e02000100000000000000100000000001",
+		"d0d00220000000630000000c040000000000000000000000",
+		"d0d0021f0000000700000000",
+		"d0d002200000000700000000",
+	} {
+		frame, err := hex.DecodeString(retired)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(frame)
+	}
 
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		h, msg, err := Decode(frame)
