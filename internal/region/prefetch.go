@@ -13,10 +13,11 @@ import "runtime"
 // different files each keep their own detector): an access to the
 // region starting exactly where the previously accessed region of that
 // file ended arms the prefetcher, which then runs Config.PrefetchWindow
-// contiguous regions ahead. With Config.PrefetchWorkers > 0 the pulls
-// run on a bounded background pool, overlapping the foreground
-// accesses; with 0 workers they run synchronously on the accessing
-// goroutine, which keeps virtual-time experiments deterministic. Each
+// contiguous regions ahead, or as many as the cache holds. With
+// Config.PrefetchWorkers > 0 the pulls run on a bounded background
+// pool, overlapping the foreground accesses; with 0 workers they run
+// synchronously on the accessing goroutine, which keeps virtual-time
+// experiments deterministic. Each
 // region of a window is pulled by Prefetch, through the fillRegion →
 // Mread path a foreground miss takes; callers can also invoke Prefetch
 // directly for application-directed prefetching (the explicit analogue
@@ -47,8 +48,10 @@ func (c *Cache) maybePrefetchLocked(r *cregion) []int {
 	}
 	// Sequential stream confirmed: collect up to PrefetchWindow
 	// contiguous successor regions that are neither local nor already
-	// in flight.
+	// in flight — and no more of them than the cache holds at once, or
+	// each fill of the list would evict the one before it.
 	var jobs []int
+	var bytes int64
 	off := r.backOff + r.length
 	for i := 0; i < c.cfg.PrefetchWindow; i++ {
 		nfd, ok := c.byLocation[prefKey{inode: inode, off: off}]
@@ -60,6 +63,9 @@ func (c *Cache) maybePrefetchLocked(r *cregion) []int {
 			break
 		}
 		if nr.local == nil && nr.pend == nil {
+			if bytes += nr.length; bytes > c.cfg.Capacity && len(jobs) > 0 {
+				break
+			}
 			jobs = append(jobs, nfd)
 		}
 		off += nr.length
@@ -197,7 +203,7 @@ func (c *Cache) prefetch(fd int) {
 	c.stats.Prefetches++
 	c.mu.Unlock()
 	if fits {
-		c.fillRegion(fd)
+		c.fillRegion(fd, true)
 	}
 	c.mu.Lock()
 	stillRemoteless := false

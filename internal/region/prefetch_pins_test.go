@@ -3,27 +3,26 @@ package region
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"dodo/internal/core"
 	"dodo/internal/wire"
 )
 
-// The prefetch suite as data: each scenario is one of the prefetch
-// tests of prefetch_test.go and concurrency_test.go reduced to its
-// drive (open, access, Quiesce after every access so a worker pool is
-// observed at the same points as the inline pipeline). The table below
-// pins, per scenario and PrefetchWindow, what the pull (prefetch →
-// fillRegion → Mread) leaves behind: the Stats a prefetch can move and
-// every region's final state and local bytes. The pins were taken at
-// d748fa1, against a Dodo with no batched read. TestPrefetchPins runs
-// each row with 0 and 1 workers.
+// Two prefetch drives no other test covers — a cache smaller than the
+// window, and a walk to the end of a file through a cache that holds a
+// whole window — with what each leaves behind pinned per
+// PrefetchWindow: the Stats a prefetch can move and every region's
+// final state and local bytes. TestPrefetchPins runs each row with 0
+// and 1 workers (Quiesce after every access, so a worker pool is
+// observed at the same points as the inline pipeline) and against a
+// Dodo with and without the BatchReader tombstone, which must not be
+// told apart.
 
 type prefetchScenario struct {
 	name     string
 	capacity int64 // local cache bytes
-	remote   int64 // fake remote pool bytes
-	firstIn  bool  // the first-in policy and explicit Prefetch only, no sequential detection
 	drive    func(t *testing.T, c *Cache) []int
 }
 
@@ -70,8 +69,8 @@ func readChecked(t *testing.T, c *Cache, fds []int, i int) {
 }
 
 var prefetchScenarios = []prefetchScenario{
-	{ // TestSequentialAccessPrefetchesNextRegion
-		name: "sequential", capacity: eqRegion, remote: 1 << 20,
+	{ // One region of cache: a window's list is cut to what fits.
+		name: "small-cache", capacity: eqRegion,
 		drive: func(t *testing.T, c *Cache) []int {
 			fds := openRegions(t, c, core.NewMemBacking(1, 1<<20), 6)
 			readChecked(t, c, fds, 0)
@@ -79,72 +78,8 @@ var prefetchScenarios = []prefetchScenario{
 			return fds
 		},
 	},
-	{ // TestExplicitPrefetchAPI
-		name: "explicit", capacity: 2 * eqRegion, remote: 1 << 20, firstIn: true,
-		drive: func(t *testing.T, c *Cache) []int {
-			fds := openRegions(t, c, core.NewMemBacking(1, 1<<20), 3)
-			c.Prefetch(fds[2])
-			c.Prefetch(fds[2])
-			c.Prefetch(9999)
-			return fds
-		},
-	},
-	{ // TestPrefetchDataIntegrity
-		name: "integrity", capacity: eqRegion, remote: 1 << 20,
-		drive: func(t *testing.T, c *Cache) []int {
-			fds := openRegions(t, c, core.NewMemBacking(1, 1<<20), 4)
-			for i, fd := range fds {
-				if _, err := c.Cwrite(fd, 0, patterned(i)); err != nil {
-					t.Fatal(err)
-				}
-				c.Quiesce()
-			}
-			for i := range fds {
-				readChecked(t, c, fds, i)
-			}
-			return fds
-		},
-	},
-	{ // TestInterleavedSequentialStreams
-		name: "interleaved", capacity: eqRegion, remote: 1 << 20,
-		drive: func(t *testing.T, c *Cache) []int {
-			a := openRegions(t, c, core.NewMemBacking(1, 1<<20), 4)
-			b := openRegions(t, c, core.NewMemBacking(2, 1<<20), 4)
-			for i := 0; i < 2; i++ {
-				readChecked(t, c, a, i)
-				readChecked(t, c, b, i)
-			}
-			return append(a, b...)
-		},
-	},
-	{ // TestNoPrefetchAfterFailedRead
-		name: "failed-read", capacity: eqRegion / 2, remote: 0,
-		drive: func(t *testing.T, c *Cache) []int {
-			back := &failingBacking{MemBacking: core.NewMemBacking(1, 1<<20)}
-			fds := openRegions(t, c, back, 3)
-			readChecked(t, c, fds, 0)
-			back.fail.Store(true)
-			if _, err := c.Cread(fds[1], 0, make([]byte, eqRegion)); err == nil {
-				t.Fatal("read with failing disk and no remote copy succeeded")
-			}
-			c.Quiesce()
-			return fds
-		},
-	},
-	{ // TestPrefetchWorkerPool
-		name: "after-close", capacity: eqRegion, remote: 1 << 20,
-		drive: func(t *testing.T, c *Cache) []int {
-			fds := openRegions(t, c, core.NewMemBacking(1, 1<<20), 8)
-			readChecked(t, c, fds, 0)
-			readChecked(t, c, fds, 1)
-			c.Close()
-			readChecked(t, c, fds, 3)
-			return fds
-		},
-	},
-	{ // A walk to the end of the file through a cache that holds a
-		// whole window, as in the benchmark's sequential workloads.
-		name: "walk", capacity: 6 * eqRegion, remote: 1 << 20,
+	{ // As in the benchmark's sequential workloads.
+		name: "walk", capacity: 6 * eqRegion,
 		drive: func(t *testing.T, c *Cache) []int {
 			fds := openRegions(t, c, core.NewMemBacking(1, 1<<20), 16)
 			for i := range fds {
@@ -155,20 +90,33 @@ var prefetchScenarios = []prefetchScenario{
 	},
 }
 
-// runPrefetchScenario drives s and renders what it left behind: the five Stats a prefetch can move, then one token per
-// region — state initial (D/L/R/B for disk-only, local, remote, both)
-// and, when local, the CRC of the bytes held.
-func runPrefetchScenario(t *testing.T, s prefetchScenario, window, workers int) string {
-	t.Helper()
-	var policy Policy = NewLRU()
-	if s.firstIn {
-		policy = NewFirstIn()
+// batchingDodo adds the BatchReader tombstone to benchDodo, answering
+// the way core.Client does.
+type batchingDodo struct {
+	*benchDodo
+	calls atomic.Int64
+}
+
+func (d *batchingDodo) MreadBatch(reqs []core.BatchRead) []core.BatchResult {
+	d.calls.Add(1)
+	res := make([]core.BatchResult, len(reqs))
+	for i, r := range reqs {
+		res[i].N, res[i].Err = d.Mread(r.Fd, r.Offset, r.Buf)
 	}
-	c := NewCache(newBenchDodo(s.remote, 0), Config{
+	return res
+}
+
+// runPrefetchScenario drives s and renders what it left behind: the
+// five Stats a prefetch can move, then one token per region — state
+// initial (D/L/R/B for disk-only, local, remote, both) and, when local,
+// the CRC of the bytes held.
+func runPrefetchScenario(t *testing.T, s prefetchScenario, dodo Dodo, window, workers int) string {
+	t.Helper()
+	c := NewCache(dodo, Config{
 		Capacity:           s.capacity,
-		Policy:             policy,
+		Policy:             NewLRU(),
 		PromoteOnAccess:    true,
-		SequentialPrefetch: !s.firstIn,
+		SequentialPrefetch: true,
 		PrefetchWindow:     window,
 		PrefetchWorkers:    workers,
 	})
@@ -197,8 +145,16 @@ func TestPrefetchPins(t *testing.T) {
 		for _, window := range []int{1, 2, 4} {
 			for _, workers := range []int{0, 1} {
 				t.Run(fmt.Sprintf("%s/window=%d/workers=%d", s.name, window, workers), func(t *testing.T) {
-					if got, want := runPrefetchScenario(t, s, window, workers), prefetchPins[s.name][window]; got != want {
+					want := prefetchPins[s.name][window]
+					if got := runPrefetchScenario(t, s, newBenchDodo(1<<20, 0), window, workers); got != want {
 						t.Errorf("\n got %s\nwant %s", got, want)
+					}
+					bd := &batchingDodo{benchDodo: newBenchDodo(1<<20, 0)}
+					if got := runPrefetchScenario(t, s, bd, window, workers); got != want {
+						t.Errorf("with a BatchReader\n got %s\nwant %s", got, want)
+					}
+					if bd.calls.Load() == 0 {
+						t.Error("no prefetched fill asked the BatchReader")
 					}
 				})
 			}
@@ -206,41 +162,12 @@ func TestPrefetchPins(t *testing.T) {
 	}
 }
 
-// prefetchPins is keyed by scenario, then window. Where the local cache
-// (one region) is smaller than the window, each region of the list is
-// filled in turn and evicts its predecessor: one more promotion,
-// eviction and remote read per extra region, the last one left local.
+// prefetchPins is keyed by scenario, then window. small-cache reads the
+// same at every window: the list is cut to the one region that fits.
 var prefetchPins = map[string]map[int]string{
-	"sequential": {
-		1: "pref=1 prom=3 rr=12288 dr=24576 ev=8 | R R B:f2364862 R R R",
-		2: "pref=2 prom=4 rr=16384 dr=24576 ev=9 | R R R B:fd497142 R R",
-		4: "pref=4 prom=6 rr=24576 dr=24576 ev=11 | R R R R R B:4d67525f",
-	},
-	"explicit": {
-		1: "pref=2 prom=0 rr=0 dr=12288 ev=0 | L:42186b7f L:28d76294 R",
-		2: "pref=2 prom=0 rr=0 dr=12288 ev=0 | L:42186b7f L:28d76294 R",
-		4: "pref=2 prom=0 rr=0 dr=12288 ev=0 | L:42186b7f L:28d76294 R",
-	},
-	"integrity": {
-		1: "pref=2 prom=8 rr=32768 dr=16384 ev=11 | R R R B:fd497142",
-		2: "pref=3 prom=10 rr=40960 dr=16384 ev=13 | R R R B:fd497142",
-		4: "pref=3 prom=10 rr=40960 dr=16384 ev=13 | R R R B:fd497142",
-	},
-	"interleaved": {
-		1: "pref=2 prom=6 rr=24576 dr=32768 ev=13 | R R R R R R B:f2364862 R",
-		2: "pref=4 prom=8 rr=32768 dr=32768 ev=15 | R R R R R R R B:fd497142",
-		4: "pref=4 prom=8 rr=32768 dr=32768 ev=15 | R R R R R R R B:fd497142",
-	},
-	"failed-read": {
-		1: "pref=0 prom=0 rr=0 dr=4096 ev=0 | D D D",
-		2: "pref=0 prom=0 rr=0 dr=4096 ev=0 | D D D",
-		4: "pref=0 prom=0 rr=0 dr=4096 ev=0 | D D D",
-	},
-	"after-close": {
-		1: "pref=1 prom=4 rr=16384 dr=32768 ev=11 | R R R B:fd497142 R R R R",
-		2: "pref=2 prom=4 rr=16384 dr=32768 ev=11 | R R R B:fd497142 R R R R",
-		4: "pref=4 prom=7 rr=28672 dr=32768 ev=14 | R R R B:fd497142 R R R R",
-	},
+	"small-cache": {1: "pref=1 prom=3 rr=12288 dr=24576 ev=8 | R R B:f2364862 R R R", 2: "pref=1 prom=3 rr=12288 dr=24576 ev=8 | R R B:f2364862 R R R", 4: "pref=1 prom=3 rr=12288 dr=24576 ev=8 | R R B:f2364862 R R R"},
+	// At window 4 LRU ages a prefetched region past the ones read since:
+	// half the regions here are evicted unread and promoted again on access.
 	"walk": {
 		1: "pref=14 prom=16 rr=65536 dr=65536 ev=26 | R R R R R R R R R R B:395629f4 B:362910d4 B:ecc83a22 B:860733c9 B:5ce6193f B:0bd5f454",
 		2: "pref=14 prom=16 rr=65536 dr=65536 ev=26 | R R R R R R R R R R B:395629f4 B:362910d4 B:ecc83a22 B:860733c9 B:5ce6193f B:0bd5f454",

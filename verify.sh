@@ -20,14 +20,9 @@ go test -race ./...
 # replaces module dodo with this tree), so nothing above compiles it.
 # Vet and test the harness, then run one second of the workload that
 # builds the whole stack, so a root API change cannot break the
-# separately-built benchmark unseen. Skipped are the harness's three
-# assertions that the cache calls MreadBatch, which it has not done
-# since PR 21 retired the batched read; the benchmark PR that drops
-# batchDodo drops them and this -skip. Their smoke coverage is the
-# second run below.
-(cd benchmark && go vet ./... && go test -skip 'TestDecoratorsForward|TestSmokeWorkloads/seq' ./...)
+# separately-built benchmark unseen.
+(cd benchmark && go vet ./... && go test ./...)
 bash benchmark/run.sh -workload fit8k-unet -seed 1 -seconds 1
-bash benchmark/run.sh -workload seq128k-unet -seed 1 -seconds 1
 
 # Smoke: every benchmark still runs, one iteration each. Not a
 # measurement — the gates below and benchmark/ are.
@@ -48,7 +43,7 @@ rm -f /tmp/bench_region_now.json
 # benchmarks of usocket, transport and bulk (one frame through a socket
 # and through the transport adapter, one datagram through the fabric
 # and loopback UDP, 64 KB and 128 KB transfers) against a baseline
-# frozen at -benchtime 1s. The per-frame budget of DESIGN.md §14.2 —
+# frozen at -benchtime 1s. The per-frame budget of DESIGN.md §14.3 —
 # no address parsing, no timer, one allocation — regresses here first.
 DATAPLANE_PKGS=./internal/usocket,./internal/transport,./internal/bulk
 [ -f BENCH_dataplane_base.json ] || \
