@@ -38,10 +38,9 @@ type BatchReader interface {
 
 // mread reads a whole region from remote memory for a fill.
 //
-// Deprecated: the BatchReader arm. benchmark/'s own tests count the
-// MreadBatch calls of a prefetching cache, so a prefetched fill still
-// asks a BatchReader, one region per call, which core answers with
-// Mread. The benchmark PR that drops batchDodo leaves c.dodo.Mread.
+// Deprecated: the BatchReader arm, kept because benchmark/'s own tests
+// count a prefetching cache's MreadBatch calls: one region per call,
+// which core answers with Mread. Goes with BatchReader.
 func (c *Cache) mread(fd int, buf []byte, prefetched bool) (int, error) {
 	if br, ok := c.dodo.(BatchReader); ok && prefetched {
 		res := br.MreadBatch([]core.BatchRead{{Fd: fd, Buf: buf}})
