@@ -5,8 +5,37 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
+
+// TestCheckCounts: the count gate reads the last line, holds == to the
+// fourth decimal and < strictly, and never passes a failed run or a
+// metric the result does not carry.
+func TestCheckCounts(t *testing.T) {
+	const ok = `{"correct":true,"attempted":10,"failed":0,"metrics":{"a.frames_per_op":{"value":5.23751,"unit":"1/op"},"b.offers":{"value":0,"unit":"1/kop"}}}`
+	for _, tc := range []struct {
+		name, in, expect string
+		misses           int
+	}{
+		{"met", "building...\n" + ok + "\n", "a.frames_per_op==5.2375,b.offers==0,a.frames_per_op<5.3", 0},
+		{"fifth decimal off", ok, "a.frames_per_op==5.2376", 1},
+		{"not strictly below", ok, "b.offers<0", 1},
+		{"absent metric", ok, "c.gone==0", 1},
+		{"failed operations", strings.Replace(ok, `"failed":0`, `"failed":2`, 1), "b.offers==0", 1},
+		{"incorrect run", strings.Replace(ok, `"correct":true`, `"correct":false`, 1), "b.offers==0", 1},
+	} {
+		misses, err := checkCounts(strings.NewReader(tc.in), tc.expect)
+		if err != nil || len(misses) != tc.misses {
+			t.Errorf("%s: checkCounts = %q, %v; want %d misses", tc.name, misses, err, tc.misses)
+		}
+	}
+	for _, bad := range []struct{ in, expect string }{{"", "b.offers==0"}, {"not json", "b.offers==0"}, {ok, "b.offers>=0"}} {
+		if _, err := checkCounts(strings.NewReader(bad.in), bad.expect); err == nil {
+			t.Errorf("checkCounts(%q, %q) succeeded, want an error", bad.in, bad.expect)
+		}
+	}
+}
 
 func TestRegresses(t *testing.T) {
 	for _, tc := range []struct {

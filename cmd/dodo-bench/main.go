@@ -9,6 +9,7 @@
 //	dodo-bench -exp table1,fig1,fig2,fig7,fig8,reclaim,ablations,transport
 //	dodo-bench -gobench out.json          # one pass of go test -bench
 //	dodo-bench -compare old.json new.json # per-metric deltas + gate
+//	dodo-bench -counts 'name==v,name<v'   # gate a benchmark/run.sh result on stdin
 //
 // -gobench runs the repository benchmark suite once per benchmark
 // (go test -bench . -benchtime 1x), parses the standard benchmark
@@ -21,6 +22,13 @@
 // any shared benchmark's ns/op regressed by more than 10%, or its
 // allocs/op by more than 1 and more than 2%. verify.sh runs it as the
 // perf gate against those baselines.
+//
+// -counts reads the result line benchmark/run.sh prints (the last line
+// on stdin) and exits non-zero unless the run was correct, no
+// operation failed, and every listed metric meets its expectation:
+// name==v holds to the fourth decimal, name<v strictly. verify.sh
+// feeds it fixed-op traced passes (-seconds 0 -trace 1), whose frame
+// and call counts are the same on every machine.
 package main
 
 import (
@@ -31,6 +39,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -54,7 +63,21 @@ func main() {
 	benchtime := flag.String("benchtime", "1x", "go test -benchtime for -gobench (e.g. 1x for a smoke pass, 1s for gating-quality numbers)")
 	pkgs := flag.String("pkgs", "", "comma-separated package list for -gobench (default: the standard suite)")
 	compare := flag.Bool("compare", false, "compare two -gobench JSON reports (old new); exit 1 on a >10% ns/op or a >1 and >2% allocs/op regression")
+	counts := flag.String("counts", "", "check the benchmark/run.sh result on stdin against comma-separated expectations, name==value or name<value; exit 1 on a miss")
 	flag.Parse()
+	if *counts != "" {
+		misses, err := checkCounts(os.Stdin, *counts)
+		if err != nil {
+			log.Fatalf("dodo-bench: %v", err)
+		}
+		for _, m := range misses {
+			fmt.Println("COUNT GATE:", m)
+		}
+		if len(misses) > 0 {
+			os.Exit(1)
+		}
+		return
+	}
 	if *gobench != "" {
 		var pkgList []string
 		if *pkgs != "" {
@@ -339,6 +362,49 @@ func runGoBench(path string, pkgList []string, benchtime string) error {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
+}
+
+// checkCounts reads a benchmark/run.sh result, the last line of r, and
+// returns what it misses of expect: a run that is not correct or has
+// failed operations, and every metric that is absent or does not meet
+// its expectation.
+func checkCounts(r io.Reader, expect string) (misses []string, err error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	lines := bytes.Split(bytes.TrimSpace(data), []byte("\n"))
+	var res struct {
+		Correct bool
+		Failed  int
+		Metrics map[string]struct{ Value float64 }
+	}
+	if err := json.Unmarshal(lines[len(lines)-1], &res); err != nil {
+		return nil, fmt.Errorf("-counts: no benchmark result on stdin: %w", err)
+	}
+	if !res.Correct || res.Failed != 0 {
+		misses = append(misses, fmt.Sprintf("run is correct=%v with %d failed operations", res.Correct, res.Failed))
+	}
+	for _, e := range strings.Split(expect, ",") {
+		op := "=="
+		name, num, ok := strings.Cut(e, op)
+		if !ok {
+			op = "<"
+			name, num, ok = strings.Cut(e, op)
+		}
+		want, perr := strconv.ParseFloat(num, 64)
+		if !ok || perr != nil {
+			return nil, fmt.Errorf("-counts: %q is not name==value or name<value", e)
+		}
+		m, present := res.Metrics[name]
+		switch {
+		case !present:
+			misses = append(misses, fmt.Sprintf("%s is not in the result", name))
+		case op == "==" && math.Abs(m.Value-want) >= 0.00005, op == "<" && m.Value >= want:
+			misses = append(misses, fmt.Sprintf("%s = %.4f, want %s %v", name, m.Value, op, want))
+		}
+	}
+	return misses, nil
 }
 
 // loadReport reads one -gobench JSON snapshot.

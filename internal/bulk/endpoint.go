@@ -309,10 +309,14 @@ func (ep *Endpoint) call(to string, msg wire.Message, p retry.Policy) (wire.Mess
 		ep.mu.Unlock()
 	}()
 
-	frame, err := wire.Encode(seq, msg)
+	// Pooled, and held until the last resend has returned: a request
+	// carrying an inline page would otherwise cost a fresh zeroed frame
+	// of its size per call.
+	frame, err := wire.EncodePooled(seq, msg)
 	if err != nil {
 		return nil, err
 	}
+	defer wire.PutFrame(frame)
 	budget := ep.newBudget(p)
 	for {
 		wait, ok := budget.Next()
@@ -433,11 +437,12 @@ func (ep *Endpoint) dispatch(from string, h wire.Header, msg wire.Message) {
 			if resp == nil {
 				return
 			}
-			frame, err := wire.Encode(h.Seq, resp)
+			frame, err := wire.EncodePooled(h.Seq, resp)
 			if err != nil {
 				return
 			}
 			_ = ep.tr.Send(from, frame)
+			wire.PutFrame(frame)
 		}()
 	}
 }

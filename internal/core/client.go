@@ -242,6 +242,8 @@ type Client struct {
 	checksumFails atomic.Int64
 	// dodo:atomic
 	inlineReads, eagerReads atomic.Int64
+	// dodo:atomic
+	inlineWrites atomic.Int64
 }
 
 // New creates a client runtime over tr.
@@ -351,6 +353,10 @@ type Stats struct {
 	// response (1 RTT); EagerReads counts reads served by an
 	// eager-first-window bulk transfer.
 	InlineReads, EagerReads int64
+	// InlineWrites counts remote pushes (Mwrite and recovery's
+	// repopulation) sent as one WriteReq frame carrying the bytes, no
+	// bulk transfer; the rest of RemoteWrites took the ladder.
+	InlineWrites int64
 	// Deprecated: always 0; read by benchmark/metrics.go, goes with BatchRead.
 	BatchReads int64
 	// ManagerIncarnation is the highest manager incarnation observed.
@@ -382,6 +388,7 @@ func (c *Client) Stats() Stats {
 		ChecksumFailures:   c.checksumFails.Load(),
 		CorruptHosts:       c.corruptHostsSnapshot(),
 		InlineReads:        c.inlineReads.Load(),
+		InlineWrites:       c.inlineWrites.Load(),
 		EagerReads:         c.eagerReads.Load(),
 		ManagerIncarnation: inc,
 		OpenRegions:        open,
@@ -1030,26 +1037,43 @@ func (c *Client) Mwrite(fd int, offset int64, buf []byte) (int, error) {
 	return int(want), nil
 }
 
+// remoteWrite pushes data to the hosting imd under the region's next
+// write sequence and records the confirmation. One exchange, two
+// request shapes, chosen by size alone as a read's response is:
+//
+//   - a write that fits one frame rides the WriteReq itself — one round
+//     trip on the ordinary call budget, no bulk machinery;
+//   - a larger write announces a transfer id in the WriteReq and pushes
+//     the bytes under it through the offer/accept ladder, the request
+//     waiting out the push on a budget scaled to its size.
 func (c *Client) remoteWrite(r regionState, offset int64, data []byte) error {
-	xfer := c.ep.NextTransferID()
+	host := r.remote.HostAddr
 	c.mu.Lock()
 	c.writeSeq[r.key]++
 	seq := c.writeSeq[r.key]
 	c.mu.Unlock()
-	sendErr := make(chan error, 1)
-	go func() { sendErr <- c.ep.SendBulk(r.remote.HostAddr, xfer, data) }()
 	req := &wire.WriteReq{
-		RegionID:   r.remote.RegionID,
-		Epoch:      r.remote.Epoch,
-		Offset:     uint64(offset),
-		Length:     uint64(len(data)),
-		TransferID: xfer,
-		WriteSeq:   seq,
-		Crc:        wire.Checksum(data),
+		RegionID: r.remote.RegionID,
+		Epoch:    r.remote.Epoch,
+		Offset:   uint64(offset),
+		Length:   uint64(len(data)),
+		WriteSeq: seq,
+		Crc:      wire.Checksum(data),
 	}
-	resp, err := c.ep.CallT(r.remote.HostAddr, req, dataBudget(int64(len(data))), 2)
-	if serr := <-sendErr; serr != nil && err == nil {
-		return serr
+	var resp wire.Message
+	var err error
+	if len(data) <= wire.InlineWriteLimit(c.ep.Transport().MTU()) {
+		req.Payload = data
+		resp, err = c.ep.Call(host, req)
+		c.inlineWrites.Add(1)
+	} else {
+		req.TransferID = c.ep.NextTransferID()
+		sendErr := make(chan error, 1)
+		go func() { sendErr <- c.ep.SendBulk(host, req.TransferID, data) }()
+		resp, err = c.ep.CallT(host, req, dataBudget(int64(len(data))), 2)
+		if serr := <-sendErr; serr != nil && err == nil {
+			return serr
+		}
 	}
 	if err != nil {
 		return err

@@ -136,6 +136,48 @@ func TestSmallReadSingleExchange(t *testing.T) {
 	}
 }
 
+// TestSmallWriteSingleExchange pins the one-frame push at the
+// transport level: an Mwrite that fits a frame costs one WriteReq out
+// and one DataResp in, and one byte more takes the ladder as before.
+func TestSmallWriteSingleExchange(t *testing.T) {
+	s, ct := quietStack(t, nil)
+	limit := wire.InlineWriteLimit(1500)
+	back := NewMemBacking(7, 16<<10)
+	fd := mopenRetry(t, s.cli, 16<<10, back, 0)
+	data := make([]byte, limit+1)
+	rand.New(rand.NewSource(6)).Read(data)
+
+	sends, recvs := ct.sends.Load(), ct.recvs.Load()
+	if n, err := s.cli.Mwrite(fd, 256, data[:limit]); err != nil || n != limit {
+		t.Fatalf("Mwrite = %d, %v", n, err)
+	}
+	dSends, dRecvs := ct.sends.Load()-sends, ct.recvs.Load()-recvs
+	if dSends != 1 || dRecvs != 1 {
+		t.Fatalf("Mwrite of InlineWriteLimit bytes cost %d sends + %d recvs, want exactly 1 + 1", dSends, dRecvs)
+	}
+	if st := s.cli.Stats(); st.InlineWrites != 1 || st.RemoteWrites != 1 {
+		t.Fatalf("InlineWrites = %d of %d remote writes, want 1 of 1", st.InlineWrites, st.RemoteWrites)
+	}
+	if ds := s.imds[0].Stats(); ds.Writes != 1 || ds.WriteBytes != int64(limit) {
+		t.Fatalf("imd applied %d writes, %d bytes; want 1 and %d", ds.Writes, ds.WriteBytes, limit)
+	}
+
+	if n, err := s.cli.Mwrite(fd, 256, data); err != nil || n != limit+1 {
+		t.Fatalf("Mwrite one byte over the limit = %d, %v", n, err)
+	}
+	if st := s.cli.Stats(); st.InlineWrites != 1 || st.RemoteWrites != 2 {
+		t.Fatalf("InlineWrites = %d of %d remote writes, want 1 of 2", st.InlineWrites, st.RemoteWrites)
+	}
+	buf := make([]byte, limit+1)
+	if _, err := s.cli.Mread(fd, 256, buf); err != nil || !bytes.Equal(buf, data) {
+		t.Fatalf("Mread after both writes returned wrong bytes (%v)", err)
+	}
+	disk := make([]byte, limit+1)
+	if _, err := back.ReadAt(disk, 256); err != nil || !bytes.Equal(disk, data) {
+		t.Fatalf("backing file after both writes holds wrong bytes (%v)", err)
+	}
+}
+
 // TestReadFastPathStats: small reads come back inline, large reads as
 // an eager transfer, and both return the written bytes.
 func TestReadFastPathStats(t *testing.T) {

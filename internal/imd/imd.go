@@ -894,8 +894,12 @@ func (d *Daemon) handleRead(from string, req *wire.ReadReq) wire.Message {
 	return resp
 }
 
-// handleWrite receives the announced bulk data and stores it.
+// handleWrite stores a write's bytes: the request's own payload when the
+// write came as one frame (TransferID zero), otherwise the bulk data
+// announced under TransferID. Both shapes pass the same checks in the
+// same order; only where the bytes come from differs.
 func (d *Daemon) handleWrite(from string, req *wire.WriteReq) wire.Message {
+	inline := req.TransferID == 0
 	d.mu.Lock()
 	if d.draining {
 		d.mu.Unlock()
@@ -917,6 +921,13 @@ func (d *Daemon) handleWrite(from string, req *wire.WriteReq) wire.Message {
 		d.mu.Unlock()
 		return &wire.DataResp{Status: wire.StatusInvalid}
 	}
+	if inline != (len(req.Payload) > 0) || inline && uint64(len(req.Payload)) != req.Length {
+		// Neither shape: no bytes and no transfer to wait for, bytes
+		// beside a transfer id, or a payload that is not the Length
+		// bytes the request speaks for.
+		d.mu.Unlock()
+		return &wire.DataResp{Status: wire.StatusInvalid}
+	}
 	if d.supersededLocked(req) {
 		// Replay of a write that already applied (or was overwritten by
 		// a newer one): confirm without touching region memory.
@@ -933,27 +944,33 @@ func (d *Daemon) handleWrite(from string, req *wire.WriteReq) wire.Message {
 	defer d.transfers.Done()
 	defer d.pendingWrites.Done()
 
-	// Wait for the client's blast under its announced transfer id.
-	// Budget scales with size: a large region takes many windows.
-	budget := 5*time.Second + time.Duration(req.Length/(1<<20))*2*time.Second
-	data, err := d.ep.RecvBulk(from, req.TransferID, budget)
-	if err != nil {
-		if errors.Is(err, bulk.ErrConsumed) {
-			// A duplicated announcement raced us to the bytes. Confirm
-			// only once the racing handler's apply (or a newer write)
-			// is visible; confirming earlier is how a duplicate used to
-			// acknowledge a write whose apply was still pending —
-			// letting the pending bytes later roll the region back.
-			d.mu.Lock()
-			applied := d.supersededLocked(req)
-			d.mu.Unlock()
-			if applied {
-				return &wire.DataResp{Status: wire.StatusOK, Count: req.Length}
+	// The payload is this handler's to read: it aliases the received
+	// frame, which nothing else holds (wire.Decode).
+	data := req.Payload
+	if !inline {
+		// Wait for the client's blast under its announced transfer id.
+		// Budget scales with size: a large region takes many windows.
+		budget := 5*time.Second + time.Duration(req.Length/(1<<20))*2*time.Second
+		var err error
+		data, err = d.ep.RecvBulk(from, req.TransferID, budget)
+		if err != nil {
+			if errors.Is(err, bulk.ErrConsumed) {
+				// A duplicated announcement raced us to the bytes. Confirm
+				// only once the racing handler's apply (or a newer write)
+				// is visible; confirming earlier is how a duplicate used to
+				// acknowledge a write whose apply was still pending —
+				// letting the pending bytes later roll the region back.
+				d.mu.Lock()
+				applied := d.supersededLocked(req)
+				d.mu.Unlock()
+				if applied {
+					return &wire.DataResp{Status: wire.StatusOK, Count: req.Length}
+				}
+				return &wire.DataResp{Status: wire.StatusInvalid}
 			}
+			d.logf("imd %s: receiving write data from %s: %v", d.Addr(), from, err)
 			return &wire.DataResp{Status: wire.StatusInvalid}
 		}
-		d.logf("imd %s: receiving write data from %s: %v", d.Addr(), from, err)
-		return &wire.DataResp{Status: wire.StatusInvalid}
 	}
 	if wire.Checksum(data) != req.Crc {
 		// The bytes that arrived are not the bytes the client hashed:
@@ -967,6 +984,8 @@ func (d *Daemon) handleWrite(from string, req *wire.WriteReq) wire.Message {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.supersededLocked(req) {
+		// A duplicate of this request, or a newer write, applied while
+		// the lock was down for the checksum.
 		return &wire.DataResp{Status: wire.StatusOK, Count: req.Length}
 	}
 	n, err := d.pool.Write(req.RegionID, req.Offset, data)

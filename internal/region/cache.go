@@ -268,6 +268,7 @@ type Stats struct {
 	RemoteReads   int64 // bytes served from remote memory (read-through)
 	DiskReads     int64 // bytes served from disk (read-through)
 	Promotions    int64 // regions pulled into the local cache
+	Overwrites    int64 // promotions that installed a whole-region write, fetching nothing
 	Evictions     int64 // regions pushed out by grimReaper
 	RemoteClones  int64 // evictions that went to remote memory
 	DiskSpills    int64 // evictions that fell back to disk only
@@ -504,7 +505,7 @@ func (c *Cache) Cread(fd int, offset int64, buf []byte) (int, error) {
 		if r.local == nil && c.cfg.PromoteOnAccess && !filled && r.length <= c.cfg.Capacity {
 			c.mu.Unlock()
 			filled = true // one attempt; the policy may refuse for good
-			c.fillRegion(fd, false)
+			c.fillRegion(fd, false, nil)
 			continue
 		}
 		if r.local != nil {
@@ -543,7 +544,14 @@ func (c *Cache) Cread(fd int, offset int64, buf []byte) (int, error) {
 
 // Cwrite writes buf at offset within the region (§3.3). Locally cached
 // regions absorb the write (write-back, flushed by eviction or Csync);
-// non-resident regions write through to remote memory and disk.
+// a write of a whole non-resident region becomes its local copy with
+// nothing fetched; other non-resident regions write through to remote
+// memory and disk. The write-through's marker moves into r.pend and is
+// settled before the return: without it a fill that started while the
+// lock was down could fetch the bytes this write replaces and install
+// them after the write had returned.
+//
+// dodo:transfers(marker)
 func (c *Cache) Cwrite(fd int, offset int64, buf []byte) (int, error) {
 	filled := false
 	for {
@@ -568,9 +576,18 @@ func (c *Cache) Cwrite(fd int, offset int64, buf []byte) (int, error) {
 			want = r.length - offset
 		}
 		if r.local == nil && c.cfg.PromoteOnAccess && !filled && r.length <= c.cfg.Capacity {
+			// Every byte the fill would fetch is about to be replaced
+			// when the write covers the region: hand it the new bytes
+			// instead.
+			var whole []byte
+			if offset == 0 && want == r.length {
+				whole = buf[:want]
+			}
 			c.mu.Unlock()
 			filled = true
-			c.fillRegion(fd, false)
+			if c.fillRegion(fd, false, whole) {
+				return int(want), nil
+			}
 			continue
 		}
 		if r.local != nil {
@@ -591,9 +608,16 @@ func (c *Cache) Cwrite(fd int, offset int64, buf []byte) (int, error) {
 			continue
 		}
 		r.writeGen++
+		marker := newInflight()
+		r.pend = marker
 		v := c.viewLocked(r)
 		c.mu.Unlock()
-		return c.writeThrough(v, offset, want, buf)
+		n, err := c.writeThrough(v, offset, want, buf)
+		c.mu.Lock()
+		r.pend = nil
+		close(marker.done)
+		c.mu.Unlock()
+		return n, err
 	}
 }
 
@@ -813,16 +837,20 @@ func (c *Cache) settleEvictionLocked(job *evictJob) {
 // the lock; the eviction flushes and the fetch run with it released;
 // a final lock section installs the contents and wakes waiters.
 // prefetched marks a fill the prefetch pipeline asked for (see mread).
+// overwrite, when not nil, is a write of the whole region (Cwrite): a
+// copy of it is installed as the dirty local copy where the fetched
+// contents would be, nothing is fetched, and fillRegion reports
+// whether it was installed. The caller writes some other way if not.
 //
 // dodo:transfers(marker)
-func (c *Cache) fillRegion(fd int, prefetched bool) {
+func (c *Cache) fillRegion(fd int, prefetched bool, overwrite []byte) bool {
 	c.mu.Lock()
 	r, ok := c.regions[fd]
 	if !ok || r.local != nil || r.pend != nil || r.length > c.cfg.Capacity {
 		// Gone, already local, or mid-transition (someone else's fill
 		// or flush owns it — the caller's retry loop waits that out).
 		c.mu.Unlock()
-		return
+		return false
 	}
 	key := prefKey{inode: r.backing.Inode(), off: r.backOff}
 	if f, busy := c.fills[key]; busy {
@@ -831,12 +859,12 @@ func (c *Cache) fillRegion(fd int, prefetched bool) {
 		// I/O instead of issuing a duplicate fetch.
 		c.mu.Unlock()
 		<-f.done
-		return
+		return false
 	}
 	victims, fit := c.reserveLocked(r.length)
 	if !fit && len(victims) == 0 {
 		c.mu.Unlock()
-		return // nothing to evict and no room: stay non-resident
+		return false // nothing to evict and no room: stay non-resident
 	}
 	var marker *inflight
 	var v ioView
@@ -852,21 +880,30 @@ func (c *Cache) fillRegion(fd int, prefetched bool) {
 		c.evictIO(&victims[i])
 	}
 	var data []byte
-	if fit {
+	if fit && overwrite != nil {
+		data = append([]byte(nil), overwrite...)
+	} else if fit {
 		data = c.fetchContents(v, prefetched)
 	}
 
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	for i := range victims {
 		c.settleEvictionLocked(&victims[i])
 	}
-	if fit {
-		r.local = data
-		c.stats.Promotions++
-		c.cfg.Policy.NoteCached(fd)
-		c.clearFillLocked(r, marker, key)
+	if !fit {
+		return false
 	}
-	c.mu.Unlock()
+	r.local = data
+	c.stats.Promotions++
+	c.cfg.Policy.NoteCached(fd)
+	if overwrite != nil {
+		r.dirty = true
+		c.stats.Overwrites++
+		c.cfg.Policy.NoteAccess(fd, true)
+	}
+	c.clearFillLocked(r, marker, key)
+	return overwrite != nil
 }
 
 // clearFillLocked releases a fill marker: waiters wake and the

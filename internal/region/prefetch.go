@@ -203,7 +203,7 @@ func (c *Cache) prefetch(fd int) {
 	c.stats.Prefetches++
 	c.mu.Unlock()
 	if fits {
-		c.fillRegion(fd, true)
+		c.fillRegion(fd, true, nil)
 	}
 	c.mu.Lock()
 	stillRemoteless := false

@@ -234,6 +234,48 @@ func TestUDPLocalAddrIsResolvable(t *testing.T) {
 	}
 }
 
+// TestUDPRecvNamesEachSender: Recv formats a sender's address once and
+// reuses it while the sender repeats, and the cached text is never
+// handed out for a different sender. The name is the sender's own
+// LocalAddr, so a reply addressed to it routes back.
+func TestUDPRecvNamesEachSender(t *testing.T) {
+	var us [3]*UDP
+	for i := range us {
+		u, err := ListenUDP("127.0.0.1:0")
+		if err != nil {
+			t.Fatalf("ListenUDP: %v", err)
+		}
+		defer u.Close()
+		us[i] = u
+	}
+	dst := us[0]
+	for _, src := range []*UDP{us[1], us[1], us[2], us[1]} {
+		if err := src.Send(dst.LocalAddr(), []byte("x")); err != nil {
+			t.Fatalf("Send: %v", err)
+		}
+		_, from, err := dst.Recv(time.Second)
+		if err != nil || from != src.LocalAddr() {
+			t.Fatalf("Recv from %s names %q (%v)", src.LocalAddr(), from, err)
+		}
+	}
+	// The frame copy is all a datagram from a repeated sender costs.
+	// AllocsPerRun calls Recv once more than it counts.
+	const runs = 50
+	for i := 0; i <= runs; i++ {
+		if err := us[1].Send(dst.LocalAddr(), []byte("x")); err != nil {
+			t.Fatalf("Send: %v", err)
+		}
+	}
+	allocs := testing.AllocsPerRun(runs, func() {
+		if _, _, err := dst.Recv(time.Second); err != nil {
+			t.Fatalf("Recv: %v", err)
+		}
+	})
+	if allocs > 1 {
+		t.Errorf("Recv from a repeated sender = %v allocs, want only the frame", allocs)
+	}
+}
+
 func TestUDPSendToMalformedAddr(t *testing.T) {
 	u, err := ListenUDP("127.0.0.1:0")
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/netip"
 	"time"
 
 	"dodo/internal/locks"
@@ -26,6 +27,14 @@ type UDP struct {
 	// as UDPMTU+1 bytes instead of passing for a full-size one.
 	// dodo:unguarded — touched only by Recv, single receive loop
 	rbuf []byte
+	// lastFrom/lastFromStr cache the text form of the latest sender, as
+	// usocket.UNet does: a client talks to a handful of imds, and
+	// formatting the same address for each datagram was an allocation
+	// per receive.
+	// dodo:unguarded — touched only by Recv, single receive loop
+	lastFrom netip.AddrPort
+	// dodo:unguarded — touched only by Recv, single receive loop
+	lastFromStr string
 
 	mu locks.Mutex
 	// dodo:guardedby mu
@@ -140,7 +149,7 @@ func (u *UDP) Recv(timeout time.Duration) ([]byte, string, error) {
 		}
 		return nil, "", fmt.Errorf("transport: udp deadline: %w", err)
 	}
-	n, raddr, err := u.conn.ReadFromUDP(u.rbuf)
+	n, from, err := u.conn.ReadFromUDPAddrPort(u.rbuf)
 	if err != nil {
 		var nerr net.Error
 		if errors.As(err, &nerr) && nerr.Timeout() {
@@ -151,7 +160,14 @@ func (u *UDP) Recv(timeout time.Duration) ([]byte, string, error) {
 		}
 		return nil, "", fmt.Errorf("transport: udp recv: %w", err)
 	}
-	return append([]byte(nil), u.rbuf[:n]...), raddr.String(), nil
+	if from != u.lastFrom || u.lastFromStr == "" {
+		// Unmapped first: a dual-stack socket reports an IPv4 peer as
+		// ::ffff:a.b.c.d, and the address must read as Send's callers
+		// write it.
+		u.lastFrom = from
+		u.lastFromStr = netip.AddrPortFrom(from.Addr().Unmap(), from.Port()).String()
+	}
+	return append([]byte(nil), u.rbuf[:n]...), u.lastFromStr, nil
 }
 
 // Close shuts the socket down.

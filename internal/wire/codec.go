@@ -156,10 +156,13 @@ func (c *cursor) str(p *string) {
 }
 
 // rest walks a message's tail: whatever payload follows its last fixed
-// field, nil when nothing does. Decoding copies it out of the frame.
+// field, nil when nothing does. A decoded tail aliases the frame (see
+// Decode): an inline page is not copied on its way through the codec.
 func (c *cursor) rest(p *[]byte) {
 	if c.mode == getting {
-		*p = append([]byte(nil), c.next(len(c.buf))...)
+		if *p = c.next(len(c.buf)); len(*p) == 0 {
+			*p = nil
+		}
 	} else {
 		copy(c.next(len(*p)), *p)
 	}
@@ -274,7 +277,14 @@ func Encode(seq uint32, msg Message) ([]byte, error) {
 	return frame, nil
 }
 
-// Decode parses a frame into its header and typed message.
+// Decode parses a frame into its header and typed message. The
+// message's payload tail (DataResp, WriteReq and BulkData have one)
+// ALIASES frame: Decode takes the frame over on the message's behalf,
+// and the caller must neither write to it nor recycle it while the
+// message is in use. Every transport's Recv hands its caller a frame
+// the caller owns, so a receive loop meets the contract by decoding
+// each frame once and dropping it. Everything else in the message is
+// copied out.
 func Decode(frame []byte) (Header, Message, error) {
 	h, err := ParseHeader(frame)
 	if err != nil {

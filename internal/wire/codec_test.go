@@ -84,6 +84,11 @@ func TestAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pageMsg := &DataResp{Count: 8192, Flags: DataFlagInline, Payload: make([]byte, 8192)}
+	page, err := Encode(1, pageMsg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name string
 		max  float64
@@ -91,8 +96,13 @@ func TestAllocBudget(t *testing.T) {
 	}{
 		{"Encode", 1, func() { _, _ = Encode(1, req) }},
 		{"Decode", 1, func() { _, _, _ = Decode(frame) }},
-		// PutFrame boxes the slice header it returns to the pool.
+		// An inline page is a view of its frame, not a second buffer.
+		{"Decode inline page", 1, func() { _, _, _ = Decode(page) }},
+		// Below minPooledFrame the frame is the one allocation; above it
+		// the frame is recycled and PutFrame boxes the slice header it
+		// returns to the pool.
 		{"EncodePooled+PutFrame", 1, func() { f, _ := EncodePooled(1, req); PutFrame(f) }},
+		{"EncodePooled+PutFrame of a page", 1, func() { f, _ := EncodePooled(1, pageMsg); PutFrame(f) }},
 		{"PayloadSize", 0, func() { _ = PayloadSize(req) }},
 	} {
 		if got := testing.AllocsPerRun(200, tc.f); got > tc.max {
@@ -108,6 +118,24 @@ func TestInlineDataLimit(t *testing.T) {
 		frame, err := Encode(1, &DataResp{Flags: DataFlagInline, Payload: make([]byte, InlineDataLimit(mtu))})
 		if err != nil || len(frame) != mtu {
 			t.Errorf("DataResp at InlineDataLimit(%d) is %d bytes (%v)", mtu, len(frame), err)
+		}
+	}
+}
+
+// TestInlineWriteLimit pins the write-side limit the same way, for
+// Ethernet, usocket.MTU and transport.UDPMTU: a WriteReq carrying
+// exactly InlineWriteLimit(mtu) bytes fills the MTU, and one byte more
+// does not fit.
+func TestInlineWriteLimit(t *testing.T) {
+	for _, mtu := range []int{1500, 1468, 63 << 10} {
+		limit := InlineWriteLimit(mtu)
+		frame, err := Encode(1, &WriteReq{Length: uint64(limit), WriteSeq: 1, Payload: make([]byte, limit)})
+		if err != nil || len(frame) != mtu {
+			t.Errorf("WriteReq at InlineWriteLimit(%d) is %d bytes (%v)", mtu, len(frame), err)
+		}
+		frame, err = Encode(1, &WriteReq{Length: uint64(limit + 1), WriteSeq: 1, Payload: make([]byte, limit+1)})
+		if err != nil || len(frame) != mtu+1 {
+			t.Errorf("WriteReq one byte over InlineWriteLimit(%d) is %d bytes (%v)", mtu, len(frame), err)
 		}
 	}
 }

@@ -3,9 +3,33 @@ package wire
 import (
 	"bytes"
 	"encoding/hex"
+	"errors"
 	"reflect"
 	"testing"
 )
+
+// v2WriteReq is the populated WriteReq sample as version 2 framed it,
+// before the message had a payload tail.
+func v2WriteReq(t testing.TB) []byte {
+	frame, err := hex.DecodeString("d0d002100000006300000034000000000000002a000000000000000500000000000000640000000000002000000000000000232900000000000000111234abcd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frame
+}
+
+// TestVersion2FrameRefused: a frame of the previous version is refused
+// whole, though its bytes would parse as today's WriteReq.
+func TestVersion2FrameRefused(t *testing.T) {
+	frame := v2WriteReq(t)
+	if _, _, err := Decode(frame); !errors.Is(err, ErrBadVersion) {
+		t.Fatalf("Decode of a version-2 WriteReq = %v, want ErrBadVersion", err)
+	}
+	frame[2] = Version
+	if _, msg, err := Decode(frame); err != nil || msg.(*WriteReq).Payload != nil {
+		t.Fatalf("the same bytes at today's version = %+v, %v; want a WriteReq with no payload", msg, err)
+	}
+}
 
 // FuzzWireRoundTrip drives arbitrary byte strings through the codec and
 // checks the Marshal/Unmarshal symmetry on everything that decodes:
@@ -42,9 +66,12 @@ func FuzzWireRoundTrip(f *testing.F) {
 	f.Add([]byte{0xD0, 0xD0, Version, 0xFF, 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{0xD0, 0xD0, Version - 1, byte(TFreeReq), 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Add(bytes.Repeat([]byte{0xD0}, HeaderSize+4))
-	// What a peer built before the batched read was retired could still
-	// send: its five frames from frames.golden at d748fa1, and a bare
-	// header of each reserved number. ParseHeader refuses all seven.
+	// What a version-2 peer could still send: the WriteReq row of
+	// frames.golden at 71abe32, refused on its version byte.
+	f.Add(v2WriteReq(f))
+	// The batched read's five frames from frames.golden at d748fa1 and a
+	// bare header of each reserved number, restamped with today's
+	// version so that ParseHeader refuses all seven on their type.
 	for _, retired := range []string{
 		"d0d0021f0000006300000052000000000000004e000005800000002000020000000000000009000000000000000500000000000000000000000000001000000000000000000a000000000000000600000000000020000000000000004000",
 		"d0d00220000000630000002e05000000000000004e010002000000000000000008cafef00d040000000000000000000000003862797465732121",
@@ -58,6 +85,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
+		frame[2] = Version
 		f.Add(frame)
 	}
 

@@ -295,14 +295,17 @@ func (m *ReadReq) fields(c *cursor) {
 	c.u32(&m.ChunkSize, &m.Window)
 }
 
-// WriteReq announces an incoming write of Length bytes at Offset within a
-// region; the data itself follows via the bulk protocol under TransferID.
-// WriteSeq orders writes to one region: the imd ignores an announcement
-// whose sequence is not newer than the last write it applied, so a
-// duplicated or delayed announcement replayed by the network can never
+// WriteReq writes Length bytes at Offset within a region, in one of two
+// shapes chosen by size alone, as a read's response is. A write that
+// fits one frame (InlineWriteLimit) carries its bytes in Payload and
+// leaves TransferID zero: one request, one DataResp. A larger write
+// only announces them, and the data follows via the bulk protocol under
+// TransferID. WriteSeq orders writes to one region: the imd ignores a
+// request whose sequence is not newer than the last write it applied, so
+// a duplicated or delayed request replayed by the network can never
 // roll the region back to older bytes. The first write carries sequence
-// 1; the imd refuses zero. Crc is the CRC32C of the announced bytes; the
-// imd refuses the write when the received bulk data does not match.
+// 1; the imd refuses zero. Crc is the CRC32C of the Length bytes; the
+// imd refuses the write when the bytes it received do not match.
 type WriteReq struct {
 	RegionID   uint64
 	Epoch      uint64
@@ -311,12 +314,14 @@ type WriteReq struct {
 	TransferID uint64
 	WriteSeq   uint64
 	Crc        uint32
+	Payload    []byte
 }
 
 func (*WriteReq) Kind() Type { return TWriteReq }
 func (m *WriteReq) fields(c *cursor) {
 	c.u64(&m.RegionID, &m.Epoch, &m.Offset, &m.Length, &m.TransferID, &m.WriteSeq)
 	c.u32(&m.Crc)
+	c.rest(&m.Payload)
 }
 
 // DataResp reports the outcome of a read or write: the byte count

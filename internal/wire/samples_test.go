@@ -114,6 +114,8 @@ func samples() []sample {
 		{"no-hosts", &KeepAliveAck{ClientID: 77, Drops: 3}},
 		{"no-addr", &HostStatus{State: HostBusy, Epoch: 5}},
 		{"no-client", &IMDAllocReq{RegionID: 42, Length: 8192, Key: key}},
+		{"inline", &WriteReq{RegionID: 42, Epoch: 5, Offset: 100, Length: 10, WriteSeq: 18, Crc: 0x5EEDBEEF,
+			Payload: []byte("hello dodo")}},
 		{"no-payload", &DataResp{Status: StatusOK, Count: 1 << 16, TransferID: 77, Crc: 0xFEEDFACE, Flags: DataFlagEager}},
 		{"no-payload", &BulkData{TransferID: 1}},
 		{"no-missing", &BulkNack{TransferID: 1}},
@@ -176,10 +178,12 @@ func TestFramesGolden(t *testing.T) {
 	}
 }
 
-// tailOf returns the rest-of-payload tail of the two messages that
+// tailOf returns the rest-of-payload tail of the three messages that
 // have one, and false for every other message.
 func tailOf(msg Message) ([]byte, bool) {
 	switch m := msg.(type) {
+	case *WriteReq:
+		return m.Payload, true
 	case *DataResp:
 		return m.Payload, true
 	case *BulkData:

@@ -30,8 +30,9 @@ const (
 	// protocol's only compatibility mechanism: every message has one
 	// fixed layout, ParseHeader rejects a frame of any other version, and
 	// a change to any layout bumps it. 2 dropped capability negotiation
-	// and the optional trailing fields of version 1.
-	Version uint8 = 2
+	// and the optional trailing fields of version 1; 3 gave WriteReq its
+	// inline payload.
+	Version uint8 = 3
 	// HeaderSize is the encoded size of a frame header.
 	HeaderSize = 12
 	// MaxPayload bounds a single message payload. Bulk data is split

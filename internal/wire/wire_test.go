@@ -30,15 +30,62 @@ func roundTrip(t *testing.T, seq uint32, msg Message) Message {
 }
 
 // roundTripSamples requires every populated sample, or every empty
-// variant, to decode to a deeply equal message.
+// variant, to decode to a deeply equal message. A payload tail is
+// compared on its own, as bytes: the decoded one is a view of the
+// frame, not a slice the codec made.
 func roundTripSamples(t *testing.T, seq uint32, variants bool) {
 	for _, s := range samples() {
 		if (s.variant != "") != variants {
 			continue
 		}
-		if got := roundTrip(t, seq, s.msg); !reflect.DeepEqual(got, s.msg) {
+		got := roundTrip(t, seq, s.msg)
+		if !reflect.DeepEqual(got, s.msg) {
 			t.Errorf("%s round-trip mismatch:\n got  %+v\n want %+v", s.name(), got, s.msg)
 		}
+		gotTail, _ := tailOf(got)
+		if wantTail, has := tailOf(s.msg); has && !bytes.Equal(gotTail, wantTail) {
+			t.Errorf("%s payload round-trips to %q, want %q", s.name(), gotTail, wantTail)
+		}
+	}
+}
+
+// TestDecodeAliasesFrame pins Decode's documented contract: a payload
+// tail is a view of the frame handed in, so writing to the frame
+// afterwards shows through the message, and everything that is not a
+// tail was copied out.
+func TestDecodeAliasesFrame(t *testing.T) {
+	for _, msg := range []Message{
+		&WriteReq{RegionID: 1, Length: 4, WriteSeq: 1, Payload: []byte("page")},
+		&DataResp{Count: 4, Flags: DataFlagInline, Payload: []byte("page")},
+		&BulkData{TransferID: 1, Payload: []byte("page")},
+	} {
+		frame, err := Encode(1, msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, got, err := Decode(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tail, _ := tailOf(got)
+		if len(tail) != 4 || &tail[0] != &frame[len(frame)-4] {
+			t.Errorf("%v: decoded payload does not alias the frame's last 4 bytes", msg.Kind())
+		}
+		frame[len(frame)-1] ^= 0xFF
+		if tail, _ := tailOf(got); bytes.Equal(tail, []byte("page")) {
+			t.Errorf("%v: a write to the frame did not show through the decoded payload", msg.Kind())
+		}
+	}
+	frame, _ := Encode(1, &HostStatus{HostAddr: "host3:9000"})
+	_, got, err := Decode(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := HeaderSize; i < len(frame); i++ {
+		frame[i] = 'x'
+	}
+	if addr := got.(*HostStatus).HostAddr; addr != "host3:9000" {
+		t.Errorf("a string field aliases the frame: HostAddr = %q after overwriting it", addr)
 	}
 }
 

@@ -24,6 +24,16 @@ go test -race ./...
 (cd benchmark && go vet ./... && go test ./...)
 bash benchmark/run.sh -workload fit8k-unet -seed 1 -seconds 1
 
+# Count gate: a fixed-op traced pass counts frames and calls, and those
+# are the same on every machine, unlike the ns/op gates below. A page
+# that fits one frame is pushed in one frame (no offer, no accept, no
+# bulk data, under one client frame per op on rw32k-udp), and the
+# multi-frame read path of rand8k-unet sends what it sent at PR 21.
+bash benchmark/run.sh -workload rw32k-udp -seed 7 -seconds 0 -trace 1 | tail -n 1 | \
+    go run ./cmd/dodo-bench -counts 'bulk.offer_accept_frames_per_kop==0,bulk.data_frames_per_op==0,transport.client_tx_frames_per_op<1.0'
+bash benchmark/run.sh -workload rand8k-unet -seed 8 -seconds 0 -trace 1 | tail -n 1 | \
+    go run ./cmd/dodo-bench -counts 'bulk.data_frames_per_op==5.2375'
+
 # Smoke: every benchmark still runs, one iteration each. Not a
 # measurement — the gates below and benchmark/ are.
 go test -run '^$' -bench . -benchtime 1x ./...
@@ -43,7 +53,7 @@ rm -f /tmp/bench_region_now.json
 # benchmarks of usocket, transport and bulk (one frame through a socket
 # and through the transport adapter, one datagram through the fabric
 # and loopback UDP, 64 KB and 128 KB transfers) against a baseline
-# frozen at -benchtime 1s. The per-frame budget of DESIGN.md §14.3 —
+# frozen at -benchtime 1s. The per-frame budget of DESIGN.md §14.2 —
 # no address parsing, no timer, one allocation — regresses here first.
 DATAPLANE_PKGS=./internal/usocket,./internal/transport,./internal/bulk
 [ -f BENCH_dataplane_base.json ] || \
