@@ -207,8 +207,14 @@ func TestBulkTransferSizes(t *testing.T) {
 // fresh segment, with 256-frame receive rings.
 func unetEndpointPair(tb testing.TB, cfg Config) (*Endpoint, *Endpoint) {
 	tb.Helper()
-	seg := usocket.NewSegment()
-	var eps [2]*Endpoint
+	eps := unetEndpoints(tb, usocket.NewSegment(), cfg, 2)
+	return eps[0], eps[1]
+}
+
+// unetEndpoints builds n endpoints over usocket transports on seg.
+func unetEndpoints(tb testing.TB, seg *usocket.Segment, cfg Config, n int) []*Endpoint {
+	tb.Helper()
+	eps := make([]*Endpoint, n)
 	for i := range eps {
 		sock, err := seg.Socket(64, 256)
 		if err != nil {
@@ -225,7 +231,7 @@ func unetEndpointPair(tb testing.TB, cfg Config) (*Endpoint, *Endpoint) {
 		tb.Cleanup(func() { ep.Close() })
 		eps[i] = ep
 	}
-	return eps[0], eps[1]
+	return eps
 }
 
 func TestBulkTransferOverUNetMTU(t *testing.T) {

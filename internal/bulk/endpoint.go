@@ -127,13 +127,16 @@ type Endpoint struct {
 	// dodo:guardedby mu
 	calls map[uint32]chan wire.Message
 	// dodo:guardedby mu
-	rx map[rxKey]*rxTransfer
+	rx map[xferKey]*rxTransfer
+	// tx holds the response channel of every transfer this endpoint is
+	// sending, by (receiver, id): an eager transfer's id is the
+	// receiver's, and two receivers may have picked the same one.
 	// dodo:guardedby mu
-	tx map[uint64]chan wire.Message
+	tx map[xferKey]chan wire.Message
 	// tombs, tombQueue and tombTimer are the consumed-transfer records
 	// (see "Tombstones" in transfer.go).
 	// dodo:guardedby mu
-	tombs map[rxKey]time.Time
+	tombs map[xferKey]time.Time
 	// dodo:guardedby mu
 	tombQueue []tombstone
 	// dodo:guardedby mu
@@ -161,8 +164,9 @@ type Endpoint struct {
 	retryExhausted atomic.Int64
 }
 
-type rxKey struct {
-	from string
+// xferKey names a transfer by the peer at its other end and its id.
+type xferKey struct {
+	peer string
 	id   uint64
 }
 
@@ -174,9 +178,9 @@ func NewEndpoint(tr transport.Transport, cfg Config, handler Handler) *Endpoint 
 		cfg:     cfg.withDefaults(),
 		handler: handler,
 		calls:   make(map[uint32]chan wire.Message),
-		rx:      make(map[rxKey]*rxTransfer),
-		tx:      make(map[uint64]chan wire.Message),
-		tombs:   make(map[rxKey]time.Time),
+		rx:      make(map[xferKey]*rxTransfer),
+		tx:      make(map[xferKey]chan wire.Message),
+		tombs:   make(map[xferKey]time.Time),
 		stop:    make(chan struct{}),
 	}
 	ep.mu.SetRank(locks.RankBulkEndpoint)
@@ -377,9 +381,14 @@ func (ep *Endpoint) recvLoop() {
 		// Data-plane fast path: BulkData frames — the overwhelming bulk
 		// of traffic — are parsed in place and their payload copied
 		// straight into the assembling transfer, skipping the allocating
-		// general decoder entirely.
+		// general decoder entirely. The payload is lent to handleData for
+		// the call and nothing else refers to the frame, so the loop is
+		// its last owner and gives it back to the senders' pool. A frame
+		// that goes on to Decode is never given back: its message aliases
+		// it for as long as a handler or a caller keeps the message.
 		if id, seq, payload, derr := wire.DecodeBulkData(data); derr == nil {
 			ep.handleData(from, id, seq, payload)
+			wire.PutDataFrame(data)
 			continue
 		}
 		h, msg, err := wire.Decode(data)
@@ -404,7 +413,7 @@ func (ep *Endpoint) dispatch(from string, h wire.Header, msg wire.Message) {
 		// for completeness (tests may dispatch decoded messages).
 		ep.handleData(from, m.TransferID, m.Seq, m.Payload)
 	case *wire.BulkNack, *wire.BulkDone:
-		ep.routeTxResponse(msg)
+		ep.routeTxResponse(from, msg)
 	case *wire.AllocResp, *wire.FreeResp, *wire.CheckAllocResp,
 		*wire.KeepAliveAck, *wire.HostStatusAck,
 		*wire.IMDAllocResp, *wire.IMDFreeResp, *wire.DataResp,
@@ -447,7 +456,7 @@ func (ep *Endpoint) dispatch(from string, h wire.Header, msg wire.Message) {
 	}
 }
 
-func (ep *Endpoint) routeTxResponse(msg wire.Message) {
+func (ep *Endpoint) routeTxResponse(from string, msg wire.Message) {
 	var id uint64
 	//vet:ignore wire-exhaustiveness — narrow correlation switch: dispatch routes only BulkNack/BulkDone here
 	switch m := msg.(type) {
@@ -457,7 +466,7 @@ func (ep *Endpoint) routeTxResponse(msg wire.Message) {
 		id = m.TransferID
 	}
 	ep.mu.Lock()
-	ch := ep.tx[id]
+	ch := ep.tx[xferKey{peer: from, id: id}]
 	ep.mu.Unlock()
 	if ch != nil {
 		select {

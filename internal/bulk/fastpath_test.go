@@ -190,10 +190,12 @@ func BenchmarkEagerTransfer128KBUNet(b *testing.B) {
 // TestEagerTransferAllocationBudgetUNet holds the per-frame allocation
 // budget end to end: a 128 KB eager transfer between two usocket
 // endpoints — sender, both receive loops, window acks and the
-// completion included — allocates at most 3 times per data frame on
-// average. The frame itself is one; the address parse and format, the
-// receive's timer and the per-packet NACK timer that used to make it
-// about 20 are gone.
+// completion included — allocates nothing per data frame in steady
+// state. The frame is a recycled one, and what is left is the state of
+// the transfer and of its two windows: 45 allocations measured for 91
+// frames, held here at under two for every three frames. (Before the
+// frame was recycled it was 137; before PR 13, with an address parse and
+// format, a receive timer and a NACK timer per packet, about 1,710.)
 func TestEagerTransferAllocationBudgetUNet(t *testing.T) {
 	if locks.CheckEnabled {
 		t.Skip("the lockcheck runtime allocates on every Lock")
@@ -208,8 +210,12 @@ func TestEagerTransferAllocationBudgetUNet(t *testing.T) {
 	if !bytes.Equal(buf, data) {
 		t.Fatal("eager transfer over U-Net corrupted")
 	}
-	if perFrame := perTransfer / float64(frames); perFrame > 3 {
-		t.Errorf("128 KB eager transfer: %.0f allocations over %d data frames = %.1f per frame, want at most 3",
-			perTransfer, frames, perFrame)
+	budget := float64(frames * 2 / 3)
+	if raceEnabled {
+		budget += float64(frames / 2) // the pool drops a quarter of the frames put back
+	}
+	if perTransfer > budget {
+		t.Errorf("128 KB eager transfer: %.0f allocations over %d data frames, want at most %.0f: a frame is being allocated",
+			perTransfer, frames, budget)
 	}
 }

@@ -223,10 +223,10 @@ func TestTombstoneTableIsBounded(t *testing.T) {
 	before := clock.Scheduled()
 	ep.mu.Lock()
 	for id := uint64(0); id < maxTombstones+10; id++ {
-		ep.entombLocked(rxKey{from: "peer", id: id})
+		ep.entombLocked(xferKey{peer: "peer", id: id})
 	}
-	oldest := ep.entombedLocked(rxKey{from: "peer", id: 9})
-	kept := ep.entombedLocked(rxKey{from: "peer", id: 10})
+	oldest := ep.entombedLocked(xferKey{peer: "peer", id: 9})
+	kept := ep.entombedLocked(xferKey{peer: "peer", id: 10})
 	tombs, queued := len(ep.tombs), len(ep.tombQueue)
 	ep.mu.Unlock()
 	if tombs != maxTombstones || queued != maxTombstones {

@@ -46,11 +46,11 @@ func (ep *Endpoint) SendBulk(to string, id uint64, data []byte) error {
 	if len(data) > MaxTransfer {
 		return fmt.Errorf("bulk: transfer of %d bytes exceeds MaxTransfer", len(data))
 	}
-	respCh, err := ep.registerTx(id)
+	respCh, err := ep.registerTx(to, id)
 	if err != nil {
 		return err
 	}
-	defer ep.unregisterTx(id)
+	defer ep.unregisterTx(to, id)
 
 	chunk := ep.chunkSize()
 	offer := &wire.BulkOffer{TransferID: id, TotalLen: uint64(len(data)), ChunkSize: uint32(chunk)}
@@ -90,30 +90,31 @@ func (ep *Endpoint) SendBulkEager(to string, id uint64, data []byte, chunk, wind
 	if window < 1 {
 		window = 1
 	}
-	respCh, err := ep.registerTx(id)
+	respCh, err := ep.registerTx(to, id)
 	if err != nil {
 		return err
 	}
-	defer ep.unregisterTx(id)
+	defer ep.unregisterTx(to, id)
 	return ep.runTransfer(to, id, data, chunk, window, respCh)
 }
 
-// registerTx claims the sender-side response channel for transfer id.
-func (ep *Endpoint) registerTx(id uint64) (chan wire.Message, error) {
+// registerTx claims the sender-side response channel for transfer id
+// to the peer at to.
+func (ep *Endpoint) registerTx(to string, id uint64) (chan wire.Message, error) {
 	respCh := make(chan wire.Message, 16)
 	ep.mu.Lock()
 	if ep.closed {
 		ep.mu.Unlock()
 		return nil, ErrClosed
 	}
-	ep.tx[id] = respCh
+	ep.tx[xferKey{peer: to, id: id}] = respCh
 	ep.mu.Unlock()
 	return respCh, nil
 }
 
-func (ep *Endpoint) unregisterTx(id uint64) {
+func (ep *Endpoint) unregisterTx(to string, id uint64) {
 	ep.mu.Lock()
-	delete(ep.tx, id)
+	delete(ep.tx, xferKey{peer: to, id: id})
 	ep.mu.Unlock()
 }
 
@@ -279,7 +280,7 @@ func (ep *Endpoint) ExpectBulkInto(dst []byte, from string, id uint64, chunk int
 	if len(dst) > MaxTransfer {
 		return 0, fmt.Errorf("bulk: transfer of %d bytes exceeds MaxTransfer", len(dst))
 	}
-	key := rxKey{from: from, id: id}
+	key := xferKey{peer: from, id: id}
 	ep.mu.Lock()
 	if ep.closed {
 		ep.mu.Unlock()
@@ -318,7 +319,7 @@ func (ep *Endpoint) ExpectBulkInto(dst []byte, from string, id uint64, chunk int
 // will ever arrive under id. No tombstone is left: requester-chosen ids
 // are never reused.
 func (ep *Endpoint) CancelExpect(from string, id uint64) {
-	key := rxKey{from: from, id: id}
+	key := xferKey{peer: from, id: id}
 	ep.mu.Lock()
 	rx := ep.rx[key]
 	delete(ep.rx, key)
@@ -367,7 +368,7 @@ func (ep *Endpoint) RecvBulkInto(dst []byte, from string, id uint64, timeout tim
 }
 
 func (ep *Endpoint) recvBulk(from string, id uint64, timeout time.Duration) (buf []byte, external bool, err error) {
-	key := rxKey{from: from, id: id}
+	key := xferKey{peer: from, id: id}
 	ep.mu.Lock()
 	if ep.closed {
 		ep.mu.Unlock()
@@ -464,19 +465,19 @@ const (
 )
 
 type tombstone struct {
-	key   rxKey
+	key   xferKey
 	until time.Time
 }
 
 // entombedLocked reports whether key names a transfer consumed within
 // the last tombstoneTTL. Caller holds ep.mu.
-func (ep *Endpoint) entombedLocked(key rxKey) bool {
+func (ep *Endpoint) entombedLocked(key xferKey) bool {
 	until, ok := ep.tombs[key]
 	return ok && ep.cfg.Clock.Now().Before(until)
 }
 
 // entombLocked records key as consumed. Caller holds ep.mu.
-func (ep *Endpoint) entombLocked(key rxKey) {
+func (ep *Endpoint) entombLocked(key xferKey) {
 	now := ep.cfg.Clock.Now()
 	ep.sweepTombsLocked(now)
 	if len(ep.tombQueue) >= maxTombstones {
@@ -596,7 +597,7 @@ func (rx *rxTransfer) fail(err error) {
 // handleOffer processes a BulkOffer: size (or re-acknowledge) the
 // transfer and answer with our advertised window.
 func (ep *Endpoint) handleOffer(from string, seq uint32, m *wire.BulkOffer) {
-	key := rxKey{from: from, id: m.TransferID}
+	key := xferKey{peer: from, id: m.TransferID}
 	ep.mu.Lock()
 	rx, ok := ep.rx[key]
 	entombed := !ok && ep.entombedLocked(key)
@@ -655,7 +656,7 @@ func (ep *Endpoint) answerOffer(from string, seq uint32, id uint64, window int, 
 // duration of the call, so the bytes are copied into the assembling
 // buffer synchronously (the only copy the receive path makes).
 func (ep *Endpoint) handleData(from string, id uint64, seq uint32, payload []byte) {
-	key := rxKey{from: from, id: id}
+	key := xferKey{peer: from, id: id}
 	ep.mu.Lock()
 	rx, ok := ep.rx[key]
 	ep.mu.Unlock()

@@ -26,7 +26,9 @@ import (
 // *os.File satisfies the I/O surface; FileBacking adds the inode. Tests
 // and simulations use MemBacking.
 type Backing interface {
-	// ReadAt and WriteAt use absolute backing offsets.
+	// ReadAt and WriteAt use absolute backing offsets. WriteAt keeps no
+	// reference to p once it has returned: the region cache reuses an
+	// evicted region's buffer as soon as its flush is back.
 	ReadAt(p []byte, off int64) (int, error)
 	WriteAt(p []byte, off int64) (int, error)
 	// Sync blocks until written data is durable (msync's contract).

@@ -21,6 +21,9 @@ type Dodo interface {
 	// dodo:acquires(dodofd)
 	Mopen(length int64, backing core.Backing, offset int64) (int, error)
 	Mread(fd int, offset int64, buf []byte) (int, error)
+	// Mwrite keeps no reference to buf once it has returned: the cache
+	// pushes an evicted region's buffer through it and then fills the
+	// next region into the same memory (fillRegion).
 	Mwrite(fd int, offset int64, buf []byte) (int, error)
 	// dodo:releases(dodofd)
 	Mclose(fd int) error
@@ -738,8 +741,11 @@ func (c *Cache) Cclose(fd int) error {
 // flush and remote clone happen in evictIO, and settleEvictionLocked
 // installs the outcome and releases the marker.
 type evictJob struct {
-	r      *cregion
-	view   ioView
+	r    *cregion
+	view ioView
+	// data is the victim's detached buffer. Once evictIO is back without
+	// reinstall it is nobody's, and fillRegion may take it (leaving nil)
+	// as the buffer of the region it fills.
 	data   []byte
 	dirty  bool
 	marker *inflight
@@ -835,7 +841,10 @@ func (c *Cache) settleEvictionLocked(job *evictJob) {
 // acquires c.mu itself and must be called without it: victim
 // selection, budget pre-charge and marker registration happen under
 // the lock; the eviction flushes and the fetch run with it released;
-// a final lock section installs the contents and wakes waiters.
+// a final lock section installs the contents and wakes waiters. The
+// contents go into the buffer of an evicted victim of the same length
+// when there is one (Figure 5 evicts a region to make room for this
+// one: the room is the same memory), and into a fresh one otherwise.
 // prefetched marks a fill the prefetch pipeline asked for (see mread).
 // overwrite, when not nil, is a write of the whole region (Cwrite): a
 // copy of it is installed as the dirty local copy where the fetched
@@ -880,10 +889,26 @@ func (c *Cache) fillRegion(fd int, prefetched bool, overwrite []byte) bool {
 		c.evictIO(&victims[i])
 	}
 	var data []byte
-	if fit && overwrite != nil {
-		data = append([]byte(nil), overwrite...)
-	} else if fit {
-		data = c.fetchContents(v, prefetched)
+	if fit {
+		// The evicted slot is the fill's buffer: a victim of this
+		// region's length whose bytes evictIO has put somewhere durable
+		// has no further use for them, and nothing refers to its buffer
+		// any more (Mwrite and WriteAt keep none). The hand-off lives
+		// and dies inside this call; there is no free list behind it.
+		for i := range victims {
+			if job := &victims[i]; !job.reinstall && int64(len(job.data)) == v.length {
+				data, job.data = job.data, nil
+				break
+			}
+		}
+		switch {
+		case overwrite == nil:
+			data = c.fetchContents(v, prefetched, data)
+		case data == nil:
+			data = append([]byte(nil), overwrite...)
+		default:
+			copy(data, overwrite)
+		}
 	}
 
 	c.mu.Lock()
@@ -917,12 +942,19 @@ func (c *Cache) clearFillLocked(r *cregion, marker *inflight, key prefKey) {
 	close(marker.done)
 }
 
-// fetchContents reads the full region behind v, remote copy first. It
-// always returns a region-length buffer — zero-filled when every copy
-// fails, matching the pre-concurrency fault-in behavior. Runs without
-// c.mu.
-func (c *Cache) fetchContents(v ioView, prefetched bool) []byte {
-	buf := make([]byte, v.length)
+// fetchContents reads the full region behind v, remote copy first, into
+// slot, or into a fresh buffer when slot is nil. It always returns a
+// region-length buffer that is zero wherever no source supplied bytes —
+// all of it when every copy fails, matching the pre-concurrency
+// fault-in behavior. slot held another region a moment ago, so that is
+// a rule every return path keeps: a remote read counts only when it
+// delivered all v.length bytes, and readBacking clears what the disk
+// did not. Runs without c.mu.
+func (c *Cache) fetchContents(v ioView, prefetched bool, slot []byte) []byte {
+	buf := slot
+	if buf == nil {
+		buf = make([]byte, v.length)
+	}
 	switch v.mode {
 	case remoteHealthy:
 		n, err := c.mread(v.remoteFD, buf, prefetched)
@@ -937,10 +969,7 @@ func (c *Cache) fetchContents(v ioView, prefetched bool) []byte {
 		// Writes during the outage went disk-only, so disk is the
 		// authority: read it, push the bytes to revive the remote
 		// copy, and serve the fill from the disk bytes.
-		if _, err := v.backing.ReadAt(buf, v.backOff); err == nil {
-			c.mu.Lock()
-			c.stats.DiskReads += v.length
-			c.mu.Unlock()
+		if c.readBacking(v, buf) {
 			if _, err := c.dodo.Mwrite(v.remoteFD, 0, buf); err == nil {
 				c.remoteRevived(v.fd)
 			} else {
@@ -949,12 +978,25 @@ func (c *Cache) fetchContents(v ioView, prefetched bool) []byte {
 			return buf
 		}
 	}
-	if _, err := v.backing.ReadAt(buf, v.backOff); err == nil {
-		c.mu.Lock()
-		c.stats.DiskReads += v.length
-		c.mu.Unlock()
-	}
+	c.readBacking(v, buf)
 	return buf
+}
+
+// readBacking reads the whole region behind v from its backing file
+// into buf and reports whether the read succeeded. Whatever the read
+// did not supply — the tail of a short read, all of a failed one — is
+// cleared, whatever buf held before (a failed remote read's partial
+// bytes, an evicted region's). Runs without c.mu.
+func (c *Cache) readBacking(v ioView, buf []byte) bool {
+	n, err := v.backing.ReadAt(buf, v.backOff)
+	clear(buf[max(n, 0):])
+	if err != nil {
+		return false
+	}
+	c.mu.Lock()
+	c.stats.DiskReads += v.length
+	c.mu.Unlock()
+	return true
 }
 
 // readThrough serves a read for a non-resident region from its remote

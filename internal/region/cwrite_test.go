@@ -102,24 +102,32 @@ func TestWriteThroughExcludesFill(t *testing.T) {
 
 // TestFullOverwriteFetchesNothing: a Cwrite covering a whole
 // non-resident region installs the caller's bytes and reads nothing
-// from remote memory or disk; a partial one still fetches the region
-// first.
+// from remote memory or disk, whether they go into a fresh buffer or
+// into the one an evicted region of the same size just left; a partial
+// one still fetches the region first.
 func TestFullOverwriteFetchesNothing(t *testing.T) {
 	const n = 4096
 	for _, tc := range []struct {
 		name       string
 		write      int
+		victim     bool // a resident of 0xDD bytes is evicted to make room
 		mreads     int64
 		overwrites int64
 	}{
-		{"whole region", n, 0, 1},
-		{"half region", n / 2, 1, 0},
+		{"whole region", n, false, 0, 1},
+		{"whole region into an evicted slot", n, true, 0, 1},
+		{"half region", n / 2, false, 1, 0},
+		{"half region into an evicted slot", n / 2, true, 1, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			fake := newBenchDodo(1<<20, 0)
 			back := core.NewMemBacking(1, 4*n)
 			c := NewCache(fake, Config{Capacity: n, Policy: NewLRU(), PromoteOnAccess: true})
 			fd := remoteOnly(t, c, back, 0, n, 0xAA)
+			victim := -1
+			if tc.victim {
+				victim = resident(t, c, 2, n, 0xDD)
+			}
 			mreads, disk := fake.mreads.Load(), c.Stats().DiskReads
 
 			fresh := bytes.Repeat([]byte{0xBB}, tc.write)
@@ -142,6 +150,15 @@ func TestFullOverwriteFetchesNothing(t *testing.T) {
 			got := make([]byte, n)
 			if _, err := c.Cread(fd, 0, got); err != nil || !bytes.Equal(got, want) {
 				t.Fatalf("Cread after the write = 0x%02x…0x%02x, %v", got[0], got[n-1], err)
+			}
+			if !tc.victim {
+				return
+			}
+			if e := c.Stats().Evictions - 1; e != 1 { // remoteOnly's own eviction is the other
+				t.Errorf("the write evicted %d regions, want 1", e)
+			}
+			if _, err := c.Cread(victim, 0, got); err != nil || !bytes.Equal(got, bytes.Repeat([]byte{0xDD}, n)) {
+				t.Fatalf("the evicted region reads 0x%02x…0x%02x, %v; want its own 0xdd", got[0], got[n-1], err)
 			}
 		})
 	}

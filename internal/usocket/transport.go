@@ -2,6 +2,7 @@ package usocket
 
 import (
 	"errors"
+	"sync/atomic"
 	"time"
 
 	"dodo/internal/transport"
@@ -31,6 +32,19 @@ type UNet struct {
 	lastFrom MACAddr
 	// dodo:unguarded — touched only by Recv, single receive loop
 	lastFromStr string
+
+	// lastTo is the same cache in the other direction: the destination
+	// parsed last, since a blast is many frames to one peer. Send is
+	// called from many goroutines, so the pair is immutable and swapped
+	// whole.
+	// dodo:atomic
+	lastTo atomic.Pointer[dest]
+}
+
+// dest is a destination address in both its forms.
+type dest struct {
+	text string
+	mac  MACAddr
 }
 
 var (
@@ -62,11 +76,24 @@ func (u *UNet) LocalAddr() string {
 // MTU returns the single-frame U-Net payload limit.
 func (u *UNet) MTU() int { return MTU }
 
-// Send transmits one frame to the MAC string address.
-func (u *UNet) Send(to string, data []byte) error {
+// parseDest is Aton through the one-entry cache.
+func (u *UNet) parseDest(to string) (MACAddr, error) {
+	if d := u.lastTo.Load(); d != nil && d.text == to {
+		return d.mac, nil
+	}
 	mac, err := Aton(to)
 	if err != nil {
-		return transport.ErrNoRoute
+		return MACAddr{}, transport.ErrNoRoute
+	}
+	u.lastTo.Store(&dest{text: to, mac: mac})
+	return mac, nil
+}
+
+// Send transmits one frame to the MAC string address.
+func (u *UNet) Send(to string, data []byte) error {
+	mac, err := u.parseDest(to)
+	if err != nil {
+		return err
 	}
 	_, err = u.sock.SendTo(mac, data)
 	switch {
@@ -82,9 +109,9 @@ func (u *UNet) Send(to string, data []byte) error {
 // send: the two segments ride U-Net's scatter-gather path and are
 // copied exactly once, into the receiver-owned frame.
 func (u *UNet) SendVec(to string, prefix, payload []byte) error {
-	mac, err := Aton(to)
+	mac, err := u.parseDest(to)
 	if err != nil {
-		return transport.ErrNoRoute
+		return err
 	}
 	_, err = u.sock.SendIovecTo(mac, []Iovec{{Base: prefix}, {Base: payload}})
 	switch {

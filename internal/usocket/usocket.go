@@ -29,6 +29,7 @@ import (
 
 	"dodo/internal/locks"
 	"dodo/internal/sim"
+	"dodo/internal/wire"
 )
 
 // MTU is the largest payload of a single U-Net frame: one Ethernet frame
@@ -55,12 +56,13 @@ const macStrLen = 17
 // Aton parses "aa:bb:cc:dd:ee:ff" into a MACAddr (the paper's u_aton).
 // It accepts exactly the canonical form: six groups of two hex digits
 // (either case) joined by colons, 17 bytes in all. The transport
-// adapter parses the destination of every frame it sends, so the parse
-// is hand-rolled and allocation-free. The fmt.Sscanf it replaces also
-// took one-digit groups, a sign in place of a digit, leading blanks and
-// trailing text; nothing ever produced those (String is the only
-// writer of addresses), they are rejected now, and the differential
-// test pins both halves of that decision.
+// adapter parses the destination of every frame it sends to another
+// peer than the last, so the parse is hand-rolled and allocation-free.
+// The fmt.Sscanf it replaces also took one-digit groups, a sign in
+// place of a digit, leading blanks and trailing text; nothing ever
+// produced those (String is the only writer of addresses), they are
+// rejected now, and the differential test pins both halves of that
+// decision.
 func Aton(s string) (MACAddr, error) {
 	var m MACAddr
 	if len(s) != macStrLen {
@@ -309,7 +311,13 @@ func (s *Socket) SendIovec(iov []Iovec) (int, error) {
 // SendIovecTo gathers the iovec and transmits it as one frame to an
 // explicit peer. The gather happens directly into the frame the
 // receiver will own, so a scatter-gather send costs exactly one copy —
-// the same as SendTo — instead of gather-then-copy.
+// the same as SendTo — instead of gather-then-copy. The frame is a
+// recycled one (wire.GetDataFrame), as an endpoint's buffer area is
+// filled by the NIC again and again: this is the send of the bulk data
+// plane, whose receiver gives the frame back when it has copied the
+// payload out. SendTo carries the control messages, which their
+// receiver decodes in place and keeps, so its frames are never given
+// back and are allocated at their own size.
 func (s *Socket) SendIovecTo(peer MACAddr, iov []Iovec) (int, error) {
 	total := 0
 	for _, v := range iov {
@@ -344,7 +352,7 @@ func (s *Socket) SendIovecTo(peer MACAddr, iov []Iovec) (int, error) {
 		// success — same as SendTo.
 		return total, nil
 	}
-	frame := make([]byte, 0, total)
+	frame := wire.GetDataFrame()
 	for _, v := range iov {
 		frame = append(frame, v.Base...)
 	}
@@ -353,10 +361,14 @@ func (s *Socket) SendIovecTo(peer MACAddr, iov []Iovec) (int, error) {
 }
 
 // deposit queues one frame on the receiving socket. The senders gather
-// into a fresh buffer and give it away here; it belongs to the queue
-// and then to whoever dequeues it.
+// into a buffer of their own and give it away here; it belongs to the
+// queue and then to whoever dequeues it. A frame the queue refuses
+// (closed socket, full ring) is left to the garbage collector: it was
+// never delivered, and it is never pooled either. Either way the
+// sender's obligation to a pooled frame ends here.
 //
 // dodo:adopts(data)
+// dodo:releases(frame)
 func (s *Socket) deposit(from MACAddr, data []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"dodo/internal/transport"
+	"dodo/internal/wire"
 )
 
 func mustAton(t testing.TB, s string) MACAddr {
@@ -359,8 +360,8 @@ func BenchmarkSendRecvFrame(b *testing.B) {
 }
 
 // BenchmarkUNetSendVecRecv is one BulkData-sized frame through the
-// transport adapter: the scatter-gather send the bulk sender uses and
-// the receive its peer's loop makes.
+// transport adapter: the scatter-gather send the bulk sender uses, the
+// receive its peer's loop makes, and the loop's giving the frame back.
 func BenchmarkUNetSendVecRecv(b *testing.B) {
 	ta, tb := unetPair(b)
 	to := tb.LocalAddr()
@@ -371,9 +372,11 @@ func BenchmarkUNetSendVecRecv(b *testing.B) {
 		if err := ta.SendVec(to, prefix, payload); err != nil {
 			b.Fatal(err)
 		}
-		if _, _, err := tb.Recv(time.Second); err != nil {
+		data, _, err := tb.Recv(time.Second)
+		if err != nil {
 			b.Fatal(err)
 		}
+		wire.PutDataFrame(data)
 	}
 }
 

@@ -18,12 +18,13 @@ import (
 // two above it up to maxPooledFrame. A request takes the smallest class
 // that holds it, so a region-sized buffer wastes at most half its
 // class; anything larger falls through to the heap, and so does
-// anything below minPooledFrame: a control message or a U-Net frame is
-// cheaper to allocate than to fetch from a 64 KiB class (measured on
-// rand8k-unet, where pooling each request and response of 60 bytes
-// cost 2.5 % of throughput). The pools are sync.Pools, so an idle class
-// is emptied by the garbage collector within two cycles and pins
-// nothing.
+// anything below minPooledFrame: a control message is cheaper to
+// allocate than to fetch from a 64 KiB class (measured on rand8k-unet,
+// where pooling each request and response of 60 bytes cost 2.5 % of
+// throughput). Below the floor there is one class of a fixed size with
+// entry points of its own, the data frame (GetDataFrame). The pools are
+// sync.Pools, so an idle class is emptied by the garbage collector
+// within two cycles and pins nothing.
 //
 // Ownership rule (checked by the resource-lifecycle vet pass via the
 // annotations below, dodo:acquires and dodo:releases): whoever calls
@@ -94,6 +95,54 @@ func PutFrame(b []byte) {
 	// for the boxed slice header: &b would move b to the heap on entry.
 	full := b[:c]
 	framePools[frameClass(c)].Put(&full)
+}
+
+// DataFrameCap is the capacity that makes a buffer a data frame: the
+// allocator's size class for one Ethernet frame, which holds any U-Net
+// frame (usocket.MTU is that frame less U-Net's header). The class is
+// recognised by capacity alone, as PutFrame recognises its own, so a
+// frame survives any decorator that forwards Recv's slice untouched.
+// It is deliberately not a length a transport's exact-size frame has:
+// at 1500 every full frame of the in-memory fabric at the Ethernet MTU
+// was pooled with nobody to take it, which cost its transfers 15 %. A
+// buffer that has the capacity by coincidence is as good as one made
+// here once its owner gives it up.
+const DataFrameCap = 1536
+
+// dataFrames recycles the frames a sender gathers BulkData packets
+// into: the one class below minPooledFrame, because a 128 KB read is 91
+// of these beside one request and one response. It holds array
+// pointers, not slice headers, so a put boxes nothing and a frame's
+// round trip allocates nothing.
+var dataFrames sync.Pool
+
+// GetDataFrame returns an empty buffer of capacity DataFrameCap for a
+// sender to gather one frame into. The frame changes hands with the
+// bytes: whoever holds it last, and has kept no reference into it,
+// hands it to PutDataFrame. That is the bulk receive loop for a frame
+// it parsed in place with DecodeBulkData, and nobody for a frame that
+// went through Decode, whose message aliases it.
+//
+// dodo:acquires(frame)
+func GetDataFrame() []byte {
+	if a, ok := dataFrames.Get().(*[DataFrameCap]byte); ok {
+		return a[:0]
+	}
+	return make([]byte, 0, DataFrameCap)
+}
+
+// PutDataFrame recycles b if its capacity says it is a data frame, and
+// leaves any other buffer to the garbage collector, so a receive loop
+// can offer it every frame it has finished with, whichever transport or
+// decorator handed it over. The caller must own b outright and must not
+// touch it afterwards.
+//
+// dodo:releases(frame)
+func PutDataFrame(b []byte) {
+	if cap(b) != DataFrameCap {
+		return
+	}
+	dataFrames.Put((*[DataFrameCap]byte)(b[:DataFrameCap]))
 }
 
 // EncodePooled is Encode into a pooled frame: same wire bytes, but the

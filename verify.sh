@@ -28,11 +28,18 @@ bash benchmark/run.sh -workload fit8k-unet -seed 1 -seconds 1
 # are the same on every machine, unlike the ns/op gates below. A page
 # that fits one frame is pushed in one frame (no offer, no accept, no
 # bulk data, under one client frame per op on rw32k-udp), and the
-# multi-frame read path of rand8k-unet sends what it sent at PR 21.
+# multi-frame read path of rand8k-unet sends what it sent at PR 21. A
+# miss allocates nothing the size of what it moves (PR 23): an 8 KB
+# miss stays under 8 KB of heap per op, all bookkeeping, and a 128 KB
+# one, 91 data frames, under 16 KB (it was 277 KB). Bytes allocated are
+# not quite a count (a timer or a map growing lands in them), so those
+# two are bounds with room: they read 4.1 KB and 6.3 KB.
 bash benchmark/run.sh -workload rw32k-udp -seed 7 -seconds 0 -trace 1 | tail -n 1 | \
     go run ./cmd/dodo-bench -counts 'bulk.offer_accept_frames_per_kop==0,bulk.data_frames_per_op==0,transport.client_tx_frames_per_op<1.0'
 bash benchmark/run.sh -workload rand8k-unet -seed 8 -seconds 0 -trace 1 | tail -n 1 | \
-    go run ./cmd/dodo-bench -counts 'bulk.data_frames_per_op==5.2375'
+    go run ./cmd/dodo-bench -counts 'bulk.data_frames_per_op==5.2375,process.alloc_bytes_per_op<8192'
+bash benchmark/run.sh -workload seq128k-unet -seed 7 -seconds 0 -trace 1 | tail -n 1 | \
+    go run ./cmd/dodo-bench -counts 'process.alloc_bytes_per_op<16384,bulk.data_frames_per_op==91.0000,core.checksum_failures==0'
 
 # Smoke: every benchmark still runs, one iteration each. Not a
 # measurement — the gates below and benchmark/ are.
@@ -54,7 +61,7 @@ rm -f /tmp/bench_region_now.json
 # and through the transport adapter, one datagram through the fabric
 # and loopback UDP, 64 KB and 128 KB transfers) against a baseline
 # frozen at -benchtime 1s. The per-frame budget of DESIGN.md §14.2 —
-# no address parsing, no timer, one allocation — regresses here first.
+# no address parsing, no timer, no allocation — regresses here first.
 DATAPLANE_PKGS=./internal/usocket,./internal/transport,./internal/bulk
 [ -f BENCH_dataplane_base.json ] || \
     go run ./cmd/dodo-bench -gobench BENCH_dataplane_base.json -pkgs "$DATAPLANE_PKGS" -benchtime 1s
