@@ -108,6 +108,18 @@ func TestInlinePageCallAllocatesNoFrameOfItsOwn(t *testing.T) {
 	}
 }
 
+// TestCallTimeoutAccessor: the endpoint reports the wait per call
+// attempt it uses, the default when the Config leaves it zero.
+func TestCallTimeoutAccessor(t *testing.T) {
+	n := transport.NewNetwork()
+	def := NewEndpoint(n.Host("def"), Config{}, nil)
+	set := NewEndpoint(n.Host("set"), Config{CallTimeout: 70 * time.Millisecond}, nil)
+	t.Cleanup(func() { def.Close(); set.Close() })
+	if got, want := [2]time.Duration{def.CallTimeout(), set.CallTimeout()}, [2]time.Duration{500 * time.Millisecond, 70 * time.Millisecond}; got != want {
+		t.Errorf("CallTimeout() of a default and a configured endpoint = %v, want %v", got, want)
+	}
+}
+
 func TestCallRetriesThroughLoss(t *testing.T) {
 	// 40% frame loss: Call must still succeed via retransmission.
 	n := transport.NewNetwork(WithTestFaults(simnet.Faults{LossRate: 0.4, Seed: 3}))

@@ -2,13 +2,25 @@
 // correlation for the control protocol, and the bulk data-transfer
 // protocol of §4.4 for region payloads.
 //
-// The bulk protocol is the paper's: a region that does not fit in one
-// packet is partitioned into sequenced chunks; the sender negotiates the
-// buffer space available at the receiver (BulkOffer/BulkAccept), blasts
-// as many packets as fit in that window, and waits; the receiver waits
-// for the full window or a timeout, then reports the missing sequence
-// numbers with a selective NACK (an empty NACK acknowledges the window).
-// Duplicate packets are dropped, as the paper's extension note suggests.
+// The bulk protocol is the paper's, with its window announced rather
+// than negotiated: a region that does not fit in one packet is
+// partitioned into sequenced chunks; the sender announces the transfer
+// and the window it blasts with, blasts that many packets at once, and
+// waits; the receiver waits for the full window or a timeout, then
+// reports the missing sequence numbers with a selective NACK (an empty
+// NACK acknowledges the window), and says BulkDone when it has every
+// byte. Duplicate packets are dropped, as the paper's extension note
+// suggests.
+//
+// §4.4 has the receiver answer the offer with the buffer space it can
+// commit. Every endpoint of a cluster runs this code with one
+// configuration, so that answer was the sender's own window, bought
+// with a round trip before the first byte of every push. A push
+// (SendBulk) is announced by a one-way BulkOffer instead, a read by the
+// request naming the receive it pre-registered (ExpectBulkInto). An
+// offer the receiver cannot take is answered BulkDone StatusInvalid,
+// and data that outran a lost or late offer BulkDone StatusNotFound, on
+// which the sender offers again.
 package bulk
 
 import (
@@ -51,8 +63,8 @@ type Config struct {
 	// NackDelay is the receiver's wait for window completion before it
 	// sends a selective NACK (default 100ms).
 	NackDelay time.Duration
-	// RecvWindow is the packet buffer space this endpoint advertises to
-	// bulk senders (default 64 packets).
+	// RecvWindow is the window, in packets, this endpoint announces for
+	// what it pushes and advertises for what it reads (default 64).
 	RecvWindow int
 	// TransferRetries bounds re-blasts per window (default 8).
 	TransferRetries int
@@ -141,6 +153,11 @@ type Endpoint struct {
 	tombQueue []tombstone
 	// dodo:guardedby mu
 	tombTimer sim.StopTimer
+	// unclaimed holds, with its expiry, every transfer an offer created
+	// that no receive has taken yet; the sweep timer reclaims it after
+	// tombstoneTTL.
+	// dodo:guardedby mu
+	unclaimed map[xferKey]time.Time
 	// dodo:guardedby mu
 	nextSeq uint32
 	// dodo:guardedby mu
@@ -174,14 +191,15 @@ type xferKey struct {
 // nil for pure-client endpoints.
 func NewEndpoint(tr transport.Transport, cfg Config, handler Handler) *Endpoint {
 	ep := &Endpoint{
-		tr:      tr,
-		cfg:     cfg.withDefaults(),
-		handler: handler,
-		calls:   make(map[uint32]chan wire.Message),
-		rx:      make(map[xferKey]*rxTransfer),
-		tx:      make(map[xferKey]chan wire.Message),
-		tombs:   make(map[xferKey]time.Time),
-		stop:    make(chan struct{}),
+		tr:        tr,
+		cfg:       cfg.withDefaults(),
+		handler:   handler,
+		calls:     make(map[uint32]chan wire.Message),
+		rx:        make(map[xferKey]*rxTransfer),
+		tx:        make(map[xferKey]chan wire.Message),
+		tombs:     make(map[xferKey]time.Time),
+		unclaimed: make(map[xferKey]time.Time),
+		stop:      make(chan struct{}),
 	}
 	ep.mu.SetRank(locks.RankBulkEndpoint)
 	ep.wg.Add(1)
@@ -200,8 +218,11 @@ func (ep *Endpoint) Transport() transport.Transport { return ep.tr }
 // sides can carry.
 func (ep *Endpoint) ChunkSize() int { return ep.chunkSize() }
 
-// RecvWindow is the receive window this endpoint advertises.
+// RecvWindow is the window this endpoint announces and advertises.
 func (ep *Endpoint) RecvWindow() int { return ep.cfg.RecvWindow }
+
+// CallTimeout is the wait per attempt of this endpoint's Call.
+func (ep *Endpoint) CallTimeout() time.Duration { return ep.cfg.CallTimeout }
 
 // Close shuts the endpoint down and fails all pending operations.
 func (ep *Endpoint) Close() error {
@@ -407,7 +428,7 @@ func (ep *Endpoint) recvLoop() {
 func (ep *Endpoint) dispatch(from string, h wire.Header, msg wire.Message) {
 	switch m := msg.(type) {
 	case *wire.BulkOffer:
-		ep.handleOffer(from, h.Seq, m)
+		ep.handleOffer(from, m)
 	case *wire.BulkData:
 		// Normally intercepted by recvLoop's in-place fast path; kept
 		// for completeness (tests may dispatch decoded messages).
@@ -417,8 +438,7 @@ func (ep *Endpoint) dispatch(from string, h wire.Header, msg wire.Message) {
 	case *wire.AllocResp, *wire.FreeResp, *wire.CheckAllocResp,
 		*wire.KeepAliveAck, *wire.HostStatusAck,
 		*wire.IMDAllocResp, *wire.IMDFreeResp, *wire.DataResp,
-		*wire.BulkAccept, *wire.ClusterStatsResp, *wire.HandoffAccept,
-		*wire.InventoryAck:
+		*wire.ClusterStatsResp, *wire.HandoffAccept, *wire.InventoryAck:
 		ep.mu.Lock()
 		ch, ok := ep.calls[h.Seq]
 		if ok {

@@ -12,8 +12,8 @@ import (
 )
 
 // TestEagerTransferDelivers: the receiver pre-registers the transfer
-// under its own id, the sender blasts without an offer/accept
-// handshake, and the bytes assemble straight into the caller's buffer.
+// under its own id, the sender blasts without an offer, and the bytes
+// assemble straight into the caller's buffer.
 func TestEagerTransferDelivers(t *testing.T) {
 	a, b := endpointPair(t, transport.WithMTU(1500))
 	data := make([]byte, 200<<10)
@@ -46,7 +46,7 @@ func TestEagerTransferDelivers(t *testing.T) {
 // eager first window cannot arrive whole, so the transfer must fall
 // back to the selective-NACK recovery protocol — and still deliver
 // byte-identical contents. This is the interop guarantee behind the
-// eager fast path: skipping offer/accept skips a round trip, never the
+// eager fast path: skipping the offer skips a frame, never the
 // reliability machinery.
 func TestEagerTransferDegradesToNackUnderLoss(t *testing.T) {
 	n := transport.NewNetwork(transport.WithMTU(1500),
@@ -114,9 +114,9 @@ func TestExpectBulkIntoRejectsDuplicate(t *testing.T) {
 }
 
 // TestRecvBulkIntoOfferDrivenTransfer: RecvBulkInto also serves a
-// transfer the sender opens with the offer/accept ladder (the write
-// direction, and what benchmark/probes.go's probeBulk drives), copying
-// the assembled transfer into the caller's buffer.
+// transfer the sender announces with an offer (the write direction, and
+// what benchmark/probes.go's probeBulk drives), copying the assembled
+// transfer into the caller's buffer.
 func TestRecvBulkIntoOfferDrivenTransfer(t *testing.T) {
 	a, b := endpointPair(t, transport.WithMTU(1500))
 	data := make([]byte, 48<<10)
@@ -135,8 +135,8 @@ func TestRecvBulkIntoOfferDrivenTransfer(t *testing.T) {
 }
 
 // BenchmarkEagerTransfer64KBMem is the fast-path twin of
-// BenchmarkBulkTransfer64KBMem: no offer/accept round trip, packets
-// assemble into a pre-registered caller buffer.
+// BenchmarkBulkTransfer64KBMem: no offer, packets assemble into a
+// pre-registered caller buffer.
 func BenchmarkEagerTransfer64KBMem(b *testing.B) {
 	n := transport.NewNetwork(transport.WithMTU(1500))
 	a := NewEndpoint(n.Host("a"), fastCfg(), nil)

@@ -61,6 +61,24 @@ func kinds(msgs []wire.Message) string {
 	return s
 }
 
+// vtOffer is a valid offer of n bytes in vtChunk packets.
+func vtOffer(id uint64, n int) *wire.BulkOffer {
+	return &wire.BulkOffer{TransferID: id, TotalLen: uint64(n), ChunkSize: vtChunk, Window: 8}
+}
+
+// expectDone fails t unless what the endpoint sent to peer since the
+// last read is exactly one BulkDone for id with status st.
+func expectDone(t *testing.T, peer *transport.MemEndpoint, what string, id uint64, st wire.Status) {
+	t.Helper()
+	msgs := sentTo(t, peer)
+	if len(msgs) == 1 {
+		if done, ok := msgs[0].(*wire.BulkDone); ok && done.TransferID == id && done.Status == st {
+			return
+		}
+	}
+	t.Errorf("%s answered with %q %v, want one BulkDone{%d, %v}", what, kinds(msgs), msgs, id, st)
+}
+
 func rxCount(ep *Endpoint) (transfers, tombs, queued int) {
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
@@ -159,9 +177,9 @@ func TestSteadyArrivalArmsTimersPerIntervalNotPerPacket(t *testing.T) {
 
 // TestTombstoneAnswersUntilTTLThenGoes: a consumed transfer costs the
 // endpoint no rxTransfer and no timer of its own, only a key in the
-// tombstone table. For 30 s a re-offer is answered with Accept and
-// Done and a stale data packet with Done, a duplicated announcement
-// fails ErrConsumed; past the TTL the record is gone.
+// tombstone table. For 30 s a re-offer and a stale data packet are each
+// answered with one Done, a duplicated announcement fails ErrConsumed;
+// past the TTL the record is gone.
 func TestTombstoneAnswersUntilTTLThenGoes(t *testing.T) {
 	ep, peer, clock := virtualEndpoint(t)
 	const id = 11
@@ -182,23 +200,10 @@ func TestTombstoneAnswersUntilTTLThenGoes(t *testing.T) {
 	}
 
 	clock.Advance(29 * time.Second)
-	offer := &wire.BulkOffer{TransferID: id, TotalLen: uint64(len(dst)), ChunkSize: vtChunk}
-	ep.handleOffer("peer", 5, offer)
-	msgs := sentTo(t, peer)
-	if len(msgs) != 2 {
-		t.Fatalf("re-offer at 29 s answered with %q, want BulkAccept and BulkDone", kinds(msgs))
-	}
-	if acc, ok := msgs[0].(*wire.BulkAccept); !ok || acc.Status != wire.StatusOK || acc.TransferID != id {
-		t.Errorf("re-offer at 29 s: first answer %#v, want an OK BulkAccept", msgs[0])
-	}
-	if done, ok := msgs[1].(*wire.BulkDone); !ok || done.Status != wire.StatusOK || done.TransferID != id {
-		t.Errorf("re-offer at 29 s: second answer %#v, want an OK BulkDone", msgs[1])
-	}
+	ep.handleOffer("peer", vtOffer(id, len(dst)))
+	expectDone(t, peer, "re-offer at 29 s", id, wire.StatusOK)
 	ep.handleData("peer", id, 1, payload)
-	msgs = sentTo(t, peer)
-	if done, ok := msgs[0].(*wire.BulkDone); len(msgs) != 1 || !ok || done.TransferID != id {
-		t.Errorf("stale data at 29 s answered with %q, want one BulkDone", kinds(msgs))
-	}
+	expectDone(t, peer, "stale data at 29 s", id, wire.StatusOK)
 	if _, err := ep.RecvBulk("peer", id, time.Second); !errors.Is(err, ErrConsumed) {
 		t.Errorf("duplicated announcement at 29 s: RecvBulk = %v, want ErrConsumed", err)
 	}
@@ -241,5 +246,94 @@ func TestTombstoneTableIsBounded(t *testing.T) {
 	clock.Advance(tombstoneTTL)
 	if _, tombs, queued := rxCount(ep); tombs != 0 || queued != 0 {
 		t.Errorf("after the TTL %d/%d records remain", tombs, queued)
+	}
+}
+
+// TestUnclaimedTransferReclaimedAtTTL: a transfer an offer sized and
+// its packets completed, but that no receive ever took (the request
+// naming it was refused, or its sender died), is reclaimed by the sweep
+// timer tombstoneTTL after the offer, and leaves a tombstone that
+// answers a late offer or packet with Done. Before the sweep reclaimed
+// such transfers each one held its whole buffer until Close.
+func TestUnclaimedTransferReclaimedAtTTL(t *testing.T) {
+	ep, peer, clock := virtualEndpoint(t)
+	const id = 13
+	before := clock.Scheduled()
+	ep.handleOffer("peer", vtOffer(id, 2*vtChunk))
+	payload := make([]byte, vtChunk)
+	ep.handleData("peer", id, 0, payload)
+	ep.handleData("peer", id, 1, payload)
+	expectDone(t, peer, "the last packet", id, wire.StatusOK)
+
+	clock.Advance(tombstoneTTL - time.Nanosecond)
+	if rx, tombs, _ := rxCount(ep); rx != 1 || tombs != 0 {
+		t.Fatalf("before the TTL: %d transfers, %d tombstones; want 1 and 0", rx, tombs)
+	}
+	clock.Advance(time.Nanosecond)
+	if rx, tombs, _ := rxCount(ep); rx != 0 || tombs != 1 {
+		t.Fatalf("at the TTL: %d transfers, %d tombstones; want 0 and 1", rx, tombs)
+	}
+	// The offer's NACK timer and the one sweep timer, which re-armed for
+	// the tombstone: nothing per packet, nothing per transfer.
+	if armed := clock.Scheduled() - before; armed != 3 {
+		t.Errorf("%d timers armed, want 3", armed)
+	}
+	ep.handleOffer("peer", vtOffer(id, 2*vtChunk))
+	expectDone(t, peer, "a late offer", id, wire.StatusOK)
+	ep.handleData("peer", id, 1, payload)
+	expectDone(t, peer, "a late packet", id, wire.StatusOK)
+	if _, err := ep.RecvBulk("peer", id, time.Second); !errors.Is(err, ErrConsumed) {
+		t.Errorf("a late receive = %v, want ErrConsumed", err)
+	}
+}
+
+// TestDataForUnknownTransferIsNotFound: data the endpoint cannot place —
+// for a transfer it has no record of, or one no offer has sized — is
+// answered BulkDone StatusNotFound, so that a sender whose offer was
+// lost or overtaken offers again instead of believing its bytes
+// arrived.
+func TestDataForUnknownTransferIsNotFound(t *testing.T) {
+	ep, peer, _ := virtualEndpoint(t)
+	payload := make([]byte, vtChunk)
+	ep.handleData("peer", 21, 0, payload)
+	expectDone(t, peer, "data for an unknown transfer", 21, wire.StatusNotFound)
+
+	key := xferKey{peer: "peer", id: 22}
+	ep.mu.Lock()
+	ep.rx[key] = newRxTransfer(ep, "peer", 22) // what a RecvBulk waiting for its offer leaves
+	ep.mu.Unlock()
+	ep.handleData("peer", 22, 0, payload)
+	expectDone(t, peer, "data for an unsized transfer", 22, wire.StatusNotFound)
+}
+
+// TestHostileOffersCreateNoState: an offer this endpoint cannot take is
+// answered BulkDone StatusInvalid and leaves nothing behind — no
+// transfer, no buffer, no timer.
+func TestHostileOffersCreateNoState(t *testing.T) {
+	ep, peer, clock := virtualEndpoint(t)
+	before := clock.Scheduled()
+	for _, tc := range []struct {
+		name string
+		mut  func(*wire.BulkOffer)
+	}{
+		{"longer than MaxTransfer", func(m *wire.BulkOffer) { m.TotalLen = MaxTransfer + 1 }},
+		{"chunk 0", func(m *wire.BulkOffer) { m.ChunkSize = 0 }},
+		{"chunk over the transport's", func(m *wire.BulkOffer) { m.ChunkSize = uint32(ep.ChunkSize() + 1) }},
+		{"window 0", func(m *wire.BulkOffer) { m.Window = 0 }},
+		{"window over the NACK bound", func(m *wire.BulkOffer) { m.Window = maxWindow + 1 }},
+	} {
+		offer := vtOffer(31, 4*vtChunk)
+		tc.mut(offer)
+		ep.handleOffer("peer", offer)
+		expectDone(t, peer, tc.name, 31, wire.StatusInvalid)
+		ep.mu.Lock()
+		rx, unclaimed := len(ep.rx), len(ep.unclaimed)
+		ep.mu.Unlock()
+		if rx != 0 || unclaimed != 0 {
+			t.Errorf("offer %s left %d transfers, %d unclaimed", tc.name, rx, unclaimed)
+		}
+	}
+	if armed := clock.Scheduled() - before; armed != 0 {
+		t.Errorf("hostile offers armed %d timers", armed)
 	}
 }

@@ -38,97 +38,67 @@ func (ep *Endpoint) sendData(to string, id uint64, seq uint32, payload, prefix [
 	return ep.tr.Send(to, frame)
 }
 
-// SendBulk pushes data to the peer under the given transfer id using the
-// blast/selective-NACK protocol. The receiver must be expecting the
-// transfer (Dodo always announces it first through a control message:
-// DataResp for reads, WriteReq for writes).
+// SendBulk pushes data to the peer under the given transfer id: it
+// announces the transfer in a one-way BulkOffer naming this endpoint's
+// chunk size and window, blasts the first window at once, and returns
+// when the receiver has said every byte arrived. The receiver takes the
+// bytes with RecvBulk, before or after they arrive; Dodo names the
+// transfer to it in the request it sends once the push has returned
+// (WriteReq, HandoffPage).
 func (ep *Endpoint) SendBulk(to string, id uint64, data []byte) error {
-	if len(data) > MaxTransfer {
-		return fmt.Errorf("bulk: transfer of %d bytes exceeds MaxTransfer", len(data))
-	}
-	respCh, err := ep.registerTx(to, id)
-	if err != nil {
-		return err
-	}
-	defer ep.unregisterTx(to, id)
-
-	chunk := ep.chunkSize()
-	offer := &wire.BulkOffer{TransferID: id, TotalLen: uint64(len(data)), ChunkSize: uint32(chunk)}
-	resp, err := ep.Call(to, offer)
-	if err != nil {
-		return fmt.Errorf("bulk: offering transfer %d to %s: %w", id, to, err)
-	}
-	accept, ok := resp.(*wire.BulkAccept)
-	if !ok {
-		return fmt.Errorf("bulk: offer answered with %v", resp.Kind())
-	}
-	if accept.Status != wire.StatusOK {
-		return fmt.Errorf("%w: %v", ErrRejected, accept.Status)
-	}
-	window := int(accept.Window)
-	if window < 1 {
-		window = 1
-	}
-	return ep.runTransfer(to, id, data, chunk, window, respCh)
+	offer := &wire.BulkOffer{TransferID: id, TotalLen: uint64(len(data)),
+		ChunkSize: uint32(ep.chunkSize()), Window: uint32(ep.cfg.RecvWindow)}
+	return ep.runTransfer(to, offer, data, true)
 }
 
 // SendBulkEager pushes data under a RECEIVER-chosen transfer id with no
-// offer/accept exchange: the receiver pre-registered its buffer (via
-// ExpectBulkInto) and named id, chunk and window in its request, so the
-// first window can be blasted immediately — DataResp doubles as the
-// offer. Everything after the opening is the ordinary window /
-// selective-NACK engine, so loss degrades to exactly the legacy
-// recovery protocol (the re-offer path answers a receiver that lost the
-// whole opening blast).
+// offer: the receiver pre-registered its buffer (via ExpectBulkInto) and
+// named id, chunk and window in its request, so the first window can be
+// blasted immediately — DataResp doubles as the offer. Everything after
+// the opening is the window / selective-NACK engine SendBulk runs too.
 func (ep *Endpoint) SendBulkEager(to string, id uint64, data []byte, chunk, window int) error {
-	if len(data) > MaxTransfer {
-		return fmt.Errorf("bulk: transfer of %d bytes exceeds MaxTransfer", len(data))
-	}
 	if chunk <= 0 || chunk > ep.chunkSize() {
 		return fmt.Errorf("bulk: eager transfer %d: chunk %d outside (0, %d]", id, chunk, ep.chunkSize())
 	}
-	if window < 1 {
-		window = 1
-	}
-	respCh, err := ep.registerTx(to, id)
-	if err != nil {
-		return err
-	}
-	defer ep.unregisterTx(to, id)
-	return ep.runTransfer(to, id, data, chunk, window, respCh)
+	offer := &wire.BulkOffer{TransferID: id, TotalLen: uint64(len(data)),
+		ChunkSize: uint32(chunk), Window: uint32(max(window, 1))}
+	return ep.runTransfer(to, offer, data, false)
 }
 
-// registerTx claims the sender-side response channel for transfer id
-// to the peer at to.
-func (ep *Endpoint) registerTx(to string, id uint64) (chan wire.Message, error) {
-	respCh := make(chan wire.Message, 16)
+// runTransfer drives the window / selective-NACK engine every transfer
+// shares: blast each window, wait for its ack (an empty NACK), resupply
+// whatever selective NACKs name, and end on the receiver's BulkDone. A
+// push (SendBulk) is announced here by its offer; a receiver that
+// cannot place its data (BulkDone StatusNotFound: the offer was lost,
+// or overtaken by the window) is offered again and sent the window
+// again, at most once a window; the window's timeout does the same.
+// An eager transfer was announced by the receiver itself, so there
+// NotFound means it gave up, and ends the transfer as any other refusal
+// does.
+func (ep *Endpoint) runTransfer(to string, offer *wire.BulkOffer, data []byte, push bool) error {
+	id, chunk, window := offer.TransferID, int(offer.ChunkSize), int(offer.Window)
+	if len(data) > MaxTransfer {
+		return fmt.Errorf("bulk: transfer of %d bytes exceeds MaxTransfer", len(data))
+	}
+	key, respCh := xferKey{peer: to, id: id}, make(chan wire.Message, 16)
 	ep.mu.Lock()
 	if ep.closed {
 		ep.mu.Unlock()
-		return nil, ErrClosed
+		return ErrClosed
 	}
-	ep.tx[xferKey{peer: to, id: id}] = respCh
+	ep.tx[key] = respCh
 	ep.mu.Unlock()
-	return respCh, nil
-}
-
-func (ep *Endpoint) unregisterTx(to string, id uint64) {
-	ep.mu.Lock()
-	delete(ep.tx, xferKey{peer: to, id: id})
-	ep.mu.Unlock()
-}
-
-// runTransfer drives the shared window / selective-NACK engine over an
-// already-announced transfer: blast each window, wait for the ack (an
-// empty NACK), resupply whatever selective NACKs name. Both the
-// offer/accept path (SendBulk) and the eager path (SendBulkEager) end
-// up here, so fault recovery is identical for the two.
-func (ep *Endpoint) runTransfer(to string, id uint64, data []byte, chunk, window int, respCh chan wire.Message) error {
-	offer := &wire.BulkOffer{TransferID: id, TotalLen: uint64(len(data)), ChunkSize: uint32(chunk)}
-	npkts := 0
-	if len(data) > 0 {
-		npkts = (len(data) + chunk - 1) / chunk
+	defer func() {
+		ep.mu.Lock()
+		delete(ep.tx, key)
+		ep.mu.Unlock()
+	}()
+	if push {
+		if err := ep.Notify(to, offer); err != nil {
+			return fmt.Errorf("bulk: offering transfer %d to %s: %w", id, to, err)
+		}
 	}
+	npkts := (len(data) + chunk - 1) / chunk
 	prefix := make([]byte, wire.BulkDataPrefixSize)
 	blast := func(seqs []uint32) error {
 		for _, s := range seqs {
@@ -143,18 +113,26 @@ func (ep *Endpoint) runTransfer(to string, id uint64, data []byte, chunk, window
 		}
 		return nil
 	}
-
-	if npkts == 0 {
-		// Empty region: nothing to blast, just await the receiver's Done.
-		return ep.awaitDone(to, id, offer, respCh, blast)
+	// again re-blasts a window, offering the transfer once more first
+	// where that can help: before a push's window, whose offer may be
+	// what was lost, and in the wait for BulkDone, where a receiver that
+	// has everything answers an offer with BulkDone again.
+	again := func(seqs []uint32) error {
+		if push || len(seqs) == 0 {
+			if err := ep.Notify(to, offer); err != nil {
+				return err
+			}
+		}
+		ep.retransmits.Add(int64(len(seqs)))
+		return blast(seqs)
 	}
 
-	for base := 0; base < npkts; base += window {
-		end := base + window
-		if end > npkts {
-			end = npkts
-		}
-		winSeqs := make([]uint32, 0, end-base)
+	// One pass per window, then one with no packets of its own that
+	// waits for BulkDone: acks can run ahead of it when duplicates trigger
+	// re-acknowledgements, so NACKs are still served there.
+	for base := 0; ; base += window {
+		end := min(base+window, npkts)
+		winSeqs := make([]uint32, 0, max(end-base, 0))
 		for s := base; s < end; s++ {
 			winSeqs = append(winSeqs, uint32(s))
 		}
@@ -165,12 +143,13 @@ func (ep *Endpoint) runTransfer(to string, id uint64, data []byte, chunk, window
 		// packets is progress (the receiver is alive and converging) and
 		// resets it; only consecutive silent timeouts can exhaust it.
 		budget := ep.newBudget(ep.cfg.windowPolicy())
+		reoffered := false
 	await:
 		for {
 			wait, ok := budget.Next()
 			if !ok {
 				ep.retryExhausted.Add(1)
-				return fmt.Errorf("bulk: transfer %d window at %d: %w", id, base, ErrTimeout)
+				return fmt.Errorf("bulk: transfer %d to %s stalled at packet %d of %d: %w", id, to, base, npkts, ErrTimeout)
 			}
 			timerC, timer := sim.NewTimer(ep.cfg.Clock, wait)
 			select {
@@ -179,17 +158,30 @@ func (ep *Endpoint) runTransfer(to string, id uint64, data []byte, chunk, window
 				//vet:ignore wire-exhaustiveness — narrow correlation switch: routeTxResponse feeds only BulkNack/BulkDone
 				switch m := msg.(type) {
 				case *wire.BulkDone:
-					if m.Status != wire.StatusOK {
+					if m.Status == wire.StatusOK {
+						return nil // receiver has everything
+					}
+					if !push || m.Status != wire.StatusNotFound {
 						return fmt.Errorf("%w: %v", ErrRejected, m.Status)
 					}
-					return nil // receiver has everything
+					// Every packet of the window that beat the offer is
+					// answered so; the first answer is enough.
+					if !reoffered {
+						reoffered = true
+						if err := again(winSeqs); err != nil {
+							return err
+						}
+					}
 				case *wire.BulkNack:
 					if len(m.Missing) == 0 {
+						if len(winSeqs) == 0 {
+							continue // a stale window ack
+						}
 						break await // window acknowledged
 					}
 					budget.Reset()
 					resend := m.Missing
-					if ep.cfg.RetransmitFullWindow {
+					if ep.cfg.RetransmitFullWindow && len(winSeqs) > 0 {
 						resend = winSeqs // ablation: no selective recovery
 					}
 					ep.retransmits.Add(int64(len(resend)))
@@ -198,67 +190,13 @@ func (ep *Endpoint) runTransfer(to string, id uint64, data []byte, chunk, window
 					}
 				}
 			case <-timerC:
-				ep.retransmits.Add(int64(len(winSeqs)))
-				if err := blast(winSeqs); err != nil {
+				if err := again(winSeqs); err != nil {
 					return err
 				}
 			case <-ep.stop:
 				timer.Stop()
 				return ErrClosed
 			}
-		}
-	}
-	// All windows acked; the final window's response is BulkDone, which
-	// returns above. Reaching here means the ack raced the Done — wait
-	// for it briefly, tolerating loss.
-	return ep.awaitDone(to, id, offer, respCh, blast)
-}
-
-// awaitDone waits for the receiver's BulkDone after every window has
-// been acknowledged. Acks can arrive early when duplicates trigger
-// re-acknowledgements, so the receiver may still be missing packets:
-// NACKs arriving here are served with retransmissions rather than
-// ignored.
-func (ep *Endpoint) awaitDone(to string, id uint64, offer *wire.BulkOffer, respCh chan wire.Message, blast func([]uint32) error) error {
-	budget := ep.newBudget(ep.cfg.windowPolicy())
-	for {
-		wait, ok := budget.Next()
-		if !ok {
-			ep.retryExhausted.Add(1)
-			return fmt.Errorf("bulk: transfer %d: completion unacknowledged: %w", id, ErrTimeout)
-		}
-		timerC, timer := sim.NewTimer(ep.cfg.Clock, wait)
-		select {
-		case msg := <-respCh:
-			timer.Stop()
-			//vet:ignore wire-exhaustiveness — narrow correlation switch: routeTxResponse feeds only BulkNack/BulkDone
-			switch m := msg.(type) {
-			case *wire.BulkDone:
-				if m.Status != wire.StatusOK {
-					return fmt.Errorf("%w: %v", ErrRejected, m.Status)
-				}
-				return nil
-			case *wire.BulkNack:
-				if len(m.Missing) > 0 {
-					// The receiver still lacks packets (stale acks let
-					// us run ahead); resupply them. That is progress:
-					// reset the stall budget.
-					budget.Reset()
-					ep.retransmits.Add(int64(len(m.Missing)))
-					if err := blast(m.Missing); err != nil {
-						return err
-					}
-				}
-				// Empty nack: stale window ack; drain it.
-			}
-		case <-timerC:
-			// Re-offer: a completed receiver answers duplicates with Done.
-			if err := ep.Notify(to, offer); err != nil {
-				return err
-			}
-		case <-ep.stop:
-			timer.Stop()
-			return ErrClosed
 		}
 	}
 }
@@ -385,6 +323,7 @@ func (ep *Endpoint) recvBulk(from string, id uint64, timeout time.Duration) (buf
 		rx = newRxTransfer(ep, from, id)
 		ep.rx[key] = rx
 	}
+	delete(ep.unclaimed, key)
 	ep.mu.Unlock()
 
 	var timeoutCh <-chan time.Time
@@ -441,13 +380,14 @@ func (ep *Endpoint) recvBulk(from string, id uint64, timeout time.Duration) (buf
 }
 
 // Tombstones. A consumed transfer leaves only its key behind, for
-// tombstoneTTL: that is all answering a late re-offer or a duplicated
-// announcement takes (stale data packets need no record at all — a
-// packet for an unknown transfer is answered with BulkDone anyway).
-// The records of one endpoint share a map and a queue in expiry order
-// (the TTL is constant, so that is insertion order) and one timer that
-// sweeps the queue's head, instead of a timer, a closure and the whole
-// rxTransfer per finished transfer.
+// tombstoneTTL: that is all answering a late re-offer, a stale packet
+// or a duplicated announcement takes. The records of one endpoint share
+// a map and a queue in expiry order (the TTL is constant, so that is
+// insertion order) and one timer that sweeps the queue's head, instead
+// of a timer, a closure and the whole rxTransfer per finished transfer.
+// The same timer reclaims a transfer an offer created and no receive
+// took within tombstoneTTL (a request refused before its receive, a
+// sender that died between its push and its request), and entombs it.
 const (
 	// tombstoneTTL is how long a consumed transfer's completion record
 	// lingers to answer the sender's loss-recovery duplicates.
@@ -486,6 +426,13 @@ func (ep *Endpoint) entombLocked(key xferKey) {
 	until := now.Add(tombstoneTTL)
 	ep.tombs[key] = until
 	ep.tombQueue = append(ep.tombQueue, tombstone{key: key, until: until})
+	ep.armSweepLocked()
+}
+
+// armSweepLocked starts the sweep timer unless it is running. When it
+// is not, nothing is waiting for it, so the record just added, due
+// tombstoneTTL from now, is the first one due. Caller holds ep.mu.
+func (ep *Endpoint) armSweepLocked() {
 	if ep.tombTimer == nil && !ep.closed {
 		ep.tombTimer = sim.AfterFunc(ep.cfg.Clock, tombstoneTTL, ep.tombTimeout)
 	}
@@ -506,27 +453,43 @@ func (ep *Endpoint) dropOldestTombLocked() {
 	delete(ep.tombs, t.key)
 }
 
-// tombTimeout is the sweep timer: drop what expired and sleep until the
-// next record does, but never less than tombstoneSweep — an endpoint
-// finishing thousands of transfers a second arms about one timer a
-// second here, not one per transfer.
+// tombTimeout is the sweep timer: reclaim the unclaimed transfers and
+// drop the tombstones that expired, and sleep until the next record
+// does, but never less than tombstoneSweep — an endpoint finishing
+// thousands of transfers a second arms about one timer a second here,
+// not one per transfer.
 func (ep *Endpoint) tombTimeout() {
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
-	ep.tombTimer = nil
 	if ep.closed {
 		return
 	}
+	// ep.tombTimer names this firing until the end, so the entombing
+	// below arms nothing.
 	now := ep.cfg.Clock.Now()
+	var next time.Time
+	for key, until := range ep.unclaimed {
+		if now.Before(until) {
+			if next.IsZero() || until.Before(next) {
+				next = until
+			}
+			continue
+		}
+		delete(ep.unclaimed, key)
+		if rx := ep.rx[key]; rx != nil {
+			delete(ep.rx, key)
+			rx.fail(ErrTimeout)
+		}
+		ep.entombLocked(key)
+	}
 	ep.sweepTombsLocked(now)
-	if len(ep.tombQueue) == 0 {
-		return
+	if len(ep.tombQueue) > 0 && (next.IsZero() || ep.tombQueue[0].until.Before(next)) {
+		next = ep.tombQueue[0].until
 	}
-	wait := ep.tombQueue[0].until.Sub(now)
-	if wait < tombstoneSweep {
-		wait = tombstoneSweep
+	ep.tombTimer = nil
+	if !next.IsZero() {
+		ep.tombTimer = sim.AfterFunc(ep.cfg.Clock, max(next.Sub(now), tombstoneSweep), ep.tombTimeout)
 	}
-	ep.tombTimer = sim.AfterFunc(ep.cfg.Clock, wait, ep.tombTimeout)
 }
 
 // rxTransfer is receive-side per-transfer state.
@@ -594,61 +557,64 @@ func (rx *rxTransfer) fail(err error) {
 	rx.completeLocked()
 }
 
-// handleOffer processes a BulkOffer: size (or re-acknowledge) the
-// transfer and answer with our advertised window.
-func (ep *Endpoint) handleOffer(from string, seq uint32, m *wire.BulkOffer) {
+// maxWindow bounds an announced window: the longest selective NACK a
+// BulkNack can carry.
+const maxWindow = 1 << 16
+
+// handleOffer sizes the transfer an offer announces, or finds it sized,
+// and answers nothing: the sender is blasting already. A transfer that
+// is complete, or consumed, is answered BulkDone (the sender lost the
+// first one), and an offer this endpoint cannot take — longer than
+// MaxTransfer, in chunks its transport cannot carry, in a window no
+// NACK can describe — BulkDone StatusInvalid, leaving no state behind.
+// A transfer the offer creates is unclaimed until a receive takes it.
+func (ep *Endpoint) handleOffer(from string, m *wire.BulkOffer) {
+	if m.TotalLen > MaxTransfer || m.ChunkSize == 0 || int(m.ChunkSize) > ep.chunkSize() ||
+		m.Window == 0 || m.Window > maxWindow {
+		ep.sendDone(from, m.TransferID, wire.StatusInvalid)
+		return
+	}
 	key := xferKey{peer: from, id: m.TransferID}
 	ep.mu.Lock()
 	rx, ok := ep.rx[key]
-	entombed := !ok && ep.entombedLocked(key)
-	if !ok && !entombed {
+	if !ok {
+		if ep.entombedLocked(key) {
+			ep.mu.Unlock()
+			ep.sendDone(from, m.TransferID, wire.StatusOK)
+			return
+		}
 		rx = newRxTransfer(ep, from, m.TransferID)
 		ep.rx[key] = rx
+		ep.unclaimed[key] = ep.cfg.Clock.Now().Add(tombstoneTTL)
+		ep.armSweepLocked()
 	}
-	window := ep.cfg.RecvWindow
 	ep.mu.Unlock()
-	if entombed {
-		// Re-offer for a transfer already consumed: our BulkDone was
-		// lost. Accept and say Done again.
-		ep.answerOffer(from, seq, m.TransferID, window, wire.StatusOK, true)
-		return
-	}
 
-	status := wire.StatusOK
 	rx.mu.Lock()
 	if !rx.sized && !rx.complete {
-		if m.TotalLen > MaxTransfer || m.ChunkSize == 0 {
-			status = wire.StatusInvalid
+		rx.buf = make([]byte, m.TotalLen)
+		rx.chunk = int(m.ChunkSize)
+		rx.npkts = int((m.TotalLen + uint64(m.ChunkSize) - 1) / uint64(m.ChunkSize))
+		rx.got = make([]bool, rx.npkts)
+		rx.window = int(m.Window)
+		rx.sized = true
+		if rx.npkts == 0 {
+			// Empty transfer: complete immediately.
+			rx.completeLocked()
 		} else {
-			rx.buf = make([]byte, m.TotalLen)
-			rx.chunk = int(m.ChunkSize)
-			rx.npkts = int((m.TotalLen + uint64(m.ChunkSize) - 1) / uint64(m.ChunkSize))
-			rx.got = make([]bool, rx.npkts)
-			rx.window = window
-			rx.sized = true
-			if rx.npkts == 0 {
-				// Empty transfer: complete immediately.
-				rx.completeLocked()
-			} else {
-				rx.noteProgressLocked()
-			}
+			rx.noteProgressLocked()
 		}
 	}
 	completed := rx.complete && rx.err == nil
 	rx.mu.Unlock()
-	ep.answerOffer(from, seq, m.TransferID, window, status, completed)
+	if completed {
+		ep.sendDone(from, m.TransferID, wire.StatusOK)
+	}
 }
 
-// answerOffer sends the BulkAccept for an offer, and BulkDone after it
-// when the offered transfer is already complete.
-func (ep *Endpoint) answerOffer(from string, seq uint32, id uint64, window int, status wire.Status, completed bool) {
-	frame, err := wire.Encode(seq, &wire.BulkAccept{TransferID: id, Window: uint32(window), Status: status})
-	if err == nil {
-		_ = ep.tr.Send(from, frame)
-	}
-	if completed {
-		_ = ep.Notify(from, &wire.BulkDone{TransferID: id, Status: wire.StatusOK})
-	}
+// sendDone tells the sender of transfer id how it ended at this end.
+func (ep *Endpoint) sendDone(to string, id uint64, st wire.Status) {
+	_ = ep.Notify(to, &wire.BulkDone{TransferID: id, Status: st})
 }
 
 // handleData processes one BulkData packet. payload is BORROWED — it
@@ -659,22 +625,29 @@ func (ep *Endpoint) handleData(from string, id uint64, seq uint32, payload []byt
 	key := xferKey{peer: from, id: id}
 	ep.mu.Lock()
 	rx, ok := ep.rx[key]
+	consumed := !ok && ep.entombedLocked(key)
 	ep.mu.Unlock()
-	if !ok {
+	if consumed {
 		// Stale packet for a consumed transfer: tell the sender to stop.
-		_ = ep.Notify(from, &wire.BulkDone{TransferID: id, Status: wire.StatusOK})
+		ep.sendDone(from, id, wire.StatusOK)
+		return
+	}
+	if !ok {
+		// Data that outran its offer, or whose offer was lost: the
+		// sender offers again.
+		ep.sendDone(from, id, wire.StatusNotFound)
 		return
 	}
 	rx.mu.Lock()
 	if !rx.sized {
-		// Data raced ahead of the (lost) offer; the sender's offer
-		// retry will size us. Drop the packet.
+		// A receive is waiting, and the offer has not come yet.
 		rx.mu.Unlock()
+		ep.sendDone(from, id, wire.StatusNotFound)
 		return
 	}
 	if rx.complete {
 		rx.mu.Unlock()
-		_ = ep.Notify(from, &wire.BulkDone{TransferID: id, Status: wire.StatusOK})
+		ep.sendDone(from, id, wire.StatusOK)
 		return
 	}
 	s := int(seq)
@@ -727,7 +700,7 @@ func (ep *Endpoint) handleData(from string, id uint64, seq uint32, payload []byt
 	if rx.gotCount == rx.npkts {
 		rx.completeLocked()
 		rx.mu.Unlock()
-		_ = ep.Notify(from, &wire.BulkDone{TransferID: id, Status: wire.StatusOK})
+		ep.sendDone(from, id, wire.StatusOK)
 		return
 	}
 	rx.mu.Unlock()

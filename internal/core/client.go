@@ -355,7 +355,7 @@ type Stats struct {
 	InlineReads, EagerReads int64
 	// InlineWrites counts remote pushes (Mwrite and recovery's
 	// repopulation) sent as one WriteReq frame carrying the bytes, no
-	// bulk transfer; the rest of RemoteWrites took the ladder.
+	// bulk transfer; the rest of RemoteWrites were pushed first.
 	InlineWrites int64
 	// Deprecated: always 0; read by benchmark/metrics.go, goes with BatchRead.
 	BatchReads int64
@@ -1043,9 +1043,10 @@ func (c *Client) Mwrite(fd int, offset int64, buf []byte) (int, error) {
 //
 //   - a write that fits one frame rides the WriteReq itself — one round
 //     trip on the ordinary call budget, no bulk machinery;
-//   - a larger write announces a transfer id in the WriteReq and pushes
-//     the bytes under it through the offer/accept ladder, the request
-//     waiting out the push on a budget scaled to its size.
+//   - a larger write pushes the bytes first (SendBulk returns once the
+//     imd has all of them) and then names their transfer in the
+//     WriteReq, whose call finds them waiting and so needs no more than
+//     the ordinary budget either.
 func (c *Client) remoteWrite(r regionState, offset int64, data []byte) error {
 	host := r.remote.HostAddr
 	c.mu.Lock()
@@ -1060,21 +1061,16 @@ func (c *Client) remoteWrite(r regionState, offset int64, data []byte) error {
 		WriteSeq: seq,
 		Crc:      wire.Checksum(data),
 	}
-	var resp wire.Message
-	var err error
 	if len(data) <= wire.InlineWriteLimit(c.ep.Transport().MTU()) {
 		req.Payload = data
-		resp, err = c.ep.Call(host, req)
 		c.inlineWrites.Add(1)
 	} else {
 		req.TransferID = c.ep.NextTransferID()
-		sendErr := make(chan error, 1)
-		go func() { sendErr <- c.ep.SendBulk(host, req.TransferID, data) }()
-		resp, err = c.ep.CallT(host, req, dataBudget(int64(len(data))), 2)
-		if serr := <-sendErr; serr != nil && err == nil {
-			return serr
+		if err := c.ep.SendBulk(host, req.TransferID, data); err != nil {
+			return err
 		}
 	}
+	resp, err := c.ep.Call(host, req)
 	if err != nil {
 		return err
 	}

@@ -16,16 +16,27 @@ import (
 )
 
 // countingTransport wraps a transport and counts datagrams in each
-// direction, and the BulkOffer frames among those received. It
-// deliberately does NOT implement transport.VecSender, so every frame
-// the client emits passes through Send exactly once.
+// direction, in all and by the type byte of their header (so that a
+// reserved type no decoder takes is counted too). It deliberately does
+// NOT implement transport.VecSender, so every frame the client emits
+// passes through Send exactly once.
 type countingTransport struct {
 	transport.Transport
-	sends, recvs, offers atomic.Int64
+	sends, recvs atomic.Int64
+	sent, recvd  [256]atomic.Int64
+}
+
+// frameType is a frame's type byte, or 0 for one too short to have one.
+func frameType(frame []byte) byte {
+	if len(frame) < wire.HeaderSize {
+		return 0
+	}
+	return frame[3]
 }
 
 func (t *countingTransport) Send(to string, data []byte) error {
 	t.sends.Add(1)
+	t.sent[frameType(data)].Add(1)
 	return t.Transport.Send(to, data)
 }
 
@@ -33,11 +44,17 @@ func (t *countingTransport) Recv(timeout time.Duration) ([]byte, string, error) 
 	data, from, err := t.Transport.Recv(timeout)
 	if err == nil {
 		t.recvs.Add(1)
-		if h, herr := wire.ParseHeader(data); herr == nil && h.Type == wire.TBulkOffer {
-			t.offers.Add(1)
-		}
+		t.recvd[frameType(data)].Add(1)
 	}
 	return data, from, err
+}
+
+// snapshot copies the per-type counts.
+func (t *countingTransport) snapshot() (sent, recvd [256]int64) {
+	for i := range sent {
+		sent[i], recvd[i] = t.sent[i].Load(), t.recvd[i].Load()
+	}
+	return sent, recvd
 }
 
 // quietStack is newStack with background chatter stretched out to tens
@@ -101,8 +118,7 @@ func mopenRetry(t testing.TB, cli *Client, length int64, back Backing, off int64
 
 // TestSmallReadSingleExchange pins the inline response shape at the
 // transport level: a sub-MTU Mread must cost exactly one request frame
-// out and one response frame in — no bulk offer, no accept, no done
-// handshake.
+// out and one response frame in — no bulk offer, no done handshake.
 func TestSmallReadSingleExchange(t *testing.T) {
 	s, ct := quietStack(t, nil)
 	back := NewMemBacking(7, 16<<10)
@@ -138,7 +154,8 @@ func TestSmallReadSingleExchange(t *testing.T) {
 
 // TestSmallWriteSingleExchange pins the one-frame push at the
 // transport level: an Mwrite that fits a frame costs one WriteReq out
-// and one DataResp in, and one byte more takes the ladder as before.
+// and one DataResp in, and one byte more costs a push and then the
+// WriteReq, with no answer to the offer.
 func TestSmallWriteSingleExchange(t *testing.T) {
 	s, ct := quietStack(t, nil)
 	limit := wire.InlineWriteLimit(1500)
@@ -162,8 +179,32 @@ func TestSmallWriteSingleExchange(t *testing.T) {
 		t.Fatalf("imd applied %d writes, %d bytes; want 1 and %d", ds.Writes, ds.WriteBytes, limit)
 	}
 
+	// One byte more is pushed first: one offer and the data frames, no
+	// answer until the imd has every byte, then the WriteReq naming the
+	// transfer.
+	sent0, recvd0 := ct.snapshot()
+	sends, recvs = ct.sends.Load(), ct.recvs.Load()
 	if n, err := s.cli.Mwrite(fd, 256, data); err != nil || n != limit+1 {
 		t.Fatalf("Mwrite one byte over the limit = %d, %v", n, err)
+	}
+	sent1, recvd1 := ct.snapshot()
+	frames := (len(data) + s.cli.ep.ChunkSize() - 1) / s.cli.ep.ChunkSize()
+	for _, c := range []struct {
+		what      string
+		got, want int64
+	}{
+		{"BulkOffer sent", sent1[wire.TBulkOffer] - sent0[wire.TBulkOffer], 1},
+		{"BulkData sent", sent1[wire.TBulkData] - sent0[wire.TBulkData], int64(frames)},
+		{"WriteReq sent", sent1[wire.TWriteReq] - sent0[wire.TWriteReq], 1},
+		{"frames sent", ct.sends.Load() - sends, int64(frames) + 2},
+		{"BulkAccept received", recvd1[wire.TBulkAccept] - recvd0[wire.TBulkAccept], 0},
+		{"BulkDone received", recvd1[wire.TBulkDone] - recvd0[wire.TBulkDone], 1},
+		{"DataResp received", recvd1[wire.TDataResp] - recvd0[wire.TDataResp], 1},
+		{"frames received", ct.recvs.Load() - recvs, 2},
+	} {
+		if c.got != c.want {
+			t.Errorf("Mwrite one byte over the limit: %s = %d, want %d", c.what, c.got, c.want)
+		}
 	}
 	if st := s.cli.Stats(); st.InlineWrites != 1 || st.RemoteWrites != 2 {
 		t.Fatalf("InlineWrites = %d of %d remote writes, want 1 of 2", st.InlineWrites, st.RemoteWrites)

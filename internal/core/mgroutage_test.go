@@ -9,6 +9,7 @@ import (
 	"dodo/internal/imd"
 	"dodo/internal/manager"
 	"dodo/internal/transport"
+	"dodo/internal/wire"
 )
 
 // outageStack is a deployment whose manager can be crashed and
@@ -150,15 +151,16 @@ func TestMopenQueuesThroughManagerOutage(t *testing.T) {
 	}
 
 	// The revalidated mapping reads exactly as it did before the crash:
-	// a multi-frame read is one eager exchange, and the imd opens no
-	// offer/accept ladder toward the client.
-	eager, offers := s.cli.Stats().EagerReads, s.ct.offers.Load()
+	// a multi-frame read is one eager exchange, and the imd sends no
+	// offer toward the client.
+	offers := &s.ct.recvd[wire.TBulkOffer]
+	eager, before := s.cli.Stats().EagerReads, offers.Load()
 	if n, err := s.cli.Mread(fd0, 0, got); err != nil || n != len(data) || !bytes.Equal(got, data) {
 		t.Fatalf("Mread on revalidated region = %d, %v", n, err)
 	}
-	if st := s.cli.Stats(); st.EagerReads != eager+1 || s.ct.offers.Load() != offers {
+	if st := s.cli.Stats(); st.EagerReads != eager+1 || offers.Load() != before {
 		t.Fatalf("read of a revalidated region: EagerReads %d -> %d, BulkOffers from the imd %d -> %d; want +1 and +0",
-			eager, st.EagerReads, offers, s.ct.offers.Load())
+			eager, st.EagerReads, before, offers.Load())
 	}
 }
 

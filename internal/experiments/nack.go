@@ -86,9 +86,9 @@ func NackAblation(clk sim.Clock, lossRate float64, transfers int, transferBytes 
 		}
 		wall := clk.Now().Sub(start)
 		retrans, _, _ := snd.Stats()
+		chunk := int64(snd.ChunkSize())
 		_ = snd.Close()
 		_ = rcv.Close()
-		chunk := int64(1500 - 24)
 		rows = append(rows, NackRow{
 			Mode:           mode,
 			LossRate:       lossRate,

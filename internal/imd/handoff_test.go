@@ -3,6 +3,7 @@ package imd
 import (
 	"bytes"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -17,10 +18,15 @@ import (
 // reports per-region outcomes. Granted pages land byte-exact on the
 // peer; regions without a grant die with the drain and produce no
 // HandoffDone.
+//
+// The page travels as a push, then a request: exactly one offer, the
+// page's data frames and one HandoffPage go to the peer, and nothing
+// answers the offer.
 func TestDrainHandsOffPagesToPeer(t *testing.T) {
 	n := transport.NewNetwork(transport.WithMTU(1500))
 	cmd := newFakeCMD(n)
-	src := New(n.Host("imd1"), Config{
+	tap := &peerTap{Transport: n.Host("imd1"), peer: "imd2"}
+	src := New(tap, Config{
 		ManagerAddr: "cmd", PoolSize: 1 << 20, Epoch: 3,
 		GraceWindow: 3 * time.Second, Endpoint: fastEp(),
 	})
@@ -79,6 +85,22 @@ func TestDrainHandsOffPagesToPeer(t *testing.T) {
 	if s := src.Stats(); s.PagesHandedOff != 1 || s.HandoffAborts != 0 {
 		t.Fatalf("drained imd stats = %+v", s)
 	}
+	toPeer, fromPeer, sends := tap.counts()
+	frames := (64<<10 + src.ep.ChunkSize() - 1) / src.ep.ChunkSize()
+	for _, c := range []struct {
+		what      string
+		got, want int
+	}{
+		{"BulkOffer sent", toPeer[wire.TBulkOffer], 1},
+		{"BulkData sent", toPeer[wire.TBulkData], frames},
+		{"HandoffPage sent", toPeer[wire.THandoffPage], 1},
+		{"frames sent", sends, frames + 2},
+		{"BulkAccept received", fromPeer[wire.TBulkAccept], 0},
+	} {
+		if c.got != c.want {
+			t.Errorf("page handoff: %s to the peer = %d, want %d", c.what, c.got, c.want)
+		}
+	}
 
 	// The page is byte-exact on the peer, readable as a normal region.
 	p, err := startRead(cli, "imd2", 901, tr.Epoch, 0, 64<<10)
@@ -111,4 +133,43 @@ func TestHandoffPageStaleEpochRejected(t *testing.T) {
 	if st := resp.(*wire.DataResp).Status; st != wire.StatusStale {
 		t.Fatalf("stale-epoch HandoffPage = %v, want StatusStale", st)
 	}
+}
+
+// peerTap counts, by the type byte of their header, the frames a
+// daemon's transport exchanges with one peer (so that a reserved type no
+// decoder takes is counted too). It is no VecSender, so every frame the
+// daemon sends passes through Send.
+type peerTap struct {
+	transport.Transport
+	peer string
+
+	mu          sync.Mutex
+	sent, recvd [256]int
+	sends       int
+}
+
+func (t *peerTap) Send(to string, frame []byte) error {
+	if to == t.peer && len(frame) >= wire.HeaderSize {
+		t.mu.Lock()
+		t.sent[frame[3]]++
+		t.sends++
+		t.mu.Unlock()
+	}
+	return t.Transport.Send(to, frame)
+}
+
+func (t *peerTap) Recv(timeout time.Duration) ([]byte, string, error) {
+	frame, from, err := t.Transport.Recv(timeout)
+	if err == nil && from == t.peer && len(frame) >= wire.HeaderSize {
+		t.mu.Lock()
+		t.recvd[frame[3]]++
+		t.mu.Unlock()
+	}
+	return frame, from, err
+}
+
+func (t *peerTap) counts() (sent, recvd [256]int, sends int) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.sent, t.recvd, t.sends
 }

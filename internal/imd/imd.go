@@ -386,7 +386,7 @@ func (d *Daemon) runInventoryReport(rng *rand.Rand) {
 		report := d.buildReportLocked(inc)
 		d.mu.Unlock()
 
-		resp, err := d.ep.CallT(d.cfg.ManagerAddr, report, d.callTimeout(), 1)
+		resp, err := d.ep.CallT(d.cfg.ManagerAddr, report, d.ep.CallTimeout(), 1)
 		if err == nil {
 			if ack, ok := resp.(*wire.InventoryAck); ok {
 				switch {
@@ -519,16 +519,6 @@ func (d *Daemon) teardown() error {
 	return err
 }
 
-// callTimeout is the effective per-attempt call timeout of the
-// daemon's endpoint (the raw config may be zero, meaning the bulk
-// layer's default).
-func (d *Daemon) callTimeout() time.Duration {
-	if t := d.cfg.Endpoint.CallTimeout; t > 0 {
-		return t
-	}
-	return 500 * time.Millisecond
-}
-
 // handoff runs the drain grace window: offer resident regions to the
 // manager hottest-first, then push each granted page to its target imd
 // and report the outcome. It runs inline on the Drain caller's
@@ -556,7 +546,7 @@ func (d *Daemon) handoff() {
 	})
 	offer := &wire.HandoffOffer{HostAddr: d.ep.LocalAddr(), Epoch: d.cfg.Epoch, Regions: regions}
 	rem := deadline.Sub(d.cfg.Clock.Now())
-	if t := 2 * d.callTimeout(); rem > t {
+	if t := 2 * d.ep.CallTimeout(); rem > t {
 		rem = t
 	}
 	if rem <= 0 {
@@ -598,9 +588,10 @@ func (d *Daemon) handoff() {
 	}
 }
 
-// pushPage copies one region's bytes to its granted target imd over
-// the bulk path, bounded by rem. True means the target confirmed the
-// full page.
+// pushPage copies one region's bytes to its granted target imd: it
+// pushes them over the bulk path and then names the transfer in a
+// HandoffPage, whose call is bounded by rem. True means the target
+// confirmed the full page.
 func (d *Daemon) pushPage(g wire.HandoffGrant, rem time.Duration) bool {
 	d.mu.Lock()
 	size, ok := d.pool.RegionSize(g.OldRegionID)
@@ -618,18 +609,12 @@ func (d *Daemon) pushPage(g wire.HandoffGrant, rem time.Duration) bool {
 	d.mu.Unlock()
 
 	id := d.ep.NextTransferID()
-	sendErr := make(chan error, 1)
-	d.transfers.Add(1)
-	go func() {
-		defer d.transfers.Done()
-		sendErr <- d.ep.SendBulk(g.Target.HostAddr, id, snap)
-	}()
-	req := &wire.HandoffPage{RegionID: g.Target.RegionID, Epoch: g.Target.Epoch, Length: size, TransferID: id, Crc: wire.Checksum(snap)}
-	resp, callErr := d.ep.CallT(g.Target.HostAddr, req, rem/2, 1)
-	if serr := <-sendErr; serr != nil {
+	if err := d.ep.SendBulk(g.Target.HostAddr, id, snap); err != nil {
 		return false
 	}
-	if callErr != nil {
+	req := &wire.HandoffPage{RegionID: g.Target.RegionID, Epoch: g.Target.Epoch, Length: size, TransferID: id, Crc: wire.Checksum(snap)}
+	resp, err := d.ep.CallT(g.Target.HostAddr, req, rem/2, 1)
+	if err != nil {
 		return false
 	}
 	dr, ok := resp.(*wire.DataResp)
@@ -640,7 +625,7 @@ func (d *Daemon) pushPage(g wire.HandoffGrant, rem time.Duration) bool {
 // can repoint (StatusOK) or free the target region (anything else).
 func (d *Daemon) reportHandoff(oldID uint64, st wire.Status) {
 	done := &wire.HandoffDone{HostAddr: d.ep.LocalAddr(), OldRegionID: oldID, Status: st}
-	if _, err := d.ep.CallT(d.cfg.ManagerAddr, done, d.callTimeout(), 1); err != nil {
+	if _, err := d.ep.CallT(d.cfg.ManagerAddr, done, d.ep.CallTimeout(), 1); err != nil {
 		d.logf("imd %s: reporting handoff of region %d: %v", d.Addr(), oldID, err)
 	}
 }
@@ -717,9 +702,9 @@ func (d *Daemon) handle(from string, msg wire.Message) wire.Message {
 	case *wire.AllocResp, *wire.FreeResp, *wire.CheckAllocResp,
 		*wire.KeepAliveAck, *wire.HostStatusAck,
 		*wire.IMDAllocResp, *wire.IMDFreeResp, *wire.DataResp,
-		*wire.BulkOffer, *wire.BulkAccept, *wire.BulkData,
-		*wire.BulkNack, *wire.BulkDone, *wire.ClusterStatsResp,
-		*wire.HandoffAccept, *wire.InventoryAck:
+		*wire.BulkOffer, *wire.BulkData, *wire.BulkNack,
+		*wire.BulkDone, *wire.ClusterStatsResp, *wire.HandoffAccept,
+		*wire.InventoryAck:
 		// Responses and bulk frames are consumed by the endpoint's
 		// dispatch before the handler runs; they cannot reach here.
 		return nil
@@ -894,12 +879,40 @@ func (d *Daemon) handleRead(from string, req *wire.ReadReq) wire.Message {
 	return resp
 }
 
+// incoming is what the receive of a write or a handoff page needs once
+// the request has passed its own checks: where the bytes go, where they
+// come from, and the gate that keeps a copy of the request from
+// applying them twice.
+type incoming struct {
+	region, offset, length uint64
+	// xfer is the transfer the bytes were pushed under, or zero for a
+	// write whose bytes ride the request as payload.
+	xfer    uint64
+	payload []byte
+	crc     uint32
+	// page marks a handoff page, applied once (handoffApplied); a write
+	// is gated by its writeSeq (lastWriteSeq).
+	page     bool
+	writeSeq uint64
+}
+
+// appliedLocked reports whether p, or a newer write, is already in its
+// region. Caller holds d.mu.
+func (d *Daemon) appliedLocked(p incoming) bool {
+	if p.page {
+		return d.handoffApplied[p.region]
+	}
+	return p.writeSeq <= d.lastWriteSeq[p.region]
+}
+
 // handleWrite stores a write's bytes: the request's own payload when the
 // write came as one frame (TransferID zero), otherwise the bulk data
-// announced under TransferID. Both shapes pass the same checks in the
-// same order; only where the bytes come from differs.
+// pushed under TransferID. Both shapes pass the same checks in the same
+// order; only where the bytes come from differs.
 func (d *Daemon) handleWrite(from string, req *wire.WriteReq) wire.Message {
-	inline := req.TransferID == 0
+	p := incoming{region: req.RegionID, offset: req.Offset, length: req.Length, xfer: req.TransferID,
+		payload: req.Payload, crc: req.Crc, writeSeq: req.WriteSeq}
+	inline := p.xfer == 0
 	d.mu.Lock()
 	if d.draining {
 		d.mu.Unlock()
@@ -910,29 +923,29 @@ func (d *Daemon) handleWrite(from string, req *wire.WriteReq) wire.Message {
 		d.mu.Unlock()
 		return &wire.DataResp{Status: wire.StatusStale}
 	}
-	if !d.pool.Has(req.RegionID) {
+	if !d.pool.Has(p.region) {
 		d.mu.Unlock()
 		return &wire.DataResp{Status: wire.StatusNotFound}
 	}
-	size, _ := d.pool.RegionSize(req.RegionID)
-	if req.Offset > size || req.WriteSeq == 0 {
+	size, _ := d.pool.RegionSize(p.region)
+	if p.offset > size || p.writeSeq == 0 {
 		// Bad offset, or a sequence the region's gate cannot order:
 		// clients number their writes from 1.
 		d.mu.Unlock()
 		return &wire.DataResp{Status: wire.StatusInvalid}
 	}
-	if inline != (len(req.Payload) > 0) || inline && uint64(len(req.Payload)) != req.Length {
+	if inline != (len(p.payload) > 0) || inline && uint64(len(p.payload)) != p.length {
 		// Neither shape: no bytes and no transfer to wait for, bytes
 		// beside a transfer id, or a payload that is not the Length
 		// bytes the request speaks for.
 		d.mu.Unlock()
 		return &wire.DataResp{Status: wire.StatusInvalid}
 	}
-	if d.supersededLocked(req) {
+	if d.appliedLocked(p) {
 		// Replay of a write that already applied (or was overwritten by
 		// a newer one): confirm without touching region memory.
 		d.mu.Unlock()
-		return &wire.DataResp{Status: wire.StatusOK, Count: req.Length}
+		return &wire.DataResp{Status: wire.StatusOK, Count: p.length}
 	}
 	d.transfers.Add(1)
 	// pendingWrites is taken under the same critical section that
@@ -943,67 +956,16 @@ func (d *Daemon) handleWrite(from string, req *wire.WriteReq) wire.Message {
 	d.mu.Unlock()
 	defer d.transfers.Done()
 	defer d.pendingWrites.Done()
-
-	// The payload is this handler's to read: it aliases the received
-	// frame, which nothing else holds (wire.Decode).
-	data := req.Payload
-	if !inline {
-		// Wait for the client's blast under its announced transfer id.
-		// Budget scales with size: a large region takes many windows.
-		budget := 5*time.Second + time.Duration(req.Length/(1<<20))*2*time.Second
-		var err error
-		data, err = d.ep.RecvBulk(from, req.TransferID, budget)
-		if err != nil {
-			if errors.Is(err, bulk.ErrConsumed) {
-				// A duplicated announcement raced us to the bytes. Confirm
-				// only once the racing handler's apply (or a newer write)
-				// is visible; confirming earlier is how a duplicate used to
-				// acknowledge a write whose apply was still pending —
-				// letting the pending bytes later roll the region back.
-				d.mu.Lock()
-				applied := d.supersededLocked(req)
-				d.mu.Unlock()
-				if applied {
-					return &wire.DataResp{Status: wire.StatusOK, Count: req.Length}
-				}
-				return &wire.DataResp{Status: wire.StatusInvalid}
-			}
-			d.logf("imd %s: receiving write data from %s: %v", d.Addr(), from, err)
-			return &wire.DataResp{Status: wire.StatusInvalid}
-		}
-	}
-	if wire.Checksum(data) != req.Crc {
-		// The bytes that arrived are not the bytes the client hashed:
-		// refuse the write rather than store a corrupt page the client
-		// believes is durable.
-		d.mu.Lock()
-		d.checksumRejects++
-		d.mu.Unlock()
-		return &wire.DataResp{Status: wire.StatusInvalid}
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.supersededLocked(req) {
-		// A duplicate of this request, or a newer write, applied while
-		// the lock was down for the checksum.
-		return &wire.DataResp{Status: wire.StatusOK, Count: req.Length}
-	}
-	n, err := d.pool.Write(req.RegionID, req.Offset, data)
-	if err != nil {
-		return &wire.DataResp{Status: wire.StatusInvalid}
-	}
-	d.lastWriteSeq[req.RegionID] = req.WriteSeq
-	d.writes++
-	d.writeBytes += int64(n)
-	return &wire.DataResp{Status: wire.StatusOK, Count: uint64(n)}
+	return d.land(from, p)
 }
 
 // handleHandoffPage receives one region's bytes from a draining peer
 // imd. The manager already allocated the destination region here; the
-// page body travels over the bulk path under the announced transfer
-// id. Mirrors handleWrite, but whole-region and gated by the
+// page body was pushed over the bulk path under the named transfer id.
+// Its checks are a write's, but whole-region and gated by the
 // handoffApplied marker instead of a write sequence.
 func (d *Daemon) handleHandoffPage(from string, req *wire.HandoffPage) wire.Message {
+	p := incoming{region: req.RegionID, length: req.Length, xfer: req.TransferID, crc: req.Crc, page: true}
 	d.mu.Lock()
 	if d.draining {
 		// A draining target must not accept pages it would itself need
@@ -1016,40 +978,66 @@ func (d *Daemon) handleHandoffPage(from string, req *wire.HandoffPage) wire.Mess
 		d.mu.Unlock()
 		return &wire.DataResp{Status: wire.StatusStale}
 	}
-	if !d.pool.Has(req.RegionID) {
+	if !d.pool.Has(p.region) {
 		d.mu.Unlock()
 		return &wire.DataResp{Status: wire.StatusNotFound}
 	}
-	if d.handoffApplied[req.RegionID] {
+	if p.xfer == 0 {
+		// A page travels only as a pushed transfer.
+		d.mu.Unlock()
+		return &wire.DataResp{Status: wire.StatusInvalid}
+	}
+	if d.appliedLocked(p) {
 		// Duplicate announcement of a page that already landed.
 		d.mu.Unlock()
-		return &wire.DataResp{Status: wire.StatusOK, Count: req.Length}
+		return &wire.DataResp{Status: wire.StatusOK, Count: p.length}
 	}
 	d.transfers.Add(1)
 	d.mu.Unlock()
 	defer d.transfers.Done()
+	return d.land(from, p)
+}
 
-	budget := 5*time.Second + time.Duration(req.Length/(1<<20))*2*time.Second
-	data, err := d.ep.RecvBulk(from, req.TransferID, budget)
-	if err != nil {
+// land is the receive a write and a handoff page share: take p's bytes,
+// from the request or from the transfer they were pushed under, check
+// them against p.crc, and apply them unless a copy of the request, or a
+// newer write, got there first.
+func (d *Daemon) land(from string, p incoming) wire.Message {
+	// An inline payload is this handler's to read: it aliases the
+	// received frame, which nothing else holds (wire.Decode).
+	data := p.payload
+	if p.xfer != 0 {
+		// The pusher names the transfer once its push has returned, so
+		// the bytes are normally here already; a request that outran
+		// them waits, on a budget that scales with size.
+		budget := 5*time.Second + time.Duration(p.length/(1<<20))*2*time.Second
+		var err error
+		data, err = d.ep.RecvBulk(from, p.xfer, budget)
 		if errors.Is(err, bulk.ErrConsumed) {
-			// A duplicated announcement raced us to the bytes; confirm
-			// only once the racing handler's apply is visible.
+			// A duplicated request raced us to the bytes. Confirm only
+			// once the racing handler's apply (or a newer write) is
+			// visible; confirming earlier is how a duplicate used to
+			// acknowledge a write whose apply was still pending —
+			// letting the pending bytes later roll the region back.
 			d.mu.Lock()
-			applied := d.handoffApplied[req.RegionID]
+			applied := d.appliedLocked(p)
 			d.mu.Unlock()
 			if applied {
-				return &wire.DataResp{Status: wire.StatusOK, Count: req.Length}
+				return &wire.DataResp{Status: wire.StatusOK, Count: p.length}
 			}
 			return &wire.DataResp{Status: wire.StatusInvalid}
 		}
-		d.logf("imd %s: receiving handoff page from %s: %v", d.Addr(), from, err)
-		return &wire.DataResp{Status: wire.StatusInvalid}
+		if err != nil {
+			d.logf("imd %s: receiving pushed bytes from %s: %v", d.Addr(), from, err)
+			return &wire.DataResp{Status: wire.StatusInvalid}
+		}
 	}
-	if wire.Checksum(data) != req.Crc {
-		// A corrupt handoff page must not become the region's new home:
-		// refusing makes the sender report the grant failed, so the
-		// manager frees this copy and the client re-fetches from disk.
+	if wire.Checksum(data) != p.crc {
+		// The bytes that arrived are not the bytes the sender hashed.
+		// Refuse them rather than store a page the client believes is
+		// durable, or make a corrupt page a region's new home: a
+		// refused handoff is reported failed, the manager frees this
+		// copy, and the client re-fetches from disk.
 		d.mu.Lock()
 		d.checksumRejects++
 		d.mu.Unlock()
@@ -1057,21 +1045,21 @@ func (d *Daemon) handleHandoffPage(from string, req *wire.HandoffPage) wire.Mess
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if !d.pool.Has(req.RegionID) {
-		return &wire.DataResp{Status: wire.StatusNotFound}
+	if d.appliedLocked(p) {
+		// A copy of this request, or a newer write, applied while the
+		// lock was down for the receive.
+		return &wire.DataResp{Status: wire.StatusOK, Count: p.length}
 	}
-	n, err := d.pool.Write(req.RegionID, 0, data)
+	n, err := d.pool.Write(p.region, p.offset, data)
 	if err != nil {
 		return &wire.DataResp{Status: wire.StatusInvalid}
 	}
-	d.handoffApplied[req.RegionID] = true
+	if p.page {
+		d.handoffApplied[p.region] = true
+	} else {
+		d.lastWriteSeq[p.region] = p.writeSeq
+	}
 	d.writes++
 	d.writeBytes += int64(n)
 	return &wire.DataResp{Status: wire.StatusOK, Count: uint64(n)}
-}
-
-// supersededLocked reports whether req's write has already been applied
-// or overwritten by a newer write to the same region. Caller holds d.mu.
-func (d *Daemon) supersededLocked(req *wire.WriteReq) bool {
-	return req.WriteSeq <= d.lastWriteSeq[req.RegionID]
 }

@@ -171,6 +171,52 @@ func push(t *testing.T, r *rig, data []byte, announce func(xfer uint64) wire.Mes
 	return resp.(*wire.DataResp)
 }
 
+// firstFrame sends frames of type first at once and holds the offer,
+// data and write frames of every other type until one has gone, so that
+// of a push and the request naming it, the chosen one reaches the
+// daemon first.
+type firstFrame struct {
+	transport.Transport
+	first wire.Type
+	once  sync.Once
+	gone  chan struct{}
+}
+
+func (t *firstFrame) Send(to string, frame []byte) error {
+	h, err := wire.ParseHeader(frame)
+	switch {
+	case err == nil && h.Type == t.first:
+		err = t.Transport.Send(to, frame)
+		t.once.Do(func() { close(t.gone) })
+		return err
+	case err == nil && (h.Type == wire.TBulkOffer || h.Type == wire.TBulkData || h.Type == wire.TWriteReq):
+		<-t.gone
+	}
+	return t.Transport.Send(to, frame)
+}
+
+// TestPushAndRequestInEitherOrder: the shape benchmark/probes.go drives
+// — SendBulk beside the WriteReq that names its transfer — writes the
+// bytes whether the offer or the request reaches the daemon first.
+func TestPushAndRequestInEitherOrder(t *testing.T) {
+	for _, first := range []wire.Type{wire.TWriteReq, wire.TBulkOffer} {
+		t.Run(first.String(), func(t *testing.T) {
+			r := newRig(t, 1<<20)
+			r.cli = bulk.NewEndpoint(&firstFrame{Transport: r.n.Host("pusher"), first: first, gone: make(chan struct{})}, fastEp(), nil)
+			t.Cleanup(func() { r.cli.Close() })
+			allocRegion(t, r, 1, 64<<10)
+			data := make([]byte, 64<<10)
+			rand.New(rand.NewSource(4)).Read(data)
+			if dr := writeRegion(t, r, 1, 0, data); dr.Status != wire.StatusOK || dr.Count != uint64(len(data)) {
+				t.Fatalf("write = %+v", dr)
+			}
+			if _, got := r.read(1, 3, 0, uint64(len(data))); !bytes.Equal(got, data) {
+				t.Fatal("read after the write returned other bytes")
+			}
+		})
+	}
+}
+
 // pendingRead is a read exchange whose request has been answered and
 // whose bytes may still be arriving.
 type pendingRead struct {

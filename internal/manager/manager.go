@@ -261,13 +261,7 @@ func (m *Manager) Close() error {
 
 // probeTimeout is the per-attempt budget for speculative calls to hosts
 // and clients that may be dead.
-func (m *Manager) probeTimeout() time.Duration {
-	t := m.cfg.Endpoint.CallTimeout
-	if t == 0 {
-		t = 500 * time.Millisecond
-	}
-	return t / 2
-}
+func (m *Manager) probeTimeout() time.Duration { return m.ep.CallTimeout() / 2 }
 
 func (m *Manager) logf(format string, args ...any) {
 	if m.log != nil {
@@ -390,9 +384,9 @@ func (m *Manager) handle(from string, msg wire.Message) wire.Message {
 	case *wire.AllocResp, *wire.FreeResp, *wire.CheckAllocResp,
 		*wire.KeepAliveAck, *wire.HostStatusAck,
 		*wire.IMDAllocResp, *wire.IMDFreeResp, *wire.DataResp,
-		*wire.BulkOffer, *wire.BulkAccept, *wire.BulkData,
-		*wire.BulkNack, *wire.BulkDone, *wire.ClusterStatsResp,
-		*wire.HandoffAccept, *wire.InventoryAck:
+		*wire.BulkOffer, *wire.BulkData, *wire.BulkNack,
+		*wire.BulkDone, *wire.ClusterStatsResp, *wire.HandoffAccept,
+		*wire.InventoryAck:
 		// Responses and bulk frames are consumed by the endpoint's
 		// dispatch before the handler runs; they cannot reach here.
 		return nil

@@ -119,7 +119,7 @@ func TestLockDeletionMutations(t *testing.T) {
 		locks     int
 	}{
 		{"./internal/manager", "internal/manager/manager.go", 22},
-		{"./internal/imd", "internal/imd/imd.go", 28},
+		{"./internal/imd", "internal/imd/imd.go", 25},
 	} {
 		src, err := os.ReadFile(filepath.Join("../..", d.file))
 		if err != nil {

@@ -8,10 +8,10 @@ import (
 
 // TestTypeTable is the registry check: every type between TInvalid and
 // typeSentinel has a row in types with a name no other row has and a
-// constructor whose message reports that type. The two reserved numbers
-// have a name only, and a frame that carries one is ErrBadType.
+// constructor whose message reports that type. The three reserved
+// numbers have a name only, and a frame that carries one is ErrBadType.
 func TestTypeTable(t *testing.T) {
-	reserved := map[Type]bool{TReadBatchReq: true, TReadBatchResp: true}
+	reserved := map[Type]bool{TBulkAccept: true, TReadBatchReq: true, TReadBatchResp: true}
 	names := map[string]Type{}
 	for ty := TInvalid + 1; ty < typeSentinel; ty++ {
 		row := types[ty]

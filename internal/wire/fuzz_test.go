@@ -8,20 +8,41 @@ import (
 	"testing"
 )
 
-// v2WriteReq is the populated WriteReq sample as version 2 framed it,
-// before the message had a payload tail.
-func v2WriteReq(t testing.TB) []byte {
-	frame, err := hex.DecodeString("d0d002100000006300000034000000000000002a000000000000000500000000000000640000000000002000000000000000232900000000000000111234abcd")
+// Frames of earlier versions, from testdata/frames.golden: the populated
+// WriteReq sample as version 2 framed it, before the message had a
+// payload tail, and the BulkOffer and BulkAccept samples of version 3,
+// before the offer named its window and while an accept answered it.
+const (
+	v2WriteReq = "d0d002100000006300000034000000000000002a000000000000000500000000000000640000000000002000000000000000232900000000000000111234abcd"
+	v3Offer    = "d0d0031200000063000000140000000000002329000000000010000000000578"
+	v3Accept   = "d0d00313000000630000000d00000000000023290000002005"
+)
+
+func hexFrame(t testing.TB, s string) []byte {
+	frame, err := hex.DecodeString(s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return frame
 }
 
+// TestVersion3PushFramesRefused: a version-3 offer is refused on its
+// version byte, and the accept on its type, at today's version too.
+func TestVersion3PushFramesRefused(t *testing.T) {
+	if _, _, err := Decode(hexFrame(t, v3Offer)); !errors.Is(err, ErrBadVersion) {
+		t.Errorf("Decode of a version-3 BulkOffer = %v, want ErrBadVersion", err)
+	}
+	accept := hexFrame(t, v3Accept)
+	accept[2] = Version
+	if _, _, err := Decode(accept); !errors.Is(err, ErrBadType) {
+		t.Errorf("Decode of a BulkAccept at version %d = %v, want ErrBadType", Version, err)
+	}
+}
+
 // TestVersion2FrameRefused: a frame of the previous version is refused
 // whole, though its bytes would parse as today's WriteReq.
 func TestVersion2FrameRefused(t *testing.T) {
-	frame := v2WriteReq(t)
+	frame := hexFrame(t, v2WriteReq)
 	if _, _, err := Decode(frame); !errors.Is(err, ErrBadVersion) {
 		t.Fatalf("Decode of a version-2 WriteReq = %v, want ErrBadVersion", err)
 	}
@@ -66,13 +87,16 @@ func FuzzWireRoundTrip(f *testing.F) {
 	f.Add([]byte{0xD0, 0xD0, Version, 0xFF, 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{0xD0, 0xD0, Version - 1, byte(TFreeReq), 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Add(bytes.Repeat([]byte{0xD0}, HeaderSize+4))
-	// What a version-2 peer could still send: the WriteReq row of
-	// frames.golden at 71abe32, refused on its version byte.
-	f.Add(v2WriteReq(f))
-	// The batched read's five frames from frames.golden at d748fa1 and a
-	// bare header of each reserved number, restamped with today's
-	// version so that ParseHeader refuses all seven on their type.
+	// What a version-2 or version-3 peer could still send, refused on
+	// the version byte.
+	f.Add(hexFrame(f, v2WriteReq))
+	f.Add(hexFrame(f, v3Offer))
+	// The batched read's five frames from frames.golden at d748fa1, a
+	// bare header of each of its reserved numbers, and the retired
+	// accept, restamped with today's version so that ParseHeader refuses
+	// all eight on their type.
 	for _, retired := range []string{
+		v3Accept,
 		"d0d0021f0000006300000052000000000000004e000005800000002000020000000000000009000000000000000500000000000000000000000000001000000000000000000a000000000000000600000000000020000000000000004000",
 		"d0d00220000000630000002e05000000000000004e010002000000000000000008cafef00d040000000000000000000000003862797465732121",
 		"d0d0021f0000006300000012000000000000004e00000580000000200000",
@@ -81,10 +105,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 		"d0d0021f0000000700000000",
 		"d0d002200000000700000000",
 	} {
-		frame, err := hex.DecodeString(retired)
-		if err != nil {
-			f.Fatal(err)
-		}
+		frame := hexFrame(f, retired)
 		frame[2] = Version
 		f.Add(frame)
 	}

@@ -71,11 +71,11 @@ func (m *HandoffAccept) fields(c *cursor) {
 	handoffGrants.counted(c, &m.Grants)
 }
 
-// HandoffPage announces one page push from the draining imd to the
-// target imd: the destination region (already allocated by the
-// manager), the target's expected epoch, the byte length, and the bulk
-// TransferID the data travels under. The target answers with DataResp,
-// exactly like a client write.
+// HandoffPage names one page the draining imd has pushed to the target
+// imd: the destination region (already allocated by the manager), the
+// target's expected epoch, the byte length, and the bulk TransferID the
+// data travelled under. The target answers with DataResp, exactly like
+// a client write.
 type HandoffPage struct {
 	RegionID   uint64
 	Epoch      uint64

@@ -298,14 +298,16 @@ func (m *ReadReq) fields(c *cursor) {
 // WriteReq writes Length bytes at Offset within a region, in one of two
 // shapes chosen by size alone, as a read's response is. A write that
 // fits one frame (InlineWriteLimit) carries its bytes in Payload and
-// leaves TransferID zero: one request, one DataResp. A larger write
-// only announces them, and the data follows via the bulk protocol under
-// TransferID. WriteSeq orders writes to one region: the imd ignores a
-// request whose sequence is not newer than the last write it applied, so
-// a duplicated or delayed request replayed by the network can never
-// roll the region back to older bytes. The first write carries sequence
-// 1; the imd refuses zero. Crc is the CRC32C of the Length bytes; the
-// imd refuses the write when the bytes it received do not match.
+// leaves TransferID zero: one request, one DataResp. The bytes of a
+// larger write are pushed first, under TransferID, by the bulk protocol
+// (a BulkOffer and its blast); the request that follows names the
+// transfer, and the imd takes the bytes from it. WriteSeq orders writes
+// to one region: the imd ignores a request whose sequence is not newer
+// than the last write it applied, so a duplicated or delayed request
+// replayed by the network can never roll the region back to older
+// bytes. The first write carries sequence 1; the imd refuses zero. Crc
+// is the CRC32C of the Length bytes; the imd refuses the write when the
+// bytes it received do not match.
 type WriteReq struct {
 	RegionID   uint64
 	Epoch      uint64
@@ -329,8 +331,8 @@ func (m *WriteReq) fields(c *cursor) {
 // sets exactly one flag. With DataFlagInline, Payload holds the served
 // bytes themselves — the whole read answered in this one frame. With
 // DataFlagEager, the bytes are already being blasted under TransferID,
-// the id the requester chose: the response doubles as the bulk offer
-// and no BulkOffer/BulkAccept exchange happens. Either way Crc is the
+// the id the requester chose and pre-registered: the response doubles
+// as the bulk offer and no BulkOffer is sent. Either way Crc is the
 // CRC32C of the served bytes, computed over the pool snapshot, and the
 // client verifies it once they have all arrived. Write acks and
 // refusals carry neither flag nor payload.
@@ -361,34 +363,22 @@ func (m *DataResp) fields(c *cursor) {
 	c.rest(&m.Payload)
 }
 
-// BulkOffer opens a bulk transfer (§4.4): the sender names the transfer,
-// its total length and the packet payload size it will use, and asks the
-// receiver how much buffer space it can commit.
+// BulkOffer announces a pushed transfer (§4.4), one way: its total
+// length, packet payload size and the window of packets the sender
+// blasts before it waits for an ack. Nothing answers it but BulkDone:
+// OK for a transfer already complete, StatusInvalid for an offer the
+// receiver cannot take.
 type BulkOffer struct {
 	TransferID uint64
 	TotalLen   uint64
 	ChunkSize  uint32
+	Window     uint32
 }
 
 func (*BulkOffer) Kind() Type { return TBulkOffer }
 func (m *BulkOffer) fields(c *cursor) {
 	c.u64(&m.TransferID, &m.TotalLen)
-	c.u32(&m.ChunkSize)
-}
-
-// BulkAccept is the receiver's answer: the number of packets it can
-// buffer per blast window (the negotiated space of §4.4).
-type BulkAccept struct {
-	TransferID uint64
-	Window     uint32
-	Status     Status
-}
-
-func (*BulkAccept) Kind() Type { return TBulkAccept }
-func (m *BulkAccept) fields(c *cursor) {
-	c.u64(&m.TransferID)
-	c.u32(&m.Window)
-	c.status(&m.Status)
+	c.u32(&m.ChunkSize, &m.Window)
 }
 
 // BulkData carries one sequenced chunk of a transfer.

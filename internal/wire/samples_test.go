@@ -72,8 +72,7 @@ func samples() []sample {
 		{"", &WriteReq{RegionID: 42, Epoch: 5, Offset: 100, Length: 8192, TransferID: 9001, WriteSeq: 17, Crc: 0x1234ABCD}},
 		{"", &DataResp{Status: StatusInvalid, Count: 16, TransferID: 9001, Crc: 0xFEEDF00D,
 			Flags: DataFlagInline, Payload: []byte("0123456789abcdef")}},
-		{"", &BulkOffer{TransferID: 9001, TotalLen: 1 << 20, ChunkSize: 1400}},
-		{"", &BulkAccept{TransferID: 9001, Window: 32, Status: StatusBusy}},
+		{"", &BulkOffer{TransferID: 9001, TotalLen: 1 << 20, ChunkSize: 1400, Window: 32}},
 		{"", &BulkData{TransferID: 9001, Seq: 17, Payload: []byte("hello dodo")}},
 		{"", &BulkNack{TransferID: 9001, Missing: []uint32{3, 5, 8}}},
 		{"", &BulkDone{TransferID: 9001, Status: StatusInvalid}},
@@ -132,10 +131,10 @@ func samples() []sample {
 // value per registered type, in type order.
 func TestSamplesCoverEveryType(t *testing.T) {
 	all := samples()
-	for _, ty := range registered() {
-		s := all[ty-1]
+	for i, ty := range registered() {
+		s := all[i]
 		if s.msg.Kind() != ty || s.variant != "" {
-			t.Errorf("samples()[%d] = %s, want the populated %v", ty-1, s.name(), ty)
+			t.Errorf("samples()[%d] = %s, want the populated %v", i, s.name(), ty)
 		}
 		if reflect.DeepEqual(s.msg, zero(ty)) && ty != TClusterStatsReq {
 			t.Errorf("sample %s is the zero value", s.name())

@@ -31,8 +31,9 @@ const (
 	// fixed layout, ParseHeader rejects a frame of any other version, and
 	// a change to any layout bumps it. 2 dropped capability negotiation
 	// and the optional trailing fields of version 1; 3 gave WriteReq its
-	// inline payload.
-	Version uint8 = 3
+	// inline payload; 4 made BulkOffer a one-way announcement that names
+	// its window, and retired the accept that answered it.
+	Version uint8 = 4
 	// HeaderSize is the encoded size of a frame header.
 	HeaderSize = 12
 	// MaxPayload bounds a single message payload. Bulk data is split
@@ -72,6 +73,10 @@ const (
 
 	// Bulk transfer sub-protocol.
 	TBulkOffer
+	// Reserved number of the retired answer to an offer; ParseHeader
+	// refuses it.
+	//
+	// Deprecated: named by benchmark/metrics.go, which counts its frames.
 	TBulkAccept
 	TBulkData
 	TBulkNack
@@ -127,7 +132,7 @@ var types = [typeSentinel]struct {
 	TWriteReq:         {"write-req", func() Message { return new(WriteReq) }},
 	TDataResp:         {"data-resp", func() Message { return new(DataResp) }},
 	TBulkOffer:        {"bulk-offer", func() Message { return new(BulkOffer) }},
-	TBulkAccept:       {"bulk-accept", func() Message { return new(BulkAccept) }},
+	TBulkAccept:       {name: "bulk-accept"},
 	TBulkData:         {"bulk-data", func() Message { return new(BulkData) }},
 	TBulkNack:         {"bulk-nack", func() Message { return new(BulkNack) }},
 	TBulkDone:         {"bulk-done", func() Message { return new(BulkDone) }},

@@ -26,8 +26,9 @@ bash benchmark/run.sh -workload fit8k-unet -seed 1 -seconds 1
 
 # Count gate: a fixed-op traced pass counts frames and calls, and those
 # are the same on every machine, unlike the ns/op gates below. A page
-# that fits one frame is pushed in one frame (no offer, no accept, no
-# bulk data, under one client frame per op on rw32k-udp), and the
+# that fits one frame is pushed in one frame (no offer, no bulk data,
+# under one client frame per op on rw32k-udp), a read never announces
+# itself with an offer (its request does), and the
 # multi-frame read path of rand8k-unet sends what it sent at PR 21. A
 # miss allocates nothing the size of what it moves (PR 23): an 8 KB
 # miss stays under 8 KB of heap per op, all bookkeeping, and a 128 KB
@@ -37,9 +38,9 @@ bash benchmark/run.sh -workload fit8k-unet -seed 1 -seconds 1
 bash benchmark/run.sh -workload rw32k-udp -seed 7 -seconds 0 -trace 1 | tail -n 1 | \
     go run ./cmd/dodo-bench -counts 'bulk.offer_accept_frames_per_kop==0,bulk.data_frames_per_op==0,transport.client_tx_frames_per_op<1.0'
 bash benchmark/run.sh -workload rand8k-unet -seed 8 -seconds 0 -trace 1 | tail -n 1 | \
-    go run ./cmd/dodo-bench -counts 'bulk.data_frames_per_op==5.2375,process.alloc_bytes_per_op<8192'
+    go run ./cmd/dodo-bench -counts 'bulk.offer_accept_frames_per_kop==0,bulk.data_frames_per_op==5.2375,process.alloc_bytes_per_op<8192'
 bash benchmark/run.sh -workload seq128k-unet -seed 7 -seconds 0 -trace 1 | tail -n 1 | \
-    go run ./cmd/dodo-bench -counts 'process.alloc_bytes_per_op<16384,bulk.data_frames_per_op==91.0000,core.checksum_failures==0'
+    go run ./cmd/dodo-bench -counts 'bulk.offer_accept_frames_per_kop==0,process.alloc_bytes_per_op<16384,bulk.data_frames_per_op==91.0000,core.checksum_failures==0'
 
 # Smoke: every benchmark still runs, one iteration each. Not a
 # measurement — the gates below and benchmark/ are.
