@@ -252,10 +252,9 @@ func (ep *Endpoint) ExpectBulkInto(dst []byte, from string, id uint64, chunk int
 }
 
 // CancelExpect abandons a transfer pre-registered with ExpectBulkInto
-// when the responder answered on a different path (inline payload, an
-// error, or a legacy peer that ignored the eager fields) — no packets
-// will ever arrive under id. No tombstone is left: requester-chosen ids
-// are never reused.
+// when the responder answered on a different path (an inline payload
+// or an error) — no packets will ever arrive under id. No tombstone is
+// left: requester-chosen ids are never reused.
 func (ep *Endpoint) CancelExpect(from string, id uint64) {
 	key := xferKey{peer: from, id: id}
 	ep.mu.Lock()

@@ -12,7 +12,7 @@ import (
 )
 
 // TestGuardedByCleanScheduleNoRankPanics is the dynamic half of the
-// guarded-by contract (DESIGN.md §10): the static pass proves every
+// guarded-by contract (DESIGN.md §8.4): the static pass proves every
 // annotated field access holds its declared mutex, and this test runs
 // the same annotated components — manager, imd, client, monitor,
 // cluster — through a recruit/write/read/reclaim schedule with the

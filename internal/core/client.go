@@ -801,8 +801,6 @@ type remoteLeg struct {
 // caller's buf and counts them, and either way it recycles priv — the
 // leg has returned, and bulk writes nothing into a receive buffer once
 // the receive has returned, with or without error.
-//
-// dodo:releases(frame)
 func (c *Client) finishRemoteLeg(buf, priv []byte, leg remoteLeg) (int, error) {
 	defer wire.PutFrame(priv)
 	if leg.err != nil {

@@ -100,9 +100,10 @@ type Config struct {
 	// Clock provides time (default wall clock).
 	Clock sim.Clock
 	// PromoteOnAccess controls whether accessing a non-local region
-	// pulls the whole region into the local cache (default true; the
-	// first-in policy effectively disables it by refusing victims once
-	// the cache fills).
+	// pulls the whole region into the local cache. Its zero value, off,
+	// is the default; every shipped caller turns it on. The first-in
+	// policy effectively disables it by refusing victims once the cache
+	// fills.
 	PromoteOnAccess bool
 	// SequentialPrefetch pulls upcoming contiguous regions of a backing
 	// file toward the application when regions are accessed in order
@@ -335,8 +336,8 @@ type Cache struct {
 	// dodo:unguarded — sync.Cond is internally synchronized over mu
 	quiesce *sync.Cond
 	// prefetchQ feeds the worker pool one access's prefetch window at a
-	// time, so a worker sees the whole window and can batch its remote
-	// fetches; nil when PrefetchWorkers == 0.
+	// time; a worker pulls the window's regions in order, each through
+	// the path a foreground miss takes. nil when PrefetchWorkers == 0.
 	// dodo:unguarded — buffered channel, internally synchronized
 	prefetchQ chan []int
 	// prefetchStop stops the pool; closed once by Close.

@@ -3,11 +3,12 @@ package vet
 import (
 	"go/ast"
 	"go/types"
+	"maps"
 )
 
 // BufferOwnership enforces the zero-copy contract in the packet-path
 // packages (internal/usocket, internal/bulk, internal/transport). Two
-// rules, both intra-procedural:
+// rules, both intra-procedural, the first path-sensitive:
 //
 //  1. use-after-send: once a byte slice has been passed to a zero-copy
 //     Send/SendTo/SendIovec call, the caller no longer owns it — the
@@ -38,17 +39,6 @@ var BufferOwnership = &Analyzer{
 	Name:       "buffer-ownership",
 	Doc:        "flag writes to or retention of byte slices after zero-copy sends, and retention of borrowed []byte parameters",
 	RunProgram: runBufferOwnership,
-}
-
-// zeroCopySends are the methods that lend their []byte arguments to
-// the network layer.
-var zeroCopySends = map[string]bool{"Send": true, "SendTo": true, "SendIovec": true}
-
-func isZeroCopySend(fn *types.Func) bool {
-	if fn == nil || fn.Pkg() == nil || !zeroCopySends[fn.Name()] {
-		return false
-	}
-	return inScope("buffer-ownership", fn.Pkg().Path())
 }
 
 func isByteSlice(t types.Type) bool {
@@ -186,14 +176,13 @@ func checkBufferOwnership(pass *Pass, doc []*directive, ftype *ast.FuncType, bod
 		report(ftype, "dodo:adopts(%s) names no []byte parameter", name)
 	}
 
-	// lent maps a variable to true once it has been passed to a
-	// zero-copy send in source order.
-	lent := make(map[*types.Var]bool)
-
-	// The walk is source-order and flow-insensitive across branches: a
-	// send anywhere earlier in the text lends the buffer for everything
-	// after it.
-	ast.Inspect(body, func(n ast.Node) bool {
+	// The lent set is the state of a walk on the flow.go skeleton: a
+	// buffer is lent once a zero-copy send took it on the path so far,
+	// paths join by union (lent on any path reaching a statement is not
+	// the caller's to touch there), and a wholesale reassignment returns
+	// it on its own path only.
+	var lent lentSet // the path's state at the node visited
+	visit := func(n ast.Node) bool {
 		switch node := n.(type) {
 		case *ast.FuncLit:
 			findings = append(findings, checkBufferOwnership(pass, nil, node.Type, node.Body)...)
@@ -247,7 +236,7 @@ func checkBufferOwnership(pass *Pass, doc []*directive, ftype *ast.FuncType, bod
 					report(node.Args[0], "copy into %s after it was passed to a zero-copy send; the transport may still be reading it", v.Name())
 				}
 			}
-			if isZeroCopySend(fn) {
+			if _, lends := netCall(fn); lends {
 				for _, arg := range node.Args {
 					if v := bareVar(pass.Info, arg); v != nil && isByteSlice(v.Type()) {
 						lent[v] = true
@@ -256,9 +245,30 @@ func checkBufferOwnership(pass *Pass, doc []*directive, ftype *ast.FuncType, bod
 			}
 		}
 		return true
-	})
+	}
+	scan := func(root ast.Node, st lentSet) {
+		lent = st
+		ast.Inspect(root, visit)
+	}
+	w := walker[lentSet]{flow: flow[lentSet]{
+		clone: maps.Clone[lentSet],
+		join: func(sets []lentSet) lentSet {
+			out := maps.Clone(sets[0])
+			for _, s := range sets[1:] {
+				maps.Copy(out, s)
+			}
+			return out
+		},
+		stmt: func(s ast.Stmt, st lentSet) lentSet { scan(s, st); return st },
+		expr: func(e ast.Expr, st lentSet) lentSet { scan(e, st); return st },
+		ret:  func(s *ast.ReturnStmt, st lentSet) { scan(s, st) },
+	}}
+	w.walk(body.List, lentSet{})
 	return findings
 }
+
+// lentSet holds the buffers a path has lent to zero-copy sends.
+type lentSet = map[*types.Var]bool
 
 // directIdentVar returns the variable when expr is exactly a bare
 // identifier.

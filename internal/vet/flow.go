@@ -5,7 +5,7 @@ import (
 	"go/token"
 )
 
-// The control-flow skeleton (DESIGN.md §8.4). A flow analysis here is a
+// The control-flow skeleton (DESIGN.md §8.6). A flow analysis here is a
 // structured walk: statements in order, a copy of the state into every
 // branch, a join where branches meet, and "this path ended" propagated
 // upward so a branch that returns does not pollute the fall-through
@@ -13,8 +13,9 @@ import (
 // switch/type-switch/select, labels, blocks, break/continue/goto — and
 // visits every expression position a statement has; an analysis
 // supplies the state type and the transfer hooks. It is instantiated
-// twice: the lock-flow walk (lockflow.go, join = intersection) and
-// resource-lifecycle (lifecycle.go, join = union).
+// three times: the lock-flow walk (lockflow.go, join = intersection),
+// resource-lifecycle (lifecycle.go, join = union) and buffer-ownership
+// (bufown.go, the lent set, join = union).
 
 // flow is what an analysis plugs into the skeleton.
 type flow[S any] struct {

@@ -5,23 +5,13 @@ import (
 	"go/types"
 )
 
-// daemonPackages are the long-running server components. A goroutine
-// leaked there outlives requests, pins buffers, and — in the virtual-
-// time harness — keeps firing events after the experiment window, so
-// every launch must be tied to a shutdown mechanism.
-var daemonPackages = map[string]bool{
-	"dodo/internal/manager": true,
-	"dodo/internal/monitor": true,
-	"dodo/internal/imd":     true,
-	"dodo/internal/bulk":    true,
-}
-
-// GoroutineLifecycle flags `go` statements in daemon packages that are
-// tied to no lifecycle mechanism. A launch passes when the goroutine
-// body (for function literals) receives from a channel, selects,
-// touches a sync.WaitGroup or uses a context.Context — or when a named
-// callee is handed (or carries on its receiver) a channel, WaitGroup or
-// context through which it can be stopped or awaited.
+// GoroutineLifecycle flags `go` statements in the daemon packages (see
+// scopes, program.go) that are tied to no lifecycle mechanism. A launch
+// passes when the goroutine body (for function literals) receives from
+// a channel, selects, touches a sync.WaitGroup or uses a
+// context.Context — or when a named callee is handed (or carries on
+// its receiver) a channel, WaitGroup or context through which it can
+// be stopped or awaited.
 var GoroutineLifecycle = &Analyzer{
 	Name: "goroutine-lifecycle",
 	Doc:  "flag goroutines in daemon packages not tied to a done-channel, context or WaitGroup",
@@ -29,14 +19,8 @@ var GoroutineLifecycle = &Analyzer{
 }
 
 func runGoroutineLifecycle(pass *Pass) []Finding {
-	if !daemonPackages[pass.Pkg.Path()] {
-		return nil
-	}
 	var findings []Finding
 	for _, file := range pass.Files {
-		if pass.isTestFile(file.Pos()) {
-			continue
-		}
 		ast.Inspect(file, func(n ast.Node) bool {
 			g, ok := n.(*ast.GoStmt)
 			if !ok {

@@ -98,9 +98,6 @@ func gbCollect(prog *program) (specs map[string]*gbSpec, findings []Finding) {
 			continue
 		}
 		for _, file := range pass.Files {
-			if pass.isTestFile(file.Pos()) {
-				continue
-			}
 			for _, decl := range file.Decls {
 				gd, ok := decl.(*ast.GenDecl)
 				if !ok || gd.Tok != token.TYPE {

@@ -1,7 +1,7 @@
 package vet
 
 // resource-lifecycle: whole-program, path-sensitive must-release
-// analysis (DESIGN.md §12).
+// analysis (DESIGN.md §8.5).
 //
 // Dodo's correctness rests on paired operations the compiler cannot
 // see: every fd clone, manager grant, region pend marker, worker-pool
@@ -12,14 +12,10 @@ package vet
 // return), and reports every return a live resource can flow to,
 // together with the acquisition site and the path condition.
 //
-// A small built-in registry seeds the tracking structurally:
-//
-//	os.Open/Create/OpenFile/CreateTemp  -> acquires kind "file"
-//	(*os.File).Close                    -> releases "file"
-//	(*sync.WaitGroup).Add / Done        -> acquires/releases "wg"
-//	locks/sync (R)Lock / (R)Unlock      -> acquires/releases "lock"
-//
-// User code extends it with function annotations in doc comments:
+// What a call does to the caller's obligations is one table, keyed by
+// the callee's full name: rlBuiltins seeds it with the library pairs
+// (os files, WaitGroup counts, locks), and function annotations in doc
+// comments add the program's own:
 //
 //	// dodo:acquires(kind)   the caller receives ownership of one
 //	//                       <kind> via the results (or, for expr-keyed
@@ -38,7 +34,7 @@ package vet
 // iterated to a fixpoint, so a helper that returns an os.File it opened
 // is understood as an acquirer without any annotation.
 //
-// Deliberate approximations (documented in DESIGN.md §12):
+// Deliberate approximations (documented in DESIGN.md §8.5):
 //   - branch joins are unions, so correlated conditionals
 //     ("if ok { acquire } ... if ok { release }") can report a false
 //     leak; restructure or annotate — never //vet:ignore this pass.
@@ -65,24 +61,56 @@ var ResourceLifecycle = &Analyzer{
 }
 
 // ---------------------------------------------------------------------
-// Annotations.
+// The effect table.
 
-type rlAnnotation struct {
+// rlRow is one row of the effect table: what a call to the function
+// does to the caller's obligations. A var-keyed row binds the kinds it
+// acquires to the variable the result is assigned to, and discharges
+// the obligations riding its receiver and arguments. An expr-keyed row
+// (byExpr) keys its one kind by the receiver as written
+// ("c.prefetchWG"), and a lock row carries the mode, "r" or "w", that
+// its release must match.
+type rlRow struct {
 	acquires  map[string]bool
 	releases  map[string]bool
 	transfers map[string]bool
+	byExpr    bool
+	mode      string
 }
 
-// rlCollectAnnotations gathers the dodo:acquires/releases/transfers
-// directives of every function declaration and interface method in the
-// program, keyed by the function object's full name (so a call through
-// region.Dodo picks up the interface method's annotation). Malformed
-// kind lists are reported so a typo cannot silently disable checking.
-func rlCollectAnnotations(prog *program) (map[string]rlAnnotation, []Finding) {
-	anns := make(map[string]rlAnnotation)
+// rlBuiltins are the rows the table starts from: the library calls
+// whose pairing needs no annotation.
+var rlBuiltins = map[string]rlRow{
+	"os.Open":                             {acquires: nameSet("file")},
+	"os.Create":                           {acquires: nameSet("file")},
+	"os.OpenFile":                         {acquires: nameSet("file")},
+	"os.CreateTemp":                       {acquires: nameSet("file")},
+	"(*os.File).Close":                    {releases: nameSet("file")},
+	"(*sync.WaitGroup).Add":               {acquires: nameSet("wg"), byExpr: true},
+	"(*sync.WaitGroup).Done":              {releases: nameSet("wg"), byExpr: true},
+	"(*sync.Mutex).Lock":                  {acquires: nameSet("lock"), byExpr: true, mode: "w"},
+	"(*sync.Mutex).Unlock":                {releases: nameSet("lock"), byExpr: true, mode: "w"},
+	"(*sync.RWMutex).Lock":                {acquires: nameSet("lock"), byExpr: true, mode: "w"},
+	"(*sync.RWMutex).Unlock":              {releases: nameSet("lock"), byExpr: true, mode: "w"},
+	"(*sync.RWMutex).RLock":               {acquires: nameSet("lock"), byExpr: true, mode: "r"},
+	"(*sync.RWMutex).RUnlock":             {releases: nameSet("lock"), byExpr: true, mode: "r"},
+	"(sync.Locker).Lock":                  {acquires: nameSet("lock"), byExpr: true, mode: "w"},
+	"(sync.Locker).Unlock":                {releases: nameSet("lock"), byExpr: true, mode: "w"},
+	"(*dodo/internal/locks.Mutex).Lock":   {acquires: nameSet("lock"), byExpr: true, mode: "w"},
+	"(*dodo/internal/locks.Mutex).Unlock": {releases: nameSet("lock"), byExpr: true, mode: "w"},
+}
+
+// rlCollectAnnotations fills the effect table: the built-in rows, then
+// a row for the dodo:acquires/releases/transfers directives of every
+// function declaration and interface method in the program, keyed by
+// the function object's full name (so a call through region.Dodo picks
+// up the interface method's annotation). Malformed kind lists are
+// reported so a typo cannot silently disable checking.
+func rlCollectAnnotations(prog *program) (map[string]rlRow, []Finding) {
+	rows := maps.Clone(rlBuiltins)
 	var findings []Finding
 	record := func(pass *Pass, obj types.Object, groups ...*ast.CommentGroup) {
-		ann := rlAnnotation{map[string]bool{}, map[string]bool{}, map[string]bool{}}
+		ann := rlRow{acquires: map[string]bool{}, releases: map[string]bool{}, transfers: map[string]bool{}}
 		sets := map[string]map[string]bool{"dodo:acquires": ann.acquires, "dodo:releases": ann.releases, "dodo:transfers": ann.transfers}
 		for _, d := range prog.directives.of(groups...) {
 			set := sets[d.verb]
@@ -97,7 +125,7 @@ func rlCollectAnnotations(prog *program) (map[string]rlAnnotation, []Finding) {
 			}
 		}
 		if fn, ok := obj.(*types.Func); ok && len(ann.acquires)+len(ann.releases)+len(ann.transfers) > 0 {
-			anns[fn.FullName()] = ann
+			rows[fn.FullName()] = ann
 		}
 	}
 	for _, pass := range prog.passes {
@@ -117,7 +145,7 @@ func rlCollectAnnotations(prog *program) (map[string]rlAnnotation, []Finding) {
 			})
 		}
 	}
-	return anns, findings
+	return rows, findings
 }
 
 // ---------------------------------------------------------------------
@@ -137,7 +165,9 @@ type rlSummary struct {
 	releasesExprs map[string]bool
 
 	// paramReleases maps parameter index -> kind for parameters the
-	// body provably releases (an *os.File parameter that is Closed).
+	// body provably releases (an *os.File parameter that is Closed),
+	// numbered as call.Args numbers them: the receiver is not one, and a
+	// receiver the body releases shows in releases instead.
 	paramReleases map[int]string
 }
 
@@ -174,26 +204,6 @@ func (s *rlSummary) merge(src *rlSummary) bool {
 		}
 	}
 	return changed
-}
-
-// ---------------------------------------------------------------------
-// Built-in registry.
-
-// rlFileAcquirers are stdlib functions whose (non-error) result is an
-// open *os.File the caller owns.
-var rlFileAcquirers = map[string]bool{
-	"os.Open":       true,
-	"os.Create":     true,
-	"os.OpenFile":   true,
-	"os.CreateTemp": true,
-}
-
-// rlMethodOn reports whether fn is the named method of pkg.typ (or of
-// a pointer to it); atomic counters named Add resolve to other
-// receivers.
-func rlMethodOn(fn *types.Func, pkg, typ, method string) bool {
-	sig, _ := fn.Type().(*types.Signature)
-	return fn.Name() == method && sig != nil && sig.Recv() != nil && isNamed(sig.Recv().Type(), pkg, typ)
 }
 
 // rlExprPath renders the textual receiver path of an expression
@@ -309,11 +319,11 @@ type rlWalker struct {
 	walker[rlState]
 	pass      *Pass
 	summaries map[string]*rlSummary
-	anns      map[string]rlAnnotation
+	rows      map[string]rlRow
 	findings  *[]Finding
 	report    bool
 
-	ann     rlAnnotation     // the function's own annotation
+	ann     rlRow            // the function's own annotation
 	sig     *types.Signature // for return classification
 	results []*ast.Ident     // named results, for bare returns
 	// entryPoint marks main.main: returning from it exits the process,
@@ -323,7 +333,8 @@ type rlWalker struct {
 	entryPoint bool
 
 	inferred *rlSummary // built during the walk
-	params   []types.Object
+	recv     types.Object
+	params   []types.Object // without the receiver, as call.Args numbers them
 
 	backReported map[rlBackEdge]bool // back-edge leaks already reported
 	inlineRet    []*[]rlState        // collectors for inline-invoked literals
@@ -415,16 +426,6 @@ func (w *rlWalker) reportf(n ast.Node, format string, args ...any) {
 
 func (w *rlWalker) objOf(id *ast.Ident) types.Object { return w.pass.Info.ObjectOf(id) }
 
-// summaryFor resolves the effective summary of a called function:
-// annotation first, then whatever the inference rounds produced.
-func (w *rlWalker) summaryFor(fn *types.Func) (rlAnnotation, *rlSummary) {
-	if fn == nil {
-		return rlAnnotation{}, nil
-	}
-	name := fn.FullName()
-	return w.anns[name], w.summaries[name]
-}
-
 // callEffects describes what one call does in lifecycle terms.
 type rlCallEffect struct {
 	acquires []string // var-kinds to bind to the result
@@ -435,58 +436,45 @@ type rlCallEffect struct {
 	parRel   map[int]string
 }
 
+// effectOf looks the callee up in the effect table and falls back to
+// what inference learned of it.
 func (w *rlWalker) effectOf(call *ast.CallExpr) rlCallEffect {
 	var eff rlCallEffect
 	fn := funcFor(w.pass.Info, call)
 	if fn == nil {
 		return eff
 	}
-	// Structural built-ins.
-	if rlFileAcquirers[fn.FullName()] {
-		eff.acquires = append(eff.acquires, "file")
-		return eff
-	}
-	if rlMethodOn(fn, "os", "File", "Close") {
-		eff.relKinds = append(eff.relKinds, "file")
-		return eff
-	}
-	// Expr-keyed kinds: a WaitGroup count, a lock.
-	r, acquire := rlRes{pos: call.Pos()}, false
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && (rlMethodOn(fn, "sync", "WaitGroup", "Add") || rlMethodOn(fn, "sync", "WaitGroup", "Done")) {
-		r.kind, r.expr, acquire = "wg", rlExprPath(sel.X), fn.Name() == "Add"
-	} else if ref, acq, exclusive, ok := lockOp(w.pass, call); ok {
-		r.kind, r.expr, r.mode, acquire = "lock", ref.path, "r", acq
-		if exclusive {
-			r.mode = "w"
-		}
-	}
-	if r.kind != "" {
-		if r.expr != "" && acquire {
-			eff.exprAcq = &r
-		} else if r.expr != "" {
-			eff.exprRel = r.key()
+	row, sum := w.rows[fn.FullName()], w.summaries[fn.FullName()]
+	if row.byExpr {
+		// A receiver with no stable ident root is not tracked.
+		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && rlExprPath(sel.X) != "" {
+			r := rlRes{expr: rlExprPath(sel.X), mode: row.mode, pos: call.Pos()}
+			for r.kind = range row.acquires {
+				eff.exprAcq = &r
+			}
+			for r.kind = range row.releases {
+				eff.exprRel = r.key()
+			}
 		}
 		return eff
 	}
-	// Annotations and inferred summaries.
-	ann, sum := w.summaryFor(fn)
-	for k := range ann.acquires {
+	for k := range row.acquires {
 		eff.acquires = append(eff.acquires, k)
 	}
-	for k := range ann.releases {
+	for k := range row.releases {
 		eff.relKinds = append(eff.relKinds, k)
 	}
-	for k := range ann.transfers {
+	for k := range row.transfers {
 		eff.trnKinds = append(eff.trnKinds, k)
 	}
 	if sum != nil {
 		for k := range sum.acquires {
-			if !ann.acquires[k] {
+			if !row.acquires[k] {
 				eff.acquires = append(eff.acquires, k)
 			}
 		}
 		for k := range sum.releases {
-			if !ann.releases[k] {
+			if !row.releases[k] {
 				eff.relKinds = append(eff.relKinds, k)
 			}
 		}
@@ -544,6 +532,16 @@ func (w *rlWalker) rootObjs(exprs []ast.Expr) []types.Object {
 	return objs
 }
 
+// dischargeParams discharges what a callee releases through its
+// parameters, which paramReleases numbers as call.Args does.
+func (w *rlWalker) dischargeParams(st rlState, parRel map[int]string, call *ast.CallExpr) {
+	for i, k := range parRel {
+		if i < len(call.Args) {
+			w.discharge(st, k, call.Args[i:i+1])
+		}
+	}
+}
+
 // release applies what a call releases or takes over to st, without
 // inferring anything from it: the form shared by returns and by the
 // bodies of deferred and go-launched literals.
@@ -555,6 +553,7 @@ func (w *rlWalker) release(eff rlCallEffect, call *ast.CallExpr, st rlState) {
 	for _, k := range append(eff.relKinds, eff.trnKinds...) {
 		w.discharge(st, k, args)
 	}
+	w.dischargeParams(st, eff.parRel, call)
 }
 
 // call processes one call expression's lifecycle effects against st,
@@ -614,11 +613,7 @@ func (w *rlWalker) call(call *ast.CallExpr, st rlState, binds []types.Object, st
 	for _, k := range eff.trnKinds {
 		w.discharge(st, k, args)
 	}
-	for i, k := range eff.parRel {
-		if i < len(call.Args) {
-			w.discharge(st, k, []ast.Expr{call.Args[i]})
-		}
-	}
+	w.dischargeParams(st, eff.parRel, call)
 	if len(eff.acquires) == 0 {
 		return
 	}
@@ -686,13 +681,12 @@ func callName(call *ast.CallExpr) string {
 // function's own parameters.
 func (w *rlWalker) noteParamRelease(k string, exprs []ast.Expr) {
 	for _, obj := range w.rootObjs(exprs) {
+		if obj == w.recv {
+			w.inferred.releases[k] = true
+		}
 		for i, p := range w.params {
 			if p == obj {
 				w.inferred.paramReleases[i] = k
-				if i == 0 && w.sig != nil && w.sig.Recv() != nil {
-					// receiver-released kinds surface as plain releases
-					w.inferred.releases[k] = true
-				}
 			}
 		}
 	}
@@ -720,7 +714,7 @@ func (w *rlWalker) walkLitFresh(lit *ast.FuncLit) {
 	sub := newRLWalker(&rlWalker{
 		pass:      w.pass,
 		summaries: w.summaries,
-		anns:      w.anns,
+		rows:      w.rows,
 		findings:  w.findings,
 		report:    w.report,
 		sig:       sig,
@@ -1174,9 +1168,8 @@ func (w *rlWalker) goStmt(stmt *ast.GoStmt, st rlState) {
 		w.walkLitFresh(lit)
 		return
 	}
-	fn := funcFor(w.pass.Info, call)
-	_, sum := w.summaryFor(fn)
-	if sum != nil {
+	if fn := funcFor(w.pass.Info, call); fn != nil && w.summaries[fn.FullName()] != nil {
+		sum := w.summaries[fn.FullName()]
 		for key := range sum.releasesExprs {
 			delete(st.live, key)
 		}
@@ -1184,11 +1177,7 @@ func (w *rlWalker) goStmt(stmt *ast.GoStmt, st rlState) {
 		for _, k := range sortedKeys(sum.releases) {
 			w.discharge(st, k, args)
 		}
-		for i, k := range sum.paramReleases {
-			if i < len(call.Args) {
-				w.discharge(st, k, []ast.Expr{call.Args[i]})
-			}
-		}
+		w.dischargeParams(st, sum.paramReleases, call)
 	}
 	// A released-by-param WaitGroup pointer: go worker(&wg).
 	for _, arg := range call.Args {
@@ -1294,38 +1283,8 @@ func (w *rlWalker) ret(stmt *ast.ReturnStmt, st rlState) {
 		*top = append(*top, st.clone())
 		return
 	}
-	// Resources flowing out through the results transfer to the caller.
 	for _, res := range stmt.Results {
-		ast.Inspect(res, func(n ast.Node) bool {
-			if lit, ok := n.(*ast.FuncLit); ok {
-				w.walkLitFresh(lit)
-				return false
-			}
-			if call, ok := n.(*ast.CallExpr); ok {
-				// return os.Open(p): acquired and immediately handed to
-				// the caller — apply releases but not a discard finding.
-				eff := w.effectOf(call)
-				w.release(eff, call, st)
-				for _, kind := range eff.acquires {
-					w.inferred.acquires[kind] = true
-				}
-			}
-			id, ok := n.(*ast.Ident)
-			if !ok {
-				return true
-			}
-			obj := w.objOf(id)
-			if obj == nil {
-				return true
-			}
-			for k, r := range st.live {
-				if r.obj != nil && r.obj == obj {
-					delete(st.live, k)
-					w.inferred.acquires[r.kind] = true
-				}
-			}
-			return true
-		})
+		w.returned(res, st, false)
 	}
 	class := w.retClass(stmt, st)
 	for _, k := range sortedKeys(st.live) {
@@ -1339,6 +1298,47 @@ func (w *rlWalker) ret(stmt *ast.ReturnStmt, st rlState) {
 		}
 		w.leak(stmt, r, class)
 	}
+}
+
+// returned hands to the caller the resources a result expression names,
+// directly or through composites, conversions and append. A call in it
+// takes what it is passed by its own row instead, so a resource passed
+// to one (passed) is not returned: `return ep.tr.Send(to, frame)`
+// returns Send's error, and frame is still owed.
+func (w *rlWalker) returned(res ast.Expr, st rlState, passed bool) {
+	ast.Inspect(res, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			w.walkLitFresh(n)
+			return false
+		case *ast.CallExpr:
+			// return os.Open(p): acquired and immediately handed to the
+			// caller — apply releases but not a discard finding.
+			eff := w.effectOf(n)
+			w.release(eff, n, st)
+			for _, kind := range eff.acquires {
+				w.inferred.acquires[kind] = true
+			}
+			if rlIsAppend(w.pass, n) || w.pass.Info.Types[n.Fun].IsType() {
+				return true
+			}
+			w.returned(n.Fun, st, true)
+			for _, arg := range n.Args {
+				w.returned(arg, st, true)
+			}
+			return false
+		case *ast.Ident:
+			if obj := w.objOf(n); obj != nil && !passed {
+				for k, r := range st.live {
+					if r.obj == obj {
+						delete(st.live, k)
+						w.inferred.acquires[r.kind] = true
+					}
+				}
+			}
+		}
+		return true
+	})
 }
 
 // endOfBody flags obligations still live when a body with no final
@@ -1357,31 +1357,28 @@ func (w *rlWalker) endOfBody(at ast.Node, st rlState) {
 // Driver.
 
 // rlAnalyze walks one unit and returns its inferred summary.
-func rlAnalyze(u *funcUnit, summaries map[string]*rlSummary, anns map[string]rlAnnotation, findings *[]Finding, report bool) *rlSummary {
+func rlAnalyze(u *funcUnit, summaries map[string]*rlSummary, rows map[string]rlRow, findings *[]Finding, report bool) *rlSummary {
 	w := newRLWalker(&rlWalker{
 		pass:      u.pass,
 		summaries: summaries,
-		anns:      anns,
+		rows:      rows,
 		findings:  findings,
 		report:    report,
-		ann:       anns[u.name()],
+		ann:       rows[u.name()],
 	})
-	var recv *ast.FieldList
 	if u.decl != nil {
 		w.sig, _ = u.obj.Type().(*types.Signature)
 		w.entryPoint = u.pass.Pkg.Name() == "main" && u.decl.Name.Name == "main" && u.decl.Recv == nil
-		recv = u.decl.Recv
 	} else {
 		w.sig, _ = u.pass.Info.TypeOf(u.typ).(*types.Signature)
 	}
-	// Parameter objects, receiver first, for param-release inference.
-	for _, fields := range []*ast.FieldList{recv, u.typ.Params} {
-		if fields != nil {
-			for _, f := range fields.List {
-				for _, n := range f.Names {
-					w.params = append(w.params, u.pass.Info.Defs[n])
-				}
-			}
+	// For param-release inference.
+	if w.sig != nil {
+		if w.sig.Recv() != nil {
+			w.recv = w.sig.Recv()
+		}
+		for i := 0; i < w.sig.Params().Len(); i++ {
+			w.params = append(w.params, w.sig.Params().At(i))
 		}
 	}
 	if u.typ.Results != nil {
@@ -1401,7 +1398,7 @@ func rlAnalyze(u *funcUnit, summaries map[string]*rlSummary, anns map[string]rlA
 }
 
 func runResourceLifecycle(prog *program) []Finding {
-	anns, findings := rlCollectAnnotations(prog)
+	rows, findings := rlCollectAnnotations(prog)
 	summaries := make(map[string]*rlSummary)
 	units := prog.unitsFor("resource-lifecycle")
 	// Inference rounds: propagate inferred summaries bottom-up until
@@ -1409,7 +1406,7 @@ func runResourceLifecycle(prog *program) []Finding {
 	untilStable(4, func() (changed bool) {
 		var discard []Finding
 		for _, u := range units {
-			inf := rlAnalyze(u, summaries, anns, &discard, false)
+			inf := rlAnalyze(u, summaries, rows, &discard, false)
 			if u.obj == nil {
 				continue // nothing calls a literal by name
 			}
@@ -1424,7 +1421,7 @@ func runResourceLifecycle(prog *program) []Finding {
 	})
 	// Final reporting pass.
 	for _, u := range units {
-		rlAnalyze(u, summaries, anns, &findings, true)
+		rlAnalyze(u, summaries, rows, &findings, true)
 	}
 	return findings
 }

@@ -15,6 +15,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strconv"
+	"strings"
 )
 
 // listPkg is the subset of `go list -json` output the loader consumes.
@@ -74,21 +75,29 @@ func exportImporter(fset *token.FileSet, exports map[string]string) types.Import
 	return importer.ForCompiler(fset, "gc", lookup)
 }
 
-// newInfo allocates the types.Info maps the analyzers rely on.
-func newInfo() *types.Info {
-	return &types.Info{
+// typeCheck type-checks one package's files under path, filling the
+// types.Info maps the analyzers rely on. The pass keeps imp, so one of
+// its files can be replaced and the package checked again.
+func typeCheck(fset *token.FileSet, imp types.Importer, path string, files []*ast.File) (*Pass, error) {
+	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
 		Uses:       make(map[*ast.Ident]types.Object),
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 		Implicits:  make(map[ast.Node]types.Object),
 	}
+	pkg, err := (&types.Config{Importer: imp}).Check(path, fset, files, info)
+	if err != nil {
+		return nil, err
+	}
+	return &Pass{Fset: fset, Files: files, Pkg: pkg, Info: info, imp: imp}, nil
 }
 
 // LoadPackages loads, parses and type-checks every non-test package
 // matched by patterns (relative to dir, e.g. "./..."), returning one
 // Pass per package. Test files are excluded: the invariants govern the
-// product code, and tests legitimately poke at wall clocks.
+// product code, and tests legitimately poke at wall clocks. The loaders
+// are the one place test files are left out; no analyzer looks again.
 //
 // Because go list runs with -e, a pattern can match packages the build
 // cannot compile (a broken package, or one whose dependency produced
@@ -131,9 +140,7 @@ func LoadPackages(dir string, patterns ...string) (passes []*Pass, skipped []str
 			}
 			files = append(files, f)
 		}
-		conf := types.Config{Importer: imp}
-		info := newInfo()
-		pkg, err := conf.Check(p.ImportPath, fset, files, info)
+		pass, err := typeCheck(fset, imp, p.ImportPath, files)
 		if err != nil {
 			// Most commonly a dependency with no export data (it failed
 			// to compile, so go list -e reported it without an Export
@@ -143,17 +150,17 @@ func LoadPackages(dir string, patterns ...string) (passes []*Pass, skipped []str
 			skipped = append(skipped, fmt.Sprintf("%s: type-checking: %v", p.ImportPath, err))
 			continue
 		}
-		passes = append(passes, &Pass{Fset: fset, Files: files, Pkg: pkg, Info: info})
+		passes = append(passes, pass)
 	}
 	sort.Slice(passes, func(i, j int) bool { return passes[i].Pkg.Path() < passes[j].Pkg.Path() })
 	sort.Strings(skipped)
 	return passes, skipped, nil
 }
 
-// LoadFixtureDir parses and type-checks the single package of Go files
-// under dir (a testdata fixture, invisible to the go tool), checking it
-// under the given import path so path-sensitive analyzers (allowlists,
-// daemon-package sets) can be exercised from fixtures. Fixture imports
+// LoadFixtureDir parses and type-checks the single package of non-test
+// Go files under dir (a testdata fixture, invisible to the go tool),
+// checking it under the given import path so path-sensitive analyzers
+// (the scopes table) can be exercised from fixtures. Fixture imports
 // must resolve via the toolchain — in practice, standard library only.
 func LoadFixtureDir(dir, pkgPath string) (*Pass, error) {
 	entries, err := os.ReadDir(dir)
@@ -164,7 +171,7 @@ func LoadFixtureDir(dir, pkgPath string) (*Pass, error) {
 	var files []*ast.File
 	importSet := make(map[string]bool)
 	for _, e := range entries {
-		if e.IsDir() || filepath.Ext(e.Name()) != ".go" {
+		if e.IsDir() || filepath.Ext(e.Name()) != ".go" || strings.HasSuffix(e.Name(), "_test.go") {
 			continue
 		}
 		f, err := parser.ParseFile(fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)
@@ -199,11 +206,9 @@ func LoadFixtureDir(dir, pkgPath string) (*Pass, error) {
 			}
 		}
 	}
-	conf := types.Config{Importer: exportImporter(fset, exports)}
-	info := newInfo()
-	pkg, err := conf.Check(pkgPath, fset, files, info)
+	pass, err := typeCheck(fset, exportImporter(fset, exports), pkgPath, files)
 	if err != nil {
 		return nil, fmt.Errorf("vet: type-checking fixture %s: %v", dir, err)
 	}
-	return &Pass{Fset: fset, Files: files, Pkg: pkg, Info: info}, nil
+	return pass, nil
 }

@@ -7,7 +7,7 @@ import (
 	"strings"
 )
 
-// The lock model and the lock-flow walk (DESIGN.md §8.4): one walk of
+// The lock model and the lock-flow walk (DESIGN.md §8.6): one walk of
 // every function body tracks the set of held locks in statement order
 // and records, with the held set at each, the acquisitions, releases,
 // calls, field accesses and channel sends. lock-order, guarded-by and

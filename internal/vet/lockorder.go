@@ -43,22 +43,22 @@ type lockEdge struct {
 	node     ast.Node
 }
 
-// rpcMethods are the network-facing calls whose latency must never be
-// absorbed inside a multi-lock critical section.
-var rpcMethods = map[string]bool{
-	"Call": true, "CallT": true, "Notify": true,
+// netCalls are the network-facing methods of the packet-path packages
+// (the buffer-ownership scope), whose latency must never be absorbed
+// inside a multi-lock critical section; true marks the zero-copy sends,
+// which lend their []byte arguments to the network layer.
+var netCalls = map[string]bool{
 	"Send": true, "SendTo": true, "SendIovec": true,
-	"SendBulk": true, "RecvBulk": true,
+	"Call": false, "CallT": false, "Notify": false, "SendBulk": false, "RecvBulk": false,
 }
 
-func isRPCFunc(fn *types.Func) bool {
-	if fn.Pkg() == nil || !rpcMethods[fn.Name()] {
-		return false
+// netCall reports whether fn is one of netCalls, and whether it lends.
+func netCall(fn *types.Func) (rpc, lends bool) {
+	if fn == nil || fn.Pkg() == nil || !inScope("buffer-ownership", fn.Pkg().Path()) {
+		return false, false
 	}
-	p := fn.Pkg().Path()
-	return strings.HasSuffix(p, "/internal/bulk") ||
-		strings.HasSuffix(p, "/internal/transport") ||
-		strings.HasSuffix(p, "/internal/usocket")
+	lends, rpc = netCalls[fn.Name()]
+	return rpc, lends
 }
 
 // ownClasses lists the nameable locks of held that the function itself
@@ -98,7 +98,8 @@ func runLockOrder(prog *program) []Finding {
 			}
 		}
 		for _, cs := range flow.calls {
-			s.reachesRPC = s.reachesRPC || !cs.spawned && isRPCFunc(cs.fn)
+			rpc, _ := netCall(cs.fn)
+			s.reachesRPC = s.reachesRPC || !cs.spawned && rpc
 		}
 		all = append(all, s)
 		if flow.fn != nil {
@@ -161,7 +162,7 @@ func runLockOrder(prog *program) []Finding {
 			// Rule 2: RPC under more than one lock, directly or through
 			// a callee that reaches the network.
 			what := ""
-			if isRPCFunc(cs.fn) {
+			if rpc, _ := netCall(cs.fn); rpc {
 				what = cs.fn.Name()
 			} else if c != nil && c.reachesRPC {
 				what = cs.fn.FullName()
@@ -180,120 +181,53 @@ func runLockOrder(prog *program) []Finding {
 }
 
 // lockCycles reports one finding per strongly connected component of
-// the acquisition graph that contains a cycle, anchored at the
-// earliest edge inside the component.
+// the acquisition graph that contains a cycle — classes that reach each
+// other, or one that reaches itself — anchored at the earliest edge
+// inside the component. The graph has a few dozen classes, so each
+// class's reach is found by its own search.
 func lockCycles(edges []lockEdge) []Finding {
 	adj := make(map[lockClass][]lockClass)
 	for _, e := range edges {
 		adj[e.from] = append(adj[e.from], e.to)
 	}
-	var nodes []lockClass
-	seenNode := make(map[lockClass]bool)
+	// reach[a][b]: a path of one edge or more leads from a to b.
+	reach := make(map[lockClass]map[lockClass]bool)
+	for a := range adj {
+		reach[a] = make(map[lockClass]bool)
+		for next := append([]lockClass(nil), adj[a]...); len(next) > 0; {
+			c := next[len(next)-1]
+			next = next[:len(next)-1]
+			if !reach[a][c] {
+				reach[a][c] = true
+				next = append(next, adj[c]...)
+			}
+		}
+	}
+	offset := func(e *lockEdge) int { return e.pass.Fset.Position(e.node.Pos()).Offset }
+	var findings []Finding
+	done := make(map[lockClass]bool)
 	for _, e := range edges {
-		for _, c := range []lockClass{e.from, e.to} {
-			if !seenNode[c] {
-				seenNode[c] = true
-				nodes = append(nodes, c)
-			}
-		}
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-
-	index := make(map[lockClass]int)
-	low := make(map[lockClass]int)
-	onStack := make(map[lockClass]bool)
-	var stack []lockClass
-	next := 0
-	comp := make(map[lockClass]int)
-	ncomp := 0
-
-	var strongconnect func(v lockClass)
-	strongconnect = func(v lockClass) {
-		index[v] = next
-		low[v] = next
-		next++
-		stack = append(stack, v)
-		onStack[v] = true
-		for _, w := range adj[v] {
-			if _, ok := index[w]; !ok {
-				strongconnect(w)
-				if low[w] < low[v] {
-					low[v] = low[w]
-				}
-			} else if onStack[w] && index[w] < low[v] {
-				low[v] = index[w]
-			}
-		}
-		if low[v] == index[v] {
-			for {
-				w := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[w] = false
-				comp[w] = ncomp
-				if w == v {
-					break
-				}
-			}
-			ncomp++
-		}
-	}
-	for _, v := range nodes {
-		if _, ok := index[v]; !ok {
-			strongconnect(v)
-		}
-	}
-
-	// A component cycles if it has >1 member, or a self-loop.
-	size := make(map[int]int)
-	for _, c := range comp {
-		size[c]++
-	}
-	selfLoop := make(map[int]bool)
-	for _, e := range edges {
-		if e.from == e.to {
-			selfLoop[comp[e.from]] = true
-		}
-	}
-
-	type cycleInfo struct {
-		members []string
-		edge    *lockEdge
-	}
-	cycles := make(map[int]*cycleInfo)
-	for v, c := range comp {
-		if size[c] > 1 || selfLoop[c] {
-			ci := cycles[c]
-			if ci == nil {
-				ci = &cycleInfo{}
-				cycles[c] = ci
-			}
-			ci.members = append(ci.members, v)
-		}
-	}
-	for i := range edges {
-		e := &edges[i]
-		c := comp[e.from]
-		ci := cycles[c]
-		if ci == nil || comp[e.to] != c {
+		if done[e.from] || !reach[e.from][e.from] {
 			continue
 		}
-		if ci.edge == nil || e.pass.Fset.Position(e.node.Pos()).Offset < ci.edge.pass.Fset.Position(ci.edge.node.Pos()).Offset {
-			ci.edge = e
+		var members []string
+		in := make(map[lockClass]bool)
+		for c := range reach[e.from] {
+			if reach[c][e.from] {
+				members = append(members, c)
+				in[c], done[c] = true, true
+			}
 		}
-	}
-
-	var findings []Finding
-	var order []int
-	for c := range cycles {
-		order = append(order, c)
-	}
-	sort.Ints(order)
-	for _, c := range order {
-		ci := cycles[c]
-		sort.Strings(ci.members)
-		findings = append(findings, findingAt(ci.edge.pass, "lock-order", ci.edge.node,
+		var anchor *lockEdge
+		for i := range edges {
+			if f := &edges[i]; in[f.from] && in[f.to] && (anchor == nil || offset(f) < offset(anchor)) {
+				anchor = f
+			}
+		}
+		sort.Strings(members)
+		findings = append(findings, findingAt(anchor.pass, "lock-order", anchor.node,
 			"lock acquisition cycle among {%s}; these locks are taken in inconsistent orders and can deadlock",
-			strings.Join(ci.members, ", ")))
+			strings.Join(members, ", ")))
 	}
 	return findings
 }

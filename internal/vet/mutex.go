@@ -139,9 +139,6 @@ func checkMutexCopies(pass *Pass) []Finding {
 	}
 
 	for _, file := range pass.Files {
-		if pass.isTestFile(file.Pos()) {
-			continue
-		}
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch node := n.(type) {
 			case *ast.FuncDecl:

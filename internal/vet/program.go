@@ -7,7 +7,7 @@ import (
 )
 
 // program is the index the whole-program analyzers share (DESIGN.md
-// §8.4): every non-test function once, the parsed directives, and the
+// §8.6): every non-test function once, the parsed directives, and the
 // lock-flow records, built the first time a pass asks for them.
 type program struct {
 	passes     []*Pass
@@ -40,9 +40,6 @@ func newProgram(passes []*Pass) *program {
 	prog := &program{passes: passes, directives: parseDirectives(passes)}
 	for _, pass := range passes {
 		for _, file := range pass.Files {
-			if pass.isTestFile(file.Pos()) {
-				continue
-			}
 			ast.Inspect(file, func(n ast.Node) bool {
 				switch fn := n.(type) {
 				case *ast.FuncDecl:
@@ -63,11 +60,24 @@ func newProgram(passes []*Pass) *program {
 
 // scopes is the one table of which packages each scoped pass analyzes:
 // paths ending in one of only when that is set, otherwise every path
-// (under internal/ when internal is set) not ending in one of except.
+// (under internal/ when internal is set) not ending in one of except. A
+// rule with no row analyzes every package. Analyzer.run hands a
+// per-package pass only the packages in its scope (vet.go); a
+// whole-program pass reads the table for the units it checks.
 var scopes = map[string]struct {
 	internal     bool
 	only, except []string
 }{
+	// sim implements the Clock abstraction itself, and the transport and
+	// usocket substrates sit below it (kernel socket deadlines and
+	// condition-variable polling are inherently wall-clock).
+	"clock-discipline": {except: []string{"/internal/sim", "/internal/transport", "/internal/usocket"}},
+	// The long-running daemons: a goroutine leaked there outlives
+	// requests, pins buffers, and in the virtual-time harness keeps
+	// firing events after the experiment window.
+	"goroutine-lifecycle": {only: []string{"/internal/manager", "/internal/monitor", "/internal/imd", "/internal/bulk"}},
+	// The packages that dispatch on wire.Message.
+	"wire-exhaustiveness": {only: []string{"/internal/wire", "/internal/bulk", "/internal/imd", "/internal/manager", "/internal/core"}},
 	// cmd and examples hold no hierarchy locks by policy. internal/locks
 	// is the mechanism, not a class; internal/sim's clock mutex sits
 	// outside the hierarchy by design — timers are armed from under

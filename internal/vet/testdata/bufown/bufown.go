@@ -93,3 +93,25 @@ func (c *conn) adoptTypo(data []byte) { // want `dodo:adopts\(bogus\) names no \
 func (c *conn) adoptMalformed(data []byte) {
 	c.q = append(c.q, append([]byte(nil), data...))
 }
+
+// A send on one branch lends the buffer on that branch only; the other
+// still owns it. Not flagged.
+func sendOnOneBranch(c *conn, direct bool) {
+	buf := make([]byte, 8)
+	if direct {
+		_ = c.Send("x", buf)
+	} else {
+		buf[0] = 1
+	}
+}
+
+// Reassignment returns ownership on its own path only: where the paths
+// meet, the buffer may still be lent. Flagged.
+func reassignOnOneBranch(c *conn, fresh bool) {
+	buf := make([]byte, 8)
+	_ = c.Send("x", buf)
+	if fresh {
+		buf = make([]byte, 8)
+	}
+	buf[0] = 1 // want `write into buf after it was passed to a zero-copy send`
+}

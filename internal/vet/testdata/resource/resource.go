@@ -166,3 +166,40 @@ func malformedDirective() {}
 //
 // dodo:aquires(slot) // want `unknown directive "dodo:aquires"`
 func takeSpare() int { return 2 }
+
+func keep(f *os.File) error { _ = f; return nil }
+
+// A resource passed to a call in a return expression is not returned:
+// the callee takes it by its own effects, and keep takes nothing.
+func returnThroughCall() error {
+	f, err := os.Open("x")
+	if err != nil {
+		return err
+	}
+	return keep(f) // want `file f acquired at .*resource\.go:\d+ is neither released nor transferred on this return`
+}
+
+// append hands what it appends to the caller with the slice: clean.
+func returnAppended(fs []*os.File) ([]*os.File, error) {
+	f, err := os.Open("x")
+	if err != nil {
+		return fs, err
+	}
+	return append(fs, f), nil
+}
+
+type closer struct{}
+
+// done releases its parameter. Parameters are numbered as a call's
+// arguments are, without the receiver.
+func (c *closer) done(f *os.File) { _ = f.Close() }
+
+// The call discharges f through done's inferred release: clean.
+func releaseThroughMethod(c *closer) error {
+	f, err := os.Open("x")
+	if err != nil {
+		return err
+	}
+	c.done(f)
+	return nil
+}

@@ -11,7 +11,7 @@
 //     rand.New(rand.NewSource(seed)) so experiments replay bit-for-bit.
 //   - unchecked-error: the client API (Mread/Mwrite/Mclose/Msync,
 //     Cread/Cwrite), transport Send/Recv and io.Closer Close must not
-//     have their error results silently discarded in non-test code.
+//     have their error results silently discarded.
 //   - mutex-hygiene: no value receivers or value copies of types
 //     containing sync.Mutex/sync.RWMutex, and no channel sends while a
 //     mutex is held.
@@ -23,10 +23,10 @@
 //     lock. Cross-checked at runtime by `-tags lockcheck`
 //     (internal/locks).
 //   - buffer-ownership: in the zero-copy packages (usocket, bulk,
-//     transport), no writes to or retention of a byte slice after it was
-//     handed to Send, and no storing of borrowed []byte parameters
-//     beyond the callback — copy first, or declare the transfer in the
-//     function's contract with dodo:adopts(param).
+//     transport), no writes to or retention of a byte slice on a path
+//     after it was handed to Send, and no storing of borrowed []byte
+//     parameters beyond the callback — copy first, or declare the
+//     transfer in the function's contract with dodo:adopts(param).
 //   - wire-exhaustiveness: every dispatch switch over wire.Message
 //     handles or explicitly ignores every registered message type.
 //   - guarded-by: struct fields next to a mutex declare their
@@ -35,12 +35,12 @@
 //     every guarded access is dominated by the declared Lock/RLock,
 //     atomic fields go only through sync/atomic, guarded addresses
 //     never escape, and guarding locks.Mutexes carry a rank
-//     (DESIGN.md §10).
+//     (DESIGN.md §8.4).
 //   - resource-lifecycle: whatever a path acquires — an fd, a pooled
 //     frame, a manager grant, a WaitGroup count, a lock — it releases or
 //     hands on before every return, error returns included; functions
 //     declare ownership with dodo:acquires/releases/transfers(kind)
-//     (DESIGN.md §12).
+//     (DESIGN.md §8.5).
 //
 // A finding can be suppressed at a single site with a trailing or
 // preceding comment: //vet:ignore <analyzer-name>. That is for reviewed
@@ -48,12 +48,17 @@
 // should say why on the same comment line. directive.go lists every
 // comment the tool reads; one it cannot read is itself a finding.
 //
-// The lock passes and resource-lifecycle share one analysis core
-// (DESIGN.md §8.4): the control-flow skeleton of flow.go, the lock-flow
-// walk of lockflow.go and the program index of program.go. The
-// analyzers are written against the stdlib go/ast + go/types stack
-// only; package loading shells out to the go command for export data
-// (see load.go), so the tool needs no dependencies beyond the toolchain.
+// Rules are data where they can be (DESIGN.md §8.6): which packages a
+// rule analyzes is a row of the scopes table (program.go), which calls
+// clock-discipline, seeded-rand and unchecked-error flag is a row of
+// calls.go, and what a call does to resource-lifecycle's obligations is
+// a row of its effect table. The passes that follow control flow share
+// the skeleton of flow.go; the lock passes read the lock-flow walk of
+// lockflow.go; the whole-program passes share the program index of
+// program.go. The analyzers are written against the stdlib go/ast +
+// go/types stack only; package loading shells out to the go command
+// for export data (see load.go), so the tool needs no dependencies
+// beyond the toolchain.
 package vet
 
 import (
@@ -62,7 +67,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // Finding is one rule violation at a source position.
@@ -84,11 +88,7 @@ type Pass struct {
 	Files []*ast.File
 	Pkg   *types.Package
 	Info  *types.Info
-}
-
-// isTestFile reports whether the file containing pos is a _test.go file.
-func (p *Pass) isTestFile(pos token.Pos) bool {
-	return strings.HasSuffix(p.Fset.Position(pos).Filename, "_test.go")
+	imp   types.Importer // what Pkg was checked against (load.go)
 }
 
 // Analyzer is one invariant checker. Exactly one of Run and RunProgram
@@ -106,14 +106,17 @@ type Analyzer struct {
 	RunProgram func(*program) []Finding
 }
 
-// run applies the analyzer to every package of the program.
+// run applies the analyzer to the program: a per-package analyzer to
+// each package in its scope (program.go), so no Run tests its own.
 func (a *Analyzer) run(prog *program) []Finding {
 	if a.RunProgram != nil {
 		return a.RunProgram(prog)
 	}
 	var all []Finding
 	for _, pass := range prog.passes {
-		all = append(all, a.Run(pass)...)
+		if inScope(a.Name, pass.Pkg.Path()) {
+			all = append(all, a.Run(pass)...)
+		}
 	}
 	return all
 }

@@ -9,7 +9,8 @@ import (
 )
 
 // WireExhaustiveness keeps the wire protocol closed under extension:
-// in wire, bulk, imd, manager and core, every type switch over
+// in the packages that dispatch on it (wire, bulk, imd, manager and
+// core; see scopes, program.go), every type switch over
 // wire.Message must list every registered message type. A default
 // clause does not count as coverage — it is exactly how a newly added
 // type gets silently dropped. Narrow correlation switches that
@@ -29,17 +30,6 @@ var WireExhaustiveness = &Analyzer{
 
 func isWirePkg(path string) bool {
 	return strings.HasSuffix(path, "/internal/wire")
-}
-
-// wireDispatchPkg reports whether dispatch switches in this package
-// are held to exhaustiveness.
-func wireDispatchPkg(path string) bool {
-	for _, suf := range []string{"/internal/wire", "/internal/bulk", "/internal/imd", "/internal/manager", "/internal/core"} {
-		if strings.HasSuffix(path, suf) {
-			return true
-		}
-	}
-	return false
 }
 
 // wireWorld locates the wire package visible from pass (the package
@@ -104,9 +94,6 @@ func findWireWorld(pass *Pass) *wireWorld {
 }
 
 func runWireExhaustiveness(pass *Pass) []Finding {
-	if !wireDispatchPkg(pass.Pkg.Path()) {
-		return nil
-	}
 	w := findWireWorld(pass)
 	if w == nil {
 		return nil
@@ -119,9 +106,6 @@ func runWireExhaustiveness(pass *Pass) []Finding {
 func checkWireDispatch(pass *Pass, w *wireWorld) []Finding {
 	var findings []Finding
 	for _, file := range pass.Files {
-		if pass.isTestFile(file.Pos()) {
-			continue
-		}
 		ast.Inspect(file, func(n ast.Node) bool {
 			ts, ok := n.(*ast.TypeSwitchStmt)
 			if !ok {

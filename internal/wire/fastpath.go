@@ -43,8 +43,8 @@ const (
 	// above every control message and the U-Net MTU, below every page.
 	minPooledFrame = 2 << 10
 	// maxFrameShift is log2 of the largest class, 4 MiB: the data sets
-	// Dodo serves use regions of 8 KiB to 1 MiB (Fig. 8), and a batched
-	// read stages a few of them in one stream.
+	// Dodo serves use regions of 8 KiB to 1 MiB (Fig. 8), so the
+	// largest region a read or push moves fits with room to spare.
 	maxFrameShift  = 22
 	maxPooledFrame = 1 << maxFrameShift
 )
