@@ -258,15 +258,42 @@ func (ep *Endpoint) ExpectBulkInto(dst []byte, from string, id uint64, chunk int
 func (ep *Endpoint) CancelExpect(from string, id uint64) {
 	key := xferKey{peer: from, id: id}
 	ep.mu.Lock()
-	rx := ep.rx[key]
-	delete(ep.rx, key)
-	ep.mu.Unlock()
-	if rx != nil {
+	defer ep.mu.Unlock()
+	if rx := ep.rx[key]; rx != nil {
+		// Failed in the hold that removes it (see RedirectExpect).
+		delete(ep.rx, key)
 		rx.fail(errExpectCanceled)
 	}
 }
 
 var errExpectCanceled = fmt.Errorf("bulk: expected transfer canceled")
+
+// RedirectExpect moves the receive pre-registered under (from, id) to
+// dst, which must be as long as the buffer ExpectBulkInto was given: the
+// bytes landed so far are copied into dst, and every later packet lands
+// there instead. It reports false, and changes nothing, when the receive
+// has ended — completed, failed, cancelled or never registered; then
+// nothing writes the old buffer any more, because a receive leaves the
+// endpoint's table only once it is complete or in the hold that fails
+// it.
+//
+// dodo:adopts(dst)
+func (ep *Endpoint) RedirectExpect(from string, id uint64, dst []byte) bool {
+	ep.mu.Lock()
+	rx := ep.rx[xferKey{peer: from, id: id}]
+	ep.mu.Unlock()
+	if rx == nil {
+		return false
+	}
+	rx.mu.Lock()
+	defer rx.mu.Unlock()
+	if rx.complete || !rx.external {
+		return false
+	}
+	copy(dst, rx.buf)
+	rx.buf = dst
+	return true
+}
 
 // RecvBulk waits for the peer at from to complete transfer id and returns
 // the assembled bytes. It may be called before or after the first packet
@@ -339,8 +366,8 @@ func (ep *Endpoint) recvBulk(from string, id uint64, timeout time.Duration) (buf
 	case <-timeoutCh:
 		ep.mu.Lock()
 		delete(ep.rx, key)
-		ep.mu.Unlock()
 		rx.fail(ErrTimeout)
+		ep.mu.Unlock()
 		return nil, false, fmt.Errorf("bulk: receiving transfer %d from %s: %w", id, from, ErrTimeout)
 	case <-ep.stop:
 		rx.fail(ErrClosed)

@@ -673,20 +673,78 @@ func (c *Client) Mread(fd int, offset int64, buf []byte) (int, error) {
 	if delay, hedge := c.hedgeDelay(r.remote.HostAddr, r.remote.Epoch); hedge {
 		return c.hedgedRead(r, offset, want, buf, delay)
 	}
-	// Unhedged reads assemble straight into the caller's buffer: the
-	// inline payload or bulk stream lands in buf with no intermediate
-	// allocation.
-	n, err := c.remoteReadInto(r, offset, want, buf[:want])
-	if err != nil {
-		return -1, err
+	// The inline payload or bulk stream lands in buf with no
+	// intermediate allocation.
+	n, err := c.remoteReadInto(r, offset, want, newReadDst(buf[:want]))
+	return c.finishRemoteLeg(remoteLeg{n, err})
+}
+
+// readDst is where a remote read puts its bytes: the caller's buffer,
+// unless a hedged read's disk leg won and moved the still-running
+// remote leg to a private buffer (moveTo). The leg's every write into
+// dst — the bulk receive's registration, an inline payload — and the
+// checksum it verifies happen under mu, so a move comes before or after
+// each of them whole.
+type readDst struct {
+	mu locks.Mutex
+	// dodo:guardedby mu
+	dst []byte
+	// host and xfer name the bulk receive registered into dst; xfer is
+	// zero until one is.
+	// dodo:guardedby mu
+	host string
+	// dodo:guardedby mu
+	xfer uint64
+}
+
+func newReadDst(dst []byte) *readDst {
+	d := &readDst{dst: dst}
+	d.mu.SetRank(locks.RankReadDst)
+	return d
+}
+
+// expect registers the bulk receive of transfer id from host into the
+// destination, returning the window to advertise.
+func (d *readDst) expect(ep *bulk.Endpoint, host string, id uint64, chunk int) (int, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	window, err := ep.ExpectBulkInto(d.dst, host, id, chunk)
+	if err == nil {
+		d.host, d.xfer = host, id
 	}
-	c.remoteReads.Add(1)
-	c.remoteReadBy.Add(int64(n))
-	return n, nil
+	return window, err
+}
+
+// put copies an inline payload into the destination.
+func (d *readDst) put(payload []byte) int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return copy(d.dst, payload)
+}
+
+// sum is the checksum of the destination's first n bytes.
+func (d *readDst) sum(n int) uint32 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return wire.Checksum(d.dst[:n])
+}
+
+// moveTo points the read at priv, as long as the current destination:
+// what has landed is copied over — by the bulk receive itself while it
+// is still assembling, since its packets land under its own lock — and
+// whatever the read does from now on goes to priv. Nothing writes the
+// old destination after moveTo returns.
+func (d *readDst) moveTo(ep *bulk.Endpoint, priv []byte) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.xfer == 0 || !ep.RedirectExpect(d.host, d.xfer, priv) {
+		copy(priv, d.dst)
+	}
+	d.dst = priv
 }
 
 // remoteReadInto performs the wire read against the hosting imd,
-// assembling the bytes into dst (len(dst) == want), and records a
+// assembling the bytes into dst (want bytes long), and records a
 // latency sample on success. Failures drop every descriptor on the
 // host (§3.1) and surface as ErrNoMem so callers fall back to the
 // backing file.
@@ -700,7 +758,7 @@ func (c *Client) Mread(fd int, offset int64, buf []byte) (int, error) {
 //     blasts the first window immediately, with the DataResp doubling
 //     as the bulk offer. The selective-NACK engine governs the
 //     transfer, so a lossy first window degrades to ordinary recovery.
-func (c *Client) remoteReadInto(r regionState, offset, want int64, dst []byte) (int, error) {
+func (c *Client) remoteReadInto(r regionState, offset, want int64, dst *readDst) (int, error) {
 	start := c.cfg.Clock.Now()
 	host := r.remote.HostAddr
 	req := &wire.ReadReq{
@@ -716,7 +774,7 @@ func (c *Client) remoteReadInto(r regionState, offset, want int64, dst []byte) (
 	if want > int64(wire.InlineDataLimit(c.ep.Transport().MTU())) {
 		id := c.ep.NextTransferID()
 		chunk := c.ep.ChunkSize()
-		window, err := c.ep.ExpectBulkInto(dst[:want], host, id, chunk)
+		window, err := dst.expect(c.ep, host, id, chunk)
 		if err != nil {
 			return -1, fmt.Errorf("%w: registering receive from %s: %v", ErrNoMem, host, err)
 		}
@@ -754,10 +812,12 @@ func (c *Client) remoteReadInto(r regionState, offset, want int64, dst []byte) (
 		// The bytes rode the response itself; any pre-registered
 		// receive is moot.
 		cancel()
-		n = copy(dst, dr.Payload)
+		n = dst.put(dr.Payload)
 		c.inlineReads.Add(1)
 	case dr.Flags&wire.DataFlagEager != 0 && xferID != 0 && dr.TransferID == xferID:
-		n, err = c.ep.RecvBulkInto(dst[:want], host, xferID, dataBudget(want))
+		// The bytes assemble where the receive was registered, or
+		// redirected since (readDst.moveTo); no destination is named.
+		n, err = c.ep.RecvBulkInto(nil, host, xferID, dataBudget(want))
 		if err != nil {
 			c.dropHost(host)
 			return -1, fmt.Errorf("%w: transfer failed: %v", ErrNoMem, err)
@@ -770,7 +830,7 @@ func (c *Client) remoteReadInto(r regionState, offset, want int64, dst []byte) (
 		c.dropHost(host)
 		return -1, fmt.Errorf("%w: read response from %s carries no data", ErrNoMem, host)
 	}
-	if wire.Checksum(dst[:n]) != dr.Crc {
+	if dst.sum(n) != dr.Crc {
 		// The bytes that arrived are not the bytes the imd hashed:
 		// fail the read rather than hand the app a corrupt page. The
 		// drop → revalidate path then repopulates the region from the
@@ -789,27 +849,22 @@ func (c *Client) failChecksum(host string) error {
 	return fmt.Errorf("%w: page checksum mismatch from %s", ErrNoMem, host)
 }
 
-// remoteLeg is the outcome of a hedged read's remote leg: how many
-// bytes it assembled into the read's private buffer, or why it failed.
+// remoteLeg is the outcome of a remote read: how many bytes it
+// assembled, or why it failed.
 type remoteLeg struct {
 	n   int
 	err error
 }
 
-// finishRemoteLeg ends a hedged read whose remote leg has returned: on
-// success it copies the bytes from the private buffer priv into the
-// caller's buf and counts them, and either way it recycles priv — the
-// leg has returned, and bulk writes nothing into a receive buffer once
-// the receive has returned, with or without error.
-func (c *Client) finishRemoteLeg(buf, priv []byte, leg remoteLeg) (int, error) {
-	defer wire.PutFrame(priv)
+// finishRemoteLeg ends a read whose remote leg has returned its bytes
+// into the caller's buffer: it counts them, or passes the failure on.
+func (c *Client) finishRemoteLeg(leg remoteLeg) (int, error) {
 	if leg.err != nil {
 		return -1, leg.err
 	}
-	n := copy(buf, priv[:leg.n])
 	c.remoteReads.Add(1)
-	c.remoteReadBy.Add(int64(n))
-	return n, nil
+	c.remoteReadBy.Add(int64(leg.n))
+	return leg.n, nil
 }
 
 // recordLatency feeds one successful remote-read round trip into the
@@ -877,20 +932,22 @@ func (c *Client) tryHedgeLeg() bool {
 // writes through before reporting success), so the backup can never
 // return bytes older than the caller could already observe on disk —
 // the write-seq gate is respected by construction.
+//
+// The remote leg assembles into buf itself; in steady state every read
+// is hedged and the remote answers first. Should the disk leg win while
+// the remote one still runs, that leg is moved to a private buffer
+// before the disk's bytes go into buf, so nothing writes buf once this
+// returns.
 func (c *Client) hedgedRead(r regionState, offset, want int64, buf []byte, delay time.Duration) (int, error) {
-	// The remote leg assembles into a private buffer, so it never
-	// touches the caller's while the disk leg may be racing it. In
-	// steady state every read is hedged, so the buffer is a recycled
-	// frame, handed back once the remote leg has been joined.
-	priv := wire.GetFrame(int(want))
+	dst := newReadDst(buf[:want])
 	remote := func() remoteLeg {
-		n, err := c.remoteReadInto(r, offset, want, priv)
+		n, err := c.remoteReadInto(r, offset, want, dst)
 		return remoteLeg{n, err}
 	}
 	if !c.tryHedgeLeg() {
 		// Closing underneath us: run the remote read synchronously so
 		// no goroutine outlives Close's hedgeWG.Wait.
-		return c.finishRemoteLeg(buf, priv, remote())
+		return c.finishRemoteLeg(remote())
 	}
 	// The hedge delay runs from the start of the read: the timer is
 	// armed before the leg is launched.
@@ -904,14 +961,14 @@ func (c *Client) hedgedRead(r regionState, offset, want int64, buf []byte, delay
 	select {
 	case leg := <-remoteCh:
 		// The remote answered within the hedge delay; the common case.
-		return c.finishRemoteLeg(buf, priv, leg)
+		return c.finishRemoteLeg(leg)
 	case <-timerCh:
 	}
 	// The remote is slow: race a backing-file read against it.
 	if !c.tryHedgeLeg() {
 		// Closing underneath us: skip the backup leg and wait out the
 		// remote (its WaitGroup slot predates Close's Wait).
-		return c.finishRemoteLeg(buf, priv, <-remoteCh)
+		return c.finishRemoteLeg(<-remoteCh)
 	}
 	type diskLeg struct {
 		data []byte
@@ -932,7 +989,7 @@ func (c *Client) hedgedRead(r regionState, offset, want int64, buf []byte, delay
 	}()
 	select {
 	case leg := <-remoteCh:
-		n, err := c.finishRemoteLeg(buf, priv, leg)
+		n, err := c.finishRemoteLeg(leg)
 		if err == nil {
 			// The remote still won; the backup was wasted work.
 			c.hedgeWasted.Add(1)
@@ -949,26 +1006,29 @@ func (c *Client) hedgedRead(r regionState, offset, want int64, buf []byte, delay
 	case d := <-diskCh:
 		if d.err != nil {
 			// The backup failed; fall back to waiting on the remote.
-			return c.finishRemoteLeg(buf, priv, <-remoteCh)
+			return c.finishRemoteLeg(<-remoteCh)
 		}
 		c.hedgeWins.Add(1)
-		// Join the losing leg in the background so its latency sample
-		// or host drop still lands; priv is its buffer until then.
-		if c.tryHedgeLeg() {
-			go func() {
-				defer c.hedgeWG.Done()
-				defer wire.PutFrame(priv)
-				if leg := <-remoteCh; leg.err == nil {
-					c.hedgeWasted.Add(1)
-				}
-			}()
-		} else {
-			// Closing: drain the remote leg inline instead.
+		if !c.tryHedgeLeg() {
+			// Closing: wait the remote leg out inline; once it has
+			// returned, nothing writes buf.
 			if leg := <-remoteCh; leg.err == nil {
 				c.hedgeWasted.Add(1)
 			}
-			wire.PutFrame(priv)
+			return copy(buf, d.data), nil
 		}
+		// Join the losing leg in the background so its latency sample
+		// or host drop still lands. It finishes in a recycled private
+		// buffer, handed back once it has returned.
+		priv := wire.GetFrame(int(want))
+		dst.moveTo(c.ep, priv)
+		go func() {
+			defer c.hedgeWG.Done()
+			defer wire.PutFrame(priv)
+			if leg := <-remoteCh; leg.err == nil {
+				c.hedgeWasted.Add(1)
+			}
+		}()
 		return copy(buf, d.data), nil
 	}
 }

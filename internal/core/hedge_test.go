@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"dodo/internal/imd"
 	"dodo/internal/manager"
 	"dodo/internal/transport"
+	"dodo/internal/wire"
 )
 
 // hedgeStack builds a deployment whose client hedges aggressively: any
@@ -18,14 +21,25 @@ import (
 func hedgeStack(t *testing.T, imdCount int) *stack {
 	t.Helper()
 	n := transport.NewNetwork(transport.WithMTU(1500))
+	var imdTrs []transport.Transport
+	for i := 0; i < imdCount; i++ {
+		imdTrs = append(imdTrs, n.Host("imd"+string(rune('0'+i))))
+	}
+	return hedgeStackOver(t, n, n.Host("client"), imdTrs...)
+}
+
+// hedgeStackOver is hedgeStack on network n, with the client on cliTr
+// and one imd on each of imdTrs.
+func hedgeStackOver(t *testing.T, n *transport.Network, cliTr transport.Transport, imdTrs ...transport.Transport) *stack {
+	t.Helper()
 	mgr := manager.New(n.Host("cmd"), manager.Config{
 		KeepAliveInterval: 200 * time.Millisecond,
 		KeepAliveMisses:   3,
 		Endpoint:          fastEp(),
 	})
 	s := &stack{n: n, mgr: mgr}
-	for i := 0; i < imdCount; i++ {
-		d := imd.New(n.Host("imd"+string(rune('0'+i))), imd.Config{
+	for _, tr := range imdTrs {
+		d := imd.New(tr, imd.Config{
 			ManagerAddr:    "cmd",
 			PoolSize:       1 << 20,
 			Epoch:          1,
@@ -34,7 +48,7 @@ func hedgeStack(t *testing.T, imdCount int) *stack {
 		})
 		s.imds = append(s.imds, d)
 	}
-	s.cli = New(n.Host("client"), Config{
+	s.cli = New(cliTr, Config{
 		ManagerAddr:      "cmd",
 		ClientID:         1,
 		RefractionPeriod: 300 * time.Millisecond,
@@ -103,7 +117,8 @@ func TestHedgeColdStartPerEpoch(t *testing.T) {
 // confirming. The first read stays unhedged (cold start), later reads
 // hedge and stay correct across interleaved writes.
 func TestHedgedReadsStayFresh(t *testing.T) {
-	s := hedgeStack(t, 1)
+	n := transport.NewNetwork(transport.WithMTU(1500))
+	s := hedgeStackOver(t, n, n.Host("client"), slowReplies{n.Host("imd0")})
 	back := NewMemBacking(61, 1<<20)
 	fd, err := s.cli.Mopen(32<<10, back, 0)
 	if err != nil {
@@ -234,4 +249,203 @@ func TestHedgeLegRefusedAfterClose(t *testing.T) {
 	if s.cli.tryHedgeLeg() {
 		t.Fatal("tryHedgeLeg succeeded on a closed client")
 	}
+}
+
+// slowReplies delays every DataResp an imd sends by a millisecond, so a
+// remote read outlasts a 1 ns hedge delay: the hedge engages on every
+// read, instead of on whichever side select picks when the remote leg
+// and the timer are both ready.
+type slowReplies struct{ transport.Transport }
+
+func (s slowReplies) Send(to string, frame []byte) error {
+	if h, err := wire.ParseHeader(frame); err == nil && h.Type == wire.TDataResp {
+		time.Sleep(time.Millisecond)
+	}
+	return s.Transport.Send(to, frame)
+}
+
+// heldReplies lets an imd's frames through until armed. Armed, it lets
+// early data frames go and holds every later one, and every inline
+// DataResp, until release is closed: a read of that imd is then stuck
+// mid-way through its bytes, or before its inline answer. It is no
+// VecSender, so every frame the imd sends passes through Send.
+type heldReplies struct {
+	transport.Transport
+	release chan struct{}
+
+	mu    sync.Mutex
+	armed bool
+	early int
+}
+
+func (h *heldReplies) Send(to string, frame []byte) error {
+	if h.holds(frame) {
+		<-h.release
+	}
+	return h.Transport.Send(to, frame)
+}
+
+func (h *heldReplies) holds(frame []byte) bool {
+	_, msg, err := wire.Decode(frame)
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if err != nil || !h.armed {
+		return false
+	}
+	switch m := msg.(type) {
+	case *wire.BulkData:
+		h.early--
+		return h.early < 0
+	case *wire.DataResp:
+		return m.Flags&wire.DataFlagInline != 0
+	}
+	return false
+}
+
+func (h *heldReplies) arm(early int) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.armed, h.early = true, early
+}
+
+// landing counts the data frames a client's receive loop takes from
+// its transport once armed, and closes landed when early of them have
+// been handled: the loop handles a frame before it asks for the next.
+type landing struct {
+	transport.Transport
+	landed chan struct{}
+
+	mu           sync.Mutex
+	armed        bool
+	taken, early int
+}
+
+func (l *landing) Recv(timeout time.Duration) ([]byte, string, error) {
+	l.mu.Lock()
+	l.closeIfLandedLocked()
+	l.mu.Unlock()
+	frame, from, err := l.Transport.Recv(timeout)
+	if h, herr := wire.ParseHeader(frame); err == nil && herr == nil && h.Type == wire.TBulkData {
+		l.mu.Lock()
+		l.taken++
+		l.mu.Unlock()
+	}
+	return frame, from, err
+}
+
+func (l *landing) arm(early int) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.armed, l.taken, l.early = true, 0, early
+	l.closeIfLandedLocked()
+}
+
+func (l *landing) closeIfLandedLocked() {
+	if l.armed && l.taken == l.early {
+		l.armed = false
+		close(l.landed)
+	}
+}
+
+// gatedDisk is a MemBacking whose reads, once armed, wait for open to
+// close (for five seconds at most).
+type gatedDisk struct {
+	*MemBacking
+	open  <-chan struct{}
+	armed atomic.Bool
+}
+
+func (d *gatedDisk) ReadAt(p []byte, off int64) (int, error) {
+	if d.armed.Load() {
+		select {
+		case <-d.open:
+		case <-time.After(5 * time.Second):
+		}
+	}
+	return d.MemBacking.ReadAt(p, off)
+}
+
+// diskWinRuns numbers the runs of testDiskWinsMidRead in this process.
+var diskWinRuns atomic.Int64
+
+// testDiskWinsMidRead runs one hedged read of size bytes from a region
+// whose backing file holds other bytes than its remote copy, with the
+// imd's reply held (heldReplies) so the disk leg wins while the remote
+// leg is still running. The read returns the disk's bytes, nothing
+// writes them over once the remote leg completes, and that leg — its
+// bytes checked against the imd's checksum wherever they ended up —
+// succeeds: no checksum failure, no host drop.
+func testDiskWinsMidRead(t *testing.T, n *transport.Network, size, early int) {
+	held := &heldReplies{Transport: n.Host("imd0"), release: make(chan struct{})}
+	land := &landing{Transport: n.Host("client"), landed: make(chan struct{})}
+	s := hedgeStackOver(t, n, land, held)
+	back := &gatedDisk{MemBacking: NewMemBacking(63, 1<<20), open: land.landed}
+	fd, err := s.cli.Mopen(int64(size), back, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote, disk := make([]byte, size), make([]byte, size)
+	// Fresh bytes on every run: a recycled private buffer must not
+	// already hold them from the run before.
+	seed := 2 * diskWinRuns.Add(1)
+	rand.New(rand.NewSource(seed)).Read(remote)
+	rand.New(rand.NewSource(seed + 1)).Read(disk)
+	if _, err := s.cli.Mwrite(fd, 0, remote); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, size)
+	if _, err := s.cli.Mread(fd, 0, buf); err != nil || !bytes.Equal(buf, remote) {
+		t.Fatalf("warm-up read: %v", err)
+	}
+	if _, err := back.WriteAt(disk, 0); err != nil {
+		t.Fatal(err)
+	}
+
+	// The disk leg reads once the early frames have landed in buf.
+	held.arm(early)
+	land.arm(early)
+	back.armed.Store(true)
+	n1, err := s.cli.Mread(fd, 0, buf)
+	close(held.release)
+	if err != nil || n1 != size {
+		t.Fatalf("hedged read = %d, %v", n1, err)
+	}
+	if !bytes.Equal(buf, disk) {
+		t.Fatal("the read did not return the winning disk leg's bytes")
+	}
+	if st := s.cli.Stats(); st.HedgeWins != 1 {
+		t.Fatalf("the disk leg did not win: %+v", st)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for s.cli.Stats().HedgeWasted == 0 {
+		if st := s.cli.Stats(); st.DropEvents != 0 || st.ChecksumFailures != 0 || time.Now().After(deadline) {
+			t.Fatalf("the remote leg did not complete cleanly: %+v", st)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if !bytes.Equal(buf, disk) {
+		t.Fatal("the remote leg wrote into the caller's buffer after the read returned")
+	}
+	if st := s.cli.Stats(); st.DropEvents != 0 || st.ChecksumFailures != 0 {
+		t.Fatalf("the completed remote leg dropped its host: %+v", st)
+	}
+}
+
+// TestDiskWinsMidEagerRead: the remote leg has some of its 32 KB
+// assembled, in the caller's buffer, when the disk leg wins; the rest
+// arrives after Mread has returned.
+func TestDiskWinsMidEagerRead(t *testing.T) {
+	testDiskWinsMidRead(t, transport.NewNetwork(transport.WithMTU(1500)), 32<<10, 5)
+}
+
+// TestDiskWinsBeforeInlineReply: the same with a read that comes back
+// inline, over a UDP-sized MTU; its answer arrives after Mread has
+// returned.
+func TestDiskWinsBeforeInlineReply(t *testing.T) {
+	n := transport.NewNetwork()
+	const size = 8 << 10
+	if size > wire.InlineDataLimit(n.Host("probe").MTU()) {
+		t.Fatal("the read does not fit one frame")
+	}
+	testDiskWinsMidRead(t, n, size, 0)
 }

@@ -65,9 +65,7 @@ func TestDrainHandsOffPagesToPeer(t *testing.T) {
 	src.Drain()
 
 	// The offer carried both regions under the draining identity.
-	cmd.mu.Lock()
-	offers := append([]wire.HandoffOffer(nil), cmd.offers...)
-	cmd.mu.Unlock()
+	offers := cmd.offersSeen()
 	if len(offers) != 1 {
 		t.Fatalf("offers = %d, want 1", len(offers))
 	}

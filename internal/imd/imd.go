@@ -134,7 +134,7 @@ type Daemon struct {
 	transfers sync.WaitGroup // in-flight region data pushes
 	// pendingWrites tracks writes admitted (draining flag checked)
 	// whose apply has not landed yet; Drain waits on it before the
-	// handoff snapshots region contents.
+	// handoff reads region contents.
 	// dodo:unguarded — WaitGroup is internally synchronized
 	pendingWrites sync.WaitGroup
 	// dodo:unguarded — set at construction; closed once under mu in Close
@@ -160,14 +160,31 @@ type Daemon struct {
 	// ReadReq (the client's Call resends on timeout) MUST get the
 	// original response back without starting a second blast:
 	// the pool may have been written in between, and a second blast
-	// under the same transfer id would interleave two snapshots into
-	// the client's buffer and fail its end-to-end CRC. Bounded FIFO —
-	// old entries only matter for duplicates, which the client's call
-	// deadline bounds far tighter than the table size.
+	// under the same transfer id would interleave two versions of the
+	// bytes into the client's buffer and fail its end-to-end CRC.
+	// Bounded FIFO — old entries only matter for duplicates, which the
+	// client's call deadline bounds far tighter than the table size.
 	// dodo:guardedby mu
 	eagerResp map[eagerKey]*wire.DataResp
 	// dodo:guardedby mu
 	eagerOrder []eagerKey
+
+	// pins counts, per region, the sends running outside mu straight
+	// from the region's pool bytes (an eager read's blast, a handoff
+	// page's push). While a region is pinned nothing changes its bytes
+	// or frees its span: land and handleFree wait on unpinned.
+	// dodo:guardedby mu
+	pins map[uint64]int
+	// unpinned is broadcast when a region's last pin goes; it shares mu.
+	// dodo:unguarded — sync.Cond is internally synchronized over mu
+	unpinned *sync.Cond
+}
+
+// pinned is a region's bytes lent, in place in the pool, to one send
+// that runs outside d.mu; unpin returns them.
+type pinned struct {
+	region uint64
+	data   []byte
 }
 
 // eagerKey names a requester-chosen transfer: the requester's address
@@ -207,8 +224,10 @@ func New(tr transport.Transport, cfg Config) *Daemon {
 		reportKick:     make(chan struct{}, 1),
 		stop:           make(chan struct{}),
 		eagerResp:      make(map[eagerKey]*wire.DataResp),
+		pins:           make(map[uint64]int),
 	}
 	d.mu.SetRank(locks.RankIMD)
+	d.unpinned = sync.NewCond(&d.mu)
 	// Handlers may fire before this constructor returns; gate them
 	// until d.ep is assigned.
 	ready := make(chan struct{})
@@ -474,7 +493,7 @@ func (d *Daemon) Drain() {
 	d.mu.Unlock()
 	d.announce(wire.HostBusy)
 	// Settle writes admitted before the flag flipped: a write applying
-	// after the handoff snapshot would be confirmed to the client yet
+	// after its page was handed off would be confirmed to the client yet
 	// missing from the copy — exactly the staleness the write-seq gate
 	// exists to prevent.
 	d.pendingWrites.Wait()
@@ -523,7 +542,8 @@ func (d *Daemon) teardown() error {
 // manager hottest-first, then push each granted page to its target imd
 // and report the outcome. It runs inline on the Drain caller's
 // goroutine; reads are still being served concurrently, so everything
-// here snapshots under d.mu and performs RPCs lock-free.
+// here reads state under d.mu, and pushes a page's pinned bytes and
+// performs RPCs lock-free.
 func (d *Daemon) handoff() {
 	deadline := d.cfg.Clock.Now().Add(d.cfg.GraceWindow)
 	d.mu.Lock()
@@ -589,9 +609,9 @@ func (d *Daemon) handoff() {
 }
 
 // pushPage copies one region's bytes to its granted target imd: it
-// pushes them over the bulk path and then names the transfer in a
-// HandoffPage, whose call is bounded by rem. True means the target
-// confirmed the full page.
+// pushes them over the bulk path, pinned in place in the pool, and then
+// names the transfer in a HandoffPage, whose call is bounded by rem.
+// True means the target confirmed the full page.
 func (d *Daemon) pushPage(g wire.HandoffGrant, rem time.Duration) bool {
 	d.mu.Lock()
 	size, ok := d.pool.RegionSize(g.OldRegionID)
@@ -604,15 +624,17 @@ func (d *Daemon) pushPage(g wire.HandoffGrant, rem time.Duration) bool {
 		d.mu.Unlock()
 		return false
 	}
-	// Snapshot: concurrent grace-window reads share the pool buffer.
-	snap := append([]byte(nil), data...)
+	crc := d.sumLocked(g.OldRegionID, 0, data)
+	pin := d.pinLocked(g.OldRegionID, data)
 	d.mu.Unlock()
 
 	id := d.ep.NextTransferID()
-	if err := d.ep.SendBulk(g.Target.HostAddr, id, snap); err != nil {
+	err = d.ep.SendBulk(g.Target.HostAddr, id, pin.data)
+	d.unpin(pin)
+	if err != nil {
 		return false
 	}
-	req := &wire.HandoffPage{RegionID: g.Target.RegionID, Epoch: g.Target.Epoch, Length: size, TransferID: id, Crc: wire.Checksum(snap)}
+	req := &wire.HandoffPage{RegionID: g.Target.RegionID, Epoch: g.Target.Epoch, Length: size, TransferID: id, Crc: crc}
 	resp, err := d.ep.CallT(g.Target.HostAddr, req, rem/2, 1)
 	if err != nil {
 		return false
@@ -749,6 +771,9 @@ func (d *Daemon) handleAlloc(req *wire.IMDAllocReq) wire.Message {
 func (d *Daemon) handleFree(req *wire.IMDFreeReq) wire.Message {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	// The span goes back to the allocator, cleared, only once no send
+	// is reading it.
+	d.awaitUnpinnedLocked(req.RegionID)
 	st := wire.StatusOK
 	if err := d.pool.Delete(req.RegionID); err != nil {
 		st = wire.StatusNotFound
@@ -785,6 +810,55 @@ func (d *Daemon) memoizeLocked(from string, id uint64, resp *wire.DataResp) {
 	}
 }
 
+// pinLocked lends data, region's bytes in place in the pool, to a send
+// the caller runs after dropping d.mu. Until unpin returns the pin, no
+// write lands in the region and no free releases its span. Caller holds
+// d.mu.
+//
+// dodo:acquires(pin)
+func (d *Daemon) pinLocked(region uint64, data []byte) pinned {
+	d.pins[region]++
+	return pinned{region: region, data: data}
+}
+
+// unpin returns a pin taken by pinLocked, once its send has returned,
+// and wakes what waits for the region's last pin.
+//
+// dodo:releases(pin)
+func (d *Daemon) unpin(p pinned) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.pins[p.region]--; d.pins[p.region] == 0 {
+		delete(d.pins, p.region)
+		d.unpinned.Broadcast()
+	}
+}
+
+// awaitUnpinnedLocked waits until no send is reading region's bytes.
+// d.mu is dropped while it waits, so the caller checks the region's
+// state after it returns. Caller holds d.mu.
+func (d *Daemon) awaitUnpinnedLocked(region uint64) {
+	for d.pins[region] > 0 {
+		d.unpinned.Wait()
+	}
+}
+
+// sumLocked returns the checksum of data, the bytes of region from off:
+// a whole region's is computed once per version of its bytes and kept
+// in the pool (a write over the whole region leaves the sum it verified
+// there), a part's is computed each time. Caller holds d.mu.
+func (d *Daemon) sumLocked(region, off uint64, data []byte) uint32 {
+	if size, _ := d.pool.RegionSize(region); off != 0 || uint64(len(data)) != size {
+		return wire.Checksum(data)
+	}
+	if crc, ok := d.pool.Sum(region); ok {
+		return crc
+	}
+	crc := wire.Checksum(data)
+	d.pool.SetSum(region, crc)
+	return crc
+}
+
 // canBlast reports whether a request too big to answer in one frame
 // names a receive its bytes can be blasted into: the transfer id the
 // requester pre-registered, and a packet size this endpoint can send.
@@ -792,10 +866,10 @@ func (d *Daemon) canBlast(xferID uint64, chunk uint32) bool {
 	return xferID != 0 && chunk != 0 && int(chunk) <= d.ep.ChunkSize()
 }
 
-// handleRead validates the request, snapshots the bytes and serves
-// them: inline in the DataResp when they fit one frame, otherwise as an
-// eager blast under the transfer id the requester chose and
-// pre-registered.
+// handleRead validates the request and serves the bytes: inline in the
+// DataResp when they fit one frame, otherwise as an eager blast, straight
+// from the pinned pool bytes, under the transfer id the requester chose
+// and pre-registered.
 func (d *Daemon) handleRead(from string, req *wire.ReadReq) wire.Message {
 	d.mu.Lock()
 	// Retransmitted request for an eager transfer already underway: the
@@ -833,6 +907,11 @@ func (d *Daemon) handleRead(from string, req *wire.ReadReq) wire.Message {
 	d.reads++
 	d.readBytes += int64(len(data))
 	d.readCount[req.RegionID]++
+	// The checksum covers the bytes as they are under this hold, so the
+	// client verifies them end to end: a frame mangled anywhere between
+	// this pool and the client's buffer fails the read instead of
+	// corrupting it.
+	crc := d.sumLocked(req.RegionID, req.Offset, data)
 
 	// The whole read fits one frame alongside the response fields:
 	// answer with the payload, no bulk transfer. The payload outlives
@@ -842,26 +921,19 @@ func (d *Daemon) handleRead(from string, req *wire.ReadReq) wire.Message {
 		snap := append([]byte(nil), data...)
 		d.mu.Unlock()
 		return &wire.DataResp{
-			Status: wire.StatusOK, Count: uint64(len(snap)), Crc: wire.Checksum(snap),
+			Status: wire.StatusOK, Count: uint64(len(snap)), Crc: crc,
 			Flags: wire.DataFlagInline, Payload: snap,
 		}
 	}
 
-	// Snapshot: the pool buffer may be overwritten while the transfer
-	// is in flight. The snapshot lives exactly as long as the push, so
-	// it is a recycled buffer, returned when the push has returned.
-	snap := wire.GetFrame(len(data))
-	copy(snap, data)
-
 	// The requester pre-registered its buffer under XferID and told us
 	// the chunk/window it committed — blast the first window now,
-	// DataResp doubles as the offer. The checksum covers the snapshot,
-	// so the client verifies the bytes end to end: a frame mangled
-	// anywhere between this pool and the client's buffer fails the read
-	// instead of corrupting it.
+	// DataResp doubles as the offer. The blast reads the pool itself:
+	// the pin keeps writes and frees off the region until it returns.
+	pin := d.pinLocked(req.RegionID, data)
 	resp := &wire.DataResp{
-		Status: wire.StatusOK, Count: uint64(len(snap)), TransferID: req.XferID,
-		Crc: wire.Checksum(snap), Flags: wire.DataFlagEager,
+		Status: wire.StatusOK, Count: uint64(len(data)), TransferID: req.XferID,
+		Crc: crc, Flags: wire.DataFlagEager,
 	}
 	// Memoize under the hold that saw no memo and chose to blast: a
 	// copy of this request queued on d.mu must find the response, never
@@ -871,8 +943,8 @@ func (d *Daemon) handleRead(from string, req *wire.ReadReq) wire.Message {
 	d.mu.Unlock()
 	go func() {
 		defer d.transfers.Done()
-		defer wire.PutFrame(snap)
-		if err := d.ep.SendBulkEager(from, req.XferID, snap, int(req.ChunkSize), int(req.Window)); err != nil {
+		defer d.unpin(pin)
+		if err := d.ep.SendBulkEager(from, req.XferID, pin.data, int(req.ChunkSize), int(req.Window)); err != nil {
 			d.logf("imd %s: eager read push to %s: %v", d.Addr(), from, err)
 		}
 	}()
@@ -1045,6 +1117,9 @@ func (d *Daemon) land(from string, p incoming) wire.Message {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	// A read's blast or a handoff push may be sending the region's bytes
+	// from the pool: they leave with the bytes they started with.
+	d.awaitUnpinnedLocked(p.region)
 	if d.appliedLocked(p) {
 		// A copy of this request, or a newer write, applied while the
 		// lock was down for the receive.
@@ -1053,6 +1128,11 @@ func (d *Daemon) land(from string, p incoming) wire.Message {
 	n, err := d.pool.Write(p.region, p.offset, data)
 	if err != nil {
 		return &wire.DataResp{Status: wire.StatusInvalid}
+	}
+	if size, _ := d.pool.RegionSize(p.region); p.offset == 0 && uint64(len(data)) == size {
+		// The bytes are the whole region and p.crc was checked against
+		// them above: the region's next whole read computes no sum.
+		d.pool.SetSum(p.region, p.crc)
 	}
 	if p.page {
 		d.handoffApplied[p.region] = true

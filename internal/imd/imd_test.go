@@ -83,6 +83,13 @@ func (c *fakeCMD) handoffOutcomes() []wire.HandoffDone {
 	return append([]wire.HandoffDone(nil), c.dones...)
 }
 
+// offersSeen snapshots the recorded HandoffOffers.
+func (c *fakeCMD) offersSeen() []wire.HandoffOffer {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]wire.HandoffOffer(nil), c.offers...)
+}
+
 func (c *fakeCMD) lastStatus() (wire.HostStatus, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -105,8 +112,15 @@ type rig struct {
 func newRig(t testing.TB, poolSize uint64) *rig {
 	t.Helper()
 	n := transport.NewNetwork(transport.WithMTU(1500))
+	return newRigOver(t, n, n.Host("imd1"), poolSize)
+}
+
+// newRigOver is newRig on network n, with the daemon on tr (which must
+// be n's "imd1").
+func newRigOver(t testing.TB, n *transport.Network, tr transport.Transport, poolSize uint64) *rig {
+	t.Helper()
 	cmd := newFakeCMD(n)
-	d := New(n.Host("imd1"), Config{
+	d := New(tr, Config{
 		ManagerAddr:    "cmd",
 		PoolSize:       poolSize,
 		Epoch:          3,

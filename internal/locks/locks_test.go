@@ -13,7 +13,7 @@ func TestHierarchyIsTotalOrder(t *testing.T) {
 	ordered := []Rank{
 		RankCluster, RankWorkstation, RankFaults, RankMonitor,
 		RankManager, RankIMD, RankRegionCache, RankCoreClient,
-		RankBacking, RankBulkEndpoint, RankBulkTransfer,
+		RankBacking, RankReadDst, RankBulkEndpoint, RankBulkTransfer,
 		RankSegment, RankSocket, RankNetwork, RankNetEndpoint, RankUDP,
 	}
 	if len(ordered) != int(rankSentinel)-1 {

@@ -8,8 +8,11 @@ import (
 
 // Pool couples an Allocator with the actual byte storage and a region
 // directory, providing the store the idle memory daemon serves remote
-// memory regions from. It is not safe for concurrent use; the imd
-// serializes access (its serving thread owns the pool).
+// memory regions from. Its methods are not safe for concurrent use; the
+// imd calls them under its lock. The bytes Read returns are the slab
+// itself, not a copy: the imd sends a pinned region's bytes from them
+// outside its lock, and keeps every Write and Delete of that region
+// waiting until the pin is released.
 type Pool struct {
 	buf   []byte
 	alloc Allocator
@@ -20,6 +23,10 @@ type Pool struct {
 type span struct {
 	off  uint64
 	size uint64
+	// sum is the checksum of the region's bytes when summed is set:
+	// SetSum records it, a Write drops it.
+	sum    uint32
+	summed bool
 }
 
 // Errors returned by Pool operations.
@@ -45,7 +52,9 @@ func New(alloc Allocator) *Pool {
 func NewFirstFitPool(size uint64) *Pool { return New(NewFirstFit(size)) }
 
 // Create carves a region of size bytes under id. The allocated block
-// moves into p.regions; Delete frees it back to the allocator.
+// moves into p.regions; Delete frees it back to the allocator. A new
+// region reads as zeros: the slab starts zeroed and Delete clears what
+// it frees.
 //
 // dodo:transfers(palloc)
 func (p *Pool) Create(id uint64, size uint64) (offset uint64, err error) {
@@ -63,14 +72,16 @@ func (p *Pool) Create(id uint64, size uint64) (offset uint64, err error) {
 	return off, nil
 }
 
-// Delete releases a region. The memory is marked free and reused, never
-// returned to the OS.
+// Delete releases a region. Its bytes are cleared, so the next tenant of
+// the span never reads them, and the memory is marked free and reused,
+// never returned to the OS.
 func (p *Pool) Delete(id uint64) error {
 	s, ok := p.regions[id]
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrNoRegion, id)
 	}
 	delete(p.regions, id)
+	clear(p.buf[s.off : s.off+s.size])
 	return p.alloc.Free(s.off)
 }
 
@@ -86,9 +97,9 @@ func (p *Pool) RegionSize(id uint64) (uint64, bool) {
 	return s.size, ok
 }
 
-// Read copies up to len bytes at offset within region id, returning the
-// bytes actually available (short reads at the region tail mirror the
-// mread contract of §3.2).
+// Read returns up to length bytes at offset within region id, in place
+// in the slab, returning the bytes actually available (short reads at
+// the region tail mirror the mread contract of §3.2).
 func (p *Pool) Read(id uint64, offset uint64, length uint64) ([]byte, error) {
 	s, ok := p.regions[id]
 	if !ok {
@@ -105,7 +116,8 @@ func (p *Pool) Read(id uint64, offset uint64, length uint64) ([]byte, error) {
 }
 
 // Write copies data into region id at offset, returning the bytes
-// actually written (short writes at the tail mirror mwrite, §3.2).
+// actually written (short writes at the tail mirror mwrite, §3.2). It
+// drops the region's cached checksum.
 func (p *Pool) Write(id uint64, offset uint64, data []byte) (int, error) {
 	s, ok := p.regions[id]
 	if !ok {
@@ -114,8 +126,29 @@ func (p *Pool) Write(id uint64, offset uint64, data []byte) (int, error) {
 	if offset > s.size {
 		return 0, fmt.Errorf("%w: offset %d in %d-byte region", ErrOutOfRange, offset, s.size)
 	}
+	if s.summed {
+		s.summed = false
+		p.regions[id] = s
+	}
 	n := copy(p.buf[s.off+offset:s.off+s.size], data)
 	return n, nil
+}
+
+// Sum returns the checksum cached for region id's bytes, if one is.
+func (p *Pool) Sum(id uint64) (uint32, bool) {
+	s := p.regions[id]
+	return s.sum, s.summed
+}
+
+// SetSum caches crc as the checksum of region id's bytes as they are
+// now; the next Write or the Delete drops it. The caller computed crc
+// over the whole region, or verified it against bytes it has just
+// written over the whole region.
+func (p *Pool) SetSum(id uint64, crc uint32) {
+	if s, ok := p.regions[id]; ok {
+		s.sum, s.summed = crc, true
+		p.regions[id] = s
+	}
 }
 
 // FreeBytes returns the allocator's free space.

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"dodo/internal/wire"
 )
 
 func TestFirstFitBasicAllocFree(t *testing.T) {
@@ -451,6 +453,105 @@ func TestPropertyPoolDataIntegrity(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFreshRegionReadsZeros: a region created on a span another region
+// freed reads as zeros, never as the previous tenant's bytes.
+func TestFreshRegionReadsZeros(t *testing.T) {
+	p := NewFirstFitPool(1 << 12)
+	secret := []byte("secret of tenant one")
+	off1, err := p.Create(1, uint64(len(secret)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Write(1, 0, secret); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Delete(1); err != nil {
+		t.Fatal(err)
+	}
+	off2, err := p.Create(2, uint64(len(secret)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if off2 != off1 {
+		t.Fatalf("Create reused no span (offset %d, freed %d); the test needs the reuse", off2, off1)
+	}
+	got, err := p.Read(2, 0, uint64(len(secret)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, make([]byte, len(secret))) {
+		t.Fatalf("fresh region reads %q, want zeros", got)
+	}
+}
+
+// TestCachedSumTracksBytes drives a seeded mix of Create, Write, Delete
+// and Read, whole and partial, using the cache the way the imd does: a
+// write over the whole region records the sum it verified, a whole read
+// with nothing cached computes the sum and records it. After every step
+// every cached sum is the checksum of its region's bytes.
+func TestCachedSumTracksBytes(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	p := NewFirstFitPool(1 << 16)
+	const ids = 8
+	for step := 0; step < 20000; step++ {
+		id := uint64(rng.Intn(ids) + 1)
+		size, live := p.RegionSize(id)
+		op := "create"
+		switch {
+		case !live:
+			if _, err := p.Create(id, uint64(rng.Intn(4096)+1)); err != nil && !errors.Is(err, ErrNoSpace) {
+				t.Fatal(err)
+			}
+		case rng.Intn(10) == 0:
+			op = "delete"
+			if err := p.Delete(id); err != nil {
+				t.Fatal(err)
+			}
+		default:
+			off, n := uint64(0), size
+			if rng.Intn(2) == 0 {
+				off = uint64(rng.Int63n(int64(size)))
+				n = uint64(rng.Int63n(int64(size-off)) + 1)
+			}
+			whole := off == 0 && n == size
+			if rng.Intn(2) == 0 {
+				op = "write"
+				data := make([]byte, n)
+				rng.Read(data)
+				if _, err := p.Write(id, off, data); err != nil {
+					t.Fatal(err)
+				}
+				if whole {
+					p.SetSum(id, wire.Checksum(data))
+				}
+			} else {
+				op = "read"
+				data, err := p.Read(id, off, n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, ok := p.Sum(id); whole && !ok {
+					p.SetSum(id, wire.Checksum(data))
+				}
+			}
+		}
+		for id := uint64(1); id <= ids; id++ {
+			sum, ok := p.Sum(id)
+			if !ok {
+				continue
+			}
+			size, _ := p.RegionSize(id)
+			data, err := p.Read(id, 0, size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := wire.Checksum(data); sum != want {
+				t.Fatalf("step %d (%s): region %d caches sum %#x, its bytes sum to %#x", step, op, id, sum, want)
+			}
+		}
 	}
 }
 

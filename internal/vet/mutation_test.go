@@ -225,7 +225,7 @@ func lockMutations(t *testing.T) []mutation {
 		locks     int
 	}{
 		{"./internal/manager", "internal/manager/manager.go", 22},
-		{"./internal/imd", "internal/imd/imd.go", 25},
+		{"./internal/imd", "internal/imd/imd.go", 26},
 	} {
 		src, err := os.ReadFile(filepath.Join("../..", d.file))
 		if err != nil {
@@ -255,20 +255,34 @@ func frameRow(pkg, file, pattern string, nth int) mutation {
 // resource-lifecycle. internal/wire is loaded alongside because the
 // annotations live on GetFrame/PutFrame. Notify and sendData hand the
 // frame to a call in their return expression (`return ep.tr.Send(to,
-// frame)`), which does not return it; finishRemoteLeg's release of its
-// parameter is inferred from its body, not declared.
+// frame)`), which does not return it; the hedged read releases the
+// frame it moved its losing remote leg to in a background join.
 var frameMutations = []mutation{
 	frameRow("transport", "transport/udp.go", "wire.PutFrame(frame)", 1),
 	frameRow("core", "core/client.go", "wire.PutFrame(priv)", 1),
-	frameRow("core", "core/client.go", "wire.PutFrame(priv)", 2),
-	frameRow("core", "core/client.go", "wire.PutFrame(priv)", 3),
-	frameRow("imd", "imd/imd.go", "wire.PutFrame(snap)", 1),
 	frameRow("bulk", "bulk/endpoint.go", "defer wire.PutFrame(frame)", 1),
 	frameRow("bulk", "bulk/transfer.go", "defer wire.PutFrame(frame)", 1),
 }
 
 func TestFrameReleaseMutations(t *testing.T) {
 	runMutations(t, frameMutations)
+}
+
+func pinRow(name, pattern string, nth int) mutation {
+	return mutation{name, []string{"./internal/imd"}, "internal/imd/imd.go", pattern, nth, "resource-lifecycle"}
+}
+
+// pinMutations: the imd sends a region's bytes straight from its pool
+// under a pin (dodo:acquires(pin) on pinLocked, dodo:releases(pin) on
+// unpin); a send that never unpins would leave every later write and
+// free of the region waiting forever, and must be reported.
+var pinMutations = []mutation{
+	pinRow("pushPage drops its unpin", "d.unpin(pin)", 1),
+	pinRow("handleRead's blast drops its unpin", "defer d.unpin(pin)", 1),
+}
+
+func TestPinReleaseMutations(t *testing.T) {
+	runMutations(t, pinMutations)
 }
 
 // deleteNthMatch removes the nth line containing pattern, reporting

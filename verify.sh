@@ -89,6 +89,14 @@ go test -fuzz=FuzzWireRoundTrip -fuzztime=10s -run '^$' ./internal/wire/
 go test -race -run 'TestConcurrent|TestInterleavedSequentialStreams|TestNoPrefetchAfterFailedRead|TestPrefetchWorkerPool' -count=2 -timeout 300s ./internal/region/
 go test -race -tags lockcheck -run 'TestConcurrent|TestInterleavedSequentialStreams|TestNoPrefetchAfterFailedRead|TestPrefetchWorkerPool' -count=2 -timeout 300s ./internal/region/
 
+# Buffers two goroutines share on the read path, under the race detector
+# with -count=3: the imd blasts and hands off pages from pinned pool
+# bytes while writes and frees of the region wait for the pin, and a
+# hedged read's remote leg assembles into the caller's buffer until a
+# winning disk leg moves it to a private one.
+go test -race -run 'Pinned|TestHandoffPageFromPinnedBytes|TestFreshRegionReadsZeros' -count=3 ./internal/imd/
+go test -race -run 'Hedge|TestDiskWins' -count=3 ./internal/core/
+
 # Seeded fault-injection sweep: deterministic schedules plus the full
 # churn acceptance run, including the graceful-reclaim handoff
 # acceptance tests (pages hand off to peers on owner return, same seed
