@@ -48,6 +48,9 @@ var (
 	// handleWrite race let the duplicate reply success with zero bytes
 	// while the real apply was still pending.
 	ErrConsumed = errors.New("bulk: transfer already consumed")
+	// ErrInterrupted reports a wait its quit channel ended. The
+	// operation is still running, and waiting on it again picks it up.
+	ErrInterrupted = errors.New("bulk: wait interrupted")
 )
 
 // Config tunes an endpoint. Zero fields take the listed defaults.
@@ -73,9 +76,10 @@ type Config struct {
 	// instead of just the missing packets. It exists for the ablation
 	// quantifying what §4.4's selective NACK buys.
 	RetransmitFullWindow bool
-	// Clock drives every protocol timer (call retries, window
-	// timeouts, NACK delays, tombstones). Default sim.WallClock{};
-	// inject a sim.VirtualClock to run the protocol in virtual time.
+	// Clock drives every protocol deadline (call retries, receive
+	// budgets, window timeouts, NACK delays, tombstones). Default
+	// sim.WallClock{}; inject a sim.VirtualClock to run the protocol
+	// in virtual time.
 	Clock sim.Clock
 }
 
@@ -134,8 +138,17 @@ type Endpoint struct {
 	cfg Config
 	// dodo:unguarded — immutable after construction
 	handler Handler
+	// deadlines holds every wait of this endpoint that can time out:
+	// call attempts, receive budgets, transfer windows, NACK countdowns
+	// and the tombstone sweep, on one timer.
+	// dodo:unguarded — immutable after construction
+	deadlines *sim.Deadlines
+	// sweep is the tombstone sweep's entry in deadlines.
+	// dodo:unguarded — an entry of deadlines, which has its own lock
+	sweep sim.Deadline
 
 	mu locks.Mutex
+	// calls holds the response channel of every call waiting, by seq.
 	// dodo:guardedby mu
 	calls map[uint32]chan wire.Message
 	// dodo:guardedby mu
@@ -145,16 +158,17 @@ type Endpoint struct {
 	// receiver's, and two receivers may have picked the same one.
 	// dodo:guardedby mu
 	tx map[xferKey]chan wire.Message
-	// tombs, tombQueue and tombTimer are the consumed-transfer records
-	// (see "Tombstones" in transfer.go).
+	// tombs and tombQueue are the consumed-transfer records (see
+	// "Tombstones" in transfer.go).
 	// dodo:guardedby mu
 	tombs map[xferKey]time.Time
 	// dodo:guardedby mu
 	tombQueue []tombstone
+	// sweepAt is when the sweep is queued to run, zero when it is not.
 	// dodo:guardedby mu
-	tombTimer sim.StopTimer
+	sweepAt time.Time
 	// unclaimed holds, with its expiry, every transfer an offer created
-	// that no receive has taken yet; the sweep timer reclaims it after
+	// that no receive has taken yet; the sweep reclaims it after
 	// tombstoneTTL.
 	// dodo:guardedby mu
 	unclaimed map[xferKey]time.Time
@@ -190,10 +204,12 @@ type xferKey struct {
 // NewEndpoint starts an endpoint's receive loop over tr. handler may be
 // nil for pure-client endpoints.
 func NewEndpoint(tr transport.Transport, cfg Config, handler Handler) *Endpoint {
+	cfg = cfg.withDefaults()
 	ep := &Endpoint{
 		tr:        tr,
-		cfg:       cfg.withDefaults(),
+		cfg:       cfg,
 		handler:   handler,
+		deadlines: sim.NewDeadlines(cfg.Clock),
 		calls:     make(map[uint32]chan wire.Message),
 		rx:        make(map[xferKey]*rxTransfer),
 		tx:        make(map[xferKey]chan wire.Message),
@@ -202,6 +218,7 @@ func NewEndpoint(tr transport.Transport, cfg Config, handler Handler) *Endpoint 
 		stop:      make(chan struct{}),
 	}
 	ep.mu.SetRank(locks.RankBulkEndpoint)
+	ep.sweep.Init(ep.sweepTombs)
 	ep.wg.Add(1)
 	go ep.recvLoop()
 	return ep
@@ -233,19 +250,15 @@ func (ep *Endpoint) Close() error {
 	}
 	ep.closed = true
 	close(ep.stop)
-	for seq, ch := range ep.calls {
-		close(ch)
-		delete(ep.calls, seq)
-	}
+	// A waiting call sees stop; its channel stays open, because its
+	// deadline may still deliver to it.
+	clear(ep.calls)
 	for key, rx := range ep.rx {
 		rx.fail(ErrClosed)
 		delete(ep.rx, key)
 	}
-	if ep.tombTimer != nil {
-		ep.tombTimer.Stop()
-		ep.tombTimer = nil
-	}
 	ep.mu.Unlock()
+	ep.deadlines.Stop()
 	err := ep.tr.Close()
 	ep.wg.Wait()
 	return err
@@ -260,11 +273,6 @@ func (ep *Endpoint) Stats() (retransmits, nacksSent, dupsDropped int64) {
 // RetryExhausted reports how many operations (calls or bulk windows)
 // ran their unified retry budget dry at this endpoint.
 func (ep *Endpoint) RetryExhausted() int64 { return ep.retryExhausted.Load() }
-
-// newBudget starts the retry budget of one operation.
-func (ep *Endpoint) newBudget(p retry.Policy) *retry.Budget {
-	return retry.New(p, ep.cfg.Clock, nil)
-}
 
 // NextTransferID returns a fresh locally unique bulk transfer id.
 //
@@ -317,57 +325,131 @@ func (ep *Endpoint) CallT(to string, msg wire.Message, timeout time.Duration, re
 }
 
 func (ep *Endpoint) call(to string, msg wire.Message, p retry.Policy) (wire.Message, error) {
+	pc, err := ep.start(to, msg, p)
+	if err != nil {
+		return nil, err
+	}
+	return pc.Wait(nil)
+}
+
+// Pending is a call in flight: its request is registered and sent, and
+// Wait collects the response. A caller that must stop waiting without
+// abandoning the call (a hedged read whose disk leg won) hands the rest
+// of the wait to another goroutine this way.
+type Pending struct {
+	ep     *Endpoint
+	to     string
+	msg    wire.Message
+	seq    uint32
+	frame  []byte
+	budget retry.Budget
+	// ch receives the response, or nil when an attempt's deadline has
+	// passed: at most one of each, so the receive loop never blocks on
+	// it.
+	ch chan wire.Message
+	dl sim.Deadline
+}
+
+// Start sends msg to to as Call does, and returns the call for Wait to
+// finish.
+func (ep *Endpoint) Start(to string, msg wire.Message) (*Pending, error) {
+	return ep.start(to, msg, ep.cfg.callPolicy())
+}
+
+// The encoded frame moves into the call, which gives it back when it
+// ends.
+//
+// dodo:transfers(frame)
+func (ep *Endpoint) start(to string, msg wire.Message, p retry.Policy) (*Pending, error) {
+	pc := &Pending{ep: ep, to: to, msg: msg, ch: make(chan wire.Message, 2),
+		budget: retry.New(p, ep.cfg.Clock, nil)}
+	pc.dl.Init(pc.expire)
 	ep.mu.Lock()
 	if ep.closed {
 		ep.mu.Unlock()
 		return nil, ErrClosed
 	}
-	seq := ep.nextSeq
+	pc.seq = ep.nextSeq
 	ep.nextSeq++
-	ch := make(chan wire.Message, 1)
-	ep.calls[seq] = ch
+	ep.calls[pc.seq] = pc.ch
 	ep.mu.Unlock()
-
-	defer func() {
-		ep.mu.Lock()
-		delete(ep.calls, seq)
-		ep.mu.Unlock()
-	}()
-
 	// Pooled, and held until the last resend has returned: a request
 	// carrying an inline page would otherwise cost a fresh zeroed frame
 	// of its size per call.
-	frame, err := wire.EncodePooled(seq, msg)
+	frame, err := wire.EncodePooled(pc.seq, msg)
 	if err != nil {
+		pc.end()
 		return nil, err
 	}
-	defer wire.PutFrame(frame)
-	budget := ep.newBudget(p)
+	pc.frame = frame
+	if err := pc.send(); err != nil {
+		pc.end()
+		return nil, err
+	}
+	return pc, nil
+}
+
+// send transmits the next attempt and schedules its deadline.
+func (pc *Pending) send() error {
+	wait, ok := pc.budget.Next()
+	if !ok {
+		pc.ep.retryExhausted.Add(1)
+		return fmt.Errorf("bulk: call %v to %s: %w", pc.msg.Kind(), pc.to, ErrTimeout)
+	}
+	if pc.budget.Attempts() > 1 {
+		pc.ep.retransmits.Add(1)
+	}
+	if err := pc.ep.tr.Send(pc.to, pc.frame); err != nil {
+		return fmt.Errorf("bulk: call %v to %s: %w", pc.msg.Kind(), pc.to, err)
+	}
+	pc.ep.deadlines.Schedule(&pc.dl, wait)
+	return nil
+}
+
+// expire is the attempt deadline's callback. The deadline is scheduled
+// again only once its nil has been taken, so there is never a second.
+func (pc *Pending) expire() {
+	select {
+	case pc.ch <- nil:
+	default:
+	}
+}
+
+// Wait collects the response, resending the request each time an
+// attempt's deadline passes until the budget is spent. If quit closes
+// first it returns ErrInterrupted and the call stays in flight: Wait
+// may then be called again, from any goroutine, to go on waiting. Any
+// other return ends the call.
+func (pc *Pending) Wait(quit <-chan struct{}) (wire.Message, error) {
 	for {
-		wait, ok := budget.Next()
-		if !ok {
-			ep.retryExhausted.Add(1)
-			return nil, fmt.Errorf("bulk: call %v to %s: %w", msg.Kind(), to, ErrTimeout)
-		}
-		if budget.Attempts() > 1 {
-			ep.retransmits.Add(1)
-		}
-		if err := ep.tr.Send(to, frame); err != nil {
-			return nil, fmt.Errorf("bulk: call %v to %s: %w", msg.Kind(), to, err)
-		}
-		timerC, timer := sim.NewTimer(ep.cfg.Clock, wait)
 		select {
-		case resp, ok := <-ch:
-			timer.Stop()
-			if !ok {
-				return nil, ErrClosed
+		case resp := <-pc.ch:
+			if resp != nil {
+				pc.end()
+				return resp, nil
 			}
-			return resp, nil
-		case <-timerC:
-		case <-ep.stop:
-			timer.Stop()
+			if err := pc.send(); err != nil {
+				pc.end()
+				return nil, err
+			}
+		case <-pc.ep.stop:
+			pc.end()
 			return nil, ErrClosed
+		case <-quit:
+			return nil, ErrInterrupted
 		}
+	}
+}
+
+// end unregisters the call and gives its frame back.
+func (pc *Pending) end() {
+	pc.ep.deadlines.Cancel(&pc.dl)
+	pc.ep.mu.Lock()
+	delete(pc.ep.calls, pc.seq)
+	pc.ep.mu.Unlock()
+	if pc.frame != nil {
+		wire.PutFrame(pc.frame)
+		pc.frame = nil
 	}
 }
 
@@ -375,15 +457,9 @@ func (ep *Endpoint) call(to string, msg wire.Message, p retry.Policy) (wire.Mess
 func (ep *Endpoint) recvLoop() {
 	defer ep.wg.Done()
 	for {
-		data, from, err := ep.tr.Recv(200 * time.Millisecond)
-		if errors.Is(err, transport.ErrTimeout) {
-			select {
-			case <-ep.stop:
-				return
-			default:
-				continue
-			}
-		}
+		// Blocks until a frame arrives or Close closes the transport:
+		// no poll, and no timer armed per park.
+		data, from, err := ep.tr.Recv(0)
 		if errors.Is(err, transport.ErrClosed) {
 			return
 		}

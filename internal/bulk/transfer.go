@@ -1,10 +1,12 @@
 package bulk
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
 	"dodo/internal/locks"
+	"dodo/internal/retry"
 	"dodo/internal/sim"
 	"dodo/internal/transport"
 	"dodo/internal/wire"
@@ -99,7 +101,10 @@ func (ep *Endpoint) runTransfer(to string, offer *wire.BulkOffer, data []byte, p
 		}
 	}
 	npkts := (len(data) + chunk - 1) / chunk
-	prefix := make([]byte, wire.BulkDataPrefixSize)
+	w := &windowWait{wake: make(chan struct{}, 1)}
+	w.dl.Init(w.expire)
+	defer ep.deadlines.Cancel(&w.dl)
+	prefix := w.prefix[:]
 	blast := func(seqs []uint32) error {
 		for _, s := range seqs {
 			lo := int(s) * chunk
@@ -142,7 +147,7 @@ func (ep *Endpoint) runTransfer(to string, offer *wire.BulkOffer, data []byte, p
 		// Per-window stall budget: a selective NACK naming missing
 		// packets is progress (the receiver is alive and converging) and
 		// resets it; only consecutive silent timeouts can exhaust it.
-		budget := ep.newBudget(ep.cfg.windowPolicy())
+		budget := retry.New(ep.cfg.windowPolicy(), ep.cfg.Clock, nil)
 		reoffered := false
 	await:
 		for {
@@ -151,52 +156,87 @@ func (ep *Endpoint) runTransfer(to string, offer *wire.BulkOffer, data []byte, p
 				ep.retryExhausted.Add(1)
 				return fmt.Errorf("bulk: transfer %d to %s stalled at packet %d of %d: %w", id, to, base, npkts, ErrTimeout)
 			}
-			timerC, timer := sim.NewTimer(ep.cfg.Clock, wait)
-			select {
-			case msg := <-respCh:
-				timer.Stop()
-				//vet:ignore wire-exhaustiveness — narrow correlation switch: routeTxResponse feeds only BulkNack/BulkDone
-				switch m := msg.(type) {
-				case *wire.BulkDone:
-					if m.Status == wire.StatusOK {
-						return nil // receiver has everything
-					}
-					if !push || m.Status != wire.StatusNotFound {
-						return fmt.Errorf("%w: %v", ErrRejected, m.Status)
-					}
-					// Every packet of the window that beat the offer is
-					// answered so; the first answer is enough.
-					if !reoffered {
-						reoffered = true
-						if err := again(winSeqs); err != nil {
-							return err
-						}
-					}
-				case *wire.BulkNack:
-					if len(m.Missing) == 0 {
-						if len(winSeqs) == 0 {
-							continue // a stale window ack
-						}
-						break await // window acknowledged
-					}
-					budget.Reset()
-					resend := m.Missing
-					if ep.cfg.RetransmitFullWindow && len(winSeqs) > 0 {
-						resend = winSeqs // ablation: no selective recovery
-					}
-					ep.retransmits.Add(int64(len(resend)))
-					if err := blast(resend); err != nil {
-						return err
-					}
-				}
-			case <-timerC:
+			ep.deadlines.Schedule(&w.dl, wait)
+			msg, expired, err := w.await(ep, respCh)
+			if err != nil {
+				return err
+			}
+			if expired {
 				if err := again(winSeqs); err != nil {
 					return err
 				}
-			case <-ep.stop:
-				timer.Stop()
-				return ErrClosed
+				continue
 			}
+			//vet:ignore wire-exhaustiveness — narrow correlation switch: routeTxResponse feeds only BulkNack/BulkDone
+			switch m := msg.(type) {
+			case *wire.BulkDone:
+				if m.Status == wire.StatusOK {
+					return nil // receiver has everything
+				}
+				if !push || m.Status != wire.StatusNotFound {
+					return fmt.Errorf("%w: %v", ErrRejected, m.Status)
+				}
+				// Every packet of the window that beat the offer is
+				// answered so; the first answer is enough.
+				if !reoffered {
+					reoffered = true
+					if err := again(winSeqs); err != nil {
+						return err
+					}
+				}
+			case *wire.BulkNack:
+				if len(m.Missing) == 0 {
+					if len(winSeqs) == 0 {
+						continue // a stale window ack
+					}
+					break await // window acknowledged
+				}
+				budget.Reset()
+				resend := m.Missing
+				if ep.cfg.RetransmitFullWindow && len(winSeqs) > 0 {
+					resend = winSeqs // ablation: no selective recovery
+				}
+				ep.retransmits.Add(int64(len(resend)))
+				if err := blast(resend); err != nil {
+					return err
+				}
+			}
+		}
+	}
+}
+
+// windowWait is what a sending transfer waits on besides its responses:
+// the window deadline, whose expiry has a wake of its own because the
+// response channel drops what the sender is too slow to take.
+type windowWait struct {
+	dl   sim.Deadline
+	wake chan struct{}
+	// prefix is the scratch sendData fills per packet.
+	prefix [wire.BulkDataPrefixSize]byte
+}
+
+func (w *windowWait) expire() {
+	select {
+	case w.wake <- struct{}{}:
+	default:
+	}
+}
+
+// await waits for a response or the window deadline. A wake is an
+// expiry only if the deadline is no longer queued: one that fired just
+// before the sender re-scheduled it, or took a response first, is stale
+// and must not re-blast a window.
+func (w *windowWait) await(ep *Endpoint, respCh <-chan wire.Message) (msg wire.Message, expired bool, err error) {
+	for {
+		select {
+		case msg := <-respCh:
+			return msg, false, nil
+		case <-w.wake:
+			if !ep.deadlines.Queued(&w.dl) {
+				return nil, true, nil
+			}
+		case <-ep.stop:
+			return nil, false, ErrClosed
 		}
 	}
 }
@@ -244,9 +284,9 @@ func (ep *Endpoint) ExpectBulkInto(dst []byte, from string, id uint64, chunk int
 	if rx.npkts == 0 {
 		rx.completeLocked()
 	}
-	// The NACK timer is not armed yet: it starts with the first packet
-	// (or the sender's re-offer). Arming it here would fire NACKs for a
-	// transfer whose announcement has not even been sent.
+	// The NACK countdown has not started: it starts with the first
+	// packet (or the sender's re-offer). Starting it here would fire
+	// NACKs for a transfer whose announcement has not even been sent.
 	rx.mu.Unlock()
 	return window, nil
 }
@@ -299,7 +339,7 @@ func (ep *Endpoint) RedirectExpect(from string, id uint64, dst []byte) bool {
 // the assembled bytes. It may be called before or after the first packet
 // arrives.
 func (ep *Endpoint) RecvBulk(from string, id uint64, timeout time.Duration) ([]byte, error) {
-	buf, external, err := ep.recvBulk(from, id, timeout)
+	buf, external, err := ep.recvBulk(from, id, timeout, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -318,7 +358,15 @@ func (ep *Endpoint) RecvBulk(from string, id uint64, timeout time.Duration) ([]b
 // assembled in its own buffer and copied into dst once — still one copy
 // fewer than RecvBulk-then-copy.
 func (ep *Endpoint) RecvBulkInto(dst []byte, from string, id uint64, timeout time.Duration) (int, error) {
-	buf, external, err := ep.recvBulk(from, id, timeout)
+	return ep.RecvBulkIntoUntil(dst, from, id, timeout, nil)
+}
+
+// RecvBulkIntoUntil is RecvBulkInto that stops waiting when quit
+// closes, returning ErrInterrupted and leaving the receive registered,
+// its budget running: a later receive of the same transfer, from any
+// goroutine, takes it up.
+func (ep *Endpoint) RecvBulkIntoUntil(dst []byte, from string, id uint64, timeout time.Duration, quit <-chan struct{}) (int, error) {
+	buf, external, err := ep.recvBulk(from, id, timeout, quit)
 	if err != nil {
 		return 0, err
 	}
@@ -331,7 +379,7 @@ func (ep *Endpoint) RecvBulkInto(dst []byte, from string, id uint64, timeout tim
 	return copy(dst, buf), nil
 }
 
-func (ep *Endpoint) recvBulk(from string, id uint64, timeout time.Duration) (buf []byte, external bool, err error) {
+func (ep *Endpoint) recvBulk(from string, id uint64, timeout time.Duration, quit <-chan struct{}) (buf []byte, external bool, err error) {
 	key := xferKey{peer: from, id: id}
 	ep.mu.Lock()
 	if ep.closed {
@@ -352,23 +400,19 @@ func (ep *Endpoint) recvBulk(from string, id uint64, timeout time.Duration) (buf
 	delete(ep.unclaimed, key)
 	ep.mu.Unlock()
 
-	var timeoutCh <-chan time.Time
+	// The budget runs from the first receive: of two, the sooner
+	// deadline holds. A transfer already complete needs none.
 	if timeout > 0 {
-		c, timer := sim.NewTimer(ep.cfg.Clock, timeout)
-		defer timer.Stop()
-		timeoutCh = c
+		rx.mu.Lock()
+		if !rx.complete {
+			ep.deadlines.ScheduleBy(&rx.budget, timeout)
+		}
+		rx.mu.Unlock()
 	}
-	// Giving up fails the transfer before returning: a packet the
-	// receive loop is handling right now must not land in the caller's
-	// buffer (ExpectBulkInto) after the caller has it back.
 	select {
 	case <-rx.done:
-	case <-timeoutCh:
-		ep.mu.Lock()
-		delete(ep.rx, key)
-		rx.fail(ErrTimeout)
-		ep.mu.Unlock()
-		return nil, false, fmt.Errorf("bulk: receiving transfer %d from %s: %w", id, from, ErrTimeout)
+	case <-quit:
+		return nil, false, ErrInterrupted
 	case <-ep.stop:
 		rx.fail(ErrClosed)
 		return nil, false, ErrClosed
@@ -394,6 +438,9 @@ func (ep *Endpoint) recvBulk(from string, id uint64, timeout time.Duration) (buf
 		}
 	}
 	ep.mu.Unlock()
+	if errors.Is(err, ErrTimeout) {
+		return nil, false, fmt.Errorf("bulk: receiving transfer %d from %s: %w", id, from, ErrTimeout)
+	}
 	if err != nil {
 		return nil, false, err
 	}
@@ -409,18 +456,19 @@ func (ep *Endpoint) recvBulk(from string, id uint64, timeout time.Duration) (buf
 // tombstoneTTL: that is all answering a late re-offer, a stale packet
 // or a duplicated announcement takes. The records of one endpoint share
 // a map and a queue in expiry order (the TTL is constant, so that is
-// insertion order) and one timer that sweeps the queue's head, instead
-// of a timer, a closure and the whole rxTransfer per finished transfer.
-// The same timer reclaims a transfer an offer created and no receive
-// took within tombstoneTTL (a request refused before its receive, a
-// sender that died between its push and its request), and entombs it.
+// insertion order) and one sweep, an entry of the endpoint's deadline
+// queue, that drops the queue's head, instead of a timer, a closure and
+// the whole rxTransfer per finished transfer. The same sweep reclaims a
+// transfer an offer created and no receive took within tombstoneTTL (a
+// request refused before its receive, a sender that died between its
+// push and its request), and entombs it.
 const (
 	// tombstoneTTL is how long a consumed transfer's completion record
 	// lingers to answer the sender's loss-recovery duplicates.
 	tombstoneTTL = 30 * time.Second
-	// tombstoneSweep is the least interval between two firings of the
-	// sweep timer. An entry past its TTL no longer answers (lookups
-	// check the time); the sweep only returns its memory.
+	// tombstoneSweep is the least interval between two sweeps. An entry
+	// past its TTL no longer answers (lookups check the time); the sweep
+	// only returns its memory.
 	tombstoneSweep = time.Second
 	// maxTombstones bounds the table, oldest dropped first. A sender
 	// stops re-offering once its window budget is spent (2.25 s at the
@@ -452,16 +500,16 @@ func (ep *Endpoint) entombLocked(key xferKey) {
 	until := now.Add(tombstoneTTL)
 	ep.tombs[key] = until
 	ep.tombQueue = append(ep.tombQueue, tombstone{key: key, until: until})
-	ep.armSweepLocked()
+	ep.sweepByLocked(now, until)
 }
 
-// armSweepLocked starts the sweep timer unless it is running. When it
-// is not, nothing is waiting for it, so the record just added, due
-// tombstoneTTL from now, is the first one due. Caller holds ep.mu.
-func (ep *Endpoint) armSweepLocked() {
-	if ep.tombTimer == nil && !ep.closed {
-		ep.tombTimer = sim.AfterFunc(ep.cfg.Clock, tombstoneTTL, ep.tombTimeout)
+// sweepByLocked makes sure the sweep runs by at. Caller holds ep.mu.
+func (ep *Endpoint) sweepByLocked(now, at time.Time) {
+	if !ep.sweepAt.IsZero() && !at.Before(ep.sweepAt) {
+		return
 	}
+	ep.sweepAt = at
+	ep.deadlines.Schedule(&ep.sweep, at.Sub(now))
 }
 
 // sweepTombsLocked drops every record that has expired by now. Caller
@@ -479,19 +527,17 @@ func (ep *Endpoint) dropOldestTombLocked() {
 	delete(ep.tombs, t.key)
 }
 
-// tombTimeout is the sweep timer: reclaim the unclaimed transfers and
-// drop the tombstones that expired, and sleep until the next record
-// does, but never less than tombstoneSweep — an endpoint finishing
-// thousands of transfers a second arms about one timer a second here,
-// not one per transfer.
-func (ep *Endpoint) tombTimeout() {
+// sweepTombs is the sweep: reclaim the unclaimed transfers and drop the
+// tombstones that expired, and sleep until the next record does, but
+// never less than tombstoneSweep — an endpoint finishing thousands of
+// transfers a second sweeps about once a second, not once per transfer.
+func (ep *Endpoint) sweepTombs() {
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
 	if ep.closed {
 		return
 	}
-	// ep.tombTimer names this firing until the end, so the entombing
-	// below arms nothing.
+	ep.sweepAt = time.Time{}
 	now := ep.cfg.Clock.Now()
 	var next time.Time
 	for key, until := range ep.unclaimed {
@@ -512,9 +558,10 @@ func (ep *Endpoint) tombTimeout() {
 	if len(ep.tombQueue) > 0 && (next.IsZero() || ep.tombQueue[0].until.Before(next)) {
 		next = ep.tombQueue[0].until
 	}
-	ep.tombTimer = nil
 	if !next.IsZero() {
-		ep.tombTimer = sim.AfterFunc(ep.cfg.Clock, max(next.Sub(now), tombstoneSweep), ep.tombTimeout)
+		// The entombing above queued the sweep for a record due a full
+		// TTL from now; this moves it sooner where that is due.
+		ep.sweepByLocked(now, now.Add(max(next.Sub(now), tombstoneSweep)))
 	}
 }
 
@@ -555,12 +602,19 @@ type rxTransfer struct {
 	err error
 	// dodo:unguarded — set at construction; closed once under mu
 	done chan struct{}
-	// timer is the pending selective-NACK timer, nil when none is. It is
-	// armed once per stall interval, not per packet: a packet only
-	// stamps lastProgress, and the callback re-arms for the remainder
-	// when the stamp moved since it was armed.
+	// nack is the selective-NACK countdown's entry in the endpoint's
+	// deadline queue, and nackQueued says it is queued. It is scheduled
+	// once per stall interval, not per packet: a packet only stamps
+	// lastProgress, and the callback schedules it again for the
+	// remainder when the stamp moved since.
+	// dodo:unguarded — an entry of ep.deadlines, which has its own lock
+	nack sim.Deadline
 	// dodo:guardedby mu
-	timer sim.StopTimer
+	nackQueued bool
+	// budget is the receive budget's entry: on expiry the transfer
+	// fails ErrTimeout.
+	// dodo:unguarded — an entry of ep.deadlines, which has its own lock
+	budget sim.Deadline
 	// lastProgress is when the transfer last gained a packet, was sized
 	// by an offer, or sent a NACK; the next NACK is due NackDelay later.
 	// dodo:guardedby mu
@@ -570,7 +624,30 @@ type rxTransfer struct {
 func newRxTransfer(ep *Endpoint, from string, id uint64) *rxTransfer {
 	rx := &rxTransfer{ep: ep, from: from, id: id, done: make(chan struct{})}
 	rx.mu.SetRank(locks.RankBulkTransfer)
+	rx.nack.Init(rx.nackTimeout)
+	rx.budget.Init(rx.budgetTimeout)
 	return rx
+}
+
+// budgetTimeout gives the receive up: the transfer fails, in the hold
+// that takes it off the table, so that a packet the receive loop is
+// handling right now cannot land in the caller's buffer
+// (ExpectBulkInto) after the caller has it back.
+func (rx *rxTransfer) budgetTimeout() {
+	ep := rx.ep
+	key := xferKey{peer: rx.from, id: rx.id}
+	ep.mu.Lock()
+	defer ep.mu.Unlock()
+	rx.mu.Lock()
+	defer rx.mu.Unlock()
+	if rx.complete {
+		return // completed as the deadline fired: the receive takes it
+	}
+	if ep.rx[key] == rx {
+		delete(ep.rx, key)
+	}
+	rx.err = ErrTimeout
+	rx.completeLocked()
 }
 
 func (rx *rxTransfer) fail(err error) {
@@ -612,7 +689,6 @@ func (ep *Endpoint) handleOffer(from string, m *wire.BulkOffer) {
 		rx = newRxTransfer(ep, from, m.TransferID)
 		ep.rx[key] = rx
 		ep.unclaimed[key] = ep.cfg.Clock.Now().Add(tombstoneTTL)
-		ep.armSweepLocked()
 	}
 	ep.mu.Unlock()
 
@@ -633,6 +709,16 @@ func (ep *Endpoint) handleOffer(from string, m *wire.BulkOffer) {
 	}
 	completed := rx.complete && rx.err == nil
 	rx.mu.Unlock()
+	if !ok {
+		// Queued after the sizing's NACK countdown, which is nearly
+		// always due first: the deadline timer is armed for that one and
+		// re-armed for the sweep when it passes.
+		ep.mu.Lock()
+		if until, unclaimed := ep.unclaimed[key]; unclaimed && !ep.closed {
+			ep.sweepByLocked(ep.cfg.Clock.Now(), until)
+		}
+		ep.mu.Unlock()
+	}
 	if completed {
 		ep.sendDone(from, m.TransferID, wire.StatusOK)
 	}
@@ -741,37 +827,41 @@ func (rx *rxTransfer) completeLocked() {
 		return
 	}
 	rx.complete = true
-	if rx.timer != nil {
-		rx.timer.Stop()
-		rx.timer = nil
+	if rx.nackQueued {
+		rx.ep.deadlines.Cancel(&rx.nack)
+		rx.nackQueued = false
 	}
+	rx.ep.deadlines.Cancel(&rx.budget)
 	close(rx.done)
 }
 
 // noteProgressLocked restarts the NackDelay countdown: it stamps the
-// time and arms the timer only if none is pending. Caller holds rx.mu.
+// time and schedules the countdown only if it is not queued. Caller
+// holds rx.mu.
 func (rx *rxTransfer) noteProgressLocked() {
 	rx.lastProgress = rx.ep.cfg.Clock.Now()
-	if rx.timer == nil {
-		rx.timer = sim.AfterFunc(rx.ep.cfg.Clock, rx.ep.cfg.NackDelay, rx.nackTimeout)
+	if !rx.nackQueued {
+		rx.nackQueued = true
+		rx.ep.deadlines.Schedule(&rx.nack, rx.ep.cfg.NackDelay)
 	}
 }
 
-// nackTimeout fires NackDelay after the timer was armed. If the
+// nackTimeout fires NackDelay after the countdown was scheduled. If the
 // transfer progressed meanwhile the stall interval has not run out yet
-// and the timer sleeps on for the remainder; otherwise the current
+// and the countdown goes on for the remainder; otherwise the current
 // window has stalled: identify the missing packets by sequence number
 // and send the selective NACK (§4.4).
 func (rx *rxTransfer) nackTimeout() {
 	rx.mu.Lock()
-	rx.timer = nil
+	rx.nackQueued = false
 	if rx.complete || !rx.sized {
 		rx.mu.Unlock()
 		return
 	}
 	clock, delay := rx.ep.cfg.Clock, rx.ep.cfg.NackDelay
 	if rem := delay - clock.Now().Sub(rx.lastProgress); rem > 0 {
-		rx.timer = sim.AfterFunc(clock, rem, rx.nackTimeout)
+		rx.nackQueued = true
+		rx.ep.deadlines.Schedule(&rx.nack, rem)
 		rx.mu.Unlock()
 		return
 	}

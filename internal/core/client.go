@@ -222,6 +222,9 @@ type Client struct {
 	// with Close are excluded by checking closed under mu first (§9).
 	// dodo:unguarded — WaitGroup is internally synchronized
 	hedgeWG sync.WaitGroup
+	// deadlines holds each hedged read's hedge delay, on cfg.Clock.
+	// dodo:unguarded — immutable after construction
+	deadlines *sim.Deadlines
 
 	// Stats counters: lone tallies with no cross-field invariant, kept
 	// atomic so hot paths (Mread/Mwrite completions, hedge outcomes)
@@ -260,6 +263,7 @@ func New(tr transport.Transport, cfg Config) *Client {
 		corruptHosts: make(map[string]uint64),
 		recoverStop:  make(chan struct{}),
 		recoverKick:  make(chan struct{}, 1),
+		deadlines:    sim.NewDeadlines(cfg.Clock),
 	}
 	c.mu.SetRank(locks.RankCoreClient)
 	// The client must echo the manager's keep-alives (§3.1) or its
@@ -314,6 +318,7 @@ func (c *Client) Close() error {
 	default:
 		close(c.recoverStop)
 	}
+	c.deadlines.Stop()
 	err := c.ep.Close()
 	c.recoverWG.Wait()
 	c.hedgeWG.Wait()
@@ -441,9 +446,10 @@ func (c *Client) Mopen(length int64, backing Backing, offset int64) (int, error)
 	// of memory. Queue the allocation behind a capped-exponential
 	// backoff for up to outageWindow — long enough to ride out a
 	// restart plus its rebuild grace — before reporting ErrNoMem. The
-	// retry budget is created lazily so the common single-shot success
+	// retry budget is started lazily so the common single-shot success
 	// costs nothing extra.
-	var budget *retry.Budget
+	var budget retry.Budget
+	started := false
 	var ar *wire.AllocResp
 	for {
 		resp, err := c.ep.Call(c.cfg.ManagerAddr, &wire.AllocReq{Key: key, Length: uint64(length)})
@@ -464,7 +470,8 @@ func (c *Client) Mopen(length int64, backing Backing, offset int64) (int, error)
 		if !outage {
 			break
 		}
-		if budget == nil {
+		if !started {
+			started = true
 			budget = retry.New(retry.Policy{
 				Deadline: c.cfg.outageWindow(),
 				Base:     c.cfg.RecoveryBackoff,
@@ -675,8 +682,11 @@ func (c *Client) Mread(fd int, offset int64, buf []byte) (int, error) {
 	}
 	// The inline payload or bulk stream lands in buf with no
 	// intermediate allocation.
-	n, err := c.remoteReadInto(r, offset, want, newReadDst(buf[:want]))
-	return c.finishRemoteLeg(remoteLeg{n, err})
+	rr, err := c.startRemoteRead(r, offset, want, newReadDst(buf[:want]))
+	if err != nil {
+		return -1, err
+	}
+	return c.finishRemoteLeg(rr.finish(nil))
 }
 
 // readDst is where a remote read puts its bytes: the caller's buffer,
@@ -743,11 +753,12 @@ func (d *readDst) moveTo(ep *bulk.Endpoint, priv []byte) {
 	d.dst = priv
 }
 
-// remoteReadInto performs the wire read against the hosting imd,
-// assembling the bytes into dst (want bytes long), and records a
-// latency sample on success. Failures drop every descriptor on the
-// host (§3.1) and surface as ErrNoMem so callers fall back to the
-// backing file.
+// remoteRead is a read's remote leg against the hosting imd once its
+// request is out: the response to wait for, and for an eager read the
+// transfer after it. finish assembles the bytes into dst (want bytes
+// long) and records a latency sample on success. Failures drop every
+// descriptor on the host (§3.1) and surface as ErrNoMem so callers fall
+// back to the backing file.
 //
 // One exchange, two response shapes, chosen by size alone:
 //
@@ -758,9 +769,26 @@ func (d *readDst) moveTo(ep *bulk.Endpoint, priv []byte) {
 //     blasts the first window immediately, with the DataResp doubling
 //     as the bulk offer. The selective-NACK engine governs the
 //     transfer, so a lossy first window degrades to ordinary recovery.
-func (c *Client) remoteReadInto(r regionState, offset, want int64, dst *readDst) (int, error) {
-	start := c.cfg.Clock.Now()
-	host := r.remote.HostAddr
+type remoteRead struct {
+	c     *Client
+	host  string
+	epoch uint64
+	want  int64
+	dst   *readDst
+	start time.Time
+	// call is the request, until it is answered.
+	call *bulk.Pending
+	// xfer is the receive registered for an eager answer, or zero; crc
+	// is the checksum the answer named.
+	xfer uint64
+	crc  uint32
+}
+
+// startRemoteRead registers the receive a large read needs and sends
+// the request.
+func (c *Client) startRemoteRead(r regionState, offset, want int64, dst *readDst) (remoteRead, error) {
+	rr := remoteRead{c: c, host: r.remote.HostAddr, epoch: r.remote.Epoch, want: want, dst: dst,
+		start: c.cfg.Clock.Now()}
 	req := &wire.ReadReq{
 		RegionID: r.remote.RegionID,
 		Epoch:    r.remote.Epoch,
@@ -770,75 +798,105 @@ func (c *Client) remoteReadInto(r regionState, offset, want int64, dst *readDst)
 	// For a read the imd won't inline, pre-register the receive under a
 	// client-chosen transfer id BEFORE the request leaves: the first
 	// packets may land before the response does.
-	var xferID uint64
 	if want > int64(wire.InlineDataLimit(c.ep.Transport().MTU())) {
 		id := c.ep.NextTransferID()
 		chunk := c.ep.ChunkSize()
-		window, err := dst.expect(c.ep, host, id, chunk)
+		window, err := dst.expect(c.ep, rr.host, id, chunk)
 		if err != nil {
-			return -1, fmt.Errorf("%w: registering receive from %s: %v", ErrNoMem, host, err)
+			return rr, fmt.Errorf("%w: registering receive from %s: %v", ErrNoMem, rr.host, err)
 		}
-		xferID = id
+		rr.xfer = id
 		req.XferID, req.ChunkSize, req.Window = id, uint32(chunk), uint32(window)
 	}
-	cancel := func() {
-		if xferID != 0 {
-			c.ep.CancelExpect(host, xferID)
-			xferID = 0
-		}
-	}
-	resp, err := c.ep.Call(host, req)
+	call, err := c.ep.Start(rr.host, req)
 	if err != nil {
-		cancel()
-		c.dropHost(host)
-		return -1, fmt.Errorf("%w: host %s unreachable: %v", ErrNoMem, host, err)
+		return rr, rr.fail(fmt.Errorf("%w: host %s unreachable: %v", ErrNoMem, rr.host, err))
 	}
-	dr, ok := resp.(*wire.DataResp)
-	if !ok {
-		// A misrouted or unexpected response type must degrade, not
-		// panic: dr is nil here, so it cannot be formatted.
-		cancel()
-		c.dropHost(host)
-		return -1, fmt.Errorf("%w: unexpected response %v", ErrNoMem, resp.Kind())
-	}
-	if dr.Status != wire.StatusOK {
-		cancel()
-		c.dropHost(host)
-		return -1, fmt.Errorf("%w: read refused (%v)", ErrNoMem, dr.Status)
-	}
-	var n int
-	switch {
-	case dr.Flags&wire.DataFlagInline != 0:
-		// The bytes rode the response itself; any pre-registered
-		// receive is moot.
-		cancel()
-		n = dst.put(dr.Payload)
-		c.inlineReads.Add(1)
-	case dr.Flags&wire.DataFlagEager != 0 && xferID != 0 && dr.TransferID == xferID:
-		// The bytes assemble where the receive was registered, or
-		// redirected since (readDst.moveTo); no destination is named.
-		n, err = c.ep.RecvBulkInto(nil, host, xferID, dataBudget(want))
-		if err != nil {
-			c.dropHost(host)
-			return -1, fmt.Errorf("%w: transfer failed: %v", ErrNoMem, err)
+	rr.call = call
+	return rr, nil
+}
+
+// finish waits the read out. If quit closes first it returns
+// bulk.ErrInterrupted, and finish may be called again, from another
+// goroutine, to wait the rest.
+func (rr *remoteRead) finish(quit <-chan struct{}) remoteLeg {
+	c, host := rr.c, rr.host
+	if rr.call != nil {
+		resp, err := rr.call.Wait(quit)
+		if errors.Is(err, bulk.ErrInterrupted) {
+			return remoteLeg{-1, err}
 		}
-		c.eagerReads.Add(1)
-	default:
-		// An OK response in neither shape, or one naming a transfer this
-		// read did not register, is a protocol violation.
-		cancel()
-		c.dropHost(host)
-		return -1, fmt.Errorf("%w: read response from %s carries no data", ErrNoMem, host)
+		rr.call = nil
+		if err != nil {
+			return remoteLeg{-1, rr.fail(fmt.Errorf("%w: host %s unreachable: %v", ErrNoMem, host, err))}
+		}
+		dr, ok := resp.(*wire.DataResp)
+		if !ok {
+			// A misrouted or unexpected response type must degrade, not
+			// panic: dr is nil here, so it cannot be formatted.
+			return remoteLeg{-1, rr.fail(fmt.Errorf("%w: unexpected response %v", ErrNoMem, resp.Kind()))}
+		}
+		if dr.Status != wire.StatusOK {
+			return remoteLeg{-1, rr.fail(fmt.Errorf("%w: read refused (%v)", ErrNoMem, dr.Status))}
+		}
+		rr.crc = dr.Crc
+		switch {
+		case dr.Flags&wire.DataFlagInline != 0:
+			// The bytes rode the response itself; any pre-registered
+			// receive is moot.
+			rr.cancel()
+			n := rr.dst.put(dr.Payload)
+			c.inlineReads.Add(1)
+			return rr.check(n)
+		case dr.Flags&wire.DataFlagEager != 0 && rr.xfer != 0 && dr.TransferID == rr.xfer:
+		default:
+			// An OK response in neither shape, or one naming a transfer
+			// this read did not register, is a protocol violation.
+			return remoteLeg{-1, rr.fail(fmt.Errorf("%w: read response from %s carries no data", ErrNoMem, host))}
+		}
 	}
-	if dst.sum(n) != dr.Crc {
+	// The bytes assemble where the receive was registered, or
+	// redirected since (readDst.moveTo); no destination is named.
+	n, err := c.ep.RecvBulkIntoUntil(nil, host, rr.xfer, dataBudget(rr.want), quit)
+	if errors.Is(err, bulk.ErrInterrupted) {
+		return remoteLeg{-1, err}
+	}
+	if err != nil {
+		c.dropHost(host)
+		return remoteLeg{-1, fmt.Errorf("%w: transfer failed: %v", ErrNoMem, err)}
+	}
+	c.eagerReads.Add(1)
+	return rr.check(n)
+}
+
+// check verifies the n bytes that arrived against the checksum the imd
+// sent, and records the read's latency.
+func (rr *remoteRead) check(n int) remoteLeg {
+	if rr.dst.sum(n) != rr.crc {
 		// The bytes that arrived are not the bytes the imd hashed:
 		// fail the read rather than hand the app a corrupt page. The
 		// drop → revalidate path then repopulates the region from the
 		// backing file end-to-end.
-		return -1, c.failChecksum(host)
+		return remoteLeg{-1, rr.c.failChecksum(rr.host)}
 	}
-	c.recordLatency(host, r.remote.Epoch, c.cfg.Clock.Now().Sub(start))
-	return n, nil
+	rr.c.recordLatency(rr.host, rr.epoch, rr.c.cfg.Clock.Now().Sub(rr.start))
+	return remoteLeg{n, nil}
+}
+
+// cancel drops the pre-registered receive, if any.
+func (rr *remoteRead) cancel() {
+	if rr.xfer != 0 {
+		rr.c.ep.CancelExpect(rr.host, rr.xfer)
+		rr.xfer = 0
+	}
+}
+
+// fail ends the read with err: the receive is dropped, and so is the
+// host.
+func (rr *remoteRead) fail(err error) error {
+	rr.cancel()
+	rr.c.dropHost(rr.host)
+	return err
 }
 
 // failChecksum records a page-checksum failure against host and drops
@@ -926,6 +984,63 @@ func (c *Client) tryHedgeLeg() bool {
 	return true
 }
 
+// hedge is a hedged read's backup: the deadline that starts a read of
+// the backing file, and that read's outcome.
+type hedge struct {
+	c       *Client
+	backing Backing
+	off     int64
+	want    int64
+	dl      sim.Deadline
+	// state is hedgeWaiting until either the deadline launches the disk
+	// leg (hedgeLaunched) or the read ends before it does (hedgeOver).
+	// dodo:atomic
+	state atomic.Int32
+	// done closes when the disk leg has ended; data or err is what it
+	// read, for whoever has seen done close.
+	done chan struct{}
+	data []byte
+	err  error
+}
+
+const (
+	hedgeWaiting int32 = iota
+	hedgeLaunched
+	hedgeOver
+)
+
+// launch is the hedge deadline's callback: it starts the disk leg,
+// unless the read ended first or the client is closing.
+func (h *hedge) launch() {
+	if !h.c.tryHedgeLeg() {
+		return
+	}
+	if !h.state.CompareAndSwap(hedgeWaiting, hedgeLaunched) {
+		h.c.hedgeWG.Done()
+		return
+	}
+	h.c.hedgedReads.Add(1)
+	go func() {
+		defer h.c.hedgeWG.Done()
+		data := make([]byte, h.want)
+		// A short read past EOF leaves the tail zeroed — bytes never
+		// written through (the recovery repopulation convention).
+		if _, err := h.backing.ReadAt(data, h.off); err != nil && err != io.EOF {
+			h.err = err
+		} else {
+			h.data = data
+		}
+		close(h.done)
+	}()
+}
+
+// end reports whether the disk leg was launched, and stops it from
+// being launched from now on.
+func (h *hedge) end() bool {
+	h.c.deadlines.Cancel(&h.dl)
+	return !h.state.CompareAndSwap(hedgeWaiting, hedgeOver)
+}
+
 // hedgedRead issues the remote read and, if it is still outstanding
 // after delay, a backup read from the backing file; the first success
 // wins. The backing is authoritative for every confirmed write (Mwrite
@@ -933,104 +1048,83 @@ func (c *Client) tryHedgeLeg() bool {
 // return bytes older than the caller could already observe on disk —
 // the write-seq gate is respected by construction.
 //
-// The remote leg assembles into buf itself; in steady state every read
-// is hedged and the remote answers first. Should the disk leg win while
-// the remote one still runs, that leg is moved to a private buffer
-// before the disk's bytes go into buf, so nothing writes buf once this
-// returns.
+// The remote leg runs on the caller's goroutine and assembles into buf
+// itself; the hedge delay is a deadline that starts the disk leg only
+// when it passes. In steady state every read is hedged and the remote
+// answers first: no goroutine, no channel, no timer of its own. Should
+// the disk leg win while the remote one still runs, the rest of that
+// leg moves to a goroutine and to a private buffer before the disk's
+// bytes go into buf, so nothing writes buf once this returns.
 func (c *Client) hedgedRead(r regionState, offset, want int64, buf []byte, delay time.Duration) (int, error) {
+	h := &hedge{c: c, backing: r.backing, off: r.backOff + offset, want: want, done: make(chan struct{})}
+	h.dl.Init(h.launch)
+	// The hedge delay runs from the start of the read.
+	c.deadlines.Schedule(&h.dl, delay)
 	dst := newReadDst(buf[:want])
-	remote := func() remoteLeg {
-		n, err := c.remoteReadInto(r, offset, want, dst)
-		return remoteLeg{n, err}
+	rr, err := c.startRemoteRead(r, offset, want, dst)
+	if err != nil {
+		return c.backup(h, buf, err)
 	}
-	if !c.tryHedgeLeg() {
-		// Closing underneath us: run the remote read synchronously so
-		// no goroutine outlives Close's hedgeWG.Wait.
-		return c.finishRemoteLeg(remote())
-	}
-	// The hedge delay runs from the start of the read: the timer is
-	// armed before the leg is launched.
-	timerCh, stopTimer := sim.NewTimer(c.cfg.Clock, delay)
-	defer stopTimer.Stop()
-	remoteCh := make(chan remoteLeg, 1)
-	go func() {
-		defer c.hedgeWG.Done()
-		remoteCh <- remote()
-	}()
-	select {
-	case leg := <-remoteCh:
-		// The remote answered within the hedge delay; the common case.
+	// A hedge already due launches the disk leg before the wait, here,
+	// rather than whenever the timer's goroutine gets to it.
+	c.deadlines.FireIfDue(&h.dl)
+	leg := rr.finish(h.done)
+	if !errors.Is(leg.err, bulk.ErrInterrupted) {
+		if !h.end() {
+			// The remote answered within the hedge delay; the common case.
+			return c.finishRemoteLeg(leg)
+		}
+		if leg.err != nil {
+			// The remote leg failed (its descriptors are already
+			// dropped); the backup is the only way to serve this read.
+			return c.backup(h, buf, leg.err)
+		}
+		// The remote still won; the backup was wasted work.
+		c.hedgeWasted.Add(1)
 		return c.finishRemoteLeg(leg)
-	case <-timerCh:
 	}
-	// The remote is slow: race a backing-file read against it.
+	// The disk leg ended while the remote one was still running.
+	if h.err != nil {
+		// The backup failed; fall back to waiting on the remote.
+		return c.finishRemoteLeg(rr.finish(nil))
+	}
+	c.hedgeWins.Add(1)
 	if !c.tryHedgeLeg() {
-		// Closing underneath us: skip the backup leg and wait out the
-		// remote (its WaitGroup slot predates Close's Wait).
-		return c.finishRemoteLeg(<-remoteCh)
+		// Closing: wait the remote leg out inline; once it has
+		// returned, nothing writes buf.
+		if leg := rr.finish(nil); leg.err == nil {
+			c.hedgeWasted.Add(1)
+		}
+		return copy(buf, h.data), nil
 	}
-	type diskLeg struct {
-		data []byte
-		err  error
-	}
-	diskCh := make(chan diskLeg, 1)
-	c.hedgedReads.Add(1)
+	// Finish the losing leg in the background so its latency sample or
+	// host drop still lands. It finishes in a recycled private buffer,
+	// handed back once it has returned.
+	priv := wire.GetFrame(int(want))
+	dst.moveTo(c.ep, priv)
+	rest := rr // only this copy escapes to the heap, and only here
 	go func() {
 		defer c.hedgeWG.Done()
-		data := make([]byte, want)
-		// A short read past EOF leaves the tail zeroed — bytes never
-		// written through (the recovery repopulation convention).
-		if _, err := r.backing.ReadAt(data, r.backOff+offset); err != nil && err != io.EOF {
-			diskCh <- diskLeg{nil, err}
-			return
-		}
-		diskCh <- diskLeg{data, nil}
-	}()
-	select {
-	case leg := <-remoteCh:
-		n, err := c.finishRemoteLeg(leg)
-		if err == nil {
-			// The remote still won; the backup was wasted work.
+		defer wire.PutFrame(priv)
+		if leg := rest.finish(nil); leg.err == nil {
 			c.hedgeWasted.Add(1)
-			return n, nil
 		}
-		// The remote leg failed (its descriptors are already dropped);
-		// the backup is the only way to serve this read.
-		d := <-diskCh
-		if d.err != nil {
-			return -1, err
-		}
-		c.hedgeWins.Add(1)
-		return copy(buf, d.data), nil
-	case d := <-diskCh:
-		if d.err != nil {
-			// The backup failed; fall back to waiting on the remote.
-			return c.finishRemoteLeg(<-remoteCh)
-		}
-		c.hedgeWins.Add(1)
-		if !c.tryHedgeLeg() {
-			// Closing: wait the remote leg out inline; once it has
-			// returned, nothing writes buf.
-			if leg := <-remoteCh; leg.err == nil {
-				c.hedgeWasted.Add(1)
-			}
-			return copy(buf, d.data), nil
-		}
-		// Join the losing leg in the background so its latency sample
-		// or host drop still lands. It finishes in a recycled private
-		// buffer, handed back once it has returned.
-		priv := wire.GetFrame(int(want))
-		dst.moveTo(c.ep, priv)
-		go func() {
-			defer c.hedgeWG.Done()
-			defer wire.PutFrame(priv)
-			if leg := <-remoteCh; leg.err == nil {
-				c.hedgeWasted.Add(1)
-			}
-		}()
-		return copy(buf, d.data), nil
+	}()
+	return copy(buf, h.data), nil
+}
+
+// backup serves a hedged read whose remote leg failed with err from the
+// disk leg, if one was launched and it succeeds.
+func (c *Client) backup(h *hedge, buf []byte, err error) (int, error) {
+	if !h.end() {
+		return -1, err
 	}
+	<-h.done
+	if h.err != nil {
+		return -1, err
+	}
+	c.hedgeWins.Add(1)
+	return copy(buf, h.data), nil
 }
 
 // Mwrite writes buf to the backing file and to the remote region in

@@ -10,7 +10,9 @@ import (
 	"time"
 
 	"dodo/internal/imd"
+	"dodo/internal/locks"
 	"dodo/internal/manager"
+	"dodo/internal/sim"
 	"dodo/internal/transport"
 	"dodo/internal/wire"
 )
@@ -115,10 +117,12 @@ func TestHedgeColdStartPerEpoch(t *testing.T) {
 // backing store — and must still always return the latest written
 // bytes, because Mwrite writes through to the backing before
 // confirming. The first read stays unhedged (cold start), later reads
-// hedge and stay correct across interleaved writes.
+// hedge and stay correct across interleaved writes. A 1 ns hedge delay
+// has passed by the time the read would wait for its answer, and the
+// read launches the disk leg itself before it waits, so every later
+// read is hedged however fast the imd answers.
 func TestHedgedReadsStayFresh(t *testing.T) {
-	n := transport.NewNetwork(transport.WithMTU(1500))
-	s := hedgeStackOver(t, n, n.Host("client"), slowReplies{n.Host("imd0")})
+	s := hedgeStack(t, 1)
 	back := NewMemBacking(61, 1<<20)
 	fd, err := s.cli.Mopen(32<<10, back, 0)
 	if err != nil {
@@ -144,6 +148,71 @@ func TestHedgedReadsStayFresh(t *testing.T) {
 		}
 		if round > 0 && st.HedgedReads < int64(round) {
 			t.Fatalf("round %d: hedging never engaged: %+v", round, st)
+		}
+	}
+}
+
+// TestHedgedReadAnsweredInTimeLaunchesNothing: a hedged read the imd
+// answers within the hedge delay runs on the caller's goroutine, and
+// its hedge is one entry of the client's deadline queue: no goroutine,
+// no channel and no timer of its own. The client runs on a VirtualClock
+// nobody advances, so no hedge delay ever passes and no deadline timer
+// is re-armed, and a read's allocations, the imd's included, are an
+// exact count: a goroutine, a channel or a timer per read shows here.
+func TestHedgedReadAnsweredInTimeLaunchesNothing(t *testing.T) {
+	if locks.CheckEnabled || raceEnabled {
+		t.Skip("the lockcheck runtime and the race detector allocate on their own")
+	}
+	clock := sim.NewVirtualClock(time.Unix(0, 0))
+	n := transport.NewNetwork(transport.WithMTU(1500))
+	mgr := manager.New(n.Host("cmd"), manager.Config{KeepAliveInterval: time.Hour, Endpoint: fastEp()})
+	d := imd.New(n.Host("imd0"), imd.Config{ManagerAddr: "cmd", PoolSize: 1 << 20, Epoch: 1,
+		StatusInterval: time.Hour, Endpoint: fastEp()})
+	epCfg := fastEp()
+	epCfg.Clock = clock
+	cli := New(n.Host("client"), Config{ManagerAddr: "cmd", ClientID: 1, Clock: clock,
+		Endpoint: epCfg, DisableRecovery: true})
+	t.Cleanup(func() { cli.Close(); d.Close(); mgr.Close() })
+
+	for i, tc := range []struct {
+		name   string
+		size   int
+		allocs float64
+	}{
+		{"inline", 1 << 10, 20},
+		{"eager", 8 << 10, 45},
+	} {
+		fd, err := cli.Mopen(int64(tc.size), NewMemBacking(uint64(64+i), 1<<20), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := bytes.Repeat([]byte{0x5a}, tc.size)
+		if _, err := cli.Mwrite(fd, 0, data); err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]byte, tc.size)
+		// The first read records the latency sample every later one is
+		// hedged on.
+		if _, err := cli.Mread(fd, 0, buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, hedge := cli.hedgeDelay("imd0", 1); !hedge {
+			t.Fatalf("%s: reads are not hedged", tc.name)
+		}
+		allocs := testing.AllocsPerRun(200, func() {
+			if n, err := cli.Mread(fd, 0, buf); err != nil || n != tc.size {
+				t.Fatalf("%s: Mread = %d, %v", tc.name, n, err)
+			}
+		})
+		if !bytes.Equal(buf, data) {
+			t.Fatalf("%s: read the wrong bytes", tc.name)
+		}
+		if st := cli.Stats(); st.HedgedReads != 0 {
+			t.Fatalf("%s: %d disk legs launched with no hedge delay passed", tc.name, st.HedgedReads)
+		}
+		t.Logf("%s: %v allocations per hedged read", tc.name, allocs)
+		if allocs != tc.allocs {
+			t.Errorf("%s: a hedged read answered in time allocates %v times, want %v", tc.name, allocs, tc.allocs)
 		}
 	}
 }
@@ -249,19 +318,6 @@ func TestHedgeLegRefusedAfterClose(t *testing.T) {
 	if s.cli.tryHedgeLeg() {
 		t.Fatal("tryHedgeLeg succeeded on a closed client")
 	}
-}
-
-// slowReplies delays every DataResp an imd sends by a millisecond, so a
-// remote read outlasts a 1 ns hedge delay: the hedge engages on every
-// read, instead of on whichever side select picks when the remote leg
-// and the timer are both ready.
-type slowReplies struct{ transport.Transport }
-
-func (s slowReplies) Send(to string, frame []byte) error {
-	if h, err := wire.ParseHeader(frame); err == nil && h.Type == wire.TDataResp {
-		time.Sleep(time.Millisecond)
-	}
-	return s.Transport.Send(to, frame)
 }
 
 // heldReplies lets an imd's frames through until armed. Armed, it lets

@@ -44,7 +44,8 @@ type Policy struct {
 
 // Budget tracks one operation's consumption of a Policy. Not
 // goroutine-safe: a budget belongs to the single goroutine driving the
-// operation.
+// operation, which keeps it by value (on its stack, or in the state of
+// the operation).
 type Budget struct {
 	p        Policy
 	clock    sim.Clock
@@ -56,7 +57,7 @@ type Budget struct {
 
 // New creates a budget for one operation. rng may be nil when
 // p.Jitter is zero.
-func New(p Policy, clock sim.Clock, rng *rand.Rand) *Budget {
+func New(p Policy, clock sim.Clock, rng *rand.Rand) Budget {
 	if p.Factor < 1 {
 		p.Factor = 1
 	}
@@ -66,7 +67,7 @@ func New(p Policy, clock sim.Clock, rng *rand.Rand) *Budget {
 	if p.Jitter >= 1 {
 		p.Jitter = 0.999
 	}
-	return &Budget{p: p, clock: clock, rng: rng, start: clock.Now(), next: p.Base}
+	return Budget{p: p, clock: clock, rng: rng, start: clock.Now(), next: p.Base}
 }
 
 // Next returns the delay to wait before the next attempt, or false if

@@ -41,9 +41,11 @@ type Transport interface {
 	MTU() int
 	// Send transmits one datagram. Delivery is not guaranteed.
 	Send(to string, data []byte) error
-	// Recv blocks until a datagram arrives or timeout elapses
-	// (timeout <= 0 means wait forever). The returned slice is owned
-	// by the caller.
+	// Recv blocks until a datagram arrives or timeout elapses. A
+	// timeout <= 0 blocks until a datagram arrives or Close, which then
+	// returns ErrClosed: an endpoint's receive loop calls Recv(0) and
+	// relies on Close to end it, so it arms no timer per wait. The
+	// returned slice is owned by the caller.
 	Recv(timeout time.Duration) (data []byte, from string, err error)
 	// Close releases the endpoint; blocked Recv calls return ErrClosed.
 	Close() error

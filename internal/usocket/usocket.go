@@ -454,8 +454,8 @@ func (s *Socket) Overflow() int {
 	return s.overflow
 }
 
-// RecvCap returns the receive queue capacity in frames. The bulk
-// protocol's window negotiation uses it as the receiver's buffer space.
+// RecvCap returns the receive queue capacity in frames: how many a
+// burst may put in the queue before it drops.
 func (s *Socket) RecvCap() int { return s.recvCap }
 
 // Close releases the socket and its binding (the paper's u_close).

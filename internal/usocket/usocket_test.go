@@ -326,6 +326,34 @@ func TestTransportAdapter(t *testing.T) {
 	}
 }
 
+// TestTransportAdapterBlockedRecvReturnsErrClosed: a Recv(0) blocked on
+// an empty queue returns transport.ErrClosed when the transport is
+// closed, as the udp and in-memory transports' do. An endpoint's
+// receive loop blocks so, with no timeout, and counts on Close to end
+// it.
+func TestTransportAdapterBlockedRecvReturnsErrClosed(t *testing.T) {
+	_, _, b, _, _ := pair(t)
+	tb, err := NewTransport(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := tb.Recv(0)
+		done <- err
+	}()
+	time.Sleep(20 * time.Millisecond)
+	tb.Close()
+	select {
+	case err := <-done:
+		if !errors.Is(err, transport.ErrClosed) {
+			t.Fatalf("blocked Recv after Close = %v, want transport.ErrClosed", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("a blocked Recv did not return after Close")
+	}
+}
+
 func TestTransportAdapterRequiresBoundSocket(t *testing.T) {
 	seg := NewSegment()
 	s, _ := seg.Socket(4, 4)
