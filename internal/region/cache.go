@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dodo/internal/core"
@@ -158,11 +159,12 @@ type inflight struct {
 // dodo:acquires(marker)
 func newInflight() *inflight { return &inflight{done: make(chan struct{})} }
 
-// cregion is one entry of the local cache directory. Every field is
-// guarded by the Cache's mu (the struct itself carries no lock): I/O
-// phases work on ioView snapshots taken under the lock, and a non-nil
-// pend gives its owner exclusive right to *mutate* the region's
-// location state between two lock sections (see DESIGN.md §11).
+// cregion is one entry of the local cache directory. Every field but
+// the two atomics is guarded by the Cache's mu (the struct itself
+// carries no lock): I/O phases work on ioView snapshots taken under the
+// lock, and a non-nil pend gives its owner exclusive right to *mutate*
+// the region's location state between two lock sections (see DESIGN.md
+// §11).
 type cregion struct {
 	fd      int
 	length  int64
@@ -192,6 +194,18 @@ type cregion struct {
 	// flight). Write-throughs wait on it so no write can interleave
 	// with a push that already passed its staleness check.
 	clonePend *inflight
+	// pins counts the local hits that took a slice of local under the
+	// lock (pinLocked) to copy from once it is down; unpins counts those
+	// whose copy is done (unpin). While they differ a hit may be reading
+	// local's buffer, so nothing writes into it: Cwrite's local path and
+	// a fill that takes the buffer as its slot wait for the two to meet
+	// (awaitUnpinnedLocked). A hit pins only while pend is nil, and a
+	// waiter holds pend first, so the pins it waits for can only drain.
+	pins   int64
+	unpins atomic.Int64
+	// draining is set by the one goroutine waiting for this region's
+	// pins to drain (it holds pend); an unpin that sees it wakes it.
+	draining atomic.Bool
 }
 
 func (r *cregion) state() State {
@@ -286,10 +300,13 @@ type Stats struct {
 // I/O ever runs while mu is held: operations decide and reserve under
 // the lock, mark the regions they are transitioning with in-flight
 // markers, perform the I/O on ioView snapshots, and re-lock to install
-// the results (DESIGN.md §11). Lock juggling is always local to one
-// function: helpers called with the lock held (the *Locked family)
-// never release it, and helpers that acquire it are never called with
-// it held.
+// the results (DESIGN.md §11). Nor does a local hit's copy: the hit
+// pins the region under the lock and copies its bytes with the lock
+// released, and whatever writes into a region's buffer waits for its
+// pins to drain first. Lock juggling is always local to one function:
+// helpers called with the lock held (the *Locked family) never release
+// it for good — awaitUnpinnedLocked drops it only inside its Wait — and
+// helpers that acquire it are never called with it held.
 type Cache struct {
 	// dodo:unguarded — immutable after construction
 	cfg Config
@@ -335,6 +352,10 @@ type Cache struct {
 	// quiesce signals prefetchPend transitions; it shares mu.
 	// dodo:unguarded — sync.Cond is internally synchronized over mu
 	quiesce *sync.Cond
+	// unpinned is broadcast by an unpin that finds a region draining;
+	// it shares mu.
+	// dodo:unguarded — sync.Cond is internally synchronized over mu
+	unpinned *sync.Cond
 	// prefetchQ feeds the worker pool one access's prefetch window at a
 	// time; a worker pulls the window's regions in order, each through
 	// the path a foreground miss takes. nil when PrefetchWorkers == 0.
@@ -360,6 +381,7 @@ func NewCache(dodo Dodo, cfg Config) *Cache {
 	}
 	c.mu.SetRank(locks.RankRegionCache)
 	c.quiesce = sync.NewCond(&c.mu)
+	c.unpinned = sync.NewCond(&c.mu)
 	if c.cfg.PrefetchWorkers > 0 {
 		c.prefetchQ = make(chan []int, 4*c.cfg.PrefetchWorkers+c.cfg.PrefetchWindow)
 		c.prefetchStop = make(chan struct{})
@@ -513,11 +535,13 @@ func (c *Cache) Cread(fd int, offset int64, buf []byte) (int, error) {
 			continue
 		}
 		if r.local != nil {
-			copy(buf[:want], r.local[offset:offset+want])
+			pin := c.pinLocked(r, r.local[offset:offset+want])
 			c.stats.LocalHits++
 			c.cfg.Policy.NoteAccess(fd, false)
 			jobs := c.maybePrefetchLocked(r)
 			c.mu.Unlock()
+			copy(buf, pin.src)
+			c.unpin(pin)
 			c.dispatchPrefetch(jobs)
 			return int(want), nil
 		}
@@ -595,6 +619,17 @@ func (c *Cache) Cwrite(fd int, offset int64, buf []byte) (int, error) {
 			continue
 		}
 		if r.local != nil {
+			if r.pins != r.unpins.Load() {
+				// A hit is still copying out of r.local. The marker keeps
+				// new hits and evictions off the region while the wait has
+				// the lock down; it comes off before the copy, which runs
+				// in the same lock hold as the wake-up.
+				marker := newInflight()
+				r.pend = marker
+				c.awaitUnpinnedLocked(r, r.pins)
+				r.pend = nil
+				close(marker.done)
+			}
 			copy(r.local[offset:offset+want], buf[:want])
 			r.dirty = true
 			c.cfg.Policy.NoteAccess(fd, true)
@@ -747,7 +782,11 @@ type evictJob struct {
 	// data is the victim's detached buffer. Once evictIO is back without
 	// reinstall it is nobody's, and fillRegion may take it (leaving nil)
 	// as the buffer of the region it fills.
-	data   []byte
+	data []byte
+	// pins is the victim's pin count when data was detached: hits up to
+	// it may still be copying out of data, and a fill that takes data
+	// waits until the victim's unpins reach it.
+	pins   int64
 	dirty  bool
 	marker *inflight
 	// reinstall is set by evictIO when the flush failed: the bytes
@@ -787,6 +826,7 @@ func (c *Cache) reserveLocked(need int64) (victims []evictJob, fit bool) {
 		job := evictJob{
 			r:      victim,
 			data:   victim.local,
+			pins:   victim.pins,
 			dirty:  victim.dirty,
 			marker: newInflight(),
 		}
@@ -896,9 +936,17 @@ func (c *Cache) fillRegion(fd int, prefetched bool, overwrite []byte) bool {
 		// has no further use for them, and nothing refers to its buffer
 		// any more (Mwrite and WriteAt keep none). The hand-off lives
 		// and dies inside this call; there is no free list behind it.
+		// But a hit that pinned the victim before it was detached may
+		// still be copying out of it: nothing is written into the slot
+		// until those pins have drained.
 		for i := range victims {
 			if job := &victims[i]; !job.reinstall && int64(len(job.data)) == v.length {
 				data, job.data = job.data, nil
+				if job.r.unpins.Load() != job.pins {
+					c.mu.Lock()
+					c.awaitUnpinnedLocked(job.r, job.pins)
+					c.mu.Unlock()
+				}
 				break
 			}
 		}
@@ -930,6 +978,61 @@ func (c *Cache) fillRegion(fd int, prefetched bool, overwrite []byte) bool {
 	}
 	c.clearFillLocked(r, marker, key)
 	return overwrite != nil
+}
+
+// slotPin is a local hit's slice of a region's buffer, lent to a copy
+// that runs after c.mu is released; unpin returns it.
+type slotPin struct {
+	r   *cregion
+	src []byte
+}
+
+// pinLocked lends src, a slice of r.local, to a copy the caller runs
+// after dropping c.mu. Until unpin returns the pin, nothing writes into
+// r.local's buffer: not Cwrite, and not a fill that takes it as its
+// slot once r is evicted. Caller holds c.mu and has seen r.pend nil.
+//
+// dodo:acquires(slotpin)
+func (c *Cache) pinLocked(r *cregion, src []byte) slotPin {
+	r.pins++
+	return slotPin{r: r, src: src}
+}
+
+// unpin returns a pin taken by pinLocked once its copy is done: one
+// atomic add, and c.mu only when a writer is waiting for the region's
+// pins to drain. Called without c.mu.
+//
+// dodo:releases(slotpin)
+func (c *Cache) unpin(p slotPin) {
+	p.r.unpins.Add(1)
+	if p.r.draining.Load() {
+		c.mu.Lock()
+		c.unpinned.Broadcast()
+		c.mu.Unlock()
+	}
+}
+
+// awaitUnpinnedLocked waits until r's unpins reach pins: no hit up to
+// the pins count is still reading r's buffer, or the buffer it had when
+// pins was taken. The caller holds r.pend, so no new pin is taken
+// meanwhile and it is the only waiter on r. c.mu is dropped while it
+// waits. Caller holds c.mu.
+//
+// No wake-up is lost: this side stores draining and then loads unpins,
+// unpin adds to unpins and then loads draining, and Go's atomics are
+// sequentially consistent, so one side sees the other's write. Either
+// the re-check sees the last unpin and does not sleep, or that unpin
+// sees draining and broadcasts under c.mu, which this side holds until
+// Wait has queued it.
+func (c *Cache) awaitUnpinnedLocked(r *cregion, pins int64) {
+	for r.unpins.Load() != pins {
+		r.draining.Store(true)
+		if r.unpins.Load() == pins {
+			break
+		}
+		c.unpinned.Wait()
+	}
+	r.draining.Store(false)
 }
 
 // clearFillLocked releases a fill marker: waiters wake and the

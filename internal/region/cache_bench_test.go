@@ -233,3 +233,40 @@ func BenchmarkPrefetchPipeline(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkCreadLocalHitParallel: every GOMAXPROCS goroutine reads whole
+// 8 KB regions out of 64 resident ones, so every read is a local hit.
+// The hits contend only for c.mu's bookkeeping: each copies with the
+// lock released.
+func BenchmarkCreadLocalHitParallel(b *testing.B) {
+	const (
+		n       = 8192
+		regions = 64
+	)
+	c := NewCache(newBenchDodo(1<<30, 0), Config{Capacity: regions * n, Policy: NewLRU(), PromoteOnAccess: true})
+	back := core.NewMemBacking(1, regions*n)
+	fds := make([]int, regions)
+	for i := range fds {
+		fd, err := c.Copen(n, back, int64(i)*n)
+		if err != nil {
+			b.Fatal(err)
+		}
+		fds[i] = fd
+	}
+	var next atomic.Int64
+	b.SetBytes(n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		buf := make([]byte, n)
+		for i := int(next.Add(1)) * 7; pb.Next(); i++ {
+			if _, err := c.Cread(fds[i%regions], 0, buf); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+	if s := c.Stats(); s.Promotions != 0 || s.Evictions != 0 {
+		b.Fatalf("%d promotions, %d evictions: not every read was a hit", s.Promotions, s.Evictions)
+	}
+}

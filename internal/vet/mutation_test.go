@@ -275,10 +275,14 @@ func pinRow(name, pattern string, nth int) mutation {
 // pinMutations: the imd sends a region's bytes straight from its pool
 // under a pin (dodo:acquires(pin) on pinLocked, dodo:releases(pin) on
 // unpin); a send that never unpins would leave every later write and
-// free of the region waiting forever, and must be reported.
+// free of the region waiting forever, and must be reported. The region
+// cache's local hit copies under a pin of its own kind (slotpin), and
+// a hit that never unpins would leave the region's next Cwrite, or the
+// fill that takes its buffer, waiting forever.
 var pinMutations = []mutation{
 	pinRow("pushPage drops its unpin", "d.unpin(pin)", 1),
 	pinRow("handleRead's blast drops its unpin", "defer d.unpin(pin)", 1),
+	regionRow("Cread's hit drops its unpin", "cache.go", "c.unpin(pin)", 1),
 }
 
 func TestPinReleaseMutations(t *testing.T) {

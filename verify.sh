@@ -18,11 +18,16 @@ go test -race ./...
 
 # The real-stack benchmark is a module of its own (benchmark/go.mod
 # replaces module dodo with this tree), so nothing above compiles it.
-# Vet and test the harness, then run one second of the workload that
-# builds the whole stack, so a root API change cannot break the
-# separately-built benchmark unseen.
+# Vet and test the harness, then run one traced second of the workload
+# that builds the whole stack, so a root API change cannot break the
+# separately-built benchmark unseen. That second is a count gate too:
+# every read of fit8k-unet is a local hit (nothing evicted), and a hit
+# allocates nothing — no marker, no channel for its pin — so the
+# process allocates next to nothing per op (it reads 0.0001; one
+# allocation per hit reads 1).
 (cd benchmark && go vet ./... && go test ./...)
-bash benchmark/run.sh -workload fit8k-unet -seed 1 -seconds 1
+bash benchmark/run.sh -workload fit8k-unet -seed 1 -seconds 1 -trace 1 | tail -n 1 | \
+    go run ./cmd/dodo-bench -counts 'process.allocs_per_op<0.01,region.local_hit_frac==1,region.evictions_per_op==0'
 
 # Count gate: a fixed-op traced pass counts frames and calls, and those
 # are the same on every machine, unlike the ns/op gates below. A page
@@ -87,10 +92,14 @@ go test -fuzz=FuzzWireRoundTrip -fuzztime=10s -run '^$' ./internal/wire/
 # Concurrent region-cache sweep: the parallel Cread/Cwrite/Cclose/
 # Prefetch suite under both the race detector and the lockcheck
 # runtime, -count=2 so the coalescing and pipeline tests see more than
-# one schedule. Separate invocation so a cache-concurrency regression
-# is attributable here, not lost in the whole-tree runs above.
-go test -race -run 'TestConcurrent|TestInterleavedSequentialStreams|TestNoPrefetchAfterFailedRead|TestPrefetchWorkerPool' -count=2 -timeout 300s ./internal/region/
-go test -race -tags lockcheck -run 'TestConcurrent|TestInterleavedSequentialStreams|TestNoPrefetchAfterFailedRead|TestPrefetchWorkerPool' -count=2 -timeout 300s ./internal/region/
+# one schedule. It includes the hit-copy tests: a local hit copies with
+# the cache lock released under a pin, and a Cwrite or a fill into the
+# evicted slot waits for the pin. Separate invocation so a
+# cache-concurrency regression is attributable here, not lost in the
+# whole-tree runs above.
+REGION_TESTS='TestConcurrent|TestInterleavedSequentialStreams|TestNoPrefetchAfterFailedRead|TestPrefetchWorkerPool|TestHitCopy|TestPinHoldsSlotWritersNotClose|TestLocalHitAllocatesNothing'
+go test -race -run "$REGION_TESTS" -count=2 -timeout 300s ./internal/region/
+go test -race -tags lockcheck -run "$REGION_TESTS" -count=2 -timeout 300s ./internal/region/
 
 # Buffers two goroutines share on the read path, under the race detector
 # with -count=3: the imd blasts and hands off pages from pinned pool
