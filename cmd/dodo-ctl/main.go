@@ -14,8 +14,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
+	"sort"
 	"time"
 
 	"dodo"
@@ -36,7 +38,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("dodo-ctl: %v", err)
 		}
-		print(stats)
+		print(os.Stdout, stats)
 		if *watch <= 0 {
 			return
 		}
@@ -69,28 +71,28 @@ func query(addr string, retryFor time.Duration) (dodo.ClusterState, error) {
 	}
 }
 
-func print(s dodo.ClusterState) {
-	fmt.Printf("manager: incarnation %d, %d idle hosts, %d regions, %d clients\n",
+// print writes the manager's header line, one "name value" line per
+// counter in name order, the per-host corruption breakdown and the
+// idle-host table.
+func print(w io.Writer, s dodo.ClusterState) {
+	fmt.Fprintf(w, "manager: incarnation %d, %d idle hosts, %d regions, %d clients\n",
 		s.Incarnation, len(s.Hosts), s.Regions, s.Clients)
-	fmt.Printf("counters: %d allocs (%d failed), %d frees, %d stale drops, %d orphan reclaims\n",
-		s.Allocs, s.AllocFailures, s.Frees, s.StaleDrops, s.OrphanReclaims)
-	fmt.Printf("recovery: %d drops, %d revalidations, %d re-opens\n",
-		s.ClientDrops, s.ClientRevalidations, s.ClientReopens)
-	fmt.Printf("rebuild: %d inventory reports, %d regions rebuilt, %d fenced requests\n",
-		s.InventoryReports, s.RebuiltRegions, s.FencedRequests)
-	fmt.Printf("handoff: %d offers, %d pages moved, %d aborted, %d adopted by clients\n",
-		s.HandoffOffers, s.HandoffPagesMoved, s.HandoffAborts, s.ClientHandoffAdopts)
-	fmt.Printf("hedging: %d hedged reads (%d disk wins, %d wasted), %d retry budgets exhausted\n",
-		s.ClientHedgedReads, s.ClientHedgeWins, s.ClientHedgeWasted, s.ClientRetryExhausted)
-	fmt.Printf("integrity: %d page-checksum failures\n", s.ClientChecksumFailures)
+	names := make([]string, 0, len(s.Counters))
+	for name := range s.Counters {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		fmt.Fprintf(w, "%-32s %d\n", name, s.Counters[name])
+	}
 	for _, h := range s.CorruptHosts {
-		fmt.Printf("  corrupt frames from %-24s %d\n", h.Addr, h.Count)
+		fmt.Fprintf(w, "corrupt frames from %-24s %d\n", h.Addr, h.Count)
 	}
 	if len(s.Hosts) == 0 {
 		return
 	}
-	fmt.Printf("%-24s %8s %12s %12s\n", "host", "epoch", "avail", "largest")
+	fmt.Fprintf(w, "%-24s %8s %12s %12s\n", "host", "epoch", "avail", "largest")
 	for _, h := range s.Hosts {
-		fmt.Printf("%-24s %8d %9d MB %9d MB\n", h.Addr, h.Epoch, h.AvailBytes>>20, h.LargestFree>>20)
+		fmt.Fprintf(w, "%-24s %8d %9d MB %9d MB\n", h.Addr, h.Epoch, h.AvailBytes>>20, h.LargestFree>>20)
 	}
 }

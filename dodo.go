@@ -169,34 +169,16 @@ type ClusterState struct {
 	Hosts   []wire.HostInfo
 	Regions uint64
 	Clients uint64
-
-	Allocs, AllocFailures, Frees, StaleDrops, OrphanReclaims uint64
-	// Graceful-reclaim handoff counters: offers received from draining
-	// imds, pages successfully repointed to peers, and grants aborted
-	// (grace window expired or push failed).
-	HandoffOffers, HandoffPagesMoved, HandoffAborts uint64
-	// Client recovery counters, aggregated by the manager from
-	// keep-alive acks: drop-host events, checkAlloc revalidation probes,
-	// and transparent region re-opens.
-	ClientDrops, ClientRevalidations, ClientReopens uint64
-	// Client graceful-reclaim/hedging counters: regions adopted from
-	// handoff copies without repopulation, hedged reads issued, hedges
-	// the backup won, hedges wasted (remote still answered first), and
-	// operations whose retry budget ran dry.
-	ClientHandoffAdopts, ClientHedgedReads, ClientHedgeWins uint64
-	ClientHedgeWasted, ClientRetryExhausted                 uint64
-	// Crash-recovery view: the manager's incarnation number and the
-	// soft-state rebuild counters for the current incarnation (inventory
-	// re-reports accepted, RD rows rebuilt from them, requests fenced for
-	// carrying a dead incarnation).
-	Incarnation      uint64
-	InventoryReports uint64
-	RebuiltRegions   uint64
-	FencedRequests   uint64
-	// End-to-end page-checksum failures observed by clients, with a
-	// per-host breakdown by the host that served the corrupt frame.
-	ClientChecksumFailures uint64
-	CorruptHosts           []wire.HostCount
+	// Incarnation is the manager's incarnation number; its counters
+	// cover the current incarnation only.
+	Incarnation uint64
+	// Counters holds every total the manager reports, by name: its own,
+	// and the sums of its clients' keep-alive reports under a "client."
+	// prefix.
+	Counters map[string]uint64
+	// CorruptHosts breaks the clients' page-checksum failures down by
+	// the host that served the corrupt frame.
+	CorruptHosts []wire.HostCount
 }
 
 // QueryCluster asks the central manager at managerAddr (over UDP) for
@@ -216,32 +198,16 @@ func QueryCluster(managerAddr string) (ClusterState, error) {
 	if !ok || st.Status != wire.StatusOK {
 		return ClusterState{}, fmt.Errorf("dodo: manager refused the stats query")
 	}
+	counters := make(map[string]uint64, len(st.Counters))
+	for _, k := range st.Counters {
+		counters[k.Name] = k.Value
+	}
 	return ClusterState{
-		Hosts:                st.Hosts,
-		Regions:              st.Regions,
-		Clients:              st.Clients,
-		Allocs:               st.Allocs,
-		AllocFailures:        st.AllocFailures,
-		Frees:                st.Frees,
-		StaleDrops:           st.StaleDrops,
-		OrphanReclaims:       st.OrphanReclaims,
-		HandoffOffers:        st.HandoffOffers,
-		HandoffPagesMoved:    st.HandoffPagesMoved,
-		HandoffAborts:        st.HandoffAborts,
-		ClientDrops:          st.ClientDrops,
-		ClientRevalidations:  st.ClientRevalidations,
-		ClientReopens:        st.ClientReopens,
-		ClientHandoffAdopts:  st.ClientHandoffAdopts,
-		ClientHedgedReads:    st.ClientHedgedReads,
-		ClientHedgeWins:      st.ClientHedgeWins,
-		ClientHedgeWasted:    st.ClientHedgeWasted,
-		ClientRetryExhausted: st.ClientRetryExhausted,
-
-		Incarnation:            st.Incarnation,
-		InventoryReports:       st.InventoryReports,
-		RebuiltRegions:         st.RebuiltRegions,
-		FencedRequests:         st.FencedRequests,
-		ClientChecksumFailures: st.ClientChecksumFailures,
-		CorruptHosts:           st.CorruptHosts,
+		Hosts:        st.Hosts,
+		Regions:      st.Regions,
+		Clients:      st.Clients,
+		Incarnation:  st.Incarnation,
+		Counters:     counters,
+		CorruptHosts: st.CorruptHosts,
 	}, nil
 }

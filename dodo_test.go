@@ -217,7 +217,7 @@ func TestQueryClusterOverUDP(t *testing.T) {
 	if h.AvailBytes != 2<<20-4096 {
 		t.Fatalf("avail = %d, want pool minus one region", h.AvailBytes)
 	}
-	if state.Regions != 1 || state.Allocs != 1 || state.Clients != 1 {
+	if state.Regions != 1 || state.Counters["allocs"] != 1 || state.Clients != 1 {
 		t.Fatalf("state = %+v", state)
 	}
 	if _, err := QueryCluster("127.0.0.1:1"); err == nil {

@@ -362,10 +362,10 @@ func TestSeededFaultSweep(t *testing.T) {
 
 	// Cluster-wide counters made it to the manager via keep-alive acks.
 	deadline = time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) && c.Manager().Stats().ClientDrops == 0 {
+	for time.Now().Before(deadline) && c.Manager().Stats().Client["drops"] == 0 {
 		time.Sleep(50 * time.Millisecond)
 	}
-	if s := c.Manager().Stats(); s.ClientDrops == 0 {
+	if s := c.Manager().Stats(); s.Client["drops"] == 0 {
 		t.Fatalf("manager never aggregated client drop counters: %+v", s)
 	}
 	t.Logf("final client stats: %+v", cli.Stats())

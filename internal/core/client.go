@@ -267,7 +267,7 @@ func New(tr transport.Transport, cfg Config) *Client {
 	}
 	c.mu.SetRank(locks.RankCoreClient)
 	// The client must echo the manager's keep-alives (§3.1) or its
-	// regions are reclaimed as orphans. The ack piggybacks the recovery
+	// regions are reclaimed as orphans. The ack piggybacks the client's
 	// counters so the manager aggregates them cluster-wide. The probe's
 	// incarnation stamp doubles as the client's restart detector: a
 	// value newer than any seen before flips every valid descriptor to
@@ -275,19 +275,7 @@ func New(tr transport.Transport, cfg Config) *Client {
 	c.ep = bulk.NewEndpoint(tr, cfg.Endpoint, func(from string, msg wire.Message) wire.Message {
 		if ka, ok := msg.(*wire.KeepAlive); ok {
 			c.noteIncarnation(ka.Incarnation)
-			return &wire.KeepAliveAck{
-				ClientID:         ka.ClientID,
-				Drops:            uint64(c.dropEvents.Load()),
-				Revalidations:    uint64(c.revalidations.Load()),
-				Reopens:          uint64(c.reopens.Load()),
-				HandoffAdopts:    uint64(c.handoffAdopts.Load()),
-				HedgedReads:      uint64(c.hedgedReads.Load()),
-				HedgeWins:        uint64(c.hedgeWins.Load()),
-				HedgeWasted:      uint64(c.hedgeWasted.Load()),
-				RetryExhausted:   uint64(c.ep.RetryExhausted()),
-				ChecksumFailures: uint64(c.checksumFails.Load()),
-				CorruptHosts:     c.corruptHostsSnapshot(),
-			}
+			return c.keepAliveAck(ka.ClientID)
 		}
 		return nil
 	})
@@ -638,6 +626,34 @@ func (c *Client) corruptHostsSnapshot() []wire.HostCount {
 	}
 	sort.Slice(hosts, func(i, j int) bool { return hosts[i].Addr < hosts[j].Addr })
 	return hosts
+}
+
+// ackCounters names the running totals every keep-alive ack carries to
+// the manager, in the order they are sent. A total the cluster should
+// see is one row here: neither the wire nor the manager names it.
+var ackCounters = []struct {
+	name string
+	load func(*Client) int64
+}{
+	{"drops", func(c *Client) int64 { return c.dropEvents.Load() }},
+	{"revalidations", func(c *Client) int64 { return c.revalidations.Load() }},
+	{"reopens", func(c *Client) int64 { return c.reopens.Load() }},
+	{"handoff_adopts", func(c *Client) int64 { return c.handoffAdopts.Load() }},
+	{"hedged_reads", func(c *Client) int64 { return c.hedgedReads.Load() }},
+	{"hedge_wins", func(c *Client) int64 { return c.hedgeWins.Load() }},
+	{"hedge_wasted", func(c *Client) int64 { return c.hedgeWasted.Load() }},
+	{"retry_exhausted", func(c *Client) int64 { return c.ep.RetryExhausted() }},
+	{"checksum_failures", func(c *Client) int64 { return c.checksumFails.Load() }},
+}
+
+// keepAliveAck answers the manager's keep-alive with every counter in
+// ackCounters and the per-host corruption breakdown.
+func (c *Client) keepAliveAck(id uint32) *wire.KeepAliveAck {
+	counters := make([]wire.Counter, len(ackCounters))
+	for i, k := range ackCounters {
+		counters[i] = wire.Counter{Name: k.name, Value: uint64(k.load(c))}
+	}
+	return &wire.KeepAliveAck{ClientID: id, Counters: counters, CorruptHosts: c.corruptHostsSnapshot()}
 }
 
 // markDiskDirty flags fd's region as possibly behind the backing file:

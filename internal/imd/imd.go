@@ -51,9 +51,6 @@ type Config struct {
 	Clock sim.Clock
 	// Endpoint tunes the messaging layer.
 	Endpoint bulk.Config
-	// Allocator overrides the pool allocator (default: the paper's
-	// first-fit with periodic coalescing).
-	Allocator pool.Allocator
 	// Logger receives operational events; nil silences them.
 	Logger *log.Logger
 }
@@ -209,14 +206,10 @@ type regionMeta struct {
 // central manager.
 func New(tr transport.Transport, cfg Config) *Daemon {
 	cfg = cfg.withDefaults()
-	alloc := cfg.Allocator
-	if alloc == nil {
-		alloc = pool.NewFirstFit(cfg.PoolSize)
-	}
 	d := &Daemon{
 		cfg:            cfg,
 		log:            cfg.Logger,
-		pool:           pool.New(alloc),
+		pool:           pool.New(pool.NewFirstFit(cfg.PoolSize)),
 		lastWriteSeq:   make(map[uint64]uint64),
 		readCount:      make(map[uint64]uint64),
 		handoffApplied: make(map[uint64]bool),

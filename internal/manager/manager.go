@@ -133,17 +133,13 @@ type clientEntry struct {
 	misses int
 }
 
-// recovCounters is a client's cumulative recovery totals as last
-// reported on a keep-alive ack. Kept even after the client is
-// untracked, so cluster-wide aggregation survives churn without double
-// counting (acks carry running totals, not deltas).
-type recovCounters struct {
-	drops, revalidations, reopens       uint64
-	handoffAdopts                       uint64
-	hedgedReads, hedgeWins, hedgeWasted uint64
-	retryExhausted                      uint64
-	checksumFailures                    uint64
-	corruptHosts                        []wire.HostCount
+// clientReport is a client's last keep-alive ack: its running totals
+// by name, and its checksum failures by serving host. Kept even after
+// the client is untracked, so cluster-wide aggregation survives churn
+// without double counting (acks carry running totals, not deltas).
+type clientReport struct {
+	counters     []wire.Counter
+	corruptHosts []wire.HostCount
 }
 
 // Manager is the central manager daemon.
@@ -163,7 +159,7 @@ type Manager struct {
 	// dodo:guardedby mu
 	clients map[string]*clientEntry
 	// dodo:guardedby mu
-	recov map[string]recovCounters
+	recov map[string]clientReport
 	// dodo:guardedby mu
 	draining map[string]*drainingHost
 	// dodo:guardedby mu
@@ -206,7 +202,7 @@ func New(tr transport.Transport, cfg Config) *Manager {
 		iwd:      make(map[string]*hostEntry),
 		rd:       make(map[wire.RegionKey]*regionEntry),
 		clients:  make(map[string]*clientEntry),
-		recov:    make(map[string]recovCounters),
+		recov:    make(map[string]clientReport),
 		draining: make(map[string]*drainingHost),
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		stop:     make(chan struct{}),
@@ -283,28 +279,57 @@ type Snapshot struct {
 	HandoffOffers     int64
 	HandoffPagesMoved int64
 	HandoffAborts     int64
-	// Client recovery totals aggregated from keep-alive acks.
-	ClientDrops          uint64
-	ClientRevalidations  uint64
-	ClientReopens        uint64
-	ClientHandoffAdopts  uint64
-	ClientHedgedReads    uint64
-	ClientHedgeWins      uint64
-	ClientHedgeWasted    uint64
-	ClientRetryExhausted uint64
 	// Crash-recovery state and counters.
 	Incarnation      uint64
 	InventoryReports int64
 	RebuiltRegions   int64
 	FencedRequests   int64
-	// End-to-end checksum totals aggregated from keep-alive acks.
-	ClientChecksumFailures uint64
+	// Client sums every client's last keep-alive counters by name,
+	// clients since untracked included.
+	Client map[string]uint64
+}
+
+// managerCounters names the manager's own totals for the stats RPC. A
+// new one is a Snapshot field and a row here.
+var managerCounters = []struct {
+	name string
+	get  func(*Snapshot) int64
+}{
+	{"allocs", func(s *Snapshot) int64 { return s.Allocs }},
+	{"alloc_failures", func(s *Snapshot) int64 { return s.AllocFailures }},
+	{"frees", func(s *Snapshot) int64 { return s.Frees }},
+	{"stale_drops", func(s *Snapshot) int64 { return s.StaleDrops }},
+	{"orphan_reclaims", func(s *Snapshot) int64 { return s.OrphanReclaims }},
+	{"handoff_offers", func(s *Snapshot) int64 { return s.HandoffOffers }},
+	{"handoff_pages_moved", func(s *Snapshot) int64 { return s.HandoffPagesMoved }},
+	{"handoff_aborts", func(s *Snapshot) int64 { return s.HandoffAborts }},
+	{"inventory_reports", func(s *Snapshot) int64 { return s.InventoryReports }},
+	{"rebuilt_regions", func(s *Snapshot) int64 { return s.RebuiltRegions }},
+	{"fenced_requests", func(s *Snapshot) int64 { return s.FencedRequests }},
+}
+
+// counters lists the snapshot's totals in name order: the manager's
+// own, and each client sum under a "client." prefix.
+func (s *Snapshot) counters() []wire.Counter {
+	out := make([]wire.Counter, 0, len(managerCounters)+len(s.Client))
+	for _, k := range managerCounters {
+		out = append(out, wire.Counter{Name: k.name, Value: uint64(k.get(s))})
+	}
+	for name, v := range s.Client {
+		out = append(out, wire.Counter{Name: "client." + name, Value: v})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out
 }
 
 // Stats returns a consistent snapshot.
 func (m *Manager) Stats() Snapshot {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	return m.snapshotLocked()
+}
+
+func (m *Manager) snapshotLocked() Snapshot {
 	s := Snapshot{
 		IdleHosts:         len(m.iwd),
 		Regions:           len(m.rd),
@@ -321,17 +346,12 @@ func (m *Manager) Stats() Snapshot {
 		InventoryReports:  m.inventoryReports,
 		RebuiltRegions:    m.rebuiltRegions,
 		FencedRequests:    m.fencedRequests,
+		Client:            make(map[string]uint64),
 	}
-	for _, rc := range m.recov {
-		s.ClientDrops += rc.drops
-		s.ClientRevalidations += rc.revalidations
-		s.ClientReopens += rc.reopens
-		s.ClientHandoffAdopts += rc.handoffAdopts
-		s.ClientHedgedReads += rc.hedgedReads
-		s.ClientHedgeWins += rc.hedgeWins
-		s.ClientHedgeWasted += rc.hedgeWasted
-		s.ClientRetryExhausted += rc.retryExhausted
-		s.ClientChecksumFailures += rc.checksumFailures
+	for _, r := range m.recov {
+		for _, k := range r.counters {
+			s.Client[k.Name] += k.Value
+		}
 	}
 	return s
 }
@@ -340,8 +360,8 @@ func (m *Manager) Stats() Snapshot {
 // last reported by each client into one address-sorted list.
 func (m *Manager) corruptHostsLocked() []wire.HostCount {
 	byHost := make(map[string]uint64)
-	for _, rc := range m.recov {
-		for _, hc := range rc.corruptHosts {
+	for _, r := range m.recov {
+		for _, hc := range r.corruptHosts {
 			byHost[hc.Addr] += hc.Count
 		}
 	}
@@ -398,34 +418,14 @@ func (m *Manager) handle(from string, msg wire.Message) wire.Message {
 func (m *Manager) handleClusterStats(*wire.ClusterStatsReq) wire.Message {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	s := m.snapshotLocked()
 	resp := &wire.ClusterStatsResp{
-		Status:            wire.StatusOK,
-		Regions:           uint64(len(m.rd)),
-		Clients:           uint64(len(m.clients)),
-		Allocs:            uint64(m.allocs),
-		AllocFailures:     uint64(m.allocFailures),
-		Frees:             uint64(m.frees),
-		StaleDrops:        uint64(m.staleDrops),
-		OrphanReclaims:    uint64(m.orphanReclaims),
-		HandoffOffers:     uint64(m.handoffOffers),
-		HandoffPagesMoved: uint64(m.handoffPagesMoved),
-		HandoffAborts:     uint64(m.handoffAborts),
-		Incarnation:       m.cfg.Incarnation,
-		InventoryReports:  uint64(m.inventoryReports),
-		RebuiltRegions:    uint64(m.rebuiltRegions),
-		FencedRequests:    uint64(m.fencedRequests),
-		CorruptHosts:      m.corruptHostsLocked(),
-	}
-	for _, rc := range m.recov {
-		resp.ClientDrops += rc.drops
-		resp.ClientRevalidations += rc.revalidations
-		resp.ClientReopens += rc.reopens
-		resp.ClientHandoffAdopts += rc.handoffAdopts
-		resp.ClientHedgedReads += rc.hedgedReads
-		resp.ClientHedgeWins += rc.hedgeWins
-		resp.ClientHedgeWasted += rc.hedgeWasted
-		resp.ClientRetryExhausted += rc.retryExhausted
-		resp.ClientChecksumFailures += rc.checksumFailures
+		Status:       wire.StatusOK,
+		Regions:      uint64(s.Regions),
+		Clients:      uint64(s.Clients),
+		Incarnation:  s.Incarnation,
+		Counters:     s.counters(),
+		CorruptHosts: m.corruptHostsLocked(),
 	}
 	for _, h := range m.iwd {
 		resp.Hosts = append(resp.Hosts, wire.HostInfo{
@@ -1048,21 +1048,10 @@ func (m *Manager) keepAliveLoop() {
 				}
 				if err == nil {
 					c.misses = 0
-					// The ack piggybacks the client's cumulative recovery
-					// counters; remember the latest report.
+					// The ack piggybacks the client's running totals;
+					// remember the latest report.
 					if ack, isAck := resp.(*wire.KeepAliveAck); isAck {
-						m.recov[addr] = recovCounters{
-							drops:            ack.Drops,
-							revalidations:    ack.Revalidations,
-							reopens:          ack.Reopens,
-							handoffAdopts:    ack.HandoffAdopts,
-							hedgedReads:      ack.HedgedReads,
-							hedgeWins:        ack.HedgeWins,
-							hedgeWasted:      ack.HedgeWasted,
-							retryExhausted:   ack.RetryExhausted,
-							checksumFailures: ack.ChecksumFailures,
-							corruptHosts:     ack.CorruptHosts,
-						}
+						m.recov[addr] = clientReport{ack.Counters, ack.CorruptHosts}
 					}
 					m.mu.Unlock()
 					return

@@ -1,6 +1,7 @@
 package manager
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -543,6 +544,65 @@ func TestClientUntrackedAfterLastFree(t *testing.T) {
 	}
 }
 
+// ackingClient is a fake client whose keep-alive acks report the given
+// counters and corruption rows; it is tracked once it holds a region.
+func ackingClient(t *testing.T, n *transport.Network, addr string, inode uint64, counters []wire.Counter, corrupt []wire.HostCount) *bulk.Endpoint {
+	t.Helper()
+	cli := bulk.NewEndpoint(n.Host(addr), fastEndpointCfg(), func(from string, msg wire.Message) wire.Message {
+		if ka, ok := msg.(*wire.KeepAlive); ok {
+			return &wire.KeepAliveAck{ClientID: ka.ClientID, Counters: counters, CorruptHosts: corrupt}
+		}
+		return nil
+	})
+	t.Cleanup(func() { cli.Close() })
+	if _, err := cli.Call("cmd", &wire.AllocReq{Key: key(inode, 0), Length: 1024}); err != nil {
+		t.Fatal(err)
+	}
+	return cli
+}
+
+// waitClientSums polls the manager's snapshot until its client sums
+// include want.
+func waitClientSums(t *testing.T, mgr *Manager, want map[string]uint64) Snapshot {
+	t.Helper()
+	matches := func(s Snapshot) bool {
+		for name, v := range want {
+			if s.Client[name] != v {
+				return false
+			}
+		}
+		return true
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for time.Now().Before(deadline) && !matches(mgr.Stats()) {
+		time.Sleep(20 * time.Millisecond)
+	}
+	s := mgr.Stats()
+	if !matches(s) {
+		t.Fatalf("client sums = %v, want %v", s.Client, want)
+	}
+	return s
+}
+
+// statsCounters asks the manager for its stats over the wire and
+// returns the response's counters by name, failing on a repeated name.
+func statsCounters(t *testing.T, cli *bulk.Endpoint) (*wire.ClusterStatsResp, map[string]uint64) {
+	t.Helper()
+	resp, err := cli.Call("cmd", &wire.ClusterStatsReq{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := resp.(*wire.ClusterStatsResp)
+	byName := make(map[string]uint64)
+	for _, k := range st.Counters {
+		if _, dup := byName[k.Name]; dup {
+			t.Fatalf("counter %q listed twice in %v", k.Name, st.Counters)
+		}
+		byName[k.Name] = k.Value
+	}
+	return st, byName
+}
+
 // TestKeepAliveAggregatesRecoveryCounters: keep-alive acks piggyback the
 // client's cumulative recovery counters; the manager's snapshot sums
 // them, and the totals survive the client being untracked.
@@ -552,29 +612,15 @@ func TestKeepAliveAggregatesRecoveryCounters(t *testing.T) {
 	t.Cleanup(func() { mgr.Close() })
 	imd := newFakeIMD(n, "imd1", 1<<20, 1)
 	t.Cleanup(func() { imd.ep.Close() })
+	reg := bulk.NewEndpoint(n.Host("rmd"), fastEndpointCfg(), nil)
+	t.Cleanup(func() { reg.Close() })
+	registerHost(t, reg, "cmd", "imd1", 1, 1<<20)
 
-	cli := bulk.NewEndpoint(n.Host("client"), fastEndpointCfg(), func(from string, msg wire.Message) wire.Message {
-		if ka, ok := msg.(*wire.KeepAlive); ok {
-			return &wire.KeepAliveAck{ClientID: ka.ClientID, Drops: 3, Revalidations: 2, Reopens: 1}
-		}
-		return nil
-	})
-	t.Cleanup(func() { cli.Close() })
-	registerHost(t, cli, "cmd", "imd1", 1, 1<<20)
-	if _, err := cli.Call("cmd", &wire.AllocReq{Key: key(72, 0), Length: 1024}); err != nil {
-		t.Fatal(err)
-	}
-
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if s := mgr.Stats(); s.ClientDrops == 3 && s.ClientRevalidations == 2 && s.ClientReopens == 1 {
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	if s := mgr.Stats(); s.ClientDrops != 3 || s.ClientRevalidations != 2 || s.ClientReopens != 1 {
-		t.Fatalf("recovery counters never aggregated: %+v", s)
-	}
+	cli := ackingClient(t, n, "client", 72, []wire.Counter{
+		{Name: "drops", Value: 3}, {Name: "revalidations", Value: 2}, {Name: "reopens", Value: 1},
+	}, nil)
+	want := map[string]uint64{"drops": 3, "revalidations": 2, "reopens": 1}
+	waitClientSums(t, mgr, want)
 	// Free the last region: the client is untracked, but the cluster
 	// totals must not drop (acks carry running totals, not deltas).
 	if _, err := cli.Call("cmd", &wire.FreeReq{Key: key(72, 0)}); err != nil {
@@ -584,8 +630,44 @@ func TestKeepAliveAggregatesRecoveryCounters(t *testing.T) {
 	if s.Clients != 0 {
 		t.Fatalf("Clients = %d after last free, want 0", s.Clients)
 	}
-	if s.ClientDrops != 3 || s.ClientRevalidations != 2 || s.ClientReopens != 1 {
-		t.Fatalf("recovery totals lost on untrack: %+v", s)
+	for name, v := range want {
+		if s.Client[name] != v {
+			t.Fatalf("recovery totals lost on untrack: %v", s.Client)
+		}
+	}
+}
+
+// TestUnknownCounterIsSummed: a counter name the manager has never
+// heard of is summed across clients and reported, with no manager
+// change — the manager names only its own counters.
+func TestUnknownCounterIsSummed(t *testing.T) {
+	n := transport.NewNetwork()
+	mgr := New(n.Host("cmd"), fastCfg())
+	t.Cleanup(func() { mgr.Close() })
+	imd := newFakeIMD(n, "imd1", 1<<20, 1)
+	t.Cleanup(func() { imd.ep.Close() })
+	reg := bulk.NewEndpoint(n.Host("rmd"), fastEndpointCfg(), nil)
+	t.Cleanup(func() { reg.Close() })
+	registerHost(t, reg, "cmd", "imd1", 1, 1<<20)
+
+	ackingClient(t, n, "client-a", 81, []wire.Counter{{Name: "frobs_polished", Value: 5}, {Name: "drops", Value: 1}},
+		[]wire.HostCount{{Addr: "imd1", Count: 2}})
+	ackingClient(t, n, "client-b", 82, []wire.Counter{{Name: "frobs_polished", Value: 7}},
+		[]wire.HostCount{{Addr: "imd1", Count: 1}, {Addr: "imd9", Count: 4}})
+	waitClientSums(t, mgr, map[string]uint64{"frobs_polished": 12, "drops": 1})
+
+	st, byName := statsCounters(t, reg)
+	if byName["client.frobs_polished"] != 12 || byName["client.drops"] != 1 || byName["allocs"] != 2 {
+		t.Fatalf("stats counters = %v", st.Counters)
+	}
+	for i := 1; i < len(st.Counters); i++ {
+		if st.Counters[i-1].Name >= st.Counters[i].Name {
+			t.Fatalf("stats counters not in name order: %v", st.Counters)
+		}
+	}
+	want := []wire.HostCount{{Addr: "imd1", Count: 3}, {Addr: "imd9", Count: 4}}
+	if !reflect.DeepEqual(st.CorruptHosts, want) {
+		t.Fatalf("corrupt hosts = %v, want %v", st.CorruptHosts, want)
 	}
 }
 
@@ -602,8 +684,11 @@ func TestClusterStatsRPC(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := resp.(*wire.ClusterStatsResp)
-	if st.Status != wire.StatusOK || len(st.Hosts) != 1 || st.Regions != 1 || st.Allocs != 1 {
+	if st.Status != wire.StatusOK || len(st.Hosts) != 1 || st.Regions != 1 {
 		t.Fatalf("stats = %+v", st)
+	}
+	if _, byName := statsCounters(t, r.cli); byName["allocs"] != 1 {
+		t.Fatalf("stats counters = %v, want allocs 1", byName)
 	}
 	if st.Hosts[0].Addr != "imd1" || st.Hosts[0].Epoch != 4 {
 		t.Fatalf("host row = %+v", st.Hosts[0])

@@ -38,23 +38,27 @@ func TestTypeTable(t *testing.T) {
 
 // TestHostileCountsCostNothing: the smallest frame of every message
 // that carries a list, its count bytes set to 0xFFFF and no element
-// behind them, is ErrTruncated — and is refused before anything is
-// allocated for the elements it claims.
+// behind them, is ErrTruncated — ErrFieldBounds for a list bounded
+// below 0xFFFF — and is refused before anything is allocated for the
+// elements it claims.
 func TestHostileCountsCostNothing(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		msg  Message
 		// behind is how many payload bytes follow the count in the
-		// message's zero value: the next list's own count.
+		// message's zero value: the next lists' own counts.
 		behind int
+		want   error
 	}{
-		{"KeepAliveAck", &KeepAliveAck{}, 0},
-		{"BulkNack", &BulkNack{}, 0},
-		{"ClusterStatsResp/hosts", &ClusterStatsResp{}, 2},
-		{"ClusterStatsResp/corrupt", &ClusterStatsResp{}, 0},
-		{"HandoffOffer", &HandoffOffer{}, 0},
-		{"HandoffAccept", &HandoffAccept{}, 0},
-		{"InventoryReport", &InventoryReport{}, 0},
+		{"KeepAliveAck/counters", &KeepAliveAck{}, 2, ErrFieldBounds},
+		{"KeepAliveAck/corrupt", &KeepAliveAck{}, 0, ErrTruncated},
+		{"BulkNack", &BulkNack{}, 0, ErrTruncated},
+		{"ClusterStatsResp/hosts", &ClusterStatsResp{}, 4, ErrTruncated},
+		{"ClusterStatsResp/counters", &ClusterStatsResp{}, 2, ErrTruncated},
+		{"ClusterStatsResp/corrupt", &ClusterStatsResp{}, 0, ErrTruncated},
+		{"HandoffOffer", &HandoffOffer{}, 0, ErrTruncated},
+		{"HandoffAccept", &HandoffAccept{}, 0, ErrTruncated},
+		{"InventoryReport", &InventoryReport{}, 0, ErrTruncated},
 	} {
 		frame, err := Encode(1, tc.msg)
 		if err != nil {
@@ -66,8 +70,8 @@ func TestHostileCountsCostNothing(t *testing.T) {
 		runtime.ReadMemStats(&before)
 		_, _, err = Decode(frame)
 		runtime.ReadMemStats(&after)
-		if !errors.Is(err, ErrTruncated) {
-			t.Errorf("%s with a hostile count = %v, want ErrTruncated", tc.name, err)
+		if !errors.Is(err, tc.want) {
+			t.Errorf("%s with a hostile count = %v, want %v", tc.name, err, tc.want)
 		}
 		if got := after.TotalAlloc - before.TotalAlloc; got >= 4<<10 {
 			t.Errorf("%s with a hostile count allocated %d B before refusing it", tc.name, got)

@@ -10,12 +10,15 @@ import (
 
 // Frames of earlier versions, from testdata/frames.golden: the populated
 // WriteReq sample as version 2 framed it, before the message had a
-// payload tail, and the BulkOffer and BulkAccept samples of version 3,
-// before the offer named its window and while an accept answered it.
+// payload tail; the BulkOffer and BulkAccept samples of version 3,
+// before the offer named its window and while an accept answered it;
+// and the KeepAliveAck no-hosts sample of version 4, whose nine
+// counters had fixed positions.
 const (
 	v2WriteReq = "d0d002100000006300000034000000000000002a000000000000000500000000000000640000000000002000000000000000232900000000000000111234abcd"
 	v3Offer    = "d0d0031200000063000000140000000000002329000000000010000000000578"
 	v3Accept   = "d0d00313000000630000000d00000000000023290000002005"
+	v4Ack      = "d0d00408000000630000004e0000004d0000000000000003000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000"
 )
 
 func hexFrame(t testing.TB, s string) []byte {
@@ -36,6 +39,21 @@ func TestVersion3PushFramesRefused(t *testing.T) {
 	accept[2] = Version
 	if _, _, err := Decode(accept); !errors.Is(err, ErrBadType) {
 		t.Errorf("Decode of a BulkAccept at version %d = %v, want ErrBadType", Version, err)
+	}
+}
+
+// TestVersion4KeepAliveAckRefused: a version-4 ack is refused on its
+// version byte. Restamped with today's version it decodes, but its
+// first counter's high bytes read as two empty lists: the version byte
+// is all that keeps positional counters from reading as no counters.
+func TestVersion4KeepAliveAckRefused(t *testing.T) {
+	ack := hexFrame(t, v4Ack)
+	if _, _, err := Decode(ack); !errors.Is(err, ErrBadVersion) {
+		t.Errorf("Decode of a version-4 KeepAliveAck = %v, want ErrBadVersion", err)
+	}
+	ack[2] = Version
+	if _, msg, err := Decode(ack); err != nil || msg.(*KeepAliveAck).Counters != nil {
+		t.Errorf("the same bytes at today's version = %+v, %v; want an ack with no counters", msg, err)
 	}
 }
 
@@ -87,10 +105,11 @@ func FuzzWireRoundTrip(f *testing.F) {
 	f.Add([]byte{0xD0, 0xD0, Version, 0xFF, 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{0xD0, 0xD0, Version - 1, byte(TFreeReq), 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Add(bytes.Repeat([]byte{0xD0}, HeaderSize+4))
-	// What a version-2 or version-3 peer could still send, refused on
-	// the version byte.
+	// What a version-2, 3 or 4 peer could still send, refused on the
+	// version byte.
 	f.Add(hexFrame(f, v2WriteReq))
 	f.Add(hexFrame(f, v3Offer))
+	f.Add(hexFrame(f, v4Ack))
 	// The batched read's five frames from frames.golden at d748fa1, a
 	// bare header of each of its reserved numbers, and the retired
 	// accept, restamped with today's version so that ParseHeader refuses

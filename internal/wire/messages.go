@@ -104,44 +104,21 @@ func (m *KeepAlive) fields(c *cursor) {
 }
 
 // KeepAliveAck is the client's echo response. It piggybacks the
-// client's recovery counters (§4.3 style hint-carrying) so the manager
-// can aggregate drop/revalidate/re-open totals without extra RPCs.
+// client's running totals (§4.3 style hint-carrying) so the manager
+// can aggregate them cluster-wide without extra RPCs.
 type KeepAliveAck struct {
 	ClientID uint32
-	// Drops counts drop-host events (all descriptors on a failed host
-	// invalidated at once, §3.1).
-	Drops uint64
-	// Revalidations counts checkAlloc probes issued by the client's
-	// background recovery pass.
-	Revalidations uint64
-	// Reopens counts regions transparently re-opened and repopulated
-	// after a drop.
-	Reopens uint64
-	// HandoffAdopts counts regions re-adopted from a graceful-reclaim
-	// handoff target without disk repopulation.
-	HandoffAdopts uint64
-	// HedgedReads / HedgeWins / HedgeWasted count hedged read
-	// decisions: backup disk reads issued when the remote exceeded its
-	// latency threshold, how many the disk won, and how many remote
-	// replies arrived after the hedge already answered.
-	HedgedReads uint64
-	HedgeWins   uint64
-	HedgeWasted uint64
-	// RetryExhausted counts operations whose unified retry budget ran
-	// dry at this client's endpoint.
-	RetryExhausted uint64
-	// ChecksumFailures counts bulk frames whose CRC32C did not match
-	// the announced checksum; CorruptHosts breaks the total down by the
+	// Counters are the client's running totals, by name; at most 64.
+	Counters []Counter
+	// CorruptHosts breaks the client's checksum failures down by the
 	// host that served the corrupt frame.
-	ChecksumFailures uint64
-	CorruptHosts     []HostCount
+	CorruptHosts []HostCount
 }
 
 func (*KeepAliveAck) Kind() Type { return TKeepAliveAck }
 func (m *KeepAliveAck) fields(c *cursor) {
 	c.u32(&m.ClientID)
-	c.u64(&m.Drops, &m.Revalidations, &m.Reopens, &m.HandoffAdopts, &m.HedgedReads,
-		&m.HedgeWins, &m.HedgeWasted, &m.RetryExhausted, &m.ChecksumFailures)
+	ackCounters.counted(c, &m.Counters)
 	hostCounts.counted(c, &m.CorruptHosts)
 }
 

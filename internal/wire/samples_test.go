@@ -49,6 +49,7 @@ func samples() []sample {
 	region := Region{HostAddr: "10.0.0.7:7070", RegionID: 99, PoolOffset: 4096, Length: 1 << 20, Epoch: 12}
 	key := RegionKey{Inode: 123456, Offset: 789, ClientID: 3}
 	counts := []HostCount{{Addr: "ws-1:7071", Count: 2}, {Addr: "ws-2:7070", Count: 1}}
+	counters := []Counter{{Name: "drops", Value: 3}, {Name: "hedged_reads", Value: 9}, {Name: "x", Value: 1 << 40}}
 	return []sample{
 		{"", &AllocReq{Key: key, Length: 8 << 20}},
 		{"", &AllocResp{Status: StatusOK, Incarnation: 3, Region: region}},
@@ -57,9 +58,7 @@ func samples() []sample {
 		{"", &CheckAllocReq{Key: key}},
 		{"", &CheckAllocResp{Status: StatusStale, Fresh: true, Incarnation: 3, Region: region}},
 		{"", &KeepAlive{ClientID: 77, Incarnation: 3}},
-		{"", &KeepAliveAck{ClientID: 77, Drops: 3, Revalidations: 2, Reopens: 1, HandoffAdopts: 4,
-			HedgedReads: 9, HedgeWins: 5, HedgeWasted: 6, RetryExhausted: 7, ChecksumFailures: 8,
-			CorruptHosts: counts}},
+		{"", &KeepAliveAck{ClientID: 77, Counters: counters, CorruptHosts: counts}},
 		{"", &HostStatus{HostAddr: "host3:9000", State: HostBusy, Epoch: 5,
 			AvailBytes: 100 << 20, LargestFree: 64 << 20, Incarnation: 3}},
 		{"", &HostStatusAck{Status: StatusStale, Incarnation: 4}},
@@ -83,13 +82,9 @@ func samples() []sample {
 				{Addr: "10.0.0.1:7001", Epoch: 3, AvailBytes: 90 << 20, LargestFree: 64 << 20},
 				{Addr: "10.0.0.2:7001", Epoch: 9, AvailBytes: 10 << 20, LargestFree: 1 << 20},
 			},
-			Regions: 1, Clients: 2, Allocs: 3, AllocFailures: 4, Frees: 5, StaleDrops: 6, OrphanReclaims: 7,
-			ClientDrops: 8, ClientRevalidations: 9, ClientReopens: 10,
-			HandoffOffers: 11, HandoffPagesMoved: 12, HandoffAborts: 13,
-			ClientHandoffAdopts: 14, ClientHedgedReads: 15, ClientHedgeWins: 16,
-			ClientHedgeWasted: 17, ClientRetryExhausted: 18,
-			Incarnation: 19, InventoryReports: 20, RebuiltRegions: 21, FencedRequests: 22,
-			ClientChecksumFailures: 23, CorruptHosts: counts}},
+			Regions: 1, Clients: 2, Incarnation: 19,
+			Counters:     []Counter{{Name: "allocs", Value: 3}, {Name: "client.drops", Value: 8}},
+			CorruptHosts: counts}},
 		{"", &HandoffOffer{HostAddr: "host3:9000", Epoch: 5, Regions: []HandoffRegion{
 			{RegionID: 42, Length: 8192, Reads: 31},
 			{RegionID: 43, Length: 4096, Reads: 7},
@@ -110,7 +105,10 @@ func samples() []sample {
 
 		{"no-addr", &AllocResp{Status: StatusNoMem, Incarnation: 3}},
 		{"no-addr", &CheckAllocResp{Status: StatusNotFound, Incarnation: 3}},
-		{"no-hosts", &KeepAliveAck{ClientID: 77, Drops: 3}},
+		{"no-lists", &KeepAliveAck{ClientID: 77}},
+		{"no-hosts", &KeepAliveAck{ClientID: 77, Counters: counters}},
+		{"no-counters", &KeepAliveAck{ClientID: 77, CorruptHosts: counts}},
+		{"unnamed", &KeepAliveAck{ClientID: 77, Counters: []Counter{{Value: 5}}}},
 		{"no-addr", &HostStatus{State: HostBusy, Epoch: 5}},
 		{"no-client", &IMDAllocReq{RegionID: 42, Length: 8192, Key: key}},
 		{"inline", &WriteReq{RegionID: 42, Epoch: 5, Offset: 100, Length: 10, WriteSeq: 18, Crc: 0x5EEDBEEF,
@@ -119,7 +117,8 @@ func samples() []sample {
 		{"no-payload", &BulkData{TransferID: 1}},
 		{"no-missing", &BulkNack{TransferID: 1}},
 		{"no-lists", &ClusterStatsResp{Status: StatusOK, Regions: 4, Incarnation: 2}},
-		{"no-hosts", &ClusterStatsResp{Status: StatusOK, CorruptHosts: counts}},
+		{"no-hosts", &ClusterStatsResp{Status: StatusOK, Counters: counters, CorruptHosts: counts}},
+		{"no-counters", &ClusterStatsResp{Status: StatusOK, Hosts: []HostInfo{{Addr: "h"}}, CorruptHosts: counts}},
 		{"no-regions", &HandoffOffer{Epoch: 5}},
 		{"no-grants", &HandoffAccept{Status: StatusStale}},
 		{"no-addr", &HandoffDone{OldRegionID: 42, Status: StatusOK}},

@@ -43,47 +43,53 @@ func (h *HostCount) fields(c *cursor) {
 
 var hostCounts = newList(math16max, (*HostCount).fields)
 
+// Counter is one named running total. Totals travel as a list of
+// names and values, so a new one is a row where it is counted and
+// never a wire change: the codec, the manager's sums and dodo-ctl
+// pass along whatever names arrive.
+type Counter struct {
+	Name  string
+	Value uint64
+}
+
+func (k *Counter) fields(c *cursor) {
+	c.str(&k.Name)
+	c.u64(&k.Value)
+}
+
+// maxAckCounters bounds the counters one keep-alive ack may carry, and
+// so the names one client can add to the manager's table.
+const maxAckCounters = 64
+
+var (
+	ackCounters   = newList(maxAckCounters, (*Counter).fields)
+	statsCounters = newList(math16max, (*Counter).fields)
+)
+
 // ClusterStatsResp is the manager's snapshot.
 type ClusterStatsResp struct {
 	Status  Status
-	Hosts   []HostInfo
 	Regions uint64
 	Clients uint64
-	// Counters since manager start.
-	Allocs, AllocFailures, Frees, StaleDrops, OrphanReclaims uint64
-	// Client recovery counters, aggregated from keep-alive acks
-	// (including clients since reclaimed).
-	ClientDrops, ClientRevalidations, ClientReopens uint64
-	// Graceful-reclaim handoff counters (manager side).
-	HandoffOffers, HandoffPagesMoved, HandoffAborts uint64
-	// Hedge/retry/adopt counters, aggregated from keep-alive acks.
-	ClientHandoffAdopts, ClientHedgedReads, ClientHedgeWins uint64
-	ClientHedgeWasted, ClientRetryExhausted                 uint64
-	// Incarnation is the manager's incarnation number; crash-recovery
-	// counters cover the current incarnation only (the directory they
-	// describe is soft state rebuilt from inventory re-reports).
-	Incarnation      uint64
-	InventoryReports uint64
-	RebuiltRegions   uint64
-	FencedRequests   uint64
-	// Checksum-failure totals aggregated from keep-alive acks, with a
-	// per-host breakdown by the host that served the corrupt frame.
-	ClientChecksumFailures uint64
-	CorruptHosts           []HostCount
+	// Incarnation is the manager's incarnation number; its counters
+	// cover the current incarnation only (the directory they describe
+	// is soft state rebuilt from inventory re-reports).
+	Incarnation uint64
+	Hosts       []HostInfo
+	// Counters are the manager's totals, by name, including the sums
+	// of its clients' keep-alive reports.
+	Counters []Counter
+	// CorruptHosts breaks the clients' checksum failures down by the
+	// host that served the corrupt frame.
+	CorruptHosts []HostCount
 }
 
 // Kind returns the wire type tag.
 func (*ClusterStatsResp) Kind() Type { return TClusterStatsResp }
 func (m *ClusterStatsResp) fields(c *cursor) {
 	c.status(&m.Status)
-	c.u64(&m.Regions, &m.Clients,
-		&m.Allocs, &m.AllocFailures, &m.Frees, &m.StaleDrops, &m.OrphanReclaims,
-		&m.ClientDrops, &m.ClientRevalidations, &m.ClientReopens,
-		&m.HandoffOffers, &m.HandoffPagesMoved, &m.HandoffAborts,
-		&m.ClientHandoffAdopts, &m.ClientHedgedReads, &m.ClientHedgeWins,
-		&m.ClientHedgeWasted, &m.ClientRetryExhausted,
-		&m.Incarnation, &m.InventoryReports, &m.RebuiltRegions, &m.FencedRequests,
-		&m.ClientChecksumFailures)
+	c.u64(&m.Regions, &m.Clients, &m.Incarnation)
 	hostInfos.counted(c, &m.Hosts)
+	statsCounters.counted(c, &m.Counters)
 	hostCounts.counted(c, &m.CorruptHosts)
 }

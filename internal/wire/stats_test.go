@@ -13,9 +13,8 @@ func TestClusterStatsRoundTrip(t *testing.T) {
 			{Addr: "10.0.0.1:7001", Epoch: 3, AvailBytes: 90 << 20, LargestFree: 64 << 20},
 			{Addr: "10.0.0.2:7001", Epoch: 9, AvailBytes: 10 << 20, LargestFree: 1 << 20},
 		},
-		Regions: 42, Clients: 3,
-		Allocs: 100, AllocFailures: 5, Frees: 60, StaleDrops: 2, OrphanReclaims: 7,
-		ClientDrops: 11, ClientRevalidations: 23, ClientReopens: 4,
+		Regions: 42, Clients: 3, Incarnation: 2,
+		Counters: []Counter{{Name: "allocs", Value: 100}, {Name: "client.drops", Value: 11}, {Name: "frees", Value: 60}},
 	}
 	got := roundTrip(t, 9, in)
 	if !reflect.DeepEqual(got, in) {

@@ -32,8 +32,9 @@ const (
 	// a change to any layout bumps it. 2 dropped capability negotiation
 	// and the optional trailing fields of version 1; 3 gave WriteReq its
 	// inline payload; 4 made BulkOffer a one-way announcement that names
-	// its window, and retired the accept that answered it.
-	Version uint8 = 4
+	// its window, and retired the accept that answered it; 5 made the
+	// counters of KeepAliveAck and ClusterStatsResp a list of names.
+	Version uint8 = 5
 	// HeaderSize is the encoded size of a frame header.
 	HeaderSize = 12
 	// MaxPayload bounds a single message payload. Bulk data is split

@@ -174,7 +174,8 @@ func TestFixedLayouts(t *testing.T) {
 		{&HostStatus{HostAddr: "h"}, 36, 36},
 		{&AllocResp{Region: Region{HostAddr: "h"}}, 44, 44},
 		{&CheckAllocResp{Region: Region{HostAddr: "h"}}, 45, 45},
-		{&KeepAliveAck{ClientID: 7}, 78, 78},
+		{&KeepAliveAck{ClientID: 7}, 8, 8},
+		{&KeepAliveAck{ClientID: 7, Counters: []Counter{{Name: "drops", Value: 3}}}, 23, 8},
 	} {
 		frame, err := Encode(1, tc.msg)
 		if err != nil {
@@ -222,12 +223,35 @@ func TestBulkNackTooManyMissingRejected(t *testing.T) {
 	}
 }
 
+// TestKeepAliveAckCountersBounded: an ack carries at most 64 counters,
+// so one client adds at most 64 names to the manager's table. A frame
+// with a 65th — count and every entry present, so nothing about it is
+// truncated — does not decode.
+func TestKeepAliveAckCountersBounded(t *testing.T) {
+	frame, err := Encode(1, &KeepAliveAck{ClientID: 1, Counters: make([]Counter, maxAckCounters)})
+	if err != nil {
+		t.Fatalf("Encode of an ack at the bound: %v", err)
+	}
+	if _, _, err := Decode(frame); err != nil {
+		t.Errorf("Decode of an ack at the bound: %v", err)
+	}
+	// A 65th unnamed counter is ten zero bytes, inserted before the
+	// corrupt-hosts count, which is zero too.
+	frame = append(frame, make([]byte, 10)...)
+	PutHeader(frame, Header{Type: TKeepAliveAck, Seq: 1, PayloadLen: uint32(len(frame) - HeaderSize)})
+	binary.BigEndian.PutUint16(frame[HeaderSize+4:], maxAckCounters+1)
+	if _, _, err := Decode(frame); !errors.Is(err, ErrFieldBounds) {
+		t.Errorf("Decode of an ack with %d counters = %v, want ErrFieldBounds", maxAckCounters+1, err)
+	}
+}
+
 // TestUint16CountsRejectExactly65536: element counts that travel as
 // uint16 must refuse exactly 1<<16 entries — that length would pass a
 // `> 1<<16` bound yet wrap to a count of 0 on the wire, silently
 // dropping the whole list on decode. Encode's MaxPayload check happens
 // to refuse these today too, so the encoders are exercised directly:
-// the count bound must hold on its own.
+// the count bound must hold on its own. A list bounded tighter, like
+// the keep-alive ack's 64 counters, refuses one element past its bound.
 func TestUint16CountsRejectExactly65536(t *testing.T) {
 	cases := []struct {
 		name string
@@ -238,6 +262,8 @@ func TestUint16CountsRejectExactly65536(t *testing.T) {
 		{"ClusterStatsResp", &ClusterStatsResp{Status: StatusOK, Hosts: make([]HostInfo, 1<<16)}},
 		{"ClusterStatsResp/corrupt", &ClusterStatsResp{Status: StatusOK, CorruptHosts: make([]HostCount, 1<<16)}},
 		{"KeepAliveAck", &KeepAliveAck{ClientID: 1, CorruptHosts: make([]HostCount, 1<<16)}},
+		{"KeepAliveAck/counters", &KeepAliveAck{ClientID: 1, Counters: make([]Counter, maxAckCounters+1)}},
+		{"ClusterStatsResp/counters", &ClusterStatsResp{Status: StatusOK, Counters: make([]Counter, 1<<16)}},
 		{"InventoryReport", &InventoryReport{HostAddr: "a", Regions: make([]InventoryRegion, 1<<16)}},
 	}
 	for _, tc := range cases {
