@@ -284,8 +284,8 @@ func runGoBench(path string, pkgList []string, benchtime string) error {
 	// internal/region carries the cache-level parallel benches
 	// (BenchmarkCreadParallel, BenchmarkPrefetchPipeline) that track the
 	// concurrent-cache trajectory; internal/bulk carries the data-plane
-	// benches (offer-driven vs eager transfer, over the in-memory fabric
-	// and over usocket framing); internal/core and internal/imd carry
+	// benches (offer-driven vs eager transfer, 64 KB and 128 KB, over
+	// usocket framing); internal/core and internal/imd carry
 	// the read exchange seen from either end (BenchmarkSmallRead, the
 	// inline shape through a full stack; BenchmarkServeRead8KB, the
 	// eager shape against one daemon); internal/wire and internal/pool

@@ -94,7 +94,8 @@ func Dial(localAddr, managerAddr string, cfg ClientConfig) (*Client, error) {
 }
 
 // NewClient attaches a client runtime to an existing transport; tests
-// and single-process deployments use this with in-memory networks.
+// and single-process deployments use this with the emulated U-Net
+// segment.
 func NewClient(tr transport.Transport, cfg ClientConfig) *Client { return core.New(tr, cfg) }
 
 // NewRegionCache layers the region-management library over a client.

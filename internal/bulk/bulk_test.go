@@ -16,24 +16,49 @@ import (
 	"dodo/internal/wire"
 )
 
-// fastCfg keeps protocol timers short for tests.
+// fastCfg keeps protocol timers short for tests, and announces a
+// receive window of half a host's ring, which holds a window with its
+// offer and the control frames around it.
 func fastCfg() Config {
 	return Config{
 		CallTimeout:     150 * time.Millisecond,
 		CallRetries:     6,
 		WindowTimeout:   80 * time.Millisecond,
 		NackDelay:       30 * time.Millisecond,
-		RecvWindow:      16,
+		RecvWindow:      usocket.HostRing / 2,
 		TransferRetries: 10,
 	}
 }
 
-// endpointPair builds two endpoints on a fresh in-memory network.
-func endpointPair(t *testing.T, opts ...transport.NetworkOption) (*Endpoint, *Endpoint) {
+// host opens the named host on seg. Whoever wraps it closes it; the
+// cleanup closes a host nobody wraps.
+func host(tb testing.TB, seg *usocket.Segment, name string) *usocket.UNet {
+	tb.Helper()
+	tr, err := seg.Host(name)
+	if err != nil {
+		tb.Fatalf("Host(%q): %v", name, err)
+	}
+	tb.Cleanup(func() { tr.Close() })
+	return tr
+}
+
+// udpHost opens a loopback UDP transport; the endpoint wrapping it
+// closes it.
+func udpHost(tb testing.TB) *transport.UDP {
+	tb.Helper()
+	tr, err := transport.ListenUDP("127.0.0.1:0")
+	if err != nil {
+		tb.Fatalf("ListenUDP: %v", err)
+	}
+	return tr
+}
+
+// endpointPair builds two endpoints on a fresh segment.
+func endpointPair(t *testing.T) (*Endpoint, *Endpoint) {
 	t.Helper()
-	n := transport.NewNetwork(opts...)
-	a := NewEndpoint(n.Host("a"), fastCfg(), nil)
-	b := NewEndpoint(n.Host("b"), fastCfg(), nil)
+	seg := usocket.NewSegment()
+	a := NewEndpoint(host(t, seg, "a"), fastCfg(), nil)
+	b := NewEndpoint(host(t, seg, "b"), fastCfg(), nil)
 	t.Cleanup(func() { a.Close(); b.Close() })
 	return a, b
 }
@@ -49,12 +74,12 @@ func echoHandler(from string, msg wire.Message) wire.Message {
 }
 
 func TestCallResponse(t *testing.T) {
-	n := transport.NewNetwork()
-	srv := NewEndpoint(n.Host("srv"), fastCfg(), echoHandler)
-	cli := NewEndpoint(n.Host("cli"), fastCfg(), nil)
+	seg := usocket.NewSegment()
+	srv := NewEndpoint(host(t, seg, "srv"), fastCfg(), echoHandler)
+	cli := NewEndpoint(host(t, seg, "cli"), fastCfg(), nil)
 	t.Cleanup(func() { srv.Close(); cli.Close() })
 
-	resp, err := cli.Call("srv", &wire.KeepAlive{ClientID: 9})
+	resp, err := cli.Call(seg.Addr("srv"), &wire.KeepAlive{ClientID: 9})
 	if err != nil {
 		t.Fatalf("Call: %v", err)
 	}
@@ -66,26 +91,27 @@ func TestCallResponse(t *testing.T) {
 
 // TestInlinePageCallAllocatesNoFrameOfItsOwn: a call that carries a
 // 32 KB page out and brings one back allocates the two frames the
-// in-memory transport copies them into and no third: the request and
+// transport copies them into on receipt and no third: the request and
 // the response are encoded into pooled frames, and both payloads are
-// decoded in place.
+// decoded in place. A page goes inline only on a transport whose MTU
+// holds it, so this runs over loopback UDP.
 func TestInlinePageCallAllocatesNoFrameOfItsOwn(t *testing.T) {
 	const page = 32 << 10
-	n := transport.NewNetwork()
 	back := make([]byte, page)
-	srv := NewEndpoint(n.Host("srv"), fastCfg(), func(_ string, msg wire.Message) wire.Message {
+	srv := NewEndpoint(udpHost(t), fastCfg(), func(_ string, msg wire.Message) wire.Message {
 		w, ok := msg.(*wire.WriteReq)
 		if !ok || len(w.Payload) != page {
 			return nil
 		}
 		return &wire.DataResp{Status: wire.StatusOK, Count: page, Flags: wire.DataFlagInline, Payload: back}
 	})
-	cli := NewEndpoint(n.Host("cli"), fastCfg(), nil)
+	cli := NewEndpoint(udpHost(t), fastCfg(), nil)
 	t.Cleanup(func() { srv.Close(); cli.Close() })
+	to := srv.LocalAddr()
 
 	req := &wire.WriteReq{RegionID: 1, Length: page, WriteSeq: 1, Payload: make([]byte, page)}
 	call := func() {
-		resp, err := cli.Call("srv", req)
+		resp, err := cli.Call(to, req)
 		if dr, ok := resp.(*wire.DataResp); err != nil || !ok || len(dr.Payload) != page {
 			t.Fatalf("Call = %+v, %v", resp, err)
 		}
@@ -111,9 +137,9 @@ func TestInlinePageCallAllocatesNoFrameOfItsOwn(t *testing.T) {
 // TestCallTimeoutAccessor: the endpoint reports the wait per call
 // attempt it uses, the default when the Config leaves it zero.
 func TestCallTimeoutAccessor(t *testing.T) {
-	n := transport.NewNetwork()
-	def := NewEndpoint(n.Host("def"), Config{}, nil)
-	set := NewEndpoint(n.Host("set"), Config{CallTimeout: 70 * time.Millisecond}, nil)
+	seg := usocket.NewSegment()
+	def := NewEndpoint(host(t, seg, "def"), Config{}, nil)
+	set := NewEndpoint(host(t, seg, "set"), Config{CallTimeout: 70 * time.Millisecond}, nil)
 	t.Cleanup(func() { def.Close(); set.Close() })
 	if got, want := [2]time.Duration{def.CallTimeout(), set.CallTimeout()}, [2]time.Duration{500 * time.Millisecond, 70 * time.Millisecond}; got != want {
 		t.Errorf("CallTimeout() of a default and a configured endpoint = %v, want %v", got, want)
@@ -122,13 +148,14 @@ func TestCallTimeoutAccessor(t *testing.T) {
 
 func TestCallRetriesThroughLoss(t *testing.T) {
 	// 40% frame loss: Call must still succeed via retransmission.
-	n := transport.NewNetwork(WithTestFaults(simnet.Faults{LossRate: 0.4, Seed: 3}))
-	srv := NewEndpoint(n.Host("srv"), fastCfg(), echoHandler)
-	cli := NewEndpoint(n.Host("cli"), fastCfg(), nil)
+	seg := usocket.NewSegment()
+	seg.SetFaults(simnet.Faults{LossRate: 0.4, Seed: 3})
+	srv := NewEndpoint(host(t, seg, "srv"), fastCfg(), echoHandler)
+	cli := NewEndpoint(host(t, seg, "cli"), fastCfg(), nil)
 	t.Cleanup(func() { srv.Close(); cli.Close() })
 
 	for i := 0; i < 10; i++ {
-		resp, err := cli.Call("srv", &wire.KeepAlive{ClientID: uint32(i)})
+		resp, err := cli.Call(seg.Addr("srv"), &wire.KeepAlive{ClientID: uint32(i)})
 		if err != nil {
 			t.Fatalf("Call %d through lossy net: %v", i, err)
 		}
@@ -138,17 +165,14 @@ func TestCallRetriesThroughLoss(t *testing.T) {
 	}
 }
 
-// WithTestFaults re-exports transport.WithFaults for brevity.
-func WithTestFaults(f simnet.Faults) transport.NetworkOption { return transport.WithFaults(f) }
-
 func TestCallTimesOutAgainstDeadPeer(t *testing.T) {
-	n := transport.NewNetwork()
-	cli := NewEndpoint(n.Host("cli"), fastCfg(), nil)
-	n.Host("dead")      // exists on the network,
-	n.Partition("dead") // but every frame to it vanishes
+	seg := usocket.NewSegment()
+	cli := NewEndpoint(host(t, seg, "cli"), fastCfg(), nil)
+	host(t, seg, "dead")            // exists on the network,
+	seg.Partition(seg.Addr("dead")) // but every frame to it vanishes
 	t.Cleanup(func() { cli.Close() })
 	start := time.Now()
-	_, err := cli.Call("dead", &wire.KeepAlive{ClientID: 1})
+	_, err := cli.Call(seg.Addr("dead"), &wire.KeepAlive{ClientID: 1})
 	if err == nil {
 		t.Fatal("Call to dead peer succeeded")
 	}
@@ -260,12 +284,10 @@ func TestBulkTransferOverUNetMTU(t *testing.T) {
 }
 
 func TestBulkTransferThroughLoss(t *testing.T) {
-	n := transport.NewNetwork(
-		transport.WithMTU(1500),
-		transport.WithFaults(simnet.Faults{LossRate: 0.10, Seed: 11}),
-	)
-	a := NewEndpoint(n.Host("a"), fastCfg(), nil)
-	b := NewEndpoint(n.Host("b"), fastCfg(), nil)
+	seg := usocket.NewSegment()
+	seg.SetFaults(simnet.Faults{LossRate: 0.10, Seed: 11})
+	a := NewEndpoint(host(t, seg, "a"), fastCfg(), nil)
+	b := NewEndpoint(host(t, seg, "b"), fastCfg(), nil)
 	t.Cleanup(func() { a.Close(); b.Close() })
 
 	data := make([]byte, 100<<10)
@@ -282,12 +304,10 @@ func TestBulkTransferThroughLoss(t *testing.T) {
 }
 
 func TestBulkTransferThroughDuplication(t *testing.T) {
-	n := transport.NewNetwork(
-		transport.WithMTU(1500),
-		transport.WithFaults(simnet.Faults{DupRate: 0.3, Seed: 5}),
-	)
-	a := NewEndpoint(n.Host("a"), fastCfg(), nil)
-	b := NewEndpoint(n.Host("b"), fastCfg(), nil)
+	seg := usocket.NewSegment()
+	seg.SetFaults(simnet.Faults{DupRate: 0.3, Seed: 5})
+	a := NewEndpoint(host(t, seg, "a"), fastCfg(), nil)
+	b := NewEndpoint(host(t, seg, "b"), fastCfg(), nil)
 	t.Cleanup(func() { a.Close(); b.Close() })
 
 	data := make([]byte, 50<<10)
@@ -299,12 +319,10 @@ func TestBulkTransferThroughDuplication(t *testing.T) {
 }
 
 func TestBulkTransferThroughReordering(t *testing.T) {
-	n := transport.NewNetwork(
-		transport.WithMTU(1500),
-		transport.WithFaults(simnet.Faults{ReorderRate: 0.2, ReorderDelay: 10 * time.Millisecond, Seed: 6}),
-	)
-	a := NewEndpoint(n.Host("a"), fastCfg(), nil)
-	b := NewEndpoint(n.Host("b"), fastCfg(), nil)
+	seg := usocket.NewSegment()
+	seg.SetFaults(simnet.Faults{ReorderRate: 0.2, ReorderDelay: 10 * time.Millisecond, Seed: 6})
+	a := NewEndpoint(host(t, seg, "a"), fastCfg(), nil)
+	b := NewEndpoint(host(t, seg, "b"), fastCfg(), nil)
 	t.Cleanup(func() { a.Close(); b.Close() })
 
 	data := make([]byte, 50<<10)
@@ -324,11 +342,11 @@ func TestRecvBulkTimeout(t *testing.T) {
 }
 
 func TestSendBulkToDeadPeer(t *testing.T) {
-	n := transport.NewNetwork()
-	a := NewEndpoint(n.Host("a"), fastCfg(), nil)
-	n.Host("dead").Close()
+	seg := usocket.NewSegment()
+	a := NewEndpoint(host(t, seg, "a"), fastCfg(), nil)
+	host(t, seg, "dead").Close()
 	t.Cleanup(func() { a.Close() })
-	err := a.SendBulk("dead", 1, []byte("data"))
+	err := a.SendBulk(seg.Addr("dead"), 1, []byte("data"))
 	if err == nil {
 		t.Fatal("SendBulk to dead peer succeeded")
 	}
@@ -387,10 +405,10 @@ func TestConcurrentTransfers(t *testing.T) {
 func TestTransferIDsAreDistinctAcrossSenders(t *testing.T) {
 	// Two senders using the same numeric id must not collide at the
 	// receiver: rx state is keyed by (sender, id).
-	n := transport.NewNetwork()
-	a := NewEndpoint(n.Host("a"), fastCfg(), nil)
-	c := NewEndpoint(n.Host("c"), fastCfg(), nil)
-	b := NewEndpoint(n.Host("b"), fastCfg(), nil)
+	seg := usocket.NewSegment()
+	a := NewEndpoint(host(t, seg, "a"), fastCfg(), nil)
+	c := NewEndpoint(host(t, seg, "c"), fastCfg(), nil)
+	b := NewEndpoint(host(t, seg, "b"), fastCfg(), nil)
 	t.Cleanup(func() { a.Close(); b.Close(); c.Close() })
 
 	da := bytes.Repeat([]byte{'A'}, 5000)
@@ -399,12 +417,12 @@ func TestTransferIDsAreDistinctAcrossSenders(t *testing.T) {
 	var ra, rc []byte
 	var ea, ec error
 	wg.Add(2)
-	go func() { defer wg.Done(); ra, ea = b.RecvBulk("a", 42, 10*time.Second) }()
-	go func() { defer wg.Done(); rc, ec = b.RecvBulk("c", 42, 10*time.Second) }()
-	if err := a.SendBulk("b", 42, da); err != nil {
+	go func() { defer wg.Done(); ra, ea = b.RecvBulk(seg.Addr("a"), 42, 10*time.Second) }()
+	go func() { defer wg.Done(); rc, ec = b.RecvBulk(seg.Addr("c"), 42, 10*time.Second) }()
+	if err := a.SendBulk(seg.Addr("b"), 42, da); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.SendBulk("b", 42, dc); err != nil {
+	if err := c.SendBulk(seg.Addr("b"), 42, dc); err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()
@@ -419,12 +437,12 @@ func TestTransferIDsAreDistinctAcrossSenders(t *testing.T) {
 func TestHandlerRunsConcurrentlyWithNestedCall(t *testing.T) {
 	// srv's handler for ReadReq issues a nested Call back to a second
 	// server; this deadlocks if handlers run on the receive loop.
-	n := transport.NewNetwork()
-	backend := NewEndpoint(n.Host("backend"), fastCfg(), echoHandler)
+	seg := usocket.NewSegment()
+	backend := NewEndpoint(host(t, seg, "backend"), fastCfg(), echoHandler)
 	var front *Endpoint
-	front = NewEndpoint(n.Host("front"), fastCfg(), func(from string, msg wire.Message) wire.Message {
+	front = NewEndpoint(host(t, seg, "front"), fastCfg(), func(from string, msg wire.Message) wire.Message {
 		if _, ok := msg.(*wire.ReadReq); ok {
-			resp, err := front.Call("backend", &wire.KeepAlive{ClientID: 5})
+			resp, err := front.Call(seg.Addr("backend"), &wire.KeepAlive{ClientID: 5})
 			if err != nil {
 				return &wire.DataResp{Status: wire.StatusInvalid}
 			}
@@ -432,10 +450,10 @@ func TestHandlerRunsConcurrentlyWithNestedCall(t *testing.T) {
 		}
 		return nil
 	})
-	cli := NewEndpoint(n.Host("cli"), fastCfg(), nil)
+	cli := NewEndpoint(host(t, seg, "cli"), fastCfg(), nil)
 	t.Cleanup(func() { backend.Close(); front.Close(); cli.Close() })
 
-	resp, err := cli.Call("front", &wire.ReadReq{RegionID: 1, Length: 10})
+	resp, err := cli.Call(seg.Addr("front"), &wire.ReadReq{RegionID: 1, Length: 10})
 	if err != nil {
 		t.Fatalf("Call: %v", err)
 	}
@@ -470,10 +488,10 @@ func TestPropertyBulkRoundTripRandomSizes(t *testing.T) {
 	}
 }
 
-func BenchmarkBulkTransfer64KBMem(b *testing.B) {
-	n := transport.NewNetwork(transport.WithMTU(1500))
-	a := NewEndpoint(n.Host("a"), fastCfg(), nil)
-	dst := NewEndpoint(n.Host("b"), fastCfg(), nil)
+func BenchmarkBulkTransfer64KBUNet(b *testing.B) {
+	seg := usocket.NewSegment()
+	a := NewEndpoint(host(b, seg, "a"), fastCfg(), nil)
+	dst := NewEndpoint(host(b, seg, "b"), fastCfg(), nil)
 	defer a.Close()
 	defer dst.Close()
 	data := make([]byte, 64<<10)
@@ -483,10 +501,10 @@ func BenchmarkBulkTransfer64KBMem(b *testing.B) {
 		id := a.NextTransferID()
 		done := make(chan error, 1)
 		go func() {
-			_, err := dst.RecvBulk("a", id, 30*time.Second)
+			_, err := dst.RecvBulk(a.LocalAddr(), id, 30*time.Second)
 			done <- err
 		}()
-		if err := a.SendBulk("b", id, data); err != nil {
+		if err := a.SendBulk(dst.LocalAddr(), id, data); err != nil {
 			b.Fatal(err)
 		}
 		if err := <-done; err != nil {
@@ -501,18 +519,18 @@ func BenchmarkBulkTransfer64KBMem(b *testing.B) {
 // the predecessor's tombstones, and its transfers are answered from
 // stale state instead of delivering bytes. SeedTransferIDs is the cure.
 func TestTransferIDReuseAcrossRestart(t *testing.T) {
-	n := transport.NewNetwork()
-	a := NewEndpoint(n.Host("a"), fastCfg(), nil)
+	seg := usocket.NewSegment()
+	a := NewEndpoint(host(t, seg, "a"), fastCfg(), nil)
 	t.Cleanup(func() { a.Close() })
 
 	// Incarnation 1 delivers transfer 1 and the receiver consumes it.
-	b1 := NewEndpoint(n.Host("b"), fastCfg(), nil)
+	b1 := NewEndpoint(host(t, seg, "b"), fastCfg(), nil)
 	id1 := b1.NextTransferID()
 	old := bytes.Repeat([]byte{0xAA}, 4000)
-	if err := b1.SendBulk("a", id1, old); err != nil {
+	if err := b1.SendBulk(seg.Addr("a"), id1, old); err != nil {
 		t.Fatalf("incarnation 1 SendBulk: %v", err)
 	}
-	if got, err := a.RecvBulk("b", id1, 5*time.Second); err != nil || !bytes.Equal(got, old) {
+	if got, err := a.RecvBulk(seg.Addr("b"), id1, 5*time.Second); err != nil || !bytes.Equal(got, old) {
 		t.Fatalf("incarnation 1 RecvBulk: %v", err)
 	}
 	b1.Close()
@@ -520,32 +538,32 @@ func TestTransferIDReuseAcrossRestart(t *testing.T) {
 	// Incarnation 2 restarts the counter: it reuses id 1, the receiver's
 	// tombstone confirms the transfer without taking the bytes, and the
 	// delivery is silently lost.
-	b2 := NewEndpoint(n.Host("b"), fastCfg(), nil)
+	b2 := NewEndpoint(host(t, seg, "b"), fastCfg(), nil)
 	if id := b2.NextTransferID(); id != id1 {
 		t.Fatalf("unseeded restart allocated id %d, want reuse of %d", id, id1)
 	}
 	fresh := bytes.Repeat([]byte{0xBB}, 4000)
-	if err := b2.SendBulk("a", id1, fresh); err != nil {
+	if err := b2.SendBulk(seg.Addr("a"), id1, fresh); err != nil {
 		t.Fatalf("incarnation 2 SendBulk: %v", err)
 	}
-	if _, err := a.RecvBulk("b", id1, 5*time.Second); !errors.Is(err, ErrConsumed) {
+	if _, err := a.RecvBulk(seg.Addr("b"), id1, 5*time.Second); !errors.Is(err, ErrConsumed) {
 		t.Fatalf("reused id RecvBulk error = %v, want ErrConsumed", err)
 	}
 	b2.Close()
 
 	// Incarnation 3 seeds an epoch-scoped base: ids stop colliding and
 	// transfers deliver again.
-	b3 := NewEndpoint(n.Host("b"), fastCfg(), nil)
+	b3 := NewEndpoint(host(t, seg, "b"), fastCfg(), nil)
 	t.Cleanup(func() { b3.Close() })
 	b3.SeedTransferIDs(2 << 32)
 	id3 := b3.NextTransferID()
 	if id3 == id1 {
 		t.Fatalf("seeded incarnation reused id %d", id1)
 	}
-	if err := b3.SendBulk("a", id3, fresh); err != nil {
+	if err := b3.SendBulk(seg.Addr("a"), id3, fresh); err != nil {
 		t.Fatalf("incarnation 3 SendBulk: %v", err)
 	}
-	got, err := a.RecvBulk("b", id3, 5*time.Second)
+	got, err := a.RecvBulk(seg.Addr("b"), id3, 5*time.Second)
 	if err != nil || !bytes.Equal(got, fresh) {
 		t.Fatalf("incarnation 3 RecvBulk: %v", err)
 	}

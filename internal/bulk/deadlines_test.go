@@ -7,6 +7,7 @@ import (
 
 	"dodo/internal/sim"
 	"dodo/internal/transport"
+	"dodo/internal/usocket"
 	"dodo/internal/wire"
 )
 
@@ -19,9 +20,9 @@ import (
 // least four per call and transfer.
 func TestCallsAndEagerTransfersArmO1Timers(t *testing.T) {
 	clock := sim.NewVirtualClock(time.Unix(0, 0))
-	n := transport.NewNetwork(transport.WithMTU(1500))
-	srv := NewEndpoint(n.Host("srv"), Config{Clock: clock}, echoHandler)
-	cli := NewEndpoint(n.Host("cli"), Config{Clock: clock}, nil)
+	seg := usocket.NewSegment()
+	srv := NewEndpoint(host(t, seg, "srv"), Config{Clock: clock}, echoHandler)
+	cli := NewEndpoint(host(t, seg, "cli"), Config{Clock: clock}, nil)
 	t.Cleanup(func() { srv.Close(); cli.Close() })
 	data, buf := make([]byte, 8<<10), make([]byte, 8<<10)
 	if frames := (len(data) + srv.ChunkSize() - 1) / srv.ChunkSize(); frames < 5 {
@@ -30,7 +31,7 @@ func TestCallsAndEagerTransfersArmO1Timers(t *testing.T) {
 	exchange := func(rounds int) uint64 {
 		before := clock.Scheduled()
 		for i := 0; i < rounds; i++ {
-			if _, err := cli.Call("srv", &wire.KeepAlive{ClientID: uint32(i)}); err != nil {
+			if _, err := cli.Call(seg.Addr("srv"), &wire.KeepAlive{ClientID: uint32(i)}); err != nil {
 				t.Fatal(err)
 			}
 			eagerTransfer(t, srv, cli, data, buf)
@@ -75,10 +76,10 @@ func (g *gatedSends) Send(to string, frame []byte) error {
 // window's timeout: no packet is sent twice.
 func TestStaleWindowExpiryReblastsNothing(t *testing.T) {
 	clock := sim.NewVirtualClock(time.Unix(0, 0))
-	n := transport.NewNetwork()
-	gate := &gatedSends{Transport: n.Host("ep"), seq: 1, blocked: make(chan struct{}), open: make(chan struct{})}
+	seg := usocket.NewSegment()
+	gate := &gatedSends{Transport: host(t, seg, "ep"), seq: 1, blocked: make(chan struct{}), open: make(chan struct{})}
 	ep := NewEndpoint(gate, Config{Clock: clock}, nil)
-	peer := n.Host("peer")
+	peer := host(t, seg, "peer")
 	t.Cleanup(func() { ep.Close(); peer.Close() })
 	reply := func(msg wire.Message) {
 		t.Helper()
@@ -86,7 +87,7 @@ func TestStaleWindowExpiryReblastsNothing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := peer.Send("ep", frame); err != nil {
+		if err := peer.Send(seg.Addr("ep"), frame); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -98,7 +99,7 @@ func TestStaleWindowExpiryReblastsNothing(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		// Two packets, one per window.
-		sendErr = ep.SendBulkEager("peer", id, make([]byte, 2*vtChunk), vtChunk, 1)
+		sendErr = ep.SendBulkEager(peer.LocalAddr(), id, make([]byte, 2*vtChunk), vtChunk, 1)
 	}()
 	if _, _, err := peer.Recv(5 * time.Second); err != nil { // the first window: the sender waits for its ack
 		t.Fatal(err)

@@ -8,14 +8,14 @@ import (
 
 	"dodo/internal/locks"
 	"dodo/internal/simnet"
-	"dodo/internal/transport"
+	"dodo/internal/usocket"
 )
 
 // TestEagerTransferDelivers: the receiver pre-registers the transfer
 // under its own id, the sender blasts without an offer, and the bytes
 // assemble straight into the caller's buffer.
 func TestEagerTransferDelivers(t *testing.T) {
-	a, b := endpointPair(t, transport.WithMTU(1500))
+	a, b := endpointPair(t)
 	data := make([]byte, 200<<10)
 	rand.New(rand.NewSource(11)).Read(data)
 
@@ -49,10 +49,10 @@ func TestEagerTransferDelivers(t *testing.T) {
 // eager fast path: skipping the offer skips a frame, never the
 // reliability machinery.
 func TestEagerTransferDegradesToNackUnderLoss(t *testing.T) {
-	n := transport.NewNetwork(transport.WithMTU(1500),
-		WithTestFaults(simnet.Faults{LossRate: 0.35, Seed: 77}))
-	a := NewEndpoint(n.Host("a"), fastCfg(), nil)
-	b := NewEndpoint(n.Host("b"), fastCfg(), nil)
+	seg := usocket.NewSegment()
+	seg.SetFaults(simnet.Faults{LossRate: 0.35, Seed: 77})
+	a := NewEndpoint(host(t, seg, "a"), fastCfg(), nil)
+	b := NewEndpoint(host(t, seg, "b"), fastCfg(), nil)
 	t.Cleanup(func() { a.Close(); b.Close() })
 
 	data := make([]byte, 96<<10)
@@ -60,13 +60,13 @@ func TestEagerTransferDegradesToNackUnderLoss(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		id := b.NextTransferID()
 		dst := make([]byte, len(data))
-		window, err := b.ExpectBulkInto(dst, "a", id, a.ChunkSize())
+		window, err := b.ExpectBulkInto(dst, seg.Addr("a"), id, a.ChunkSize())
 		if err != nil {
 			t.Fatalf("ExpectBulkInto %d: %v", i, err)
 		}
 		done := make(chan error, 1)
-		go func() { done <- a.SendBulkEager("b", id, data, a.ChunkSize(), window) }()
-		if _, err := b.RecvBulkInto(dst, "a", id, 30*time.Second); err != nil {
+		go func() { done <- a.SendBulkEager(seg.Addr("b"), id, data, a.ChunkSize(), window) }()
+		if _, err := b.RecvBulkInto(dst, seg.Addr("a"), id, 30*time.Second); err != nil {
 			t.Fatalf("RecvBulkInto %d through 35%% loss: %v", i, err)
 		}
 		if !bytes.Equal(dst, data) {
@@ -163,7 +163,7 @@ func TestExpectBulkIntoRejectsDuplicate(t *testing.T) {
 // what benchmark/probes.go's probeBulk drives), copying the assembled
 // transfer into the caller's buffer.
 func TestRecvBulkIntoOfferDrivenTransfer(t *testing.T) {
-	a, b := endpointPair(t, transport.WithMTU(1500))
+	a, b := endpointPair(t)
 	data := make([]byte, 48<<10)
 	rand.New(rand.NewSource(3)).Read(data)
 	id := a.NextTransferID()
@@ -179,13 +179,13 @@ func TestRecvBulkIntoOfferDrivenTransfer(t *testing.T) {
 	}
 }
 
-// BenchmarkEagerTransfer64KBMem is the fast-path twin of
-// BenchmarkBulkTransfer64KBMem: no offer, packets assemble into a
+// BenchmarkEagerTransfer64KBUNet is the fast-path twin of
+// BenchmarkBulkTransfer64KBUNet: no offer, packets assemble into a
 // pre-registered caller buffer.
-func BenchmarkEagerTransfer64KBMem(b *testing.B) {
-	n := transport.NewNetwork(transport.WithMTU(1500))
-	a := NewEndpoint(n.Host("a"), fastCfg(), nil)
-	dst := NewEndpoint(n.Host("b"), fastCfg(), nil)
+func BenchmarkEagerTransfer64KBUNet(b *testing.B) {
+	seg := usocket.NewSegment()
+	a := NewEndpoint(host(b, seg, "a"), fastCfg(), nil)
+	dst := NewEndpoint(host(b, seg, "b"), fastCfg(), nil)
 	defer a.Close()
 	defer dst.Close()
 	data := make([]byte, 64<<10)

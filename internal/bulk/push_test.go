@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"dodo/internal/transport"
+	"dodo/internal/usocket"
 	"dodo/internal/wire"
 )
 
@@ -88,9 +89,9 @@ func TestPushRecoversOfferOvertakenOrLost(t *testing.T) {
 	}{{"overtaken", overtake}, {"lost", lose}} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := patientCfg()
-			n := transport.NewNetwork(transport.WithMTU(1500))
-			tap := &senderTap{Transport: n.Host("a"), fate: tc.fate, window: cfg.RecvWindow}
-			a, b := NewEndpoint(tap, cfg, nil), NewEndpoint(n.Host("b"), cfg, nil)
+			seg := usocket.NewSegment()
+			tap := &senderTap{Transport: host(t, seg, "a"), fate: tc.fate, window: cfg.RecvWindow}
+			a, b := NewEndpoint(tap, cfg, nil), NewEndpoint(host(t, seg, "b"), cfg, nil)
 			t.Cleanup(func() { a.Close(); b.Close() })
 
 			data := pattern(50<<10, 7)
@@ -116,9 +117,9 @@ func TestPushRecoversOfferOvertakenOrLost(t *testing.T) {
 // one window: no offer, no re-blast.
 func TestEagerSenderStopsOnNotFound(t *testing.T) {
 	cfg := patientCfg()
-	n := transport.NewNetwork(transport.WithMTU(1500))
-	tap := &senderTap{Transport: n.Host("a")}
-	a, b := NewEndpoint(tap, cfg, nil), NewEndpoint(n.Host("b"), cfg, nil)
+	seg := usocket.NewSegment()
+	tap := &senderTap{Transport: host(t, seg, "a")}
+	a, b := NewEndpoint(tap, cfg, nil), NewEndpoint(host(t, seg, "b"), cfg, nil)
 	t.Cleanup(func() { a.Close(); b.Close() })
 
 	err := a.SendBulkEager(b.LocalAddr(), b.NextTransferID(), pattern(50<<10, 8), a.ChunkSize(), cfg.RecvWindow)

@@ -6,7 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"dodo/internal/transport"
+	"dodo/internal/simnet"
 	"dodo/internal/usocket"
 )
 
@@ -29,9 +29,9 @@ func pattern(n int, tag uint32) []byte {
 // saw an acknowledgement again. The first receiver is partitioned off
 // while the second transfer runs, so that the two overlap on every run.
 func TestTwoReceiversSameTransferID(t *testing.T) {
-	n := transport.NewNetwork(transport.WithMTU(1500))
-	sender := NewEndpoint(n.Host("imd"), fastCfg(), nil)
-	recvs := []*Endpoint{NewEndpoint(n.Host("c1"), fastCfg(), nil), NewEndpoint(n.Host("c2"), fastCfg(), nil)}
+	seg := usocket.NewSegment()
+	sender := NewEndpoint(host(t, seg, "imd"), fastCfg(), nil)
+	recvs := []*Endpoint{NewEndpoint(host(t, seg, "c1"), fastCfg(), nil), NewEndpoint(host(t, seg, "c2"), fastCfg(), nil)}
 	t.Cleanup(func() { sender.Close(); recvs[0].Close(); recvs[1].Close() })
 
 	// transfer starts one eager transfer of a pattern of its own to r
@@ -43,7 +43,7 @@ func TestTwoReceiversSameTransferID(t *testing.T) {
 			t.Fatalf("receiver %d starts at transfer id %d, want 1", i, id)
 		}
 		dst := make([]byte, len(data))
-		window, err := r.ExpectBulkInto(dst, "imd", id, sender.ChunkSize())
+		window, err := r.ExpectBulkInto(dst, seg.Addr("imd"), id, sender.ChunkSize())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,7 +51,7 @@ func TestTwoReceiversSameTransferID(t *testing.T) {
 		go func() { sent <- sender.SendBulkEager(r.LocalAddr(), id, data, sender.ChunkSize(), window) }()
 		return func() {
 			t.Helper()
-			_, err := r.RecvBulkInto(dst, "imd", id, 5*time.Second)
+			_, err := r.RecvBulkInto(dst, seg.Addr("imd"), id, 5*time.Second)
 			if serr := <-sent; err != nil || serr != nil {
 				t.Fatalf("transfer to %s: receive %v, send %v", r.LocalAddr(), err, serr)
 			}
@@ -61,7 +61,7 @@ func TestTwoReceiversSameTransferID(t *testing.T) {
 		}
 	}
 
-	n.Partition("c1")
+	seg.Partition(seg.Addr("c1"))
 	waitFirst := transfer(0, recvs[0])
 	for registered := 0; registered == 0; time.Sleep(time.Millisecond) {
 		sender.mu.Lock()
@@ -69,16 +69,16 @@ func TestTwoReceiversSameTransferID(t *testing.T) {
 		sender.mu.Unlock()
 	}
 	transfer(1, recvs[1])()
-	n.Heal("c1")
+	seg.Heal(seg.Addr("c1"))
 	waitFirst()
 }
 
-// TestRecycledFramesThroughLoss: with every seventh frame lost on the
-// segment, 200 eager 128 KB transfers of distinct patterns from one
-// sender to two receivers at once deliver every byte. Retransmitted and
-// duplicated packets travel in recycled frames like any other, so a
-// frame given back too early, or twice, would show as one transfer's
-// bytes in another. Run under -race.
+// TestRecycledFramesThroughLoss: with one frame in seven lost and one in
+// twenty duplicated on the segment, 200 eager 128 KB transfers of
+// distinct patterns from one sender to two receivers at once deliver
+// every byte. Retransmitted and duplicated packets travel in recycled
+// frames like any other, so a frame given back too early, or twice,
+// would show as one transfer's bytes in another. Run under -race.
 func TestRecycledFramesThroughLoss(t *testing.T) {
 	transfers := 200
 	if testing.Short() {
@@ -93,7 +93,7 @@ func TestRecycledFramesThroughLoss(t *testing.T) {
 	seg := usocket.NewSegment()
 	eps := unetEndpoints(t, seg, cfg, 3)
 	sender, recvs := eps[0], eps[1:]
-	seg.SetLoss(7)
+	seg.SetFaults(simnet.Faults{LossRate: 1.0 / 7, DupRate: 0.05, Seed: 7})
 
 	var wg sync.WaitGroup
 	for ri, r := range recvs {

@@ -8,12 +8,13 @@ import (
 
 	"dodo/internal/sim"
 	"dodo/internal/transport"
+	"dodo/internal/usocket"
 	"dodo/internal/wire"
 )
 
 // The tests here run the receive side of the protocol in virtual time.
 // The endpoint under test gets a sim.VirtualClock; its peer is a bare
-// fabric endpoint, so everything the endpoint sends can be read back
+// segment host, so everything the endpoint sends can be read back
 // and decoded; packets and offers are fed to the handlers directly, on
 // the test's goroutine, which is also the one that advances the clock
 // and so the one every timer fires on.
@@ -23,18 +24,18 @@ const (
 	vtChunk     = 100
 )
 
-func virtualEndpoint(t *testing.T) (ep *Endpoint, peer *transport.MemEndpoint, clock *sim.VirtualClock) {
+func virtualEndpoint(t *testing.T) (ep *Endpoint, peer *usocket.UNet, clock *sim.VirtualClock) {
 	t.Helper()
 	clock = sim.NewVirtualClock(time.Unix(0, 0))
-	n := transport.NewNetwork()
-	peer = n.Host("peer")
-	ep = NewEndpoint(n.Host("ep"), Config{Clock: clock, NackDelay: vtNackDelay, RecvWindow: 8}, nil)
+	seg := usocket.NewSegment()
+	peer = host(t, seg, "peer")
+	ep = NewEndpoint(host(t, seg, "ep"), Config{Clock: clock, NackDelay: vtNackDelay, RecvWindow: 8}, nil)
 	t.Cleanup(func() { ep.Close(); peer.Close() })
 	return ep, peer, clock
 }
 
 // sentTo drains and decodes what the endpoint has sent to peer.
-func sentTo(t *testing.T, peer *transport.MemEndpoint) []wire.Message {
+func sentTo(t *testing.T, peer *usocket.UNet) []wire.Message {
 	t.Helper()
 	var msgs []wire.Message
 	for {
@@ -68,7 +69,7 @@ func vtOffer(id uint64, n int) *wire.BulkOffer {
 
 // expectDone fails t unless what the endpoint sent to peer since the
 // last read is exactly one BulkDone for id with status st.
-func expectDone(t *testing.T, peer *transport.MemEndpoint, what string, id uint64, st wire.Status) {
+func expectDone(t *testing.T, peer *usocket.UNet, what string, id uint64, st wire.Status) {
 	t.Helper()
 	msgs := sentTo(t, peer)
 	if len(msgs) == 1 {
@@ -94,7 +95,7 @@ func TestStalledWindowNacksOneDelayAfterLastPacket(t *testing.T) {
 	ep, peer, clock := virtualEndpoint(t)
 	dst := make([]byte, 6*vtChunk)
 	const id = 7
-	if _, err := ep.ExpectBulkInto(dst, "peer", id, vtChunk); err != nil {
+	if _, err := ep.ExpectBulkInto(dst, peer.LocalAddr(), id, vtChunk); err != nil {
 		t.Fatal(err)
 	}
 	payload := make([]byte, vtChunk)
@@ -103,7 +104,7 @@ func TestStalledWindowNacksOneDelayAfterLastPacket(t *testing.T) {
 		if i > 0 {
 			clock.Advance(40 * time.Millisecond)
 		}
-		ep.handleData("peer", id, seq, payload)
+		ep.handleData(peer.LocalAddr(), id, seq, payload)
 	}
 	// The timer armed by packet 0 fires 20 ms from now and must only
 	// sleep on: up to the last nanosecond before NackDelay no NACK.
@@ -131,9 +132,9 @@ func TestStalledWindowNacksOneDelayAfterLastPacket(t *testing.T) {
 	// The resupplied packets complete the transfer and stop the timer.
 	sentTo(t, peer)
 	for _, seq := range []uint32{2, 4, 5} {
-		ep.handleData("peer", id, seq, payload)
+		ep.handleData(peer.LocalAddr(), id, seq, payload)
 	}
-	if n, err := ep.RecvBulkInto(dst, "peer", id, time.Second); err != nil || n != len(dst) {
+	if n, err := ep.RecvBulkInto(dst, peer.LocalAddr(), id, time.Second); err != nil || n != len(dst) {
 		t.Fatalf("RecvBulkInto = %d, %v", n, err)
 	}
 	clock.Advance(10 * vtNackDelay)
@@ -151,13 +152,13 @@ func TestSteadyArrivalArmsTimersPerIntervalNotPerPacket(t *testing.T) {
 	ep, peer, clock := virtualEndpoint(t)
 	const npkts, id = 200, 9
 	dst := make([]byte, npkts*vtChunk)
-	if _, err := ep.ExpectBulkInto(dst, "peer", id, vtChunk); err != nil {
+	if _, err := ep.ExpectBulkInto(dst, peer.LocalAddr(), id, vtChunk); err != nil {
 		t.Fatal(err)
 	}
 	payload := make([]byte, vtChunk)
 	before := clock.Scheduled()
 	for seq := uint32(0); seq < npkts-1; seq++ {
-		ep.handleData("peer", id, seq, payload)
+		ep.handleData(peer.LocalAddr(), id, seq, payload)
 		clock.Advance(vtNackDelay / 10)
 	}
 	armed := clock.Scheduled() - before
@@ -184,13 +185,13 @@ func TestTombstoneAnswersUntilTTLThenGoes(t *testing.T) {
 	ep, peer, clock := virtualEndpoint(t)
 	const id = 11
 	dst := make([]byte, 2*vtChunk)
-	if _, err := ep.ExpectBulkInto(dst, "peer", id, vtChunk); err != nil {
+	if _, err := ep.ExpectBulkInto(dst, peer.LocalAddr(), id, vtChunk); err != nil {
 		t.Fatal(err)
 	}
 	payload := make([]byte, vtChunk)
-	ep.handleData("peer", id, 0, payload)
-	ep.handleData("peer", id, 1, payload)
-	if n, err := ep.RecvBulkInto(dst, "peer", id, time.Second); err != nil || n != len(dst) {
+	ep.handleData(peer.LocalAddr(), id, 0, payload)
+	ep.handleData(peer.LocalAddr(), id, 1, payload)
+	if n, err := ep.RecvBulkInto(dst, peer.LocalAddr(), id, time.Second); err != nil || n != len(dst) {
 		t.Fatalf("RecvBulkInto = %d, %v", n, err)
 	}
 	sentTo(t, peer)
@@ -200,11 +201,11 @@ func TestTombstoneAnswersUntilTTLThenGoes(t *testing.T) {
 	}
 
 	clock.Advance(29 * time.Second)
-	ep.handleOffer("peer", vtOffer(id, len(dst)))
+	ep.handleOffer(peer.LocalAddr(), vtOffer(id, len(dst)))
 	expectDone(t, peer, "re-offer at 29 s", id, wire.StatusOK)
-	ep.handleData("peer", id, 1, payload)
+	ep.handleData(peer.LocalAddr(), id, 1, payload)
 	expectDone(t, peer, "stale data at 29 s", id, wire.StatusOK)
-	if _, err := ep.RecvBulk("peer", id, time.Second); !errors.Is(err, ErrConsumed) {
+	if _, err := ep.RecvBulk(peer.LocalAddr(), id, time.Second); !errors.Is(err, ErrConsumed) {
 		t.Errorf("duplicated announcement at 29 s: RecvBulk = %v, want ErrConsumed", err)
 	}
 	if rx, _, _ := rxCount(ep); rx != 0 {
@@ -224,14 +225,14 @@ func TestTombstoneAnswersUntilTTLThenGoes(t *testing.T) {
 // records, dropping the oldest, and however many transfers finish in
 // one TTL they share one sweep timer.
 func TestTombstoneTableIsBounded(t *testing.T) {
-	ep, _, clock := virtualEndpoint(t)
+	ep, peer, clock := virtualEndpoint(t)
 	before := clock.Scheduled()
 	ep.mu.Lock()
 	for id := uint64(0); id < maxTombstones+10; id++ {
-		ep.entombLocked(xferKey{peer: "peer", id: id})
+		ep.entombLocked(xferKey{peer: peer.LocalAddr(), id: id})
 	}
-	oldest := ep.entombedLocked(xferKey{peer: "peer", id: 9})
-	kept := ep.entombedLocked(xferKey{peer: "peer", id: 10})
+	oldest := ep.entombedLocked(xferKey{peer: peer.LocalAddr(), id: 9})
+	kept := ep.entombedLocked(xferKey{peer: peer.LocalAddr(), id: 10})
 	tombs, queued := len(ep.tombs), len(ep.tombQueue)
 	ep.mu.Unlock()
 	if tombs != maxTombstones || queued != maxTombstones {
@@ -259,10 +260,10 @@ func TestUnclaimedTransferReclaimedAtTTL(t *testing.T) {
 	ep, peer, clock := virtualEndpoint(t)
 	const id = 13
 	before := clock.Scheduled()
-	ep.handleOffer("peer", vtOffer(id, 2*vtChunk))
+	ep.handleOffer(peer.LocalAddr(), vtOffer(id, 2*vtChunk))
 	payload := make([]byte, vtChunk)
-	ep.handleData("peer", id, 0, payload)
-	ep.handleData("peer", id, 1, payload)
+	ep.handleData(peer.LocalAddr(), id, 0, payload)
+	ep.handleData(peer.LocalAddr(), id, 1, payload)
 	expectDone(t, peer, "the last packet", id, wire.StatusOK)
 
 	clock.Advance(tombstoneTTL - time.Nanosecond)
@@ -278,11 +279,11 @@ func TestUnclaimedTransferReclaimedAtTTL(t *testing.T) {
 	if armed := clock.Scheduled() - before; armed != 3 {
 		t.Errorf("%d timers armed, want 3", armed)
 	}
-	ep.handleOffer("peer", vtOffer(id, 2*vtChunk))
+	ep.handleOffer(peer.LocalAddr(), vtOffer(id, 2*vtChunk))
 	expectDone(t, peer, "a late offer", id, wire.StatusOK)
-	ep.handleData("peer", id, 1, payload)
+	ep.handleData(peer.LocalAddr(), id, 1, payload)
 	expectDone(t, peer, "a late packet", id, wire.StatusOK)
-	if _, err := ep.RecvBulk("peer", id, time.Second); !errors.Is(err, ErrConsumed) {
+	if _, err := ep.RecvBulk(peer.LocalAddr(), id, time.Second); !errors.Is(err, ErrConsumed) {
 		t.Errorf("a late receive = %v, want ErrConsumed", err)
 	}
 }
@@ -295,14 +296,14 @@ func TestUnclaimedTransferReclaimedAtTTL(t *testing.T) {
 func TestDataForUnknownTransferIsNotFound(t *testing.T) {
 	ep, peer, _ := virtualEndpoint(t)
 	payload := make([]byte, vtChunk)
-	ep.handleData("peer", 21, 0, payload)
+	ep.handleData(peer.LocalAddr(), 21, 0, payload)
 	expectDone(t, peer, "data for an unknown transfer", 21, wire.StatusNotFound)
 
-	key := xferKey{peer: "peer", id: 22}
+	key := xferKey{peer: peer.LocalAddr(), id: 22}
 	ep.mu.Lock()
-	ep.rx[key] = newRxTransfer(ep, "peer", 22) // what a RecvBulk waiting for its offer leaves
+	ep.rx[key] = newRxTransfer(ep, peer.LocalAddr(), 22) // what a RecvBulk waiting for its offer leaves
 	ep.mu.Unlock()
-	ep.handleData("peer", 22, 0, payload)
+	ep.handleData(peer.LocalAddr(), 22, 0, payload)
 	expectDone(t, peer, "data for an unsized transfer", 22, wire.StatusNotFound)
 }
 
@@ -324,7 +325,7 @@ func TestHostileOffersCreateNoState(t *testing.T) {
 	} {
 		offer := vtOffer(31, 4*vtChunk)
 		tc.mut(offer)
-		ep.handleOffer("peer", offer)
+		ep.handleOffer(peer.LocalAddr(), offer)
 		expectDone(t, peer, tc.name, 31, wire.StatusInvalid)
 		ep.mu.Lock()
 		rx, unclaimed := len(ep.rx), len(ep.unclaimed)

@@ -1,7 +1,7 @@
 // Package cluster assembles complete Dodo deployments in one process:
 // a central manager, one resource-monitor + idle-memory-daemon pair per
-// workstation, and client runtimes, all wired over any transport
-// (in-memory for tests and examples, real UDP for live deployments).
+// workstation, and client runtimes, all wired over one emulated U-Net
+// segment (package usocket), the fabric the benchmarks measure.
 //
 // It supplies the glue the paper describes in §4.1: the rmd forks the
 // imd when its workstation goes idle (with a fresh epoch) and signals it
@@ -9,6 +9,7 @@
 package cluster
 
 import (
+	"fmt"
 	"log"
 	"sync"
 	"time"
@@ -19,7 +20,7 @@ import (
 	"dodo/internal/locks"
 	"dodo/internal/manager"
 	"dodo/internal/monitor"
-	"dodo/internal/transport"
+	"dodo/internal/usocket"
 )
 
 // Config assembles a cluster. Workstations are added individually with
@@ -30,7 +31,8 @@ type Config struct {
 	PoolBytes uint64
 	// Monitor tunes the idleness policy (§4.1 defaults when zero).
 	Monitor monitor.Config
-	// Endpoint tunes all messaging.
+	// Endpoint tunes all messaging. Its RecvWindow is capped at half
+	// usocket.HostRing, the depth of every host's receive ring.
 	Endpoint bulk.Config
 	// Manager tunes the central manager.
 	Manager manager.Config
@@ -47,7 +49,7 @@ type Cluster struct {
 	// dodo:unguarded — immutable after construction
 	cfg Config
 	// dodo:unguarded — immutable after construction
-	net *transport.Network
+	seg *usocket.Segment
 
 	mu locks.Mutex
 	// mgr is the live central manager; nil between a CrashManager and
@@ -94,24 +96,34 @@ type Workstation struct {
 	drainWG sync.WaitGroup
 }
 
-// New builds a cluster over a fresh in-memory network. The manager
-// listens at address "cmd".
+// New builds a cluster over a fresh segment. The manager is the host
+// named "cmd".
 func New(cfg Config) *Cluster {
-	net := transport.NewNetwork(transport.WithMTU(1500))
 	c := &Cluster{
 		cfg:            cfg,
-		net:            net,
+		seg:            usocket.NewSegment(),
 		mgrIncarnation: 1,
 	}
 	c.mu.SetRank(locks.RankCluster)
-	c.mgr = manager.New(net.Host("cmd"), c.managerConfig(1))
+	c.mgr = manager.New(c.host("cmd"), c.managerConfig(1))
 	return c
+}
+
+// host opens the named host on the segment. The segment gives a name
+// one address for good, and the harness closes a name's previous holder
+// before it opens the name again, so a failure is a harness bug.
+func (c *Cluster) host(name string) *usocket.UNet {
+	tr, err := c.seg.Host(name)
+	if err != nil {
+		panic(fmt.Sprintf("cluster: %v", err))
+	}
+	return tr
 }
 
 // managerConfig derives one incarnation's manager configuration.
 func (c *Cluster) managerConfig(incarnation uint64) manager.Config {
 	mgrCfg := c.cfg.Manager
-	mgrCfg.Endpoint = c.cfg.Endpoint
+	mgrCfg.Endpoint = c.endpoint()
 	mgrCfg.Incarnation = incarnation
 	if mgrCfg.Logger == nil {
 		mgrCfg.Logger = c.cfg.Logger
@@ -119,8 +131,8 @@ func (c *Cluster) managerConfig(incarnation uint64) manager.Config {
 	return mgrCfg
 }
 
-// Network exposes the fabric (for partition/heal fault injection).
-func (c *Cluster) Network() *transport.Network { return c.net }
+// Segment exposes the fabric (for fault injection and its counts).
+func (c *Cluster) Segment() *usocket.Segment { return c.seg }
 
 // Manager exposes the central manager; nil while it is crashed.
 func (c *Cluster) Manager() *manager.Manager {
@@ -162,11 +174,23 @@ func (c *Cluster) RestartManager() {
 		return
 	}
 	c.mgrIncarnation++
-	c.mgr = manager.New(c.net.Host(c.ManagerAddr()), c.managerConfig(c.mgrIncarnation))
+	c.mgr = manager.New(c.host("cmd"), c.managerConfig(c.mgrIncarnation))
+}
+
+// endpoint is the messaging configuration every host gets: the
+// caller's, with a receive window of at most half a host's ring, which
+// holds a window with its offer and the control frames around it. The
+// ring overflows only when others send to the host at the same time.
+func (c *Cluster) endpoint() bulk.Config {
+	ep := c.cfg.Endpoint
+	if ep.RecvWindow == 0 || ep.RecvWindow > usocket.HostRing/2 {
+		ep.RecvWindow = usocket.HostRing / 2
+	}
+	return ep
 }
 
 // ManagerAddr returns the manager's address on the fabric.
-func (c *Cluster) ManagerAddr() string { return "cmd" }
+func (c *Cluster) ManagerAddr() string { return c.seg.Addr("cmd") }
 
 // AddWorkstation registers a workstation with the given activity source
 // driving its monitor. The workstation starts busy; the monitor's
@@ -225,11 +249,11 @@ func (w *Workstation) recruit() {
 	imdCfg.ManagerAddr = w.cluster.ManagerAddr()
 	imdCfg.PoolSize = w.pool
 	imdCfg.Epoch = w.epoch
-	imdCfg.Endpoint = w.cluster.cfg.Endpoint
+	imdCfg.Endpoint = w.cluster.endpoint()
 	if imdCfg.Logger == nil {
 		imdCfg.Logger = w.cluster.cfg.Logger
 	}
-	w.imd = imd.New(w.cluster.net.Host(w.IMDAddr()), imdCfg)
+	w.imd = imd.New(w.cluster.host(w.imdName()), imdCfg)
 }
 
 // reclaim signals the imd to drain and exit (rmd behavior on
@@ -255,14 +279,14 @@ func (w *Workstation) reclaim() {
 // Step advances the workstation's monitor by one sample at now.
 func (w *Workstation) Step(now time.Time) monitor.State { return w.mon.Step(now) }
 
-// NewClient attaches a client runtime at the given address.
-func (c *Cluster) NewClient(addr string, cfg core.Config) *core.Client {
+// NewClient attaches a client runtime as the named host.
+func (c *Cluster) NewClient(name string, cfg core.Config) *core.Client {
 	cfg.ManagerAddr = c.ManagerAddr()
-	cfg.Endpoint = c.cfg.Endpoint
+	cfg.Endpoint = c.endpoint()
 	if cfg.Logger == nil {
 		cfg.Logger = c.cfg.Logger
 	}
-	cli := core.New(c.net.Host(addr), cfg)
+	cli := core.New(c.host(name), cfg)
 	c.mu.Lock()
 	c.clients = append(c.clients, cli)
 	c.mu.Unlock()

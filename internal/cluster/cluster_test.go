@@ -16,10 +16,15 @@ import (
 
 var t0 = time.Date(1999, 8, 2, 10, 0, 0, 0, time.UTC)
 
+// fastEp keeps protocol timers short. A call to a crashed host or a
+// crashed manager waits its timeouts out, since the segment, as
+// Ethernet, drops a frame to an unbound address without a word; the
+// schedules crash hosts often enough that those waits set the tests'
+// pace.
 func fastEp() bulk.Config {
 	return bulk.Config{
-		CallTimeout:   150 * time.Millisecond,
-		CallRetries:   4,
+		CallTimeout:   100 * time.Millisecond,
+		CallRetries:   3,
 		WindowTimeout: 80 * time.Millisecond,
 		NackDelay:     30 * time.Millisecond,
 	}

@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"fmt"
-
 	"dodo/internal/faults"
 	"dodo/internal/simnet"
 )
@@ -14,7 +12,10 @@ import (
 
 // IMDAddr returns the fabric address the workstation's imd occupies
 // while recruited (stable across restarts).
-func (w *Workstation) IMDAddr() string { return fmt.Sprintf("imd-%s", w.Name) }
+func (w *Workstation) IMDAddr() string { return w.cluster.seg.Addr(w.imdName()) }
+
+// imdName is the host name of the workstation's imd on the segment.
+func (w *Workstation) imdName() string { return "imd-" + w.Name }
 
 // Crash kills the workstation's imd without the polite drain — the
 // §3.1 workstation-crash case. No-op while the host is not recruited.
@@ -67,9 +68,9 @@ func (t faultTarget) RestartIMD(host string) {
 	}
 }
 
-func (t faultTarget) BlackoutManager() { t.c.net.Partition(t.c.ManagerAddr()) }
+func (t faultTarget) BlackoutManager() { t.c.seg.Partition(t.c.ManagerAddr()) }
 
-func (t faultTarget) RestoreManager() { t.c.net.Heal(t.c.ManagerAddr()) }
+func (t faultTarget) RestoreManager() { t.c.seg.Heal(t.c.ManagerAddr()) }
 
 func (t faultTarget) ReclaimHost(host string) {
 	if w := t.c.workstation(host); w != nil {
@@ -85,13 +86,13 @@ func (t faultTarget) RecruitHost(host string) {
 
 func (t faultTarget) DegradeLinks(host string, f simnet.Faults) {
 	if w := t.c.workstation(host); w != nil {
-		t.c.net.SetEndpointFaults(w.IMDAddr(), f)
+		t.c.seg.SetEndpointFaults(w.IMDAddr(), f)
 	}
 }
 
 func (t faultTarget) RestoreLinks(host string) {
 	if w := t.c.workstation(host); w != nil {
-		t.c.net.ClearEndpointFaults(w.IMDAddr())
+		t.c.seg.ClearEndpointFaults(w.IMDAddr())
 	}
 }
 

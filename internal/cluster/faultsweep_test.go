@@ -318,10 +318,18 @@ func runSweepCore(t *testing.T, c *Cluster, plan faults.Plan) (*core.Client, []*
 // cluster. Nothing may panic, no cache operation may fail, every read
 // must be byte-correct against the shadow copy, and once churn subsides
 // the client must transparently re-open its regions and serve from
-// remote memory again.
+// remote memory again. The hosts' receive rings are bounded, as on
+// U-Net, and the sweep overflows them: blasts from several imds meet
+// at the client's ring, so the bytes stay correct through ring drops
+// as well as wire loss.
 func TestSeededFaultSweep(t *testing.T) {
 	c, stations, names := sweepCluster(t)
 	cli, wls, waitRemote := runSweepCore(t, c, sweepPlan(names))
+	if n := c.Segment().Overflow(); n == 0 {
+		t.Fatal("no frame overflowed a receive ring: the sweep never filled one")
+	} else {
+		t.Logf("frames dropped at full receive rings: %d", n)
+	}
 
 	// Forced cluster-wide outage: crash every imd, then restart with
 	// bumped epochs. The first touch of each healthy remote copy drops

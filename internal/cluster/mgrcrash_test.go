@@ -201,12 +201,17 @@ func TestIncarnationFencing(t *testing.T) {
 	}
 	mgr := c.Manager()
 
-	probe := bulk.NewEndpoint(c.Network().Host("probe"), fastEp(), nil)
+	tr, err := c.Segment().Host("probe")
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe := bulk.NewEndpoint(tr, fastEp(), nil)
 	t.Cleanup(func() { probe.Close() })
+	ghost := c.Segment().Addr("ghost")
 
 	ghostStatus := func(inc uint64) *wire.HostStatusAck {
 		resp, err := probe.Call(c.ManagerAddr(), &wire.HostStatus{
-			HostAddr: "ghost", State: wire.HostIdle, Epoch: 9,
+			HostAddr: ghost, State: wire.HostIdle, Epoch: 9,
 			AvailBytes: 1 << 20, LargestFree: 1 << 20, Incarnation: inc,
 		})
 		if err != nil {
@@ -220,7 +225,7 @@ func TestIncarnationFencing(t *testing.T) {
 			t.Fatalf("ClusterStatsReq: %v", err)
 		}
 		for _, h := range resp.(*wire.ClusterStatsResp).Hosts {
-			if h.Addr == "ghost" {
+			if h.Addr == ghost {
 				return true
 			}
 		}
@@ -238,9 +243,9 @@ func TestIncarnationFencing(t *testing.T) {
 	// Dead-incarnation inventory: fenced, no RD rows built.
 	key := wire.RegionKey{Inode: 77, Offset: 0, ClientID: 9}
 	inv := &wire.InventoryReport{
-		HostAddr: "ghost", Epoch: 9, Incarnation: 1,
+		HostAddr: ghost, Epoch: 9, Incarnation: 1,
 		AvailBytes: 1 << 20, LargestFree: 1 << 20,
-		Regions: []wire.InventoryRegion{{RegionID: 41, Length: 4096, Key: key, Client: "nobody"}},
+		Regions: []wire.InventoryRegion{{RegionID: 41, Length: 4096, Key: key, Client: c.Segment().Addr("nobody")}},
 	}
 	resp, err := probe.Call(c.ManagerAddr(), inv)
 	if err != nil {
@@ -250,7 +255,7 @@ func TestIncarnationFencing(t *testing.T) {
 		t.Fatalf("dead-incarnation inventory ack = %+v, want Stale under incarnation 2", ack)
 	}
 	for _, row := range mgr.RegionRows() {
-		if row.HostAddr == "ghost" {
+		if row.HostAddr == ghost {
 			t.Fatalf("fenced inventory still built RD row %+v", row)
 		}
 	}

@@ -13,38 +13,67 @@ import (
 	"dodo/internal/imd"
 	"dodo/internal/manager"
 	"dodo/internal/sim"
-	"dodo/internal/transport"
+	"dodo/internal/usocket"
 )
 
+// fastEp keeps protocol timers short, and announces a receive window
+// of half a host's ring, which holds a window with its offer and the
+// control frames around it: the ring overflows only when others send
+// to the host at the same time.
 func fastEp() bulk.Config {
 	return bulk.Config{
 		CallTimeout:   150 * time.Millisecond,
 		CallRetries:   4,
 		WindowTimeout: 80 * time.Millisecond,
 		NackDelay:     30 * time.Millisecond,
+		RecvWindow:    usocket.HostRing / 2,
 	}
+}
+
+// host opens the named host on seg. Whoever wraps it closes it; the
+// cleanup closes a host nobody wraps.
+func host(tb testing.TB, seg *usocket.Segment, name string) *usocket.UNet {
+	tb.Helper()
+	tr, err := seg.Host(name)
+	if err != nil {
+		tb.Fatalf("Host(%q): %v", name, err)
+	}
+	tb.Cleanup(func() { tr.Close() })
+	return tr
 }
 
 // stack is a complete in-process Dodo deployment: manager + imds + client.
 type stack struct {
-	n    *transport.Network
+	seg  *usocket.Segment
 	mgr  *manager.Manager
 	imds []*imd.Daemon
 	cli  *Client
 }
 
-func newStack(t *testing.T, imdCount int, poolSize uint64) *stack {
+// shortCallEp is fastEp for a client that calls a crashed host: the
+// segment drops a frame to an unbound address without a word, as
+// Ethernet does, so such a call fails only once its timeouts run out.
+func shortCallEp() bulk.Config {
+	c := fastEp()
+	c.CallTimeout, c.CallRetries = 50*time.Millisecond, 2
+	return c
+}
+
+// shortCalls gives a stack's client shortCallEp.
+func shortCalls(cfg *Config) { cfg.Endpoint = shortCallEp() }
+
+func newStack(t *testing.T, imdCount int, poolSize uint64, mut ...func(*Config)) *stack {
 	t.Helper()
-	n := transport.NewNetwork(transport.WithMTU(1500))
-	mgr := manager.New(n.Host("cmd"), manager.Config{
+	seg := usocket.NewSegment()
+	mgr := manager.New(host(t, seg, "cmd"), manager.Config{
 		KeepAliveInterval: 200 * time.Millisecond,
 		KeepAliveMisses:   3,
 		Endpoint:          fastEp(),
 	})
-	s := &stack{n: n, mgr: mgr}
+	s := &stack{seg: seg, mgr: mgr}
 	for i := 0; i < imdCount; i++ {
-		d := imd.New(n.Host("imd"+string(rune('0'+i))), imd.Config{
-			ManagerAddr:    "cmd",
+		d := imd.New(host(t, seg, "imd"+string(rune('0'+i))), imd.Config{
+			ManagerAddr:    seg.Addr("cmd"),
 			PoolSize:       poolSize,
 			Epoch:          1,
 			StatusInterval: 100 * time.Millisecond,
@@ -52,12 +81,16 @@ func newStack(t *testing.T, imdCount int, poolSize uint64) *stack {
 		})
 		s.imds = append(s.imds, d)
 	}
-	s.cli = New(n.Host("client"), Config{
-		ManagerAddr:      "cmd",
+	cfg := Config{
+		ManagerAddr:      seg.Addr("cmd"),
 		ClientID:         1,
 		RefractionPeriod: 300 * time.Millisecond,
 		Endpoint:         fastEp(),
-	})
+	}
+	for _, m := range mut {
+		m(&cfg)
+	}
+	s.cli = New(host(t, seg, "client"), cfg)
 	t.Cleanup(func() {
 		s.cli.Close()
 		for _, d := range s.imds {
@@ -354,7 +387,7 @@ func TestHostFailureDropsAllItsDescriptors(t *testing.T) {
 		}
 	}
 	// Kill imd0's host.
-	s.n.Partition("imd0")
+	s.seg.Partition(s.seg.Addr("imd0"))
 	// Reads now fail for regions on imd0 — and each failure must drop
 	// every descriptor on that host (§3.1).
 	sawNoMem := false
@@ -404,7 +437,7 @@ func TestDropHostPrunesLatencyHistory(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.cli.mu.Lock()
-	_, tracked := s.cli.hostLat["imd0"]
+	_, tracked := s.cli.hostLat[s.seg.Addr("imd0")]
 	s.cli.mu.Unlock()
 	if !tracked {
 		t.Fatal("no hostLat entry for imd0 after a successful read")
@@ -412,7 +445,7 @@ func TestDropHostPrunesLatencyHistory(t *testing.T) {
 	// Kill the host; the failing read drops its descriptors — and must
 	// drop its latency history with them, or a long-lived client in a
 	// churny cluster grows the map one dead host at a time.
-	s.n.Partition("imd0")
+	s.seg.Partition(s.seg.Addr("imd0"))
 	if _, err := s.cli.Mread(fd, 0, buf); err != nil && !errors.Is(err, ErrNoMem) {
 		t.Fatalf("Mread on dead host = %v, want ErrNoMem or hedged disk success", err)
 	}
@@ -420,7 +453,7 @@ func TestDropHostPrunesLatencyHistory(t *testing.T) {
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		s.cli.mu.Lock()
-		_, tracked = s.cli.hostLat["imd0"]
+		_, tracked = s.cli.hostLat[s.seg.Addr("imd0")]
 		s.cli.mu.Unlock()
 		if !tracked {
 			break
@@ -439,7 +472,7 @@ func TestMreadOnDroppedRegionIsNoMem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.n.Partition("imd0")
+	s.seg.Partition(s.seg.Addr("imd0"))
 	buf := make([]byte, 16)
 	if _, err := s.cli.Mread(fd, 0, buf); !errors.Is(err, ErrNoMem) {
 		t.Fatalf("Mread on dead host = %v, want ErrNoMem", err)
@@ -486,19 +519,19 @@ func TestPersistentRegionsSurviveClientRestart(t *testing.T) {
 	// The dmine pattern (§5.2.1): a client exits without freeing; a new
 	// client re-opens the same (inode, offset) keys and finds the data
 	// still cached.
-	n := transport.NewNetwork(transport.WithMTU(1500))
-	mgr := manager.New(n.Host("cmd"), manager.Config{
+	seg := usocket.NewSegment()
+	mgr := manager.New(host(t, seg, "cmd"), manager.Config{
 		KeepAliveInterval: time.Hour, // don't reclaim during the test
 		Endpoint:          fastEp(),
 	})
-	d := imd.New(n.Host("imd0"), imd.Config{
-		ManagerAddr: "cmd", PoolSize: 1 << 20, Epoch: 1,
+	d := imd.New(host(t, seg, "imd0"), imd.Config{
+		ManagerAddr: seg.Addr("cmd"), PoolSize: 1 << 20, Epoch: 1,
 		StatusInterval: 100 * time.Millisecond, Endpoint: fastEp(),
 	})
 	t.Cleanup(func() { d.Close(); mgr.Close() })
 
 	back := NewMemBacking(77, 1<<20)
-	run1 := New(n.Host("client"), Config{ManagerAddr: "cmd", ClientID: 1, Endpoint: fastEp()})
+	run1 := New(host(t, seg, "client"), Config{ManagerAddr: seg.Addr("cmd"), ClientID: 1, Endpoint: fastEp()})
 	fd, err := run1.Mopen(8192, back, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -509,7 +542,7 @@ func TestPersistentRegionsSurviveClientRestart(t *testing.T) {
 	}
 	run1.Close() // exit without Mclose
 
-	run2 := New(n.Host("client2"), Config{ManagerAddr: "cmd", ClientID: 1, Endpoint: fastEp()})
+	run2 := New(host(t, seg, "client2"), Config{ManagerAddr: seg.Addr("cmd"), ClientID: 1, Endpoint: fastEp()})
 	defer run2.Close()
 	fd2, err := run2.Mopen(8192, back, 0)
 	if err != nil {
@@ -532,11 +565,11 @@ func TestPersistentRegionsSurviveClientRestart(t *testing.T) {
 func TestClientUsesVirtualClockForRefraction(t *testing.T) {
 	// The refraction timer runs off the configured clock, so the
 	// simulated experiments control it.
-	n := transport.NewNetwork()
+	seg := usocket.NewSegment()
 	clock := sim.NewVirtualClock(time.Date(1999, 1, 1, 0, 0, 0, 0, time.UTC))
-	mgr := manager.New(n.Host("cmd"), manager.Config{KeepAliveInterval: time.Hour, Endpoint: fastEp()})
-	cli := New(n.Host("client"), Config{
-		ManagerAddr: "cmd", RefractionPeriod: time.Minute, Clock: clock, Endpoint: fastEp(),
+	mgr := manager.New(host(t, seg, "cmd"), manager.Config{KeepAliveInterval: time.Hour, Endpoint: fastEp()})
+	cli := New(host(t, seg, "client"), Config{
+		ManagerAddr: seg.Addr("cmd"), RefractionPeriod: time.Minute, Clock: clock, Endpoint: fastEp(),
 	})
 	t.Cleanup(func() { cli.Close(); mgr.Close() })
 

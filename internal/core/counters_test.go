@@ -51,19 +51,19 @@ func TestHedgeAndChecksumCountersReachClusterStats(t *testing.T) {
 	}
 	// The client's own count of a failed page check, as a corrupt read
 	// makes it (TestCorruptReadFailsChecksum drives that path).
-	s.cli.noteCorrupt("imd0")
+	s.cli.noteCorrupt(s.seg.Addr("imd0"))
 	st := s.cli.Stats()
 	if st.HedgedReads == 0 {
 		t.Fatalf("no read was hedged: %+v", st)
 	}
 
-	ctl := bulk.NewEndpoint(s.n.Host("ctl"), fastEp(), nil)
+	ctl := bulk.NewEndpoint(host(t, s.seg, "ctl"), fastEp(), nil)
 	t.Cleanup(func() { ctl.Close() })
 	var resp *wire.ClusterStatsResp
 	byName := make(map[string]uint64)
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		msg, err := ctl.Call("cmd", &wire.ClusterStatsReq{})
+		msg, err := ctl.Call(s.seg.Addr("cmd"), &wire.ClusterStatsReq{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,7 +82,7 @@ func TestHedgeAndChecksumCountersReachClusterStats(t *testing.T) {
 	if got := byName["client.checksum_failures"]; got != 1 {
 		t.Errorf("client.checksum_failures = %d, want 1", got)
 	}
-	if want := []wire.HostCount{{Addr: "imd0", Count: 1}}; !reflect.DeepEqual(resp.CorruptHosts, want) {
+	if want := []wire.HostCount{{Addr: s.seg.Addr("imd0"), Count: 1}}; !reflect.DeepEqual(resp.CorruptHosts, want) {
 		t.Errorf("corrupt hosts = %v, want %v", resp.CorruptHosts, want)
 	}
 	for _, k := range ackCounters {

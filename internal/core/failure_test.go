@@ -8,7 +8,7 @@ import (
 
 	"dodo/internal/imd"
 	"dodo/internal/manager"
-	"dodo/internal/transport"
+	"dodo/internal/usocket"
 )
 
 // TestManagerUnreachableDegradesGracefully: with the central manager
@@ -27,7 +27,7 @@ func TestManagerUnreachableDegradesGracefully(t *testing.T) {
 	}
 
 	// The manager's machine dies.
-	s.n.Partition("cmd")
+	s.seg.Partition(s.seg.Addr("cmd"))
 
 	// Reads and writes go directly to the imd: still fine.
 	buf := make([]byte, 8192)
@@ -68,7 +68,7 @@ func TestNetworkFlapRecoversViaCheckAlloc(t *testing.T) {
 
 	// Flap: the imd's switch port goes dark, one read fails, the
 	// descriptor drops.
-	s.n.Partition("imd0")
+	s.seg.Partition(s.seg.Addr("imd0"))
 	buf := make([]byte, 8192)
 	if _, err := s.cli.Mread(fd, 0, buf); !errors.Is(err, ErrNoMem) {
 		t.Fatalf("Mread during flap = %v, want ErrNoMem", err)
@@ -76,7 +76,7 @@ func TestNetworkFlapRecoversViaCheckAlloc(t *testing.T) {
 	if s.cli.RegionValid(fd) {
 		t.Fatal("descriptor still valid during flap")
 	}
-	s.n.Heal("imd0")
+	s.seg.Heal(s.seg.Addr("imd0"))
 
 	// checkAlloc revalidates: the epoch still matches, the region is
 	// intact, the descriptor comes back.
@@ -97,19 +97,19 @@ func TestNetworkFlapRecoversViaCheckAlloc(t *testing.T) {
 // region keys include the client id, so two applications caching the
 // same (inode, offset) range get independent regions.
 func TestTwoClientsAreIsolated(t *testing.T) {
-	n := transport.NewNetwork(transport.WithMTU(1500))
-	mgr := manager.New(n.Host("cmd"), manager.Config{
+	seg := usocket.NewSegment()
+	mgr := manager.New(host(t, seg, "cmd"), manager.Config{
 		KeepAliveInterval: time.Hour,
 		Endpoint:          fastEp(),
 	})
-	d := imd.New(n.Host("imd0"), imd.Config{
-		ManagerAddr: "cmd", PoolSize: 1 << 20, Epoch: 1,
+	d := imd.New(host(t, seg, "imd0"), imd.Config{
+		ManagerAddr: seg.Addr("cmd"), PoolSize: 1 << 20, Epoch: 1,
 		StatusInterval: 100 * time.Millisecond, Endpoint: fastEp(),
 	})
 	t.Cleanup(func() { d.Close(); mgr.Close() })
 
-	cliA := New(n.Host("appA"), Config{ManagerAddr: "cmd", ClientID: 1, Endpoint: fastEp()})
-	cliB := New(n.Host("appB"), Config{ManagerAddr: "cmd", ClientID: 2, Endpoint: fastEp()})
+	cliA := New(host(t, seg, "appA"), Config{ManagerAddr: seg.Addr("cmd"), ClientID: 1, Endpoint: fastEp()})
+	cliB := New(host(t, seg, "appB"), Config{ManagerAddr: seg.Addr("cmd"), ClientID: 2, Endpoint: fastEp()})
 	t.Cleanup(func() { cliA.Close(); cliB.Close() })
 
 	// Same backing identity, same offset — different clients.
@@ -158,19 +158,19 @@ func TestTwoClientsAreIsolated(t *testing.T) {
 // client id share the region namespace — the paper's single-client
 // semantics, which is also how dmine's re-run finds its data.
 func TestSameClientIDSharesRegions(t *testing.T) {
-	n := transport.NewNetwork(transport.WithMTU(1500))
-	mgr := manager.New(n.Host("cmd"), manager.Config{
+	seg := usocket.NewSegment()
+	mgr := manager.New(host(t, seg, "cmd"), manager.Config{
 		KeepAliveInterval: time.Hour,
 		Endpoint:          fastEp(),
 	})
-	d := imd.New(n.Host("imd0"), imd.Config{
-		ManagerAddr: "cmd", PoolSize: 1 << 20, Epoch: 1,
+	d := imd.New(host(t, seg, "imd0"), imd.Config{
+		ManagerAddr: seg.Addr("cmd"), PoolSize: 1 << 20, Epoch: 1,
 		StatusInterval: 100 * time.Millisecond, Endpoint: fastEp(),
 	})
 	t.Cleanup(func() { d.Close(); mgr.Close() })
 
 	back := NewMemBacking(60, 1<<20)
-	first := New(n.Host("p1"), Config{ManagerAddr: "cmd", ClientID: 9, Endpoint: fastEp()})
+	first := New(host(t, seg, "p1"), Config{ManagerAddr: seg.Addr("cmd"), ClientID: 9, Endpoint: fastEp()})
 	fd1, err := first.Mopen(4096, back, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -181,7 +181,7 @@ func TestSameClientIDSharesRegions(t *testing.T) {
 	}
 	first.Close()
 
-	second := New(n.Host("p2"), Config{ManagerAddr: "cmd", ClientID: 9, Endpoint: fastEp()})
+	second := New(host(t, seg, "p2"), Config{ManagerAddr: seg.Addr("cmd"), ClientID: 9, Endpoint: fastEp()})
 	defer second.Close()
 	fd2, err := second.Mopen(4096, back, 0)
 	if err != nil {

@@ -12,6 +12,7 @@ import (
 	"dodo/internal/manager"
 	"dodo/internal/simnet"
 	"dodo/internal/transport"
+	"dodo/internal/usocket"
 	"dodo/internal/wire"
 )
 
@@ -63,24 +64,24 @@ func (t *countingTransport) snapshot() (sent, recvd [256]int64) {
 // provokes. The client's transport is wrapped in a frame counter.
 func quietStack(t testing.TB, mut func(*Config)) (*stack, *countingTransport) {
 	t.Helper()
-	n := transport.NewNetwork(transport.WithMTU(1500))
-	mgr := manager.New(n.Host("cmd"), manager.Config{
+	seg := usocket.NewSegment()
+	mgr := manager.New(host(t, seg, "cmd"), manager.Config{
 		KeepAliveInterval: 10 * time.Second,
 		KeepAliveMisses:   3,
 		Endpoint:          fastEp(),
 	})
-	s := &stack{n: n, mgr: mgr}
-	d := imd.New(n.Host("imd0"), imd.Config{
-		ManagerAddr:    "cmd",
+	s := &stack{seg: seg, mgr: mgr}
+	d := imd.New(host(t, seg, "imd0"), imd.Config{
+		ManagerAddr:    seg.Addr("cmd"),
 		PoolSize:       1 << 20,
 		Epoch:          1,
 		StatusInterval: 10 * time.Second,
 		Endpoint:       fastEp(),
 	})
 	s.imds = append(s.imds, d)
-	ct := &countingTransport{Transport: n.Host("client")}
+	ct := &countingTransport{Transport: host(t, seg, "client")}
 	cfg := Config{
-		ManagerAddr:      "cmd",
+		ManagerAddr:      seg.Addr("cmd"),
 		ClientID:         1,
 		RefractionPeriod: 300 * time.Millisecond,
 		DisableHedging:   true,
@@ -158,7 +159,7 @@ func TestSmallReadSingleExchange(t *testing.T) {
 // WriteReq, with no answer to the offer.
 func TestSmallWriteSingleExchange(t *testing.T) {
 	s, ct := quietStack(t, nil)
-	limit := wire.InlineWriteLimit(1500)
+	limit := wire.InlineWriteLimit(usocket.MTU)
 	back := NewMemBacking(7, 16<<10)
 	fd := mopenRetry(t, s.cli, 16<<10, back, 0)
 	data := make([]byte, limit+1)
@@ -255,13 +256,16 @@ func TestReadFastPathStats(t *testing.T) {
 	}
 }
 
+// lossyEp is fastEp for a link that loses a third of its frames: more
+// call retries, quicker loss recovery, and a window of a whole ring,
+// which at this loss never fills.
 func lossyEp() bulk.Config {
-	return bulk.Config{
-		CallTimeout:   150 * time.Millisecond,
-		CallRetries:   8,
-		WindowTimeout: 80 * time.Millisecond,
-		NackDelay:     30 * time.Millisecond,
-	}
+	c := fastEp()
+	c.CallRetries = 8
+	c.NackDelay = 10 * time.Millisecond
+	c.WindowTimeout = 40 * time.Millisecond
+	c.RecvWindow = usocket.HostRing
+	return c
 }
 
 // TestMreadFastPathUnderLoss: the eager fast path over a 35%-loss link
@@ -270,22 +274,22 @@ func lossyEp() bulk.Config {
 // outright under this much loss — those retry; reads that complete must
 // be correct.
 func TestMreadFastPathUnderLoss(t *testing.T) {
-	n := transport.NewNetwork(transport.WithMTU(1500),
-		transport.WithFaults(simnet.Faults{LossRate: 0.35, Seed: 42}))
-	mgr := manager.New(n.Host("cmd"), manager.Config{
+	seg := usocket.NewSegment()
+	seg.SetFaults(simnet.Faults{LossRate: 0.35, Seed: 42})
+	mgr := manager.New(host(t, seg, "cmd"), manager.Config{
 		KeepAliveInterval: 250 * time.Millisecond,
 		KeepAliveMisses:   200,
 		Endpoint:          lossyEp(),
 	})
-	d := imd.New(n.Host("imd0"), imd.Config{
-		ManagerAddr:    "cmd",
+	d := imd.New(host(t, seg, "imd0"), imd.Config{
+		ManagerAddr:    seg.Addr("cmd"),
 		PoolSize:       1 << 20,
 		Epoch:          1,
 		StatusInterval: 100 * time.Millisecond,
 		Endpoint:       lossyEp(),
 	})
-	cli := New(n.Host("client"), Config{
-		ManagerAddr:      "cmd",
+	cli := New(host(t, seg, "client"), Config{
+		ManagerAddr:      seg.Addr("cmd"),
 		ClientID:         1,
 		RefractionPeriod: 50 * time.Millisecond,
 		DisableHedging:   true,

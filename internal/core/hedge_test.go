@@ -14,6 +14,7 @@ import (
 	"dodo/internal/manager"
 	"dodo/internal/sim"
 	"dodo/internal/transport"
+	"dodo/internal/usocket"
 	"dodo/internal/wire"
 )
 
@@ -22,27 +23,27 @@ import (
 // subsequent remote read races a disk read.
 func hedgeStack(t *testing.T, imdCount int) *stack {
 	t.Helper()
-	n := transport.NewNetwork(transport.WithMTU(1500))
+	seg := usocket.NewSegment()
 	var imdTrs []transport.Transport
 	for i := 0; i < imdCount; i++ {
-		imdTrs = append(imdTrs, n.Host("imd"+string(rune('0'+i))))
+		imdTrs = append(imdTrs, host(t, seg, "imd"+string(rune('0'+i))))
 	}
-	return hedgeStackOver(t, n, n.Host("client"), imdTrs...)
+	return hedgeStackOver(t, seg, host(t, seg, "client"), imdTrs...)
 }
 
-// hedgeStackOver is hedgeStack on network n, with the client on cliTr
+// hedgeStackOver is hedgeStack on segment seg, with the client on cliTr
 // and one imd on each of imdTrs.
-func hedgeStackOver(t *testing.T, n *transport.Network, cliTr transport.Transport, imdTrs ...transport.Transport) *stack {
+func hedgeStackOver(t *testing.T, seg *usocket.Segment, cliTr transport.Transport, imdTrs ...transport.Transport) *stack {
 	t.Helper()
-	mgr := manager.New(n.Host("cmd"), manager.Config{
+	mgr := manager.New(host(t, seg, "cmd"), manager.Config{
 		KeepAliveInterval: 200 * time.Millisecond,
 		KeepAliveMisses:   3,
 		Endpoint:          fastEp(),
 	})
-	s := &stack{n: n, mgr: mgr}
+	s := &stack{seg: seg, mgr: mgr}
 	for _, tr := range imdTrs {
 		d := imd.New(tr, imd.Config{
-			ManagerAddr:    "cmd",
+			ManagerAddr:    seg.Addr("cmd"),
 			PoolSize:       1 << 20,
 			Epoch:          1,
 			StatusInterval: 100 * time.Millisecond,
@@ -51,7 +52,7 @@ func hedgeStackOver(t *testing.T, n *transport.Network, cliTr transport.Transpor
 		s.imds = append(s.imds, d)
 	}
 	s.cli = New(cliTr, Config{
-		ManagerAddr:      "cmd",
+		ManagerAddr:      seg.Addr("cmd"),
 		ClientID:         1,
 		RefractionPeriod: 300 * time.Millisecond,
 		HedgeMultiplier:  1e-6,
@@ -77,11 +78,11 @@ func TestHedgeColdStartPerEpoch(t *testing.T) {
 	s := newStack(t, 1, 1<<20)
 	c := s.cli
 
-	if _, hedge := c.hedgeDelay("imd0", 1); hedge {
+	if _, hedge := c.hedgeDelay(s.seg.Addr("imd0"), 1); hedge {
 		t.Fatal("hedged with no samples at all")
 	}
-	c.recordLatency("imd0", 1, 10*time.Millisecond)
-	d, hedge := c.hedgeDelay("imd0", 1)
+	c.recordLatency(s.seg.Addr("imd0"), 1, 10*time.Millisecond)
+	d, hedge := c.hedgeDelay(s.seg.Addr("imd0"), 1)
 	if !hedge {
 		t.Fatal("not hedging with a sample on the books")
 	}
@@ -90,11 +91,11 @@ func TestHedgeColdStartPerEpoch(t *testing.T) {
 	}
 	// The host restarts under a new epoch: its history is void, the
 	// first read of the new incarnation must go unhedged.
-	if _, hedge := c.hedgeDelay("imd0", 2); hedge {
+	if _, hedge := c.hedgeDelay(s.seg.Addr("imd0"), 2); hedge {
 		t.Fatal("hedged the first read to a fresh incarnation")
 	}
-	c.recordLatency("imd0", 2, 100*time.Microsecond)
-	d, hedge = c.hedgeDelay("imd0", 2)
+	c.recordLatency(s.seg.Addr("imd0"), 2, 100*time.Microsecond)
+	d, hedge = c.hedgeDelay(s.seg.Addr("imd0"), 2)
 	if !hedge {
 		t.Fatal("new incarnation never warmed up")
 	}
@@ -103,12 +104,12 @@ func TestHedgeColdStartPerEpoch(t *testing.T) {
 	}
 
 	// DisableHedging wins over any history.
-	off := New(s.n.Host("client2"), Config{
-		ManagerAddr: "cmd", ClientID: 2, DisableHedging: true, Endpoint: fastEp(),
+	off := New(host(t, s.seg, "client2"), Config{
+		ManagerAddr: s.seg.Addr("cmd"), ClientID: 2, DisableHedging: true, Endpoint: fastEp(),
 	})
 	t.Cleanup(func() { off.Close() })
-	off.recordLatency("imd0", 1, 10*time.Millisecond)
-	if _, hedge := off.hedgeDelay("imd0", 1); hedge {
+	off.recordLatency(s.seg.Addr("imd0"), 1, 10*time.Millisecond)
+	if _, hedge := off.hedgeDelay(s.seg.Addr("imd0"), 1); hedge {
 		t.Fatal("DisableHedging did not disable hedging")
 	}
 }
@@ -164,13 +165,13 @@ func TestHedgedReadAnsweredInTimeLaunchesNothing(t *testing.T) {
 		t.Skip("the lockcheck runtime and the race detector allocate on their own")
 	}
 	clock := sim.NewVirtualClock(time.Unix(0, 0))
-	n := transport.NewNetwork(transport.WithMTU(1500))
-	mgr := manager.New(n.Host("cmd"), manager.Config{KeepAliveInterval: time.Hour, Endpoint: fastEp()})
-	d := imd.New(n.Host("imd0"), imd.Config{ManagerAddr: "cmd", PoolSize: 1 << 20, Epoch: 1,
+	seg := usocket.NewSegment()
+	mgr := manager.New(host(t, seg, "cmd"), manager.Config{KeepAliveInterval: time.Hour, Endpoint: fastEp()})
+	d := imd.New(host(t, seg, "imd0"), imd.Config{ManagerAddr: seg.Addr("cmd"), PoolSize: 1 << 20, Epoch: 1,
 		StatusInterval: time.Hour, Endpoint: fastEp()})
 	epCfg := fastEp()
 	epCfg.Clock = clock
-	cli := New(n.Host("client"), Config{ManagerAddr: "cmd", ClientID: 1, Clock: clock,
+	cli := New(host(t, seg, "client"), Config{ManagerAddr: seg.Addr("cmd"), ClientID: 1, Clock: clock,
 		Endpoint: epCfg, DisableRecovery: true})
 	t.Cleanup(func() { cli.Close(); d.Close(); mgr.Close() })
 
@@ -179,8 +180,10 @@ func TestHedgedReadAnsweredInTimeLaunchesNothing(t *testing.T) {
 		size   int
 		allocs float64
 	}{
-		{"inline", 1 << 10, 20},
-		{"eager", 8 << 10, 45},
+		// Every frame crosses the segment: a control frame is one
+		// allocation at its own size, a data frame a recycled one.
+		{"inline", 1 << 10, 18},
+		{"eager", 8 << 10, 34},
 	} {
 		fd, err := cli.Mopen(int64(tc.size), NewMemBacking(uint64(64+i), 1<<20), 0)
 		if err != nil {
@@ -196,7 +199,7 @@ func TestHedgedReadAnsweredInTimeLaunchesNothing(t *testing.T) {
 		if _, err := cli.Mread(fd, 0, buf); err != nil {
 			t.Fatal(err)
 		}
-		if _, hedge := cli.hedgeDelay("imd0", 1); !hedge {
+		if _, hedge := cli.hedgeDelay(seg.Addr("imd0"), 1); !hedge {
 			t.Fatalf("%s: reads are not hedged", tc.name)
 		}
 		allocs := testing.AllocsPerRun(200, func() {
@@ -242,7 +245,7 @@ func TestHedgedReadSurvivesDeadHost(t *testing.T) {
 	// back to say so. (The fabric alone would refuse a send to a closed
 	// endpoint at once, and whether that error or the 1 ns hedge timer
 	// reaches the read first is a scheduler race, not what is tested.)
-	s.n.Partition("imd0")
+	s.seg.Partition(s.seg.Addr("imd0"))
 	s.imds[0].Crash()
 	n, err := s.cli.Mread(fd, 0, buf)
 	if err != nil || n != len(buf) {
@@ -431,10 +434,10 @@ var diskWinRuns atomic.Int64
 // writes them over once the remote leg completes, and that leg — its
 // bytes checked against the imd's checksum wherever they ended up —
 // succeeds: no checksum failure, no host drop.
-func testDiskWinsMidRead(t *testing.T, n *transport.Network, size, early int) {
-	held := &heldReplies{Transport: n.Host("imd0"), release: make(chan struct{})}
-	land := &landing{Transport: n.Host("client"), landed: make(chan struct{})}
-	s := hedgeStackOver(t, n, land, held)
+func testDiskWinsMidRead(t *testing.T, seg *usocket.Segment, size, early int) {
+	held := &heldReplies{Transport: host(t, seg, "imd0"), release: make(chan struct{})}
+	land := &landing{Transport: host(t, seg, "client"), landed: make(chan struct{})}
+	s := hedgeStackOver(t, seg, land, held)
 	back := &gatedDisk{MemBacking: NewMemBacking(63, 1<<20), open: land.landed}
 	fd, err := s.cli.Mopen(int64(size), back, 0)
 	if err != nil {
@@ -491,17 +494,12 @@ func testDiskWinsMidRead(t *testing.T, n *transport.Network, size, early int) {
 // assembled, in the caller's buffer, when the disk leg wins; the rest
 // arrives after Mread has returned.
 func TestDiskWinsMidEagerRead(t *testing.T) {
-	testDiskWinsMidRead(t, transport.NewNetwork(transport.WithMTU(1500)), 32<<10, 5)
+	testDiskWinsMidRead(t, usocket.NewSegment(), 32<<10, 5)
 }
 
-// TestDiskWinsBeforeInlineReply: the same with a read that comes back
-// inline, over a UDP-sized MTU; its answer arrives after Mread has
+// TestDiskWinsBeforeInlineReply: the same with a read small enough to
+// come back inline, in one frame; its answer arrives after Mread has
 // returned.
 func TestDiskWinsBeforeInlineReply(t *testing.T) {
-	n := transport.NewNetwork()
-	const size = 8 << 10
-	if size > wire.InlineDataLimit(n.Host("probe").MTU()) {
-		t.Fatal("the read does not fit one frame")
-	}
-	testDiskWinsMidRead(t, n, size, 0)
+	testDiskWinsMidRead(t, usocket.NewSegment(), wire.InlineDataLimit(usocket.MTU), 0)
 }

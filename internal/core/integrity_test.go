@@ -9,6 +9,7 @@ import (
 
 	"dodo/internal/bulk"
 	"dodo/internal/transport"
+	"dodo/internal/usocket"
 	"dodo/internal/wire"
 )
 
@@ -63,21 +64,21 @@ func TestCorruptReadFailsChecksum(t *testing.T) {
 				name = shape + "/zeroed-crc"
 			}
 			t.Run(name, func(t *testing.T) {
-				n := transport.NewNetwork(transport.WithMTU(1500))
+				seg := usocket.NewSegment()
 				nextID := uint64(0)
-				mgrEp := bulk.NewEndpoint(n.Host("cmd"), fastEp(), func(from string, msg wire.Message) wire.Message {
+				mgrEp := bulk.NewEndpoint(host(t, seg, "cmd"), fastEp(), func(from string, msg wire.Message) wire.Message {
 					if req, ok := msg.(*wire.AllocReq); ok {
 						nextID++
 						return &wire.AllocResp{Status: wire.StatusOK, Incarnation: 1, Region: wire.Region{
-							HostAddr: "bad", RegionID: nextID, Length: req.Length, Epoch: 1,
+							HostAddr: seg.Addr("bad"), RegionID: nextID, Length: req.Length, Epoch: 1,
 						}}
 					}
 					return nil
 				})
 				defer mgrEp.Close()
-				corruptHost(t, n.Host("bad"), zeroCrc)
-				cli := New(n.Host("client"), Config{
-					ManagerAddr: "cmd", ClientID: 1, RefractionPeriod: 100 * time.Millisecond,
+				corruptHost(t, host(t, seg, "bad"), zeroCrc)
+				cli := New(host(t, seg, "client"), Config{
+					ManagerAddr: seg.Addr("cmd"), ClientID: 1, RefractionPeriod: 100 * time.Millisecond,
 					DisableRecovery: true, DisableHedging: true, Endpoint: fastEp(),
 				})
 				defer cli.Close()
@@ -92,7 +93,7 @@ func TestCorruptReadFailsChecksum(t *testing.T) {
 					t.Fatalf("read of a corrupt page = %v, want ErrNoMem", err)
 				}
 				st := cli.Stats()
-				if st.ChecksumFailures != 1 || !reflect.DeepEqual(st.CorruptHosts, []wire.HostCount{{Addr: "bad", Count: 1}}) {
+				if st.ChecksumFailures != 1 || !reflect.DeepEqual(st.CorruptHosts, []wire.HostCount{{Addr: seg.Addr("bad"), Count: 1}}) {
 					t.Fatalf("ChecksumFailures = %d, CorruptHosts = %v, want 1 against bad", st.ChecksumFailures, st.CorruptHosts)
 				}
 				if st.DropEvents != 1 || cli.RegionValid(fd) {

@@ -8,7 +8,7 @@ import (
 
 	"dodo/internal/imd"
 	"dodo/internal/manager"
-	"dodo/internal/transport"
+	"dodo/internal/usocket"
 	"dodo/internal/wire"
 )
 
@@ -16,7 +16,7 @@ import (
 // restarted under a new incarnation, exercising the client's
 // manager-outage mode.
 type outageStack struct {
-	n   *transport.Network
+	seg *usocket.Segment
 	d   *imd.Daemon
 	cli *Client
 	// ct counts the frames crossing the client's transport.
@@ -25,22 +25,22 @@ type outageStack struct {
 
 func newOutageStack(t *testing.T, firstInc uint64) (*outageStack, *manager.Manager) {
 	t.Helper()
-	n := transport.NewNetwork(transport.WithMTU(1500))
-	mgr := manager.New(n.Host("cmd"), outageMgrConfig(firstInc))
+	seg := usocket.NewSegment()
+	mgr := manager.New(host(t, seg, "cmd"), outageMgrConfig(firstInc))
 	// StatusInterval is shorter than the manager's RebuildGrace, so the
 	// imd re-reports inside the rebuild window, and long enough that the
 	// client's revalidation lands between that re-report and the next
 	// periodic announce.
-	d := imd.New(n.Host("imd0"), imd.Config{
-		ManagerAddr:    "cmd",
+	d := imd.New(host(t, seg, "imd0"), imd.Config{
+		ManagerAddr:    seg.Addr("cmd"),
 		PoolSize:       1 << 20,
 		Epoch:          1,
 		StatusInterval: 200 * time.Millisecond,
 		Endpoint:       fastEp(),
 	})
-	ct := &countingTransport{Transport: n.Host("client")}
+	ct := &countingTransport{Transport: host(t, seg, "client")}
 	cli := New(ct, Config{
-		ManagerAddr: "cmd",
+		ManagerAddr: seg.Addr("cmd"),
 		ClientID:    1,
 		// The outage window is half of this: 5s of queueing.
 		RefractionPeriod: 10 * time.Second,
@@ -55,7 +55,7 @@ func newOutageStack(t *testing.T, firstInc uint64) (*outageStack, *manager.Manag
 	if mgr.Stats().IdleHosts != 1 {
 		t.Fatal("manager never saw the imd")
 	}
-	return &outageStack{n: n, d: d, cli: cli, ct: ct}, mgr
+	return &outageStack{seg: seg, d: d, cli: cli, ct: ct}, mgr
 }
 
 func outageMgrConfig(inc uint64) manager.Config {
@@ -107,7 +107,7 @@ func TestMopenQueuesThroughManagerOutage(t *testing.T) {
 	case <-time.After(250 * time.Millisecond):
 	}
 
-	mgr2 := manager.New(s.n.Host("cmd"), outageMgrConfig(2))
+	mgr2 := manager.New(host(t, s.seg, "cmd"), outageMgrConfig(2))
 	t.Cleanup(func() { mgr2.Close() })
 
 	var r result
@@ -187,7 +187,7 @@ func TestStaleManagerIncarnationFenced(t *testing.T) {
 	// Replace the live manager with a zombie running the dead
 	// incarnation 1 at the same address.
 	mgr.Close()
-	zombie := manager.New(s.n.Host("cmd"), outageMgrConfig(1))
+	zombie := manager.New(host(t, s.seg, "cmd"), outageMgrConfig(1))
 	t.Cleanup(func() { zombie.Close() })
 
 	// checkAlloc against the zombie is fenced client-side: error, not a

@@ -12,7 +12,7 @@ import (
 	"dodo/internal/imd"
 	"dodo/internal/manager"
 	"dodo/internal/simnet"
-	"dodo/internal/transport"
+	"dodo/internal/usocket"
 	"dodo/internal/wire"
 )
 
@@ -22,12 +22,12 @@ import (
 // region on a host whose daemon answers reads and writes with the wrong
 // message type.
 func TestRogueResponderDegradesToNoMem(t *testing.T) {
-	n := transport.NewNetwork(transport.WithMTU(1500))
-	mgrEp := bulk.NewEndpoint(n.Host("cmd"), fastEp(), func(from string, msg wire.Message) wire.Message {
+	seg := usocket.NewSegment()
+	mgrEp := bulk.NewEndpoint(host(t, seg, "cmd"), fastEp(), func(from string, msg wire.Message) wire.Message {
 		switch req := msg.(type) {
 		case *wire.AllocReq:
 			return &wire.AllocResp{Status: wire.StatusOK, Region: wire.Region{
-				HostAddr: "rogue", RegionID: 7, Length: req.Length, Epoch: 1,
+				HostAddr: seg.Addr("rogue"), RegionID: 7, Length: req.Length, Epoch: 1,
 			}}
 		case *wire.FreeReq:
 			return &wire.FreeResp{Status: wire.StatusOK}
@@ -35,7 +35,7 @@ func TestRogueResponderDegradesToNoMem(t *testing.T) {
 		return nil
 	})
 	defer mgrEp.Close()
-	rogueEp := bulk.NewEndpoint(n.Host("rogue"), fastEp(), func(from string, msg wire.Message) wire.Message {
+	rogueEp := bulk.NewEndpoint(host(t, seg, "rogue"), fastEp(), func(from string, msg wire.Message) wire.Message {
 		switch msg.(type) {
 		case *wire.ReadReq, *wire.WriteReq:
 			return &wire.FreeResp{Status: wire.StatusOK} // wrong type on purpose
@@ -44,8 +44,8 @@ func TestRogueResponderDegradesToNoMem(t *testing.T) {
 	})
 	defer rogueEp.Close()
 
-	cli := New(n.Host("client"), Config{
-		ManagerAddr: "cmd", ClientID: 1, RefractionPeriod: 100 * time.Millisecond,
+	cli := New(host(t, seg, "client"), Config{
+		ManagerAddr: seg.Addr("cmd"), ClientID: 1, RefractionPeriod: 100 * time.Millisecond,
 		DisableRecovery: true, Endpoint: fastEp(),
 	})
 	defer cli.Close()
@@ -76,7 +76,7 @@ func TestRogueResponderDegradesToNoMem(t *testing.T) {
 // (kill -9 semantics) turns reads into ErrNoMem — the caller's signal to
 // fall back to the backing file — and drops the host's descriptors.
 func TestCrashedIMDMidWorkloadFallsBack(t *testing.T) {
-	s := newStack(t, 1, 1<<20)
+	s := newStack(t, 1, 1<<20, shortCalls)
 	back := NewMemBacking(41, 1<<20)
 	fd, err := s.cli.Mopen(8192, back, 0)
 	if err != nil {
@@ -108,7 +108,7 @@ func TestCrashedIMDMidWorkloadFallsBack(t *testing.T) {
 // becomes valid again, repopulated from the backing file, with no Mopen
 // from the application.
 func TestRecoveryReopensAfterCrashRestart(t *testing.T) {
-	s := newStack(t, 1, 1<<20)
+	s := newStack(t, 1, 1<<20, shortCalls)
 	back := NewMemBacking(42, 1<<20)
 	fd, err := s.cli.Mopen(8192, back, 0)
 	if err != nil {
@@ -130,8 +130,8 @@ func TestRecoveryReopensAfterCrashRestart(t *testing.T) {
 	// manager's IWD entry is refreshed by the new status report, the
 	// recovery pass sees the epoch mismatch via checkAlloc, re-allocates,
 	// and repopulates from the backing file.
-	d2 := imd.New(s.n.Host("imd0"), imd.Config{
-		ManagerAddr: "cmd", PoolSize: 1 << 20, Epoch: 2,
+	d2 := imd.New(host(t, s.seg, "imd0"), imd.Config{
+		ManagerAddr: s.seg.Addr("cmd"), PoolSize: 1 << 20, Epoch: 2,
 		StatusInterval: 100 * time.Millisecond, Endpoint: fastEp(),
 	})
 	t.Cleanup(func() { d2.Close() })
@@ -221,8 +221,8 @@ func TestDuplicateMopenAliasesOneRegion(t *testing.T) {
 // would confirm the writes without applying them and freeze the remote
 // copy at stale bytes.
 func TestWriteSeqSurvivesFailedFree(t *testing.T) {
-	n := transport.NewNetwork(transport.WithMTU(1500))
-	mgr := manager.New(n.Host("cmd"), manager.Config{
+	seg := usocket.NewSegment()
+	mgr := manager.New(host(t, seg, "cmd"), manager.Config{
 		KeepAliveInterval: 200 * time.Millisecond,
 		// The manager goes dark for the length of Mclose's retry budget;
 		// that window must not read as a dead client, or the eviction
@@ -230,12 +230,12 @@ func TestWriteSeqSurvivesFailedFree(t *testing.T) {
 		KeepAliveMisses: 50,
 		Endpoint:        fastEp(),
 	})
-	d := imd.New(n.Host("imd0"), imd.Config{
-		ManagerAddr: "cmd", PoolSize: 1 << 20, Epoch: 1,
+	d := imd.New(host(t, seg, "imd0"), imd.Config{
+		ManagerAddr: seg.Addr("cmd"), PoolSize: 1 << 20, Epoch: 1,
 		StatusInterval: 100 * time.Millisecond, Endpoint: fastEp(),
 	})
-	cli := New(n.Host("client"), Config{
-		ManagerAddr: "cmd", ClientID: 1, RefractionPeriod: 300 * time.Millisecond,
+	cli := New(host(t, seg, "client"), Config{
+		ManagerAddr: seg.Addr("cmd"), ClientID: 1, RefractionPeriod: 300 * time.Millisecond,
 		Endpoint: fastEp(),
 	})
 	t.Cleanup(func() {
@@ -256,11 +256,11 @@ func TestWriteSeqSurvivesFailedFree(t *testing.T) {
 
 	// The manager goes dark: the free is lost, and both the RD entry
 	// and the imd region (with its write gate) survive the close.
-	n.SetEndpointFaults("cmd", simnet.Faults{LossRate: 1})
+	seg.SetEndpointFaults(seg.Addr("cmd"), simnet.Faults{LossRate: 1})
 	if err := cli.Mclose(fd); err == nil {
 		t.Fatal("Mclose with an unreachable manager reported success")
 	}
-	n.ClearEndpointFaults("cmd")
+	seg.ClearEndpointFaults(seg.Addr("cmd"))
 
 	// Re-open the same key: the duplicate path hands back the region
 	// that already saw the first incarnation's writes.
@@ -317,8 +317,8 @@ func TestZeroLengthMwriteShortCircuits(t *testing.T) {
 // gate is settled. Recovery must refuse to adopt the Fresh copy and
 // repopulate it from disk instead.
 func TestHandoffAdoptionBlockedByDiskOnlyWrites(t *testing.T) {
-	n := transport.NewNetwork(transport.WithMTU(1500))
-	mgr := manager.New(n.Host("cmd"), manager.Config{
+	seg := usocket.NewSegment()
+	mgr := manager.New(host(t, seg, "cmd"), manager.Config{
 		KeepAliveInterval: 200 * time.Millisecond,
 		KeepAliveMisses:   8,
 		HandoffGrace:      10 * time.Second,
@@ -326,19 +326,19 @@ func TestHandoffAdoptionBlockedByDiskOnlyWrites(t *testing.T) {
 	})
 	var imds []*imd.Daemon
 	for i := 0; i < 2; i++ {
-		imds = append(imds, imd.New(n.Host("imd"+string(rune('0'+i))), imd.Config{
-			ManagerAddr: "cmd", PoolSize: 1 << 20, Epoch: uint64(i + 1),
+		imds = append(imds, imd.New(host(t, seg, "imd"+string(rune('0'+i))), imd.Config{
+			ManagerAddr: seg.Addr("cmd"), PoolSize: 1 << 20, Epoch: uint64(i + 1),
 			StatusInterval: 100 * time.Millisecond,
 			GraceWindow:    2 * time.Second,
 			Endpoint:       fastEp(),
 		}))
 	}
-	cli := New(n.Host("client"), Config{
-		ManagerAddr: "cmd", ClientID: 1,
+	cli := New(host(t, seg, "client"), Config{
+		ManagerAddr: seg.Addr("cmd"), ClientID: 1,
 		RefractionPeriod: 2 * time.Second,
 		RecoveryBackoff:  250 * time.Millisecond,
 		DisableHedging:   true,
-		Endpoint:         fastEp(),
+		Endpoint:         shortCallEp(),
 	})
 	t.Cleanup(func() {
 		cli.Close()
@@ -424,14 +424,14 @@ func TestHandoffAdoptionBlockedByDiskOnlyWrites(t *testing.T) {
 // descriptor gone and no aliases remaining, and must NOT release it
 // while other aliases of the key are still open.
 func TestCommitReopenFreesOrphanedAllocation(t *testing.T) {
-	n := transport.NewNetwork(transport.WithMTU(1500))
+	seg := usocket.NewSegment()
 	var (
 		mu      sync.Mutex
 		liveKey bool // manager-side mapping for the key exists
 		frees   int
 	)
 	reg := wire.Region{HostAddr: "host", RegionID: 3, Length: 8192, Epoch: 1}
-	mgrEp := bulk.NewEndpoint(n.Host("cmd"), fastEp(), func(from string, msg wire.Message) wire.Message {
+	mgrEp := bulk.NewEndpoint(host(t, seg, "cmd"), fastEp(), func(from string, msg wire.Message) wire.Message {
 		switch msg.(type) {
 		case *wire.AllocReq:
 			mu.Lock()
@@ -449,8 +449,8 @@ func TestCommitReopenFreesOrphanedAllocation(t *testing.T) {
 	})
 	defer mgrEp.Close()
 
-	cli := New(n.Host("client"), Config{
-		ManagerAddr: "cmd", ClientID: 1, DisableRecovery: true, Endpoint: fastEp(),
+	cli := New(host(t, seg, "client"), Config{
+		ManagerAddr: seg.Addr("cmd"), ClientID: 1, DisableRecovery: true, Endpoint: fastEp(),
 	})
 	defer cli.Close()
 

@@ -7,11 +7,11 @@ import (
 	"dodo/internal/bulk"
 	"dodo/internal/sim"
 	"dodo/internal/simnet"
-	"dodo/internal/transport"
+	"dodo/internal/usocket"
 )
 
 // NackRow compares loss recovery strategies for the bulk transfer
-// protocol (§4.4) over a live lossy in-memory network.
+// protocol (§4.4) over a live lossy U-Net segment.
 type NackRow struct {
 	Mode        string // "selective-nack" or "full-window"
 	LossRate    float64
@@ -23,7 +23,7 @@ type NackRow struct {
 	RedundantBytes int64
 }
 
-// NackAblation runs real bulk transfers through a lossy network with the
+// NackAblation runs real bulk transfers through a lossy segment with the
 // selective NACK of §4.4 and with naive full-window retransmission,
 // measuring the retransmission traffic each needs. clk times the runs
 // and drives the protocol timers (sim.WallClock{} for real benchmarks).
@@ -55,14 +55,21 @@ func NackAblation(clk sim.Clock, lossRate float64, transfers int, transferBytes 
 		if full {
 			mode = "full-window"
 		}
-		n := transport.NewNetwork(
-			transport.WithMTU(1500),
-			transport.WithFaults(simnet.Faults{LossRate: lossRate, Seed: seed}),
-		)
+		seg := usocket.NewSegment()
+		seg.SetFaults(simnet.Faults{LossRate: lossRate, Seed: seed})
+		sndTr, err := seg.Host("sender")
+		if err != nil {
+			return nil, err
+		}
+		rcvTr, err := seg.Host("receiver")
+		if err != nil {
+			_ = sndTr.Close()
+			return nil, err
+		}
 		sndCfg := cfg
 		sndCfg.RetransmitFullWindow = full
-		snd := bulk.NewEndpoint(n.Host("sender"), sndCfg, nil)
-		rcv := bulk.NewEndpoint(n.Host("receiver"), cfg, nil)
+		snd := bulk.NewEndpoint(sndTr, sndCfg, nil)
+		rcv := bulk.NewEndpoint(rcvTr, cfg, nil)
 
 		data := make([]byte, transferBytes)
 		start := clk.Now()
@@ -70,10 +77,10 @@ func NackAblation(clk sim.Clock, lossRate float64, transfers int, transferBytes 
 			id := snd.NextTransferID()
 			errCh := make(chan error, 1)
 			go func() {
-				_, err := rcv.RecvBulk("sender", id, 60*time.Second)
+				_, err := rcv.RecvBulk(snd.LocalAddr(), id, 60*time.Second)
 				errCh <- err
 			}()
-			if err := snd.SendBulk("receiver", id, data); err != nil {
+			if err := snd.SendBulk(rcv.LocalAddr(), id, data); err != nil {
 				_ = snd.Close()
 				_ = rcv.Close()
 				return nil, fmt.Errorf("experiments: %s transfer %d: %w", mode, i, err)

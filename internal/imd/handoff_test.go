@@ -9,6 +9,7 @@ import (
 
 	"dodo/internal/bulk"
 	"dodo/internal/transport"
+	"dodo/internal/usocket"
 	"dodo/internal/wire"
 )
 
@@ -23,20 +24,20 @@ import (
 // page's data frames and one HandoffPage go to the peer, and nothing
 // answers the offer.
 func TestDrainHandsOffPagesToPeer(t *testing.T) {
-	n := transport.NewNetwork(transport.WithMTU(1500))
-	cmd := newFakeCMD(n)
-	tap := &peerTap{Transport: n.Host("imd1"), peer: "imd2"}
+	seg := usocket.NewSegment()
+	cmd := newFakeCMD(t, seg)
+	tap := &peerTap{Transport: host(t, seg, "imd1"), peer: seg.Addr("imd2")}
 	src := New(tap, Config{
-		ManagerAddr: "cmd", PoolSize: 1 << 20, Epoch: 3,
+		ManagerAddr: seg.Addr("cmd"), PoolSize: 1 << 20, Epoch: 3,
 		GraceWindow: 3 * time.Second, Endpoint: fastEp(),
 	})
-	dst := New(n.Host("imd2"), Config{
-		ManagerAddr: "cmd", PoolSize: 1 << 20, Epoch: 5,
+	dst := New(host(t, seg, "imd2"), Config{
+		ManagerAddr: seg.Addr("cmd"), PoolSize: 1 << 20, Epoch: 5,
 		Endpoint: fastEp(),
 	})
-	cli := bulk.NewEndpoint(n.Host("client"), fastEp(), nil)
+	cli := bulk.NewEndpoint(host(t, seg, "client"), fastEp(), nil)
 	t.Cleanup(func() { src.Close(); dst.Close(); cli.Close(); cmd.ep.Close() })
-	r := &rig{t: t, n: n, cmd: cmd, d: src, cli: cli, seq: map[uint64]uint64{}}
+	r := &rig{t: t, seg: seg, cmd: cmd, d: src, cli: cli, seq: map[uint64]uint64{}}
 
 	// Two resident regions on the draining imd; only region 1 will be
 	// granted a target.
@@ -49,7 +50,7 @@ func TestDrainHandsOffPagesToPeer(t *testing.T) {
 
 	// Pre-allocate region 1's destination on the peer, playing the
 	// manager's placement step, and stage the grant.
-	resp, err := cmd.ep.Call("imd2", &wire.IMDAllocReq{RegionID: 901, Length: 64 << 10})
+	resp, err := cmd.ep.Call(seg.Addr("imd2"), &wire.IMDAllocReq{RegionID: 901, Length: 64 << 10})
 	if err != nil {
 		t.Fatalf("target alloc: %v", err)
 	}
@@ -58,7 +59,7 @@ func TestDrainHandsOffPagesToPeer(t *testing.T) {
 		t.Fatalf("target alloc = %v", tr.Status)
 	}
 	cmd.setGrant(1, wire.Region{
-		HostAddr: "imd2", RegionID: 901, PoolOffset: tr.PoolOffset,
+		HostAddr: seg.Addr("imd2"), RegionID: 901, PoolOffset: tr.PoolOffset,
 		Length: 64 << 10, Epoch: tr.Epoch,
 	})
 
@@ -69,7 +70,7 @@ func TestDrainHandsOffPagesToPeer(t *testing.T) {
 	if len(offers) != 1 {
 		t.Fatalf("offers = %d, want 1", len(offers))
 	}
-	if offers[0].HostAddr != "imd1" || offers[0].Epoch != 3 || len(offers[0].Regions) != 2 {
+	if offers[0].HostAddr != seg.Addr("imd1") || offers[0].Epoch != 3 || len(offers[0].Regions) != 2 {
 		t.Fatalf("offer = %+v", offers[0])
 	}
 	// Exactly the granted region reported done, successfully.
@@ -77,7 +78,7 @@ func TestDrainHandsOffPagesToPeer(t *testing.T) {
 	if len(dones) != 1 {
 		t.Fatalf("HandoffDone reports = %+v, want exactly one", dones)
 	}
-	if dones[0].HostAddr != "imd1" || dones[0].OldRegionID != 1 || dones[0].Status != wire.StatusOK {
+	if dones[0].HostAddr != seg.Addr("imd1") || dones[0].OldRegionID != 1 || dones[0].Status != wire.StatusOK {
 		t.Fatalf("HandoffDone = %+v", dones[0])
 	}
 	if s := src.Stats(); s.PagesHandedOff != 1 || s.HandoffAborts != 0 {
@@ -101,7 +102,7 @@ func TestDrainHandsOffPagesToPeer(t *testing.T) {
 	}
 
 	// The page is byte-exact on the peer, readable as a normal region.
-	p, err := startRead(cli, "imd2", 901, tr.Epoch, 0, 64<<10)
+	p, err := startRead(cli, seg.Addr("imd2"), 901, tr.Epoch, 0, 64<<10)
 	if err != nil {
 		t.Fatalf("read from peer: %v", err)
 	}
@@ -124,7 +125,7 @@ func TestDrainHandsOffPagesToPeer(t *testing.T) {
 func TestHandoffPageStaleEpochRejected(t *testing.T) {
 	r := newRig(t, 1<<20)
 	allocRegion(t, r, 1, 4096)
-	resp, err := r.cli.Call("imd1", &wire.HandoffPage{RegionID: 1, Epoch: 2, Length: 4096, TransferID: 99})
+	resp, err := r.cli.Call(r.d.Addr(), &wire.HandoffPage{RegionID: 1, Epoch: 2, Length: 4096, TransferID: 99})
 	if err != nil {
 		t.Fatal(err)
 	}

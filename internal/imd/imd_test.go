@@ -10,15 +10,21 @@ import (
 
 	"dodo/internal/bulk"
 	"dodo/internal/transport"
+	"dodo/internal/usocket"
 	"dodo/internal/wire"
 )
 
+// fastEp keeps protocol timers short, and announces a receive window
+// of half a host's ring, which holds a window with its offer and the
+// control frames around it: the ring overflows only when others send
+// to the host at the same time.
 func fastEp() bulk.Config {
 	return bulk.Config{
 		CallTimeout:   150 * time.Millisecond,
 		CallRetries:   4,
 		WindowTimeout: 80 * time.Millisecond,
 		NackDelay:     30 * time.Millisecond,
+		RecvWindow:    usocket.HostRing / 2,
 	}
 }
 
@@ -36,9 +42,9 @@ type fakeCMD struct {
 	dones  []wire.HandoffDone
 }
 
-func newFakeCMD(n *transport.Network) *fakeCMD {
+func newFakeCMD(tb testing.TB, seg *usocket.Segment) *fakeCMD {
 	c := &fakeCMD{grants: map[uint64]wire.Region{}}
-	c.ep = bulk.NewEndpoint(n.Host("cmd"), fastEp(), func(from string, msg wire.Message) wire.Message {
+	c.ep = bulk.NewEndpoint(host(tb, seg, "cmd"), fastEp(), func(from string, msg wire.Message) wire.Message {
 		if hs, ok := msg.(*wire.HostStatus); ok {
 			c.mu.Lock()
 			c.statuses = append(c.statuses, *hs)
@@ -99,9 +105,21 @@ func (c *fakeCMD) lastStatus() (wire.HostStatus, bool) {
 	return c.statuses[len(c.statuses)-1], true
 }
 
+// host opens the named host on seg. Whoever wraps it closes it; the
+// cleanup closes a host nobody wraps.
+func host(tb testing.TB, seg *usocket.Segment, name string) *usocket.UNet {
+	tb.Helper()
+	tr, err := seg.Host(name)
+	if err != nil {
+		tb.Fatalf("Host(%q): %v", name, err)
+	}
+	tb.Cleanup(func() { tr.Close() })
+	return tr
+}
+
 type rig struct {
 	t   testing.TB
-	n   *transport.Network
+	seg *usocket.Segment
 	cmd *fakeCMD
 	d   *Daemon
 	cli *bulk.Endpoint
@@ -111,31 +129,31 @@ type rig struct {
 
 func newRig(t testing.TB, poolSize uint64) *rig {
 	t.Helper()
-	n := transport.NewNetwork(transport.WithMTU(1500))
-	return newRigOver(t, n, n.Host("imd1"), poolSize)
+	seg := usocket.NewSegment()
+	return newRigOver(t, seg, host(t, seg, "imd1"), poolSize)
 }
 
-// newRigOver is newRig on network n, with the daemon on tr (which must
-// be n's "imd1").
-func newRigOver(t testing.TB, n *transport.Network, tr transport.Transport, poolSize uint64) *rig {
+// newRigOver is newRig on segment seg, with the daemon on tr (which
+// must be seg's host "imd1").
+func newRigOver(t testing.TB, seg *usocket.Segment, tr transport.Transport, poolSize uint64) *rig {
 	t.Helper()
-	cmd := newFakeCMD(n)
+	cmd := newFakeCMD(t, seg)
 	d := New(tr, Config{
-		ManagerAddr:    "cmd",
+		ManagerAddr:    seg.Addr("cmd"),
 		PoolSize:       poolSize,
 		Epoch:          3,
 		StatusInterval: 50 * time.Millisecond,
 		Endpoint:       fastEp(),
 	})
-	cli := bulk.NewEndpoint(n.Host("client"), fastEp(), nil)
+	cli := bulk.NewEndpoint(host(t, seg, "client"), fastEp(), nil)
 	t.Cleanup(func() { d.Close(); cli.Close(); cmd.ep.Close() })
-	return &rig{t: t, n: n, cmd: cmd, d: d, cli: cli, seq: map[uint64]uint64{}}
+	return &rig{t: t, seg: seg, cmd: cmd, d: d, cli: cli, seq: map[uint64]uint64{}}
 }
 
 // allocRegion asks the daemon directly (playing the manager's role).
 func allocRegion(t *testing.T, r *rig, id, size uint64) *wire.IMDAllocResp {
 	t.Helper()
-	resp, err := r.cmd.ep.Call("imd1", &wire.IMDAllocReq{RegionID: id, Length: size})
+	resp, err := r.cmd.ep.Call(r.d.Addr(), &wire.IMDAllocReq{RegionID: id, Length: size})
 	if err != nil {
 		t.Fatalf("IMDAllocReq: %v", err)
 	}
@@ -172,9 +190,9 @@ func push(t *testing.T, r *rig, data []byte, announce func(xfer uint64) wire.Mes
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		sendErr = r.cli.SendBulk("imd1", xfer, data)
+		sendErr = r.cli.SendBulk(r.d.Addr(), xfer, data)
 	}()
-	resp, err := r.cli.CallT("imd1", announce(xfer), 2*time.Second, 2)
+	resp, err := r.cli.CallT(r.d.Addr(), announce(xfer), 2*time.Second, 2)
 	wg.Wait()
 	if err != nil {
 		t.Fatalf("announcing the push: %v", err)
@@ -216,7 +234,7 @@ func TestPushAndRequestInEitherOrder(t *testing.T) {
 	for _, first := range []wire.Type{wire.TWriteReq, wire.TBulkOffer} {
 		t.Run(first.String(), func(t *testing.T) {
 			r := newRig(t, 1<<20)
-			r.cli = bulk.NewEndpoint(&firstFrame{Transport: r.n.Host("pusher"), first: first, gone: make(chan struct{})}, fastEp(), nil)
+			r.cli = bulk.NewEndpoint(&firstFrame{Transport: host(t, r.seg, "pusher"), first: first, gone: make(chan struct{})}, fastEp(), nil)
 			t.Cleanup(func() { r.cli.Close() })
 			allocRegion(t, r, 1, 64<<10)
 			data := make([]byte, 64<<10)
@@ -292,7 +310,7 @@ func (p *pendingRead) finish() ([]byte, error) {
 // read runs one whole read exchange against the rig's daemon.
 func (r *rig) read(id, epoch, off, n uint64) (*wire.DataResp, []byte) {
 	r.t.Helper()
-	p, err := startRead(r.cli, "imd1", id, epoch, off, n)
+	p, err := startRead(r.cli, r.d.Addr(), id, epoch, off, n)
 	if err != nil {
 		r.t.Fatalf("ReadReq: %v", err)
 	}
@@ -335,7 +353,7 @@ func TestAllocFreeLifecycle(t *testing.T) {
 	if got := r.d.Stats().Regions; got != 1 {
 		t.Fatalf("Regions = %d, want 1", got)
 	}
-	resp, err := r.cmd.ep.Call("imd1", &wire.IMDFreeReq{RegionID: 1})
+	resp, err := r.cmd.ep.Call(r.d.Addr(), &wire.IMDFreeReq{RegionID: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +362,7 @@ func TestAllocFreeLifecycle(t *testing.T) {
 		t.Fatalf("free = %+v", fr)
 	}
 	// Double free reports not-found.
-	resp, err = r.cmd.ep.Call("imd1", &wire.IMDFreeReq{RegionID: 1})
+	resp, err = r.cmd.ep.Call(r.d.Addr(), &wire.IMDFreeReq{RegionID: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +430,7 @@ func TestPartialReadAndOffsetAccess(t *testing.T) {
 func TestStaleEpochRejected(t *testing.T) {
 	r := newRig(t, 1<<20)
 	allocRegion(t, r, 1, 4096)
-	resp, err := r.cli.Call("imd1", &wire.ReadReq{RegionID: 1, Epoch: 2, Offset: 0, Length: 10})
+	resp, err := r.cli.Call(r.d.Addr(), &wire.ReadReq{RegionID: 1, Epoch: 2, Offset: 0, Length: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +444,7 @@ func TestStaleEpochRejected(t *testing.T) {
 
 func TestReadUnknownRegion(t *testing.T) {
 	r := newRig(t, 1<<20)
-	resp, err := r.cli.Call("imd1", &wire.ReadReq{RegionID: 99, Epoch: 3, Offset: 0, Length: 10})
+	resp, err := r.cli.Call(r.d.Addr(), &wire.ReadReq{RegionID: 99, Epoch: 3, Offset: 0, Length: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -489,7 +507,7 @@ func TestReadSnapshotIsolatedFromLaterWrites(t *testing.T) {
 	first := bytes.Repeat([]byte{0xAA}, 64<<10)
 	writeRegion(t, r, 1, 0, first)
 
-	p, err := startRead(r.cli, "imd1", 1, 3, 0, 64<<10)
+	p, err := startRead(r.cli, r.d.Addr(), 1, 3, 0, 64<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -519,9 +537,9 @@ func TestConcurrentClientReads(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			cli := bulk.NewEndpoint(r.n.Host("reader"+string(rune('0'+i))), fastEp(), nil)
+			cli := bulk.NewEndpoint(host(t, r.seg, "reader"+string(rune('0'+i))), fastEp(), nil)
 			defer cli.Close()
-			p, err := startRead(cli, "imd1", 1, 3, uint64(i*1000), 32<<10)
+			p, err := startRead(cli, r.d.Addr(), 1, 3, uint64(i*1000), 32<<10)
 			if err != nil {
 				errs[i] = err
 				return
@@ -565,7 +583,7 @@ func TestDuplicatedEagerReadServedOnce(t *testing.T) {
 	buf := make([]byte, size)
 	for i := 0; i < reads; i++ {
 		xfer := r.cli.NextTransferID()
-		window, err := r.cli.ExpectBulkInto(buf, "imd1", xfer, r.cli.ChunkSize())
+		window, err := r.cli.ExpectBulkInto(buf, r.d.Addr(), xfer, r.cli.ChunkSize())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -577,7 +595,7 @@ func TestDuplicatedEagerReadServedOnce(t *testing.T) {
 			wg.Add(1)
 			go func(c int) {
 				defer wg.Done()
-				resps[c] = r.d.handle("client", req)
+				resps[c] = r.d.handle(r.seg.Addr("client"), req)
 			}(c)
 		}
 		wg.Wait()
@@ -586,7 +604,7 @@ func TestDuplicatedEagerReadServedOnce(t *testing.T) {
 				t.Fatalf("read %d copy %d answered %+v, first copy %+v", i, c, dr, resps[0])
 			}
 		}
-		if n, err := r.cli.RecvBulkInto(buf, "imd1", xfer, 15*time.Second); err != nil || n != size || !bytes.Equal(buf, data) {
+		if n, err := r.cli.RecvBulkInto(buf, r.d.Addr(), xfer, 15*time.Second); err != nil || n != size || !bytes.Equal(buf, data) {
 			t.Fatalf("read %d: %d bytes, %v", i, n, err)
 		}
 	}
@@ -600,23 +618,23 @@ func TestDuplicatedEagerReadServedOnce(t *testing.T) {
 }
 
 func BenchmarkServeRead8KB(b *testing.B) {
-	n := transport.NewNetwork(transport.WithMTU(1500))
-	cmdEp := bulk.NewEndpoint(n.Host("cmd"), fastEp(), func(string, wire.Message) wire.Message {
+	seg := usocket.NewSegment()
+	cmdEp := bulk.NewEndpoint(host(b, seg, "cmd"), fastEp(), func(string, wire.Message) wire.Message {
 		return &wire.HostStatusAck{Status: wire.StatusOK}
 	})
 	defer cmdEp.Close()
-	d := New(n.Host("imd1"), Config{ManagerAddr: "cmd", PoolSize: 1 << 20, Epoch: 1, Endpoint: fastEp()})
+	d := New(host(b, seg, "imd1"), Config{ManagerAddr: seg.Addr("cmd"), PoolSize: 1 << 20, Epoch: 1, Endpoint: fastEp()})
 	defer d.Close()
-	cli := bulk.NewEndpoint(n.Host("client"), fastEp(), nil)
+	cli := bulk.NewEndpoint(host(b, seg, "client"), fastEp(), nil)
 	defer cli.Close()
-	if _, err := cmdEp.Call("imd1", &wire.IMDAllocReq{RegionID: 1, Length: 8 << 10}); err != nil {
+	if _, err := cmdEp.Call(d.Addr(), &wire.IMDAllocReq{RegionID: 1, Length: 8 << 10}); err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(8 << 10)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p, err := startRead(cli, "imd1", 1, 1, 0, 8<<10)
+		p, err := startRead(cli, d.Addr(), 1, 1, 0, 8<<10)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -637,7 +655,7 @@ func TestDrainCompletesOngoingTransfers(t *testing.T) {
 	writeRegion(t, r, 1, 0, data)
 
 	// Start the read: the imd answers DataResp and begins blasting.
-	p, err := startRead(r.cli, "imd1", 1, 3, 0, 512<<10)
+	p, err := startRead(r.cli, r.d.Addr(), 1, 3, 0, 512<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -663,7 +681,7 @@ func TestDrainCompletesOngoingTransfers(t *testing.T) {
 		t.Fatal("Drain never completed")
 	}
 	// After the drain, new work is refused.
-	resp, err := r.cli.Call("imd1", &wire.ReadReq{RegionID: 1, Epoch: 3, Offset: 0, Length: 16})
+	resp, err := r.cli.Call(r.d.Addr(), &wire.ReadReq{RegionID: 1, Epoch: 3, Offset: 0, Length: 16})
 	if err == nil {
 		if st := resp.(*wire.DataResp).Status; st == wire.StatusOK {
 			t.Fatal("drained imd accepted new work")
@@ -707,7 +725,7 @@ func TestReplayedWriteCannotRollBack(t *testing.T) {
 
 	// Freeing and re-creating the region restarts the gate: sequence
 	// numbering begins again for the new incarnation.
-	if resp, err := r.cmd.ep.Call("imd1", &wire.IMDFreeReq{RegionID: 1}); err != nil {
+	if resp, err := r.cmd.ep.Call(r.d.Addr(), &wire.IMDFreeReq{RegionID: 1}); err != nil {
 		t.Fatalf("free: %v", err)
 	} else if st := resp.(*wire.IMDFreeResp).Status; st != wire.StatusOK {
 		t.Fatalf("free = %v", st)

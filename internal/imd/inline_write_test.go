@@ -9,7 +9,7 @@ import (
 	"time"
 
 	"dodo/internal/bulk"
-	"dodo/internal/transport"
+	"dodo/internal/usocket"
 	"dodo/internal/wire"
 )
 
@@ -22,9 +22,9 @@ func inlineWrite(id, off uint64, data []byte, seq uint64) *wire.WriteReq {
 	}
 }
 
-func callWrite(t *testing.T, cli *bulk.Endpoint, req *wire.WriteReq) *wire.DataResp {
+func callWrite(t *testing.T, r *rig, req *wire.WriteReq) *wire.DataResp {
 	t.Helper()
-	resp, err := cli.Call("imd1", req)
+	resp, err := r.cli.Call(r.d.Addr(), req)
 	if err != nil {
 		t.Fatalf("WriteReq: %v", err)
 	}
@@ -44,7 +44,7 @@ func TestInlineWriteAppliedOnceConfirmedEachTime(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp, err := r.cli.Call("imd1", inlineWrite(1, 512, data, 1))
+			resp, err := r.cli.Call(r.d.Addr(), inlineWrite(1, 512, data, 1))
 			if err != nil {
 				t.Errorf("WriteReq: %v", err)
 				return
@@ -55,7 +55,7 @@ func TestInlineWriteAppliedOnceConfirmedEachTime(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if dr := callWrite(t, r.cli, inlineWrite(1, 512, data, 1)); dr.Status != wire.StatusOK || dr.Count != 1024 {
+	if dr := callWrite(t, r, inlineWrite(1, 512, data, 1)); dr.Status != wire.StatusOK || dr.Count != 1024 {
 		t.Fatalf("replayed copy = %v count %d, want confirmed in full", dr.Status, dr.Count)
 	}
 	if st := r.d.Stats(); st.Writes != 1 || st.WriteBytes != 1024 {
@@ -105,11 +105,11 @@ func TestInlineWriteRefusals(t *testing.T) {
 			r := newRig(t, 1<<20)
 			allocRegion(t, r, 1, 4096)
 			before := bytes.Repeat([]byte{0xEE}, 1024)
-			if dr := callWrite(t, r.cli, inlineWrite(1, 0, before, 1)); dr.Status != wire.StatusOK {
+			if dr := callWrite(t, r, inlineWrite(1, 0, before, 1)); dr.Status != wire.StatusOK {
 				t.Fatalf("first write = %v", dr.Status)
 			}
 			start := time.Now()
-			if dr := callWrite(t, r.cli, tc.req); dr.Status != tc.want {
+			if dr := callWrite(t, r, tc.req); dr.Status != tc.want {
 				t.Fatalf("status = %v, want %v", dr.Status, tc.want)
 			}
 			if waited := time.Since(start); waited > time.Second {
@@ -129,28 +129,28 @@ func TestInlineWriteRefusals(t *testing.T) {
 // applied before the handoff snapshots the region — an acknowledged
 // write is never missing from the page the peer receives.
 func TestInlineWriteDuringDrain(t *testing.T) {
-	n := transport.NewNetwork(transport.WithMTU(1500))
-	cmd := newFakeCMD(n)
-	src := New(n.Host("imd1"), Config{
-		ManagerAddr: "cmd", PoolSize: 1 << 20, Epoch: 3,
+	seg := usocket.NewSegment()
+	cmd := newFakeCMD(t, seg)
+	src := New(host(t, seg, "imd1"), Config{
+		ManagerAddr: seg.Addr("cmd"), PoolSize: 1 << 20, Epoch: 3,
 		GraceWindow: 3 * time.Second, Endpoint: fastEp(),
 	})
-	dst := New(n.Host("imd2"), Config{
-		ManagerAddr: "cmd", PoolSize: 1 << 20, Epoch: 5,
+	dst := New(host(t, seg, "imd2"), Config{
+		ManagerAddr: seg.Addr("cmd"), PoolSize: 1 << 20, Epoch: 5,
 		Endpoint: fastEp(),
 	})
-	cli := bulk.NewEndpoint(n.Host("client"), fastEp(), nil)
+	cli := bulk.NewEndpoint(host(t, seg, "client"), fastEp(), nil)
 	t.Cleanup(func() { src.Close(); dst.Close(); cli.Close(); cmd.ep.Close() })
-	r := &rig{t: t, n: n, cmd: cmd, d: src, cli: cli, seq: map[uint64]uint64{}}
+	r := &rig{t: t, seg: seg, cmd: cmd, d: src, cli: cli, seq: map[uint64]uint64{}}
 
 	const size = 1024
 	allocRegion(t, r, 1, size)
-	resp, err := cmd.ep.Call("imd2", &wire.IMDAllocReq{RegionID: 901, Length: size})
+	resp, err := cmd.ep.Call(seg.Addr("imd2"), &wire.IMDAllocReq{RegionID: 901, Length: size})
 	if err != nil {
 		t.Fatalf("target alloc: %v", err)
 	}
 	tr := resp.(*wire.IMDAllocResp)
-	cmd.setGrant(1, wire.Region{HostAddr: "imd2", RegionID: 901, PoolOffset: tr.PoolOffset, Length: size, Epoch: tr.Epoch})
+	cmd.setGrant(1, wire.Region{HostAddr: seg.Addr("imd2"), RegionID: 901, PoolOffset: tr.PoolOffset, Length: size, Epoch: tr.Epoch})
 
 	// The writer stamps every write with its sequence number and stops
 	// at the first one that is not confirmed.
@@ -168,7 +168,7 @@ func TestInlineWriteDuringDrain(t *testing.T) {
 		defer close(done)
 		for k := uint64(1); ; k++ {
 			sent.Store(k)
-			resp, err := cli.Call("imd1", inlineWrite(1, 0, stamp(k), k))
+			resp, err := cli.Call(seg.Addr("imd1"), inlineWrite(1, 0, stamp(k), k))
 			if err != nil {
 				return // the drained imd is gone
 			}
@@ -185,7 +185,7 @@ func TestInlineWriteDuringDrain(t *testing.T) {
 	src.Drain()
 	<-done
 
-	p, err := startRead(cli, "imd2", 901, tr.Epoch, 0, size)
+	p, err := startRead(cli, seg.Addr("imd2"), 901, tr.Epoch, 0, size)
 	if err != nil {
 		t.Fatalf("read from peer: %v", err)
 	}

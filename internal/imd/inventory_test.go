@@ -7,7 +7,7 @@ import (
 
 	"dodo/internal/bulk"
 	"dodo/internal/simnet"
-	"dodo/internal/transport"
+	"dodo/internal/usocket"
 	"dodo/internal/wire"
 )
 
@@ -23,9 +23,9 @@ type invCMD struct {
 	reports  []wire.InventoryReport
 }
 
-func newInvCMD(n *transport.Network, inc uint64) *invCMD {
+func newInvCMD(tb testing.TB, seg *usocket.Segment, inc uint64) *invCMD {
 	c := &invCMD{inc: inc}
-	c.ep = bulk.NewEndpoint(n.Host("cmd"), fastEp(), func(from string, msg wire.Message) wire.Message {
+	c.ep = bulk.NewEndpoint(host(tb, seg, "cmd"), fastEp(), func(from string, msg wire.Message) wire.Message {
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		switch m := msg.(type) {
@@ -62,10 +62,10 @@ func (c *invCMD) snapshot() (int, []wire.InventoryReport) {
 // third of all frames. First contact with an empty pool must NOT
 // produce a report (there is nothing the manager could be missing).
 func TestInventoryReportSurvivesLossyLink(t *testing.T) {
-	n := transport.NewNetwork(transport.WithMTU(1500))
-	cmd := newInvCMD(n, 1)
-	d := New(n.Host("imd1"), Config{
-		ManagerAddr:    "cmd",
+	seg := usocket.NewSegment()
+	cmd := newInvCMD(t, seg, 1)
+	d := New(host(t, seg, "imd1"), Config{
+		ManagerAddr:    seg.Addr("cmd"),
 		PoolSize:       1 << 20,
 		Epoch:          3,
 		StatusInterval: 50 * time.Millisecond,
@@ -93,7 +93,7 @@ func TestInventoryReportSurvivesLossyLink(t *testing.T) {
 		{RegionID: 7, Length: 4096, Key: keyA, Client: "client-a"},
 		{RegionID: 8, Length: 2048, Key: keyB, Client: "client-a"},
 	} {
-		resp, err := cmd.ep.Call("imd1", alloc)
+		resp, err := cmd.ep.Call(seg.Addr("imd1"), alloc)
 		if err != nil {
 			t.Fatalf("alloc %d: %v", i, err)
 		}
@@ -105,8 +105,8 @@ func TestInventoryReportSurvivesLossyLink(t *testing.T) {
 	// Manager "restarts" behind a lossy link: the next announce ack
 	// carries incarnation 2, and the re-report must fight through the
 	// loss until acked.
-	n.SetEndpointFaults("imd1", simnet.Faults{LossRate: 0.35, Seed: 7})
-	defer n.ClearEndpointFaults("imd1")
+	seg.SetEndpointFaults(seg.Addr("imd1"), simnet.Faults{LossRate: 0.35, Seed: 7})
+	defer seg.ClearEndpointFaults(seg.Addr("imd1"))
 	cmd.setIncarnation(2)
 
 	var got *wire.InventoryReport
@@ -124,7 +124,7 @@ func TestInventoryReportSurvivesLossyLink(t *testing.T) {
 	if got == nil {
 		t.Fatal("no inventory report for incarnation 2 arrived over the lossy link")
 	}
-	if got.HostAddr != "imd1" || got.Epoch != 3 {
+	if got.HostAddr != seg.Addr("imd1") || got.Epoch != 3 {
 		t.Fatalf("report identity = %s/%d, want imd1/3", got.HostAddr, got.Epoch)
 	}
 	byID := make(map[uint64]wire.InventoryRegion)

@@ -10,6 +10,7 @@ import (
 
 	"dodo/internal/bulk"
 	"dodo/internal/transport"
+	"dodo/internal/usocket"
 	"dodo/internal/wire"
 )
 
@@ -60,8 +61,8 @@ func (h *heldBlast) arm(early int) {
 
 // newHeldRig is newRig with the daemon's frames through a heldBlast.
 func newHeldRig(t *testing.T, poolSize uint64) (*rig, *heldBlast) {
-	n := transport.NewNetwork(transport.WithMTU(1500))
-	held := newHeldBlast(n.Host("imd1"))
+	seg := usocket.NewSegment()
+	held := newHeldBlast(host(t, seg, "imd1"))
 	t.Cleanup(func() {
 		select {
 		case <-held.release:
@@ -69,7 +70,7 @@ func newHeldRig(t *testing.T, poolSize uint64) (*rig, *heldBlast) {
 			close(held.release)
 		}
 	})
-	return newRigOver(t, n, held, poolSize), held
+	return newRigOver(t, seg, held, poolSize), held
 }
 
 // awaitPinWaiter returns once a request is waiting for a region's pins
@@ -97,7 +98,7 @@ func TestWriteWaitsForPinnedBlast(t *testing.T) {
 	writeRegion(t, r, 1, 0, before)
 
 	held.arm(4)
-	p, err := startRead(r.cli, "imd1", 1, 3, 0, 64<<10)
+	p, err := startRead(r.cli, r.d.Addr(), 1, 3, 0, 64<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestWriteWaitsForPinnedBlast(t *testing.T) {
 	after := bytes.Repeat([]byte{0xBB}, 1<<10)
 	wrote := make(chan wire.Message, 1)
 	go func() {
-		resp, _ := r.cli.CallT("imd1", &wire.WriteReq{RegionID: 1, Epoch: 3, Length: uint64(len(after)),
+		resp, _ := r.cli.CallT(r.d.Addr(), &wire.WriteReq{RegionID: 1, Epoch: 3, Length: uint64(len(after)),
 			WriteSeq: 2, Crc: wire.Checksum(after), Payload: after}, 2*time.Second, 0)
 		wrote <- resp
 	}()
@@ -143,14 +144,14 @@ func TestFreeWaitsForPinnedBlast(t *testing.T) {
 	writeRegion(t, r, 1, 0, data)
 
 	held.arm(4)
-	p, err := startRead(r.cli, "imd1", 1, 3, 0, 64<<10)
+	p, err := startRead(r.cli, r.d.Addr(), 1, 3, 0, 64<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-held.held
 	freed := make(chan wire.Message, 1)
 	go func() {
-		resp, _ := r.cmd.ep.CallT("imd1", &wire.IMDFreeReq{RegionID: 1}, 2*time.Second, 0)
+		resp, _ := r.cmd.ep.CallT(r.d.Addr(), &wire.IMDFreeReq{RegionID: 1}, 2*time.Second, 0)
 		freed <- resp
 	}()
 	awaitPinWaiter(t)
@@ -187,7 +188,7 @@ func TestDrainWithPinnedBlast(t *testing.T) {
 	writeRegion(t, r, 1, 0, data)
 
 	held.arm(4)
-	p, err := startRead(r.cli, "imd1", 1, 3, 0, 64<<10)
+	p, err := startRead(r.cli, r.d.Addr(), 1, 3, 0, 64<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,13 +224,13 @@ func TestDrainWithPinnedBlast(t *testing.T) {
 // straight from its pool; a free of the region that arrives mid-push
 // waits for it, and the page lands on the peer intact.
 func TestHandoffPageFromPinnedBytes(t *testing.T) {
-	n := transport.NewNetwork(transport.WithMTU(1500))
-	cmd := newFakeCMD(n)
-	held := newHeldBlast(n.Host("imd1"))
-	src := New(held, Config{ManagerAddr: "cmd", PoolSize: 1 << 20, Epoch: 3,
+	seg := usocket.NewSegment()
+	cmd := newFakeCMD(t, seg)
+	held := newHeldBlast(host(t, seg, "imd1"))
+	src := New(held, Config{ManagerAddr: seg.Addr("cmd"), PoolSize: 1 << 20, Epoch: 3,
 		GraceWindow: 3 * time.Second, Endpoint: fastEp()})
-	dst := New(n.Host("imd2"), Config{ManagerAddr: "cmd", PoolSize: 1 << 20, Epoch: 5, Endpoint: fastEp()})
-	cli := bulk.NewEndpoint(n.Host("client"), fastEp(), nil)
+	dst := New(host(t, seg, "imd2"), Config{ManagerAddr: seg.Addr("cmd"), PoolSize: 1 << 20, Epoch: 5, Endpoint: fastEp()})
+	cli := bulk.NewEndpoint(host(t, seg, "client"), fastEp(), nil)
 	t.Cleanup(func() {
 		select {
 		case <-held.release:
@@ -241,17 +242,17 @@ func TestHandoffPageFromPinnedBytes(t *testing.T) {
 		cli.Close()
 		cmd.ep.Close()
 	})
-	r := &rig{t: t, n: n, cmd: cmd, d: src, cli: cli, seq: map[uint64]uint64{}}
+	r := &rig{t: t, seg: seg, cmd: cmd, d: src, cli: cli, seq: map[uint64]uint64{}}
 	allocRegion(t, r, 1, 64<<10)
 	data := make([]byte, 64<<10)
 	rand.New(rand.NewSource(9)).Read(data)
 	writeRegion(t, r, 1, 0, data)
-	resp, err := cmd.ep.Call("imd2", &wire.IMDAllocReq{RegionID: 901, Length: 64 << 10})
+	resp, err := cmd.ep.Call(seg.Addr("imd2"), &wire.IMDAllocReq{RegionID: 901, Length: 64 << 10})
 	if err != nil {
 		t.Fatalf("target alloc: %v", err)
 	}
 	tr := resp.(*wire.IMDAllocResp)
-	cmd.setGrant(1, wire.Region{HostAddr: "imd2", RegionID: 901, PoolOffset: tr.PoolOffset, Length: 64 << 10, Epoch: tr.Epoch})
+	cmd.setGrant(1, wire.Region{HostAddr: seg.Addr("imd2"), RegionID: 901, PoolOffset: tr.PoolOffset, Length: 64 << 10, Epoch: tr.Epoch})
 
 	held.arm(4)
 	drained := make(chan struct{})
@@ -263,7 +264,7 @@ func TestHandoffPageFromPinnedBytes(t *testing.T) {
 	// The free is handed to the daemon directly: its answer must not
 	// depend on the endpoint the drain closes when it is done.
 	freed := make(chan wire.Message, 1)
-	go func() { freed <- src.handle("cmd", &wire.IMDFreeReq{RegionID: 1}) }()
+	go func() { freed <- src.handle(seg.Addr("cmd"), &wire.IMDFreeReq{RegionID: 1}) }()
 	awaitPinWaiter(t)
 	close(held.release)
 	select {
@@ -277,7 +278,7 @@ func TestHandoffPageFromPinnedBytes(t *testing.T) {
 	if dones := cmd.handoffOutcomes(); len(dones) != 1 || dones[0].Status != wire.StatusOK {
 		t.Fatalf("HandoffDone reports = %+v, want one OK", dones)
 	}
-	p, err := startRead(cli, "imd2", 901, tr.Epoch, 0, 64<<10)
+	p, err := startRead(cli, seg.Addr("imd2"), 901, tr.Epoch, 0, 64<<10)
 	if err != nil {
 		t.Fatalf("read from peer: %v", err)
 	}
@@ -297,7 +298,7 @@ func TestFreshRegionReadsZeros(t *testing.T) {
 	secret := []byte("secret of tenant one")
 	first := allocRegion(t, r, 1, 4096)
 	writeRegion(t, r, 1, 0, secret)
-	if resp, err := r.cmd.ep.Call("imd1", &wire.IMDFreeReq{RegionID: 1}); err != nil {
+	if resp, err := r.cmd.ep.Call(r.d.Addr(), &wire.IMDFreeReq{RegionID: 1}); err != nil {
 		t.Fatal(err)
 	} else if st := resp.(*wire.IMDFreeResp).Status; st != wire.StatusOK {
 		t.Fatalf("free = %v", st)

@@ -37,7 +37,7 @@ type Rank uint8
 // The ordering mirrors the request path: harness (cluster, faults,
 // monitor) over daemons (manager, imd) over the client stack (region
 // cache over core) over messaging (bulk) over the network substrates
-// (usocket, in-memory fabric, UDP).
+// (usocket, UDP).
 //
 // internal/sim's clock mutex is intentionally *not* in the hierarchy:
 // timers are armed from under almost every lock here and their
@@ -74,10 +74,6 @@ const (
 	RankSegment
 	// RankSocket: usocket.Socket.mu — one U-Net endpoint.
 	RankSocket
-	// RankNetwork: transport.Network.mu — in-memory fabric directory.
-	RankNetwork
-	// RankNetEndpoint: transport.MemEndpoint.mu — one fabric endpoint.
-	RankNetEndpoint
 	// RankUDP: transport.UDP.mu — kernel-socket route cache.
 	RankUDP
 
@@ -100,8 +96,6 @@ var rankNames = map[Rank]string{
 	RankBulkTransfer: "bulk-transfer",
 	RankSegment:      "usocket-segment",
 	RankSocket:       "usocket-socket",
-	RankNetwork:      "net-fabric",
-	RankNetEndpoint:  "net-endpoint",
 	RankUDP:          "udp",
 }
 

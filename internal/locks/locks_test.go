@@ -14,7 +14,7 @@ func TestHierarchyIsTotalOrder(t *testing.T) {
 		RankCluster, RankWorkstation, RankFaults, RankMonitor,
 		RankManager, RankIMD, RankRegionCache, RankCoreClient,
 		RankBacking, RankReadDst, RankBulkEndpoint, RankBulkTransfer,
-		RankSegment, RankSocket, RankNetwork, RankNetEndpoint, RankUDP,
+		RankSegment, RankSocket, RankUDP,
 	}
 	if len(ordered) != int(rankSentinel)-1 {
 		t.Fatalf("hierarchy lists %d ranks, const block declares %d", len(ordered), int(rankSentinel)-1)

@@ -5,27 +5,27 @@ import (
 	"time"
 
 	"dodo/internal/bulk"
-	"dodo/internal/transport"
+	"dodo/internal/usocket"
 	"dodo/internal/wire"
 )
 
 // handoffRig is a rig with a tunable handoff grace window.
 func handoffRig(t *testing.T, grace time.Duration) *testRig {
 	t.Helper()
-	n := transport.NewNetwork()
+	seg := usocket.NewSegment()
 	cfg := fastCfg()
 	cfg.HandoffGrace = grace
-	mgr := New(n.Host("cmd"), cfg)
-	cli := bulk.NewEndpoint(n.Host("client"), fastEndpointCfg(), clientHandler)
+	mgr := New(host(t, seg, "cmd"), cfg)
+	cli := bulk.NewEndpoint(host(t, seg, "client"), fastEndpointCfg(), clientHandler)
 	t.Cleanup(func() { mgr.Close(); cli.Close() })
-	return &testRig{n: n, mgr: mgr, cli: cli}
+	return &testRig{seg: seg, mgr: mgr, cli: cli}
 }
 
 // drainHost sends the HostBusy announcement that opens the graceful
 // reclaim overlay for addr.
 func drainHost(t *testing.T, r *testRig, addr string, epoch uint64) {
 	t.Helper()
-	resp, err := r.cli.Call("cmd", &wire.HostStatus{HostAddr: addr, State: wire.HostBusy, Epoch: epoch})
+	resp, err := r.cli.Call(r.seg.Addr("cmd"), &wire.HostStatus{HostAddr: addr, State: wire.HostBusy, Epoch: epoch})
 	if err != nil || resp.(*wire.HostStatusAck).Status != wire.StatusOK {
 		t.Fatalf("HostBusy announce: %v", err)
 	}
@@ -33,7 +33,7 @@ func drainHost(t *testing.T, r *testRig, addr string, epoch uint64) {
 
 func checkAlloc(t *testing.T, r *testRig, k wire.RegionKey) *wire.CheckAllocResp {
 	t.Helper()
-	resp, err := r.cli.Call("cmd", &wire.CheckAllocReq{Key: k})
+	resp, err := r.cli.Call(r.seg.Addr("cmd"), &wire.CheckAllocReq{Key: k})
 	if err != nil {
 		t.Fatalf("CheckAllocReq: %v", err)
 	}
@@ -48,34 +48,34 @@ func checkAlloc(t *testing.T, r *testRig, k wire.RegionKey) *wire.CheckAllocResp
 // Fresh flag set.
 func TestHandoffRepointsRegionDirectory(t *testing.T) {
 	r := handoffRig(t, 10*time.Second)
-	src := newFakeIMD(r.n, "imd1", 1<<20, 2)
+	src := newFakeIMD(t, r.seg, "imd1", 1<<20, 2)
 	t.Cleanup(func() { src.ep.Close() })
-	registerHost(t, r.cli, "cmd", "imd1", 2, 1<<20)
+	registerHost(t, r.cli, r.seg.Addr("cmd"), r.seg.Addr("imd1"), 2, 1<<20)
 
 	k := key(4, 0)
-	resp, err := r.cli.Call("cmd", &wire.AllocReq{Key: k, Length: 4096})
+	resp, err := r.cli.Call(r.seg.Addr("cmd"), &wire.AllocReq{Key: k, Length: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ar := resp.(*wire.AllocResp)
-	if ar.Status != wire.StatusOK || ar.Region.HostAddr != "imd1" {
+	if ar.Status != wire.StatusOK || ar.Region.HostAddr != r.seg.Addr("imd1") {
 		t.Fatalf("alloc = %+v", ar)
 	}
 
 	// The peer arrives after the allocation, so it holds nothing yet.
-	dst := newFakeIMD(r.n, "imd2", 1<<20, 9)
+	dst := newFakeIMD(t, r.seg, "imd2", 1<<20, 9)
 	t.Cleanup(func() { dst.ep.Close() })
-	registerHost(t, r.cli, "cmd", "imd2", 9, 1<<20)
+	registerHost(t, r.cli, r.seg.Addr("cmd"), r.seg.Addr("imd2"), 9, 1<<20)
 
-	drainHost(t, r, "imd1", 2)
+	drainHost(t, r, r.seg.Addr("imd1"), 2)
 	if ca := checkAlloc(t, r, k); ca.Status != wire.StatusBusy {
 		t.Fatalf("checkAlloc during drain = %v, want StatusBusy", ca.Status)
 	}
 
 	// The draining imd offers its region; the grant must target imd2
 	// with a real pre-allocation behind it.
-	resp, err = r.cli.Call("cmd", &wire.HandoffOffer{
-		HostAddr: "imd1", Epoch: 2,
+	resp, err = r.cli.Call(r.seg.Addr("cmd"), &wire.HandoffOffer{
+		HostAddr: r.seg.Addr("imd1"), Epoch: 2,
 		Regions: []wire.HandoffRegion{{RegionID: ar.Region.RegionID, Length: 4096, Reads: 12}},
 	})
 	if err != nil {
@@ -86,7 +86,7 @@ func TestHandoffRepointsRegionDirectory(t *testing.T) {
 		t.Fatalf("HandoffAccept = %+v", acc)
 	}
 	g := acc.Grants[0]
-	if g.OldRegionID != ar.Region.RegionID || g.Target.HostAddr != "imd2" || g.Target.Epoch != 9 {
+	if g.OldRegionID != ar.Region.RegionID || g.Target.HostAddr != r.seg.Addr("imd2") || g.Target.Epoch != 9 {
 		t.Fatalf("grant = %+v", g)
 	}
 	if !dst.has(g.Target.RegionID) {
@@ -97,7 +97,7 @@ func TestHandoffRepointsRegionDirectory(t *testing.T) {
 		t.Fatalf("checkAlloc after offer = %v, want StatusBusy", ca.Status)
 	}
 
-	resp, err = r.cli.Call("cmd", &wire.HandoffDone{HostAddr: "imd1", OldRegionID: g.OldRegionID, Status: wire.StatusOK})
+	resp, err = r.cli.Call(r.seg.Addr("cmd"), &wire.HandoffDone{HostAddr: r.seg.Addr("imd1"), OldRegionID: g.OldRegionID, Status: wire.StatusOK})
 	if err != nil || resp.(*wire.HostStatusAck).Status != wire.StatusOK {
 		t.Fatalf("HandoffDone: %v", err)
 	}
@@ -120,22 +120,22 @@ func TestHandoffRepointsRegionDirectory(t *testing.T) {
 // re-opens from disk instead of waiting forever.
 func TestHandoffAbortFreesTargetAndExpiresToStale(t *testing.T) {
 	r := handoffRig(t, 400*time.Millisecond)
-	src := newFakeIMD(r.n, "imd1", 1<<20, 2)
+	src := newFakeIMD(t, r.seg, "imd1", 1<<20, 2)
 	t.Cleanup(func() { src.ep.Close() })
-	registerHost(t, r.cli, "cmd", "imd1", 2, 1<<20)
+	registerHost(t, r.cli, r.seg.Addr("cmd"), r.seg.Addr("imd1"), 2, 1<<20)
 	k := key(5, 0)
-	resp, err := r.cli.Call("cmd", &wire.AllocReq{Key: k, Length: 4096})
+	resp, err := r.cli.Call(r.seg.Addr("cmd"), &wire.AllocReq{Key: k, Length: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ar := resp.(*wire.AllocResp)
-	dst := newFakeIMD(r.n, "imd2", 1<<20, 9)
+	dst := newFakeIMD(t, r.seg, "imd2", 1<<20, 9)
 	t.Cleanup(func() { dst.ep.Close() })
-	registerHost(t, r.cli, "cmd", "imd2", 9, 1<<20)
+	registerHost(t, r.cli, r.seg.Addr("cmd"), r.seg.Addr("imd2"), 9, 1<<20)
 
-	drainHost(t, r, "imd1", 2)
-	resp, err = r.cli.Call("cmd", &wire.HandoffOffer{
-		HostAddr: "imd1", Epoch: 2,
+	drainHost(t, r, r.seg.Addr("imd1"), 2)
+	resp, err = r.cli.Call(r.seg.Addr("cmd"), &wire.HandoffOffer{
+		HostAddr: r.seg.Addr("imd1"), Epoch: 2,
 		Regions: []wire.HandoffRegion{{RegionID: ar.Region.RegionID, Length: 4096}},
 	})
 	if err != nil {
@@ -148,8 +148,8 @@ func TestHandoffAbortFreesTargetAndExpiresToStale(t *testing.T) {
 	tgt := acc.Grants[0].Target
 
 	// The push failed; the imd reports the abort.
-	if _, err := r.cli.Call("cmd", &wire.HandoffDone{
-		HostAddr: "imd1", OldRegionID: ar.Region.RegionID, Status: wire.StatusBusy,
+	if _, err := r.cli.Call(r.seg.Addr("cmd"), &wire.HandoffDone{
+		HostAddr: r.seg.Addr("imd1"), OldRegionID: ar.Region.RegionID, Status: wire.StatusBusy,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -193,24 +193,24 @@ func TestHandoffAbortFreesTargetAndExpiresToStale(t *testing.T) {
 // key, the old region id, the grant, and the peer imd.
 func grantOne(t *testing.T, r *testRig) (wire.RegionKey, uint64, wire.HandoffGrant, *fakeIMD) {
 	t.Helper()
-	src := newFakeIMD(r.n, "imd1", 1<<20, 2)
+	src := newFakeIMD(t, r.seg, "imd1", 1<<20, 2)
 	t.Cleanup(func() { src.ep.Close() })
-	registerHost(t, r.cli, "cmd", "imd1", 2, 1<<20)
+	registerHost(t, r.cli, r.seg.Addr("cmd"), r.seg.Addr("imd1"), 2, 1<<20)
 	k := key(6, 0)
-	resp, err := r.cli.Call("cmd", &wire.AllocReq{Key: k, Length: 4096})
+	resp, err := r.cli.Call(r.seg.Addr("cmd"), &wire.AllocReq{Key: k, Length: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ar := resp.(*wire.AllocResp)
-	if ar.Status != wire.StatusOK || ar.Region.HostAddr != "imd1" {
+	if ar.Status != wire.StatusOK || ar.Region.HostAddr != r.seg.Addr("imd1") {
 		t.Fatalf("alloc = %+v", ar)
 	}
-	dst := newFakeIMD(r.n, "imd2", 1<<20, 9)
+	dst := newFakeIMD(t, r.seg, "imd2", 1<<20, 9)
 	t.Cleanup(func() { dst.ep.Close() })
-	registerHost(t, r.cli, "cmd", "imd2", 9, 1<<20)
-	drainHost(t, r, "imd1", 2)
-	resp, err = r.cli.Call("cmd", &wire.HandoffOffer{
-		HostAddr: "imd1", Epoch: 2,
+	registerHost(t, r.cli, r.seg.Addr("cmd"), r.seg.Addr("imd2"), 9, 1<<20)
+	drainHost(t, r, r.seg.Addr("imd1"), 2)
+	resp, err = r.cli.Call(r.seg.Addr("cmd"), &wire.HandoffOffer{
+		HostAddr: r.seg.Addr("imd1"), Epoch: 2,
 		Regions: []wire.HandoffRegion{{RegionID: ar.Region.RegionID, Length: 4096}},
 	})
 	if err != nil {
@@ -236,9 +236,9 @@ func TestDuplicateHostBusyKeepsGrants(t *testing.T) {
 	k, oldID, g, dst := grantOne(t, r)
 
 	// The delayed duplicate of the original announce lands now.
-	drainHost(t, r, "imd1", 2)
+	drainHost(t, r, r.seg.Addr("imd1"), 2)
 
-	resp, err := r.cli.Call("cmd", &wire.HandoffDone{HostAddr: "imd1", OldRegionID: oldID, Status: wire.StatusOK})
+	resp, err := r.cli.Call(r.seg.Addr("cmd"), &wire.HandoffDone{HostAddr: r.seg.Addr("imd1"), OldRegionID: oldID, Status: wire.StatusOK})
 	if err != nil || resp.(*wire.HostStatusAck).Status != wire.StatusOK {
 		t.Fatalf("HandoffDone after duplicate announce: %v (ack %+v)", err, resp)
 	}
@@ -263,7 +263,7 @@ func TestReRecruitFreesUnresolvedGrants(t *testing.T) {
 	_, _, g, dst := grantOne(t, r)
 
 	// The drain died with the old incarnation; the host re-recruits.
-	registerHost(t, r.cli, "cmd", "imd1", 3, 1<<20)
+	registerHost(t, r.cli, r.seg.Addr("cmd"), r.seg.Addr("imd1"), 3, 1<<20)
 	deadline := time.Now().Add(2 * time.Second)
 	for dst.has(g.Target.RegionID) {
 		if time.Now().After(deadline) {
@@ -303,15 +303,15 @@ func TestExpiredOverlaySweepFreesGrants(t *testing.T) {
 // since) are refused with StatusStale and place nothing.
 func TestHandoffOfferRequiresDrainingIdentity(t *testing.T) {
 	r := handoffRig(t, 10*time.Second)
-	dst := newFakeIMD(r.n, "imd2", 1<<20, 9)
+	dst := newFakeIMD(t, r.seg, "imd2", 1<<20, 9)
 	t.Cleanup(func() { dst.ep.Close() })
-	registerHost(t, r.cli, "cmd", "imd2", 9, 1<<20)
+	registerHost(t, r.cli, r.seg.Addr("cmd"), r.seg.Addr("imd2"), 9, 1<<20)
 
-	offer := &wire.HandoffOffer{HostAddr: "imd1", Epoch: 2,
+	offer := &wire.HandoffOffer{HostAddr: r.seg.Addr("imd1"), Epoch: 2,
 		Regions: []wire.HandoffRegion{{RegionID: 1, Length: 4096}}}
 
 	// Never announced busy.
-	resp, err := r.cli.Call("cmd", offer)
+	resp, err := r.cli.Call(r.seg.Addr("cmd"), offer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,8 +320,8 @@ func TestHandoffOfferRequiresDrainingIdentity(t *testing.T) {
 	}
 
 	// Draining, but the offer carries a previous incarnation's epoch.
-	drainHost(t, r, "imd1", 3)
-	resp, err = r.cli.Call("cmd", offer)
+	drainHost(t, r, r.seg.Addr("imd1"), 3)
+	resp, err = r.cli.Call(r.seg.Addr("cmd"), offer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,8 +330,8 @@ func TestHandoffOfferRequiresDrainingIdentity(t *testing.T) {
 	}
 
 	// Re-recruited: the overlay is gone, a late offer is refused.
-	registerHost(t, r.cli, "cmd", "imd1", 4, 1<<20)
-	resp, err = r.cli.Call("cmd", &wire.HandoffOffer{HostAddr: "imd1", Epoch: 3,
+	registerHost(t, r.cli, r.seg.Addr("cmd"), r.seg.Addr("imd1"), 4, 1<<20)
+	resp, err = r.cli.Call(r.seg.Addr("cmd"), &wire.HandoffOffer{HostAddr: r.seg.Addr("imd1"), Epoch: 3,
 		Regions: []wire.HandoffRegion{{RegionID: 1, Length: 4096}}})
 	if err != nil {
 		t.Fatal(err)

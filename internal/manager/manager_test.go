@@ -8,7 +8,7 @@ import (
 
 	"dodo/internal/bulk"
 	"dodo/internal/pool"
-	"dodo/internal/transport"
+	"dodo/internal/usocket"
 	"dodo/internal/wire"
 )
 
@@ -38,9 +38,9 @@ type fakeIMD struct {
 	epoch uint64
 }
 
-func newFakeIMD(n *transport.Network, addr string, size uint64, epoch uint64) *fakeIMD {
+func newFakeIMD(tb testing.TB, seg *usocket.Segment, name string, size uint64, epoch uint64) *fakeIMD {
 	f := &fakeIMD{pool: pool.NewFirstFitPool(size), epoch: epoch}
-	f.ep = bulk.NewEndpoint(n.Host(addr), fastEndpointCfg(), f.handle)
+	f.ep = bulk.NewEndpoint(host(tb, seg, name), fastEndpointCfg(), f.handle)
 	return f
 }
 
@@ -98,19 +98,31 @@ func registerHost(t *testing.T, cli *bulk.Endpoint, mgr string, addr string, epo
 	}
 }
 
+// host opens the named host on seg. Whoever wraps it closes it; the
+// cleanup closes a host nobody wraps.
+func host(tb testing.TB, seg *usocket.Segment, name string) *usocket.UNet {
+	tb.Helper()
+	tr, err := seg.Host(name)
+	if err != nil {
+		tb.Fatalf("Host(%q): %v", name, err)
+	}
+	tb.Cleanup(func() { tr.Close() })
+	return tr
+}
+
 type testRig struct {
-	n   *transport.Network
+	seg *usocket.Segment
 	mgr *Manager
 	cli *bulk.Endpoint
 }
 
 func newRig(t *testing.T) *testRig {
 	t.Helper()
-	n := transport.NewNetwork()
-	mgr := New(n.Host("cmd"), fastCfg())
-	cli := bulk.NewEndpoint(n.Host("client"), fastEndpointCfg(), clientHandler)
+	seg := usocket.NewSegment()
+	mgr := New(host(t, seg, "cmd"), fastCfg())
+	cli := bulk.NewEndpoint(host(t, seg, "client"), fastEndpointCfg(), clientHandler)
 	t.Cleanup(func() { mgr.Close(); cli.Close() })
-	return &testRig{n: n, mgr: mgr, cli: cli}
+	return &testRig{seg: seg, mgr: mgr, cli: cli}
 }
 
 // clientHandler answers keep-alives, as the runtime library must.
@@ -127,11 +139,11 @@ func key(inode uint64, off int64) wire.RegionKey {
 
 func TestHostRegistrationAndDeregistration(t *testing.T) {
 	r := newRig(t)
-	registerHost(t, r.cli, "cmd", "imd1", 1, 1<<20)
+	registerHost(t, r.cli, r.seg.Addr("cmd"), r.seg.Addr("imd1"), 1, 1<<20)
 	if got := r.mgr.Stats().IdleHosts; got != 1 {
 		t.Fatalf("IdleHosts = %d, want 1", got)
 	}
-	resp, err := r.cli.Call("cmd", &wire.HostStatus{HostAddr: "imd1", State: wire.HostBusy})
+	resp, err := r.cli.Call(r.seg.Addr("cmd"), &wire.HostStatus{HostAddr: r.seg.Addr("imd1"), State: wire.HostBusy})
 	if err != nil || resp.(*wire.HostStatusAck).Status != wire.StatusOK {
 		t.Fatalf("busy status: %v", err)
 	}
@@ -142,11 +154,11 @@ func TestHostRegistrationAndDeregistration(t *testing.T) {
 
 func TestAllocThroughRealIMDFlow(t *testing.T) {
 	r := newRig(t)
-	imd := newFakeIMD(r.n, "imd1", 1<<20, 7)
+	imd := newFakeIMD(t, r.seg, "imd1", 1<<20, 7)
 	t.Cleanup(func() { imd.ep.Close() })
-	registerHost(t, r.cli, "cmd", "imd1", 7, 1<<20)
+	registerHost(t, r.cli, r.seg.Addr("cmd"), r.seg.Addr("imd1"), 7, 1<<20)
 
-	resp, err := r.cli.Call("cmd", &wire.AllocReq{Key: key(1, 0), Length: 4096})
+	resp, err := r.cli.Call(r.seg.Addr("cmd"), &wire.AllocReq{Key: key(1, 0), Length: 4096})
 	if err != nil {
 		t.Fatalf("AllocReq: %v", err)
 	}
@@ -154,7 +166,7 @@ func TestAllocThroughRealIMDFlow(t *testing.T) {
 	if ar.Status != wire.StatusOK {
 		t.Fatalf("alloc status = %v", ar.Status)
 	}
-	if ar.Region.HostAddr != "imd1" || ar.Region.Length != 4096 || ar.Region.Epoch != 7 {
+	if ar.Region.HostAddr != r.seg.Addr("imd1") || ar.Region.Length != 4096 || ar.Region.Epoch != 7 {
 		t.Fatalf("region = %+v", ar.Region)
 	}
 	if !imd.has(ar.Region.RegionID) {
@@ -167,7 +179,7 @@ func TestAllocThroughRealIMDFlow(t *testing.T) {
 
 func TestAllocNoHostsReturnsNoMem(t *testing.T) {
 	r := newRig(t)
-	resp, err := r.cli.Call("cmd", &wire.AllocReq{Key: key(1, 0), Length: 4096})
+	resp, err := r.cli.Call(r.seg.Addr("cmd"), &wire.AllocReq{Key: key(1, 0), Length: 4096})
 	if err != nil {
 		t.Fatalf("AllocReq: %v", err)
 	}
@@ -181,7 +193,7 @@ func TestAllocNoHostsReturnsNoMem(t *testing.T) {
 
 func TestAllocZeroLengthInvalid(t *testing.T) {
 	r := newRig(t)
-	resp, err := r.cli.Call("cmd", &wire.AllocReq{Key: key(1, 0), Length: 0})
+	resp, err := r.cli.Call(r.seg.Addr("cmd"), &wire.AllocReq{Key: key(1, 0), Length: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,15 +204,15 @@ func TestAllocZeroLengthInvalid(t *testing.T) {
 
 func TestAllocIsIdempotentByKey(t *testing.T) {
 	r := newRig(t)
-	imd := newFakeIMD(r.n, "imd1", 1<<20, 1)
+	imd := newFakeIMD(t, r.seg, "imd1", 1<<20, 1)
 	t.Cleanup(func() { imd.ep.Close() })
-	registerHost(t, r.cli, "cmd", "imd1", 1, 1<<20)
+	registerHost(t, r.cli, r.seg.Addr("cmd"), r.seg.Addr("imd1"), 1, 1<<20)
 
-	r1, err := r.cli.Call("cmd", &wire.AllocReq{Key: key(9, 100), Length: 1024})
+	r1, err := r.cli.Call(r.seg.Addr("cmd"), &wire.AllocReq{Key: key(9, 100), Length: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := r.cli.Call("cmd", &wire.AllocReq{Key: key(9, 100), Length: 1024})
+	r2, err := r.cli.Call(r.seg.Addr("cmd"), &wire.AllocReq{Key: key(9, 100), Length: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,18 +228,18 @@ func TestAllocIsIdempotentByKey(t *testing.T) {
 func TestAllocFallsBackToSecondHost(t *testing.T) {
 	r := newRig(t)
 	// imd1 claims space in the IWD but is actually full; imd2 has room.
-	full := newFakeIMD(r.n, "imd1", 512, 1)
-	roomy := newFakeIMD(r.n, "imd2", 1<<20, 1)
+	full := newFakeIMD(t, r.seg, "imd1", 512, 1)
+	roomy := newFakeIMD(t, r.seg, "imd2", 1<<20, 1)
 	t.Cleanup(func() { full.ep.Close(); roomy.ep.Close() })
-	registerHost(t, r.cli, "cmd", "imd1", 1, 1<<20) // stale oversized hint
-	registerHost(t, r.cli, "cmd", "imd2", 1, 1<<20)
+	registerHost(t, r.cli, r.seg.Addr("cmd"), r.seg.Addr("imd1"), 1, 1<<20) // stale oversized hint
+	registerHost(t, r.cli, r.seg.Addr("cmd"), r.seg.Addr("imd2"), 1, 1<<20)
 
-	resp, err := r.cli.Call("cmd", &wire.AllocReq{Key: key(2, 0), Length: 8192})
+	resp, err := r.cli.Call(r.seg.Addr("cmd"), &wire.AllocReq{Key: key(2, 0), Length: 8192})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ar := resp.(*wire.AllocResp)
-	if ar.Status != wire.StatusOK || ar.Region.HostAddr != "imd2" {
+	if ar.Status != wire.StatusOK || ar.Region.HostAddr != r.seg.Addr("imd2") {
 		t.Fatalf("alloc = %v on %s, want OK on imd2", ar.Status, ar.Region.HostAddr)
 	}
 }
@@ -236,11 +248,11 @@ func TestAllocDropsUnreachableHost(t *testing.T) {
 	r := newRig(t)
 	// Only one candidate, and it is unreachable: the manager must probe
 	// it, fail, drop it from the IWD, and report no memory.
-	registerHost(t, r.cli, "cmd", "dead-imd", 1, 1<<20)
-	r.n.Host("dead-imd") // exists but never answers
-	r.n.Partition("dead-imd")
+	registerHost(t, r.cli, r.seg.Addr("cmd"), r.seg.Addr("dead-imd"), 1, 1<<20)
+	host(t, r.seg, "dead-imd") // exists but never answers
+	r.seg.Partition(r.seg.Addr("dead-imd"))
 
-	resp, err := r.cli.Call("cmd", &wire.AllocReq{Key: key(3, 0), Length: 4096})
+	resp, err := r.cli.Call(r.seg.Addr("cmd"), &wire.AllocReq{Key: key(3, 0), Length: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,14 +267,14 @@ func TestAllocDropsUnreachableHost(t *testing.T) {
 
 func TestFreeForwardsToIMD(t *testing.T) {
 	r := newRig(t)
-	imd := newFakeIMD(r.n, "imd1", 1<<20, 1)
+	imd := newFakeIMD(t, r.seg, "imd1", 1<<20, 1)
 	t.Cleanup(func() { imd.ep.Close() })
-	registerHost(t, r.cli, "cmd", "imd1", 1, 1<<20)
+	registerHost(t, r.cli, r.seg.Addr("cmd"), r.seg.Addr("imd1"), 1, 1<<20)
 
-	if _, err := r.cli.Call("cmd", &wire.AllocReq{Key: key(4, 0), Length: 2048}); err != nil {
+	if _, err := r.cli.Call(r.seg.Addr("cmd"), &wire.AllocReq{Key: key(4, 0), Length: 2048}); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := r.cli.Call("cmd", &wire.FreeReq{Key: key(4, 0)})
+	resp, err := r.cli.Call(r.seg.Addr("cmd"), &wire.FreeReq{Key: key(4, 0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +290,7 @@ func TestFreeForwardsToIMD(t *testing.T) {
 		t.Fatal("imd still holds the freed region")
 	}
 	// Second free: not found.
-	resp, err = r.cli.Call("cmd", &wire.FreeReq{Key: key(4, 0)})
+	resp, err = r.cli.Call(r.seg.Addr("cmd"), &wire.FreeReq{Key: key(4, 0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,17 +301,17 @@ func TestFreeForwardsToIMD(t *testing.T) {
 
 func TestCheckAllocValidAndStale(t *testing.T) {
 	r := newRig(t)
-	imd := newFakeIMD(r.n, "imd1", 1<<20, 5)
+	imd := newFakeIMD(t, r.seg, "imd1", 1<<20, 5)
 	t.Cleanup(func() { imd.ep.Close() })
-	registerHost(t, r.cli, "cmd", "imd1", 5, 1<<20)
+	registerHost(t, r.cli, r.seg.Addr("cmd"), r.seg.Addr("imd1"), 5, 1<<20)
 
-	alloc, err := r.cli.Call("cmd", &wire.AllocReq{Key: key(5, 0), Length: 1024})
+	alloc, err := r.cli.Call(r.seg.Addr("cmd"), &wire.AllocReq{Key: key(5, 0), Length: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := alloc.(*wire.AllocResp).Region
 
-	resp, err := r.cli.Call("cmd", &wire.CheckAllocReq{Key: key(5, 0)})
+	resp, err := r.cli.Call(r.seg.Addr("cmd"), &wire.CheckAllocReq{Key: key(5, 0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,8 +322,8 @@ func TestCheckAllocValidAndStale(t *testing.T) {
 
 	// The imd restarts: epoch bumps. checkAlloc must detect staleness,
 	// delete the region, and report failure (§4.3).
-	registerHost(t, r.cli, "cmd", "imd1", 6, 1<<20)
-	resp, err = r.cli.Call("cmd", &wire.CheckAllocReq{Key: key(5, 0)})
+	registerHost(t, r.cli, r.seg.Addr("cmd"), r.seg.Addr("imd1"), 6, 1<<20)
+	resp, err = r.cli.Call(r.seg.Addr("cmd"), &wire.CheckAllocReq{Key: key(5, 0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +334,7 @@ func TestCheckAllocValidAndStale(t *testing.T) {
 		t.Fatalf("StaleDrops = %d, want 1", got)
 	}
 	// And the region is gone from the RD now.
-	resp, err = r.cli.Call("cmd", &wire.CheckAllocReq{Key: key(5, 0)})
+	resp, err = r.cli.Call(r.seg.Addr("cmd"), &wire.CheckAllocReq{Key: key(5, 0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,17 +345,17 @@ func TestCheckAllocValidAndStale(t *testing.T) {
 
 func TestCheckAllocHostReclaimedIsStale(t *testing.T) {
 	r := newRig(t)
-	imd := newFakeIMD(r.n, "imd1", 1<<20, 5)
+	imd := newFakeIMD(t, r.seg, "imd1", 1<<20, 5)
 	t.Cleanup(func() { imd.ep.Close() })
-	registerHost(t, r.cli, "cmd", "imd1", 5, 1<<20)
-	if _, err := r.cli.Call("cmd", &wire.AllocReq{Key: key(6, 0), Length: 512}); err != nil {
+	registerHost(t, r.cli, r.seg.Addr("cmd"), r.seg.Addr("imd1"), 5, 1<<20)
+	if _, err := r.cli.Call(r.seg.Addr("cmd"), &wire.AllocReq{Key: key(6, 0), Length: 512}); err != nil {
 		t.Fatal(err)
 	}
 	// Owner reclaims the workstation.
-	if _, err := r.cli.Call("cmd", &wire.HostStatus{HostAddr: "imd1", State: wire.HostBusy}); err != nil {
+	if _, err := r.cli.Call(r.seg.Addr("cmd"), &wire.HostStatus{HostAddr: r.seg.Addr("imd1"), State: wire.HostBusy}); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := r.cli.Call("cmd", &wire.CheckAllocReq{Key: key(6, 0)})
+	resp, err := r.cli.Call(r.seg.Addr("cmd"), &wire.CheckAllocReq{Key: key(6, 0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,15 +365,15 @@ func TestCheckAllocHostReclaimedIsStale(t *testing.T) {
 }
 
 func TestKeepAliveReclaimsDeadClient(t *testing.T) {
-	n := transport.NewNetwork()
-	mgr := New(n.Host("cmd"), fastCfg())
+	seg := usocket.NewSegment()
+	mgr := New(host(t, seg, "cmd"), fastCfg())
 	t.Cleanup(func() { mgr.Close() })
-	imd := newFakeIMD(n, "imd1", 1<<20, 1)
+	imd := newFakeIMD(t, seg, "imd1", 1<<20, 1)
 	t.Cleanup(func() { imd.ep.Close() })
 
-	cli := bulk.NewEndpoint(n.Host("client"), fastEndpointCfg(), clientHandler)
-	registerHost(t, cli, "cmd", "imd1", 1, 1<<20)
-	if _, err := cli.Call("cmd", &wire.AllocReq{Key: key(7, 0), Length: 1024}); err != nil {
+	cli := bulk.NewEndpoint(host(t, seg, "client"), fastEndpointCfg(), clientHandler)
+	registerHost(t, cli, seg.Addr("cmd"), seg.Addr("imd1"), 1, 1<<20)
+	if _, err := cli.Call(seg.Addr("cmd"), &wire.AllocReq{Key: key(7, 0), Length: 1024}); err != nil {
 		t.Fatal(err)
 	}
 	if imd.regions() != 1 {
@@ -370,7 +382,7 @@ func TestKeepAliveReclaimsDeadClient(t *testing.T) {
 
 	// Client dies: stop answering keep-alives.
 	cli.Close()
-	n.Partition("client")
+	seg.Partition(seg.Addr("client"))
 
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
@@ -394,10 +406,10 @@ func TestKeepAliveReclaimsDeadClient(t *testing.T) {
 
 func TestKeepAliveKeepsLiveClient(t *testing.T) {
 	r := newRig(t)
-	imd := newFakeIMD(r.n, "imd1", 1<<20, 1)
+	imd := newFakeIMD(t, r.seg, "imd1", 1<<20, 1)
 	t.Cleanup(func() { imd.ep.Close() })
-	registerHost(t, r.cli, "cmd", "imd1", 1, 1<<20)
-	if _, err := r.cli.Call("cmd", &wire.AllocReq{Key: key(8, 0), Length: 1024}); err != nil {
+	registerHost(t, r.cli, r.seg.Addr("cmd"), r.seg.Addr("imd1"), 1, 1<<20)
+	if _, err := r.cli.Call(r.seg.Addr("cmd"), &wire.AllocReq{Key: key(8, 0), Length: 1024}); err != nil {
 		t.Fatal(err)
 	}
 	// Survive several keep-alive rounds.
@@ -409,8 +421,8 @@ func TestKeepAliveKeepsLiveClient(t *testing.T) {
 }
 
 func TestManagerCloseIsIdempotent(t *testing.T) {
-	n := transport.NewNetwork()
-	mgr := New(n.Host("cmd"), fastCfg())
+	seg := usocket.NewSegment()
+	mgr := New(host(t, seg, "cmd"), fastCfg())
 	if err := mgr.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -421,9 +433,9 @@ func TestManagerCloseIsIdempotent(t *testing.T) {
 
 func TestConcurrentAllocsDistinctKeys(t *testing.T) {
 	r := newRig(t)
-	imd := newFakeIMD(r.n, "imd1", 1<<22, 1)
+	imd := newFakeIMD(t, r.seg, "imd1", 1<<22, 1)
 	t.Cleanup(func() { imd.ep.Close() })
-	registerHost(t, r.cli, "cmd", "imd1", 1, 1<<22)
+	registerHost(t, r.cli, r.seg.Addr("cmd"), r.seg.Addr("imd1"), 1, 1<<22)
 
 	const workers = 8
 	var wg sync.WaitGroup
@@ -433,7 +445,7 @@ func TestConcurrentAllocsDistinctKeys(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp, err := r.cli.Call("cmd", &wire.AllocReq{Key: key(100, int64(w)), Length: 4096})
+			resp, err := r.cli.Call(r.seg.Addr("cmd"), &wire.AllocReq{Key: key(100, int64(w)), Length: 4096})
 			if err != nil {
 				errs[w] = err
 				return
@@ -459,16 +471,16 @@ func TestConcurrentAllocsDistinctKeys(t *testing.T) {
 
 func TestFreeRefreshesIWDHints(t *testing.T) {
 	r := newRig(t)
-	imd := newFakeIMD(r.n, "imd1", 1<<20, 1)
+	imd := newFakeIMD(t, r.seg, "imd1", 1<<20, 1)
 	t.Cleanup(func() { imd.ep.Close() })
-	registerHost(t, r.cli, "cmd", "imd1", 1, 1<<20)
+	registerHost(t, r.cli, r.seg.Addr("cmd"), r.seg.Addr("imd1"), 1, 1<<20)
 
-	if _, err := r.cli.Call("cmd", &wire.AllocReq{Key: key(55, 0), Length: 1 << 19}); err != nil {
+	if _, err := r.cli.Call(r.seg.Addr("cmd"), &wire.AllocReq{Key: key(55, 0), Length: 1 << 19}); err != nil {
 		t.Fatal(err)
 	}
 	// The alloc response's piggyback halves the availability hint.
 	availHint := func() uint64 {
-		resp, err := r.cli.Call("cmd", &wire.ClusterStatsReq{})
+		resp, err := r.cli.Call(r.seg.Addr("cmd"), &wire.ClusterStatsReq{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -481,7 +493,7 @@ func TestFreeRefreshesIWDHints(t *testing.T) {
 	if got := availHint(); got != 1<<19 {
 		t.Fatalf("avail hint after alloc = %d, want %d", got, 1<<19)
 	}
-	if _, err := r.cli.Call("cmd", &wire.FreeReq{Key: key(55, 0)}); err != nil {
+	if _, err := r.cli.Call(r.seg.Addr("cmd"), &wire.FreeReq{Key: key(55, 0)}); err != nil {
 		t.Fatal(err)
 	}
 	// The async free response must restore the full-pool availability.
@@ -499,7 +511,7 @@ func TestFreeRefreshesIWDHints(t *testing.T) {
 // owns nothing, so the keep-alive loop must not start probing it.
 func TestFailedAllocDoesNotTrackClient(t *testing.T) {
 	r := newRig(t)
-	resp, err := r.cli.Call("cmd", &wire.AllocReq{Key: key(70, 0), Length: 4096})
+	resp, err := r.cli.Call(r.seg.Addr("cmd"), &wire.AllocReq{Key: key(70, 0), Length: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -516,27 +528,27 @@ func TestFailedAllocDoesNotTrackClient(t *testing.T) {
 // allocated is probed forever.
 func TestClientUntrackedAfterLastFree(t *testing.T) {
 	r := newRig(t)
-	imd := newFakeIMD(r.n, "imd1", 1<<20, 1)
+	imd := newFakeIMD(t, r.seg, "imd1", 1<<20, 1)
 	t.Cleanup(func() { imd.ep.Close() })
-	registerHost(t, r.cli, "cmd", "imd1", 1, 1<<20)
+	registerHost(t, r.cli, r.seg.Addr("cmd"), r.seg.Addr("imd1"), 1, 1<<20)
 
-	if _, err := r.cli.Call("cmd", &wire.AllocReq{Key: key(71, 0), Length: 1024}); err != nil {
+	if _, err := r.cli.Call(r.seg.Addr("cmd"), &wire.AllocReq{Key: key(71, 0), Length: 1024}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.cli.Call("cmd", &wire.AllocReq{Key: key(71, 4096), Length: 1024}); err != nil {
+	if _, err := r.cli.Call(r.seg.Addr("cmd"), &wire.AllocReq{Key: key(71, 4096), Length: 1024}); err != nil {
 		t.Fatal(err)
 	}
 	if got := r.mgr.Stats().Clients; got != 1 {
 		t.Fatalf("Clients = %d after allocs, want 1", got)
 	}
-	if _, err := r.cli.Call("cmd", &wire.FreeReq{Key: key(71, 0)}); err != nil {
+	if _, err := r.cli.Call(r.seg.Addr("cmd"), &wire.FreeReq{Key: key(71, 0)}); err != nil {
 		t.Fatal(err)
 	}
 	// One region left: still tracked.
 	if got := r.mgr.Stats().Clients; got != 1 {
 		t.Fatalf("Clients = %d with one region left, want 1", got)
 	}
-	if _, err := r.cli.Call("cmd", &wire.FreeReq{Key: key(71, 4096)}); err != nil {
+	if _, err := r.cli.Call(r.seg.Addr("cmd"), &wire.FreeReq{Key: key(71, 4096)}); err != nil {
 		t.Fatal(err)
 	}
 	if got := r.mgr.Stats().Clients; got != 0 {
@@ -546,16 +558,16 @@ func TestClientUntrackedAfterLastFree(t *testing.T) {
 
 // ackingClient is a fake client whose keep-alive acks report the given
 // counters and corruption rows; it is tracked once it holds a region.
-func ackingClient(t *testing.T, n *transport.Network, addr string, inode uint64, counters []wire.Counter, corrupt []wire.HostCount) *bulk.Endpoint {
+func ackingClient(t *testing.T, seg *usocket.Segment, name string, inode uint64, counters []wire.Counter, corrupt []wire.HostCount) *bulk.Endpoint {
 	t.Helper()
-	cli := bulk.NewEndpoint(n.Host(addr), fastEndpointCfg(), func(from string, msg wire.Message) wire.Message {
+	cli := bulk.NewEndpoint(host(t, seg, name), fastEndpointCfg(), func(from string, msg wire.Message) wire.Message {
 		if ka, ok := msg.(*wire.KeepAlive); ok {
 			return &wire.KeepAliveAck{ClientID: ka.ClientID, Counters: counters, CorruptHosts: corrupt}
 		}
 		return nil
 	})
 	t.Cleanup(func() { cli.Close() })
-	if _, err := cli.Call("cmd", &wire.AllocReq{Key: key(inode, 0), Length: 1024}); err != nil {
+	if _, err := cli.Call(seg.Addr("cmd"), &wire.AllocReq{Key: key(inode, 0), Length: 1024}); err != nil {
 		t.Fatal(err)
 	}
 	return cli
@@ -586,9 +598,9 @@ func waitClientSums(t *testing.T, mgr *Manager, want map[string]uint64) Snapshot
 
 // statsCounters asks the manager for its stats over the wire and
 // returns the response's counters by name, failing on a repeated name.
-func statsCounters(t *testing.T, cli *bulk.Endpoint) (*wire.ClusterStatsResp, map[string]uint64) {
+func statsCounters(t *testing.T, cli *bulk.Endpoint, mgr string) (*wire.ClusterStatsResp, map[string]uint64) {
 	t.Helper()
-	resp, err := cli.Call("cmd", &wire.ClusterStatsReq{})
+	resp, err := cli.Call(mgr, &wire.ClusterStatsReq{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -607,23 +619,23 @@ func statsCounters(t *testing.T, cli *bulk.Endpoint) (*wire.ClusterStatsResp, ma
 // client's cumulative recovery counters; the manager's snapshot sums
 // them, and the totals survive the client being untracked.
 func TestKeepAliveAggregatesRecoveryCounters(t *testing.T) {
-	n := transport.NewNetwork()
-	mgr := New(n.Host("cmd"), fastCfg())
+	seg := usocket.NewSegment()
+	mgr := New(host(t, seg, "cmd"), fastCfg())
 	t.Cleanup(func() { mgr.Close() })
-	imd := newFakeIMD(n, "imd1", 1<<20, 1)
+	imd := newFakeIMD(t, seg, "imd1", 1<<20, 1)
 	t.Cleanup(func() { imd.ep.Close() })
-	reg := bulk.NewEndpoint(n.Host("rmd"), fastEndpointCfg(), nil)
+	reg := bulk.NewEndpoint(host(t, seg, "rmd"), fastEndpointCfg(), nil)
 	t.Cleanup(func() { reg.Close() })
-	registerHost(t, reg, "cmd", "imd1", 1, 1<<20)
+	registerHost(t, reg, seg.Addr("cmd"), seg.Addr("imd1"), 1, 1<<20)
 
-	cli := ackingClient(t, n, "client", 72, []wire.Counter{
+	cli := ackingClient(t, seg, "client", 72, []wire.Counter{
 		{Name: "drops", Value: 3}, {Name: "revalidations", Value: 2}, {Name: "reopens", Value: 1},
 	}, nil)
 	want := map[string]uint64{"drops": 3, "revalidations": 2, "reopens": 1}
 	waitClientSums(t, mgr, want)
 	// Free the last region: the client is untracked, but the cluster
 	// totals must not drop (acks carry running totals, not deltas).
-	if _, err := cli.Call("cmd", &wire.FreeReq{Key: key(72, 0)}); err != nil {
+	if _, err := cli.Call(seg.Addr("cmd"), &wire.FreeReq{Key: key(72, 0)}); err != nil {
 		t.Fatal(err)
 	}
 	s := mgr.Stats()
@@ -641,22 +653,22 @@ func TestKeepAliveAggregatesRecoveryCounters(t *testing.T) {
 // heard of is summed across clients and reported, with no manager
 // change — the manager names only its own counters.
 func TestUnknownCounterIsSummed(t *testing.T) {
-	n := transport.NewNetwork()
-	mgr := New(n.Host("cmd"), fastCfg())
+	seg := usocket.NewSegment()
+	mgr := New(host(t, seg, "cmd"), fastCfg())
 	t.Cleanup(func() { mgr.Close() })
-	imd := newFakeIMD(n, "imd1", 1<<20, 1)
+	imd := newFakeIMD(t, seg, "imd1", 1<<20, 1)
 	t.Cleanup(func() { imd.ep.Close() })
-	reg := bulk.NewEndpoint(n.Host("rmd"), fastEndpointCfg(), nil)
+	reg := bulk.NewEndpoint(host(t, seg, "rmd"), fastEndpointCfg(), nil)
 	t.Cleanup(func() { reg.Close() })
-	registerHost(t, reg, "cmd", "imd1", 1, 1<<20)
+	registerHost(t, reg, seg.Addr("cmd"), seg.Addr("imd1"), 1, 1<<20)
 
-	ackingClient(t, n, "client-a", 81, []wire.Counter{{Name: "frobs_polished", Value: 5}, {Name: "drops", Value: 1}},
-		[]wire.HostCount{{Addr: "imd1", Count: 2}})
-	ackingClient(t, n, "client-b", 82, []wire.Counter{{Name: "frobs_polished", Value: 7}},
-		[]wire.HostCount{{Addr: "imd1", Count: 1}, {Addr: "imd9", Count: 4}})
+	ackingClient(t, seg, "client-a", 81, []wire.Counter{{Name: "frobs_polished", Value: 5}, {Name: "drops", Value: 1}},
+		[]wire.HostCount{{Addr: seg.Addr("imd1"), Count: 2}})
+	ackingClient(t, seg, "client-b", 82, []wire.Counter{{Name: "frobs_polished", Value: 7}},
+		[]wire.HostCount{{Addr: seg.Addr("imd1"), Count: 1}, {Addr: seg.Addr("imd9"), Count: 4}})
 	waitClientSums(t, mgr, map[string]uint64{"frobs_polished": 12, "drops": 1})
 
-	st, byName := statsCounters(t, reg)
+	st, byName := statsCounters(t, reg, seg.Addr("cmd"))
 	if byName["client.frobs_polished"] != 12 || byName["client.drops"] != 1 || byName["allocs"] != 2 {
 		t.Fatalf("stats counters = %v", st.Counters)
 	}
@@ -665,7 +677,7 @@ func TestUnknownCounterIsSummed(t *testing.T) {
 			t.Fatalf("stats counters not in name order: %v", st.Counters)
 		}
 	}
-	want := []wire.HostCount{{Addr: "imd1", Count: 3}, {Addr: "imd9", Count: 4}}
+	want := []wire.HostCount{{Addr: seg.Addr("imd1"), Count: 3}, {Addr: seg.Addr("imd9"), Count: 4}}
 	if !reflect.DeepEqual(st.CorruptHosts, want) {
 		t.Fatalf("corrupt hosts = %v, want %v", st.CorruptHosts, want)
 	}
@@ -673,13 +685,13 @@ func TestUnknownCounterIsSummed(t *testing.T) {
 
 func TestClusterStatsRPC(t *testing.T) {
 	r := newRig(t)
-	imd := newFakeIMD(r.n, "imd1", 1<<20, 4)
+	imd := newFakeIMD(t, r.seg, "imd1", 1<<20, 4)
 	t.Cleanup(func() { imd.ep.Close() })
-	registerHost(t, r.cli, "cmd", "imd1", 4, 1<<20)
-	if _, err := r.cli.Call("cmd", &wire.AllocReq{Key: key(60, 0), Length: 4096}); err != nil {
+	registerHost(t, r.cli, r.seg.Addr("cmd"), r.seg.Addr("imd1"), 4, 1<<20)
+	if _, err := r.cli.Call(r.seg.Addr("cmd"), &wire.AllocReq{Key: key(60, 0), Length: 4096}); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := r.cli.Call("cmd", &wire.ClusterStatsReq{})
+	resp, err := r.cli.Call(r.seg.Addr("cmd"), &wire.ClusterStatsReq{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -687,10 +699,10 @@ func TestClusterStatsRPC(t *testing.T) {
 	if st.Status != wire.StatusOK || len(st.Hosts) != 1 || st.Regions != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if _, byName := statsCounters(t, r.cli); byName["allocs"] != 1 {
+	if _, byName := statsCounters(t, r.cli, r.seg.Addr("cmd")); byName["allocs"] != 1 {
 		t.Fatalf("stats counters = %v, want allocs 1", byName)
 	}
-	if st.Hosts[0].Addr != "imd1" || st.Hosts[0].Epoch != 4 {
+	if st.Hosts[0].Addr != r.seg.Addr("imd1") || st.Hosts[0].Epoch != 4 {
 		t.Fatalf("host row = %+v", st.Hosts[0])
 	}
 }

@@ -92,8 +92,8 @@ func Tick(c Clock, interval time.Duration, stop <-chan struct{}) <-chan time.Tim
 // With timeout <= 0 it degenerates to a plain cond.Wait loop. With a
 // positive timeout, a one-shot timer broadcasts the cond at the
 // deadline, so waiters wake the instant a producer signals rather than
-// on a polling tick — the receive path of the in-memory and usocket
-// transports sits under every RPC round trip, and polling here puts a
+// on a polling tick — the receive path of the usocket transport sits
+// under every RPC round trip, and polling here puts a
 // floor under the whole system's latency. ready is consulted before
 // the timer is armed: a receive from a non-empty queue (every frame of
 // a blast but the first) costs no timer and no allocation.

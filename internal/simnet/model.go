@@ -122,8 +122,8 @@ func ModelByName(name string) (CostModel, error) {
 	return CostModel{}, fmt.Errorf("simnet: unknown model %q (want \"udp\" or \"unet\")", name)
 }
 
-// Faults configures fault injection for an in-memory network. The zero
-// value injects nothing.
+// Faults configures fault injection for the emulated U-Net segment
+// (package usocket). The zero value injects nothing.
 type Faults struct {
 	// LossRate is the probability in [0,1) that a frame is dropped.
 	LossRate float64
@@ -143,7 +143,7 @@ func (f Faults) NewInjector() *Injector {
 }
 
 // Injector makes per-frame drop/duplicate/reorder decisions. It is not
-// safe for concurrent use; the memnet transport serializes calls.
+// safe for concurrent use; the segment calls it under its lock.
 type Injector struct {
 	cfg Faults
 	rng *rand.Rand

@@ -1,8 +1,10 @@
 // Package transport abstracts the datagram substrate Dodo runs over. The
 // paper's implementation can use either kernel UDP/IP or U-Net through the
-// usocket library (§4); this package defines the common interface plus a
-// real UDP implementation and an in-memory network with deterministic
-// fault injection for tests.
+// usocket library (§4); this package defines the common interface and
+// the real UDP implementation. The U-Net one, on an emulated in-memory
+// Ethernet segment with deterministic fault injection, is package
+// usocket's: every test, sweep and benchmark that runs in one process
+// runs on it.
 //
 // The interface is deliberately UDP-shaped — unreliable, unordered,
 // message-oriented with a per-transport MTU — because the bulk transfer
@@ -32,8 +34,7 @@ var (
 // Close; Recv itself is called from a single receive loop.
 type Transport interface {
 	// LocalAddr returns this endpoint's address in the network's
-	// addressing scheme ("ip:port" for UDP, node names for the
-	// in-memory network, MAC strings for usocket).
+	// addressing scheme ("ip:port" for UDP, MAC strings for usocket).
 	LocalAddr() string
 	// MTU returns the largest datagram this transport can carry.
 	// Kernel UDP fragments up to ~64 KB; U-Net carries single Ethernet
@@ -56,9 +57,9 @@ type Transport interface {
 // without the caller first gathering them into one contiguous frame.
 // The bulk data plane uses it to send BulkData packets whose payload is
 // a slice of the transfer buffer — the transport performs the single
-// gather copy it needs (into the receiver-owned frame for in-memory and
-// usocket networks, or into a pooled frame handed to the kernel for
-// UDP), so no intermediate per-packet frame is built by the sender.
+// gather copy it needs (into the receiver-owned frame on a usocket
+// segment, or into a pooled frame handed to the kernel for UDP), so no
+// intermediate per-packet frame is built by the sender.
 //
 // SendVec must not retain prefix or payload after it returns, and must
 // never write to them: both may alias caller-owned memory (the payload

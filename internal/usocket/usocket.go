@@ -25,10 +25,12 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dodo/internal/locks"
 	"dodo/internal/sim"
+	"dodo/internal/simnet"
 	"dodo/internal/wire"
 )
 
@@ -115,34 +117,166 @@ type Iovec struct {
 }
 
 // Segment is the emulated Ethernet wire: a set of U-Net endpoints that
-// can frame-switch to each other by MAC address.
+// can frame-switch to each other by MAC address. It is the one
+// in-process fabric: the benchmarks measure it, and every sweep injects
+// its faults here — seeded loss, duplication and reordering for the
+// whole wire or per address, and partitions.
 type Segment struct {
 	mu locks.Mutex
 	// dodo:guardedby mu
 	bound map[MACAddr]*Socket
-	// dropProb, when set by tests via SetLoss, drops frames
-	// deterministically every 1-in-n sends.
+	// names is the MAC address Host and Addr give each host name, filled
+	// once per name: a host opened again under its name is at its old
+	// address.
 	// dodo:guardedby mu
-	lossEvery int
+	names map[string]MACAddr
+	// faults is nil while no fault is set, so a frame on a healthy wire
+	// pays one nil check for the whole fault surface.
 	// dodo:guardedby mu
-	sends int
+	faults *faultPlan
+	// overflow counts frames every receive ring on the segment dropped,
+	// closed sockets' included.
+	// dodo:atomic
+	overflow atomic.Int64
+}
+
+// faultPlan is what the segment does to frames besides carrying them.
+type faultPlan struct {
+	wire  *simnet.Injector
+	links map[MACAddr]*simnet.Injector
+	cut   map[MACAddr]bool
+}
+
+// fate decides one frame from one address to another. A partition at
+// either end drops it; otherwise the sender's link injector, the
+// receiver's, then the wire's decide, so each decision comes from one
+// deterministic stream.
+func (p *faultPlan) fate(from, to MACAddr) simnet.Decision {
+	switch {
+	case p.cut[from] || p.cut[to]:
+		return simnet.Decision{Drop: true}
+	case p.links[from] != nil:
+		return p.links[from].Next()
+	case p.links[to] != nil:
+		return p.links[to].Next()
+	case p.wire != nil:
+		return p.wire.Next()
+	}
+	return simnet.Decision{}
 }
 
 // NewSegment creates an empty wire.
 func NewSegment() *Segment {
-	g := &Segment{bound: make(map[MACAddr]*Socket)}
+	g := &Segment{bound: make(map[MACAddr]*Socket), names: make(map[string]MACAddr)}
 	g.mu.SetRank(locks.RankSegment)
 	return g
 }
 
-// SetLoss makes the segment drop every n-th frame (0 disables loss).
-// U-Net itself is lossy under receive-queue overflow; this adds wire
-// loss for protocol tests.
-func (g *Segment) SetLoss(everyN int) {
+// HostRing is the receive ring depth, in frames, of every socket Host
+// binds. A bulk window of half of it fits with its offer and the
+// control frames around it, and blasts from several senders at once
+// overflow it, as they would a real U-Net endpoint's: the seeded
+// sweeps drop frames here as well as on the wire.
+const HostRing = 16
+
+// Host binds a socket for the named host, at the address Addr gives the
+// name, and wraps it as a transport. The caller owns the transport and
+// must Close it; the name can then be opened again, at the same address.
+func (g *Segment) Host(name string) (*UNet, error) {
+	sock, err := g.Socket(HostRing, HostRing)
+	if err != nil {
+		return nil, err
+	}
+	if err := sock.Bind(g.mac(name)); err != nil {
+		_ = sock.Close()
+		return nil, err
+	}
+	return NewTransport(sock)
+}
+
+// Addr returns the transport address of the named host.
+func (g *Segment) Addr(name string) string { return g.mac(name).String() }
+
+// mac returns the MAC address of the named host, giving a new name the
+// next locally administered address.
+func (g *Segment) mac(name string) MACAddr {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.lossEvery = everyN
+	if m, ok := g.names[name]; ok {
+		return m
+	}
+	n := len(g.names) + 1
+	m := MACAddr{0x02, 0, byte(n >> 24), byte(n >> 16), byte(n >> 8), byte(n)}
+	g.names[name] = m
+	return m
 }
+
+// SetFaults makes the whole wire drop, duplicate and reorder frames as
+// the seeded f decides; the zero Faults heals it. U-Net itself is lossy
+// only under receive-ring overflow; this adds wire faults for protocol
+// tests and sweeps.
+func (g *Segment) SetFaults(f simnet.Faults) {
+	g.editFaults(func(p *faultPlan) {
+		p.wire = nil
+		if f != (simnet.Faults{}) {
+			p.wire = f.NewInjector()
+		}
+	})
+}
+
+// SetEndpointFaults degrades every link touching the address: each
+// frame sent to or from it passes through an injector seeded from f. It
+// models a flaky NIC or switch port. When both ends of a frame are
+// degraded, the sender's injector decides.
+func (g *Segment) SetEndpointFaults(addr string, f simnet.Faults) {
+	g.editAddr(addr, func(p *faultPlan, m MACAddr) { p.links[m] = f.NewInjector() })
+}
+
+// ClearEndpointFaults heals the address's links.
+func (g *Segment) ClearEndpointFaults(addr string) {
+	g.editAddr(addr, func(p *faultPlan, m MACAddr) { delete(p.links, m) })
+}
+
+// Partition isolates the address: frames to or from it vanish until
+// Heal. It models the crashed or cut-off hosts of §3.1.
+func (g *Segment) Partition(addr string) {
+	g.editAddr(addr, func(p *faultPlan, m MACAddr) { p.cut[m] = true })
+}
+
+// Heal reconnects a partitioned address.
+func (g *Segment) Heal(addr string) {
+	g.editAddr(addr, func(p *faultPlan, m MACAddr) { delete(p.cut, m) })
+}
+
+// editAddr edits the fault plan for one address. An address that is no
+// MAC names no host, and no frame, so it leaves the plan as it is.
+func (g *Segment) editAddr(addr string, edit func(*faultPlan, MACAddr)) {
+	m, err := Aton(addr)
+	if err != nil {
+		return
+	}
+	g.editFaults(func(p *faultPlan) { edit(p, m) })
+}
+
+// editFaults edits the fault plan under the segment lock, and drops it
+// once it sets nothing.
+func (g *Segment) editFaults(edit func(*faultPlan)) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	p := g.faults
+	if p == nil {
+		p = &faultPlan{links: make(map[MACAddr]*simnet.Injector), cut: make(map[MACAddr]bool)}
+	}
+	edit(p)
+	g.faults = p
+	if p.wire == nil && len(p.links) == 0 && len(p.cut) == 0 {
+		g.faults = nil
+	}
+}
+
+// Overflow reports how many frames the receive rings of the segment's
+// sockets have dropped, closed sockets' included.
+func (g *Segment) Overflow() int64 { return g.overflow.Load() }
 
 // Socket creates an unbound socket on this segment (the paper's
 // u_socket). sendBuf and recvBuf are queue capacities in frames; recvBuf
@@ -275,19 +409,19 @@ func (s *Socket) SendTo(peer MACAddr, buf []byte) (int, error) {
 
 	g := s.seg
 	g.mu.Lock()
-	g.sends++
-	if g.lossEvery > 0 && g.sends%g.lossEvery == 0 {
+	dst := g.bound[peer]
+	if dst != nil && g.faults != nil {
+		fate := g.faults.fate(from, peer)
 		g.mu.Unlock()
-		return len(buf), nil // dropped on the wire; sender can't tell
-	}
-	dst, ok := g.bound[peer]
-	g.mu.Unlock()
-	if !ok {
-		// No such endpoint: the frame dies on the wire. Like Ethernet,
-		// the sender sees success.
+		dst.land(from, fate, func() []byte { return append([]byte(nil), buf...) })
 		return len(buf), nil
 	}
-	dst.deposit(from, append([]byte(nil), buf...))
+	g.mu.Unlock()
+	if dst != nil {
+		dst.deposit(from, append([]byte(nil), buf...))
+	}
+	// With no endpoint at peer the frame dies on the wire: like
+	// Ethernet, the sender sees success, and no fault stream is drawn.
 	return len(buf), nil
 }
 
@@ -340,24 +474,51 @@ func (s *Socket) SendIovecTo(peer MACAddr, iov []Iovec) (int, error) {
 
 	g := s.seg
 	g.mu.Lock()
-	g.sends++
-	if g.lossEvery > 0 && g.sends%g.lossEvery == 0 {
+	dst := g.bound[peer]
+	if dst != nil && g.faults != nil {
+		fate := g.faults.fate(from, peer)
 		g.mu.Unlock()
-		return total, nil // dropped on the wire; sender can't tell
-	}
-	dst, ok := g.bound[peer]
-	g.mu.Unlock()
-	if !ok {
-		// No such endpoint: the frame dies on the wire, sender sees
-		// success — same as SendTo.
+		dst.land(from, fate, func() []byte { return gather(iov) })
 		return total, nil
 	}
+	g.mu.Unlock()
+	if dst != nil {
+		dst.deposit(from, gather(iov))
+	}
+	return total, nil // as for SendTo, nothing tells a frame to no endpoint
+}
+
+// gather copies the iovec into a recycled data frame.
+//
+// dodo:acquires(frame)
+func gather(iov []Iovec) []byte {
 	frame := wire.GetDataFrame()
 	for _, v := range iov {
 		frame = append(frame, v.Base...)
 	}
-	dst.deposit(from, frame)
-	return total, nil
+	return frame
+}
+
+// land delivers a frame the fault plan touched, as fate says: nothing
+// for a drop; for a duplicate, a second frame from frame(), so one
+// pooled frame is never deposited twice; and fate.ExtraDelay late for a
+// reordered frame, which later frames overtake.
+func (s *Socket) land(from MACAddr, fate simnet.Decision, frame func() []byte) {
+	if fate.Drop {
+		return
+	}
+	copies := 1
+	if fate.Duplicate {
+		copies = 2
+	}
+	for range copies {
+		data := frame()
+		if fate.ExtraDelay > 0 {
+			time.AfterFunc(fate.ExtraDelay, func() { s.deposit(from, data) })
+			continue
+		}
+		s.deposit(from, data)
+	}
 }
 
 // deposit queues one frame on the receiving socket. The senders gather
@@ -377,6 +538,7 @@ func (s *Socket) deposit(from MACAddr, data []byte) {
 	}
 	if s.queued >= s.recvCap {
 		s.overflow++ // receive queue overflow: U-Net drops the frame
+		s.seg.overflow.Add(1)
 		return
 	}
 	s.ring[(s.head+s.queued)%s.recvCap] = frame{from: from, data: data}
@@ -453,10 +615,6 @@ func (s *Socket) Overflow() int {
 	defer s.mu.Unlock()
 	return s.overflow
 }
-
-// RecvCap returns the receive queue capacity in frames: how many a
-// burst may put in the queue before it drops.
-func (s *Socket) RecvCap() int { return s.recvCap }
 
 // Close releases the socket and its binding (the paper's u_close).
 //

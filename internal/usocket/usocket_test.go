@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"dodo/internal/simnet"
 	"dodo/internal/transport"
 	"dodo/internal/wire"
 )
@@ -256,15 +257,23 @@ func TestCloseUnblocksRecv(t *testing.T) {
 	}
 }
 
+// TestSegmentLoss: a lossy wire drops exactly the frames its seeded
+// injector picks, so the same seed loses the same frames.
 func TestSegmentLoss(t *testing.T) {
 	seg, a, b, _, mb := pair(t)
-	seg.SetLoss(2) // drop every second frame
-	for i := 0; i < 10; i++ {
+	f := simnet.Faults{LossRate: 0.5, Seed: 7}
+	seg.SetFaults(f)
+	ref := f.NewInjector()
+	var want []byte
+	for i := 0; i < 20; i++ {
+		if !ref.Next().Drop {
+			want = append(want, byte(i))
+		}
 		if _, err := a.SendTo(mb, []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	got := 0
+	var got []byte
 	buf := make([]byte, 4)
 	for {
 		_, _, err := b.Recv(buf, 20*time.Millisecond)
@@ -274,10 +283,10 @@ func TestSegmentLoss(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got++
+		got = append(got, buf[0])
 	}
-	if got != 5 {
-		t.Fatalf("received %d frames with 1-in-2 loss, want 5", got)
+	if !bytes.Equal(got, want) || len(want) == 0 || len(want) == 20 {
+		t.Fatalf("received frames %v through a wire losing half, want the injector's %v", got, want)
 	}
 }
 
@@ -328,9 +337,8 @@ func TestTransportAdapter(t *testing.T) {
 
 // TestTransportAdapterBlockedRecvReturnsErrClosed: a Recv(0) blocked on
 // an empty queue returns transport.ErrClosed when the transport is
-// closed, as the udp and in-memory transports' do. An endpoint's
-// receive loop blocks so, with no timeout, and counts on Close to end
-// it.
+// closed, as the udp transport's does. An endpoint's receive loop
+// blocks so, with no timeout, and counts on Close to end it.
 func TestTransportAdapterBlockedRecvReturnsErrClosed(t *testing.T) {
 	_, _, b, _, _ := pair(t)
 	tb, err := NewTransport(b)

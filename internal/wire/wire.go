@@ -6,7 +6,7 @@
 // Every message travels as a fixed 12-byte header followed by a typed
 // payload. Encoding is explicit big-endian binary (no reflection) so the
 // format is stable, allocation-light and identical across transports
-// (kernel UDP, the U-Net usocket layer, and the in-memory test network).
+// (kernel UDP and the U-Net usocket layer).
 // Each message has exactly one layout, stated once: its fields method
 // names every field in wire order to a cursor (codec.go) that sizes,
 // encodes and decodes with the same walk. A payload shorter than the

@@ -16,6 +16,7 @@ import (
 	"dodo/internal/core"
 	"dodo/internal/imd"
 	"dodo/internal/manager"
+	"dodo/internal/simnet"
 	"dodo/internal/usocket"
 )
 
@@ -40,12 +41,10 @@ func unetNode(t *testing.T, seg *usocket.Segment, mac string) *usocket.UNet {
 	return tr
 }
 
-func unetStack(t *testing.T, lossEveryN int) (*manager.Manager, []*imd.Daemon, *core.Client) {
+func unetStack(t *testing.T, wire simnet.Faults) (*manager.Manager, []*imd.Daemon, *core.Client) {
 	t.Helper()
 	seg := usocket.NewSegment()
-	if lossEveryN > 0 {
-		seg.SetLoss(lossEveryN)
-	}
+	seg.SetFaults(wire)
 	ep := bulk.Config{
 		CallTimeout:   150 * time.Millisecond,
 		CallRetries:   6,
@@ -90,7 +89,7 @@ func unetStack(t *testing.T, lossEveryN int) (*manager.Manager, []*imd.Daemon, *
 }
 
 func TestFullStackOverUNet(t *testing.T) {
-	_, _, cli := unetStack(t, 0)
+	_, _, cli := unetStack(t, simnet.Faults{})
 	back := NewMemBacking(1, 1<<20)
 	// 100 KB region: ~70 U-Net frames per transfer, multiple blast
 	// windows.
@@ -116,10 +115,10 @@ func TestFullStackOverUNet(t *testing.T) {
 }
 
 func TestFullStackOverLossyUNet(t *testing.T) {
-	// Drop every 40th frame on the wire: the bulk protocol's selective
+	// Lose one frame in forty on the wire: the bulk protocol's selective
 	// NACKs and the control protocol's retries must still deliver
 	// correct data end to end.
-	_, _, cli := unetStack(t, 40)
+	_, _, cli := unetStack(t, simnet.Faults{LossRate: 1.0 / 40, Seed: 40})
 	back := NewMemBacking(2, 1<<20)
 	fd, err := cli.Mopen(64<<10, back, 0)
 	if err != nil {

@@ -67,8 +67,8 @@ rm -f /tmp/bench_region_now.json
 
 # Data-plane perf gate, the same way: the per-frame and per-transfer
 # benchmarks of usocket, transport and bulk (one frame through a socket
-# and through the transport adapter, one datagram through the fabric
-# and loopback UDP, 64 KB and 128 KB transfers) against a baseline
+# and through the transport adapter, one datagram through loopback
+# UDP, 64 KB and 128 KB transfers over the segment) against a baseline
 # frozen at -benchtime 1s. The per-frame budget of DESIGN.md §14.2 —
 # no address parsing, no timer, no allocation — regresses here first.
 DATAPLANE_PKGS=./internal/usocket,./internal/transport,./internal/bulk
@@ -123,7 +123,15 @@ go test -race -tags lockcheck -run "$DEADLINE_TESTS" -count=5 ./internal/sim/ ./
 # => identical handoff schedule, reclaim mid-bulk-read stays correct)
 # and the manager crash-recovery tests (directory rebuilt from imd
 # inventory re-reports under a new incarnation, dead-incarnation frames
-# fenced, same seed => identical crash/restart schedule).
+# fenced, same seed => identical crash/restart schedule). Every sweep
+# runs on the U-Net segment the benchmarks measure, with bounded
+# receive rings: TestSeededFaultSweep fails unless its blasts overflow
+# a ring at least once. The segment's own faults ride along: a
+# duplicated data frame is a second pooled buffer, never the same one
+# deposited twice, and recycled frames stay whole through loss and
+# duplication.
 # Separate invocation so a hang or flake here is attributable to the
 # failure paths, not the unit suites above.
 go test -race -run 'TestFaultScheduleDeterministic|TestSeededFaultSweep|TestGracefulReclaimHandoff|TestHandoffScheduleDeterministic|TestReclaimDuringBulkRead|TestManagerCrashRecovery|TestManagerCrashScheduleDeterministic|TestIncarnationFencing' -count=2 -timeout 600s ./internal/cluster/
+go test -race -run 'TestDuplicatedDataFrameIsASecondBuffer|TestRecycledFramesThroughLoss' -count=2 ./internal/usocket/ ./internal/bulk/
+go test -race -tags lockcheck -run 'TestDuplicatedDataFrameIsASecondBuffer|TestSeededFaultSweep' -count=1 -timeout 600s ./internal/usocket/ ./internal/cluster/
