@@ -168,7 +168,7 @@ func TestCallRetriesThroughLoss(t *testing.T) {
 func TestCallTimesOutAgainstDeadPeer(t *testing.T) {
 	seg := usocket.NewSegment()
 	cli := NewEndpoint(host(t, seg, "cli"), fastCfg(), nil)
-	host(t, seg, "dead")            // exists on the network,
+	host(t, seg, "dead")            // bound on the segment,
 	seg.Partition(seg.Addr("dead")) // but every frame to it vanishes
 	t.Cleanup(func() { cli.Close() })
 	start := time.Now()

@@ -430,7 +430,7 @@ func TestCommitReopenFreesOrphanedAllocation(t *testing.T) {
 		liveKey bool // manager-side mapping for the key exists
 		frees   int
 	)
-	reg := wire.Region{HostAddr: "host", RegionID: 3, Length: 8192, Epoch: 1}
+	reg := wire.Region{HostAddr: seg.Addr("imd0"), RegionID: 3, Length: 8192, Epoch: 1}
 	mgrEp := bulk.NewEndpoint(host(t, seg, "cmd"), fastEp(), func(from string, msg wire.Message) wire.Message {
 		switch msg.(type) {
 		case *wire.AllocReq:

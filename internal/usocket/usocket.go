@@ -410,7 +410,7 @@ func (s *Socket) SendTo(peer MACAddr, buf []byte) (int, error) {
 	g := s.seg
 	g.mu.Lock()
 	dst := g.bound[peer]
-	if dst != nil && g.faults != nil {
+	if g.faults != nil && dst != nil {
 		fate := g.faults.fate(from, peer)
 		g.mu.Unlock()
 		dst.land(from, fate, func() []byte { return append([]byte(nil), buf...) })
@@ -475,7 +475,7 @@ func (s *Socket) SendIovecTo(peer MACAddr, iov []Iovec) (int, error) {
 	g := s.seg
 	g.mu.Lock()
 	dst := g.bound[peer]
-	if dst != nil && g.faults != nil {
+	if g.faults != nil && dst != nil {
 		fate := g.faults.fate(from, peer)
 		g.mu.Unlock()
 		dst.land(from, fate, func() []byte { return gather(iov) })
