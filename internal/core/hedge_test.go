@@ -76,13 +76,13 @@ func hedgeStackOver(t *testing.T, seg *usocket.Segment, cliTr transport.Transpor
 // read on an unknown latency.
 func TestHedgeColdStartPerEpoch(t *testing.T) {
 	s := newStack(t, 1, 1<<20)
-	c := s.cli
+	c, imd0 := s.cli, s.seg.Addr("imd0")
 
-	if _, hedge := c.hedgeDelay(s.seg.Addr("imd0"), 1); hedge {
+	if _, hedge := c.hedgeDelay(imd0, 1); hedge {
 		t.Fatal("hedged with no samples at all")
 	}
-	c.recordLatency(s.seg.Addr("imd0"), 1, 10*time.Millisecond)
-	d, hedge := c.hedgeDelay(s.seg.Addr("imd0"), 1)
+	c.recordLatency(imd0, 1, 10*time.Millisecond)
+	d, hedge := c.hedgeDelay(imd0, 1)
 	if !hedge {
 		t.Fatal("not hedging with a sample on the books")
 	}
@@ -91,11 +91,11 @@ func TestHedgeColdStartPerEpoch(t *testing.T) {
 	}
 	// The host restarts under a new epoch: its history is void, the
 	// first read of the new incarnation must go unhedged.
-	if _, hedge := c.hedgeDelay(s.seg.Addr("imd0"), 2); hedge {
+	if _, hedge := c.hedgeDelay(imd0, 2); hedge {
 		t.Fatal("hedged the first read to a fresh incarnation")
 	}
-	c.recordLatency(s.seg.Addr("imd0"), 2, 100*time.Microsecond)
-	d, hedge = c.hedgeDelay(s.seg.Addr("imd0"), 2)
+	c.recordLatency(imd0, 2, 100*time.Microsecond)
+	d, hedge = c.hedgeDelay(imd0, 2)
 	if !hedge {
 		t.Fatal("new incarnation never warmed up")
 	}
@@ -108,8 +108,8 @@ func TestHedgeColdStartPerEpoch(t *testing.T) {
 		ManagerAddr: s.seg.Addr("cmd"), ClientID: 2, DisableHedging: true, Endpoint: fastEp(),
 	})
 	t.Cleanup(func() { off.Close() })
-	off.recordLatency(s.seg.Addr("imd0"), 1, 10*time.Millisecond)
-	if _, hedge := off.hedgeDelay(s.seg.Addr("imd0"), 1); hedge {
+	off.recordLatency(imd0, 1, 10*time.Millisecond)
+	if _, hedge := off.hedgeDelay(imd0, 1); hedge {
 		t.Fatal("DisableHedging did not disable hedging")
 	}
 }
