@@ -300,7 +300,7 @@ func TestConcurrentSenders(t *testing.T) {
 			}
 			wg.Wait()
 			seen := len(drain(t, dst))
-			if seen+sock.Overflow() != senders*per || seg.Overflow() != int64(sock.Overflow()) {
+			if seen+sock.Overflow() != senders*per || seg.Overflow() != sock.Overflow() {
 				t.Fatalf("received %d frames and dropped %d (segment: %d), want %d in all", seen, sock.Overflow(), seg.Overflow(), senders*per)
 			}
 			if want := min(ring, senders*per); seen != want {

@@ -276,7 +276,7 @@ func (g *Segment) editFaults(edit func(*faultPlan)) {
 
 // Overflow reports how many frames the receive rings of the segment's
 // sockets have dropped, closed sockets' included.
-func (g *Segment) Overflow() int64 { return g.overflow.Load() }
+func (g *Segment) Overflow() int { return int(g.overflow.Load()) }
 
 // Socket creates an unbound socket on this segment (the paper's
 // u_socket). sendBuf and recvBuf are queue capacities in frames; recvBuf
