@@ -19,8 +19,8 @@
 // constructors that wire the pieces over UDP (the daemons also run over
 // the U-Net-style usocket substrate; see the cmd/ binaries). The
 // subsystem packages live under internal/: the wire protocol, the bulk
-// transfer protocol with selective NACKs, the daemons, the
-// replacement-policy modules, the calibrated disk/network simulation
+// transfer protocol with selective NACKs, the daemons, the region cache
+// and its replacement policies, the calibrated disk/network simulation
 // substrate and the experiment harness that regenerates every table and
 // figure of the paper.
 package dodo
@@ -57,14 +57,15 @@ type FileBacking = core.FileBacking
 type MemBacking = core.MemBacking
 
 // RegionCache is the region-management library (libmanage): a local
-// cache of regions with pluggable replacement policies, layered over the
-// Client.
+// cache of regions with a choice of replacement policies, layered over
+// the Client.
 type RegionCache = region.Cache
 
 // RegionConfig tunes the region cache.
 type RegionConfig = region.Config
 
-// Policy is a replacement-policy module (LRU, MRU, first-in, FIFO).
+// Policy is a replacement policy (LRU, MRU, first-in, FIFO); the zero
+// value is LRU.
 type Policy = region.Policy
 
 // Errors mirroring the paper's errno-style results.

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"dodo/internal/pool"
+	"dodo/internal/region"
 	"dodo/internal/simdisk"
 	"dodo/internal/simnet"
 	"dodo/internal/workload"
@@ -128,7 +129,7 @@ func PolicyAblation(scale float64, seed int64) ([]PolicyRow, error) {
 	}
 	var rows []PolicyRow
 	for _, p := range patterns {
-		for _, policy := range []string{"lru", "mru", "first-in", "fifo"} {
+		for _, policy := range []region.Policy{region.LRU, region.MRU, region.FirstIn, region.FIFO} {
 			spec := workload.Spec{Pattern: p, Iterations: Iterations, Compute: ComputePerRequest}
 			cfg := workload.DodoConfig{
 				Net:             net,
@@ -155,7 +156,7 @@ func PolicyAblation(scale float64, seed int64) ([]PolicyRow, error) {
 			requests := int64(spec.Iterations) * (p.Dataset() / p.RequestSize())
 			row := PolicyRow{
 				Pattern:   p.Name(),
-				Policy:    policy,
+				Policy:    policy.Name(),
 				Speedup:   speedup(base, dodo),
 				Evictions: cstats.Evictions,
 			}
@@ -206,7 +207,7 @@ func RefractionAblation(scale float64, seed int64) ([]RefractionRow, error) {
 			RemoteBytes:      scaled(RemoteMemoryBytes, scale),
 			LocalCacheBytes:  scaled(LocalCacheBytes, scale),
 			RegionSize:       req,
-			Policy:           "lru",
+			Policy:           region.LRU,
 			DiskCacheBytes:   scaled(DodoPageCache, scale),
 			RefractionPeriod: period,
 		})
@@ -309,7 +310,7 @@ func PrefetchAblation(scale float64, seed int64) ([]PrefetchRow, error) {
 			RemoteBytes:        scaled(RemoteMemoryBytes, scale),
 			LocalCacheBytes:    scaled(LocalCacheBytes, scale),
 			RegionSize:         4 * req,
-			Policy:             "first-in",
+			Policy:             region.FirstIn,
 			DiskCacheBytes:     scaled(DodoPageCache, scale),
 			SequentialPrefetch: window > 0,
 			PrefetchWindow:     window,

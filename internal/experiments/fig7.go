@@ -5,6 +5,7 @@ import (
 
 	"dodo/internal/apps/dmine"
 	"dodo/internal/apps/lu"
+	"dodo/internal/region"
 	"dodo/internal/simdisk"
 	"dodo/internal/workload"
 )
@@ -52,7 +53,7 @@ func Figure7(cfg Figure7Config) ([]Fig7Row, error) {
 			RemoteBytes:     scaled(RemoteMemoryBytes, cfg.Scale),
 			LocalCacheBytes: scaled(LocalCacheBytes, cfg.Scale),
 			RegionSize:      luSpec.Pattern.RequestSize(),
-			Policy:          "first-in", // §5.2.1: triangle scan -> first-in
+			Policy:          region.FirstIn, // §5.2.1: triangle scan -> first-in
 			DiskCacheBytes:  scaled(DodoPageCache, cfg.Scale),
 		}
 		base, dodo, _, _, err := runPair(luSpec, dodoCfg, cfg.Scale)
@@ -81,7 +82,7 @@ func Figure7(cfg Figure7Config) ([]Fig7Row, error) {
 			RemoteBytes:     scaled(RemoteMemoryBytes, cfg.Scale),
 			LocalCacheBytes: scaled(LocalCacheBytes, cfg.Scale),
 			RegionSize:      spec.Pattern.RequestSize(),
-			Policy:          "first-in", // §5.2.1: multi-scan -> first-in
+			Policy:          region.FirstIn, // §5.2.1: multi-scan -> first-in
 			DiskCacheBytes:  scaled(DodoPageCache, cfg.Scale),
 		})
 		run1, _, err := workload.Run(spec, st)

@@ -3,6 +3,7 @@ package experiments
 import (
 	"time"
 
+	"dodo/internal/region"
 	"dodo/internal/workload"
 )
 
@@ -32,8 +33,8 @@ type Figure8Config struct {
 	Scale float64
 	// Seed feeds the random patterns.
 	Seed int64
-	// Policy is the region-replacement policy (default "lru").
-	Policy string
+	// Policy is the region-replacement policy (the zero value is LRU).
+	Policy region.Policy
 }
 
 // Figure8 reruns the full sweep of §5.3 Figure 8: {sequential, hotcold,
@@ -41,9 +42,6 @@ type Figure8Config struct {
 func Figure8(cfg Figure8Config) ([]Fig8Row, error) {
 	if cfg.Scale == 0 {
 		cfg.Scale = 1
-	}
-	if cfg.Policy == "" {
-		cfg.Policy = "lru"
 	}
 	datasets := []int64{scaled(1<<30, cfg.Scale), scaled(2<<30, cfg.Scale)}
 	reqSizes := []int64{8 << 10, 32 << 10}

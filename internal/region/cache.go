@@ -93,7 +93,8 @@ type Config struct {
 	// Capacity is the local cache budget in bytes (the paper's
 	// experiments use 80 MB).
 	Capacity int64
-	// Policy is the replacement policy module (default LRU, §3.3).
+	// Policy is the replacement policy the cache starts with (the zero
+	// value is LRU, §3.3); SetPolicy switches it later.
 	Policy Policy
 	// RefractionPeriod suppresses remote-clone attempts after one
 	// fails for lack of remote space (Figure 5; default 5s).
@@ -124,9 +125,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Policy == nil {
-		c.Policy = NewLRU()
-	}
 	if c.RefractionPeriod == 0 {
 		c.RefractionPeriod = 5 * time.Second
 	}
@@ -174,6 +172,9 @@ type cregion struct {
 	local    []byte // non-nil iff cached locally
 	dirty    bool   // local copy differs from disk
 	remoteFD int    // core descriptor, -1 when no remote copy
+	// prev and next link the region into the cache's recency list
+	// (policy.go), which it is on iff local is non-nil.
+	prev, next *cregion
 	// remoteFailAt marks the remote copy suspect after an ErrNoMem
 	// failure (host crashed or reclaimed, §3.1). The descriptor is kept:
 	// the runtime's background recovery may re-open it, so the cache
@@ -316,6 +317,14 @@ type Cache struct {
 	mu locks.Mutex
 	// dodo:guardedby mu
 	regions map[int]*cregion
+	// policy is the replacement policy: cfg.Policy until SetPolicy.
+	// dodo:guardedby mu
+	policy Policy
+	// front and back are the ends of the recency list (policy.go).
+	// dodo:guardedby mu
+	front *cregion
+	// dodo:guardedby mu
+	back *cregion
 	// dodo:guardedby mu
 	nextFD int
 	// used counts local-cache bytes, including bytes pre-charged for
@@ -375,6 +384,7 @@ func NewCache(dodo Dodo, cfg Config) *Cache {
 		cfg:        cfg.withDefaults(),
 		dodo:       dodo,
 		regions:    make(map[int]*cregion),
+		policy:     cfg.Policy,
 		byLocation: make(map[prefKey]int),
 		fills:      make(map[prefKey]*inflight),
 		streams:    make(map[uint64]int64),
@@ -419,17 +429,13 @@ func (c *Cache) State(fd int) (State, error) {
 	return r.state(), nil
 }
 
-// SetPolicy switches the replacement policy (csetPolicy, §3.3). Resident
-// regions are re-registered with the new policy in an arbitrary order.
+// SetPolicy switches the replacement policy (csetPolicy, §3.3). The
+// recency list carries over as the old policy left it, so the new one's
+// first victim is an end of that order.
 func (c *Cache) SetPolicy(p Policy) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.cfg.Policy = p
-	for fd, r := range c.regions {
-		if r.local != nil {
-			p.NoteCached(fd)
-		}
-	}
+	c.policy = p
 }
 
 // Copen creates a region of length bytes backed by [offset,
@@ -494,7 +500,7 @@ func (c *Cache) Copen(length int64, backing core.Backing, offset int64) (int, er
 	}
 	if fit {
 		r.local = data
-		c.cfg.Policy.NoteCached(fd)
+		c.linkLocked(r)
 		c.clearFillLocked(r, marker, key)
 	}
 	c.mu.Unlock()
@@ -537,7 +543,7 @@ func (c *Cache) Cread(fd int, offset int64, buf []byte) (int, error) {
 		if r.local != nil {
 			pin := c.pinLocked(r, r.local[offset:offset+want])
 			c.stats.LocalHits++
-			c.cfg.Policy.NoteAccess(fd, false)
+			c.touchLocked(r)
 			jobs := c.maybePrefetchLocked(r)
 			c.mu.Unlock()
 			copy(buf, pin.src)
@@ -557,11 +563,6 @@ func (c *Cache) Cread(fd int, offset int64, buf []byte) (int, error) {
 		c.mu.Lock()
 		var jobs []int
 		if r2, ok := c.regions[fd]; ok && r2 == r {
-			// Read-through hits count as accesses too, so a hot
-			// non-resident region can win promotion under policies
-			// that rank by access (the local-hit path above is not the
-			// only place the policy hears about traffic).
-			c.cfg.Policy.NoteAccess(fd, false)
 			jobs = c.maybePrefetchLocked(r2)
 		}
 		c.mu.Unlock()
@@ -632,7 +633,7 @@ func (c *Cache) Cwrite(fd int, offset int64, buf []byte) (int, error) {
 			}
 			copy(r.local[offset:offset+want], buf[:want])
 			r.dirty = true
-			c.cfg.Policy.NoteAccess(fd, true)
+			c.touchLocked(r)
 			c.mu.Unlock()
 			return int(want), nil
 		}
@@ -759,7 +760,7 @@ func (c *Cache) Cclose(fd int) error {
 		if r.local != nil {
 			c.used -= r.length
 			r.local = nil
-			c.cfg.Policy.NoteUncached(fd)
+			c.unlinkLocked(r)
 		}
 		remoteFD := r.remoteFD
 		c.unregisterLocationLocked(r)
@@ -808,15 +809,9 @@ type evictJob struct {
 // dodo:transfers(marker)
 func (c *Cache) reserveLocked(need int64) (victims []evictJob, fit bool) {
 	for c.cfg.Capacity-c.used < need {
-		fd, ok := c.cfg.Policy.Victim()
-		if !ok {
+		victim := c.victimLocked()
+		if victim == nil {
 			return victims, false // policy refuses (first-in) or cache empty
-		}
-		victim := c.regions[fd]
-		if victim == nil || victim.local == nil {
-			// Stale policy entry; drop it and continue.
-			c.cfg.Policy.NoteUncached(fd)
-			continue
 		}
 		if victim.pend != nil {
 			// The victim is mid-transition (a Csync flush): give up
@@ -834,7 +829,7 @@ func (c *Cache) reserveLocked(need int64) (victims []evictJob, fit bool) {
 		victim.local = nil
 		victim.dirty = false
 		c.used -= victim.length
-		c.cfg.Policy.NoteUncached(fd)
+		c.unlinkLocked(victim)
 		job.view = c.viewLocked(victim)
 		victims = append(victims, job)
 	}
@@ -870,7 +865,7 @@ func (c *Cache) settleEvictionLocked(job *evictJob) {
 		r.local = job.data
 		r.dirty = true
 		c.used += r.length
-		c.cfg.Policy.NoteCached(r.fd)
+		c.linkLocked(r)
 	} else {
 		c.stats.Evictions++
 	}
@@ -970,11 +965,10 @@ func (c *Cache) fillRegion(fd int, prefetched bool, overwrite []byte) bool {
 	}
 	r.local = data
 	c.stats.Promotions++
-	c.cfg.Policy.NoteCached(fd)
+	c.linkLocked(r)
 	if overwrite != nil {
 		r.dirty = true
 		c.stats.Overwrites++
-		c.cfg.Policy.NoteAccess(fd, true)
 	}
 	c.clearFillLocked(r, marker, key)
 	return overwrite != nil
@@ -1156,7 +1150,6 @@ func (c *Cache) writeThrough(v ioView, offset, want int64, buf []byte) (int, err
 	if v.mode == remoteHealthy {
 		n, err := c.dodo.Mwrite(v.remoteFD, offset, buf[:want])
 		if err == nil {
-			c.noteThroughAccess(v.fd, true)
 			return n, nil // Mwrite wrote disk too
 		}
 		c.remoteFailed(v.fd, err)
@@ -1168,7 +1161,6 @@ func (c *Cache) writeThrough(v ioView, offset, want int64, buf []byte) (int, err
 	// would reach neither remote memory nor disk.
 	if offset == 0 && want == v.length && v.remoteFD < 0 {
 		if c.cloneRemote(v.fd, buf[:want], v.writeGen, false) {
-			c.noteThroughAccess(v.fd, true)
 			return int(want), nil
 		}
 	}
@@ -1176,7 +1168,6 @@ func (c *Cache) writeThrough(v ioView, offset, want int64, buf []byte) (int, err
 	if err != nil {
 		return -1, fmt.Errorf("region: disk write: %w", err)
 	}
-	c.noteThroughAccess(v.fd, true)
 	return n, nil
 }
 
@@ -1264,17 +1255,6 @@ func (c *Cache) remoteRevived(fd int) {
 	if r, ok := c.regions[fd]; ok {
 		r.remoteFailAt = time.Time{}
 		c.stats.RemoteRevives++
-	}
-	c.mu.Unlock()
-}
-
-// noteThroughAccess tells the policy about a read-through or
-// write-through access, so a hot non-resident region can win promotion
-// under policies that rank by access frequency.
-func (c *Cache) noteThroughAccess(fd int, write bool) {
-	c.mu.Lock()
-	if _, ok := c.regions[fd]; ok {
-		c.cfg.Policy.NoteAccess(fd, write)
 	}
 	c.mu.Unlock()
 }

@@ -144,7 +144,7 @@ func BenchmarkCreadParallel(b *testing.B) {
 	}
 	c := NewCache(fake, Config{
 		Capacity:        nLocal * regionSize,
-		Policy:          NewFirstIn(),
+		Policy:          FirstIn,
 		PromoteOnAccess: false,
 	})
 	var fds []int
@@ -206,7 +206,7 @@ func BenchmarkPrefetchPipeline(b *testing.B) {
 			}
 			c := NewCache(fake, Config{
 				Capacity:           8 * regionSize,
-				Policy:             NewLRU(),
+				Policy:             LRU,
 				PromoteOnAccess:    true,
 				SequentialPrefetch: true,
 				PrefetchWindow:     4,
@@ -243,7 +243,7 @@ func BenchmarkCreadLocalHitParallel(b *testing.B) {
 		n       = 8192
 		regions = 64
 	)
-	c := NewCache(newBenchDodo(1<<30, 0), Config{Capacity: regions * n, Policy: NewLRU(), PromoteOnAccess: true})
+	c := NewCache(newBenchDodo(1<<30, 0), Config{Capacity: regions * n, Policy: LRU, PromoteOnAccess: true})
 	back := core.NewMemBacking(1, regions*n)
 	fds := make([]int, regions)
 	for i := range fds {

@@ -93,7 +93,7 @@ func newTestCache(t *testing.T, localCap, remoteCap int64, policy Policy) (*Cach
 }
 
 func TestCopenReadWriteLocal(t *testing.T) {
-	c, _ := newTestCache(t, 1<<20, 1<<20, NewLRU())
+	c, _ := newTestCache(t, 1<<20, 1<<20, LRU)
 	back := core.NewMemBacking(1, 4096)
 	fd, err := c.Copen(4096, back, 0)
 	if err != nil {
@@ -119,7 +119,7 @@ func TestCopenReadWriteLocal(t *testing.T) {
 }
 
 func TestCopenValidation(t *testing.T) {
-	c, _ := newTestCache(t, 1<<20, 1<<20, NewLRU())
+	c, _ := newTestCache(t, 1<<20, 1<<20, LRU)
 	back := core.NewMemBacking(1, 100)
 	if _, err := c.Copen(0, back, 0); err == nil {
 		t.Fatal("Copen(0) succeeded")
@@ -133,7 +133,7 @@ func TestCopenValidation(t *testing.T) {
 }
 
 func TestBadDescriptorErrors(t *testing.T) {
-	c, _ := newTestCache(t, 1<<20, 1<<20, NewLRU())
+	c, _ := newTestCache(t, 1<<20, 1<<20, LRU)
 	buf := make([]byte, 8)
 	if _, err := c.Cread(42, 0, buf); !errors.Is(err, ErrBadFD) {
 		t.Fatalf("Cread bad fd = %v", err)
@@ -150,7 +150,7 @@ func TestBadDescriptorErrors(t *testing.T) {
 }
 
 func TestRangeChecks(t *testing.T) {
-	c, _ := newTestCache(t, 1<<20, 1<<20, NewLRU())
+	c, _ := newTestCache(t, 1<<20, 1<<20, LRU)
 	back := core.NewMemBacking(1, 100)
 	fd, _ := c.Copen(100, back, 0)
 	buf := make([]byte, 8)
@@ -174,7 +174,7 @@ func TestRangeChecks(t *testing.T) {
 func TestEvictionMigratesToRemote(t *testing.T) {
 	// Local cache fits 2 regions; the third evicts the LRU victim into
 	// remote memory (grimReaper, Figure 5).
-	c, fake := newTestCache(t, 8192, 1<<20, NewLRU())
+	c, fake := newTestCache(t, 8192, 1<<20, LRU)
 	back := core.NewMemBacking(1, 1<<20)
 	fd0, _ := c.Copen(4096, back, 0)
 	fd1, _ := c.Copen(4096, back, 4096)
@@ -205,7 +205,7 @@ func TestEvictionMigratesToRemote(t *testing.T) {
 }
 
 func TestEvictedDirtyRegionFlushedBeforeMigration(t *testing.T) {
-	c, _ := newTestCache(t, 4096, 1<<20, NewLRU())
+	c, _ := newTestCache(t, 4096, 1<<20, LRU)
 	back := core.NewMemBacking(1, 1<<20)
 	fd0, _ := c.Copen(4096, back, 0)
 	payload := bytes.Repeat([]byte{0xEE}, 4096)
@@ -233,7 +233,7 @@ func TestRemoteExhaustionSpillsToDiskWithRefraction(t *testing.T) {
 	fake := newFakeDodo(4096) // remote fits one region only
 	c := NewCache(fake, Config{
 		Capacity:         4096, // local fits one region
-		Policy:           NewLRU(),
+		Policy:           LRU,
 		RefractionPeriod: time.Minute,
 		Clock:            clock,
 		PromoteOnAccess:  true,
@@ -273,7 +273,7 @@ func TestRemoteExhaustionSpillsToDiskWithRefraction(t *testing.T) {
 }
 
 func TestFirstInNeverReplaces(t *testing.T) {
-	c, _ := newTestCache(t, 8192, 1<<20, NewFirstIn())
+	c, _ := newTestCache(t, 8192, 1<<20, FirstIn)
 	back := core.NewMemBacking(1, 1<<20)
 	fd0, _ := c.Copen(4096, back, 0)
 	fd1, _ := c.Copen(4096, back, 4096)
@@ -307,7 +307,7 @@ func TestFirstInNeverReplaces(t *testing.T) {
 }
 
 func TestPromotionOnAccessUnderLRU(t *testing.T) {
-	c, _ := newTestCache(t, 4096, 1<<20, NewLRU())
+	c, _ := newTestCache(t, 4096, 1<<20, LRU)
 	back := core.NewMemBacking(1, 1<<20)
 	fd0, _ := c.Copen(4096, back, 0)
 	fd1, _ := c.Copen(4096, back, 4096) // evicts fd0 to remote
@@ -336,7 +336,7 @@ func TestPromotionOnAccessUnderLRU(t *testing.T) {
 func TestDataIntegrityAcrossStateTransitions(t *testing.T) {
 	// Write distinct data into many regions through a tiny cache and
 	// verify every byte survives local->remote->disk migrations.
-	c, _ := newTestCache(t, 2*4096, 3*4096, NewLRU())
+	c, _ := newTestCache(t, 2*4096, 3*4096, LRU)
 	back := core.NewMemBacking(1, 1<<20)
 	const regions = 8
 	fds := make([]int, regions)
@@ -364,7 +364,7 @@ func TestDataIntegrityAcrossStateTransitions(t *testing.T) {
 }
 
 func TestCsyncFlushesDirtyRegion(t *testing.T) {
-	c, _ := newTestCache(t, 1<<20, 1<<20, NewLRU())
+	c, _ := newTestCache(t, 1<<20, 1<<20, LRU)
 	back := core.NewMemBacking(1, 4096)
 	fd, _ := c.Copen(4096, back, 0)
 	payload := bytes.Repeat([]byte{0x5A}, 4096)
@@ -384,7 +384,7 @@ func TestCsyncFlushesDirtyRegion(t *testing.T) {
 }
 
 func TestCcloseFlushesAndFreesRemote(t *testing.T) {
-	c, fake := newTestCache(t, 4096, 1<<20, NewLRU())
+	c, fake := newTestCache(t, 4096, 1<<20, LRU)
 	back := core.NewMemBacking(1, 1<<20)
 	fd0, _ := c.Copen(4096, back, 0)
 	c.Cwrite(fd0, 0, bytes.Repeat([]byte{9}, 4096))
@@ -404,7 +404,7 @@ func TestCcloseFlushesAndFreesRemote(t *testing.T) {
 }
 
 func TestRemoteFailureFallsBackToDisk(t *testing.T) {
-	c, fake := newTestCache(t, 4096, 1<<20, NewLRU())
+	c, fake := newTestCache(t, 4096, 1<<20, LRU)
 	back := core.NewMemBacking(1, 1<<20)
 	fd0, _ := c.Copen(4096, back, 0)
 	want := bytes.Repeat([]byte{3}, 4096)
@@ -421,11 +421,11 @@ func TestRemoteFailureFallsBackToDisk(t *testing.T) {
 }
 
 func TestSetPolicySwitchesBehavior(t *testing.T) {
-	c, _ := newTestCache(t, 8192, 1<<20, NewLRU())
+	c, _ := newTestCache(t, 8192, 1<<20, LRU)
 	back := core.NewMemBacking(1, 1<<20)
 	fd0, _ := c.Copen(4096, back, 0)
 	fd1, _ := c.Copen(4096, back, 4096)
-	c.SetPolicy(NewMRU())
+	c.SetPolicy(MRU)
 	buf := make([]byte, 8)
 	c.Cread(fd0, 0, buf) // fd0 is now most recently used
 	// Force an eviction: MRU must pick fd0.
@@ -438,7 +438,7 @@ func TestSetPolicySwitchesBehavior(t *testing.T) {
 }
 
 func TestUsedAccounting(t *testing.T) {
-	c, _ := newTestCache(t, 1<<20, 1<<20, NewLRU())
+	c, _ := newTestCache(t, 1<<20, 1<<20, LRU)
 	back := core.NewMemBacking(1, 1<<20)
 	fd0, _ := c.Copen(1000, back, 0)
 	c.Copen(2000, back, 1000)
@@ -451,47 +451,105 @@ func TestUsedAccounting(t *testing.T) {
 	}
 }
 
+// isLocal reports whether region fd has a local copy.
+func isLocal(t *testing.T, c *Cache, fd int) bool {
+	t.Helper()
+	st, err := c.State(fd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st == StateLocal || st == StateLocalRemote
+}
+
+// checkRecencyList walks the cache's recency list under c.mu: every
+// linked region is open and has a local copy, no region is linked
+// twice, the back links mirror the forward ones, and every region with
+// a local copy is linked.
+func checkRecencyList(t *testing.T, c *Cache) {
+	t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	linked := make(map[*cregion]bool)
+	var prev *cregion
+	for r := c.front; r != nil; prev, r = r, r.next {
+		if linked[r] {
+			t.Fatalf("region %d is linked twice", r.fd)
+		}
+		linked[r] = true
+		if r.prev != prev {
+			t.Fatalf("region %d: prev link does not mirror the list", r.fd)
+		}
+		if r.local == nil {
+			t.Fatalf("region %d is linked without a local copy", r.fd)
+		}
+		if c.regions[r.fd] != r {
+			t.Fatalf("region %d is linked but not open", r.fd)
+		}
+	}
+	if c.back != prev {
+		t.Fatal("back does not end the list")
+	}
+	for fd, r := range c.regions {
+		if r.local != nil && !linked[r] {
+			t.Fatalf("region %d has a local copy but is not linked", fd)
+		}
+	}
+}
+
+// TestPolicyModules runs each policy's row through a cache: three
+// residents, the second written and then the first read, then a fourth
+// region that needs room. LRU evicts the third, the least recently
+// used; MRU the first, just read; FIFO the first installed; first-in
+// nothing.
 func TestPolicyModules(t *testing.T) {
+	want := map[string]int{"lru": 2, "mru": 0, "fifo": 0, "first-in": -1}
 	for _, name := range []string{"lru", "mru", "first-in", "fifo"} {
 		p, err := NewPolicy(name)
 		if err != nil {
 			t.Fatalf("NewPolicy(%q): %v", name, err)
 		}
-		if p.Name() == "" {
-			t.Fatalf("%q has empty name", name)
+		if p.Name() != name {
+			t.Fatalf("NewPolicy(%q).Name() = %q", name, p.Name())
 		}
-		// Empty policy has no victim.
-		if _, ok := p.Victim(); ok {
-			t.Fatalf("%s: victim from empty policy", name)
+		c, _ := newTestCache(t, 3*4096, 1<<20, p)
+		victim := func() *cregion {
+			c.mu.Lock()
+			defer c.mu.Unlock()
+			return c.victimLocked()
 		}
-		p.NoteCached(1)
-		p.NoteCached(2)
-		p.NoteCached(3)
-		p.NoteAccess(1, false) // 1 becomes most recent for LRU/MRU
-		victim, ok := p.Victim()
-		switch name {
-		case "lru":
-			if !ok || victim != 2 {
-				t.Fatalf("lru victim = %d, %v; want 2", victim, ok)
-			}
-		case "mru":
-			if !ok || victim != 1 {
-				t.Fatalf("mru victim = %d, %v; want 1", victim, ok)
-			}
-		case "fifo":
-			if !ok || victim != 1 {
-				t.Fatalf("fifo victim = %d, %v; want 1 (insertion order)", victim, ok)
-			}
-		case "first-in":
-			if ok {
-				t.Fatal("first-in produced a victim")
+		if victim() != nil {
+			t.Fatalf("%s: victim from an empty cache", name)
+		}
+		back := core.NewMemBacking(1, 1<<20)
+		var fds []int
+		for i := 0; i < 3; i++ {
+			fd, _ := c.Copen(4096, back, int64(i)*4096)
+			fds = append(fds, fd)
+		}
+		c.Cwrite(fds[1], 0, make([]byte, 8))
+		c.Cread(fds[0], 0, make([]byte, 8)) // fds[0] becomes most recent for LRU/MRU
+		fd3, _ := c.Copen(4096, back, 3*4096)
+		evicted := -1
+		for i, fd := range fds {
+			if !isLocal(t, c, fd) {
+				if evicted >= 0 {
+					t.Fatalf("%s evicted two regions", name)
+				}
+				evicted = i
 			}
 		}
-		p.NoteUncached(2)
-		p.NoteUncached(1)
-		p.NoteUncached(3)
-		if _, ok := p.Victim(); ok && name != "first-in" {
-			t.Fatalf("%s: victim after all uncached", name)
+		if evicted != want[name] {
+			t.Fatalf("%s evicted region %d, want %d", name, evicted, want[name])
+		}
+		if isLocal(t, c, fd3) == (name == "first-in") {
+			t.Fatalf("%s: new region local = %v", name, isLocal(t, c, fd3))
+		}
+		checkRecencyList(t, c)
+		for _, fd := range append(fds, fd3) {
+			c.Cclose(fd)
+		}
+		if victim() != nil {
+			t.Fatalf("%s: victim after every region closed", name)
 		}
 	}
 	if _, err := NewPolicy("clock"); err == nil {
@@ -499,20 +557,59 @@ func TestPolicyModules(t *testing.T) {
 	}
 }
 
+// TestPolicyDoubleCacheIsIdempotent moves two regions in and out of a
+// one-region cache: each comes back linked once, and closing both
+// leaves the list empty.
 func TestPolicyDoubleCacheIsIdempotent(t *testing.T) {
-	p := NewLRU()
-	p.NoteCached(1)
-	p.NoteCached(1)
-	p.NoteUncached(1)
-	if _, ok := p.Victim(); ok {
-		t.Fatal("double NoteCached left a phantom entry")
+	c, _ := newTestCache(t, 4096, 1<<20, LRU)
+	back := core.NewMemBacking(1, 1<<20)
+	fdA, _ := c.Copen(4096, back, 0)
+	fdB, _ := c.Copen(4096, back, 4096)
+	buf := make([]byte, 8)
+	for i := 0; i < 4; i++ {
+		c.Cread(fdA, 0, buf)
+		c.Cread(fdA, 0, buf)
+		checkRecencyList(t, c)
+		c.Cread(fdB, 0, buf)
+		checkRecencyList(t, c)
+	}
+	c.Cclose(fdA)
+	c.Cclose(fdB)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.front != nil || c.back != nil {
+		t.Fatal("closing every region left a phantom list entry")
+	}
+}
+
+// TestSetPolicyIsDeterministic switches a full cache from LRU to FIFO:
+// the list keeps the order LRU left it in, so the next victim is its
+// front, the least recently used region.
+func TestSetPolicyIsDeterministic(t *testing.T) {
+	const n = 16
+	c, _ := newTestCache(t, n*4096, 1<<20, LRU)
+	back := core.NewMemBacking(1, 1<<20)
+	fds := make([]int, n)
+	for i := range fds {
+		fds[i], _ = c.Copen(4096, back, int64(i)*4096)
+	}
+	buf := make([]byte, 8)
+	for _, i := range []int{0, 1, 5, 9} {
+		c.Cread(fds[i], 0, buf)
+	}
+	c.SetPolicy(FIFO)
+	c.Copen(4096, back, n*4096)
+	for i, fd := range fds {
+		if isLocal(t, c, fd) != (i != 2) {
+			t.Fatalf("region %d local = %v; want only region 2, the front, evicted", i, isLocal(t, c, fd))
+		}
 	}
 }
 
 func TestManyRegionsScalability(t *testing.T) {
 	// 4096 small regions through a cache holding 512: exercises O(1)
 	// policy structures.
-	c, _ := newTestCache(t, 512*128, 1<<30, NewLRU())
+	c, _ := newTestCache(t, 512*128, 1<<30, LRU)
 	back := core.NewMemBacking(1, 4096*128)
 	fds := make([]int, 4096)
 	for i := range fds {
@@ -536,7 +633,7 @@ func TestManyRegionsScalability(t *testing.T) {
 
 func BenchmarkCreadLocalHit(b *testing.B) {
 	fake := newFakeDodo(1 << 30)
-	c := NewCache(fake, Config{Capacity: 1 << 20, Policy: NewLRU(), PromoteOnAccess: true})
+	c := NewCache(fake, Config{Capacity: 1 << 20, Policy: LRU, PromoteOnAccess: true})
 	back := core.NewMemBacking(1, 1<<20)
 	fd, err := c.Copen(1<<20, back, 0)
 	if err != nil {
@@ -554,7 +651,7 @@ func BenchmarkCreadLocalHit(b *testing.B) {
 
 func BenchmarkEvictionChurn(b *testing.B) {
 	fake := newFakeDodo(1 << 40)
-	c := NewCache(fake, Config{Capacity: 64 * 4096, Policy: NewLRU(), PromoteOnAccess: true})
+	c := NewCache(fake, Config{Capacity: 64 * 4096, Policy: LRU, PromoteOnAccess: true})
 	back := core.NewMemBacking(1, 1<<20)
 	fds := make([]int, 128)
 	for i := range fds {

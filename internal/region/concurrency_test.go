@@ -24,7 +24,7 @@ import (
 func TestConcurrentCreadCoalescesFills(t *testing.T) {
 	fake := newBenchDodo(1<<20, 200*time.Microsecond)
 	back := core.NewMemBacking(1, 1<<20)
-	c := NewCache(fake, Config{Capacity: 4096, Policy: NewLRU(), PromoteOnAccess: true})
+	c := NewCache(fake, Config{Capacity: 4096, Policy: LRU, PromoteOnAccess: true})
 
 	fdA, err := c.Copen(4096, back, 0)
 	if err != nil {
@@ -95,7 +95,7 @@ func TestConcurrentRegionOps(t *testing.T) {
 	back := core.NewMemBacking(1, 1<<22)
 	c := NewCache(fake, Config{
 		Capacity:           4 * regionSize, // half the owners fit: constant eviction pressure
-		Policy:             NewLRU(),
+		Policy:             LRU,
 		PromoteOnAccess:    true,
 		SequentialPrefetch: true,
 		PrefetchWindow:     2,
@@ -243,7 +243,7 @@ func TestInterleavedSequentialStreams(t *testing.T) {
 	backB := core.NewMemBacking(2, 1<<20)
 	c := NewCache(fake, Config{
 		Capacity:           4096, // one region: scans never stay local
-		Policy:             NewLRU(),
+		Policy:             LRU,
 		PromoteOnAccess:    true,
 		SequentialPrefetch: true,
 	})
@@ -304,7 +304,7 @@ func TestNoPrefetchAfterFailedRead(t *testing.T) {
 	back := &failingBacking{MemBacking: core.NewMemBacking(1, 1<<20)}
 	c := NewCache(fake, Config{
 		Capacity:           2048, // regions never fit locally
-		Policy:             NewLRU(),
+		Policy:             LRU,
 		PromoteOnAccess:    true,
 		SequentialPrefetch: true,
 	})
@@ -340,7 +340,7 @@ func TestPrefetchWorkerPool(t *testing.T) {
 	back := core.NewMemBacking(1, 1<<20)
 	c := NewCache(fake, Config{
 		Capacity:           4096,
-		Policy:             NewLRU(),
+		Policy:             LRU,
 		PromoteOnAccess:    true,
 		SequentialPrefetch: true,
 		PrefetchWindow:     2,
@@ -388,7 +388,7 @@ func TestPrefetchWorkerPool(t *testing.T) {
 func TestConcurrentAliasedRegions(t *testing.T) {
 	fake := newBenchDodo(1<<20, 100*time.Microsecond)
 	back := core.NewMemBacking(1, 1<<20)
-	c := NewCache(fake, Config{Capacity: 8192, Policy: NewLRU(), PromoteOnAccess: true})
+	c := NewCache(fake, Config{Capacity: 8192, Policy: LRU, PromoteOnAccess: true})
 	seed, err := c.Copen(4096, back, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -432,4 +432,106 @@ func TestConcurrentAliasedRegions(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
+}
+
+// TestRecencyListIsResidentSet checks the recency list against the
+// resident set while parallel reads, writes, opens, closes, prefetches
+// and policy switches run, and again once they stop: a region is linked
+// iff it has a local copy, and never twice.
+func TestRecencyListIsResidentSet(t *testing.T) {
+	const (
+		regionSize = 2048
+		regions    = 16
+		iters      = 200
+	)
+	fake := newBenchDodo(1<<22, 0)
+	back := core.NewMemBacking(1, 1<<22)
+	c := NewCache(fake, Config{
+		Capacity:           6 * regionSize, // under half the regions fit
+		PromoteOnAccess:    true,
+		SequentialPrefetch: true,
+		PrefetchWindow:     2,
+		PrefetchWorkers:    2,
+	})
+	fds := make([]int, regions)
+	for i := range fds {
+		fd, err := c.Copen(regionSize, back, int64(i)*regionSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fds[i] = fd
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			buf := make([]byte, regionSize)
+			for k := 0; k < iters; k++ {
+				fd := fds[(g*7+k*(g+1))%regions]
+				var err error
+				if k%3 == 0 {
+					_, err = c.Cwrite(fd, 0, buf[:regionSize/2])
+				} else {
+					_, err = c.Cread(fd, 0, buf)
+				}
+				if err != nil {
+					t.Errorf("worker %d op %d: %v", g, k, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		buf := make([]byte, regionSize)
+		for k := 0; k < iters/4; k++ {
+			fd, err := c.Copen(regionSize, back, int64(regions+k%4)*regionSize)
+			if err != nil {
+				t.Errorf("churn open %d: %v", k, err)
+				return
+			}
+			if _, err := c.Cread(fd, 0, buf); err != nil {
+				t.Errorf("churn read %d: %v", k, err)
+			}
+			if err := c.Cclose(fd); err != nil {
+				t.Errorf("churn close %d: %v", k, err)
+				return
+			}
+		}
+	}()
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for k := 0; k < iters/4; k++ {
+			c.SetPolicy([]Policy{LRU, MRU, FIFO, FirstIn}[k%4])
+			time.Sleep(50 * time.Microsecond)
+		}
+	}()
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+			checkRecencyList(t, c)
+			time.Sleep(20 * time.Microsecond)
+		}
+	}
+
+	c.Quiesce()
+	checkRecencyList(t, c)
+	for _, fd := range fds {
+		if err := c.Cclose(fd); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Close()
+	checkRecencyList(t, c)
 }

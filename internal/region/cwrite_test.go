@@ -71,7 +71,7 @@ func TestWriteThroughExcludesFill(t *testing.T) {
 	back := core.NewMemBacking(1, 4*n)
 	// No promotion on access: a write to a non-resident region writes
 	// through, and only the explicit Prefetch below fills.
-	c := NewCache(fake, Config{Capacity: n, Policy: NewLRU()})
+	c := NewCache(fake, Config{Capacity: n, Policy: LRU})
 	fd := remoteOnly(t, c, back, 0, n, 0xAA)
 
 	fresh := bytes.Repeat([]byte{0xBB}, n/2)
@@ -122,7 +122,7 @@ func TestFullOverwriteFetchesNothing(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			fake := newBenchDodo(1<<20, 0)
 			back := core.NewMemBacking(1, 4*n)
-			c := NewCache(fake, Config{Capacity: n, Policy: NewLRU(), PromoteOnAccess: true})
+			c := NewCache(fake, Config{Capacity: n, Policy: LRU, PromoteOnAccess: true})
 			fd := remoteOnly(t, c, back, 0, n, 0xAA)
 			victim := -1
 			if tc.victim {
@@ -180,7 +180,7 @@ func TestFullOverwriteReachesRemoteAndDisk(t *testing.T) {
 	setup := func(t *testing.T) (*Cache, *benchDodo, core.Backing, int) {
 		fake := newBenchDodo(1<<20, 0)
 		back := core.NewMemBacking(1, 4*n)
-		c := NewCache(fake, Config{Capacity: n, Policy: NewLRU(), PromoteOnAccess: true})
+		c := NewCache(fake, Config{Capacity: n, Policy: LRU, PromoteOnAccess: true})
 		fd := remoteOnly(t, c, back, 0, n, 0xAA)
 		if _, err := c.Cwrite(fd, 0, bytes.Repeat([]byte{0xBB}, n)); err != nil {
 			t.Fatal(err)
@@ -232,7 +232,7 @@ func TestFullOverwriteRefusedWritesThrough(t *testing.T) {
 	fake := newBenchDodo(1<<20, 0)
 	back := core.NewMemBacking(1, 4*n)
 	// First-in keeps its first resident for good.
-	c := NewCache(fake, Config{Capacity: n, Policy: NewFirstIn(), PromoteOnAccess: true})
+	c := NewCache(fake, Config{Capacity: n, Policy: FirstIn, PromoteOnAccess: true})
 	if _, err := c.Copen(n, back, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestFullOverwriteHoldsMarker(t *testing.T) {
 	const n = 4096
 	fake := newHoldDodo(1 << 20)
 	back := core.NewMemBacking(1, 4*n)
-	c := NewCache(fake, Config{Capacity: n, Policy: NewLRU(), PromoteOnAccess: true})
+	c := NewCache(fake, Config{Capacity: n, Policy: LRU, PromoteOnAccess: true})
 	fd := remoteOnly(t, c, back, 0, n, 0xAA)
 	// A dirty resident with a remote copy: evicting it is an Mwrite.
 	victim := dirtyResident(t, c, back, 2*n, n)

@@ -33,7 +33,7 @@ func TestHitCopyNeverSeesSlotReuse(t *testing.T) {
 	}
 	fake := newBenchDodo(1<<30, 0)
 	back := core.NewMemBacking(1, regions*n)
-	c := NewCache(fake, Config{Capacity: 2 * n, Policy: NewLRU(), PromoteOnAccess: true})
+	c := NewCache(fake, Config{Capacity: 2 * n, Policy: LRU, PromoteOnAccess: true})
 	fds := make([]int, regions)
 	for i := range fds {
 		if _, err := back.WriteAt(bytes.Repeat([]byte{byte(i + 1)}, n), int64(i)*n); err != nil {
@@ -88,7 +88,7 @@ func TestHitCopyNeverSeesTornWrite(t *testing.T) {
 	if testing.Short() {
 		writes = 50
 	}
-	c := NewCache(newBenchDodo(1<<30, 0), Config{Capacity: n, Policy: NewLRU(), PromoteOnAccess: true})
+	c := NewCache(newBenchDodo(1<<30, 0), Config{Capacity: n, Policy: LRU, PromoteOnAccess: true})
 	fd := resident(t, c, 1, n, 0)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -196,7 +196,7 @@ func TestPinHoldsSlotWritersNotClose(t *testing.T) {
 	}
 
 	t.Run("Cwrite waits", func(t *testing.T) {
-		c := NewCache(newBenchDodo(1<<20, 0), Config{Capacity: n, Policy: NewLRU(), PromoteOnAccess: true})
+		c := NewCache(newBenchDodo(1<<20, 0), Config{Capacity: n, Policy: LRU, PromoteOnAccess: true})
 		fd := resident(t, c, 1, n, 0xAA)
 		pin := holdPin(t, c, fd)
 		done := finishes(func() {
@@ -222,7 +222,7 @@ func TestPinHoldsSlotWritersNotClose(t *testing.T) {
 	})
 
 	t.Run("fill over the pinned slot waits", func(t *testing.T) {
-		c := NewCache(newBenchDodo(1<<20, 0), Config{Capacity: n, Policy: NewLRU(), PromoteOnAccess: true})
+		c := NewCache(newBenchDodo(1<<20, 0), Config{Capacity: n, Policy: LRU, PromoteOnAccess: true})
 		fd := remoteOnly(t, c, core.NewMemBacking(1, 2*n), 0, n, 0x11)
 		victim := resident(t, c, 2, n, 0xAA)
 		pin := holdPin(t, c, victim)
@@ -252,7 +252,7 @@ func TestPinHoldsSlotWritersNotClose(t *testing.T) {
 	})
 
 	t.Run("Cclose does not wait", func(t *testing.T) {
-		c := NewCache(newBenchDodo(1<<20, 0), Config{Capacity: n, Policy: NewLRU(), PromoteOnAccess: true})
+		c := NewCache(newBenchDodo(1<<20, 0), Config{Capacity: n, Policy: LRU, PromoteOnAccess: true})
 		fd := resident(t, c, 1, n, 0xAA)
 		if _, err := c.Cwrite(fd, 0, aa); err != nil { // dirty: Cclose flushes
 			t.Fatal(err)
@@ -282,7 +282,7 @@ func TestLocalHitAllocatesNothing(t *testing.T) {
 		t.Skip("the lockcheck runtime allocates on every Lock")
 	}
 	const n = 8192
-	c := NewCache(newBenchDodo(1<<20, 0), Config{Capacity: n, Policy: NewLRU(), PromoteOnAccess: true})
+	c := NewCache(newBenchDodo(1<<20, 0), Config{Capacity: n, Policy: LRU, PromoteOnAccess: true})
 	fd := resident(t, c, 1, n, 0xAA)
 	buf := make([]byte, n)
 	if allocs := testing.AllocsPerRun(1000, func() {

@@ -114,7 +114,7 @@ func runPrefetchScenario(t *testing.T, s prefetchScenario, dodo Dodo, window, wo
 	t.Helper()
 	c := NewCache(dodo, Config{
 		Capacity:           s.capacity,
-		Policy:             NewLRU(),
+		Policy:             LRU,
 		PromoteOnAccess:    true,
 		SequentialPrefetch: true,
 		PrefetchWindow:     window,

@@ -11,7 +11,7 @@ func prefetchCache(t *testing.T, localCap int64) (*Cache, *fakeDodo, *core.MemBa
 	fake := newFakeDodo(1 << 20)
 	c := NewCache(fake, Config{
 		Capacity:           localCap,
-		Policy:             NewLRU(),
+		Policy:             LRU,
 		PromoteOnAccess:    true,
 		SequentialPrefetch: true,
 	})
@@ -88,7 +88,7 @@ func TestNonSequentialAccessDoesNotPrefetch(t *testing.T) {
 
 func TestPrefetchDisabledByDefault(t *testing.T) {
 	fake := newFakeDodo(1 << 20)
-	c := NewCache(fake, Config{Capacity: 4096, Policy: NewLRU(), PromoteOnAccess: true})
+	c := NewCache(fake, Config{Capacity: 4096, Policy: LRU, PromoteOnAccess: true})
 	back := core.NewMemBacking(1, 1<<20)
 	var fds []int
 	for i := 0; i < 4; i++ {
@@ -109,7 +109,7 @@ func TestExplicitPrefetchAPI(t *testing.T) {
 	fake := newFakeDodo(1 << 20)
 	c := NewCache(fake, Config{
 		Capacity:        8192,
-		Policy:          NewFirstIn(),
+		Policy:          FirstIn,
 		PromoteOnAccess: true,
 	})
 	back := core.NewMemBacking(1, 1<<20)

@@ -108,7 +108,7 @@ func TestFillOverEvictedSlotShowsNoVictimBytes(t *testing.T) {
 			fake := &halfDodo{benchDodo: newBenchDodo(1<<20, 0)}
 			back := &flakyBacking{MemBacking: core.NewMemBacking(1, 4*n)}
 			c := NewCache(fake, Config{
-				Capacity: n, Policy: NewLRU(), PromoteOnAccess: true,
+				Capacity: n, Policy: LRU, PromoteOnAccess: true,
 				RefractionPeriod: time.Minute, Clock: clock,
 			})
 			fd := remoteOnly(t, c, back, 0, n, 0x11)
@@ -184,7 +184,7 @@ func TestFillOverEqualSlotAllocatesNoBuffer(t *testing.T) {
 	pingPong := func(t *testing.T, sizes [2]int64) func() {
 		fake := newBenchDodo(1<<20, 0)
 		back := core.NewMemBacking(1, 4*n)
-		c := NewCache(fake, Config{Capacity: n, Policy: NewLRU(), PromoteOnAccess: true})
+		c := NewCache(fake, Config{Capacity: n, Policy: LRU, PromoteOnAccess: true})
 		var fds [2]int
 		var want [2][]byte
 		for i, size := range sizes {
@@ -237,7 +237,7 @@ func TestReinstalledVictimKeepsItsBuffer(t *testing.T) {
 	const n = 4096
 	fake := newBenchDodo(n, 0) // remote memory for one region: the victim gets no clone
 	back := core.NewMemBacking(1, 4*n)
-	c := NewCache(fake, Config{Capacity: n, Policy: NewLRU(), PromoteOnAccess: true})
+	c := NewCache(fake, Config{Capacity: n, Policy: LRU, PromoteOnAccess: true})
 	fd := remoteOnly(t, c, back, 0, n, 0x11)
 
 	vback := &flakyBacking{MemBacking: core.NewMemBacking(2, n)}
@@ -260,6 +260,7 @@ func TestReinstalledVictimKeepsItsBuffer(t *testing.T) {
 	if st, _ := c.State(fd); st != StateLocalRemote {
 		t.Fatalf("region is %v, want local+remote", st)
 	}
+	checkRecencyList(t, c) // the reinstalled victim is back on the list
 	// Both are resident now. If they shared a buffer, this write would
 	// show in the victim.
 	if _, err := c.Cwrite(fd, 0, bytes.Repeat([]byte{0xBB}, n)); err != nil {

@@ -30,7 +30,7 @@ func TestStaleCloneClobbersConcurrentWrite(t *testing.T) {
 	back := core.NewMemBacking(1, 8192)
 	// Capacity below the region size: the region can never go local, so
 	// every access is a read-/write-through.
-	c := NewCache(fake, Config{Capacity: 1024, Policy: NewLRU(), PromoteOnAccess: true})
+	c := NewCache(fake, Config{Capacity: 1024, Policy: LRU, PromoteOnAccess: true})
 
 	const n = 8192
 	fd, err := c.Copen(n, back, 0)

@@ -1,5 +1,5 @@
-// Fixture for the mutex-hygiene analyzer: value receivers and copies
-// of lock-bearing types, and channel sends under a held mutex.
+// Fixture for the mutex-hygiene analyzer (channel sends under a held
+// mutex) and go vet's copylocks (copies of locks, see TestCopylocks).
 package fixture
 
 import "sync"
@@ -20,7 +20,7 @@ type rwguard struct {
 	m  map[string]int
 }
 
-func (c counter) IncByValue() { // want `value receiver`
+func (c counter) IncByValue() {
 	c.mu.Lock()
 	c.n++
 	c.mu.Unlock()
@@ -38,28 +38,28 @@ func (g *rwguard) get(k string) int {
 	return g.m[k]
 }
 
-func byValueParam(c counter) int { // want `passes a lock by value`
+func byValueParam(c counter) int {
 	return c.n
 }
 
 func byPointerParam(c *counter) int { return c.n }
 
 func copies(c *counter, list []nested) {
-	snapshot := *c // want `contains a mutex`
-	_ = snapshot
+	snapshot := *c
+	_ = &snapshot
 	var n nested
-	m := n // want `contains a mutex`
-	_ = m
-	first := list[0] // want `contains a mutex`
-	_ = first
-	for _, item := range list { // want `range copies`
+	m := n
+	_ = &m
+	first := list[0]
+	_ = &first
+	for _, item := range list {
 		_ = item.tag
 	}
 }
 
 func creations() {
 	fresh := counter{}
-	_ = fresh
+	_ = &fresh
 	ptr := &counter{}
 	other := ptr // copying the pointer is fine
 	_ = other

@@ -12,9 +12,9 @@
 //   - unchecked-error: the client API (Mread/Mwrite/Mclose/Msync,
 //     Cread/Cwrite), transport Send/Recv and io.Closer Close must not
 //     have their error results silently discarded.
-//   - mutex-hygiene: no value receivers or value copies of types
-//     containing sync.Mutex/sync.RWMutex, and no channel sends while a
-//     mutex is held.
+//   - mutex-hygiene: no channel sends while a mutex is held. (Value
+//     receivers and copies of lock-bearing types are go vet's
+//     copylocks, run with the rest of go vet.)
 //   - goroutine-lifecycle: goroutines launched in daemon packages must
 //     be tied to a done-channel, context.Context or sync.WaitGroup.
 //   - lock-order: whole-program lock-acquisition graph over every

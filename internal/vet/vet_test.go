@@ -3,8 +3,11 @@ package vet
 import (
 	"fmt"
 	"os"
+	"os/exec"
 	"regexp"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -175,6 +178,33 @@ func TestUncheckedErrorGolden(t *testing.T) {
 
 func TestMutexHygieneGolden(t *testing.T) {
 	runGolden(t, MutexHygiene, "mutex", "dodo/internal/manager")
+}
+
+// TestCopylocks runs go vet's copylocks check, which owns the receiver
+// and copy rules for lock-bearing types: the module is clean, and each
+// of the six copies in the mutex fixture is reported, nothing else.
+func TestCopylocks(t *testing.T) {
+	const fixture = "internal/vet/testdata/mutex"
+	cmd := exec.Command("go", "vet", "-copylocks", "./...", "./"+fixture)
+	cmd.Dir = "../.."
+	out, _ := cmd.CombinedOutput()
+	var got []int
+	for _, line := range strings.Split(string(out), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		rest, ok := strings.CutPrefix(line, fixture+"/mutex.go:")
+		n, err := strconv.Atoi(strings.SplitN(rest, ":", 2)[0])
+		if !ok || err != nil {
+			t.Errorf("go vet -copylocks: unexpected line: %s", line)
+			continue
+		}
+		got = append(got, n)
+	}
+	sort.Ints(got)
+	if want := []int{23, 41, 48, 51, 53, 55}; !slices.Equal(got, want) {
+		t.Errorf("go vet -copylocks reported fixture lines %v, want %v", got, want)
+	}
 }
 
 func TestGoroutineLifecycleGolden(t *testing.T) {

@@ -100,9 +100,8 @@ type DodoConfig struct {
 	// RegionSize is the granularity at which the dataset is carved into
 	// Dodo regions (defaults to the request size).
 	RegionSize int64
-	// Policy names the region-replacement policy ("lru", "first-in",
-	// "mru", "fifo"); default "lru".
-	Policy string
+	// Policy is the region-replacement policy; the zero value is LRU.
+	Policy region.Policy
 	// DiskCacheBytes is the OS page cache left on the app node. With
 	// the region cache pinning 80 MB, the baseline's page cache budget
 	// shrinks accordingly.
@@ -164,13 +163,9 @@ func NewDodoStorage(cfg DodoConfig) *DodoStorage {
 	}
 	dodo := &accountingDodo{vt: vt, net: cfg.Net, capacity: cfg.RemoteBytes, disk: disk,
 		writeOverlap: overlap, regions: map[int]int64{}}
-	policy, err := region.NewPolicy(cfg.Policy)
-	if err != nil {
-		policy = region.NewLRU()
-	}
 	cache := region.NewCache(dodo, region.Config{
 		Capacity:         cfg.LocalCacheBytes,
-		Policy:           policy,
+		Policy:           cfg.Policy,
 		RefractionPeriod: cfg.RefractionPeriod,
 		Clock:            vt,
 		PromoteOnAccess:  true,

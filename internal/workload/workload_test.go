@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"dodo/internal/region"
 	"dodo/internal/simdisk"
 	"dodo/internal/simnet"
 )
@@ -99,7 +100,7 @@ func smallDodoCfg(net simnet.CostModel, regionSize int64) DodoConfig {
 		RemoteBytes:      64 * MB,
 		LocalCacheBytes:  8 * MB,
 		RegionSize:       regionSize,
-		Policy:           "lru",
+		Policy:           region.LRU,
 		DiskCacheBytes:   2 * MB,
 		RefractionPeriod: time.Second,
 	}
