@@ -466,12 +466,8 @@ func (ep *Endpoint) recvLoop() {
 		if err != nil {
 			// Transient receive errors must not kill the daemon, but a
 			// persistently failing transport must not spin either.
-			timerC, timer := sim.NewTimer(ep.cfg.Clock, 5*time.Millisecond)
-			select {
-			case <-ep.stop:
-				timer.Stop()
+			if !sim.SleepInterruptible(ep.cfg.Clock, 5*time.Millisecond, ep.stop) {
 				return
-			case <-timerC:
 			}
 			continue
 		}

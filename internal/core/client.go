@@ -133,7 +133,7 @@ type regionState struct {
 	gen uint64
 	// diskDirty records that, while the descriptor was invalid, the
 	// app was told the region cannot take writes (a failed Mwrite, or
-	// CheckAlloc reporting the mapping gone) — its documented recourse
+	// CheckAlloc answering false) — its documented recourse
 	// is writing the backing file directly, and such writes never touch
 	// the sequence counters. While set, a graceful-reclaim handoff copy
 	// must not be adopted (it may be behind the disk); only an
@@ -325,8 +325,9 @@ type Stats struct {
 	RemoteReadBytes, RemoteWriteBytes int64
 	DropEvents                        int64
 	RefractionSkips                   int64
-	// Revalidations counts checkAlloc probes by the recovery pass;
-	// Reopens counts regions transparently re-opened after a drop.
+	// Revalidations counts checkAlloc probes, the recovery pass's and
+	// CheckAlloc's; Reopens counts regions transparently re-opened
+	// after a drop.
 	Revalidations, Reopens int64
 	// HandoffAdopts counts regions re-validated onto a graceful-reclaim
 	// handoff copy without disk repopulation.
@@ -1335,63 +1336,34 @@ func (c *Client) Msync(fd int) error {
 }
 
 // CheckAlloc asks the central manager whether the region behind fd is
-// still valid (the checkAlloc operation of §4.3), refreshing the local
-// descriptor on success and invalidating it on staleness.
+// still allocated (the checkAlloc operation of §4.3) and settles the
+// descriptor on the answer: it is one step of the recovery loop
+// (revalidate) run on demand. true means the descriptor is valid and
+// its remote copy holds the backing file's bytes:
+//
+//   - a row still mapped but not fresh is repopulated from the backing
+//     file before the answer, so bytes the app wrote to the backing
+//     file while the descriptor was dropped are what Mread serves;
+//   - a fresh handoff copy is adopted behind adoptHandoff's gate, and
+//     repopulated when the gate is not settled;
+//   - a row that is gone is re-opened under the original key.
+//
+// false means the descriptor is invalid; it is marked disk-dirty, since
+// the app may now write the backing file directly. An error means the
+// manager gave no verdict (unreachable, a dead incarnation, busy) and
+// the descriptor is unchanged. Every call counts in Stats.Revalidations.
 func (c *Client) CheckAlloc(fd int) (bool, error) {
+	if err := c.revalidate(fd); err != nil {
+		return false, err
+	}
 	r, err := c.lookup(fd)
 	if err != nil {
 		return false, err
 	}
-	resp, err := c.ep.Call(c.cfg.ManagerAddr, &wire.CheckAllocReq{Key: r.key})
-	if err != nil {
-		return false, fmt.Errorf("%w: manager unreachable: %v", ErrNoMem, err)
+	if !r.valid {
+		c.markDiskDirty(fd)
 	}
-	ca, ok := resp.(*wire.CheckAllocResp)
-	if !ok {
-		return false, ErrNoMem
-	}
-	if !c.noteIncarnation(ca.Incarnation) {
-		// A delayed answer from a dead manager incarnation proves
-		// nothing about the rebuilt directory; treat it as lost.
-		return false, fmt.Errorf("%w: stale manager incarnation", ErrNoMem)
-	}
-	if ca.Status == wire.StatusBusy {
-		// The manager is rebuilding (or the hosting imd is draining);
-		// the row's fate is undecided, so the descriptor keeps its
-		// current state and the caller retries.
-		return false, fmt.Errorf("%w: manager busy", ErrNoMem)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	live, present := c.regions[fd]
-	if !present {
-		return false, fmt.Errorf("%w: bad region descriptor %d", ErrInval, fd)
-	}
-	if ca.Status != wire.StatusOK {
-		if live.valid {
-			live.valid = false
-			live.gen++
-		}
-		// The caller now knows the region can't take writes and may go
-		// disk-only; any handoff snapshot is unadoptable until a
-		// repopulation pushes the backing bytes back.
-		live.diskDirty = true
-		return false, nil
-	}
-	if ca.Fresh && !live.valid {
-		// A graceful-reclaim handoff copy. Same adoption gate as the
-		// recovery loop (see adoptHandoff): the write-seq gate must be
-		// settled and no disk-only writes may have happened since the
-		// drop, else the copy could be behind the backing file.
-		if c.writeSeq[live.key] != c.confirmedSeq[live.key] || live.diskDirty {
-			return false, nil
-		}
-		c.handoffAdopts.Add(1)
-	}
-	live.remote = ca.Region
-	live.valid = true
-	live.needsReval = false
-	return true, nil
+	return r.valid, nil
 }
 
 // RegionValid reports the local/remote flag of the region table row.

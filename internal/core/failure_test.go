@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -90,6 +91,55 @@ func TestNetworkFlapRecoversViaCheckAlloc(t *testing.T) {
 	n, err := s.cli.Mread(fd, 0, buf)
 	if err != nil || n != 8192 || !bytes.Equal(buf, payload) {
 		t.Fatalf("Mread after recovery = %d, %v", n, err)
+	}
+}
+
+// TestCheckAllocAfterDiskOnlyWriteServesDisk: a flap drops the
+// descriptor, Mwrite is refused, and the app writes the backing file
+// directly — the fallback ErrNoMem sanctions. Once the network heals, a
+// CheckAlloc that answers true vouches that the remote copy holds the
+// backing file's bytes, so the next Mread must return them, not the
+// bytes from before the flap. With and without the recovery loop: the
+// answer must not depend on the loop having pushed first.
+func TestCheckAllocAfterDiskOnlyWriteServesDisk(t *testing.T) {
+	for _, loop := range []bool{true, false} {
+		t.Run(fmt.Sprintf("recovery=%v", loop), func(t *testing.T) {
+			s := newStack(t, 1, 1<<20, func(cfg *Config) { cfg.DisableRecovery = !loop })
+			back := NewMemBacking(23, 1<<20)
+			fd, err := s.cli.Mopen(8192, back, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			old := bytes.Repeat([]byte{0x33}, 8192)
+			if _, err := s.cli.Mwrite(fd, 0, old); err != nil {
+				t.Fatal(err)
+			}
+
+			s.seg.Partition(s.seg.Addr("imd0"))
+			buf := make([]byte, 8192)
+			if _, err := s.cli.Mread(fd, 0, buf); !errors.Is(err, ErrNoMem) {
+				t.Fatalf("Mread during flap = %v, want ErrNoMem", err)
+			}
+			fresh := bytes.Repeat([]byte{0x44}, 8192)
+			if _, err := s.cli.Mwrite(fd, 0, fresh); !errors.Is(err, ErrNoMem) {
+				t.Fatalf("Mwrite on a dropped descriptor = %v, want ErrNoMem", err)
+			}
+			if _, err := back.WriteAt(fresh, 0); err != nil {
+				t.Fatal(err)
+			}
+			s.seg.Heal(s.seg.Addr("imd0"))
+
+			ok, err := s.cli.CheckAlloc(fd)
+			if err != nil || !ok {
+				t.Fatalf("CheckAlloc after heal = %v, %v; want true", ok, err)
+			}
+			if n, err := s.cli.Mread(fd, 0, buf); err != nil || n != len(buf) {
+				t.Fatalf("Mread after CheckAlloc = %d, %v", n, err)
+			}
+			if !bytes.Equal(buf, fresh) {
+				t.Fatalf("Mread after a true CheckAlloc serves %#x..., want the backing file's %#x...", buf[0], fresh[0])
+			}
+		})
 	}
 }
 

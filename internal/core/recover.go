@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"io"
 	"math/rand"
 	"sort"
@@ -19,15 +20,19 @@ import (
 //	Config.RecoveryBackoff, doubling per failed pass, capped at the
 //	refraction period so recovery probes are never more aggressive
 //	than fresh allocations), each invalid descriptor is revalidated
-//	with checkAlloc (§4.3). If the manager still maps the key, the
-//	region is repopulated in place; if the mapping is gone, it is
-//	re-allocated under its original key and then repopulated. Either
-//	way the descriptor flips back to valid only after the full region
-//	contents — read from the backing file, which Mwrite's
-//	write-through contract keeps authoritative — have been pushed to
-//	the hosting imd end-to-end.
+//	with checkAlloc (§4.3) in revalidate. If the manager still maps
+//	the key, the region is repopulated in place; if the mapping is
+//	gone, it is re-allocated under its original key and then
+//	repopulated. Either way the descriptor flips back to valid only
+//	after the full region contents — read from the backing file,
+//	which Mwrite's write-through contract keeps authoritative — have
+//	been pushed to the hosting imd end-to-end.
 //
-// A descriptor is never marked valid on directory state alone: the
+// CheckAlloc is the same revalidate step run on demand, so the app's
+// probe and the loop cannot disagree about what a manager answer means.
+// A descriptor turns valid only by adopting a handoff copy behind
+// adoptHandoff's gate, or in install after a push of the backing bytes;
+// it is never marked valid on directory state alone: the
 // manager's view can outlive reachability (its RD entry survives a
 // partition between client and host), and even a reachable copy may be
 // stale (writes issued while the descriptor was invalid reached only
@@ -74,8 +79,8 @@ func (c *Client) recoveryLoop() {
 	}
 }
 
-// recoverPass probes every invalid descriptor once and reports how many
-// remain invalid. Descriptors are visited in fd order so a given
+// recoverPass probes every unsettled descriptor once and reports how
+// many remain unsettled. Descriptors are visited in fd order so a given
 // cluster state yields a reproducible probe sequence.
 func (c *Client) recoverPass() int {
 	c.mu.Lock()
@@ -100,114 +105,99 @@ func (c *Client) recoverPass() int {
 	return remaining
 }
 
-// recoverRegion revalidates one descriptor, re-opening its region if
-// the manager no longer has a live mapping. It reports whether the
-// descriptor is valid (or gone) afterwards.
+// recoverRegion revalidates fd if it still needs work and reports
+// whether it is settled afterwards.
 func (c *Client) recoverRegion(fd int) bool {
+	if c.settled(fd) {
+		return true
+	}
+	_ = c.revalidate(fd) // no verdict leaves fd unsettled for the next pass
+	return c.settled(fd)
+}
+
+// settled reports whether fd needs no recovery: it is valid with a
+// confirmed directory row, or it is closed.
+func (c *Client) settled(fd int) bool {
+	r, err := c.lookup(fd)
+	return err != nil || (r.valid && !r.needsReval)
+}
+
+// revalidate runs checkAlloc (§4.3) for fd and settles the descriptor
+// on the manager's answer; it is one step of the recovery loop, and
+// CheckAlloc is this step run on demand. It returns an error only when
+// the manager gave no verdict, leaving the descriptor as it was. On a
+// verdict:
+//
+//   - a valid descriptor whose row survives is refreshed in place: its
+//     hosting imd never stopped serving, so nothing is pushed;
+//   - a row that is gone is re-opened under the original key, after
+//     invalidating the descriptor if it was still valid;
+//   - a fresh handoff copy is adopted if adoptHandoff's gate allows;
+//   - any other descriptor is repopulated from the backing file, then
+//     installed.
+//
+// A push that fails leaves the descriptor invalid for the next pass.
+func (c *Client) revalidate(fd int) error {
 	r, err := c.lookup(fd)
 	if err != nil {
-		return true // closed underneath us; nothing left to recover
-	}
-	if r.valid && !r.needsReval {
-		return true
+		return err
 	}
 	c.revalidations.Add(1)
 	resp, err := c.ep.Call(c.cfg.ManagerAddr, &wire.CheckAllocReq{Key: r.key})
 	if err != nil {
-		return false // manager unreachable; retry next pass
+		return fmt.Errorf("%w: manager unreachable: %v", ErrNoMem, err)
 	}
 	ca, ok := resp.(*wire.CheckAllocResp)
 	if !ok {
-		return false
+		return ErrNoMem
 	}
 	if !c.noteIncarnation(ca.Incarnation) {
-		// Delayed answer from a dead manager incarnation: worthless,
-		// treat as lost and retry against the live one next pass.
-		return false
+		// A delayed answer from a dead manager incarnation proves
+		// nothing about the rebuilt directory; treat it as lost.
+		return fmt.Errorf("%w: stale manager incarnation", ErrNoMem)
 	}
 	if ca.Status == wire.StatusBusy {
 		// Either the hosting imd is draining and the manager is holding
 		// the mapping open while a handoff runs, or a restarted manager
 		// is still rebuilding its directory from inventory re-reports.
-		// Retry next pass: the entry will reappear, repoint (Fresh) or
-		// go stale once the hold ends.
-		return false
-	}
-	if r.valid {
-		// needsReval confirmation for a still-valid mapping: the
-		// restarted manager has finished rebuilding. If the row
-		// survived, refresh it and keep serving; if it is gone, the
-		// usual invalid-descriptor machinery below takes over.
-		return c.confirmReval(fd, ca)
-	}
-	if ca.Status != wire.StatusOK {
-		// checkAlloc purged the stale RD entry (or never had one);
-		// re-allocate and repopulate.
-		return c.reopenRegion(fd)
-	}
-	// A fresh mapping is a graceful-reclaim handoff copy holding every
-	// byte this client ever had confirmed; if the write-seq gate is
-	// settled and no disk-only writes could have happened since the
-	// drop, it can be adopted outright, skipping the repopulation.
-	if ca.Fresh && c.adoptHandoff(fd, r.key, ca.Region) {
-		c.logf("dodo: adopted handoff copy for fd %d on %s region %d", fd, ca.Region.HostAddr, ca.Region.RegionID)
-		return true
-	}
-	// The manager still maps the key — the failure may have been a
-	// transient flap. Directory state alone proves neither reachability
-	// nor freshness (writes during the outage went disk-only), so push
-	// the backing contents end-to-end before trusting the region again.
-	if !c.repopulate(r, ca.Region) {
-		return false
+		// The entry will reappear, repoint (Fresh) or go stale once the
+		// hold ends.
+		return fmt.Errorf("%w: manager busy", ErrNoMem)
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	live, present := c.regions[fd]
-	if !present {
-		return true
-	}
-	if !live.valid {
-		live.remote = ca.Region
-		live.valid = true
-		// The push carried the backing bytes end-to-end, so any
-		// disk-only writes made while invalid are now remote too.
-		live.diskDirty = false
-	}
-	return true
-}
-
-// confirmReval settles a still-valid needsReval descriptor against the
-// answer from a rebuilt manager directory. A surviving row refreshes
-// the mapping in place — the hosting imd never stopped serving, so no
-// repopulation is needed. A missing row means the imd's inventory
-// never reached the new incarnation (it died during the outage, or
-// its report was fenced): the descriptor is invalidated and re-opened
-// through the ordinary repopulating path.
-func (c *Client) confirmReval(fd int, ca *wire.CheckAllocResp) bool {
-	c.mu.Lock()
-	live, present := c.regions[fd]
-	if !present {
+	switch {
+	case !present:
 		c.mu.Unlock()
-		return true // closed underneath us
-	}
-	if !live.valid {
-		// Dropped while the probe was in flight; the next pass runs the
-		// invalid-descriptor machinery with fresh state.
-		c.mu.Unlock()
-		return false
-	}
-	if ca.Status == wire.StatusOK {
+		return nil // closed underneath us
+	case live.valid && ca.Status == wire.StatusOK:
 		live.remote = ca.Region
 		live.needsReval = false
 		c.mu.Unlock()
-		return true
+		return nil
+	case live.valid:
+		// The row is gone: the host was reclaimed, or its inventory
+		// never reached a restarted manager (it died during the outage,
+		// or its report was fenced).
+		live.valid = false
+		live.gen++
+		live.needsReval = false
 	}
-	live.valid = false
-	live.gen++
-	live.needsReval = false
 	c.mu.Unlock()
-	c.logf("dodo: fd %d lost its directory row across a manager restart; re-opening", fd)
-	return c.reopenRegion(fd)
+	switch {
+	case ca.Status != wire.StatusOK:
+		c.reopenRegion(fd)
+	case ca.Fresh && c.adoptHandoff(fd, r.key, ca.Region):
+		// A graceful-reclaim handoff copy holding every byte this
+		// client ever had confirmed.
+		c.logf("dodo: adopted handoff copy for fd %d on %s region %d", fd, ca.Region.HostAddr, ca.Region.RegionID)
+	case c.repopulate(r, ca.Region):
+		// The manager still maps the key, but directory state alone
+		// proves neither reachability nor freshness: repopulate has
+		// carried the backing bytes end-to-end before the install.
+		c.install(fd, r.key, ca.Region)
+	}
+	return nil
 }
 
 // adoptHandoff flips fd onto a handoff-fresh region without disk
@@ -266,71 +256,67 @@ func (c *Client) repopulate(r regionState, reg wire.Region) bool {
 }
 
 // reopenRegion allocates a fresh region under the descriptor's original
-// key and pushes the backing bytes to it before marking it valid.
-func (c *Client) reopenRegion(fd int) bool {
+// key and pushes the backing bytes to it before installing it.
+func (c *Client) reopenRegion(fd int) {
 	r, err := c.lookup(fd)
-	if err != nil {
-		return true // closed while recovering; nothing left to do
-	}
-	if r.valid {
-		return true // an alias's recovery or a caller revived it first
+	if err != nil || r.valid {
+		return // closed, or an alias's recovery or a caller revived it first
 	}
 	resp, err := c.ep.Call(c.cfg.ManagerAddr, &wire.AllocReq{Key: r.key, Length: uint64(r.length)})
 	if err != nil {
-		return false
+		return
 	}
 	ar, ok := resp.(*wire.AllocResp)
-	if !ok || ar.Status != wire.StatusOK {
-		return false
-	}
-	if !c.noteIncarnation(ar.Incarnation) {
-		return false // dead-incarnation answer; retry next pass
+	if !ok || ar.Status != wire.StatusOK || !c.noteIncarnation(ar.Incarnation) {
+		return // refused, or a dead incarnation's answer; retry next pass
 	}
 	if !c.repopulate(r, ar.Region) {
 		// The push failed (the new host may itself have died); undo the
 		// allocation so a later checkAlloc cannot resurrect a region
 		// holding garbage.
 		c.freeKey(r.key)
-		return false
+		return
 	}
-	return c.commitReopen(fd, r.key, ar.Region)
+	if c.install(fd, r.key, ar.Region) {
+		c.reopens.Add(1)
+		c.logf("dodo: re-opened fd %d -> %s region %d after drop", fd, ar.Region.HostAddr, ar.Region.RegionID)
+	}
 }
 
-// commitReopen installs the freshly allocated region on fd after a
-// successful repopulation. If the descriptor was Mclosed while the push
-// ran, the re-created mapping may have no owner left: Mclose's own
-// FreeReq frees it when it lands after our AllocReq, but when that free
-// is lost (manager unreachable from Mclose) the allocation would sit on
-// the manager until the client dies. Releasing it here whenever no
-// alias remains makes the invariant local: every path out of a re-open
-// either installs the region on a live descriptor or frees it.
-func (c *Client) commitReopen(fd int, key wire.RegionKey, reg wire.Region) bool {
+// install puts reg on fd after a push carried the backing bytes to it,
+// and reports whether it did; it is the one place a push turns a
+// descriptor valid. A descriptor revived meanwhile by another path
+// (alias recovery, a concurrent CheckAlloc) keeps what that path
+// installed. If the descriptor was Mclosed while the push ran, the
+// mapping may have no owner left: Mclose's own FreeReq frees it when it
+// lands after the push's AllocReq, but when that free is lost (manager
+// unreachable from Mclose) the allocation would sit on the manager
+// until the client dies. Releasing it here whenever no alias remains
+// makes the invariant local: every path out of a push either installs
+// the region on a live descriptor or frees it.
+func (c *Client) install(fd int, key wire.RegionKey, reg wire.Region) bool {
 	c.mu.Lock()
 	live, present := c.regions[fd]
 	if !present {
-		// Closed mid-recovery. With other aliases of the key still
-		// open, the mapping is owned and their last Mclose frees it;
-		// with none, nobody will, so release it now.
+		// With other aliases of the key still open, the mapping is
+		// owned and their last Mclose frees it; with none, nobody will.
 		orphaned := c.aliases[key] == 0
 		c.mu.Unlock()
 		if orphaned {
 			c.freeKey(key)
 		}
-		return true
+		return false
 	}
-	if live.valid {
-		// Revived by another path (alias recovery); the manager answered
-		// our AllocReq with the existing mapping, which that path owns.
-		c.mu.Unlock()
-		return true
+	installed := !live.valid
+	if installed {
+		live.remote = reg
+		live.valid = true
+		// The push carried the backing bytes end-to-end, so any
+		// disk-only writes made while invalid are now remote too.
+		live.diskDirty = false
 	}
-	live.remote = reg
-	live.valid = true
-	live.diskDirty = false // the push carried the backing bytes
-	c.reopens.Add(1)
 	c.mu.Unlock()
-	c.logf("dodo: re-opened fd %d -> %s region %d after drop", fd, reg.HostAddr, reg.RegionID)
-	return true
+	return installed
 }
 
 // freeKey best-effort releases a region allocation the recovery pass

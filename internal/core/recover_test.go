@@ -420,7 +420,7 @@ func TestHandoffAdoptionBlockedByDiskOnlyWrites(t *testing.T) {
 // re-created manager mapping can end up owned by nobody — Mclose's own
 // FreeReq covers the common orders, but when that free is lost the
 // allocation used to sit on the manager until the client died.
-// commitReopen must release the mapping itself when it finds the
+// install must release the mapping itself when it finds the
 // descriptor gone and no aliases remaining, and must NOT release it
 // while other aliases of the key are still open.
 func TestCommitReopenFreesOrphanedAllocation(t *testing.T) {
@@ -473,18 +473,18 @@ func TestCommitReopenFreesOrphanedAllocation(t *testing.T) {
 	mu.Lock()
 	liveKey = true
 	mu.Unlock()
-	if !cli.commitReopen(fd, key, reg) {
-		t.Fatal("commitReopen on a closed descriptor = false, want true")
+	if cli.install(fd, key, reg) {
+		t.Fatal("install on a closed descriptor = true, want false")
 	}
 	mu.Lock()
 	leaked, got := liveKey, frees
 	mu.Unlock()
 	if leaked {
-		t.Fatalf("manager still maps the key after commitReopen on a closed descriptor (frees=%d): orphaned allocation leaked", got)
+		t.Fatalf("manager still maps the key after install on a closed descriptor (frees=%d): orphaned allocation leaked", got)
 	}
 
 	// With another alias of the key still open, the mapping is owned and
-	// the last Mclose frees it; commitReopen must leave it alone.
+	// the last Mclose frees it; install must leave it alone.
 	fd1, err := cli.Mopen(8192, back, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -500,14 +500,14 @@ func TestCommitReopenFreesOrphanedAllocation(t *testing.T) {
 	liveKey = true
 	preFrees := frees
 	mu.Unlock()
-	if !cli.commitReopen(fd1, key, reg) {
-		t.Fatal("commitReopen with a surviving alias = false, want true")
+	if cli.install(fd1, key, reg) {
+		t.Fatal("install on a closed alias = true, want false")
 	}
 	mu.Lock()
 	still, post := liveKey, frees
 	mu.Unlock()
 	if !still || post != preFrees {
-		t.Fatalf("commitReopen freed a mapping other aliases still own (liveKey=%v frees %d->%d)", still, preFrees, post)
+		t.Fatalf("install freed a mapping other aliases still own (liveKey=%v frees %d->%d)", still, preFrees, post)
 	}
 	if err := cli.Mclose(fd2); err != nil {
 		t.Fatal(err)

@@ -27,19 +27,6 @@ func AfterFunc(c Clock, d time.Duration, fn func()) StopTimer {
 	return wallTimer{time.AfterFunc(d, fn)}
 }
 
-// NewTimer returns a channel that delivers the clock's time once, at
-// now+d, together with a stop handle. The channel has capacity 1, so
-// the firing never blocks the clock.
-func NewTimer(c Clock, d time.Duration) (<-chan time.Time, StopTimer) {
-	if vc, ok := c.(*VirtualClock); ok {
-		ch := make(chan time.Time, 1)
-		t := vc.After(d, func() { ch <- vc.Now() })
-		return ch, t
-	}
-	t := time.NewTimer(d)
-	return t.C, wallTimer{t}
-}
-
 // Tick returns a channel delivering the clock's time every interval
 // until stop closes. Unlike time.Tick nothing leaks: the wall-clock
 // goroutine exits on stop, and on a VirtualClock the chain of events

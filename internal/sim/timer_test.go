@@ -46,34 +46,6 @@ func TestAfterFuncWall(t *testing.T) {
 	}
 }
 
-func TestNewTimerVirtual(t *testing.T) {
-	vc := NewVirtualClock(time.Unix(0, 0))
-	ch, _ := NewTimer(vc, 3*time.Second)
-	vc.Advance(5 * time.Second)
-	select {
-	case at := <-ch:
-		if want := time.Unix(3, 0); !at.Equal(want) {
-			t.Fatalf("timer delivered %v, want %v", at, want)
-		}
-	default:
-		t.Fatal("virtual timer did not deliver")
-	}
-}
-
-func TestNewTimerStop(t *testing.T) {
-	vc := NewVirtualClock(time.Unix(0, 0))
-	ch, timer := NewTimer(vc, 3*time.Second)
-	if !timer.Stop() {
-		t.Fatal("Stop reported false")
-	}
-	vc.Advance(5 * time.Second)
-	select {
-	case <-ch:
-		t.Fatal("stopped timer delivered")
-	default:
-	}
-}
-
 func TestTickVirtual(t *testing.T) {
 	vc := NewVirtualClock(time.Unix(0, 0))
 	stop := make(chan struct{})

@@ -109,9 +109,11 @@ go test -race -tags lockcheck -run "$REGION_TESTS" -count=2 -timeout 300s ./inte
 # with -count=3: the imd blasts and hands off pages from pinned pool
 # bytes while writes and frees of the region wait for the pin, and a
 # hedged read's remote leg assembles into the caller's buffer until a
-# winning disk leg moves it to a private one.
+# winning disk leg moves it to a private one. The CheckAlloc tests run
+# the recovery loop's revalidate step on demand while the loop itself
+# may be pushing the same region.
 go test -race -run 'Pinned|TestHandoffPageFromPinnedBytes|TestFreshRegionReadsZeros' -count=3 ./internal/imd/
-go test -race -run 'Hedge|TestDiskWins' -count=3 ./internal/core/
+go test -race -run 'Hedge|TestDiskWins|CheckAlloc' -count=3 ./internal/core/
 
 # The deadline queues every wait of an endpoint and every hedge delay
 # sit on: firing order and time, cancel racing a fire, stale expiries,
