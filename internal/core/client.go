@@ -550,15 +550,9 @@ func (c *Client) dropHost(addr string) {
 		delete(c.hostLat, addr)
 		c.logf("dodo: dropped %d region descriptors on failed host %s", n, addr)
 	}
-	kick := n > 0 && !c.cfg.DisableRecovery
 	c.mu.Unlock()
-	if kick {
-		// Wake the recovery loop (outside the lock; the channel is
-		// buffered so a pending kick coalesces with this one).
-		select {
-		case c.recoverKick <- struct{}{}:
-		default:
-		}
+	if n > 0 {
+		c.kickRecovery()
 	}
 }
 
@@ -592,15 +586,12 @@ func (c *Client) noteIncarnation(inc uint64) bool {
 			if n > 0 {
 				c.logf("dodo: manager restarted (incarnation %d -> %d); revalidating %d regions", prev, inc, n)
 			}
-			kick = n > 0 && !c.cfg.DisableRecovery
+			kick = n > 0
 		}
 	}
 	c.mu.Unlock()
 	if kick {
-		select {
-		case c.recoverKick <- struct{}{}:
-		default:
-		}
+		c.kickRecovery()
 	}
 	return true
 }

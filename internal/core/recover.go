@@ -16,17 +16,19 @@ import (
 // outlives a crash runs disk-only forever. The recovery loop closes
 // that gap with a drop → backoff → revalidate → re-open state machine:
 //
-//	dropHost kicks the loop; after an exponential backoff (initial
-//	Config.RecoveryBackoff, doubling per failed pass, capped at the
-//	refraction period so recovery probes are never more aggressive
-//	than fresh allocations), each invalid descriptor is revalidated
-//	with checkAlloc (§4.3) in revalidate. If the manager still maps
-//	the key, the region is repopulated in place; if the mapping is
-//	gone, it is re-allocated under its original key and then
-//	repopulated. Either way the descriptor flips back to valid only
-//	after the full region contents — read from the backing file,
-//	which Mwrite's write-through contract keeps authoritative — have
-//	been pushed to the hosting imd end-to-end.
+//	dropHost kicks the loop, and so does a revalidate that drops a
+//	descriptor and cannot re-open it at once; after an exponential
+//	backoff (initial Config.RecoveryBackoff, doubling per failed
+//	pass, capped at the refraction period so recovery probes are
+//	never more aggressive than fresh allocations), each invalid
+//	descriptor is revalidated with checkAlloc (§4.3) in revalidate.
+//	If the manager still maps the key, the region is repopulated in
+//	place; if the mapping is gone, it is re-allocated under its
+//	original key and then repopulated. Either way the descriptor
+//	flips back to valid only after the full region contents — read
+//	from the backing file, which Mwrite's write-through contract
+//	keeps authoritative — have been pushed to the hosting imd
+//	end-to-end.
 //
 // CheckAlloc is the same revalidate step run on demand, so the app's
 // probe and the loop cannot disagree about what a manager answer means.
@@ -76,6 +78,19 @@ func (c *Client) recoveryLoop() {
 				break // fully recovered; sleep until the next drop
 			}
 		}
+	}
+}
+
+// kickRecovery wakes the recovery loop unless recovery is disabled. It
+// is called without c.mu; the channel is buffered, so a pending kick
+// coalesces with this one.
+func (c *Client) kickRecovery() {
+	if c.cfg.DisableRecovery {
+		return
+	}
+	select {
+	case c.recoverKick <- struct{}{}:
+	default:
 	}
 }
 
@@ -166,6 +181,7 @@ func (c *Client) revalidate(fd int) error {
 	}
 	c.mu.Lock()
 	live, present := c.regions[fd]
+	dropped := false
 	switch {
 	case !present:
 		c.mu.Unlock()
@@ -182,11 +198,18 @@ func (c *Client) revalidate(fd int) error {
 		live.valid = false
 		live.gen++
 		live.needsReval = false
+		dropped = true
 	}
 	c.mu.Unlock()
 	switch {
 	case ca.Status != wire.StatusOK:
 		c.reopenRegion(fd)
+		if dropped && !c.settled(fd) {
+			// This step dropped the descriptor, so no dropHost kicked
+			// the loop for it: without a kick it stays invalid until
+			// some other drop wakes the loop.
+			c.kickRecovery()
+		}
 	case ca.Fresh && c.adoptHandoff(fd, r.key, ca.Region):
 		// A graceful-reclaim handoff copy holding every byte this
 		// client ever had confirmed.

@@ -103,6 +103,49 @@ func TestCrashedIMDMidWorkloadFallsBack(t *testing.T) {
 	}
 }
 
+// TestCheckAllocDropKicksRecovery: a CheckAlloc that finds a valid
+// descriptor's row gone drops the descriptor itself, and no host drop
+// kicks the recovery loop for it. When the re-open it tries at once
+// fails (the only imd is draining), the loop must still be woken, so
+// the descriptor comes back once a second imd joins.
+func TestCheckAllocDropKicksRecovery(t *testing.T) {
+	s := newStack(t, 1, 1<<20)
+	back := NewMemBacking(43, 1<<20)
+	fd, err := s.cli.Mopen(4096, back, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.imds[0].Drain()
+	for deadline := time.Now().Add(3 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+		if ok, err := s.cli.CheckAlloc(fd); err == nil && !ok {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("CheckAlloc never reported the drained host's region stale")
+		}
+	}
+	if st := s.cli.Stats(); st.DropEvents != 0 || st.Reopens != 0 {
+		t.Fatalf("before a second imd: %d drop events, %d reopens; want 0 and 0", st.DropEvents, st.Reopens)
+	}
+	d := imd.New(host(t, s.seg, "imd1"), imd.Config{
+		ManagerAddr: s.seg.Addr("cmd"), PoolSize: 1 << 20, Epoch: 1,
+		StatusInterval: 100 * time.Millisecond, Endpoint: fastEp(),
+	})
+	t.Cleanup(func() { d.Close() })
+	// The loop's backoff starts at RefractionPeriod/8 and is capped at
+	// the refraction period (300 ms): a few periods are plenty.
+	deadline := time.Now().Add(3 * time.Second)
+	for time.Now().Before(deadline) && !s.cli.RegionValid(fd) {
+		time.Sleep(20 * time.Millisecond)
+	}
+	if !s.cli.RegionValid(fd) {
+		t.Fatalf("descriptor still invalid 3 s after a second imd joined; stats %+v", s.cli.Stats())
+	}
+	if st := s.cli.Stats(); st.Reopens < 1 {
+		t.Fatalf("Reopens = %d, want at least 1; stats %+v", st.Reopens, st)
+	}
+}
+
 // TestRecoveryReopensAfterCrashRestart: the background recovery loop
 // turns a crash/restart pair into a transparent re-open — the descriptor
 // becomes valid again, repopulated from the backing file, with no Mopen

@@ -158,23 +158,26 @@ type inflight struct {
 func newInflight() *inflight { return &inflight{done: make(chan struct{})} }
 
 // cregion is one entry of the local cache directory. Every field but
-// the two atomics is guarded by the Cache's mu (the struct itself
-// carries no lock): I/O phases work on ioView snapshots taken under the
-// lock, and a non-nil pend gives its owner exclusive right to *mutate*
-// the region's location state between two lock sections (see DESIGN.md
-// §11).
+// pub is guarded by the Cache's mu (the struct itself carries no lock),
+// and fd, length, backing, backOff and tags never change once the
+// region is in the fd table: I/O phases work on ioView snapshots taken
+// under the lock, and a non-nil pend gives its owner exclusive right to
+// *mutate* the region's location state between two lock sections (see
+// DESIGN.md §11).
 type cregion struct {
-	fd      int
-	length  int64
+	fd     int
+	length int64
+	// pub is what a hit copies from without the lock: local, or nil
+	// while there is none or while Cwrite is writing into it in place.
+	// Whoever writes into a slot's buffer takes it off pub before it
+	// reads the slot's pins (see hit).
+	pub     atomic.Pointer[slot]
 	backing core.Backing
 	backOff int64
 
-	local    []byte // non-nil iff cached locally
-	dirty    bool   // local copy differs from disk
-	remoteFD int    // core descriptor, -1 when no remote copy
-	// prev and next link the region into the cache's recency list
-	// (policy.go), which it is on iff local is non-nil.
-	prev, next *cregion
+	local    *slot // non-nil iff cached locally
+	dirty    bool  // local copy differs from disk
+	remoteFD int   // core descriptor, -1 when no remote copy
 	// remoteFailAt marks the remote copy suspect after an ErrNoMem
 	// failure (host crashed or reclaimed, §3.1). The descriptor is kept:
 	// the runtime's background recovery may re-open it, so the cache
@@ -195,18 +198,31 @@ type cregion struct {
 	// flight). Write-throughs wait on it so no write can interleave
 	// with a push that already passed its staleness check.
 	clonePend *inflight
-	// pins counts the local hits that took a slice of local under the
-	// lock (pinLocked) to copy from once it is down; unpins counts those
-	// whose copy is done (unpin). While they differ a hit may be reading
-	// local's buffer, so nothing writes into it: Cwrite's local path and
-	// a fill that takes the buffer as its slot wait for the two to meet
-	// (awaitUnpinnedLocked). A hit pins only while pend is nil, and a
-	// waiter holds pend first, so the pins it waits for can only drain.
-	pins   int64
-	unpins atomic.Int64
-	// draining is set by the one goroutine waiting for this region's
-	// pins to drain (it holds pend); an unpin that sees it wakes it.
+	// prev and next link the region into the cache's recency list
+	// (policy.go), which it is on iff local is non-nil. They come last,
+	// at least a cache line from fd, length and pub, which hits read
+	// while the lock's holder relinks.
+	prev, next *cregion
+	// tags are what the touch log stores for r (touchTag), each
+	// pointing back at r; they never change once r is opened.
+	tags [2]touchTag
+}
+
+// slot is one buffer of the local cache and the count of hits copying
+// out of it. The two travel together: an evicted region's slot becomes
+// the slot of the region filled in its place (fillRegion).
+type slot struct {
+	buf []byte
+	// pins counts the hits that may be reading buf (pin, unpin). A
+	// writer into buf waits for it to reach zero (awaitUnpinnedLocked)
+	// after taking the slot off its region's pub, so the pins it waits
+	// for can only drain: a hit that pins later fails its check of pub
+	// and unpins without reading.
+	pins atomic.Int64
+	// draining is set by the one goroutine waiting for pins to reach
+	// zero; the unpin that brings them there wakes it.
 	draining atomic.Bool
+	_        [24]byte // to 64 bytes: one slot per cache line
 }
 
 func (r *cregion) state() State {
@@ -301,22 +317,41 @@ type Stats struct {
 // I/O ever runs while mu is held: operations decide and reserve under
 // the lock, mark the regions they are transitioning with in-flight
 // markers, perform the I/O on ioView snapshots, and re-lock to install
-// the results (DESIGN.md §11). Nor does a local hit's copy: the hit
-// pins the region under the lock and copies its bytes with the lock
-// released, and whatever writes into a region's buffer waits for its
-// pins to drain first. Lock juggling is always local to one function:
-// helpers called with the lock held (the *Locked family) never release
-// it for good — awaitUnpinnedLocked drops it only inside its Wait — and
-// helpers that acquire it are never called with it held.
+// the results (DESIGN.md §11). A local hit takes no lock at all: it
+// finds the region in the fd table, pins its published slot, copies,
+// and logs the touch for the lock to apply (hit). Lock juggling is
+// always local to one function: helpers called with the lock held (the
+// *Locked family) never release it for good — awaitUnpinnedLocked drops
+// it only inside its Wait — and helpers that acquire it are never
+// called with it held.
 type Cache struct {
 	// dodo:unguarded — immutable after construction
 	cfg Config
 	// dodo:unguarded — immutable after construction
 	dodo Dodo
 
+	// What a hit reads and writes comes first, apart from the fields
+	// mu guards: the touch log pads itself onto lines of its own.
+	//
+	// table maps a descriptor to its open region (lookup). Hits read it
+	// with atomic loads; mu's holders replace it when it grows.
+	// dodo:atomic
+	table atomic.Pointer[fdTable]
+	// touching is policies[policy].touch, for hits to read without mu.
+	// dodo:atomic
+	touching atomic.Bool
+	// touches is the log of hits the recency list has yet to see
+	// (policy.go), and the count of local hits.
+	// dodo:unguarded — lock-free: its fields are atomics
+	touches touchLog
+
 	mu locks.Mutex
+	// freeFDs are the descriptors Copen hands out next, one per table
+	// index whose region was closed; fresh is the next index never used.
 	// dodo:guardedby mu
-	regions map[int]*cregion
+	freeFDs []int
+	// dodo:guardedby mu
+	fresh int
 	// policy is the replacement policy: cfg.Policy until SetPolicy.
 	// dodo:guardedby mu
 	policy Policy
@@ -325,8 +360,6 @@ type Cache struct {
 	front *cregion
 	// dodo:guardedby mu
 	back *cregion
-	// dodo:guardedby mu
-	nextFD int
 	// used counts local-cache bytes, including bytes pre-charged for
 	// fills still in flight.
 	// dodo:guardedby mu
@@ -361,8 +394,8 @@ type Cache struct {
 	// quiesce signals prefetchPend transitions; it shares mu.
 	// dodo:unguarded — sync.Cond is internally synchronized over mu
 	quiesce *sync.Cond
-	// unpinned is broadcast by an unpin that finds a region draining;
-	// it shares mu.
+	// unpinned is broadcast by an unpin that finds a slot draining; it
+	// shares mu.
 	// dodo:unguarded — sync.Cond is internally synchronized over mu
 	unpinned *sync.Cond
 	// prefetchQ feeds the worker pool one access's prefetch window at a
@@ -383,13 +416,14 @@ func NewCache(dodo Dodo, cfg Config) *Cache {
 	c := &Cache{
 		cfg:        cfg.withDefaults(),
 		dodo:       dodo,
-		regions:    make(map[int]*cregion),
 		policy:     cfg.Policy,
 		byLocation: make(map[prefKey]int),
 		fills:      make(map[prefKey]*inflight),
 		streams:    make(map[uint64]int64),
 	}
 	c.mu.SetRank(locks.RankRegionCache)
+	c.table.Store(&fdTable{regions: make([]atomic.Pointer[cregion], 64)})
+	c.touching.Store(policies[c.policy].touch)
 	c.quiesce = sync.NewCond(&c.mu)
 	c.unpinned = sync.NewCond(&c.mu)
 	if c.cfg.PrefetchWorkers > 0 {
@@ -407,7 +441,69 @@ func NewCache(dodo Dodo, cfg Config) *Cache {
 func (c *Cache) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.stats
+	s := c.stats
+	s.LocalHits = int64(c.touches.tail.Load()) + c.touches.unlogged.Load()
+	return s
+}
+
+// fdTable is the descriptor table: a region's index in it is the low
+// fdIndexBits of its descriptor, and the bits above count the index's
+// reuses, so a closed descriptor never names a later region.
+type fdTable struct {
+	regions []atomic.Pointer[cregion]
+}
+
+// fdIndexBits is the width of a descriptor's table index. The first
+// region at each index gets the index itself as its descriptor.
+const fdIndexBits = 32
+
+// lookup returns the open region fd names, or nil. It takes no lock:
+// under mu it reads the current table; without it, a table that may
+// have grown since, or a region closed since, which a hit finds out
+// through pub.
+func (c *Cache) lookup(fd int) *cregion {
+	t := c.table.Load()
+	i := fd & (1<<fdIndexBits - 1)
+	if i >= len(t.regions) {
+		return nil
+	}
+	if r := t.regions[i].Load(); r != nil && r.fd == fd {
+		return r
+	}
+	return nil
+}
+
+// openLocked gives r a descriptor and enters it in the table: a closed
+// region's index when there is one, so the table stays as large as the
+// most regions ever open at once, times two. Caller holds c.mu.
+func (c *Cache) openLocked(r *cregion) {
+	if n := len(c.freeFDs); n > 0 {
+		r.fd = c.freeFDs[n-1]
+		c.freeFDs = c.freeFDs[:n-1]
+	} else {
+		r.fd = c.fresh
+		c.fresh++
+	}
+	t := c.table.Load()
+	i := r.fd & (1<<fdIndexBits - 1)
+	if i >= len(t.regions) {
+		grown := &fdTable{regions: make([]atomic.Pointer[cregion], 2*len(t.regions))}
+		for j := range t.regions {
+			grown.regions[j].Store(t.regions[j].Load())
+		}
+		c.table.Store(grown)
+		t = grown
+	}
+	t.regions[i].Store(r)
+}
+
+// closeLocked takes r out of the table and frees its index for the
+// next Copen, under a descriptor one reuse later. Caller holds c.mu.
+func (c *Cache) closeLocked(r *cregion) {
+	i := r.fd & (1<<fdIndexBits - 1)
+	c.table.Load().regions[i].Store(nil)
+	reuse := (r.fd>>fdIndexBits + 1) & (1<<31 - 1)
+	c.freeFDs = append(c.freeFDs, reuse<<fdIndexBits|i)
 }
 
 // Used returns the bytes of local cache in use (fills in flight count
@@ -422,20 +518,23 @@ func (c *Cache) Used() int64 {
 func (c *Cache) State(fd int) (State, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	r, ok := c.regions[fd]
-	if !ok {
+	r := c.lookup(fd)
+	if r == nil {
 		return 0, fmt.Errorf("%w: %d", ErrBadFD, fd)
 	}
 	return r.state(), nil
 }
 
 // SetPolicy switches the replacement policy (csetPolicy, §3.3). The
-// recency list carries over as the old policy left it, so the new one's
-// first victim is an end of that order.
+// recency list carries over as the old policy left it, hits logged
+// under it included, so the new one's first victim is an end of that
+// order.
 func (c *Cache) SetPolicy(p Policy) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.drainLocked()
 	c.policy = p
+	c.touching.Store(policies[p].touch)
 }
 
 // Copen creates a region of length bytes backed by [offset,
@@ -450,10 +549,10 @@ func (c *Cache) Copen(length int64, backing core.Backing, offset int64) (int, er
 		return -1, fmt.Errorf("%w: length %d offset %d", core.ErrInval, length, offset)
 	}
 	c.mu.Lock()
-	fd := c.nextFD
-	c.nextFD++
-	r := &cregion{fd: fd, length: length, backing: backing, backOff: offset, remoteFD: -1}
-	c.regions[fd] = r
+	r := &cregion{length: length, backing: backing, backOff: offset, remoteFD: -1}
+	r.tags = [2]touchTag{{r}, {r}}
+	c.openLocked(r)
+	fd := r.fd
 	c.registerLocationLocked(r)
 	// With local room the region is faulted in from disk immediately;
 	// otherwise it stays disk-only for now, and the first full read or
@@ -482,12 +581,12 @@ func (c *Cache) Copen(length int64, backing core.Backing, offset int64) (int, er
 	for i := range victims {
 		c.evictIO(&victims[i])
 	}
-	var data []byte
+	var s *slot
 	if fit {
 		// A fresh region cannot have a remote copy yet: disk is the
 		// only source.
-		data = make([]byte, length)
-		if _, err := v.backing.ReadAt(data, v.backOff); err == nil {
+		s = &slot{buf: make([]byte, length)}
+		if _, err := v.backing.ReadAt(s.buf, v.backOff); err == nil {
 			c.mu.Lock()
 			c.stats.DiskReads += length
 			c.mu.Unlock()
@@ -499,24 +598,31 @@ func (c *Cache) Copen(length int64, backing core.Backing, offset int64) (int, er
 		c.settleEvictionLocked(&victims[i])
 	}
 	if fit {
-		r.local = data
-		c.linkLocked(r)
+		c.installLocked(r, s)
 		c.clearFillLocked(r, marker, key)
 	}
 	c.mu.Unlock()
 	return fd, nil
 }
 
-// Cread reads len(buf) bytes at offset within the region (§3.3). The
-// loop restarts whenever the region turns out to be mid-transition: it
-// waits out the in-flight marker with the lock released and re-looks
-// the region up from scratch.
+// Cread reads len(buf) bytes at offset within the region (§3.3). Each
+// pass of the loop first tries a hit, which takes no lock; failing
+// that, it looks the region up under the lock. The loop restarts
+// whenever the region turns out to be mid-transition: it waits out the
+// in-flight marker with the lock released and starts again from the
+// hit.
 func (c *Cache) Cread(fd int, offset int64, buf []byte) (int, error) {
 	filled := false
 	for {
+		if r := c.lookup(fd); r != nil && offset >= 0 && offset <= r.length {
+			if n, ok := c.hit(r, offset, buf); ok {
+				c.notePrefetch(r)
+				return n, nil
+			}
+		}
 		c.mu.Lock()
-		r, ok := c.regions[fd]
-		if !ok {
+		r := c.lookup(fd)
+		if r == nil {
 			c.mu.Unlock()
 			return -1, fmt.Errorf("%w: %d", ErrBadFD, fd)
 		}
@@ -541,15 +647,10 @@ func (c *Cache) Cread(fd int, offset int64, buf []byte) (int, error) {
 			continue
 		}
 		if r.local != nil {
-			pin := c.pinLocked(r, r.local[offset:offset+want])
-			c.stats.LocalHits++
-			c.touchLocked(r)
-			jobs := c.maybePrefetchLocked(r)
+			// Resident and settled, so its slot is published: the hit
+			// at the top of the loop serves it.
 			c.mu.Unlock()
-			copy(buf, pin.src)
-			c.unpin(pin)
-			c.dispatchPrefetch(jobs)
-			return int(want), nil
+			continue
 		}
 		// Read-through without caching.
 		v := c.viewLocked(r)
@@ -560,15 +661,62 @@ func (c *Cache) Cread(fd int, offset int64, buf []byte) (int, error) {
 			// prefetch off a broken stream.
 			return -1, err
 		}
-		c.mu.Lock()
-		var jobs []int
-		if r2, ok := c.regions[fd]; ok && r2 == r {
-			jobs = c.maybePrefetchLocked(r2)
-		}
-		c.mu.Unlock()
-		c.dispatchPrefetch(jobs)
+		c.notePrefetch(r)
 		return n, nil
 	}
+}
+
+// hit serves a read of [offset, offset+len(buf)) of r, clipped to the
+// region, from r's local copy without taking c.mu, and reports false
+// when r has no published slot to serve it from. The caller has checked
+// offset against r.length.
+//
+// The hit pins the slot, then checks that it is still r's published
+// one; whatever writes into a slot's buffer takes it off pub, then
+// reads its pins. Go's atomics are sequentially consistent, so of a hit
+// and a writer racing for one slot, at least one sees the other's
+// write: the writer sees the pin and waits for it (awaitUnpinnedLocked),
+// or the hit sees pub changed and unpins without reading. A hit that
+// passes its check may copy until it unpins.
+func (c *Cache) hit(r *cregion, offset int64, buf []byte) (int, bool) {
+	s := r.pub.Load()
+	if s == nil {
+		return 0, false
+	}
+	n, ok := c.copyFrom(r, s, offset, buf)
+	if ok && !c.logTouch(r) {
+		c.touches.unlogged.Add(1)
+	}
+	return n, ok
+}
+
+// copyFrom is hit's copy out of s, a slot it loaded from r.pub: it pins
+// s, and copies only if s is still r's published slot.
+func (c *Cache) copyFrom(r *cregion, s *slot, offset int64, buf []byte) (int, bool) {
+	p := c.pin(s)
+	if r.pub.Load() != s {
+		c.unpin(p)
+		return 0, false
+	}
+	n := copy(buf, p.buf[offset:])
+	c.unpin(p)
+	return n, true
+}
+
+// notePrefetch records an access to r, still open, for sequential
+// detection and dispatches the prefetches it arms. It takes c.mu only
+// when sequential prefetch is on. Called without c.mu.
+func (c *Cache) notePrefetch(r *cregion) {
+	if !c.cfg.SequentialPrefetch {
+		return
+	}
+	c.mu.Lock()
+	var jobs []int
+	if c.lookup(r.fd) == r {
+		jobs = c.maybePrefetchLocked(r)
+	}
+	c.mu.Unlock()
+	c.dispatchPrefetch(jobs)
 }
 
 // Cwrite writes buf at offset within the region (§3.3). Locally cached
@@ -585,8 +733,8 @@ func (c *Cache) Cwrite(fd int, offset int64, buf []byte) (int, error) {
 	filled := false
 	for {
 		c.mu.Lock()
-		r, ok := c.regions[fd]
-		if !ok {
+		r := c.lookup(fd)
+		if r == nil {
 			c.mu.Unlock()
 			return -1, fmt.Errorf("%w: %d", ErrBadFD, fd)
 		}
@@ -620,18 +768,23 @@ func (c *Cache) Cwrite(fd int, offset int64, buf []byte) (int, error) {
 			continue
 		}
 		if r.local != nil {
-			if r.pins != r.unpins.Load() {
-				// A hit is still copying out of r.local. The marker keeps
-				// new hits and evictions off the region while the wait has
-				// the lock down; it comes off before the copy, which runs
-				// in the same lock hold as the wake-up.
+			// Off pub first, so no hit that pins the slot from here on
+			// reads it (hit); then wait for those that already may.
+			s := r.local
+			r.pub.Store(nil)
+			if s.pins.Load() != 0 {
+				// The marker keeps the locked paths and evictions off the
+				// region while the wait has the lock down; it comes off
+				// before the copy, which runs in the same lock hold as
+				// the wake-up.
 				marker := newInflight()
 				r.pend = marker
-				c.awaitUnpinnedLocked(r, r.pins)
+				c.awaitUnpinnedLocked(s)
 				r.pend = nil
 				close(marker.done)
 			}
-			copy(r.local[offset:offset+want], buf[:want])
+			copy(s.buf[offset:offset+want], buf[:want])
+			r.pub.Store(s)
 			r.dirty = true
 			c.touchLocked(r)
 			c.mu.Unlock()
@@ -669,8 +822,8 @@ func (c *Cache) Cwrite(fd int, offset int64, buf []byte) (int, error) {
 func (c *Cache) Csync(fd int) error {
 	for {
 		c.mu.Lock()
-		r, ok := c.regions[fd]
-		if !ok {
+		r := c.lookup(fd)
+		if r == nil {
 			c.mu.Unlock()
 			return fmt.Errorf("%w: %d", ErrBadFD, fd)
 		}
@@ -683,7 +836,7 @@ func (c *Cache) Csync(fd int) error {
 		if r.local != nil && r.dirty {
 			marker := newInflight()
 			r.pend = marker
-			data := r.local // the marker excludes concurrent mutation
+			data := r.local.buf // the marker excludes concurrent mutation
 			wantClone := r.remoteFD < 0
 			v := c.viewLocked(r)
 			c.mu.Unlock()
@@ -728,8 +881,8 @@ func (c *Cache) Csync(fd int) error {
 func (c *Cache) Cclose(fd int) error {
 	for {
 		c.mu.Lock()
-		r, ok := c.regions[fd]
-		if !ok {
+		r := c.lookup(fd)
+		if r == nil {
 			c.mu.Unlock()
 			return fmt.Errorf("%w: %d", ErrBadFD, fd)
 		}
@@ -742,7 +895,7 @@ func (c *Cache) Cclose(fd int) error {
 		if r.local != nil && r.dirty {
 			marker := newInflight()
 			r.pend = marker
-			data := r.local // the marker excludes concurrent mutation
+			data := r.local.buf // the marker excludes concurrent mutation
 			v := c.viewLocked(r)
 			c.mu.Unlock()
 			ferr := c.flushIO(v, data)
@@ -759,12 +912,13 @@ func (c *Cache) Cclose(fd int) error {
 		}
 		if r.local != nil {
 			c.used -= r.length
+			r.pub.Store(nil)
 			r.local = nil
 			c.unlinkLocked(r)
 		}
 		remoteFD := r.remoteFD
 		c.unregisterLocationLocked(r)
-		delete(c.regions, fd)
+		c.closeLocked(r)
 		c.mu.Unlock()
 		if remoteFD >= 0 {
 			_ = c.dodo.Mclose(remoteFD) // region may already be reclaimed
@@ -780,14 +934,11 @@ func (c *Cache) Cclose(fd int) error {
 type evictJob struct {
 	r    *cregion
 	view ioView
-	// data is the victim's detached buffer. Once evictIO is back without
+	// slot is the victim's detached slot. Once evictIO is back without
 	// reinstall it is nobody's, and fillRegion may take it (leaving nil)
-	// as the buffer of the region it fills.
-	data []byte
-	// pins is the victim's pin count when data was detached: hits up to
-	// it may still be copying out of data, and a fill that takes data
-	// waits until the victim's unpins reach it.
-	pins   int64
+	// as the slot of the region it fills, after the hits that pinned it
+	// before the detach have unpinned.
+	slot   *slot
 	dirty  bool
 	marker *inflight
 	// reinstall is set by evictIO when the flush failed: the bytes
@@ -820,12 +971,12 @@ func (c *Cache) reserveLocked(need int64) (victims []evictJob, fit bool) {
 		}
 		job := evictJob{
 			r:      victim,
-			data:   victim.local,
-			pins:   victim.pins,
+			slot:   victim.local,
 			dirty:  victim.dirty,
 			marker: newInflight(),
 		}
 		victim.pend = job.marker
+		victim.pub.Store(nil)
 		victim.local = nil
 		victim.dirty = false
 		c.used -= victim.length
@@ -842,12 +993,12 @@ func (c *Cache) reserveLocked(need int64) (victims []evictJob, fit bool) {
 // (cloneRemoteRegion of Figure 5) so its next access skips the disk.
 // Runs without c.mu.
 func (c *Cache) evictIO(job *evictJob) {
-	if job.dirty && c.flushIO(job.view, job.data) != nil {
+	if job.dirty && c.flushIO(job.view, job.slot.buf) != nil {
 		job.reinstall = true
 		return
 	}
 	if job.view.remoteFD < 0 {
-		c.cloneRemote(job.view.fd, job.data, job.view.writeGen, job.dirty)
+		c.cloneRemote(job.view.fd, job.slot.buf, job.view.writeGen, job.dirty)
 	}
 }
 
@@ -862,10 +1013,9 @@ func (c *Cache) settleEvictionLocked(job *evictJob) {
 		// the region re-enters the cache, transiently overshooting the
 		// budget rather than losing data. The next reservation evicts
 		// harder.
-		r.local = job.data
 		r.dirty = true
 		c.used += r.length
-		c.linkLocked(r)
+		c.installLocked(r, job.slot)
 	} else {
 		c.stats.Evictions++
 	}
@@ -890,8 +1040,8 @@ func (c *Cache) settleEvictionLocked(job *evictJob) {
 // dodo:transfers(marker)
 func (c *Cache) fillRegion(fd int, prefetched bool, overwrite []byte) bool {
 	c.mu.Lock()
-	r, ok := c.regions[fd]
-	if !ok || r.local != nil || r.pend != nil || r.length > c.cfg.Capacity {
+	r := c.lookup(fd)
+	if r == nil || r.local != nil || r.pend != nil || r.length > c.cfg.Capacity {
 		// Gone, already local, or mid-transition (someone else's fill
 		// or flush owns it — the caller's retry loop waits that out).
 		c.mu.Unlock()
@@ -924,22 +1074,22 @@ func (c *Cache) fillRegion(fd int, prefetched bool, overwrite []byte) bool {
 	for i := range victims {
 		c.evictIO(&victims[i])
 	}
-	var data []byte
+	var s *slot
 	if fit {
-		// The evicted slot is the fill's buffer: a victim of this
+		// The evicted slot is the fill's slot: a victim of this
 		// region's length whose bytes evictIO has put somewhere durable
 		// has no further use for them, and nothing refers to its buffer
 		// any more (Mwrite and WriteAt keep none). The hand-off lives
 		// and dies inside this call; there is no free list behind it.
-		// But a hit that pinned the victim before it was detached may
-		// still be copying out of it: nothing is written into the slot
+		// But a hit that pinned the slot before the victim was detached
+		// may still be copying out of it: nothing is written into it
 		// until those pins have drained.
 		for i := range victims {
-			if job := &victims[i]; !job.reinstall && int64(len(job.data)) == v.length {
-				data, job.data = job.data, nil
-				if job.r.unpins.Load() != job.pins {
+			if job := &victims[i]; !job.reinstall && int64(len(job.slot.buf)) == v.length {
+				s, job.slot = job.slot, nil
+				if s.pins.Load() != 0 {
 					c.mu.Lock()
-					c.awaitUnpinnedLocked(job.r, job.pins)
+					c.awaitUnpinnedLocked(s)
 					c.mu.Unlock()
 				}
 				break
@@ -947,11 +1097,11 @@ func (c *Cache) fillRegion(fd int, prefetched bool, overwrite []byte) bool {
 		}
 		switch {
 		case overwrite == nil:
-			data = c.fetchContents(v, prefetched, data)
-		case data == nil:
-			data = append([]byte(nil), overwrite...)
+			s = c.fetchContents(v, prefetched, s)
+		case s == nil:
+			s = &slot{buf: append([]byte(nil), overwrite...)}
 		default:
-			copy(data, overwrite)
+			copy(s.buf, overwrite)
 		}
 	}
 
@@ -963,9 +1113,8 @@ func (c *Cache) fillRegion(fd int, prefetched bool, overwrite []byte) bool {
 	if !fit {
 		return false
 	}
-	r.local = data
 	c.stats.Promotions++
-	c.linkLocked(r)
+	c.installLocked(r, s)
 	if overwrite != nil {
 		r.dirty = true
 		c.stats.Overwrites++
@@ -974,59 +1123,61 @@ func (c *Cache) fillRegion(fd int, prefetched bool, overwrite []byte) bool {
 	return overwrite != nil
 }
 
-// slotPin is a local hit's slice of a region's buffer, lent to a copy
-// that runs after c.mu is released; unpin returns it.
-type slotPin struct {
-	r   *cregion
-	src []byte
+// installLocked gives r, now holding the region's bytes in s, its
+// local copy: on the recency list, then published for hits. The link
+// applies the touch log while r has no local copy yet, so an entry left
+// from r's last stay in the cache is skipped. Caller holds c.mu.
+func (c *Cache) installLocked(r *cregion, s *slot) {
+	c.linkLocked(r)
+	r.local = s
+	r.pub.Store(s)
 }
 
-// pinLocked lends src, a slice of r.local, to a copy the caller runs
-// after dropping c.mu. Until unpin returns the pin, nothing writes into
-// r.local's buffer: not Cwrite, and not a fill that takes it as its
-// slot once r is evicted. Caller holds c.mu and has seen r.pend nil.
+// pin registers a hit that may read s's buffer until unpin: nothing
+// writes into it meanwhile, once the hit has seen s still published
+// (hit). Called without c.mu.
 //
 // dodo:acquires(slotpin)
-func (c *Cache) pinLocked(r *cregion, src []byte) slotPin {
-	r.pins++
-	return slotPin{r: r, src: src}
+func (c *Cache) pin(s *slot) *slot {
+	s.pins.Add(1)
+	return s
 }
 
-// unpin returns a pin taken by pinLocked once its copy is done: one
-// atomic add, and c.mu only when a writer is waiting for the region's
-// pins to drain. Called without c.mu.
+// unpin returns a pin once its copy is done: one atomic add, and c.mu
+// only when it is the last pin and a writer is waiting for it. Called
+// without c.mu.
 //
 // dodo:releases(slotpin)
-func (c *Cache) unpin(p slotPin) {
-	p.r.unpins.Add(1)
-	if p.r.draining.Load() {
+func (c *Cache) unpin(s *slot) {
+	if s.pins.Add(-1) == 0 && s.draining.Load() {
 		c.mu.Lock()
 		c.unpinned.Broadcast()
 		c.mu.Unlock()
 	}
 }
 
-// awaitUnpinnedLocked waits until r's unpins reach pins: no hit up to
-// the pins count is still reading r's buffer, or the buffer it had when
-// pins was taken. The caller holds r.pend, so no new pin is taken
-// meanwhile and it is the only waiter on r. c.mu is dropped while it
-// waits. Caller holds c.mu.
+// awaitUnpinnedLocked waits until s has no pins. The caller has taken
+// s off every region's pub and is the only writer into s, so the pins
+// it waits for can only drain: a hit that pins s later sees pub
+// changed and unpins without reading. c.mu is dropped while it waits.
+// Caller holds c.mu.
 //
-// No wake-up is lost: this side stores draining and then loads unpins,
-// unpin adds to unpins and then loads draining, and Go's atomics are
-// sequentially consistent, so one side sees the other's write. Either
-// the re-check sees the last unpin and does not sleep, or that unpin
+// No wake-up is lost: this side stores draining and then loads pins,
+// the last unpin adds to pins and then loads draining, and Go's atomics
+// are sequentially consistent, so one side sees the other's write.
+// Either the re-check sees no pin and does not sleep, or that unpin
 // sees draining and broadcasts under c.mu, which this side holds until
-// Wait has queued it.
-func (c *Cache) awaitUnpinnedLocked(r *cregion, pins int64) {
-	for r.unpins.Load() != pins {
-		r.draining.Store(true)
-		if r.unpins.Load() == pins {
+// Wait has queued it. A late pin may lift pins off zero again; its own
+// unpin is then the last one, and it sees draining.
+func (c *Cache) awaitUnpinnedLocked(s *slot) {
+	for s.pins.Load() != 0 {
+		s.draining.Store(true)
+		if s.pins.Load() == 0 {
 			break
 		}
 		c.unpinned.Wait()
 	}
-	r.draining.Store(false)
+	s.draining.Store(false)
 }
 
 // clearFillLocked releases a fill marker: waiters wake and the
@@ -1041,18 +1192,18 @@ func (c *Cache) clearFillLocked(r *cregion, marker *inflight, key prefKey) {
 }
 
 // fetchContents reads the full region behind v, remote copy first, into
-// slot, or into a fresh buffer when slot is nil. It always returns a
-// region-length buffer that is zero wherever no source supplied bytes —
-// all of it when every copy fails, matching the pre-concurrency
-// fault-in behavior. slot held another region a moment ago, so that is
-// a rule every return path keeps: a remote read counts only when it
-// delivered all v.length bytes, and readBacking clears what the disk
-// did not. Runs without c.mu.
-func (c *Cache) fetchContents(v ioView, prefetched bool, slot []byte) []byte {
-	buf := slot
-	if buf == nil {
-		buf = make([]byte, v.length)
+// s, or into a fresh slot when s is nil. It always returns a slot whose
+// region-length buffer is zero wherever no source supplied bytes — all
+// of it when every copy fails, matching the pre-concurrency fault-in
+// behavior. s held another region a moment ago, so that is a rule every
+// return path keeps: a remote read counts only when it delivered all
+// v.length bytes, and readBacking clears what the disk did not. Runs
+// without c.mu.
+func (c *Cache) fetchContents(v ioView, prefetched bool, s *slot) *slot {
+	if s == nil {
+		s = &slot{buf: make([]byte, v.length)}
 	}
+	buf := s.buf
 	switch v.mode {
 	case remoteHealthy:
 		n, err := c.mread(v.remoteFD, buf, prefetched)
@@ -1060,7 +1211,7 @@ func (c *Cache) fetchContents(v ioView, prefetched bool, slot []byte) []byte {
 			c.mu.Lock()
 			c.stats.RemoteReads += int64(n)
 			c.mu.Unlock()
-			return buf
+			return s
 		}
 		c.remoteFailed(v.fd, err)
 	case remoteRevive:
@@ -1073,11 +1224,11 @@ func (c *Cache) fetchContents(v ioView, prefetched bool, slot []byte) []byte {
 			} else {
 				c.remoteStaySuspect(v.fd)
 			}
-			return buf
+			return s
 		}
 	}
 	c.readBacking(v, buf)
-	return buf
+	return s
 }
 
 // readBacking reads the whole region behind v from its backing file
@@ -1227,7 +1378,7 @@ func (c *Cache) reviveRemote(v ioView) bool {
 // have been closed while the lock was down; a missing fd is a no-op.
 func (c *Cache) remoteFailed(fd int, err error) {
 	c.mu.Lock()
-	if r, ok := c.regions[fd]; ok {
+	if r := c.lookup(fd); r != nil {
 		if errors.Is(err, core.ErrNoMem) {
 			r.remoteFailAt = c.cfg.Clock.Now()
 		} else {
@@ -1242,7 +1393,7 @@ func (c *Cache) remoteFailed(fd int, err error) {
 // after a failed revival push.
 func (c *Cache) remoteStaySuspect(fd int) {
 	c.mu.Lock()
-	if r, ok := c.regions[fd]; ok {
+	if r := c.lookup(fd); r != nil {
 		r.remoteFailAt = c.cfg.Clock.Now()
 	}
 	c.mu.Unlock()
@@ -1252,7 +1403,7 @@ func (c *Cache) remoteStaySuspect(fd int) {
 // full-content push.
 func (c *Cache) remoteRevived(fd int) {
 	c.mu.Lock()
-	if r, ok := c.regions[fd]; ok {
+	if r := c.lookup(fd); r != nil {
 		r.remoteFailAt = time.Time{}
 		c.stats.RemoteRevives++
 	}
@@ -1281,8 +1432,8 @@ func (c *Cache) remoteRevived(fd int) {
 // dodo:transfers(marker)
 func (c *Cache) cloneRemote(fd int, data []byte, gen uint64, clearDirty bool) bool {
 	c.mu.Lock()
-	r, ok := c.regions[fd]
-	if !ok {
+	r := c.lookup(fd)
+	if r == nil {
 		c.mu.Unlock()
 		return false
 	}
@@ -1345,8 +1496,8 @@ func (c *Cache) cloneRemote(fd int, data []byte, gen uint64, clearDirty bool) bo
 	// raise the clone marker so no write-through can interleave with
 	// the push below.
 	c.mu.Lock()
-	rp, ok := c.regions[fd]
-	if !ok || rp.writeGen != gen {
+	rp := c.lookup(fd)
+	if rp == nil || rp.writeGen != gen {
 		// Closed, or an acknowledged write landed while the lock was
 		// down (e.g. during Mopen): pushing would clobber it on disk.
 		// Discard the fresh clone instead.
@@ -1376,8 +1527,8 @@ func (c *Cache) cloneRemote(fd int, data []byte, gen uint64, clearDirty bool) bo
 	c.mu.Lock()
 	c.failed = false
 	c.stats.DiskReads += diskRead
-	r2, ok := c.regions[fd]
-	if !ok {
+	r2 := c.lookup(fd)
+	if r2 == nil {
 		// Closed while the lock was down: release the fresh clone.
 		c.cloneSettleLocked(fd, marker)
 		c.mu.Unlock()
@@ -1405,7 +1556,7 @@ func (c *Cache) cloneRemote(fd int, data []byte, gen uint64, clearDirty bool) bo
 // push phase: only the duplicate-suppression flag needs clearing.
 // Caller holds c.mu.
 func (c *Cache) cloneResetLocked(fd int) {
-	if r, ok := c.regions[fd]; ok {
+	if r := c.lookup(fd); r != nil {
 		r.cloning = false
 	}
 }
@@ -1417,7 +1568,7 @@ func (c *Cache) cloneResetLocked(fd int) {
 //
 // dodo:releases(marker)
 func (c *Cache) cloneSettleLocked(fd int, m *inflight) {
-	if r, ok := c.regions[fd]; ok {
+	if r := c.lookup(fd); r != nil {
 		r.cloning = false
 		r.clonePend = nil
 	}

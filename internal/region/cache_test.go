@@ -461,14 +461,15 @@ func isLocal(t *testing.T, c *Cache, fd int) bool {
 	return st == StateLocal || st == StateLocalRemote
 }
 
-// checkRecencyList walks the cache's recency list under c.mu: every
-// linked region is open and has a local copy, no region is linked
-// twice, the back links mirror the forward ones, and every region with
-// a local copy is linked.
+// checkRecencyList applies the touch log and walks the cache's recency
+// list under c.mu: every linked region is open and has a local copy, no
+// region is linked twice, the back links mirror the forward ones, and
+// every region with a local copy is linked.
 func checkRecencyList(t *testing.T, c *Cache) {
 	t.Helper()
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.drainLocked()
 	linked := make(map[*cregion]bool)
 	var prev *cregion
 	for r := c.front; r != nil; prev, r = r, r.next {
@@ -482,16 +483,17 @@ func checkRecencyList(t *testing.T, c *Cache) {
 		if r.local == nil {
 			t.Fatalf("region %d is linked without a local copy", r.fd)
 		}
-		if c.regions[r.fd] != r {
+		if c.lookup(r.fd) != r {
 			t.Fatalf("region %d is linked but not open", r.fd)
 		}
 	}
 	if c.back != prev {
 		t.Fatal("back does not end the list")
 	}
-	for fd, r := range c.regions {
-		if r.local != nil && !linked[r] {
-			t.Fatalf("region %d has a local copy but is not linked", fd)
+	t0 := c.table.Load()
+	for i := range t0.regions {
+		if r := t0.regions[i].Load(); r != nil && r.local != nil && !linked[r] {
+			t.Fatalf("region %d has a local copy but is not linked", r.fd)
 		}
 	}
 }

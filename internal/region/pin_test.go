@@ -12,10 +12,10 @@ import (
 	"dodo/internal/locks"
 )
 
-// A local hit copies a region's bytes with c.mu released, under a pin
-// (pinLocked, unpin). These tests hold the two writers of a region's
+// A local hit copies a region's bytes without c.mu, under a pin of its
+// slot (pin, unpin). These tests hold the two writers of a slot's
 // buffer to waiting for its pins: Cwrite's local path, and a fill that
-// takes an evicted region's buffer as its slot.
+// takes an evicted region's slot.
 
 // TestHitCopyNeverSeesSlotReuse: in a cache of two slots over sixteen
 // regions, every miss evicts a region and fills into its buffer while
@@ -139,17 +139,17 @@ func firstOther(buf []byte, b byte) int {
 	return -1
 }
 
-// holdPin pins region fd's whole buffer the way a hit pins what it
-// copies, and returns the pin for the test to give back.
-func holdPin(t *testing.T, c *Cache, fd int) slotPin {
+// holdPin pins region fd's slot the way a hit that has passed its
+// check of pub pins it, and returns the pin for the test to give back.
+func holdPin(t *testing.T, c *Cache, fd int) *slot {
 	t.Helper()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	r := c.regions[fd]
-	if r == nil || r.local == nil || r.pend != nil {
+	r := c.lookup(fd)
+	if r == nil || r.local == nil || r.pend != nil || r.pub.Load() != r.local {
 		t.Fatalf("region %d is not resident and settled", fd)
 	}
-	return c.pinLocked(r, r.local)
+	return c.pin(r.local)
 }
 
 // awaitUnpinWaiter returns once some goroutine waits for a region's
@@ -210,7 +210,7 @@ func TestPinHoldsSlotWritersNotClose(t *testing.T) {
 			t.Fatal("Cwrite returned while a hit held the region's pin")
 		default:
 		}
-		if !bytes.Equal(pin.src, aa) {
+		if !bytes.Equal(pin.buf, aa) {
 			t.Fatal("the pinned bytes changed under the pin")
 		}
 		c.unpin(pin)
@@ -238,7 +238,7 @@ func TestPinHoldsSlotWritersNotClose(t *testing.T) {
 			t.Fatal("the fill returned while a hit held its slot's pin")
 		default:
 		}
-		if !bytes.Equal(pin.src, aa) {
+		if !bytes.Equal(pin.buf, aa) {
 			t.Fatal("the pinned bytes changed under the pin")
 		}
 		c.unpin(pin)
@@ -268,7 +268,7 @@ func TestPinHoldsSlotWritersNotClose(t *testing.T) {
 		case <-time.After(5 * time.Second):
 			t.Fatal("Cclose waited for a hit's pin")
 		}
-		if !bytes.Equal(pin.src, aa) {
+		if !bytes.Equal(pin.buf, aa) {
 			t.Fatal("the pinned bytes changed under the pin")
 		}
 		c.unpin(pin)

@@ -58,7 +58,7 @@ func (c *Cache) maybePrefetchLocked(r *cregion) []int {
 		if !ok {
 			break // hole in the file coverage ends the window
 		}
-		nr := c.regions[nfd]
+		nr := c.lookup(nfd)
 		if nr == nil {
 			break
 		}
@@ -194,8 +194,8 @@ func (c *Cache) Prefetch(fd int) {
 // prefetch does the pull. Runs without c.mu held.
 func (c *Cache) prefetch(fd int) {
 	c.mu.Lock()
-	r, ok := c.regions[fd]
-	if !ok || r.local != nil || r.pend != nil {
+	r := c.lookup(fd)
+	if r == nil || r.local != nil || r.pend != nil {
 		c.mu.Unlock()
 		return
 	}
@@ -207,8 +207,8 @@ func (c *Cache) prefetch(fd int) {
 	}
 	c.mu.Lock()
 	stillRemoteless := false
-	if r2, ok := c.regions[fd]; ok && r2 == r {
-		stillRemoteless = r2.local == nil && r2.pend == nil && r2.remoteFD < 0
+	if c.lookup(fd) == r {
+		stillRemoteless = r.local == nil && r.pend == nil && r.remoteFD < 0
 	}
 	c.mu.Unlock()
 	if stillRemoteless {

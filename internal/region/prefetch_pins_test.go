@@ -129,10 +129,10 @@ func runPrefetchScenario(t *testing.T, s prefetchScenario, dodo Dodo, window, wo
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, fd := range fds {
-		r := c.regions[fd]
+		r := c.lookup(fd)
 		b.WriteString(" " + stateInitial[r.state()])
 		if r.local != nil {
-			fmt.Fprintf(&b, ":%08x", wire.Checksum(r.local))
+			fmt.Fprintf(&b, ":%08x", wire.Checksum(r.local.buf))
 		}
 	}
 	return b.String()

@@ -278,11 +278,12 @@ func pinRow(name, pattern string, nth int) mutation {
 // free of the region waiting forever, and must be reported. The region
 // cache's local hit copies under a pin of its own kind (slotpin), and
 // a hit that never unpins would leave the region's next Cwrite, or the
-// fill that takes its buffer, waiting forever.
+// fill that takes its slot, waiting forever: the row deletes the
+// unpin after the hit's copy (the first is its failed check's).
 var pinMutations = []mutation{
 	pinRow("pushPage drops its unpin", "d.unpin(pin)", 1),
 	pinRow("handleRead's blast drops its unpin", "defer d.unpin(pin)", 1),
-	regionRow("Cread's hit drops its unpin", "cache.go", "c.unpin(pin)", 1),
+	regionRow("Cread's hit drops its unpin", "cache.go", "c.unpin(p)", 2),
 }
 
 func TestPinReleaseMutations(t *testing.T) {

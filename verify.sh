@@ -94,14 +94,16 @@ go test -fuzz=FuzzWireRoundTrip -fuzztime=10s -run '^$' ./internal/wire/
 # Concurrent region-cache sweep: the parallel Cread/Cwrite/Cclose/
 # Prefetch suite under both the race detector and the lockcheck
 # runtime, -count=2 so the coalescing and pipeline tests see more than
-# one schedule. It includes the hit-copy tests (a local hit copies with
-# the cache lock released under a pin, and a Cwrite or a fill into the
-# evicted slot waits for the pin) and the recency-list walk (under
-# parallel traffic and policy switches the list holds exactly the
-# regions with a local copy). Separate invocation so a
-# cache-concurrency regression is attributable here, not lost in the
-# whole-tree runs above.
-REGION_TESTS='TestConcurrent|TestInterleavedSequentialStreams|TestNoPrefetchAfterFailedRead|TestPrefetchWorkerPool|TestHitCopy|TestPinHoldsSlotWritersNotClose|TestLocalHitAllocatesNothing|TestRecencyList'
+# one schedule. It includes the hit tests (a local hit takes no lock: it
+# pins its region's published slot, checks it is still published and
+# copies; a Cwrite or a fill into the evicted slot waits for the pin; an
+# eviction, a Cwrite or a Cclose racing hits never hands one another
+# region's or half a write's bytes), the touch log's exact victims,
+# and the recency-list walk (under parallel traffic and policy switches
+# the list holds exactly the regions with a local copy). Separate
+# invocation so a cache-concurrency regression is attributable here,
+# not lost in the whole-tree runs above.
+REGION_TESTS='TestConcurrent|TestInterleavedSequentialStreams|TestNoPrefetchAfterFailedRead|TestPrefetchWorkerPool|TestHitCopy|TestPinHoldsSlotWritersNotClose|TestLocalHitAllocatesNothing|TestRecencyList|TestLocalHitTakesNoCacheLock|TestStaleSlotIsNotRead|TestEvictionRacesHit|TestCwriteRacesHit|TestCcloseRacesHit|TestTouchLogKeepsVictims'
 go test -race -run "$REGION_TESTS" -count=2 -timeout 300s ./internal/region/
 go test -race -tags lockcheck -run "$REGION_TESTS" -count=2 -timeout 300s ./internal/region/
 
@@ -111,7 +113,8 @@ go test -race -tags lockcheck -run "$REGION_TESTS" -count=2 -timeout 300s ./inte
 # hedged read's remote leg assembles into the caller's buffer until a
 # winning disk leg moves it to a private one. The CheckAlloc tests run
 # the recovery loop's revalidate step on demand while the loop itself
-# may be pushing the same region.
+# may be pushing the same region, and one of them holds a CheckAlloc
+# that drops a descriptor it cannot re-open to kicking the loop.
 go test -race -run 'Pinned|TestHandoffPageFromPinnedBytes|TestFreshRegionReadsZeros' -count=3 ./internal/imd/
 go test -race -run 'Hedge|TestDiskWins|CheckAlloc' -count=3 ./internal/core/
 
