@@ -125,8 +125,21 @@ func (c Config) windowPolicy() retry.Policy { return fixedBudget(c.WindowTimeout
 
 // Handler reacts to an incoming request and returns the response to send
 // back, or nil for no response. Handlers run on their own goroutines, so
-// they may issue nested Calls.
+// they may make nested Calls. msg is valid until the handler returns:
+// a payload it carries aliases the received frame (wire.Decode), which
+// the endpoint gives back once the response is sent, so a handler
+// copies what it keeps (TestRequestFrameOutlivesHandler). The response
+// may alias msg, and a Releaser may alias memory the handler lent it.
 type Handler func(from string, msg wire.Message) wire.Message
+
+// Releaser is a response whose encoding reads memory its handler lent
+// it: an imd's inline read is encoded straight from its pinned pool
+// bytes. The endpoint calls Release as soon as the response is
+// encoded, before it sends, so the loan lasts the encode and no longer.
+type Releaser interface {
+	wire.Message
+	Release()
+}
 
 // Endpoint wraps a Transport with request/response correlation and bulk
 // transfer state. All daemons and the client runtime communicate through
@@ -150,7 +163,7 @@ type Endpoint struct {
 	mu locks.Mutex
 	// calls holds the response channel of every call waiting, by seq.
 	// dodo:guardedby mu
-	calls map[uint32]chan wire.Message
+	calls map[uint32]chan reply
 	// dodo:guardedby mu
 	rx map[xferKey]*rxTransfer
 	// tx holds the response channel of every transfer this endpoint is
@@ -210,7 +223,7 @@ func NewEndpoint(tr transport.Transport, cfg Config, handler Handler) *Endpoint 
 		cfg:       cfg,
 		handler:   handler,
 		deadlines: sim.NewDeadlines(cfg.Clock),
-		calls:     make(map[uint32]chan wire.Message),
+		calls:     make(map[uint32]chan reply),
 		rx:        make(map[xferKey]*rxTransfer),
 		tx:        make(map[xferKey]chan wire.Message),
 		tombs:     make(map[xferKey]time.Time),
@@ -343,11 +356,21 @@ type Pending struct {
 	seq    uint32
 	frame  []byte
 	budget retry.Budget
-	// ch receives the response, or nil when an attempt's deadline has
-	// passed: at most one of each, so the receive loop never blocks on
-	// it.
-	ch chan wire.Message
+	// ch receives the response, or a zero reply when an attempt's
+	// deadline has passed: at most one of each, so the receive loop
+	// never blocks on it.
+	ch chan reply
 	dl sim.Deadline
+	// resp is the frame the response Wait returned was decoded from,
+	// until Release gives it back.
+	resp []byte
+}
+
+// reply is a response and the frame it was decoded from, which the
+// message aliases (wire.Decode) and whoever takes the reply gives back.
+type reply struct {
+	msg   wire.Message
+	frame []byte
 }
 
 // Start sends msg to to as Call does, and returns the call for Wait to
@@ -361,7 +384,7 @@ func (ep *Endpoint) Start(to string, msg wire.Message) (*Pending, error) {
 //
 // dodo:transfers(frame)
 func (ep *Endpoint) start(to string, msg wire.Message, p retry.Policy) (*Pending, error) {
-	pc := &Pending{ep: ep, to: to, msg: msg, ch: make(chan wire.Message, 2),
+	pc := &Pending{ep: ep, to: to, msg: msg, ch: make(chan reply, 2),
 		budget: retry.New(p, ep.cfg.Clock, nil)}
 	pc.dl.Init(pc.expire)
 	ep.mu.Lock()
@@ -410,7 +433,7 @@ func (pc *Pending) send() error {
 // again only once its nil has been taken, so there is never a second.
 func (pc *Pending) expire() {
 	select {
-	case pc.ch <- nil:
+	case pc.ch <- reply{}:
 	default:
 	}
 }
@@ -419,14 +442,15 @@ func (pc *Pending) expire() {
 // attempt's deadline passes until the budget is spent. If quit closes
 // first it returns ErrInterrupted and the call stays in flight: Wait
 // may then be called again, from any goroutine, to go on waiting. Any
-// other return ends the call.
+// other return ends the call. The response is valid until Release.
 func (pc *Pending) Wait(quit <-chan struct{}) (wire.Message, error) {
 	for {
 		select {
-		case resp := <-pc.ch:
-			if resp != nil {
+		case r := <-pc.ch:
+			if r.msg != nil {
 				pc.end()
-				return resp, nil
+				pc.resp = r.frame
+				return r.msg, nil
 			}
 			if err := pc.send(); err != nil {
 				pc.end()
@@ -441,7 +465,7 @@ func (pc *Pending) Wait(quit <-chan struct{}) (wire.Message, error) {
 	}
 }
 
-// end unregisters the call and gives its frame back.
+// end unregisters the call and gives its request frame back.
 func (pc *Pending) end() {
 	pc.ep.deadlines.Cancel(&pc.dl)
 	pc.ep.mu.Lock()
@@ -451,6 +475,15 @@ func (pc *Pending) end() {
 		wire.PutFrame(pc.frame)
 		pc.frame = nil
 	}
+}
+
+// Release gives back the frame the response Wait returned was decoded
+// from. The message aliases it (wire.Decode), so the caller releases
+// once done with the message and uses neither afterwards. A response
+// never released is left to the garbage collector.
+func (pc *Pending) Release() {
+	wire.PutFrame(pc.resp)
+	pc.resp = nil
 }
 
 // recvLoop is the endpoint's demultiplexer.
@@ -476,19 +509,18 @@ func (ep *Endpoint) recvLoop() {
 		// straight into the assembling transfer, skipping the allocating
 		// general decoder entirely. The payload is lent to handleData for
 		// the call and nothing else refers to the frame, so the loop is
-		// its last owner and gives it back to the senders' pool. A frame
-		// that goes on to Decode is never given back: its message aliases
-		// it for as long as a handler or a caller keeps the message.
+		// its last owner and gives it back to the pool.
 		if id, seq, payload, derr := wire.DecodeBulkData(data); derr == nil {
 			ep.handleData(from, id, seq, payload)
-			wire.PutDataFrame(data)
+			wire.PutFrame(data)
 			continue
 		}
 		h, msg, err := wire.Decode(data)
 		if err != nil {
+			wire.PutFrame(data)
 			continue
 		}
-		ep.dispatch(from, h, msg)
+		ep.dispatch(from, h, msg, data)
 	}
 }
 
@@ -497,7 +529,15 @@ func (ep *Endpoint) recvLoop() {
 // requests to the registered handler. The enumeration is deliberately
 // exhaustive (enforced by dodo-vet's wire-exhaustiveness pass): a new
 // wire type fails vet here until this switch decides what to do with it.
-func (ep *Endpoint) dispatch(from string, h wire.Header, msg wire.Message) {
+//
+// frame is what msg was decoded from, and dispatch takes it over: a
+// response's frame goes with it to its call, a request's to the
+// goroutine that serves it, and any other goes back to the pool once
+// its message is handled, so only WriteReq, DataResp and BulkData,
+// whose payloads alias the frame, hold it any longer than the switch.
+//
+// dodo:adopts(frame)
+func (ep *Endpoint) dispatch(from string, h wire.Header, msg wire.Message, frame []byte) {
 	switch m := msg.(type) {
 	case *wire.BulkOffer:
 		ep.handleOffer(from, m)
@@ -518,8 +558,10 @@ func (ep *Endpoint) dispatch(from string, h wire.Header, msg wire.Message) {
 		}
 		ep.mu.Unlock()
 		if ok {
-			ch <- msg
+			ch <- reply{msg, frame}
+			return
 		}
+		// Nobody waits for it any more: its frame goes back now.
 	case *wire.AllocReq, *wire.FreeReq, *wire.CheckAllocReq,
 		*wire.KeepAlive, *wire.HostStatus,
 		*wire.IMDAllocReq, *wire.IMDFreeReq,
@@ -527,25 +569,38 @@ func (ep *Endpoint) dispatch(from string, h wire.Header, msg wire.Message) {
 		*wire.HandoffOffer, *wire.HandoffPage, *wire.HandoffDone,
 		*wire.InventoryReport:
 		if ep.handler == nil {
-			return
+			break
 		}
 		// Handlers run on their own goroutine so they can issue
 		// nested Calls through this same endpoint.
 		ep.wg.Add(1)
 		go func() {
 			defer ep.wg.Done()
-			resp := ep.handler(from, msg)
-			if resp == nil {
-				return
-			}
-			frame, err := wire.EncodePooled(h.Seq, resp)
-			if err != nil {
-				return
-			}
-			_ = ep.tr.Send(from, frame)
-			wire.PutFrame(frame)
+			ep.serve(from, h.Seq, msg, frame)
 		}()
+		return
 	}
+	wire.PutFrame(frame)
+}
+
+// serve runs the handler on a request and sends its response. The
+// request's frame goes back once the response is sent, since the
+// response may alias the request.
+func (ep *Endpoint) serve(from string, seq uint32, msg wire.Message, frame []byte) {
+	defer wire.PutFrame(frame)
+	resp := ep.handler(from, msg)
+	if resp == nil {
+		return
+	}
+	out, err := wire.EncodePooled(seq, resp)
+	if r, ok := resp.(Releaser); ok {
+		r.Release()
+	}
+	if err != nil {
+		return
+	}
+	_ = ep.tr.Send(from, out)
+	wire.PutFrame(out)
 }
 
 func (ep *Endpoint) routeTxResponse(from string, msg wire.Message) {

@@ -8,6 +8,7 @@ import (
 
 	"dodo/internal/simnet"
 	"dodo/internal/usocket"
+	"dodo/internal/wire"
 )
 
 // pattern fills a buffer with bytes that name the transfer they belong
@@ -126,5 +127,54 @@ func TestRecycledFramesThroughLoss(t *testing.T) {
 	wg.Wait()
 	if re, _, _ := sender.Stats(); re == 0 {
 		t.Error("no retransmission: the loss this test is about did not happen")
+	}
+}
+
+// TestRequestFrameOutlivesHandler: over UDP, where a request carrying a
+// page arrives in a pooled frame, each handler's request stays intact
+// until it returns, however many frames the receive loop takes in
+// meanwhile, and a response that aliases its request carries the
+// request's bytes. The handlers hold on until every request has
+// arrived, so all their frames are live at once.
+func TestRequestFrameOutlivesHandler(t *testing.T) {
+	const calls, size = 8, 16 << 10
+	arrived := make(chan struct{}, calls)
+	proceed := make(chan struct{})
+	srv := NewEndpoint(udpHost(t), fastCfg(), func(_ string, msg wire.Message) wire.Message {
+		req := msg.(*wire.WriteReq)
+		select {
+		case arrived <- struct{}{}:
+		default: // a retransmission
+		}
+		<-proceed
+		if !bytes.Equal(req.Payload, pattern(size, uint32(req.WriteSeq))) {
+			return &wire.DataResp{Status: wire.StatusInvalid}
+		}
+		return &wire.DataResp{Status: wire.StatusOK, Flags: wire.DataFlagInline, Payload: req.Payload}
+	})
+	cli := NewEndpoint(udpHost(t), fastCfg(), nil)
+	t.Cleanup(func() { cli.Close(); srv.Close() })
+
+	pcs := make([]*Pending, calls)
+	for i := range pcs {
+		pc, err := cli.Start(srv.LocalAddr(), &wire.WriteReq{WriteSeq: uint64(i + 1), Payload: pattern(size, uint32(i+1))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pcs[i] = pc
+	}
+	for range calls {
+		<-arrived
+	}
+	close(proceed)
+	for i, pc := range pcs {
+		resp, err := pc.Wait(nil)
+		if err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
+		if dr := resp.(*wire.DataResp); dr.Status != wire.StatusOK || !bytes.Equal(dr.Payload, pattern(size, uint32(i+1))) {
+			t.Errorf("call %d: the handler saw, or answered with, bytes that are not its request's (status %v)", i, dr.Status)
+		}
+		pc.Release()
 	}
 }

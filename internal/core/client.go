@@ -830,7 +830,8 @@ func (c *Client) startRemoteRead(r regionState, offset, want int64, dst *readDst
 func (rr *remoteRead) finish(quit <-chan struct{}) remoteLeg {
 	c, host := rr.c, rr.host
 	if rr.call != nil {
-		resp, err := rr.call.Wait(quit)
+		call := rr.call
+		resp, err := call.Wait(quit)
 		if errors.Is(err, bulk.ErrInterrupted) {
 			return remoteLeg{-1, err}
 		}
@@ -838,29 +839,12 @@ func (rr *remoteRead) finish(quit <-chan struct{}) remoteLeg {
 		if err != nil {
 			return remoteLeg{-1, rr.fail(fmt.Errorf("%w: host %s unreachable: %v", ErrNoMem, host, err))}
 		}
-		dr, ok := resp.(*wire.DataResp)
-		if !ok {
-			// A misrouted or unexpected response type must degrade, not
-			// panic: dr is nil here, so it cannot be formatted.
-			return remoteLeg{-1, rr.fail(fmt.Errorf("%w: unexpected response %v", ErrNoMem, resp.Kind()))}
-		}
-		if dr.Status != wire.StatusOK {
-			return remoteLeg{-1, rr.fail(fmt.Errorf("%w: read refused (%v)", ErrNoMem, dr.Status))}
-		}
-		rr.crc = dr.Crc
-		switch {
-		case dr.Flags&wire.DataFlagInline != 0:
-			// The bytes rode the response itself; any pre-registered
-			// receive is moot.
-			rr.cancel()
-			n := rr.dst.put(dr.Payload)
-			c.inlineReads.Add(1)
-			return rr.check(n)
-		case dr.Flags&wire.DataFlagEager != 0 && rr.xfer != 0 && dr.TransferID == rr.xfer:
-		default:
-			// An OK response in neither shape, or one naming a transfer
-			// this read did not register, is a protocol violation.
-			return remoteLeg{-1, rr.fail(fmt.Errorf("%w: read response from %s carries no data", ErrNoMem, host))}
+		// An inline payload aliases the response's frame, which goes
+		// back to the pool once the payload is in dst.
+		leg, eager := rr.answered(resp)
+		call.Release()
+		if !eager {
+			return leg
 		}
 	}
 	// The bytes assemble where the receive was registered, or
@@ -875,6 +859,36 @@ func (rr *remoteRead) finish(quit <-chan struct{}) remoteLeg {
 	}
 	c.eagerReads.Add(1)
 	return rr.check(n)
+}
+
+// answered takes the imd's response to the read: the bytes themselves
+// when they rode it inline, a failure, or eager when they follow as the
+// transfer the read registered.
+func (rr *remoteRead) answered(resp wire.Message) (leg remoteLeg, eager bool) {
+	dr, ok := resp.(*wire.DataResp)
+	if !ok {
+		// A misrouted or unexpected response type must degrade, not
+		// panic: dr is nil here, so it cannot be formatted.
+		return remoteLeg{-1, rr.fail(fmt.Errorf("%w: unexpected response %v", ErrNoMem, resp.Kind()))}, false
+	}
+	if dr.Status != wire.StatusOK {
+		return remoteLeg{-1, rr.fail(fmt.Errorf("%w: read refused (%v)", ErrNoMem, dr.Status))}, false
+	}
+	rr.crc = dr.Crc
+	switch {
+	case dr.Flags&wire.DataFlagInline != 0:
+		// The bytes rode the response itself; any pre-registered
+		// receive is moot.
+		rr.cancel()
+		n := rr.dst.put(dr.Payload)
+		rr.c.inlineReads.Add(1)
+		return rr.check(n), false
+	case dr.Flags&wire.DataFlagEager != 0 && rr.xfer != 0 && dr.TransferID == rr.xfer:
+		return remoteLeg{}, true
+	}
+	// An OK response in neither shape, or one naming a transfer this
+	// read did not register, is a protocol violation.
+	return remoteLeg{-1, rr.fail(fmt.Errorf("%w: read response from %s carries no data", ErrNoMem, rr.host))}, false
 }
 
 // check verifies the n bytes that arrived against the checksum the imd

@@ -167,9 +167,10 @@ type Daemon struct {
 	eagerOrder []eagerKey
 
 	// pins counts, per region, the sends running outside mu straight
-	// from the region's pool bytes (an eager read's blast, a handoff
-	// page's push). While a region is pinned nothing changes its bytes
-	// or frees its span: land and handleFree wait on unpinned.
+	// from the region's pool bytes (an eager read's blast, an inline
+	// read's reply until it is encoded, a handoff page's push). While a
+	// region is pinned nothing changes its bytes or frees its span: land
+	// and handleFree wait on unpinned.
 	// dodo:guardedby mu
 	pins map[uint64]int
 	// unpinned is broadcast when a region's last pin goes; it shares mu.
@@ -182,6 +183,23 @@ type Daemon struct {
 type pinned struct {
 	region uint64
 	data   []byte
+}
+
+// pinnedReply is an inline read's response. Its payload is the region's
+// bytes in place in the pool, pinned until the endpoint has encoded the
+// response (bulk.Releaser): a write waits for the copy into the frame,
+// not for the send, and the bytes are copied once on their way out.
+type pinnedReply struct {
+	wire.DataResp
+	d   *Daemon
+	pin pinned
+}
+
+// Release unpins the payload once the endpoint has encoded it.
+//
+// dodo:releases(pin)
+func (r *pinnedReply) Release() {
+	r.d.unpin(r.pin)
 }
 
 // eagerKey names a requester-chosen transfer: the requester's address
@@ -907,16 +925,16 @@ func (d *Daemon) handleRead(from string, req *wire.ReadReq) wire.Message {
 	crc := d.sumLocked(req.RegionID, req.Offset, data)
 
 	// The whole read fits one frame alongside the response fields:
-	// answer with the payload, no bulk transfer. The payload outlives
-	// this handler (the endpoint encodes the response after it
-	// returns), so its snapshot is the heap's.
+	// answer with the payload, no bulk transfer. The endpoint encodes
+	// the response after this handler returns, straight from the pool
+	// bytes, which the pin holds until it has.
 	if inline {
-		snap := append([]byte(nil), data...)
+		pin := d.pinLocked(req.RegionID, data)
 		d.mu.Unlock()
-		return &wire.DataResp{
-			Status: wire.StatusOK, Count: uint64(len(snap)), Crc: crc,
-			Flags: wire.DataFlagInline, Payload: snap,
-		}
+		return &pinnedReply{DataResp: wire.DataResp{
+			Status: wire.StatusOK, Count: uint64(len(data)), Crc: crc,
+			Flags: wire.DataFlagInline, Payload: pin.data,
+		}, d: d, pin: pin}
 	}
 
 	// The requester pre-registered its buffer under XferID and told us

@@ -43,8 +43,13 @@ type fakeCMD struct {
 }
 
 func newFakeCMD(tb testing.TB, seg *usocket.Segment) *fakeCMD {
+	return newFakeCMDOver(host(tb, seg, "cmd"))
+}
+
+// newFakeCMDOver is newFakeCMD on transport tr.
+func newFakeCMDOver(tr transport.Transport) *fakeCMD {
 	c := &fakeCMD{grants: map[uint64]wire.Region{}}
-	c.ep = bulk.NewEndpoint(host(tb, seg, "cmd"), fastEp(), func(from string, msg wire.Message) wire.Message {
+	c.ep = bulk.NewEndpoint(tr, fastEp(), func(from string, msg wire.Message) wire.Message {
 		if hs, ok := msg.(*wire.HostStatus); ok {
 			c.mu.Lock()
 			c.statuses = append(c.statuses, *hs)

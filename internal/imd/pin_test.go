@@ -310,3 +310,160 @@ func TestFreshRegionReadsZeros(t *testing.T) {
 		t.Fatalf("a fresh region reads %q…, want zeros", got[:len(secret)])
 	}
 }
+
+// TestWriteWaitsForPinnedInlineReply: an inline read's reply holds the
+// region's pin until the endpoint has encoded it, so a full-region
+// write waits for the encode, and the reply carries the bytes from
+// before the write with their CRC. The test plays the endpoint's part:
+// it holds the handler's reply before encoding it.
+func TestWriteWaitsForPinnedInlineReply(t *testing.T) {
+	const size = 1 << 10
+	r := newRig(t, 1<<20)
+	allocRegion(t, r, 1, size)
+	before := bytes.Repeat([]byte{0xAA}, size)
+	writeRegion(t, r, 1, 0, before)
+
+	resp := r.d.handle(r.seg.Addr("client"), &wire.ReadReq{RegionID: 1, Epoch: 3, Length: size})
+	reply, ok := resp.(bulk.Releaser)
+	if !ok {
+		t.Fatalf("an inline read answered %T, want a bulk.Releaser holding the region's pin", resp)
+	}
+	after := bytes.Repeat([]byte{0xBB}, size)
+	wrote := make(chan wire.Message, 1)
+	go func() {
+		resp, _ := r.cli.CallT(r.d.Addr(), inlineWrite(1, 0, after, 2), 2*time.Second, 0)
+		wrote <- resp
+	}()
+	awaitPinWaiter(t)
+	if got := r.d.Stats().Writes; got != 1 {
+		t.Fatalf("Writes = %d with an inline reply pinned, want 1", got)
+	}
+
+	frame, err := wire.Encode(1, reply)
+	reply.Release()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, msg, err := wire.Decode(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dr := msg.(*wire.DataResp); dr.Flags&wire.DataFlagInline == 0 || !bytes.Equal(dr.Payload, before) ||
+		dr.Crc != wire.Checksum(before) {
+		t.Fatal("the pinned reply carried bytes written while it was pinned")
+	}
+	if dr, ok := (<-wrote).(*wire.DataResp); !ok || dr.Status != wire.StatusOK {
+		t.Fatalf("the waiting write = %+v", dr)
+	}
+	if _, got := r.read(1, 3, 0, size); !bytes.Equal(got, after) {
+		t.Fatal("the write did not land once the reply was encoded")
+	}
+}
+
+// newUDPRig is newRig over kernel UDP on loopback, the daemon, the
+// fake manager and the client each on a socket of their own.
+func newUDPRig(t *testing.T, poolSize uint64) *rig {
+	t.Helper()
+	udp := func() transport.Transport {
+		u, err := transport.ListenUDP("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return u
+	}
+	cmd := newFakeCMDOver(udp())
+	t.Cleanup(func() { cmd.ep.Close() })
+	d := New(udp(), Config{ManagerAddr: cmd.ep.LocalAddr(), PoolSize: poolSize, Epoch: 3,
+		StatusInterval: 50 * time.Millisecond, Endpoint: fastEp()})
+	t.Cleanup(func() { d.Close() })
+	cli := bulk.NewEndpoint(udp(), fastEp(), nil)
+	t.Cleanup(func() { cli.Close() })
+	return &rig{t: t, cmd: cmd, d: d, cli: cli, seq: map[uint64]uint64{}}
+}
+
+// TestPinnedInlineReadsOverUDP: over kernel UDP, where a 32 KB page
+// rides one pooled frame each way, inline reads race full-region inline
+// writes, each of a version of its own. Every read is one whole version
+// and matches its CRC: the imd encodes a reply from pinned pool bytes
+// that no write lands under, a write's request frame goes back only
+// once the write has landed, and a reply's frame only once the reader
+// has checked it. Run under -race.
+func TestPinnedInlineReadsOverUDP(t *testing.T) {
+	const size = 32 << 10
+	writes, readers := 300, 2
+	if testing.Short() {
+		writes = 60
+	}
+	// version v of the region starts with v, so a read names the
+	// version it must be whole of.
+	version := func(v byte) []byte {
+		b := make([]byte, size)
+		for i := range b {
+			b[i] = v ^ byte(i*131>>3)
+		}
+		return b
+	}
+	whole := func(b []byte) bool {
+		for i := range b {
+			if b[i] != b[0]^byte(i*131>>3) {
+				return false
+			}
+		}
+		return true
+	}
+	r := newUDPRig(t, 1<<20)
+	if size > wire.InlineDataLimit(r.cli.Transport().MTU()) {
+		t.Fatalf("a %d-byte read is not inline over UDP", size)
+	}
+	allocRegion(t, r, 1, size)
+	if dr := callWrite(t, r, inlineWrite(1, 0, version(1), 1)); dr.Status != wire.StatusOK {
+		t.Fatalf("first write = %+v", dr)
+	}
+
+	// The readers read until the last write has landed.
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for range readers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				pc, err := r.cli.Start(r.d.Addr(), &wire.ReadReq{RegionID: 1, Epoch: 3, Length: size})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				resp, err := pc.Wait(nil)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				dr := resp.(*wire.DataResp)
+				ok := dr.Status == wire.StatusOK && dr.Flags&wire.DataFlagInline != 0 && len(dr.Payload) == size &&
+					wire.Checksum(dr.Payload) == dr.Crc && whole(dr.Payload)
+				pc.Release()
+				if !ok {
+					t.Error("an inline read is not one whole version with its CRC")
+					return
+				}
+			}
+		}()
+	}
+	for seq := 2; seq <= writes; seq++ {
+		resp, err := r.cli.CallT(r.d.Addr(), inlineWrite(1, 0, version(byte(seq)), uint64(seq)), 2*time.Second, 2)
+		if dr, ok := resp.(*wire.DataResp); err != nil || !ok || dr.Status != wire.StatusOK {
+			t.Errorf("write %d = %+v, %v", seq, resp, err)
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if st := r.d.Stats(); st.Writes != int64(writes) || st.ChecksumRejects != 0 {
+		t.Errorf("Writes = %d, checksum rejects = %d; want %d, 0", st.Writes, st.ChecksumRejects, writes)
+	}
+}

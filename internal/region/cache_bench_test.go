@@ -236,41 +236,73 @@ func BenchmarkPrefetchPipeline(b *testing.B) {
 	}
 }
 
-// BenchmarkCreadLocalHitParallel: every GOMAXPROCS goroutine reads whole
-// 8 KB regions out of 64 resident ones, so every read is a local hit.
-// The hits take no lock: they share only the touch log's lines and its
-// drains.
-func BenchmarkCreadLocalHitParallel(b *testing.B) {
-	const (
-		n       = 8192
-		regions = 64
-	)
-	c := NewCache(newBenchDodo(1<<30, 0), Config{Capacity: regions * n, Policy: LRU, PromoteOnAccess: true})
-	back := core.NewMemBacking(1, regions*n)
-	fds := make([]int, regions)
+// hitSetRegions and hitSetRegion shape the working set of the hit
+// benchmarks below: 64 regions of 8 KB, all resident.
+const (
+	hitSetRegions = 64
+	hitSetRegion  = 8192
+)
+
+// openHitSet opens the hit benchmarks' working set in a cache that holds
+// all of it, so that every read of a whole region is a local hit.
+func openHitSet(b *testing.B) (*Cache, []int) {
+	c := NewCache(newBenchDodo(1<<30, 0), Config{Capacity: hitSetRegions * hitSetRegion, Policy: LRU, PromoteOnAccess: true})
+	back := core.NewMemBacking(1, hitSetRegions*hitSetRegion)
+	fds := make([]int, hitSetRegions)
 	for i := range fds {
-		fd, err := c.Copen(n, back, int64(i)*n)
+		fd, err := c.Copen(hitSetRegion, back, int64(i)*hitSetRegion)
 		if err != nil {
 			b.Fatal(err)
 		}
 		fds[i] = fd
 	}
-	var next atomic.Int64
-	b.SetBytes(n)
+	b.SetBytes(hitSetRegion)
 	b.ReportAllocs()
 	b.ResetTimer()
+	return c, fds
+}
+
+// checkAllHits fails the benchmark if a read of the working set missed.
+func checkAllHits(b *testing.B, c *Cache) {
+	if s := c.Stats(); s.Promotions != 0 || s.Evictions != 0 {
+		b.Fatalf("%d promotions, %d evictions: not every read was a hit", s.Promotions, s.Evictions)
+	}
+}
+
+// BenchmarkCreadLocalHitParallel: every GOMAXPROCS goroutine reads whole
+// 8 KB regions out of 64 resident ones, so every read is a local hit.
+// The hits take no lock: they share only the touch log's lines and its
+// drains.
+func BenchmarkCreadLocalHitParallel(b *testing.B) {
+	c, fds := openHitSet(b)
+	var next atomic.Int64
 	b.RunParallel(func(pb *testing.PB) {
-		buf := make([]byte, n)
+		buf := make([]byte, hitSetRegion)
 		for i := int(next.Add(1)) * 7; pb.Next(); i++ {
-			if _, err := c.Cread(fds[i%regions], 0, buf); err != nil {
+			if _, err := c.Cread(fds[i%hitSetRegions], 0, buf); err != nil {
 				b.Error(err)
 				return
 			}
 		}
 	})
-	if s := c.Stats(); s.Promotions != 0 || s.Evictions != 0 {
-		b.Fatalf("%d promotions, %d evictions: not every read was a hit", s.Promotions, s.Evictions)
+	checkAllHits(b, c)
+}
+
+// BenchmarkCreadLocalHitSerial is BenchmarkCreadLocalHitParallel with one
+// reader: the same 64 whole 8 KB regions, read in turn. It is the
+// single-reader figure the parallel one compares with to say whether
+// hits scale. BenchmarkCreadLocalHit is not: it slides an 8 KB window
+// over one 1 MB region in 8-byte steps, so its copies stay in the
+// core's cache while these move 512 KB.
+func BenchmarkCreadLocalHitSerial(b *testing.B) {
+	c, fds := openHitSet(b)
+	buf := make([]byte, hitSetRegion)
+	for i := 0; i < b.N; i++ {
+		if _, err := c.Cread(fds[i%hitSetRegions], 0, buf); err != nil {
+			b.Fatal(err)
+		}
 	}
+	checkAllHits(b, c)
 }
 
 // BenchmarkCreadLocalHitParallelFit8K is fit8k-unet's shape: two

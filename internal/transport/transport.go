@@ -46,7 +46,10 @@ type Transport interface {
 	// timeout <= 0 blocks until a datagram arrives or Close, which then
 	// returns ErrClosed: an endpoint's receive loop calls Recv(0) and
 	// relies on Close to end it, so it arms no timer per wait. The
-	// returned slice is owned by the caller.
+	// returned slice is the caller's, and nothing writes it after Recv
+	// returns: it may be a pooled frame, which the caller gives back
+	// with wire.PutFrame once nothing reads it, or leaves to the
+	// garbage collector (TestUDPRecvHandsOverPooledFrame).
 	Recv(timeout time.Duration) (data []byte, from string, err error)
 	// Close releases the endpoint; blocked Recv calls return ErrClosed.
 	Close() error

@@ -12,6 +12,7 @@ import (
 
 	"dodo/internal/transport"
 	"dodo/internal/usocket"
+	"dodo/internal/wire"
 )
 
 // kinds names the implementations: "mem" is U-Net on the in-memory
@@ -199,6 +200,66 @@ func TestUDPSendToMalformedAddr(t *testing.T) {
 	defer u.Close()
 	if err := u.Send("not-an-address", []byte("x")); err == nil {
 		t.Fatal("Send to malformed address succeeded, want error")
+	}
+}
+
+// TestUDPRecvHandsOverPooledFrame: a datagram of wire.MinPooledFrame
+// bytes or more comes back in the frame it landed in, one sized for the
+// largest datagram, and the next Recv lands in another: what Recv
+// returned is the caller's until it gives it to wire.PutFrame.
+func TestUDPRecvHandsOverPooledFrame(t *testing.T) {
+	a, b := transportPair(t, "udp")
+	first := bytes.Repeat([]byte{0xAA}, wire.MinPooledFrame)
+	second := bytes.Repeat([]byte{0xBB}, 32<<10)
+	got := make([][]byte, 2)
+	for i, msg := range [][]byte{first, second} {
+		if err := a.Send(b.LocalAddr(), msg); err != nil {
+			t.Fatal(err)
+		}
+		data, _, err := b.Recv(2 * time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cap(data) <= transport.UDPMTU {
+			t.Fatalf("a %d-byte datagram came back with capacity %d, not in the frame it landed in", len(msg), cap(data))
+		}
+		got[i] = data
+	}
+	if !bytes.Equal(got[0], first) {
+		t.Fatal("the next Recv wrote into the frame the previous one handed over")
+	}
+	if !bytes.Equal(got[1], second) {
+		t.Fatal("Recv returned bytes that were not sent")
+	}
+	for _, f := range got {
+		wire.PutFrame(f)
+	}
+}
+
+// TestUDPRecvCopiesSmallDatagram: a datagram under wire.MinPooledFrame
+// comes back as a copy of its own size, which the next Recv does not
+// write into.
+func TestUDPRecvCopiesSmallDatagram(t *testing.T) {
+	a, b := transportPair(t, "udp")
+	small := []byte("harvest the idle memory")
+	if err := a.Send(b.LocalAddr(), small); err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := b.Recv(2 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cap(got) >= wire.MinPooledFrame {
+		t.Fatalf("a %d-byte datagram came back with capacity %d, want a copy of its size", len(small), cap(got))
+	}
+	if err := a.Send(b.LocalAddr(), bytes.Repeat([]byte{0xCC}, len(small))); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := b.Recv(2 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, small) {
+		t.Fatal("the next Recv wrote into the copy the previous one returned")
 	}
 }
 

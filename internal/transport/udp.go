@@ -21,10 +21,10 @@ type UDP struct {
 	// dodo:unguarded — immutable after construction; *net.UDPConn is
 	// safe for concurrent use
 	conn *net.UDPConn
-	// rbuf is where Recv lands every datagram before copying out the
-	// bytes that arrived. One byte longer than the largest datagram
-	// Send accepts, so an oversize datagram from a foreign sender shows
-	// as UDPMTU+1 bytes instead of passing for a full-size one.
+	// rbuf is the pooled frame (wire.GetFrame) Recv lands the next
+	// datagram in. One byte longer than the largest datagram Send
+	// accepts, so an oversize datagram from a foreign sender shows as
+	// UDPMTU+1 bytes instead of passing for a full-size one.
 	// dodo:unguarded — touched only by Recv, single receive loop
 	rbuf []byte
 	// lastFrom/lastFromStr cache the text form of the latest sender, as
@@ -49,6 +49,9 @@ var (
 )
 
 // ListenUDP opens a UDP transport bound to addr (e.g. "127.0.0.1:0").
+// The transport keeps the frame its first receive lands in.
+//
+// dodo:transfers(frame)
 func ListenUDP(addr string) (*UDP, error) {
 	laddr, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {
@@ -58,8 +61,10 @@ func ListenUDP(addr string) (*UDP, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: listening on %q: %w", addr, err)
 	}
-	u := &UDP{conn: conn, rbuf: make([]byte, UDPMTU+1), routes: make(map[string]*net.UDPAddr)}
+	u := &UDP{conn: conn, routes: make(map[string]*net.UDPAddr)}
 	u.mu.SetRank(locks.RankUDP)
+	rbuf := wire.GetFrame(UDPMTU + 1)
+	u.rbuf = rbuf
 	return u, nil
 }
 
@@ -131,11 +136,17 @@ func (u *UDP) route(to string) (*net.UDPAddr, error) {
 }
 
 // Recv blocks for one datagram. The kernel needs room for the largest
-// datagram before it says how long this one is, so the read lands in
-// the endpoint's scratch buffer (Recv is called from a single receive
-// loop) and the caller gets an exact-size copy it owns: a 100-byte
-// control message costs 100 bytes of heap, not 64 KB allocated and
-// zeroed.
+// datagram before it says how long this one is, so the read lands in a
+// pooled frame of that size (Recv is called from a single receive
+// loop). A datagram of wire.MinPooledFrame bytes or more is handed over
+// in that frame, and a fresh pooled frame takes its place for the next
+// read: a 32 KB inline page crosses from the kernel to its receiver
+// with one copy, and the receiver's wire.PutFrame recycles the frame.
+// A smaller one is copied out at its own size, so a 100-byte control
+// message costs 100 bytes of heap, not a 64 KB frame held until the
+// garbage collector finds it.
+//
+// dodo:transfers(frame)
 func (u *UDP) Recv(timeout time.Duration) ([]byte, string, error) {
 	var deadline time.Time
 	if timeout > 0 {
@@ -167,7 +178,13 @@ func (u *UDP) Recv(timeout time.Duration) ([]byte, string, error) {
 		u.lastFrom = from
 		u.lastFromStr = netip.AddrPortFrom(from.Addr().Unmap(), from.Port()).String()
 	}
-	return append([]byte(nil), u.rbuf[:n]...), u.lastFromStr, nil
+	if n < wire.MinPooledFrame {
+		return append([]byte(nil), u.rbuf[:n]...), u.lastFromStr, nil
+	}
+	data := u.rbuf[:n]
+	next := wire.GetFrame(UDPMTU + 1)
+	u.rbuf = next
+	return data, u.lastFromStr, nil
 }
 
 // Close shuts the socket down.

@@ -155,9 +155,9 @@ func TestAddressAndFrameAllocationBudget(t *testing.T) {
 		if err != nil || len(data) != MTU || from != ta.LocalAddr() {
 			t.Fatalf("Recv = %d bytes from %q, %v", len(data), from, err)
 		}
-		wire.PutDataFrame(data)
+		wire.PutFrame(data)
 	}); n != 0 {
-		t.Errorf("one frame through SendVec, Recv and PutDataFrame allocates %.1f times, want 0", n)
+		t.Errorf("one frame through SendVec, Recv and PutFrame allocates %.1f times, want 0", n)
 	}
 }
 

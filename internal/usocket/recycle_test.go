@@ -43,7 +43,7 @@ func TestHeldFrameSurvivesRecycling(t *testing.T) {
 		if sameArray(f, held) {
 			t.Fatalf("frame %d was gathered into the frame still held", i)
 		}
-		wire.PutDataFrame(f)
+		wire.PutFrame(f)
 	}
 	if !bytes.Equal(held, want) {
 		t.Fatal("the held frame changed while later frames were recycled")
@@ -89,7 +89,7 @@ func TestRefusedFrameIsNotPooled(t *testing.T) {
 			t.Fatal("a frame refused by a closed socket came back out of the pool")
 		}
 		delivered = append(delivered, f[:1])
-		wire.PutDataFrame(f)
+		wire.PutFrame(f)
 	}
 	for i := 0; i < 4; i++ {
 		f, _, err := small.RecvFrame(time.Second)

@@ -178,7 +178,7 @@ func TestDuplicatedDataFrameIsASecondBuffer(t *testing.T) {
 		if sameArray(first, second) || !bytes.Equal(first, want) || !bytes.Equal(second, want) {
 			t.Fatal("the duplicate was the same pooled frame deposited twice")
 		}
-		wire.PutDataFrame(first)
+		wire.PutFrame(first)
 		again := wire.GetDataFrame()
 		if !sameArray(again, first) {
 			continue
@@ -187,8 +187,8 @@ func TestDuplicatedDataFrameIsASecondBuffer(t *testing.T) {
 		if !bytes.Equal(second, want) {
 			t.Fatal("the duplicate changed when the pool handed the first copy out again")
 		}
-		wire.PutDataFrame(again)
-		wire.PutDataFrame(second)
+		wire.PutFrame(again)
+		wire.PutFrame(second)
 		return
 	}
 	t.Fatal("the pool never handed the first copy out again")

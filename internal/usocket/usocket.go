@@ -449,9 +449,10 @@ func (s *Socket) SendIovec(iov []Iovec) (int, error) {
 // recycled one (wire.GetDataFrame), as an endpoint's buffer area is
 // filled by the NIC again and again: this is the send of the bulk data
 // plane, whose receiver gives the frame back when it has copied the
-// payload out. SendTo carries the control messages, which their
-// receiver decodes in place and keeps, so its frames are never given
-// back and are allocated at their own size.
+// payload out. SendTo carries the control messages, whose frames are
+// allocated at their own size: their receiver offers them to
+// wire.PutFrame too, once the message is dead, and only one that
+// happens to have a data frame's capacity is kept.
 func (s *Socket) SendIovecTo(peer MACAddr, iov []Iovec) (int, error) {
 	total := 0
 	for _, v := range iov {

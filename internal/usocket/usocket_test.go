@@ -412,7 +412,7 @@ func BenchmarkUNetSendVecRecv(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		wire.PutDataFrame(data)
+		wire.PutFrame(data)
 	}
 }
 

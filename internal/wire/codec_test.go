@@ -102,7 +102,7 @@ func TestAllocBudget(t *testing.T) {
 		{"Decode", 1, func() { _, _, _ = Decode(frame) }},
 		// An inline page is a view of its frame, not a second buffer.
 		{"Decode inline page", 1, func() { _, _, _ = Decode(page) }},
-		// Below minPooledFrame the frame is the one allocation; above it
+		// Below MinPooledFrame the frame is the one allocation; above it
 		// the frame is recycled and PutFrame boxes the slice header it
 		// returns to the pool.
 		{"EncodePooled+PutFrame", 1, func() { f, _ := EncodePooled(1, req); PutFrame(f) }},

@@ -18,30 +18,33 @@ import (
 // two above it up to maxPooledFrame. A request takes the smallest class
 // that holds it, so a region-sized buffer wastes at most half its
 // class; anything larger falls through to the heap, and so does
-// anything below minPooledFrame: a control message is cheaper to
+// anything below MinPooledFrame: a control message is cheaper to
 // allocate than to fetch from a 64 KiB class (measured on rand8k-unet,
 // where pooling each request and response of 60 bytes cost 2.5 % of
 // throughput). Below the floor there is one class of a fixed size with
-// entry points of its own, the data frame (GetDataFrame). The pools are
+// an entry point of its own, the data frame (GetDataFrame). The pools are
 // sync.Pools, so an idle class is emptied by the garbage collector
 // within two cycles and pins nothing.
 //
 // Ownership rule (checked by the resource-lifecycle vet pass via the
-// annotations below, dodo:acquires and dodo:releases): whoever calls
-// GetFrame returns that frame with PutFrame, and does so only after the
+// annotations below, dodo:acquires and dodo:releases): whoever holds a
+// frame last gives it back with PutFrame, and does so only after the
 // last read of it — and, for a buffer something else writes into (a
 // bulk receive), after the last write. A frame handed to a transport
-// Send/SendVec may be returned as soon as the call returns — every
-// transport either copies the frame before queueing it (mem, usocket)
-// or hands it to the kernel synchronously (UDP) — which is what lets
-// senders pair GetFrame with an immediate `defer PutFrame`.
+// Send/SendVec may be given back as soon as the call returns — usocket
+// copies the frame before queueing it and UDP hands it to the kernel
+// synchronously — which is what lets senders pair GetFrame with an
+// immediate `defer PutFrame`. A frame a transport's Recv returns is the
+// receive loop's (transport.Transport.Recv), and the loop gives it back
+// once the message decoded from it is dead: bulk.Handler and
+// bulk.Pending say when that is.
 
 const (
 	// minFrameShift is log2 of the smallest class, 64 KiB.
 	minFrameShift = 16
-	// minPooledFrame is the smallest request worth a pooled buffer:
+	// MinPooledFrame is the smallest request worth a pooled buffer:
 	// above every control message and the U-Net MTU, below every page.
-	minPooledFrame = 2 << 10
+	MinPooledFrame = 2 << 10
 	// maxFrameShift is log2 of the largest class, 4 MiB: the data sets
 	// Dodo serves use regions of 8 KiB to 1 MiB (Fig. 8), so the
 	// largest region a read or push moves fits with room to spare.
@@ -68,7 +71,7 @@ func frameClass(n int) int {
 //
 // dodo:acquires(frame)
 func GetFrame(n int) []byte {
-	if n < minPooledFrame || n > maxPooledFrame {
+	if n < MinPooledFrame || n > maxPooledFrame {
 		return make([]byte, n)
 	}
 	class := frameClass(n)
@@ -78,16 +81,22 @@ func GetFrame(n int) []byte {
 	return make([]byte, n, 1<<(minFrameShift+class))
 }
 
-// PutFrame returns a buffer obtained from GetFrame to the pool of its
-// class, which its capacity names: the caller may hand back a prefix
-// of what it got (b[:k]) but not a suffix. A buffer of any other
-// capacity (heap-allocated by GetFrame for an oversize request) is
-// left for the garbage collector. The buffer must not be touched after
-// PutFrame.
+// PutFrame returns a buffer obtained from GetFrame or GetDataFrame to
+// the pool its capacity names: the caller may hand back a prefix of
+// what it got (b[:k]) but not a suffix. A buffer of any other capacity
+// (heap-allocated by GetFrame for a request outside the classes, or a
+// transport's exact-size frame) is left for the garbage collector, so
+// a receive loop can offer it every frame it has finished with,
+// whichever transport or decorator handed it over. The buffer must
+// not be touched after PutFrame.
 //
 // dodo:releases(frame)
 func PutFrame(b []byte) {
 	c := cap(b)
+	if c == DataFrameCap {
+		dataFrames.Put((*[DataFrameCap]byte)(b[:DataFrameCap]))
+		return
+	}
 	if c < 1<<minFrameShift || c > maxPooledFrame || c&(c-1) != 0 {
 		return
 	}
@@ -100,8 +109,8 @@ func PutFrame(b []byte) {
 // DataFrameCap is the capacity that makes a buffer a data frame: the
 // allocator's size class for one Ethernet frame, which holds any U-Net
 // frame (usocket.MTU is that frame less U-Net's header). The class is
-// recognised by capacity alone, as PutFrame recognises its own, so a
-// frame survives any decorator that forwards Recv's slice untouched.
+// recognised by capacity alone, as PutFrame recognises the others, so
+// a frame survives any decorator that forwards Recv's slice untouched.
 // It is deliberately not a length a transport's exact-size frame has:
 // at 1500 every full frame of the in-memory fabric at the Ethernet MTU
 // was pooled with nobody to take it, which cost its transfers 15 %. A
@@ -110,7 +119,7 @@ func PutFrame(b []byte) {
 const DataFrameCap = 1536
 
 // dataFrames recycles the frames a sender gathers BulkData packets
-// into: the one class below minPooledFrame, because a 128 KB read is 91
+// into: the one class below MinPooledFrame, because a 128 KB read is 91
 // of these beside one request and one response. It holds array
 // pointers, not slice headers, so a put boxes nothing and a frame's
 // round trip allocates nothing.
@@ -118,10 +127,8 @@ var dataFrames sync.Pool
 
 // GetDataFrame returns an empty buffer of capacity DataFrameCap for a
 // sender to gather one frame into. The frame changes hands with the
-// bytes: whoever holds it last, and has kept no reference into it,
-// hands it to PutDataFrame. That is the bulk receive loop for a frame
-// it parsed in place with DecodeBulkData, and nobody for a frame that
-// went through Decode, whose message aliases it.
+// bytes, and whoever holds it last gives it to PutFrame: the bulk
+// receive loop, once the message decoded from it is dead.
 //
 // dodo:acquires(frame)
 func GetDataFrame() []byte {
@@ -129,20 +136,6 @@ func GetDataFrame() []byte {
 		return a[:0]
 	}
 	return make([]byte, 0, DataFrameCap)
-}
-
-// PutDataFrame recycles b if its capacity says it is a data frame, and
-// leaves any other buffer to the garbage collector, so a receive loop
-// can offer it every frame it has finished with, whichever transport or
-// decorator handed it over. The caller must own b outright and must not
-// touch it afterwards.
-//
-// dodo:releases(frame)
-func PutDataFrame(b []byte) {
-	if cap(b) != DataFrameCap {
-		return
-	}
-	dataFrames.Put((*[DataFrameCap]byte)(b[:DataFrameCap]))
 }
 
 // EncodePooled is Encode into a pooled frame: same wire bytes, but the
@@ -208,8 +201,8 @@ func PutBulkDataPrefix(buf []byte, id uint64, seq uint32, payloadLen int) {
 
 // DecodeBulkData parses a BulkData frame in place. Unlike Decode, the
 // returned payload ALIASES frame's backing array — it is valid only
-// until the receive buffer is reused, so the caller must copy the bytes
-// it keeps before returning. This is the receive-side half of the
+// until the frame is given back, so the caller must copy the bytes it
+// keeps before that. This is the receive-side half of the
 // zero-copy bulk pipeline: the hot path copies each payload exactly
 // once, straight into the assembling transfer buffer. Any frame that is
 // not a well-formed BulkData returns an error; callers fall back to the

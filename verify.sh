@@ -37,16 +37,20 @@ bash benchmark/run.sh -workload fit8k-unet -seed 1 -seconds 1 -trace 1 | tail -n
 # multi-frame read path of rand8k-unet sends what it sent at PR 21. A
 # miss allocates nothing the size of what it moves (PR 23): an 8 KB
 # miss stays under 8 KB of heap per op, all bookkeeping, and a 128 KB
-# one, 91 data frames, under 16 KB (it was 277 KB). Bytes allocated are
-# not quite a count (a timer or a map growing lands in them), so those
-# two are bounds with room: they read 4.1 KB and 6.3 KB. A read the imd
-# answers in time arms no timer and starts no goroutine on the client,
+# one, 91 data frames, under 16 KB (it was 277 KB). A 32 KB inline read
+# or write over UDP crosses in pooled frames that every receive loop
+# gives back, so rw32k-udp stays under 8 KB per op too (it was
+# 58 KB: a heap snapshot at the imd and an exact-size copy per receive;
+# one frame not given back per op is +64 KB). Bytes allocated are not
+# quite a count (a timer or a map growing lands in them), so those
+# three are bounds with room: they read 1.6 KB, 4.1 KB and 6.3 KB. A
+# read the imd answers in time arms no timer and starts no goroutine on the client,
 # and an eviction allocates no policy-list entry: rand8k-unet makes 35.6
 # allocations per op, bounded here 10 % above (it made 58.3 with a timer
 # per wait and a goroutine per hedged read, and 37.3 with a list element
 # and a boxed fd per fill).
 bash benchmark/run.sh -workload rw32k-udp -seed 7 -seconds 0 -trace 1 | tail -n 1 | \
-    go run ./cmd/dodo-bench -counts 'bulk.offer_accept_frames_per_kop==0,bulk.data_frames_per_op==0,transport.client_tx_frames_per_op<1.0'
+    go run ./cmd/dodo-bench -counts 'bulk.offer_accept_frames_per_kop==0,bulk.data_frames_per_op==0,transport.client_tx_frames_per_op<1.0,process.alloc_bytes_per_op<8192'
 bash benchmark/run.sh -workload rand8k-unet -seed 8 -seconds 0 -trace 1 | tail -n 1 | \
     go run ./cmd/dodo-bench -counts 'bulk.offer_accept_frames_per_kop==0,bulk.data_frames_per_op==5.2375,process.alloc_bytes_per_op<8192,process.allocs_per_op<39.1'
 bash benchmark/run.sh -workload seq128k-unet -seed 7 -seconds 0 -trace 1 | tail -n 1 | \
@@ -108,8 +112,9 @@ go test -race -run "$REGION_TESTS" -count=2 -timeout 300s ./internal/region/
 go test -race -tags lockcheck -run "$REGION_TESTS" -count=2 -timeout 300s ./internal/region/
 
 # Buffers two goroutines share on the read path, under the race detector
-# with -count=3: the imd blasts and hands off pages from pinned pool
-# bytes while writes and frees of the region wait for the pin, and a
+# with -count=3: the imd blasts, answers inline reads and hands off pages
+# from pinned pool bytes while writes and frees of the region wait for
+# the pin (over UDP too, where the frames are pooled), and a
 # hedged read's remote leg assembles into the caller's buffer until a
 # winning disk leg moves it to a private one. The CheckAlloc tests run
 # the recovery loop's revalidate step on demand while the loop itself
