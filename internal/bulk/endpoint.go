@@ -527,8 +527,8 @@ func (ep *Endpoint) recvLoop() {
 // dispatch routes every wire message type explicitly: bulk sub-protocol
 // frames to the transfer machinery, responses to their correlated Call,
 // requests to the registered handler. The enumeration is deliberately
-// exhaustive (enforced by dodo-vet's wire-exhaustiveness pass): a new
-// wire type fails vet here until this switch decides what to do with it.
+// exhaustive: TestDispatchRoutesEveryType runs every registered wire
+// type through it and fails on a type its table does not route.
 //
 // frame is what msg was decoded from, and dispatch takes it over: a
 // response's frame goes with it to its call, a request's to the
@@ -605,7 +605,6 @@ func (ep *Endpoint) serve(from string, seq uint32, msg wire.Message, frame []byt
 
 func (ep *Endpoint) routeTxResponse(from string, msg wire.Message) {
 	var id uint64
-	//vet:ignore wire-exhaustiveness — narrow correlation switch: dispatch routes only BulkNack/BulkDone here
 	switch m := msg.(type) {
 	case *wire.BulkNack:
 		id = m.TransferID

@@ -167,7 +167,6 @@ func (ep *Endpoint) runTransfer(to string, offer *wire.BulkOffer, data []byte, p
 				}
 				continue
 			}
-			//vet:ignore wire-exhaustiveness — narrow correlation switch: routeTxResponse feeds only BulkNack/BulkDone
 			switch m := msg.(type) {
 			case *wire.BulkDone:
 				if m.Status == wire.StatusOK {

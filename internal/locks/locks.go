@@ -16,13 +16,12 @@
 //   - `-tags lockcheck`: every Lock records the acquisition in a
 //     per-goroutine held-stack and panics on a rank inversion or on a
 //     mutex whose rank was never declared. verify.sh runs the full
-//     test suite in this mode, so the runtime cross-checks whatever
-//     the static lock-order analyzer (internal/vet) could not see —
-//     interface-mediated calls, callbacks, reflection.
+//     test suite in this mode.
 //
-// The static analyzer and this runtime deliberately overlap: the
-// analyzer proves ordering over all paths it can resolve without
-// running anything; lockcheck catches the paths it cannot.
+// This runtime is the repository's only check of lock order: it sees
+// every path a test runs, interface calls and callbacks included, and
+// a re-acquired mutex panics here instead of deadlocking. dodo-vet's
+// guarded-by pass checks only that a guarding mutex has a rank.
 package locks
 
 import "sync"

@@ -41,6 +41,24 @@ var BufferOwnership = &Analyzer{
 	RunProgram: runBufferOwnership,
 }
 
+// netCalls are the network-facing methods of the packet-path packages
+// (this pass's scope); true marks the zero-copy sends, which lend their
+// []byte arguments to the network layer. mutex-hygiene reads all of
+// them as RPCs.
+var netCalls = map[string]bool{
+	"Send": true, "SendTo": true, "SendIovec": true,
+	"Call": false, "CallT": false, "Notify": false, "SendBulk": false, "RecvBulk": false,
+}
+
+// netCall reports whether fn is one of netCalls, and whether it lends.
+func netCall(fn *types.Func) (rpc, lends bool) {
+	if fn == nil || fn.Pkg() == nil || !inScope("buffer-ownership", fn.Pkg().Path()) {
+		return false, false
+	}
+	lends, rpc = netCalls[fn.Name()]
+	return rpc, lends
+}
+
 func isByteSlice(t types.Type) bool {
 	s, ok := t.Underlying().(*types.Slice)
 	if !ok {

@@ -33,8 +33,8 @@ import (
 //     plain/atomic access and a finding;
 //  4. rank: a mutex named by a dodo:guardedby annotation that is a
 //     locks.Mutex must receive a SetRank somewhere in the program — a
-//     guarding lock outside the declared hierarchy (DESIGN.md §8) would
-//     be invisible to lock-order and the lockcheck runtime.
+//     guarding lock outside the declared hierarchy (DESIGN.md §8) has
+//     no place in the order the lockcheck runtime checks.
 //
 // The held sets come from the lock-flow records (lockflow.go), whose
 // header lists the walk's approximations; a function's literals count

@@ -10,8 +10,8 @@ import (
 // The lock model and the lock-flow walk (DESIGN.md §8.6): one walk of
 // every function body tracks the set of held locks in statement order
 // and records, with the held set at each, the acquisitions, releases,
-// calls, field accesses and channel sends. lock-order, guarded-by and
-// mutex-hygiene's send rule only read those records.
+// calls, field accesses and channel sends. guarded-by and mutex-hygiene
+// only read those records.
 //
 // The walk is a static under-approximation: branches join by
 // intersection (a lock is held after a branch only if every path that
@@ -20,7 +20,7 @@ import (
 // contribute no acquisitions, a function literal inherits the held set
 // of its creation point and a `go` body starts with none. The
 // `-tags lockcheck` runtime is the cross-check for what this cannot
-// resolve.
+// resolve, rank inversions included.
 
 // isLockPkg reports whether path is a package whose Lock/Unlock methods
 // manage a mutex: the stdlib sync package or Dodo's rank-ordered
@@ -30,15 +30,14 @@ func isLockPkg(path string) bool {
 }
 
 // lockRef names the mutex of a Lock/Unlock call in the forms the passes
-// report. key is its program-wide identity — "pkgpath.Type.field" by
-// the struct that declares the field, "pkgpath.var" for a package-level
+// read. key is its program-wide identity — "pkgpath.Type.field" by the
+// struct that declares the field, "pkgpath.var" for a package-level
 // mutex, "pkgpath.Type" for a local or parameter (so two functions
-// locking the same struct's embedded mutex agree) — and class the same
-// with the package's name, as lock-order prints it; both are "" when the
+// locking the same struct's embedded mutex agree) — or "" when the
 // expression cannot be named statically. path is the receiver as
 // written ("c.mu"), which is what resource-lifecycle matches a release
 // to its acquisition by: it tracks instances, not classes.
-type lockRef struct{ key, class, path string }
+type lockRef struct{ key, path string }
 
 // lockOp recognises a (R)Lock/(R)Unlock call on a sync or locks mutex.
 func lockOp(pass *Pass, call *ast.CallExpr) (ref lockRef, acquire, exclusive, ok bool) {
@@ -65,7 +64,7 @@ func lockRefOf(pass *Pass, recv ast.Expr) lockRef {
 	ref := lockRef{path: rlExprPath(recv)}
 	name := func(pkg *types.Package, name string) {
 		if pkg != nil {
-			ref.key, ref.class = pkg.Path()+"."+name, pkg.Name()+"."+name
+			ref.key = pkg.Path() + "." + name
 		}
 	}
 	pkgVar := func(id *ast.Ident) bool {
@@ -101,12 +100,6 @@ func namedOf(t types.Type) *types.Named {
 	}
 	named, _ := t.(*types.Named)
 	return named
-}
-
-// isNamed reports whether t, or what it points to, is the type pkg.name.
-func isNamed(t types.Type, pkg, name string) bool {
-	named := namedOf(t)
-	return named != nil && named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == pkg && named.Obj().Name() == name
 }
 
 // fieldOwner resolves a field selection to the named struct type that
@@ -146,9 +139,9 @@ func fieldKey(sel *types.Selection) string {
 // heldLock is one lock of a held set. Held sets are immutable slices,
 // in acquisition order.
 type heldLock struct {
-	key, class string
-	excl       bool // Lock rather than RLock
-	outer      bool // inherited by a function literal from its creation point
+	key   string
+	excl  bool // Lock rather than RLock
+	outer bool // inherited by a function literal from its creation point
 }
 
 func heldAdd(held []heldLock, h heldLock) []heldLock {
@@ -205,20 +198,12 @@ func heldSatisfies(held []heldLock, key string, write bool) bool {
 // lockFlow is what one walk learned about one function body or literal.
 type lockFlow struct {
 	pass    *Pass
-	fn      *types.Func // nil for a literal
-	root    *lockFlow   // the record of the enclosing unit; itself for a unit
-	locks   []lockSite
+	fn      *types.Func     // nil for a literal
+	root    *lockFlow       // the record of the enclosing unit; itself for a unit
 	unlocks map[string]bool // keys released anywhere in the body
 	calls   []callSite
 	uses    []fieldUse
 	sends   []sendSite
-}
-
-// lockSite is one acquisition and what was held when it happened.
-type lockSite struct {
-	lock heldLock
-	held []heldLock
-	call *ast.CallExpr
 }
 
 // callSite is one call to a resolved function other than a lock
@@ -318,9 +303,8 @@ func (w *lockWalker) stmt(s ast.Stmt, held []heldLock) []heldLock {
 		if call, ok := s.X.(*ast.CallExpr); ok {
 			if ref, acquire, excl, ok := lockOp(w.pass, call); ok {
 				w.scan(call.Fun, false, held)
-				h := heldLock{key: ref.key, class: ref.class, excl: excl}
+				h := heldLock{key: ref.key, excl: excl}
 				if acquire {
-					w.rec.locks = append(w.rec.locks, lockSite{h, held, call})
 					return heldAdd(held, h)
 				}
 				w.rec.unlocks[ref.key] = true

@@ -9,10 +9,11 @@ import (
 	"testing"
 )
 
-// A mutation deletes the nth line containing pattern from file (paths
-// relative to the repository root), re-checks pkgs and expects dodo-vet
-// to object: any finding when rule is empty — the non-zero-exit shape —
-// or at least one finding of the named rule.
+// A mutation replaces the nth line containing pattern in file (paths
+// relative to the repository root) with with, keeping its indentation —
+// an empty with deletes the line's text — re-checks pkgs and expects
+// dodo-vet to object: any finding when rule is empty — the
+// non-zero-exit shape — or at least one finding of the named rule.
 type mutation struct {
 	name    string
 	pkgs    []string
@@ -20,13 +21,14 @@ type mutation struct {
 	pattern string
 	nth     int
 	rule    string
+	with    string
 }
 
 // mutationTree is a copy of the repository, so the working tree is
 // never touched, loaded once per package set. A mutation is checked in
 // memory: the one file it changes is parsed again and its package
 // type-checked again against the export data of that load — a row
-// deletes one statement inside a body, so no package's API changes —
+// changes one statement inside a body, so no package's API changes —
 // and the other packages are the loaded ones.
 type mutationTree struct {
 	root  string
@@ -104,7 +106,7 @@ func (tr *mutationTree) mutated(t *testing.T, m mutation) (string, string) {
 	if m.pattern == "" {
 		return path, string(orig)
 	}
-	src, ok := deleteNthMatch(string(orig), m.pattern, m.nth)
+	src, ok := replaceNthMatch(string(orig), m.pattern, m.nth, m.with)
 	if !ok {
 		t.Fatalf("pattern %q (occurrence %d) not found in %s — site moved, update the mutation table", m.pattern, m.nth, m.file)
 	}
@@ -164,7 +166,7 @@ func runMutations(t *testing.T, muts []mutation) {
 					return
 				}
 			}
-			t.Fatalf("deleting %q (occurrence %d) in %s produced no %s finding: the analyzer would miss this", m.pattern, m.nth, m.file, m.rule)
+			t.Fatalf("replacing %q (occurrence %d) in %s with %q produced no %s finding: the analyzer would miss this", m.pattern, m.nth, m.file, m.with, m.rule)
 		})
 	}
 }
@@ -176,7 +178,7 @@ func TestMutationHarnessMatchesReload(t *testing.T) {
 	tr := mutations(t)
 	clean := resourceMutations[0]
 	clean.name, clean.pattern = "clean", ""
-	for _, m := range []mutation{clean, resourceMutations[0], lockMutations(t)[0], frameMutations[0]} {
+	for _, m := range []mutation{clean, resourceMutations[0], lockMutations(t)[0], frameMutations[0], passMutations[0]} {
 		inMemory, full := tr.check(t, m), tr.reload(t, m)
 		if fmt.Sprint(inMemory) != fmt.Sprint(full) {
 			t.Errorf("%s: checked in memory:\n%v\nfull load:\n%v", m.name, inMemory, full)
@@ -188,7 +190,7 @@ func TestMutationHarnessMatchesReload(t *testing.T) {
 }
 
 func regionRow(name, file, pattern string, nth int) mutation {
-	return mutation{name, []string{"./internal/region"}, "internal/region/" + file, pattern, nth, "resource-lifecycle"}
+	return mutation{name, []string{"./internal/region"}, "internal/region/" + file, pattern, nth, "resource-lifecycle", ""}
 }
 
 // resourceMutations: deleting any single release call from
@@ -235,7 +237,7 @@ func lockMutations(t *testing.T) []mutation {
 			t.Fatalf("%s has %d .Lock() sites, the table says %d — update it", d.file, n, d.locks)
 		}
 		for nth := 1; nth <= d.locks; nth++ {
-			muts = append(muts, mutation{fmt.Sprintf("%s Lock %d", filepath.Base(d.file), nth), []string{d.pkg}, d.file, ".Lock()", nth, ""})
+			muts = append(muts, mutation{fmt.Sprintf("%s Lock %d", filepath.Base(d.file), nth), []string{d.pkg}, d.file, ".Lock()", nth, "", ""})
 		}
 	}
 	return muts
@@ -247,7 +249,7 @@ func TestLockDeletionMutations(t *testing.T) {
 
 func frameRow(pkg, file, pattern string, nth int) mutation {
 	return mutation{fmt.Sprintf("%s PutFrame %d", file, nth), []string{"./internal/wire", "./internal/" + pkg},
-		"internal/" + file, pattern, nth, "resource-lifecycle"}
+		"internal/" + file, pattern, nth, "resource-lifecycle", ""}
 }
 
 // frameMutations: deleting a pooled-frame release on the data plane
@@ -269,7 +271,7 @@ func TestFrameReleaseMutations(t *testing.T) {
 }
 
 func pinRow(name, pattern string, nth int) mutation {
-	return mutation{name, []string{"./internal/imd"}, "internal/imd/imd.go", pattern, nth, "resource-lifecycle"}
+	return mutation{name, []string{"./internal/imd"}, "internal/imd/imd.go", pattern, nth, "resource-lifecycle", ""}
 }
 
 // pinMutations: the imd sends a region's bytes straight from its pool
@@ -290,16 +292,73 @@ func TestPinReleaseMutations(t *testing.T) {
 	runMutations(t, pinMutations)
 }
 
-// deleteNthMatch removes the nth line containing pattern, reporting
-// whether it was found.
-func deleteNthMatch(src, pattern string, nth int) (string, bool) {
+// goroutineMutations: a daemon goroutine that never says Done leaves
+// its Close waiting forever; deleting the Done of one in each daemon
+// package that launches any (monitor launches none) must be reported
+// as a leaked wg by resource-lifecycle, which tracks the count a launch
+// hands its goroutine.
+var goroutineMutations = []mutation{
+	{"manager goroutine drops its Done", []string{"./internal/manager"}, "internal/manager/manager.go", "defer m.wg.Done()", 1, "resource-lifecycle", ""},
+	{"imd eager blast drops its Done", []string{"./internal/imd"}, "internal/imd/imd.go", "defer d.transfers.Done()", 1, "resource-lifecycle", ""},
+	{"bulk recvLoop drops its Done", []string{"./internal/bulk"}, "internal/bulk/endpoint.go", "defer ep.wg.Done()", 1, "resource-lifecycle", ""},
+}
+
+func TestGoroutineDoneMutations(t *testing.T) {
+	runMutations(t, goroutineMutations)
+}
+
+// passMutations gives each pass the rows above do not pin a real-tree
+// line of its own, replaced so that its pass, and only its pass,
+// objects. Every row passes its package's tests, the buffer-ownership
+// rows under -race and the budgetTimeout row under lockcheck: nothing
+// else sees them.
+var passMutations = []mutation{
+	{"core reads the wall clock", []string{"./internal/core"}, "internal/core/client.go",
+		"start: c.cfg.Clock.Now()}", 1, "clock-discipline", "start: time.Now()}"},
+	{"ablations draw from the global rand", []string{"./internal/experiments"}, "internal/experiments/ablations.go",
+		"if rng.Intn(3) != 0", 1, "seeded-rand", "if rand.Intn(3) != 0 || len(live) == 0 {"},
+	{"cloneRemote ignores an Mclose error", []string{"./internal/region"}, "internal/region/cache.go",
+		"_ = c.dodo.Mclose(mfd)", 1, "unchecked-error", "c.dodo.Mclose(mfd)"},
+	{"kickRecovery sends under c.mu", []string{"./internal/core"}, "internal/core/recover.go",
+		"if c.cfg.DisableRecovery {", 1, "mutex-hygiene", "c.mu.Lock(); defer c.mu.Unlock(); if c.cfg.DisableRecovery {"},
+	{"budgetTimeout sends under ep.mu and rx.mu", []string{"./internal/bulk"}, "internal/bulk/transfer.go",
+		"rx.err = ErrTimeout", 1, "mutex-hygiene", "rx.err = ErrTimeout; _ = ep.tr.Send(rx.from, []byte{})"},
+	{"serve writes its response after Send", []string{"./internal/bulk"}, "internal/bulk/endpoint.go",
+		"_ = ep.tr.Send(from, out)", 1, "buffer-ownership", "_ = ep.tr.Send(from, out); out[0] = 0"},
+	{"handleData keeps a borrowed payload", []string{"./internal/bulk"}, "internal/bulk/transfer.go",
+		"copy(rx.buf[lo:], payload)", 1, "buffer-ownership",
+		"if !rx.external && lo == 0 && len(payload) == len(rx.buf) { rx.buf = payload } else { copy(rx.buf[lo:], payload) }"},
+}
+
+func TestPassMutations(t *testing.T) {
+	tr := mutations(t)
+	for _, m := range passMutations {
+		t.Run(m.name, func(t *testing.T) {
+			fs := tr.check(t, m)
+			if len(fs) == 0 {
+				t.Fatalf("replacing %q in %s with %q produced no finding: %s would miss this", m.pattern, m.file, m.with, m.rule)
+			}
+			for _, f := range fs {
+				if f.Analyzer != m.rule {
+					t.Errorf("the %s row is caught by another pass too: %s", m.rule, f)
+				}
+			}
+		})
+	}
+}
+
+// replaceNthMatch replaces the text of the nth line containing pattern
+// with with, keeping the line's indentation, and reports whether the
+// line was found.
+func replaceNthMatch(src, pattern string, nth int, with string) (string, bool) {
 	lines := strings.Split(src, "\n")
 	seen := 0
 	for i, l := range lines {
 		if strings.Contains(l, pattern) {
 			seen++
 			if seen == nth {
-				return strings.Join(append(lines[:i:i], lines[i+1:]...), "\n"), true
+				lines[i] = l[:len(l)-len(strings.TrimLeft(l, " \t"))] + with
+				return strings.Join(lines, "\n"), true
 			}
 		}
 	}

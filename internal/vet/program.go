@@ -72,19 +72,10 @@ var scopes = map[string]struct {
 	// usocket substrates sit below it (kernel socket deadlines and
 	// condition-variable polling are inherently wall-clock).
 	"clock-discipline": {except: []string{"/internal/sim", "/internal/transport", "/internal/usocket"}},
-	// The long-running daemons: a goroutine leaked there outlives
-	// requests, pins buffers, and in the virtual-time harness keeps
-	// firing events after the experiment window.
-	"goroutine-lifecycle": {only: []string{"/internal/manager", "/internal/monitor", "/internal/imd", "/internal/bulk"}},
-	// The packages that dispatch on wire.Message.
-	"wire-exhaustiveness": {only: []string{"/internal/wire", "/internal/bulk", "/internal/imd", "/internal/manager", "/internal/core"}},
-	// cmd and examples hold no hierarchy locks by policy. internal/locks
-	// is the mechanism, not a class; internal/sim's clock mutex sits
-	// outside the hierarchy by design — timers are armed from under
-	// nearly every lock and fire callbacks that re-enter from outside.
-	"lock-order": {internal: true, except: []string{"/internal/locks", "/internal/sim"}},
-	// The same policy minus the sim exclusion: its clock mutex is
-	// unranked but its fields still deserve classification.
+	// cmd and examples hold no annotated shared state by policy, and
+	// internal/locks is the mechanism, not a class. internal/sim's
+	// clock mutex is unranked, but its fields still deserve
+	// classification.
 	"guarded-by": {internal: true, except: []string{"/internal/locks"}},
 	// locks.Mutex.Lock returns holding its own mutex by design.
 	"resource-lifecycle": {except: []string{"/internal/locks"}},

@@ -12,23 +12,15 @@
 //   - unchecked-error: the client API (Mread/Mwrite/Mclose/Msync,
 //     Cread/Cwrite), transport Send/Recv and io.Closer Close must not
 //     have their error results silently discarded.
-//   - mutex-hygiene: no channel sends while a mutex is held. (Value
-//     receivers and copies of lock-bearing types are go vet's
-//     copylocks, run with the rest of go vet.)
-//   - goroutine-lifecycle: goroutines launched in daemon packages must
-//     be tied to a done-channel, context.Context or sync.WaitGroup.
-//   - lock-order: whole-program lock-acquisition graph over every
-//     locks.Mutex/sync.Mutex holder in internal/...; fails on cycles in
-//     the graph and on RPC/Send calls made while holding more than one
-//     lock. Cross-checked at runtime by `-tags lockcheck`
-//     (internal/locks).
+//   - mutex-hygiene: no channel sends while a mutex is held, and no
+//     RPC or Send while two or more are. (Value receivers and copies
+//     of lock-bearing types are go vet's copylocks, run with the rest
+//     of go vet.)
 //   - buffer-ownership: in the zero-copy packages (usocket, bulk,
 //     transport), no writes to or retention of a byte slice on a path
 //     after it was handed to Send, and no storing of borrowed []byte
 //     parameters beyond the callback — copy first, or declare the
 //     transfer in the function's contract with dodo:adopts(param).
-//   - wire-exhaustiveness: every dispatch switch over wire.Message
-//     handles or explicitly ignores every registered message type.
 //   - guarded-by: struct fields next to a mutex declare their
 //     protection (// dodo:guardedby <mutex>, // dodo:atomic,
 //     // dodo:unguarded — reason) and the whole-program pass proves
@@ -42,10 +34,15 @@
 //     declare ownership with dodo:acquires/releases/transfers(kind)
 //     (DESIGN.md §8.5).
 //
+// The suite keeps only rules no other check covers (DESIGN.md §8 has a
+// row per rule and what else covers it). Lock ranks are checked at
+// runtime by `-tags lockcheck` (internal/locks), a dispatcher's answer
+// to every wire message type by the dispatcher's own table test, and
+// goroutine shutdown by resource-lifecycle's WaitGroup accounting.
+//
 // A finding can be suppressed at a single site with a trailing or
 // preceding comment: //vet:ignore <analyzer-name>. That is for reviewed
-// false positives (deliberately narrow correlation switches); each one
-// should say why on the same comment line. directive.go lists every
+// false positives; each one should say why on the same comment line. directive.go lists every
 // comment the tool reads; one it cannot read is itself a finding.
 //
 // Rules are data where they can be (DESIGN.md §8.6): which packages a
@@ -53,9 +50,9 @@
 // clock-discipline, seeded-rand and unchecked-error flag is a row of
 // calls.go, and what a call does to resource-lifecycle's obligations is
 // a row of its effect table. The passes that follow control flow share
-// the skeleton of flow.go; the lock passes read the lock-flow walk of
-// lockflow.go; the whole-program passes share the program index of
-// program.go. The analyzers are written against the stdlib go/ast +
+// the skeleton of flow.go; guarded-by and mutex-hygiene read the
+// lock-flow walk of lockflow.go; the whole-program passes share the
+// program index of program.go. The analyzers are written against the stdlib go/ast +
 // go/types stack only; package loading shells out to the go command
 // for export data (see load.go), so the tool needs no dependencies
 // beyond the toolchain.
@@ -139,10 +136,7 @@ func All() []*Analyzer {
 		SeededRand,
 		UncheckedError,
 		MutexHygiene,
-		GoroutineLifecycle,
-		LockOrder,
 		BufferOwnership,
-		WireExhaustiveness,
 		GuardedBy,
 		ResourceLifecycle,
 	}

@@ -91,16 +91,14 @@ func runGolden(t *testing.T, a *Analyzer, fixture, pkgPath string) {
 // fixturePaths maps each testdata fixture to the import path it is
 // type-checked under (path-sensitive analyzers key off it).
 var fixturePaths = map[string]string{
-	"bufown":      "dodo/internal/usocket",
-	"clock":       "dodo/internal/experiments",
-	"errcheck":    "dodo/internal/core",
-	"goroutine":   "dodo/internal/manager",
-	"guardedby":   "dodo/internal/manager",
-	"lockorder":   "dodo/internal/transport",
-	"mutex":       "dodo/internal/manager",
-	"rand":        "dodo/internal/workload",
-	"resource":    "dodo/internal/region",
-	"wireexhaust": "dodo/internal/wire",
+	"bufown":    "dodo/internal/usocket",
+	"clock":     "dodo/internal/experiments",
+	"errcheck":  "dodo/internal/core",
+	"guardedby": "dodo/internal/manager",
+	"mutex":     "dodo/internal/manager",
+	"rand":      "dodo/internal/workload",
+	"resource":  "dodo/internal/region",
+	"rpclock":   "dodo/internal/transport",
 }
 
 // TestFixtureFindingsExact pins finding text, not just shape: the
@@ -180,6 +178,10 @@ func TestMutexHygieneGolden(t *testing.T) {
 	runGolden(t, MutexHygiene, "mutex", "dodo/internal/manager")
 }
 
+func TestMutexHygieneRPCGolden(t *testing.T) {
+	runGolden(t, MutexHygiene, "rpclock", "dodo/internal/transport")
+}
+
 // TestCopylocks runs go vet's copylocks check, which owns the receiver
 // and copy rules for lock-bearing types: the module is clean, and each
 // of the six copies in the mutex fixture is reported, nothing else.
@@ -207,38 +209,6 @@ func TestCopylocks(t *testing.T) {
 	}
 }
 
-func TestGoroutineLifecycleGolden(t *testing.T) {
-	runGolden(t, GoroutineLifecycle, "goroutine", "dodo/internal/manager")
-}
-
-func TestGoroutineLifecycleOnlyDaemonPackages(t *testing.T) {
-	// Outside the daemon set the same fixture must be silent: request-
-	// scoped helpers may use fire-and-forget goroutines.
-	pass, err := LoadFixtureDir("testdata/goroutine", "dodo/internal/experiments")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fs := GoroutineLifecycle.run(newProgram([]*Pass{pass})); len(fs) != 0 {
-		t.Fatalf("non-daemon package produced findings: %v", fs)
-	}
-}
-
-func TestLockOrderGolden(t *testing.T) {
-	runGolden(t, LockOrder, "lockorder", "dodo/internal/transport")
-}
-
-func TestLockOrderSkipsNonInternal(t *testing.T) {
-	// Outside internal/ the same fixture must be silent: cmd and
-	// example binaries hold no hierarchy locks by policy.
-	pass, err := LoadFixtureDir("testdata/lockorder", "dodo/cmd/dodo-bench")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fs := LockOrder.run(newProgram([]*Pass{pass})); len(fs) != 0 {
-		t.Fatalf("non-internal package produced findings: %v", fs)
-	}
-}
-
 func TestBufferOwnershipGolden(t *testing.T) {
 	runGolden(t, BufferOwnership, "bufown", "dodo/internal/usocket")
 }
@@ -253,10 +223,6 @@ func TestBufferOwnershipOnlyZeroCopyPackages(t *testing.T) {
 	if fs := BufferOwnership.run(newProgram([]*Pass{pass})); len(fs) != 0 {
 		t.Fatalf("non-zero-copy package produced findings: %v", fs)
 	}
-}
-
-func TestWireExhaustivenessGolden(t *testing.T) {
-	runGolden(t, WireExhaustiveness, "wireexhaust", "dodo/internal/wire")
 }
 
 func TestGuardedByGolden(t *testing.T) {

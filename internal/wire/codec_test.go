@@ -3,6 +3,7 @@ package wire
 import (
 	"errors"
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -33,6 +34,25 @@ func TestTypeTable(t *testing.T) {
 		case row.new().Kind() != ty:
 			t.Errorf("types[%v].new().Kind() = %v", ty, row.new().Kind())
 		}
+	}
+}
+
+// TestMessagesCoverTheTable pins what the dispatcher table tests rest
+// on: Messages yields one message of every type with a constructor, in
+// Type order, and none of a reserved number.
+func TestMessagesCoverTheTable(t *testing.T) {
+	var want []Type
+	for ty := TInvalid + 1; ty < typeSentinel; ty++ {
+		if types[ty].new != nil {
+			want = append(want, ty)
+		}
+	}
+	var got []Type
+	for _, m := range Messages() {
+		got = append(got, m.Kind())
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("Messages() kinds = %v, want %v", got, want)
 	}
 }
 

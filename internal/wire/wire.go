@@ -149,6 +149,20 @@ var types = [typeSentinel]struct {
 	TReadBatchResp:    {name: "read-batch-resp"},
 }
 
+// Messages returns a zero message of every registered type, in Type
+// order. Each dispatcher's table test runs them all through it, so a
+// type registered above fails those tests until their tables say what
+// the dispatcher does with it.
+func Messages() []Message {
+	var out []Message
+	for _, row := range types {
+		if row.new != nil {
+			out = append(out, row.new())
+		}
+	}
+	return out
+}
+
 // Caps is the type of the inert ReadReq.Caps field.
 //
 // Deprecated: kept for benchmark/probes.go; nothing reads it.

@@ -1,18 +1,18 @@
 #!/usr/bin/env sh
-# Repository verification: build, standard vet, the repo's own invariant
-# suite (cmd/dodo-vet), and the full test suite under the race detector.
-# CI runs exactly this script; run it locally before pushing.
+# Repository verification: build, go vet, the repo's own invariant suite
+# (cmd/dodo-vet, one run), the full test suite under the race detector,
+# the benchmark module's tests and count gates, the two ns/op gates, the
+# full suite again with the lockcheck rank runtime, a fuzz smoke and the
+# targeted concurrency and fault sweeps. CI runs this script, then one
+# more lockcheck sweep; run it locally before pushing.
 set -eux
 
 go build ./...
 go vet ./...
 
-# The whole invariant suite, then the whole-program analyzers once more
-# by name: the second run exercises the -only selection path and keeps
-# the lock-order / buffer-ownership / wire-exhaustiveness / guarded-by
-# passes visible in CI logs even if the suite grows.
+# The invariant suite: every dodo-vet rule over the whole module. Lock
+# ranks are not among them; the lockcheck run below checks those.
 go run ./cmd/dodo-vet ./...
-go run ./cmd/dodo-vet -only lock-order,buffer-ownership,wire-exhaustiveness,guarded-by,resource-lifecycle ./...
 
 go test -race ./...
 
@@ -86,8 +86,8 @@ rm -f /tmp/bench_dataplane_now.json
 
 # The same suite with the lockcheck runtime compiled in: every
 # locks.Mutex acquisition is checked against the declared rank hierarchy
-# and panics on inversion, cross-checking the static lock-order pass
-# against real schedules.
+# and panics on inversion. This is the repository's one check of lock
+# order; dodo-vet has no static one.
 go test -race -tags lockcheck ./...
 
 # Wire-codec fuzz smoke: ten seconds of coverage-guided frames through
