@@ -159,11 +159,11 @@ func newInflight() *inflight { return &inflight{done: make(chan struct{})} }
 
 // cregion is one entry of the local cache directory. Every field but
 // pub is guarded by the Cache's mu (the struct itself carries no lock),
-// and fd, length, backing, backOff and tags never change once the
-// region is in the fd table: I/O phases work on ioView snapshots taken
-// under the lock, and a non-nil pend gives its owner exclusive right to
-// *mutate* the region's location state between two lock sections (see
-// DESIGN.md §11).
+// and fd, length, backing and backOff never change once the region is
+// in the fd table: I/O phases work on ioView snapshots taken under the
+// lock, and a non-nil pend gives its owner exclusive right to *mutate*
+// the region's location state between two lock sections (see DESIGN.md
+// §11).
 type cregion struct {
 	fd     int
 	length int64
@@ -171,7 +171,11 @@ type cregion struct {
 	// while there is none or while Cwrite is writing into it in place.
 	// Whoever writes into a slot's buffer takes it off pub before it
 	// reads the slot's pins (see hit).
-	pub     atomic.Pointer[slot]
+	pub atomic.Pointer[slot]
+	// stamp is the clock's tick at the region's install or last touch
+	// (policy.go); hits store it without the lock.
+	// dodo:atomic
+	stamp   atomic.Uint64
 	backing core.Backing
 	backOff int64
 
@@ -198,14 +202,9 @@ type cregion struct {
 	// flight). Write-throughs wait on it so no write can interleave
 	// with a push that already passed its staleness check.
 	clonePend *inflight
-	// prev and next link the region into the cache's recency list
-	// (policy.go), which it is on iff local is non-nil. They come last,
-	// at least a cache line from fd, length and pub, which hits read
-	// while the lock's holder relinks.
-	prev, next *cregion
-	// tags are what the touch log stores for r (touchTag), each
-	// pointing back at r; they never change once r is opened.
-	tags [2]touchTag
+	// resident is r's index in the cache's resident set while local is
+	// non-nil (policy.go).
+	resident int
 }
 
 // slot is one buffer of the local cache and the count of hits copying
@@ -319,11 +318,10 @@ type Stats struct {
 // markers, perform the I/O on ioView snapshots, and re-lock to install
 // the results (DESIGN.md §11). A local hit takes no lock at all: it
 // finds the region in the fd table, pins its published slot, copies,
-// and logs the touch for the lock to apply (hit). Lock juggling is
-// always local to one function: helpers called with the lock held (the
-// *Locked family) never release it for good — awaitUnpinnedLocked drops
-// it only inside its Wait — and helpers that acquire it are never
-// called with it held.
+// and stamps the region (hit). Lock juggling is always local to one
+// function: helpers called with the lock held (the *Locked family)
+// never release it for good — awaitUnpinnedLocked drops it only inside
+// its Wait — and helpers that acquire it are never called with it held.
 type Cache struct {
 	// dodo:unguarded — immutable after construction
 	cfg Config
@@ -331,7 +329,7 @@ type Cache struct {
 	dodo Dodo
 
 	// What a hit reads and writes comes first, apart from the fields
-	// mu guards: the touch log pads itself onto lines of its own.
+	// mu guards: the clock pads itself onto a line of its own.
 	//
 	// table maps a descriptor to its open region (lookup). Hits read it
 	// with atomic loads; mu's holders replace it when it grows.
@@ -340,10 +338,10 @@ type Cache struct {
 	// touching is policies[policy].touch, for hits to read without mu.
 	// dodo:atomic
 	touching atomic.Bool
-	// touches is the log of hits the recency list has yet to see
-	// (policy.go), and the count of local hits.
-	// dodo:unguarded — lock-free: its fields are atomics
-	touches touchLog
+	// clock stamps the resident regions (policy.go) and counts the
+	// local hits.
+	// dodo:unguarded — lock-free: its field is atomic
+	clock clock
 
 	mu locks.Mutex
 	// freeFDs are the descriptors Copen hands out next, one per table
@@ -355,11 +353,16 @@ type Cache struct {
 	// policy is the replacement policy: cfg.Policy until SetPolicy.
 	// dodo:guardedby mu
 	policy Policy
-	// front and back are the ends of the recency list (policy.go).
+	// resident holds the regions with a local copy (policy.go).
 	// dodo:guardedby mu
-	front *cregion
+	resident []*cregion
+	// lockStamps counts the clock's ticks that were not hits.
 	// dodo:guardedby mu
-	back *cregion
+	lockStamps uint64
+	// rand is the state victimLocked draws its sample from; it starts
+	// from a fixed seed, so that runs replay.
+	// dodo:guardedby mu
+	rand uint64
 	// used counts local-cache bytes, including bytes pre-charged for
 	// fills still in flight.
 	// dodo:guardedby mu
@@ -417,6 +420,7 @@ func NewCache(dodo Dodo, cfg Config) *Cache {
 		cfg:        cfg.withDefaults(),
 		dodo:       dodo,
 		policy:     cfg.Policy,
+		rand:       1,
 		byLocation: make(map[prefKey]int),
 		fills:      make(map[prefKey]*inflight),
 		streams:    make(map[uint64]int64),
@@ -442,7 +446,7 @@ func (c *Cache) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s := c.stats
-	s.LocalHits = int64(c.touches.tail.Load()) + c.touches.unlogged.Load()
+	s.LocalHits = int64(c.clock.now.Load() - c.lockStamps)
 	return s
 }
 
@@ -526,13 +530,11 @@ func (c *Cache) State(fd int) (State, error) {
 }
 
 // SetPolicy switches the replacement policy (csetPolicy, §3.3). The
-// recency list carries over as the old policy left it, hits logged
-// under it included, so the new one's first victim is an end of that
-// order.
+// stamps carry over as the old policy left them, so the new one's
+// first victim is the oldest or newest of that order.
 func (c *Cache) SetPolicy(p Policy) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.drainLocked()
 	c.policy = p
 	c.touching.Store(policies[p].touch)
 }
@@ -550,7 +552,6 @@ func (c *Cache) Copen(length int64, backing core.Backing, offset int64) (int, er
 	}
 	c.mu.Lock()
 	r := &cregion{length: length, backing: backing, backOff: offset, remoteFD: -1}
-	r.tags = [2]touchTag{{r}, {r}}
 	c.openLocked(r)
 	fd := r.fd
 	c.registerLocationLocked(r)
@@ -684,8 +685,11 @@ func (c *Cache) hit(r *cregion, offset int64, buf []byte) (int, bool) {
 		return 0, false
 	}
 	n, ok := c.copyFrom(r, s, offset, buf)
-	if ok && !c.logTouch(r) {
-		c.touches.unlogged.Add(1)
+	if ok {
+		now := c.clock.now.Add(1)
+		if c.touching.Load() {
+			r.stamp.Store(now)
+		}
 	}
 	return n, ok
 }
@@ -786,7 +790,9 @@ func (c *Cache) Cwrite(fd int, offset int64, buf []byte) (int, error) {
 			copy(s.buf[offset:offset+want], buf[:want])
 			r.pub.Store(s)
 			r.dirty = true
-			c.touchLocked(r)
+			if policies[c.policy].touch {
+				c.stampLocked(r)
+			}
 			c.mu.Unlock()
 			return int(want), nil
 		}
@@ -1124,11 +1130,12 @@ func (c *Cache) fillRegion(fd int, prefetched bool, overwrite []byte) bool {
 }
 
 // installLocked gives r, now holding the region's bytes in s, its
-// local copy: on the recency list, then published for hits. The link
-// applies the touch log while r has no local copy yet, so an entry left
-// from r's last stay in the cache is skipped. Caller holds c.mu.
+// local copy: in the resident set with a fresh stamp, then published
+// for hits. Caller holds c.mu.
 func (c *Cache) installLocked(r *cregion, s *slot) {
-	c.linkLocked(r)
+	r.resident = len(c.resident)
+	c.resident = append(c.resident, r)
+	c.stampLocked(r)
 	r.local = s
 	r.pub.Store(s)
 }

@@ -271,8 +271,7 @@ func checkAllHits(b *testing.B, c *Cache) {
 
 // BenchmarkCreadLocalHitParallel: every GOMAXPROCS goroutine reads whole
 // 8 KB regions out of 64 resident ones, so every read is a local hit.
-// The hits take no lock: they share only the touch log's lines and its
-// drains.
+// The hits take no lock: they share only the clock's line.
 func BenchmarkCreadLocalHitParallel(b *testing.B) {
 	c, fds := openHitSet(b)
 	var next atomic.Int64
@@ -303,6 +302,42 @@ func BenchmarkCreadLocalHitSerial(b *testing.B) {
 		}
 	}
 	checkAllHits(b, c)
+}
+
+// hitSetBuffers opens the hit benchmarks' working set and returns its
+// regions' local buffers, the ones a hit copies out of.
+func hitSetBuffers(b *testing.B) [][]byte {
+	c, fds := openHitSet(b)
+	srcs := make([][]byte, len(fds))
+	for i, fd := range fds {
+		srcs[i] = c.lookup(fd).local.buf
+	}
+	return srcs
+}
+
+// BenchmarkCopyOnlyParallel is BenchmarkCreadLocalHitParallel's copies
+// alone: a bare copy out of the same buffers, in the same order, with
+// no cache in the way. A hit's overhead is the hit benchmark's ns/op
+// minus this one's at the same -cpu.
+func BenchmarkCopyOnlyParallel(b *testing.B) {
+	srcs := hitSetBuffers(b)
+	var next atomic.Int64
+	b.RunParallel(func(pb *testing.PB) {
+		buf := make([]byte, hitSetRegion)
+		for i := int(next.Add(1)) * 7; pb.Next(); i++ {
+			copy(buf, srcs[i%hitSetRegions])
+		}
+	})
+}
+
+// BenchmarkCopyOnlySerial is BenchmarkCreadLocalHitSerial's copies
+// alone, as BenchmarkCopyOnlyParallel is the parallel one's.
+func BenchmarkCopyOnlySerial(b *testing.B) {
+	srcs := hitSetBuffers(b)
+	buf := make([]byte, hitSetRegion)
+	for i := 0; i < b.N; i++ {
+		copy(buf, srcs[i%hitSetRegions])
+	}
 }
 
 // BenchmarkCreadLocalHitParallelFit8K is fit8k-unet's shape: two

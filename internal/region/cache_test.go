@@ -3,6 +3,8 @@ package region
 import (
 	"bytes"
 	"errors"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -461,39 +463,34 @@ func isLocal(t *testing.T, c *Cache, fd int) bool {
 	return st == StateLocal || st == StateLocalRemote
 }
 
-// checkRecencyList applies the touch log and walks the cache's recency
-// list under c.mu: every linked region is open and has a local copy, no
-// region is linked twice, the back links mirror the forward ones, and
-// every region with a local copy is linked.
-func checkRecencyList(t *testing.T, c *Cache) {
+// checkResidentSet walks the cache's resident slice under c.mu: every
+// region in it is open and has a local copy, no region is in it twice,
+// each region's index is its place in it, and every region with a
+// local copy is in it.
+func checkResidentSet(t *testing.T, c *Cache) {
 	t.Helper()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.drainLocked()
 	linked := make(map[*cregion]bool)
-	var prev *cregion
-	for r := c.front; r != nil; prev, r = r, r.next {
+	for i, r := range c.resident {
 		if linked[r] {
-			t.Fatalf("region %d is linked twice", r.fd)
+			t.Fatalf("region %d is resident twice", r.fd)
 		}
 		linked[r] = true
-		if r.prev != prev {
-			t.Fatalf("region %d: prev link does not mirror the list", r.fd)
+		if r.resident != i {
+			t.Fatalf("region %d holds index %d at index %d", r.fd, r.resident, i)
 		}
 		if r.local == nil {
-			t.Fatalf("region %d is linked without a local copy", r.fd)
+			t.Fatalf("region %d is resident without a local copy", r.fd)
 		}
 		if c.lookup(r.fd) != r {
-			t.Fatalf("region %d is linked but not open", r.fd)
+			t.Fatalf("region %d is resident but not open", r.fd)
 		}
-	}
-	if c.back != prev {
-		t.Fatal("back does not end the list")
 	}
 	t0 := c.table.Load()
 	for i := range t0.regions {
 		if r := t0.regions[i].Load(); r != nil && r.local != nil && !linked[r] {
-			t.Fatalf("region %d has a local copy but is not linked", r.fd)
+			t.Fatalf("region %d has a local copy but is not resident", r.fd)
 		}
 	}
 }
@@ -546,7 +543,7 @@ func TestPolicyModules(t *testing.T) {
 		if isLocal(t, c, fd3) == (name == "first-in") {
 			t.Fatalf("%s: new region local = %v", name, isLocal(t, c, fd3))
 		}
-		checkRecencyList(t, c)
+		checkResidentSet(t, c)
 		for _, fd := range append(fds, fd3) {
 			c.Cclose(fd)
 		}
@@ -560,8 +557,8 @@ func TestPolicyModules(t *testing.T) {
 }
 
 // TestPolicyDoubleCacheIsIdempotent moves two regions in and out of a
-// one-region cache: each comes back linked once, and closing both
-// leaves the list empty.
+// one-region cache: each comes back resident once, and closing both
+// leaves the resident set empty.
 func TestPolicyDoubleCacheIsIdempotent(t *testing.T) {
 	c, _ := newTestCache(t, 4096, 1<<20, LRU)
 	back := core.NewMemBacking(1, 1<<20)
@@ -571,22 +568,22 @@ func TestPolicyDoubleCacheIsIdempotent(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		c.Cread(fdA, 0, buf)
 		c.Cread(fdA, 0, buf)
-		checkRecencyList(t, c)
+		checkResidentSet(t, c)
 		c.Cread(fdB, 0, buf)
-		checkRecencyList(t, c)
+		checkResidentSet(t, c)
 	}
 	c.Cclose(fdA)
 	c.Cclose(fdB)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.front != nil || c.back != nil {
-		t.Fatal("closing every region left a phantom list entry")
+	if len(c.resident) != 0 {
+		t.Fatal("closing every region left a phantom resident")
 	}
 }
 
 // TestSetPolicyIsDeterministic switches a full cache from LRU to FIFO:
-// the list keeps the order LRU left it in, so the next victim is its
-// front, the least recently used region.
+// the stamps keep the order LRU left them in, so the next victim is the
+// oldest, the least recently used region.
 func TestSetPolicyIsDeterministic(t *testing.T) {
 	const n = 16
 	c, _ := newTestCache(t, n*4096, 1<<20, LRU)
@@ -603,14 +600,80 @@ func TestSetPolicyIsDeterministic(t *testing.T) {
 	c.Copen(4096, back, n*4096)
 	for i, fd := range fds {
 		if isLocal(t, c, fd) != (i != 2) {
-			t.Fatalf("region %d local = %v; want only region 2, the front, evicted", i, isLocal(t, c, fd))
+			t.Fatalf("region %d local = %v; want only region 2, the oldest, evicted", i, isLocal(t, c, fd))
 		}
 	}
 }
 
+// TestSampledVictimsAreOld: with 4 × victimSample regions resident
+// under LRU, a victim is the oldest of a sample, not of all. One
+// goroutine reads 256 regions at random through a cache of 128 until
+// 1,000 reads have evicted; the mean rank by stamp of those victims
+// (the oldest resident ranks 0) lies in the oldest 5 % of the
+// residents, and a second run evicts the same regions.
+func TestSampledVictimsAreOld(t *testing.T) {
+	const (
+		n       = 512
+		fit     = 4 * victimSample
+		regions = 2 * fit
+		victims = 1000
+	)
+	run := func() (evicted []int, meanRank float64) {
+		c := NewCache(newBenchDodo(1<<30, 0), Config{Capacity: fit * n, Policy: LRU, PromoteOnAccess: true})
+		back := core.NewMemBacking(1, regions*n)
+		rs := make([]*cregion, regions)
+		for i := range rs {
+			fd, err := c.Copen(n, back, int64(i*n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rs[i] = c.lookup(fd)
+		}
+		rng := rand.New(rand.NewSource(3))
+		buf := make([]byte, n)
+		stamps := make([]uint64, regions)
+		ranks := 0
+		for len(evicted) < victims {
+			c.mu.Lock()
+			var order []uint64
+			for i, r := range rs {
+				stamps[i] = 0
+				if r.local != nil {
+					stamps[i] = r.stamp.Load()
+					order = append(order, stamps[i])
+				}
+			}
+			c.mu.Unlock()
+			slices.Sort(order)
+			i := rng.Intn(regions)
+			if _, err := c.Cread(rs[i].fd, 0, buf); err != nil {
+				t.Fatal(err)
+			}
+			c.mu.Lock()
+			for j, r := range rs {
+				if stamps[j] != 0 && r.local == nil {
+					evicted = append(evicted, j)
+					k, _ := slices.BinarySearch(order, stamps[j])
+					ranks += k
+				}
+			}
+			c.mu.Unlock()
+		}
+		return evicted, float64(ranks) / float64(len(evicted))
+	}
+	first, rank := run()
+	if rank > 0.05*fit {
+		t.Fatalf("the victims' mean rank is %.1f of %d residents: want the oldest 5 %%", rank, fit)
+	}
+	if again, _ := run(); !slices.Equal(first, again) {
+		t.Fatal("a second run with the same seed evicted other regions")
+	}
+	t.Logf("mean victim rank %.2f of %d residents", rank, fit)
+}
+
 func TestManyRegionsScalability(t *testing.T) {
-	// 4096 small regions through a cache holding 512: exercises O(1)
-	// policy structures.
+	// 4096 small regions through a cache holding 512: every victim
+	// choice samples the resident set.
 	c, _ := newTestCache(t, 512*128, 1<<30, LRU)
 	back := core.NewMemBacking(1, 4096*128)
 	fds := make([]int, 4096)

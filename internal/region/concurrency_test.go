@@ -434,11 +434,11 @@ func TestConcurrentAliasedRegions(t *testing.T) {
 	}
 }
 
-// TestRecencyListIsResidentSet checks the recency list against the
-// resident set while parallel reads, writes, opens, closes, prefetches
-// and policy switches run, and again once they stop: a region is linked
-// iff it has a local copy, and never twice.
-func TestRecencyListIsResidentSet(t *testing.T) {
+// TestResidentSliceIsResidentSet checks the resident slice against the
+// regions with a local copy while parallel reads, writes, opens,
+// closes, prefetches and policy switches run, and again once they stop:
+// a region is in it iff it has a local copy, and never twice.
+func TestResidentSliceIsResidentSet(t *testing.T) {
 	const (
 		regionSize = 2048
 		regions    = 16
@@ -520,18 +520,18 @@ func TestRecencyListIsResidentSet(t *testing.T) {
 		case <-done:
 			running = false
 		default:
-			checkRecencyList(t, c)
+			checkResidentSet(t, c)
 			time.Sleep(20 * time.Microsecond)
 		}
 	}
 
 	c.Quiesce()
-	checkRecencyList(t, c)
+	checkResidentSet(t, c)
 	for _, fd := range fds {
 		if err := c.Cclose(fd); err != nil {
 			t.Fatal(err)
 		}
 	}
 	c.Close()
-	checkRecencyList(t, c)
+	checkResidentSet(t, c)
 }

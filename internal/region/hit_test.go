@@ -15,10 +15,10 @@ import (
 
 // A local hit takes no lock: it finds its region in the fd table, pins
 // the region's published slot, checks that it is still published,
-// copies, and logs the touch for the lock to apply (hit, logTouch).
-// These tests hold it to that, race it against the writers and closers
-// of its slot, and hold the touch log to the victims a relink on every
-// hit would choose.
+// copies, and stamps the region (hit). These tests hold it to that,
+// race it against the writers and closers of its slot, and hold the
+// stamps to the victims a recency list relinked on every hit would
+// choose.
 
 // TestLocalHitTakesNoCacheLock: with the test holding c.mu, a hit on a
 // resident region still returns the region's bytes.
@@ -203,7 +203,7 @@ func TestEvictionRacesHit(t *testing.T) {
 	if s := c.Stats(); s.LocalHits == 0 || s.Evictions == 0 {
 		t.Fatalf("%d hits and %d evictions: the readers did not race evictions", s.LocalHits, s.Evictions)
 	}
-	checkRecencyList(t, c)
+	checkResidentSet(t, c)
 }
 
 // TestCcloseRacesHit: readers hit regions that another goroutine keeps
@@ -279,23 +279,23 @@ func TestCcloseRacesHit(t *testing.T) {
 	if got := len(c.table.Load().regions); got > 2*max(regions, 64) {
 		t.Fatalf("the fd table holds %d entries for %d open regions", got, regions)
 	}
-	checkRecencyList(t, c)
+	checkResidentSet(t, c)
 }
 
-// TestTouchLogKeepsVictims: one goroutine opens 24 regions in a cache
-// of 16, with a hit after each Copen, then makes 10,000 reads of them,
-// in runs of hits long enough to fill half the touch log; every region
-// each call evicts is the one a recency list relinked on every hit
-// would evict.
-func TestTouchLogKeepsVictims(t *testing.T) {
+// TestStampsKeepVictims: one goroutine opens 24 regions in a cache of
+// 16, at most victimSample, with a hit after each Copen, then makes
+// 10,000 reads of them, with runs of hits among them; every region each
+// call evicts is the one a recency list relinked on every hit would
+// evict.
+func TestStampsKeepVictims(t *testing.T) {
 	const (
 		n       = 512
 		regions = 24
 		fit     = 16
 		ops     = 10000
 	)
-	if ops <= touchLogSize {
-		t.Fatal("the run must be longer than the touch log")
+	if fit > victimSample {
+		t.Fatal("the victims are exact only with at most victimSample resident")
 	}
 	for _, p := range []Policy{LRU, MRU} {
 		t.Run(p.Name(), func(t *testing.T) {
@@ -359,8 +359,7 @@ func TestTouchLogKeepsVictims(t *testing.T) {
 				fds = append(fds, fd)
 				model = append(model, i)
 				step(fmt.Sprintf("Copen %d", i), want)
-				// A hit between two Copens that fit: the next one links
-				// its region with this hit still in the log.
+				// A hit between two Copens that fit.
 				h := model[rng.Intn(len(model))]
 				moveBack(h)
 				if _, err := c.Cread(fds[h], 0, buf); err != nil {
@@ -390,7 +389,7 @@ func TestTouchLogKeepsVictims(t *testing.T) {
 			if s := c.Stats(); s.LocalHits < ops/2 || s.Evictions < ops/10 {
 				t.Fatalf("%d hits, %d evictions: want a mix", s.LocalHits, s.Evictions)
 			}
-			checkRecencyList(t, c)
+			checkResidentSet(t, c)
 		})
 	}
 }

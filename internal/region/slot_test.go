@@ -260,7 +260,7 @@ func TestReinstalledVictimKeepsItsBuffer(t *testing.T) {
 	if st, _ := c.State(fd); st != StateLocalRemote {
 		t.Fatalf("region is %v, want local+remote", st)
 	}
-	checkRecencyList(t, c) // the reinstalled victim is back on the list
+	checkResidentSet(t, c) // the reinstalled victim is resident again
 	// Both are resident now. If they shared a buffer, this write would
 	// show in the victim.
 	if _, err := c.Cwrite(fd, 0, bytes.Repeat([]byte{0xBB}, n)); err != nil {

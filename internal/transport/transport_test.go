@@ -263,6 +263,33 @@ func TestUDPRecvCopiesSmallDatagram(t *testing.T) {
 	}
 }
 
+// TestUDPSendVec: SendVec sends its prefix and payload as one
+// datagram, refuses one over UDPMTU, and refuses any once closed.
+func TestUDPSendVec(t *testing.T) {
+	a, b := transportPair(t, "udp")
+	u := a.(*transport.UDP)
+	prefix := []byte("header:")
+	payload := bytes.Repeat([]byte{0xDD}, 4<<10)
+	if err := u.SendVec(b.LocalAddr(), prefix, payload); err != nil {
+		t.Fatalf("SendVec: %v", err)
+	}
+	data, _, err := b.Recv(2 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := append(append([]byte(nil), prefix...), payload...); !bytes.Equal(data, want) {
+		t.Fatalf("got a %d-byte datagram, want the %d bytes of prefix and payload", len(data), len(want))
+	}
+	wire.PutFrame(data)
+	if err := u.SendVec(b.LocalAddr(), prefix, make([]byte, transport.UDPMTU)); !errors.Is(err, transport.ErrTooLarge) {
+		t.Fatalf("SendVec oversize = %v, want ErrTooLarge", err)
+	}
+	u.Close()
+	if err := u.SendVec(b.LocalAddr(), prefix, payload); !errors.Is(err, transport.ErrClosed) {
+		t.Fatalf("SendVec after close = %v, want ErrClosed", err)
+	}
+}
+
 func BenchmarkUDPSendRecvLoopback(b *testing.B) {
 	src, err := transport.ListenUDP("127.0.0.1:0")
 	if err != nil {

@@ -102,12 +102,13 @@ go test -fuzz=FuzzWireRoundTrip -fuzztime=10s -run '^$' ./internal/wire/
 # pins its region's published slot, checks it is still published and
 # copies; a Cwrite or a fill into the evicted slot waits for the pin; an
 # eviction, a Cwrite or a Cclose racing hits never hands one another
-# region's or half a write's bytes), the touch log's exact victims,
-# and the recency-list walk (under parallel traffic and policy switches
-# the list holds exactly the regions with a local copy). Separate
+# region's or half a write's bytes), the stamps' exact victims with at
+# most 32 resident, and the resident-slice walk (under parallel traffic
+# and policy switches the slice holds exactly the regions with a local
+# copy). Separate
 # invocation so a cache-concurrency regression is attributable here,
 # not lost in the whole-tree runs above.
-REGION_TESTS='TestConcurrent|TestInterleavedSequentialStreams|TestNoPrefetchAfterFailedRead|TestPrefetchWorkerPool|TestHitCopy|TestPinHoldsSlotWritersNotClose|TestLocalHitAllocatesNothing|TestRecencyList|TestLocalHitTakesNoCacheLock|TestStaleSlotIsNotRead|TestEvictionRacesHit|TestCwriteRacesHit|TestCcloseRacesHit|TestTouchLogKeepsVictims'
+REGION_TESTS='TestConcurrent|TestInterleavedSequentialStreams|TestNoPrefetchAfterFailedRead|TestPrefetchWorkerPool|TestHitCopy|TestPinHoldsSlotWritersNotClose|TestLocalHitAllocatesNothing|TestResidentSlice|TestLocalHitTakesNoCacheLock|TestStaleSlotIsNotRead|TestEvictionRacesHit|TestCwriteRacesHit|TestCcloseRacesHit|TestStampsKeepVictims'
 go test -race -run "$REGION_TESTS" -count=2 -timeout 300s ./internal/region/
 go test -race -tags lockcheck -run "$REGION_TESTS" -count=2 -timeout 300s ./internal/region/
 
