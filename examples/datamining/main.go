@@ -127,8 +127,6 @@ func main() {
 // exits without Mclose so its regions persist in cluster memory for the
 // next run (§5.2.1, "remote memory regions are not deleted at the end
 // of a run"). Ownership moves to the cluster's keep-alive reclamation.
-//
-// dodo:transfers(dodofd)
 func retain(fd int) { _ = fd }
 
 func label(first bool) string {

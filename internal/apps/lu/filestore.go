@@ -29,8 +29,6 @@ var _ SlabStore = (*FileStore)(nil)
 // CreateFileStore lays out an empty rows x (cols*slabs) matrix across
 // nfiles band files in dir. The opened band files move into st.files;
 // FileStore.Close owns them from there.
-//
-// dodo:transfers(file)
 func CreateFileStore(dir string, rows, cols, slabs, nfiles int) (*FileStore, error) {
 	if rows%nfiles != 0 {
 		return nil, fmt.Errorf("lu: rows %d not divisible by %d files", rows, nfiles)

@@ -26,6 +26,26 @@ func TestFileStoreRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFailedCreateFileStoreClosesItsFiles: a band file that cannot be
+// sized (here a band of 2^63 bytes, which wraps negative) fails
+// CreateFileStore, and every band file it opened is closed again.
+func TestFailedCreateFileStoreClosesItsFiles(t *testing.T) {
+	open := func() int {
+		fds, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skipf("cannot count open files here: %v", err)
+		}
+		return len(fds)
+	}
+	before := open()
+	if _, err := CreateFileStore(t.TempDir(), 1, 1<<60, 1, 1); err == nil {
+		t.Fatal("CreateFileStore sized a band of 2^63 bytes")
+	}
+	if after := open(); after != before {
+		t.Fatalf("%d files open after a failed CreateFileStore, %d before", after, before)
+	}
+}
+
 func TestFactorOverFileStoreMatchesMemStore(t *testing.T) {
 	const n, cols, files = 48, 8, 4
 	m := RandomDiagDominant(n, 7)

@@ -59,8 +59,38 @@ func endpointPair(t *testing.T) (*Endpoint, *Endpoint) {
 	seg := usocket.NewSegment()
 	a := NewEndpoint(host(t, seg, "a"), fastCfg(), nil)
 	b := NewEndpoint(host(t, seg, "b"), fastCfg(), nil)
-	t.Cleanup(func() { a.Close(); b.Close() })
+	t.Cleanup(func() { within(t, "closing the endpoints", func() { a.Close(); b.Close() }) })
 	return a, b
+}
+
+// within runs f and fails t, dumping every goroutine, if f has not
+// returned in ten seconds, far past what a healthy run takes: a lost
+// Done leaves Close waiting for ever, and this makes it a failure that
+// names the wait.
+func within(t testing.TB, what string, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		buf := make([]byte, 1<<20)
+		t.Fatalf("%s did not return in 10s:\n%s", what, buf[:runtime.Stack(buf, true)])
+	}
+}
+
+// allocatedPer runs f runs times and returns the bytes allocated per run.
+func allocatedPer(runs int, f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }
 
 func echoHandler(from string, msg wire.Message) wire.Message {
@@ -77,7 +107,7 @@ func TestCallResponse(t *testing.T) {
 	seg := usocket.NewSegment()
 	srv := NewEndpoint(host(t, seg, "srv"), fastCfg(), echoHandler)
 	cli := NewEndpoint(host(t, seg, "cli"), fastCfg(), nil)
-	t.Cleanup(func() { srv.Close(); cli.Close() })
+	t.Cleanup(func() { within(t, "closing the endpoints", func() { srv.Close(); cli.Close() }) })
 
 	resp, err := cli.Call(seg.Addr("srv"), &wire.KeepAlive{ClientID: 9})
 	if err != nil {
@@ -131,6 +161,47 @@ func TestInlinePageCallAllocatesNoFrameOfItsOwn(t *testing.T) {
 	// decode copy more each way.
 	if perCall >= 5*page {
 		t.Errorf("a 32 KB page each way allocates %d bytes per call, want about %d", perCall, 2*40<<10)
+	}
+}
+
+// TestNotifyRecyclesItsFrame: Notify encodes into a pooled frame and
+// gives it back once the send returns. A 4 KB message takes a frame of
+// the 64 KB class (none below 2 KB is pooled), so a Notify that kept
+// its frame would allocate 64 KB a call; under -race, where sync.Pool
+// drops a quarter of what it is handed, one that gives it back still
+// costs about 16 KB. Half a frame is the bound in both builds.
+func TestNotifyRecyclesItsFrame(t *testing.T) {
+	ep := NewEndpoint(udpHost(t), fastCfg(), nil)
+	sink := udpHost(t)
+	t.Cleanup(func() { ep.Close(); sink.Close() })
+	msg := &wire.WriteReq{RegionID: 1, Length: 4 << 10, WriteSeq: 1, Payload: make([]byte, 4<<10)}
+	notify := func() {
+		if err := ep.Notify(sink.LocalAddr(), msg); err != nil {
+			t.Fatalf("Notify: %v", err)
+		}
+	}
+	notify() // fills the frame pool
+	if per := allocatedPer(200, notify); per >= 32<<10 {
+		t.Errorf("Notify of a 4 KB message allocates %d bytes a call, want under half a 64 KB frame: it keeps its frame", per)
+	}
+}
+
+// TestSendDataGathersIntoARecycledFrame: over a transport that is no
+// VecSender, sendData gathers each packet into a pooled frame and gives
+// it back once the send returns, under the same bound as Notify.
+func TestSendDataGathersIntoARecycledFrame(t *testing.T) {
+	ep := NewEndpoint(struct{ transport.Transport }{udpHost(t)}, fastCfg(), nil)
+	sink := udpHost(t)
+	t.Cleanup(func() { ep.Close(); sink.Close() })
+	payload, prefix := make([]byte, 4<<10), make([]byte, wire.BulkDataPrefixSize)
+	send := func() {
+		if err := ep.sendData(sink.LocalAddr(), 1, 0, payload, prefix); err != nil {
+			t.Fatalf("sendData: %v", err)
+		}
+	}
+	send() // fills the frame pool
+	if per := allocatedPer(200, send); per >= 32<<10 {
+		t.Errorf("sendData of a 4 KB packet allocates %d bytes a packet, want under half a 64 KB frame: it keeps its frame", per)
 	}
 }
 

@@ -381,8 +381,6 @@ func (ep *Endpoint) Start(to string, msg wire.Message) (*Pending, error) {
 
 // The encoded frame moves into the call, which gives it back when it
 // ends.
-//
-// dodo:transfers(frame)
 func (ep *Endpoint) start(to string, msg wire.Message, p retry.Policy) (*Pending, error) {
 	pc := &Pending{ep: ep, to: to, msg: msg, ch: make(chan reply, 2),
 		budget: retry.New(p, ep.cfg.Clock, nil)}

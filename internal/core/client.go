@@ -405,8 +405,6 @@ func dataBudget(n int64) time.Duration {
 //
 // The descriptor owns a manager-side region mapping: every successful
 // Mopen must be balanced by an Mclose on every path.
-//
-// dodo:acquires(dodofd)
 func (c *Client) Mopen(length int64, backing Backing, offset int64) (int, error) {
 	if length < 1 || offset < 0 {
 		return -1, fmt.Errorf("%w: length %d, offset %d", ErrInval, length, offset)
@@ -994,8 +992,6 @@ func (c *Client) hedgeDelay(addr string, epoch uint64) (time.Duration, bool) {
 // hedgeWG.Wait — so the WaitGroup counter can never rise from zero
 // while Wait is running (the documented WaitGroup misuse). On a true
 // return the caller owes a hedgeWG.Done from the leg it launches.
-//
-// dodo:acquires(wg)
 func (c *Client) tryHedgeLeg() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -1280,8 +1276,6 @@ func (c *Client) remoteWrite(r regionState, offset int64, data []byte) error {
 // Mclose deallocates the region (§3.2). It contacts the central manager
 // to free the remote memory and removes the descriptor; it does not
 // touch the backing file.
-//
-// dodo:releases(dodofd)
 func (c *Client) Mclose(fd int) error {
 	c.mu.Lock()
 	if c.closed {

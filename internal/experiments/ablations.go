@@ -90,8 +90,6 @@ func AllocatorAblation(poolSize uint64, ops int, seed int64) []AllocatorRow {
 // ablation run. The row's fragmentation stats are captured before the
 // drain, so the measured numbers are unaffected; this just returns the
 // pool to empty instead of abandoning the survivors.
-//
-// dodo:releases(palloc)
 func drainAllocs(alloc pool.Allocator, live []uint64) {
 	for _, off := range live {
 		_ = alloc.Free(off)

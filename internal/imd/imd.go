@@ -195,10 +195,9 @@ type pinnedReply struct {
 	pin pinned
 }
 
-// Release unpins the payload once the endpoint has encoded it. It is
-// called only through bulk.Releaser, where no release annotation
-// reaches, so TestWriteWaitsForPinnedInlineReply is what catches a
-// Release that does not unpin.
+// Release unpins the payload once the endpoint has encoded it. A
+// Release that does not unpin leaves the next write waiting for ever,
+// and fails TestWriteWaitsForPinnedInlineReply by its deadline.
 func (r *pinnedReply) Release() {
 	r.d.unpin(r.pin)
 }
@@ -814,8 +813,6 @@ func (d *Daemon) memoizeLocked(from string, id uint64, resp *wire.DataResp) {
 // the caller runs after dropping d.mu. Until unpin returns the pin, no
 // write lands in the region and no free releases its span. Caller holds
 // d.mu.
-//
-// dodo:acquires(pin)
 func (d *Daemon) pinLocked(region uint64, data []byte) pinned {
 	d.pins[region]++
 	return pinned{region: region, data: data}
@@ -823,8 +820,6 @@ func (d *Daemon) pinLocked(region uint64, data []byte) pinned {
 
 // unpin returns a pin taken by pinLocked, once its send has returned,
 // and wakes what waits for the region's last pin.
-//
-// dodo:releases(pin)
 func (d *Daemon) unpin(p pinned) {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -151,8 +152,27 @@ func newRigOver(t testing.TB, seg *usocket.Segment, tr transport.Transport, pool
 		Endpoint:       fastEp(),
 	})
 	cli := bulk.NewEndpoint(host(t, seg, "client"), fastEp(), nil)
-	t.Cleanup(func() { d.Close(); cli.Close(); cmd.ep.Close() })
+	t.Cleanup(func() { within(t, "closing the rig", func() { d.Close(); cli.Close(); cmd.ep.Close() }) })
 	return &rig{t: t, seg: seg, cmd: cmd, d: d, cli: cli, seq: map[uint64]uint64{}}
+}
+
+// within runs f and fails t, dumping every goroutine, if f has not
+// returned in ten seconds, far past what a healthy run takes: a lost
+// release (an unpin, a Done) leaves a wait that never ends, and this
+// makes it a failure that names the wait.
+func within(t testing.TB, what string, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		buf := make([]byte, 1<<20)
+		t.Fatalf("%s did not return in 10s:\n%s", what, buf[:runtime.Stack(buf, true)])
+	}
 }
 
 // allocRegion asks the daemon directly (playing the manager's role).
@@ -617,7 +637,7 @@ func TestDuplicatedEagerReadServedOnce(t *testing.T) {
 			t.Fatalf("read %d: %d bytes, %v", i, n, err)
 		}
 	}
-	r.d.transfers.Wait()
+	within(t, "the eager blasts", r.d.transfers.Wait)
 	if got := r.d.Stats().Reads; got != reads {
 		t.Errorf("Reads = %d after %d distinct transfer ids, want one read each", got, reads)
 	}

@@ -267,12 +267,10 @@ func TestHandoffPageFromPinnedBytes(t *testing.T) {
 	go func() { freed <- src.handle(seg.Addr("cmd"), &wire.IMDFreeReq{RegionID: 1}) }()
 	awaitPinWaiter(t)
 	close(held.release)
-	select {
-	case <-drained:
-	case <-time.After(10 * time.Second):
-		t.Fatal("Drain never completed")
-	}
-	if fr, ok := (<-freed).(*wire.IMDFreeResp); !ok || fr.Status != wire.StatusOK {
+	within(t, "Drain", func() { <-drained })
+	var freeResp wire.Message
+	within(t, "the free waiting on the pushed page's pin", func() { freeResp = <-freed })
+	if fr, ok := freeResp.(*wire.IMDFreeResp); !ok || fr.Status != wire.StatusOK {
 		t.Fatalf("the waiting free = %+v", fr)
 	}
 	if dones := cmd.handoffOutcomes(); len(dones) != 1 || dones[0].Status != wire.StatusOK {

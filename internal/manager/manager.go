@@ -555,8 +555,6 @@ func (m *Manager) handleInventoryReport(req *wire.InventoryReport) wire.Message 
 // never push to them — the overlay that tracked them is gone — so the
 // caller must free them on their peers once m.mu is released; otherwise
 // each would hold pre-allocated pool space until its host churned.
-//
-// dodo:acquires(grant)
 func (m *Manager) discardDrainingLocked(addr string) []wire.Region {
 	dh := m.draining[addr]
 	if dh == nil {
@@ -584,8 +582,6 @@ func (m *Manager) discardDrainingLocked(addr string) []wire.Region {
 
 // freeHandoffTargets releases pre-allocated handoff destinations on
 // their peer imds. Must run without m.mu held.
-//
-// dodo:releases(grant)
 func (m *Manager) freeHandoffTargets(targets []wire.Region) {
 	for _, t := range targets {
 		m.ep.Notify(t.HostAddr, &wire.IMDFreeReq{RegionID: t.RegionID})

@@ -2,6 +2,7 @@ package manager
 
 import (
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -121,8 +122,27 @@ func newRig(t *testing.T) *testRig {
 	seg := usocket.NewSegment()
 	mgr := New(host(t, seg, "cmd"), fastCfg())
 	cli := bulk.NewEndpoint(host(t, seg, "client"), fastEndpointCfg(), clientHandler)
-	t.Cleanup(func() { mgr.Close(); cli.Close() })
+	t.Cleanup(func() { within(t, "closing the rig", func() { mgr.Close(); cli.Close() }) })
 	return &testRig{seg: seg, mgr: mgr, cli: cli}
+}
+
+// within runs f and fails t, dumping every goroutine, if f has not
+// returned in ten seconds, far past what a healthy run takes: a lost
+// Done leaves Close waiting for ever, and this makes it a failure that
+// names the wait.
+func within(t testing.TB, what string, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		buf := make([]byte, 1<<20)
+		t.Fatalf("%s did not return in 10s:\n%s", what, buf[:runtime.Stack(buf, true)])
+	}
 }
 
 // clientHandler answers keep-alives, as the runtime library must.

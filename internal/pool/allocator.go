@@ -21,12 +21,8 @@ import (
 type Allocator interface {
 	// Alloc reserves size bytes, returning the block offset.
 	// ok is false when no sufficiently large free block exists.
-	//
-	// dodo:acquires(palloc)
 	Alloc(size uint64) (offset uint64, ok bool)
 	// Free releases the block at offset (as returned by Alloc).
-	//
-	// dodo:releases(palloc)
 	Free(offset uint64) error
 	// FreeBytes returns the total free space.
 	FreeBytes() uint64
@@ -92,8 +88,6 @@ func (f *FirstFit) Size() uint64 { return f.size }
 
 // Alloc reserves size bytes at the first free block large enough,
 // splitting the block when it is bigger than needed.
-//
-// dodo:acquires(palloc)
 func (f *FirstFit) Alloc(size uint64) (uint64, bool) {
 	if size == 0 || size > f.size {
 		f.failures++
@@ -137,8 +131,6 @@ func (f *FirstFit) tryAlloc(size uint64) (uint64, bool) {
 
 // Free releases an allocated block. Adjacent free blocks are merged only
 // by the periodic coalescing pass, mirroring the paper's design.
-//
-// dodo:releases(palloc)
 func (f *FirstFit) Free(off uint64) error {
 	if _, ok := f.allocd[off]; !ok {
 		return fmt.Errorf("%w: %d", ErrBadFree, off)

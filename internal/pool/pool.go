@@ -55,8 +55,6 @@ func NewFirstFitPool(size uint64) *Pool { return New(NewFirstFit(size)) }
 // moves into p.regions; Delete frees it back to the allocator. A new
 // region reads as zeros: the slab starts zeroed and Delete clears what
 // it frees.
-//
-// dodo:transfers(palloc)
 func (p *Pool) Create(id uint64, size uint64) (offset uint64, err error) {
 	if _, dup := p.regions[id]; dup {
 		return 0, fmt.Errorf("%w: %d", ErrDupRegion, id)

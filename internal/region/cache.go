@@ -18,15 +18,12 @@ import (
 type Dodo interface {
 	// Mopen allocates a remote region; the returned descriptor must be
 	// Mclosed on every path, including error exits.
-	//
-	// dodo:acquires(dodofd)
 	Mopen(length int64, backing core.Backing, offset int64) (int, error)
 	Mread(fd int, offset int64, buf []byte) (int, error)
 	// Mwrite keeps no reference to buf once it has returned: the cache
 	// pushes an evicted region's buffer through it and then fills the
 	// next region into the same memory (fillRegion).
 	Mwrite(fd int, offset int64, buf []byte) (int, error)
-	// dodo:releases(dodofd)
 	Mclose(fd int) error
 	Msync(fd int) error
 }
@@ -153,8 +150,6 @@ type inflight struct {
 // newInflight creates an in-flight marker. Whoever creates one owes
 // its region a settled state: the marker must reach r.pend (and
 // c.fills for fills) and eventually be cleared with done closed.
-//
-// dodo:acquires(marker)
 func newInflight() *inflight { return &inflight{done: make(chan struct{})} }
 
 // cregion is one entry of the local cache directory. Every field but
@@ -544,8 +539,6 @@ func (c *Cache) SetPolicy(p Policy) {
 // when space can be made; otherwise it goes remote, or disk-only as the
 // last resort. Contents are faulted in from disk on first access. The
 // fill marker moves into r.pend/c.fills; clearFillLocked settles it.
-//
-// dodo:transfers(marker)
 func (c *Cache) Copen(length int64, backing core.Backing, offset int64) (int, error) {
 	if length < 1 || offset < 0 || backing == nil {
 		return -1, fmt.Errorf("%w: length %d offset %d", core.ErrInval, length, offset)
@@ -731,8 +724,6 @@ func (c *Cache) notePrefetch(r *cregion) {
 // settled before the return: without it a fill that started while the
 // lock was down could fetch the bytes this write replaces and install
 // them after the write had returned.
-//
-// dodo:transfers(marker)
 func (c *Cache) Cwrite(fd int, offset int64, buf []byte) (int, error) {
 	filled := false
 	for {
@@ -823,8 +814,6 @@ func (c *Cache) Cwrite(fd int, offset int64, buf []byte) (int, error) {
 // Csync forces the region to remote memory and disk (§3.3: "blocks till
 // the region has been written to remote memory and to disk"). Its
 // marker moves into r.pend and is settled before every return.
-//
-// dodo:transfers(marker)
 func (c *Cache) Csync(fd int) error {
 	for {
 		c.mu.Lock()
@@ -882,8 +871,6 @@ func (c *Cache) Csync(fd int) error {
 
 // Cclose flushes and releases the region (§3.3). Its marker moves into
 // r.pend and is settled before every return.
-//
-// dodo:transfers(marker)
 func (c *Cache) Cclose(fd int) error {
 	for {
 		c.mu.Lock()
@@ -962,8 +949,6 @@ type evictJob struct {
 // victims are committed and must still be flushed by the caller. Each
 // victim's in-flight marker is published through victim.pend; the
 // caller's settleEvictionLocked retires it.
-//
-// dodo:transfers(marker)
 func (c *Cache) reserveLocked(need int64) (victims []evictJob, fit bool) {
 	for c.cfg.Capacity-c.used < need {
 		victim := c.victimLocked()
@@ -1010,8 +995,6 @@ func (c *Cache) evictIO(job *evictJob) {
 
 // settleEvictionLocked installs one eviction's outcome and releases
 // its marker. Caller holds c.mu.
-//
-// dodo:releases(marker)
 func (c *Cache) settleEvictionLocked(job *evictJob) {
 	r := job.r
 	if job.reinstall {
@@ -1042,8 +1025,6 @@ func (c *Cache) settleEvictionLocked(job *evictJob) {
 // copy of it is installed as the dirty local copy where the fetched
 // contents would be, nothing is fetched, and fillRegion reports
 // whether it was installed. The caller writes some other way if not.
-//
-// dodo:transfers(marker)
 func (c *Cache) fillRegion(fd int, prefetched bool, overwrite []byte) bool {
 	c.mu.Lock()
 	r := c.lookup(fd)
@@ -1143,8 +1124,6 @@ func (c *Cache) installLocked(r *cregion, s *slot) {
 // pin registers a hit that may read s's buffer until unpin: nothing
 // writes into it meanwhile, once the hit has seen s still published
 // (hit). Called without c.mu.
-//
-// dodo:acquires(slotpin)
 func (c *Cache) pin(s *slot) *slot {
 	s.pins.Add(1)
 	return s
@@ -1153,8 +1132,6 @@ func (c *Cache) pin(s *slot) *slot {
 // unpin returns a pin once its copy is done: one atomic add, and c.mu
 // only when it is the last pin and a writer is waiting for it. Called
 // without c.mu.
-//
-// dodo:releases(slotpin)
 func (c *Cache) unpin(s *slot) {
 	if s.pins.Add(-1) == 0 && s.draining.Load() {
 		c.mu.Lock()
@@ -1433,10 +1410,7 @@ func (c *Cache) remoteRevived(fd int) {
 // too) may clear the dirty flag. Runs without c.mu; reports whether
 // the region has a remote copy afterwards. The cloned descriptor
 // either moves into r.remoteFD or is Mclosed on the failure,
-// stale-data and lost-race paths.
-//
-// dodo:transfers(dodofd)
-// dodo:transfers(marker)
+// stale-data and closed-region paths.
 func (c *Cache) cloneRemote(fd int, data []byte, gen uint64, clearDirty bool) bool {
 	c.mu.Lock()
 	r := c.lookup(fd)
@@ -1542,13 +1516,6 @@ func (c *Cache) cloneRemote(fd int, data []byte, gen uint64, clearDirty bool) bo
 		_ = c.dodo.Mclose(mfd)
 		return false
 	}
-	if r2.remoteFD >= 0 {
-		// Raced with another path that established a copy.
-		c.cloneSettleLocked(fd, marker)
-		c.mu.Unlock()
-		_ = c.dodo.Mclose(mfd)
-		return true
-	}
 	r2.remoteFD = mfd
 	c.stats.RemoteClones++
 	if clearDirty && r2.local != nil {
@@ -1572,8 +1539,6 @@ func (c *Cache) cloneResetLocked(fd int) {
 // releases the marker any write-through may be parked on. The marker
 // is closed even when the region is gone — waiters hold their own
 // reference. Caller holds c.mu.
-//
-// dodo:releases(marker)
 func (c *Cache) cloneSettleLocked(fd int, m *inflight) {
 	if r := c.lookup(fd); r != nil {
 		r.cloning = false

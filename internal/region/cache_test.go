@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -94,6 +95,25 @@ func newTestCache(t *testing.T, localCap, remoteCap int64, policy Policy) (*Cach
 	return c, fake
 }
 
+// within runs f and fails t, dumping every goroutine, if f has not
+// returned in ten seconds, far past what a healthy run takes: a lost
+// release (an unpin, a Done, an Unlock) leaves a wait that never ends,
+// and this makes it a failure that names the wait.
+func within(t testing.TB, what string, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		buf := make([]byte, 1<<20)
+		t.Fatalf("%s did not return in 10s:\n%s", what, buf[:runtime.Stack(buf, true)])
+	}
+}
+
 func TestCopenReadWriteLocal(t *testing.T) {
 	c, _ := newTestCache(t, 1<<20, 1<<20, LRU)
 	back := core.NewMemBacking(1, 4096)
@@ -167,7 +187,8 @@ func TestRangeChecks(t *testing.T) {
 	if err != nil || n != 4 {
 		t.Fatalf("tail Cread = %d, %v; want 4", n, err)
 	}
-	n, err = c.Cwrite(fd, 96, buf)
+	// The tail read's pin must be gone, or the write waits for it.
+	within(t, "a Cwrite after a read", func() { n, err = c.Cwrite(fd, 96, buf) })
 	if err != nil || n != 4 {
 		t.Fatalf("tail Cwrite = %d, %v; want 4", n, err)
 	}

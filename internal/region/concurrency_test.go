@@ -213,7 +213,7 @@ func TestConcurrentRegionOps(t *testing.T) {
 			}
 		}
 	}()
-	wg.Wait()
+	within(t, "the readers, writers and churn", wg.Wait)
 	if failed.Load() {
 		return
 	}
@@ -223,8 +223,8 @@ func TestConcurrentRegionOps(t *testing.T) {
 			t.Fatalf("closing shared region: %v", err)
 		}
 	}
-	c.Quiesce()
-	c.Close()
+	within(t, "Quiesce", c.Quiesce)
+	within(t, "Close", c.Close)
 	if got := c.Used(); got != 0 {
 		t.Fatalf("Used = %d after closing every region, want 0 (budget leak)", got)
 	}
@@ -361,7 +361,7 @@ func TestPrefetchWorkerPool(t *testing.T) {
 	if _, err := c.Cread(fds[1], 0, buf); err != nil {
 		t.Fatal(err)
 	}
-	c.Quiesce() // all queued pulls retired
+	within(t, "Quiesce", c.Quiesce) // all queued pulls retired
 	if got := c.Stats().Prefetches; got == 0 {
 		t.Fatal("no prefetches ran on the worker pool")
 	}

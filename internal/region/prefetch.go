@@ -34,8 +34,6 @@ type prefKey struct {
 // them in prefetchPend. Caller holds c.mu; the caller must pass the
 // returned jobs to dispatchPrefetch after unlocking (the dispatch
 // sends on a channel, which must never happen under the lock).
-//
-// dodo:acquires(prefslot)
 func (c *Cache) maybePrefetchLocked(r *cregion) []int {
 	if !c.cfg.SequentialPrefetch {
 		return nil
@@ -83,8 +81,6 @@ func (c *Cache) maybePrefetchLocked(r *cregion) []int {
 // (prefetches are hints) when the queue is saturated. Every accounted
 // job is retired exactly once — run, dropped on saturation, or drained
 // by Close.
-//
-// dodo:releases(prefslot)
 func (c *Cache) dispatchPrefetch(jobs []int) {
 	if len(jobs) == 0 {
 		return

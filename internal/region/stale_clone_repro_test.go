@@ -124,7 +124,6 @@ func TestCloneRemoteReleasesEveryDescriptor(t *testing.T) {
 		// setup runs before the call, inMopen and inPush inside it.
 		setup, inMopen, inPush func(c *Cache, fd int, d *cloneDodo)
 		diskGone, failPush     bool
-		want                   bool
 		opens                  int64
 	}{
 		{name: "write since the snapshot", inHand: true, opens: 0,
@@ -146,19 +145,6 @@ func TestCloneRemoteReleasesEveryDescriptor(t *testing.T) {
 				if err := c.Cclose(fd); err != nil {
 					t.Fatal(err)
 				}
-			}},
-		// No path installs a remote copy while a clone is in flight (its
-		// cloning flag turns other clones away), so this row gives the
-		// region one by hand.
-		{name: "copy raced in during push", inHand: true, want: true, opens: 2,
-			inPush: func(c *Cache, fd int, d *cloneDodo) {
-				mfd, err := d.benchDodo.Mopen(n, nil, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				c.mu.Lock()
-				c.lookup(fd).remoteFD = mfd
-				c.mu.Unlock()
 			}},
 	} {
 		t.Run(row.name, func(t *testing.T) {
@@ -186,8 +172,8 @@ func TestCloneRemoteReleasesEveryDescriptor(t *testing.T) {
 			if row.diskGone {
 				back.mode.Store(diskGone)
 			}
-			if got := c.cloneRemote(fd, data, 0, false); got != row.want {
-				t.Fatalf("cloneRemote = %v, want %v", got, row.want)
+			if c.cloneRemote(fd, data, 0, false) {
+				t.Fatal("cloneRemote reported a remote copy")
 			}
 			if got := d.mopens.Load(); got != row.opens {
 				t.Fatalf("%d Mopens, want %d", got, row.opens)

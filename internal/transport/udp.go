@@ -50,8 +50,6 @@ var (
 
 // ListenUDP opens a UDP transport bound to addr (e.g. "127.0.0.1:0").
 // The transport keeps the frame its first receive lands in.
-//
-// dodo:transfers(frame)
 func ListenUDP(addr string) (*UDP, error) {
 	laddr, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {
@@ -145,8 +143,6 @@ func (u *UDP) route(to string) (*net.UDPAddr, error) {
 // A smaller one is copied out at its own size, so a 100-byte control
 // message costs 100 bytes of heap, not a 64 KB frame held until the
 // garbage collector finds it.
-//
-// dodo:transfers(frame)
 func (u *UDP) Recv(timeout time.Duration) ([]byte, string, error) {
 	var deadline time.Time
 	if timeout > 0 {

@@ -55,8 +55,6 @@ var (
 // NewTransport wraps a bound socket. On success the socket's lifetime
 // moves to the transport: UNet.Close closes it. On error the caller
 // still owns the socket.
-//
-// dodo:transfers(sock)
 func NewTransport(sock *Socket) (*UNet, error) {
 	addr, bound := sock.LocalAddr()
 	if !bound {

@@ -283,8 +283,6 @@ func (g *Segment) Overflow() int { return int(g.overflow.Load()) }
 // frames beyond capacity are dropped, as on real U-Net endpoints. The
 // socket must be Closed (directly or through the transport wrapping it)
 // to unregister from the segment.
-//
-// dodo:acquires(sock)
 func (g *Segment) Socket(sendBuf, recvBuf int) (*Socket, error) {
 	if sendBuf <= 0 || recvBuf <= 0 {
 		return nil, fmt.Errorf("usocket: buffer sizes must be positive (got %d, %d)", sendBuf, recvBuf)
@@ -490,8 +488,6 @@ func (s *Socket) SendIovecTo(peer MACAddr, iov []Iovec) (int, error) {
 }
 
 // gather copies the iovec into a recycled data frame.
-//
-// dodo:acquires(frame)
 func gather(iov []Iovec) []byte {
 	frame := wire.GetDataFrame()
 	for _, v := range iov {
@@ -530,7 +526,6 @@ func (s *Socket) land(from MACAddr, fate simnet.Decision, frame func() []byte) {
 // sender's obligation to a pooled frame ends here.
 //
 // dodo:adopts(data)
-// dodo:releases(frame)
 func (s *Socket) deposit(from MACAddr, data []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -618,8 +613,6 @@ func (s *Socket) Overflow() int {
 }
 
 // Close releases the socket and its binding (the paper's u_close).
-//
-// dodo:releases(sock)
 func (s *Socket) Close() error {
 	s.seg.mu.Lock()
 	s.mu.Lock()

@@ -20,9 +20,6 @@ import (
 //	// dodo:guardedby <mutexfield>     struct field (guarded-by)
 //	// dodo:atomic                     struct field (guarded-by)
 //	// dodo:unguarded — <reason>       struct field (guarded-by)
-//	// dodo:acquires(kind, ...)        function doc (resource-lifecycle)
-//	// dodo:releases(kind, ...)        function doc (resource-lifecycle)
-//	// dodo:transfers(kind, ...)       function doc (resource-lifecycle)
 //	// dodo:adopts(param, ...)         function doc (buffer-ownership)
 //
 // //vet:ignore exists for reviewed false positives and says why on the
@@ -63,13 +60,8 @@ var directiveTable = map[string]struct {
 		}
 		return nil, ""
 	}},
-	"dodo:acquires":  {onFunc, kindList},
-	"dodo:releases":  {onFunc, kindList},
-	"dodo:transfers": {onFunc, kindList},
-	"dodo:adopts":    {onFunc, listArg("malformed directive %q: want dodo:adopts(param[, param...])")},
+	"dodo:adopts": {onFunc, listArg("malformed directive %q: want dodo:adopts(param[, param...])")},
 }
-
-var kindList = listArg("malformed lifecycle directive %q: want dodo:acquires(kind[, kind...]), dodo:releases(...) or dodo:transfers(...)")
 
 // wordArg is the grammar "one word, then anything".
 func wordArg(missing string) func(text, rest string) ([]string, string) {

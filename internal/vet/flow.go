@@ -13,9 +13,8 @@ import (
 // switch/type-switch/select, labels, blocks, break/continue/goto — and
 // visits every expression position a statement has; an analysis
 // supplies the state type and the transfer hooks. It is instantiated
-// three times: the lock-flow walk (lockflow.go, join = intersection),
-// resource-lifecycle (lifecycle.go, join = union) and buffer-ownership
-// (bufown.go, the lent set, join = union).
+// twice: the lock-flow walk (lockflow.go, join = intersection) and
+// buffer-ownership (bufown.go, the lent set, join = union).
 
 // flow is what an analysis plugs into the skeleton.
 type flow[S any] struct {

@@ -246,7 +246,7 @@ func runGuardedBy(prog *program) []Finding {
 		for _, cs := range flow.calls {
 			if cs.fn.Name() == "SetRank" && cs.fn.Pkg() != nil && isLockPkg(cs.fn.Pkg().Path()) {
 				if sel, ok := ast.Unparen(cs.call.Fun).(*ast.SelectorExpr); ok {
-					ranked[lockRefOf(flow.pass, sel.X).key] = true
+					ranked[lockKey(flow.pass, sel.X)] = true
 				}
 			}
 		}

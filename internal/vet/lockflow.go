@@ -29,22 +29,13 @@ func isLockPkg(path string) bool {
 	return path == "sync" || path == "dodo/internal/locks" || strings.HasSuffix(path, "/internal/locks")
 }
 
-// lockRef names the mutex of a Lock/Unlock call in the forms the passes
-// read. key is its program-wide identity — "pkgpath.Type.field" by the
-// struct that declares the field, "pkgpath.var" for a package-level
-// mutex, "pkgpath.Type" for a local or parameter (so two functions
-// locking the same struct's embedded mutex agree) — or "" when the
-// expression cannot be named statically. path is the receiver as
-// written ("c.mu"), which is what resource-lifecycle matches a release
-// to its acquisition by: it tracks instances, not classes.
-type lockRef struct{ key, path string }
-
-// lockOp recognises a (R)Lock/(R)Unlock call on a sync or locks mutex.
-func lockOp(pass *Pass, call *ast.CallExpr) (ref lockRef, acquire, exclusive, ok bool) {
+// lockOp recognises a (R)Lock/(R)Unlock call on a sync or locks mutex
+// and names the mutex (lockKey).
+func lockOp(pass *Pass, call *ast.CallExpr) (key string, acquire, exclusive, ok bool) {
 	fn := funcFor(pass.Info, call)
 	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if fn == nil || !isSel || fn.Pkg() == nil || !isLockPkg(fn.Pkg().Path()) {
-		return ref, false, false, false
+		return "", false, false, false
 	}
 	switch fn.Name() {
 	case "Lock":
@@ -55,16 +46,20 @@ func lockOp(pass *Pass, call *ast.CallExpr) (ref lockRef, acquire, exclusive, ok
 		exclusive = true
 	case "RUnlock":
 	default:
-		return ref, false, false, false
+		return "", false, false, false
 	}
-	return lockRefOf(pass, sel.X), acquire, exclusive, true
+	return lockKey(pass, sel.X), acquire, exclusive, true
 }
 
-func lockRefOf(pass *Pass, recv ast.Expr) lockRef {
-	ref := lockRef{path: rlExprPath(recv)}
+// lockKey is the program-wide name of the mutex recv denotes:
+// "pkgpath.Type.field" by the struct that declares the field,
+// "pkgpath.var" for a package-level mutex, "pkgpath.Type" for a local
+// or parameter (so two functions locking the same struct's embedded
+// mutex agree), or "" when the expression cannot be named statically.
+func lockKey(pass *Pass, recv ast.Expr) (key string) {
 	name := func(pkg *types.Package, name string) {
 		if pkg != nil {
-			ref.key = pkg.Path() + "." + name
+			key = pkg.Path() + "." + name
 		}
 	}
 	pkgVar := func(id *ast.Ident) bool {
@@ -90,7 +85,7 @@ func lockRefOf(pass *Pass, recv ast.Expr) lockRef {
 			}
 		}
 	}
-	return ref
+	return key
 }
 
 // namedOf unwraps pointers to the named type, or nil.
@@ -301,13 +296,13 @@ func (w *lockWalker) stmt(s ast.Stmt, held []heldLock) []heldLock {
 	case *ast.ExprStmt:
 		// Lock operations count in statement position only.
 		if call, ok := s.X.(*ast.CallExpr); ok {
-			if ref, acquire, excl, ok := lockOp(w.pass, call); ok {
+			if key, acquire, excl, ok := lockOp(w.pass, call); ok {
 				w.scan(call.Fun, false, held)
-				h := heldLock{key: ref.key, excl: excl}
+				h := heldLock{key: key, excl: excl}
 				if acquire {
 					return heldAdd(held, h)
 				}
-				w.rec.unlocks[ref.key] = true
+				w.rec.unlocks[key] = true
 				return heldRemove(held, h)
 			}
 		}

@@ -1,11 +1,16 @@
 package vet
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"go/parser"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -172,13 +177,13 @@ func runMutations(t *testing.T, muts []mutation) {
 }
 
 // TestMutationHarnessMatchesReload pins what the mutation tests rest
-// on: checked in memory, the clean tree and one row of each mutation
-// test give exactly the findings a full load of the mutated copy gives.
+// on: checked in memory, the clean tree and a row of each kind give
+// exactly the findings a full load of the mutated copy gives.
 func TestMutationHarnessMatchesReload(t *testing.T) {
 	tr := mutations(t)
-	clean := resourceMutations[0]
+	clean := passMutations[0]
 	clean.name, clean.pattern = "clean", ""
-	for _, m := range []mutation{clean, resourceMutations[0], lockMutations(t)[0], frameMutations[0], passMutations[0]} {
+	for _, m := range []mutation{clean, lockMutations(t)[0], passMutations[0], passMutations[3], passMutations[5]} {
 		inMemory, full := tr.check(t, m), tr.reload(t, m)
 		if fmt.Sprint(inMemory) != fmt.Sprint(full) {
 			t.Errorf("%s: checked in memory:\n%v\nfull load:\n%v", m.name, inMemory, full)
@@ -187,33 +192,6 @@ func TestMutationHarnessMatchesReload(t *testing.T) {
 			t.Errorf("%s: no findings to compare", m.name)
 		}
 	}
-}
-
-func regionRow(name, file, pattern string, nth int) mutation {
-	return mutation{name, []string{"./internal/region"}, "internal/region/" + file, pattern, nth, "resource-lifecycle", ""}
-}
-
-// resourceMutations: deleting any single release call from
-// internal/region — the package whose eviction/clone/prefetch machinery
-// motivated resource-lifecycle — must produce at least one finding of
-// it. The sites span two files and every tracked kind the package uses:
-// dodofd clone error paths, the worker-pool WaitGroup handoff, and lock
-// brackets.
-var resourceMutations = []mutation{
-	regionRow("cloneRemote disk-read error path drops Mclose", "cache.go", "_ = c.dodo.Mclose(mfd)", 1),
-	regionRow("cloneRemote stale-data abort drops Mclose", "cache.go", "_ = c.dodo.Mclose(mfd)", 2),
-	regionRow("cloneRemote push error path drops Mclose", "cache.go", "_ = c.dodo.Mclose(mfd)", 3),
-	regionRow("cloneRemote closed-region path drops Mclose", "cache.go", "_ = c.dodo.Mclose(mfd)", 4),
-	regionRow("cloneRemote raced-copy path drops Mclose", "cache.go", "_ = c.dodo.Mclose(mfd)", 5),
-	regionRow("Stats drops its deferred Unlock", "cache.go", "defer c.mu.Unlock()", 1),
-	regionRow("prefetchWorker drops its deferred Done", "prefetch.go", "defer c.prefetchWG.Done()", 1),
-	regionRow("finishPrefetchJob drops its Unlock", "prefetch.go", "c.mu.Unlock()", 1),
-}
-
-// TestResourceLifecycleMutations pins the analyzer's real-world firing
-// power (resourceMutations).
-func TestResourceLifecycleMutations(t *testing.T) {
-	runMutations(t, resourceMutations)
 }
 
 // lockMutations is the guarded-by acceptance shape kept as a test:
@@ -247,67 +225,203 @@ func TestLockDeletionMutations(t *testing.T) {
 	runMutations(t, lockMutations(t))
 }
 
-func frameRow(pkg, file, pattern string, nth int) mutation {
-	return mutation{fmt.Sprintf("%s PutFrame %d", file, nth), []string{"./internal/wire", "./internal/" + pkg},
-		"internal/" + file, pattern, nth, "resource-lifecycle", ""}
+// A releaseRow deletes one release from the tree — an Mclose, a Close,
+// an Unlock, a Done, an unpin, a PutFrame — or replaces it with with
+// where a bare deletion would not compile, and names the test of the
+// file's package that must then fail, built with tags. No dodo-vet
+// pass checks releases: the tests that reach them do. A wait a lost
+// release leaves open fails its test by a ten-second deadline (the
+// packages' within helpers), a lost frame fails a bound on the bytes a
+// send allocates, and a lost Unlock the lockcheck build's rank check.
+type releaseRow struct {
+	name, file, pattern string
+	nth                 int
+	with, test, tags    string
 }
 
-// frameMutations: deleting a pooled-frame release on the data plane
-// must be reported as a leaked dodo:acquires(frame) by
-// resource-lifecycle. internal/wire is loaded alongside because the
-// annotations live on GetFrame/PutFrame. Notify and sendData hand the
-// frame to a call in their return expression (`return ep.tr.Send(to,
-// frame)`), which does not return it; the hedged read releases the
-// frame it moved its losing remote leg to in a background join.
-var frameMutations = []mutation{
-	frameRow("transport", "transport/udp.go", "wire.PutFrame(frame)", 1),
-	frameRow("core", "core/client.go", "wire.PutFrame(priv)", 1),
-	frameRow("bulk", "bulk/endpoint.go", "defer wire.PutFrame(frame)", 1),
-	frameRow("bulk", "bulk/transfer.go", "defer wire.PutFrame(frame)", 1),
+func regionRow(name, file, pattern string, nth int, test string) releaseRow {
+	return releaseRow{name: name, file: "internal/region/" + file, pattern: pattern, nth: nth, test: test}
+}
+
+// resourceMutations: the releases of the region cache — the clone's
+// descriptors and marker, the prefetch pipeline's slots, lock and
+// WaitGroup — and of a manager grant and a band file.
+var resourceMutations = []releaseRow{
+	regionRow("cloneRemote disk-read error path drops Mclose", "cache.go", "_ = c.dodo.Mclose(mfd)", 1, "TestCloneRemoteReleasesEveryDescriptor"),
+	regionRow("cloneRemote stale-data abort drops Mclose", "cache.go", "_ = c.dodo.Mclose(mfd)", 2, "TestCloneRemoteReleasesEveryDescriptor"),
+	regionRow("cloneRemote push error path drops Mclose", "cache.go", "_ = c.dodo.Mclose(mfd)", 3, "TestCloneRemoteReleasesEveryDescriptor"),
+	regionRow("cloneRemote closed-region path drops Mclose", "cache.go", "_ = c.dodo.Mclose(mfd)", 4, "TestCloneRemoteReleasesEveryDescriptor"),
+	regionRow("cloneRemote push error path leaves its marker unsettled", "cache.go", "c.cloneSettleLocked(fd, marker)", 1, "TestCloneRemoteReleasesEveryDescriptor"),
+	{name: "Stats drops its deferred Unlock", file: "internal/region/cache.go", pattern: "defer c.mu.Unlock()", nth: 1,
+		test: "TestEvictionMigratesToRemote", tags: "lockcheck"},
+	regionRow("prefetchWorker drops its deferred Done", "prefetch.go", "defer c.prefetchWG.Done()", 1, "TestConcurrentRegionOps"),
+	regionRow("finishPrefetchJob drops its Unlock", "prefetch.go", "c.mu.Unlock()", 1, "TestConcurrentRegionOps"),
+	{name: "Cread never dispatches its prefetch slots", file: "internal/region/cache.go", pattern: "c.dispatchPrefetch(jobs)", nth: 1,
+		with: "_ = jobs", test: "TestPrefetchWorkerPool"},
+	{name: "re-recruit never frees its orphaned grants", file: "internal/manager/manager.go", pattern: "m.freeHandoffTargets(orphans)", nth: 1,
+		with: "_ = orphans", test: "TestReRecruitFreesUnresolvedGrants"},
+	{name: "CreateFileStore keeps a band file it could not size", file: "internal/apps/lu/filestore.go", pattern: "_ = f.Close()", nth: 1,
+		test: "TestFailedCreateFileStoreClosesItsFiles"},
+}
+
+// TestResourceLifecycleMutations: every row of resourceMutations fails
+// its test.
+func TestResourceLifecycleMutations(t *testing.T) {
+	runReleaseRows(t, resourceMutations)
+}
+
+func frameRow(file, pattern, test string) releaseRow {
+	return releaseRow{name: file + " PutFrame 1", file: "internal/" + file, pattern: pattern, nth: 1, test: test}
+}
+
+// frameMutations: a sender that keeps its pooled frame allocates a
+// 64 KB frame a send, which its package's bound on the bytes a send
+// allocates catches: UDP's SendVec, the hedged read's losing leg,
+// Notify, and sendData over a transport that is no VecSender.
+var frameMutations = []releaseRow{
+	frameRow("transport/udp.go", "wire.PutFrame(frame)", "TestUDPSendVecRecyclesItsFrame"),
+	frameRow("core/client.go", "wire.PutFrame(priv)", "TestLosingLegRecyclesItsFrame"),
+	frameRow("bulk/endpoint.go", "defer wire.PutFrame(frame)", "TestNotifyRecyclesItsFrame"),
+	frameRow("bulk/transfer.go", "defer wire.PutFrame(frame)", "TestSendDataGathersIntoARecycledFrame"),
 }
 
 func TestFrameReleaseMutations(t *testing.T) {
-	runMutations(t, frameMutations)
-}
-
-func pinRow(name, pattern string, nth int) mutation {
-	return mutation{name, []string{"./internal/imd"}, "internal/imd/imd.go", pattern, nth, "resource-lifecycle", ""}
+	runReleaseRows(t, frameMutations)
 }
 
 // pinMutations: the imd sends a region's bytes straight from its pool
-// under a pin (dodo:acquires(pin) on pinLocked, dodo:releases(pin) on
-// unpin); a send that never unpins would leave every later write and
-// free of the region waiting forever, and must be reported. The region
-// cache's local hit copies under a pin of its own kind (slotpin), and
-// a hit that never unpins would leave the region's next Cwrite, or the
-// fill that takes its slot, waiting forever: the row deletes the
-// unpin after the hit's copy (the first is its failed check's).
-var pinMutations = []mutation{
-	pinRow("pushPage drops its unpin", "d.unpin(pin)", 1),
-	pinRow("handleRead's blast drops its unpin", "defer d.unpin(pin)", 1),
-	regionRow("Cread's hit drops its unpin", "cache.go", "c.unpin(p)", 2),
+// under a pin, and the region cache's local hit copies under a pin of
+// its slot. A send or a hit that never unpins leaves the next write or
+// free of the region waiting for ever.
+var pinMutations = []releaseRow{
+	{name: "pushPage drops its unpin", file: "internal/imd/imd.go", pattern: "d.unpin(pin)", nth: 1, test: "TestHandoffPageFromPinnedBytes"},
+	{name: "handleRead's blast drops its unpin", file: "internal/imd/imd.go", pattern: "defer d.unpin(pin)", nth: 1, test: "TestReadSnapshotIsolatedFromLaterWrites"},
+	{name: "pinnedReply.Release drops its unpin", file: "internal/imd/imd.go", pattern: "r.d.unpin(r.pin)", nth: 1, test: "TestWriteWaitsForPinnedInlineReply"},
+	regionRow("Cread's hit drops its unpin", "cache.go", "c.unpin(p)", 2, "TestRangeChecks"),
 }
 
 func TestPinReleaseMutations(t *testing.T) {
-	runMutations(t, pinMutations)
+	runReleaseRows(t, pinMutations)
 }
 
 // goroutineMutations: a daemon goroutine that never says Done leaves
-// its Close waiting forever; deleting the Done of one in each daemon
-// package that launches any (monitor launches none) must be reported
-// as a leaked wg by resource-lifecycle, which tracks the count a launch
-// hands its goroutine.
-var goroutineMutations = []mutation{
-	{"manager goroutine drops its Done", []string{"./internal/manager"}, "internal/manager/manager.go", "defer m.wg.Done()", 1, "resource-lifecycle", ""},
-	{"imd eager blast drops its Done", []string{"./internal/imd"}, "internal/imd/imd.go", "defer d.transfers.Done()", 1, "resource-lifecycle", ""},
-	{"bulk recvLoop drops its Done", []string{"./internal/bulk"}, "internal/bulk/endpoint.go", "defer ep.wg.Done()", 1, "resource-lifecycle", ""},
+// its Close waiting for ever; one row in each daemon package that
+// launches any (monitor launches none).
+var goroutineMutations = []releaseRow{
+	{name: "manager goroutine drops its Done", file: "internal/manager/manager.go", pattern: "defer m.wg.Done()", nth: 1, test: "TestFreeForwardsToIMD"},
+	{name: "imd eager blast drops its Done", file: "internal/imd/imd.go", pattern: "defer d.transfers.Done()", nth: 1, test: "TestDuplicatedEagerReadServedOnce"},
+	{name: "bulk recvLoop drops its Done", file: "internal/bulk/endpoint.go", pattern: "defer ep.wg.Done()", nth: 1, test: "TestCallResponse"},
 }
 
 func TestGoroutineDoneMutations(t *testing.T) {
-	runMutations(t, goroutineMutations)
+	runReleaseRows(t, goroutineMutations)
 }
 
-// passMutations gives each pass the rows above do not pin a real-tree
+// releaseResults is what each release row's test did, by row name,
+// found on first use for the rows of all four tables at once.
+var releaseResults map[string]error
+
+// runReleaseRows reports each row's result as a subtest.
+func runReleaseRows(t *testing.T, rows []releaseRow) {
+	if testing.Short() {
+		t.Skip("builds a test binary per row")
+	}
+	if releaseResults == nil {
+		releaseResults = checkReleaseRows(t, slices.Concat(resourceMutations, frameMutations, pinMutations, goroutineMutations))
+	}
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			if err := releaseResults[r.name]; err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// checkReleaseRows lays each row in turn over the working tree with the
+// go command's -overlay flag, so the tree itself is never touched,
+// builds the row's package tests, and runs the row's test in its own
+// process. The builds run one at a time; the tests run side by side,
+// since most of them wait out a deadline.
+func checkReleaseRows(t *testing.T, rows []releaseRow) map[string]error {
+	root, err := filepath.Abs("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmp := t.TempDir()
+	errs := make([]error, len(rows))
+	var wg sync.WaitGroup
+	for i, r := range rows {
+		bin, err := buildRow(root, filepath.Join(tmp, fmt.Sprint(i)), r)
+		if err != nil {
+			errs[i] = err
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = runRow(root, bin, r)
+		}()
+	}
+	wg.Wait()
+	results := make(map[string]error)
+	for i, r := range rows {
+		results[r.name] = errs[i]
+	}
+	return results
+}
+
+// buildRow writes r's file with r applied into dir and builds its
+// package's test binary over it, returning the binary's path.
+func buildRow(root, dir string, r releaseRow) (string, error) {
+	src, err := os.ReadFile(filepath.Join(root, r.file))
+	if err != nil {
+		return "", err
+	}
+	mutated, ok := replaceNthMatch(string(src), r.pattern, r.nth, r.with)
+	if !ok {
+		return "", fmt.Errorf("pattern %q (occurrence %d) not found in %s — site moved, update the table", r.pattern, r.nth, r.file)
+	}
+	file, overlay := filepath.Join(dir, filepath.Base(r.file)), filepath.Join(dir, "overlay.json")
+	replace, err := json.Marshal(map[string]map[string]string{"Replace": {filepath.Join(root, r.file): file}})
+	if err != nil {
+		return "", err
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return "", err
+	}
+	if err := os.WriteFile(file, []byte(mutated), 0o644); err != nil {
+		return "", err
+	}
+	if err := os.WriteFile(overlay, replace, 0o644); err != nil {
+		return "", err
+	}
+	bin := filepath.Join(dir, "row.test")
+	cmd := exec.Command("go", "test", "-c", "-vet=off", "-tags", r.tags, "-overlay", overlay, "-o", bin, "./"+filepath.Dir(r.file))
+	cmd.Dir = root
+	if out, err := cmd.CombinedOutput(); err != nil {
+		return "", fmt.Errorf("building %s with the row applied: %v\n%s", r.file, err, out)
+	}
+	return bin, nil
+}
+
+// runRow runs r's test from bin and requires it to fail in its own
+// right, not by the binary's 60 s timeout.
+func runRow(root, bin string, r releaseRow) error {
+	cmd := exec.Command(bin, "-test.run", "^"+r.test+"$", "-test.timeout", "60s")
+	cmd.Dir = filepath.Join(root, filepath.Dir(r.file))
+	out, err := cmd.CombinedOutput()
+	if err == nil {
+		return fmt.Errorf("with occurrence %d of %q in %s replaced by %q, %s passes: no test catches the row", r.nth, r.pattern, r.file, r.with, r.test)
+	}
+	if !bytes.Contains(out, []byte("--- FAIL: "+r.test+" (")) {
+		out = out[max(0, len(out)-4096):]
+		return fmt.Errorf("with occurrence %d of %q in %s replaced by %q, %s did not fail within 60 s:\n%s", r.nth, r.pattern, r.file, r.with, r.test, out)
+	}
+	return nil
+}
+
+// passMutations gives each pass lockMutations does not pin a real-tree
 // line of its own, replaced so that its pass, and only its pass,
 // objects. Every row passes its package's tests, the buffer-ownership
 // rows under -race and the budgetTimeout row under lockcheck: nothing

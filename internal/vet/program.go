@@ -77,8 +77,6 @@ var scopes = map[string]struct {
 	// clock mutex is unranked, but its fields still deserve
 	// classification.
 	"guarded-by": {internal: true, except: []string{"/internal/locks"}},
-	// locks.Mutex.Lock returns holding its own mutex by design.
-	"resource-lifecycle": {except: []string{"/internal/locks"}},
 	// The zero-copy packet path.
 	"buffer-ownership": {only: []string{"/internal/usocket", "/internal/bulk", "/internal/transport"}},
 }

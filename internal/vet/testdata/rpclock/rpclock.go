@@ -92,3 +92,9 @@ func sendInSelect(c *C, d *D, n *Net) {
 }
 
 func ready(error) chan struct{} { return nil }
+
+// A verb dodo-vet does not read is reported wherever it sits, a retired
+// one too: read as prose, it would pass for a check nothing makes.
+//
+// dodo:acquires(fd) // want `unknown directive "dodo:acquires"`
+func retiredVerb() {}

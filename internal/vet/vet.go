@@ -28,17 +28,15 @@
 //     atomic fields go only through sync/atomic, guarded addresses
 //     never escape, and guarding locks.Mutexes carry a rank
 //     (DESIGN.md §8.4).
-//   - resource-lifecycle: whatever a path acquires — an fd, a pooled
-//     frame, a manager grant, a WaitGroup count, a lock — it releases or
-//     hands on before every return, error returns included; functions
-//     declare ownership with dodo:acquires/releases/transfers(kind)
-//     (DESIGN.md §8.5).
 //
 // The suite keeps only rules no other check covers (DESIGN.md §8 has a
 // row per rule and what else covers it). Lock ranks are checked at
 // runtime by `-tags lockcheck` (internal/locks), a dispatcher's answer
-// to every wire message type by the dispatcher's own table test, and
-// goroutine shutdown by resource-lifecycle's WaitGroup accounting.
+// to every wire message type by the dispatcher's own table test, and a
+// release a path forgets (an fd, a pooled frame, a pin, a WaitGroup
+// count) by the tests that reach it: a deadline on the wait it leaves
+// or an allocation bound per operation (mutation_test.go keeps one row
+// per release and the test that fails for it).
 //
 // A finding can be suppressed at a single site with a trailing or
 // preceding comment: //vet:ignore <analyzer-name>. That is for reviewed
@@ -48,8 +46,7 @@
 // Rules are data where they can be (DESIGN.md §8.6): which packages a
 // rule analyzes is a row of the scopes table (program.go), which calls
 // clock-discipline, seeded-rand and unchecked-error flag is a row of
-// calls.go, and what a call does to resource-lifecycle's obligations is
-// a row of its effect table. The passes that follow control flow share
+// calls.go. The passes that follow control flow share
 // the skeleton of flow.go; guarded-by and mutex-hygiene read the
 // lock-flow walk of lockflow.go; the whole-program passes share the
 // program index of program.go. The analyzers are written against the stdlib go/ast +
@@ -138,7 +135,6 @@ func All() []*Analyzer {
 		MutexHygiene,
 		BufferOwnership,
 		GuardedBy,
-		ResourceLifecycle,
 	}
 }
 

@@ -97,7 +97,6 @@ var fixturePaths = map[string]string{
 	"guardedby": "dodo/internal/manager",
 	"mutex":     "dodo/internal/manager",
 	"rand":      "dodo/internal/workload",
-	"resource":  "dodo/internal/region",
 	"rpclock":   "dodo/internal/transport",
 }
 
@@ -301,8 +300,4 @@ func TestLoadPackagesExcludesTests(t *testing.T) {
 			}
 		}
 	}
-}
-
-func TestResourceLifecycleGolden(t *testing.T) {
-	runGolden(t, ResourceLifecycle, "resource", "dodo/internal/region")
 }

@@ -26,11 +26,11 @@ import (
 // sync.Pools, so an idle class is emptied by the garbage collector
 // within two cycles and pins nothing.
 //
-// Ownership rule (checked by the resource-lifecycle vet pass via the
-// annotations below, dodo:acquires and dodo:releases): whoever holds a
-// frame last gives it back with PutFrame, and does so only after the
-// last read of it — and, for a buffer something else writes into (a
-// bulk receive), after the last write. A frame handed to a transport
+// Ownership rule: whoever holds a frame last gives it back with
+// PutFrame, and does so only after the last read of it — and, for a
+// buffer something else writes into (a bulk receive), after the last
+// write. A sender that keeps its frame costs a 64 KB frame a send,
+// which its package's allocation-bound test catches. A frame handed to a transport
 // Send/SendVec may be given back as soon as the call returns — usocket
 // copies the frame before queueing it and UDP hands it to the kernel
 // synchronously — which is what lets senders pair GetFrame with an
@@ -68,8 +68,6 @@ func frameClass(n int) int {
 // fits a size class and is worth recycling, freshly allocated
 // otherwise. The buffer's contents are arbitrary; the caller must
 // overwrite every byte it reads or sends.
-//
-// dodo:acquires(frame)
 func GetFrame(n int) []byte {
 	if n < MinPooledFrame || n > maxPooledFrame {
 		return make([]byte, n)
@@ -89,8 +87,6 @@ func GetFrame(n int) []byte {
 // a receive loop can offer it every frame it has finished with,
 // whichever transport or decorator handed it over. The buffer must
 // not be touched after PutFrame.
-//
-// dodo:releases(frame)
 func PutFrame(b []byte) {
 	c := cap(b)
 	if c == DataFrameCap {
@@ -129,8 +125,6 @@ var dataFrames sync.Pool
 // sender to gather one frame into. The frame changes hands with the
 // bytes, and whoever holds it last gives it to PutFrame: the bulk
 // receive loop, once the message decoded from it is dead.
-//
-// dodo:acquires(frame)
 func GetDataFrame() []byte {
 	if a, ok := dataFrames.Get().(*[DataFrameCap]byte); ok {
 		return a[:0]
@@ -141,8 +135,6 @@ func GetDataFrame() []byte {
 // EncodePooled is Encode into a pooled frame: same wire bytes, but the
 // returned frame came from GetFrame and the caller must hand it to
 // PutFrame once the transport send returns.
-//
-// dodo:acquires(frame)
 func EncodePooled(seq uint32, msg Message) ([]byte, error) {
 	c := cursors.Get().(*cursor)
 	defer cursors.Put(c)

@@ -298,7 +298,6 @@ var _ region.Dodo = (*accountingDodo)(nil)
 // manager (alloc/free are two hops: client->cmd, cmd->imd).
 func (a *accountingDodo) controlRTT() time.Duration { return 2 * a.net.RoundTrip(64) }
 
-// dodo:acquires(dodofd)
 func (a *accountingDodo) Mopen(length int64, backing core.Backing, offset int64) (int, error) {
 	a.vt.Add(a.controlRTT())
 	if a.used+length > a.capacity {
@@ -354,7 +353,6 @@ func (a *accountingDodo) Mwrite(fd int, offset int64, buf []byte) (int, error) {
 	return int(n), nil
 }
 
-// dodo:releases(dodofd)
 func (a *accountingDodo) Mclose(fd int) error {
 	a.vt.Add(a.controlRTT())
 	length, ok := a.regions[fd]
