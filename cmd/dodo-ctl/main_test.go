@@ -20,7 +20,7 @@ func TestPrintListsEveryCounterOnceInNameOrder(t *testing.T) {
 		Clients:     2,
 		Incarnation: 7,
 		Counters: map[string]uint64{
-			"frees": 0, "allocs": 12, "client.hedged_reads": 5, "client.never_heard_of": 1 << 40, "alloc_failures": 0,
+			"frees": 0, "allocs": 12, "client.drops": 5, "client.never_heard_of": 1 << 40, "alloc_failures": 0,
 		},
 		CorruptHosts: []wire.HostCount{{Addr: "ws-2:7070", Count: 3}},
 	}
@@ -31,7 +31,7 @@ func TestPrintListsEveryCounterOnceInNameOrder(t *testing.T) {
 	if want := "manager: incarnation 7, 1 idle hosts, 4 regions, 2 clients"; lines[0] != want {
 		t.Errorf("header = %q, want %q", lines[0], want)
 	}
-	want := []string{"alloc_failures", "allocs", "client.hedged_reads", "client.never_heard_of", "frees"}
+	want := []string{"alloc_failures", "allocs", "client.drops", "client.never_heard_of", "frees"}
 	for i, name := range want {
 		f := strings.Fields(lines[1+i])
 		if len(f) != 2 || f[0] != name || f[1] != fmt.Sprint(s.Counters[name]) {

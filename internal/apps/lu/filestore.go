@@ -30,8 +30,20 @@ var _ SlabStore = (*FileStore)(nil)
 // nfiles band files in dir. The opened band files move into st.files;
 // FileStore.Close owns them from there.
 func CreateFileStore(dir string, rows, cols, slabs, nfiles int) (*FileStore, error) {
+	if nfiles < 1 {
+		return nil, fmt.Errorf("lu: %d band files", nfiles)
+	}
 	if rows%nfiles != 0 {
 		return nil, fmt.Errorf("lu: rows %d not divisible by %d files", rows, nfiles)
+	}
+	// Size each band, stripeRows x (cols*slabs) doubles, before any
+	// file is created: a size past int64 would wrap.
+	band := int64(rows / nfiles)
+	for _, n := range []int64{int64(cols), int64(slabs), elemSize} {
+		if n > 0 && band > math.MaxInt64/n {
+			return nil, fmt.Errorf("lu: a band of %d x %d x %d doubles overflows a file size", rows/nfiles, cols, slabs)
+		}
+		band *= n
 	}
 	st := &FileStore{
 		dir:        dir,
@@ -46,8 +58,7 @@ func CreateFileStore(dir string, rows, cols, slabs, nfiles int) (*FileStore, err
 			_ = st.Close()
 			return nil, fmt.Errorf("lu: creating band file %d: %w", i, err)
 		}
-		// Size the band: stripeRows x (cols*slabs) doubles.
-		if err := f.Truncate(int64(st.stripeRows) * int64(cols) * int64(slabs) * elemSize); err != nil {
+		if err := f.Truncate(band); err != nil {
 			_ = f.Close()
 			_ = st.Close()
 			return nil, fmt.Errorf("lu: sizing band file %d: %w", i, err)

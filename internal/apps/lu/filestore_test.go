@@ -27,7 +27,7 @@ func TestFileStoreRoundTrip(t *testing.T) {
 }
 
 // TestFailedCreateFileStoreClosesItsFiles: a band file that cannot be
-// sized (here a band of 2^63 bytes, which wraps negative) fails
+// sized (here a link to /dev/null, which takes no length) fails
 // CreateFileStore, and every band file it opened is closed again.
 func TestFailedCreateFileStoreClosesItsFiles(t *testing.T) {
 	open := func() int {
@@ -37,12 +37,39 @@ func TestFailedCreateFileStoreClosesItsFiles(t *testing.T) {
 		}
 		return len(fds)
 	}
+	dir := t.TempDir()
+	if err := os.Symlink(os.DevNull, filepath.Join(dir, "band00.mat")); err != nil {
+		t.Skipf("cannot link a band file to %s: %v", os.DevNull, err)
+	}
 	before := open()
-	if _, err := CreateFileStore(t.TempDir(), 1, 1<<60, 1, 1); err == nil {
-		t.Fatal("CreateFileStore sized a band of 2^63 bytes")
+	if _, err := CreateFileStore(dir, 2, 1, 1, 1); err == nil {
+		t.Fatalf("CreateFileStore sized a band file on %s", os.DevNull)
 	}
 	if after := open(); after != before {
 		t.Fatalf("%d files open after a failed CreateFileStore, %d before", after, before)
+	}
+}
+
+// TestCreateFileStoreRejectsBadGeometry: no band files, or a band whose
+// byte size overflows int64, fail CreateFileStore before it creates a
+// file.
+func TestCreateFileStoreRejectsBadGeometry(t *testing.T) {
+	for _, tc := range []struct {
+		name                      string
+		rows, cols, slabs, nfiles int
+	}{
+		{"no files", 8, 1, 1, 0},
+		{"negative files", 8, 1, 1, -2},
+		{"band of 2^63 bytes", 1, 1 << 60, 1, 1},
+		{"band past int64", 1 << 20, 1 << 20, 1 << 20, 1},
+	} {
+		dir := t.TempDir()
+		if _, err := CreateFileStore(dir, tc.rows, tc.cols, tc.slabs, tc.nfiles); err == nil {
+			t.Errorf("%s: CreateFileStore accepted it", tc.name)
+		}
+		if files, err := os.ReadDir(dir); err != nil || len(files) != 0 {
+			t.Errorf("%s: a rejected CreateFileStore left %d files (%v)", tc.name, len(files), err)
+		}
 	}
 }
 

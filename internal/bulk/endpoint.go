@@ -48,9 +48,6 @@ var (
 	// handleWrite race let the duplicate reply success with zero bytes
 	// while the real apply was still pending.
 	ErrConsumed = errors.New("bulk: transfer already consumed")
-	// ErrInterrupted reports a wait its quit channel ended. The
-	// operation is still running, and waiting on it again picks it up.
-	ErrInterrupted = errors.New("bulk: wait interrupted")
 )
 
 // Config tunes an endpoint. Zero fields take the listed defaults.
@@ -342,13 +339,12 @@ func (ep *Endpoint) call(to string, msg wire.Message, p retry.Policy) (wire.Mess
 	if err != nil {
 		return nil, err
 	}
-	return pc.Wait(nil)
+	return pc.Wait()
 }
 
 // Pending is a call in flight: its request is registered and sent, and
-// Wait collects the response. A caller that must stop waiting without
-// abandoning the call (a hedged read whose disk leg won) hands the rest
-// of the wait to another goroutine this way.
+// Wait collects the response, which stays valid until Release gives
+// its frame back to the pool.
 type Pending struct {
 	ep     *Endpoint
 	to     string
@@ -437,11 +433,9 @@ func (pc *Pending) expire() {
 }
 
 // Wait collects the response, resending the request each time an
-// attempt's deadline passes until the budget is spent. If quit closes
-// first it returns ErrInterrupted and the call stays in flight: Wait
-// may then be called again, from any goroutine, to go on waiting. Any
-// other return ends the call. The response is valid until Release.
-func (pc *Pending) Wait(quit <-chan struct{}) (wire.Message, error) {
+// attempt's deadline passes until the budget is spent. Its return ends
+// the call. The response is valid until Release.
+func (pc *Pending) Wait() (wire.Message, error) {
 	for {
 		select {
 		case r := <-pc.ch:
@@ -457,8 +451,6 @@ func (pc *Pending) Wait(quit <-chan struct{}) (wire.Message, error) {
 		case <-pc.ep.stop:
 			pc.end()
 			return nil, ErrClosed
-		case <-quit:
-			return nil, ErrInterrupted
 		}
 	}
 }

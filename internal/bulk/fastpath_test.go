@@ -98,51 +98,6 @@ func TestCancelExpect(t *testing.T) {
 	b.CancelExpect(a.LocalAddr(), id)
 }
 
-// TestRedirectExpect: a redirected receive carries the bytes landed so
-// far into the new buffer and assembles the rest there, leaving the old
-// buffer as it was at the redirect; a receive that has ended, or was
-// cancelled, is not redirected.
-func TestRedirectExpect(t *testing.T) {
-	a, b := endpointPair(t)
-	from := a.LocalAddr()
-	id := b.NextTransferID()
-	data := make([]byte, 4096)
-	rand.New(rand.NewSource(5)).Read(data)
-	old, moved := make([]byte, 4096), make([]byte, 4096)
-	if _, err := b.ExpectBulkInto(old, from, id, 1024); err != nil {
-		t.Fatalf("ExpectBulkInto: %v", err)
-	}
-	for seq := 0; seq < 2; seq++ {
-		b.handleData(from, id, uint32(seq), data[seq*1024:(seq+1)*1024])
-	}
-	if !b.RedirectExpect(from, id, moved) {
-		t.Fatal("RedirectExpect of a receive mid-assembly = false")
-	}
-	for seq := 2; seq < 4; seq++ {
-		b.handleData(from, id, uint32(seq), data[seq*1024:(seq+1)*1024])
-	}
-	if n, err := b.RecvBulkInto(nil, from, id, time.Second); err != nil || n != len(data) {
-		t.Fatalf("RecvBulkInto = %d, %v", n, err)
-	}
-	if !bytes.Equal(moved, data) {
-		t.Fatal("the redirected buffer does not hold the transfer")
-	}
-	if !bytes.Equal(old[:2048], data[:2048]) || !bytes.Equal(old[2048:], make([]byte, 2048)) {
-		t.Fatal("packets after the redirect landed in the old buffer")
-	}
-	if b.RedirectExpect(from, id, make([]byte, 4096)) {
-		t.Fatal("RedirectExpect of a consumed receive = true")
-	}
-	id = b.NextTransferID()
-	if _, err := b.ExpectBulkInto(old, from, id, 1024); err != nil {
-		t.Fatalf("ExpectBulkInto: %v", err)
-	}
-	b.CancelExpect(from, id)
-	if b.RedirectExpect(from, id, moved) {
-		t.Fatal("RedirectExpect of a cancelled receive = true")
-	}
-}
-
 // TestExpectBulkIntoRejectsDuplicate: double registration of one
 // (from, id) key is a caller bug and must error, not corrupt state.
 func TestExpectBulkIntoRejectsDuplicate(t *testing.T) {

@@ -168,7 +168,7 @@ func TestRequestFrameOutlivesHandler(t *testing.T) {
 	}
 	close(proceed)
 	for i, pc := range pcs {
-		resp, err := pc.Wait(nil)
+		resp, err := pc.Wait()
 		if err != nil {
 			t.Fatalf("call %d: %v", i, err)
 		}

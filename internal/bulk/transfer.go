@@ -299,7 +299,6 @@ func (ep *Endpoint) CancelExpect(from string, id uint64) {
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
 	if rx := ep.rx[key]; rx != nil {
-		// Failed in the hold that removes it (see RedirectExpect).
 		delete(ep.rx, key)
 		rx.fail(errExpectCanceled)
 	}
@@ -307,38 +306,11 @@ func (ep *Endpoint) CancelExpect(from string, id uint64) {
 
 var errExpectCanceled = fmt.Errorf("bulk: expected transfer canceled")
 
-// RedirectExpect moves the receive pre-registered under (from, id) to
-// dst, which must be as long as the buffer ExpectBulkInto was given: the
-// bytes landed so far are copied into dst, and every later packet lands
-// there instead. It reports false, and changes nothing, when the receive
-// has ended — completed, failed, cancelled or never registered; then
-// nothing writes the old buffer any more, because a receive leaves the
-// endpoint's table only once it is complete or in the hold that fails
-// it.
-//
-// dodo:adopts(dst)
-func (ep *Endpoint) RedirectExpect(from string, id uint64, dst []byte) bool {
-	ep.mu.Lock()
-	rx := ep.rx[xferKey{peer: from, id: id}]
-	ep.mu.Unlock()
-	if rx == nil {
-		return false
-	}
-	rx.mu.Lock()
-	defer rx.mu.Unlock()
-	if rx.complete || !rx.external {
-		return false
-	}
-	copy(dst, rx.buf)
-	rx.buf = dst
-	return true
-}
-
 // RecvBulk waits for the peer at from to complete transfer id and returns
 // the assembled bytes. It may be called before or after the first packet
 // arrives.
 func (ep *Endpoint) RecvBulk(from string, id uint64, timeout time.Duration) ([]byte, error) {
-	buf, external, err := ep.recvBulk(from, id, timeout, nil)
+	buf, external, err := ep.recvBulk(from, id, timeout)
 	if err != nil {
 		return nil, err
 	}
@@ -357,15 +329,7 @@ func (ep *Endpoint) RecvBulk(from string, id uint64, timeout time.Duration) ([]b
 // assembled in its own buffer and copied into dst once — still one copy
 // fewer than RecvBulk-then-copy.
 func (ep *Endpoint) RecvBulkInto(dst []byte, from string, id uint64, timeout time.Duration) (int, error) {
-	return ep.RecvBulkIntoUntil(dst, from, id, timeout, nil)
-}
-
-// RecvBulkIntoUntil is RecvBulkInto that stops waiting when quit
-// closes, returning ErrInterrupted and leaving the receive registered,
-// its budget running: a later receive of the same transfer, from any
-// goroutine, takes it up.
-func (ep *Endpoint) RecvBulkIntoUntil(dst []byte, from string, id uint64, timeout time.Duration, quit <-chan struct{}) (int, error) {
-	buf, external, err := ep.recvBulk(from, id, timeout, quit)
+	buf, external, err := ep.recvBulk(from, id, timeout)
 	if err != nil {
 		return 0, err
 	}
@@ -378,7 +342,7 @@ func (ep *Endpoint) RecvBulkIntoUntil(dst []byte, from string, id uint64, timeou
 	return copy(dst, buf), nil
 }
 
-func (ep *Endpoint) recvBulk(from string, id uint64, timeout time.Duration, quit <-chan struct{}) (buf []byte, external bool, err error) {
+func (ep *Endpoint) recvBulk(from string, id uint64, timeout time.Duration) (buf []byte, external bool, err error) {
 	key := xferKey{peer: from, id: id}
 	ep.mu.Lock()
 	if ep.closed {
@@ -410,8 +374,6 @@ func (ep *Endpoint) recvBulk(from string, id uint64, timeout time.Duration, quit
 	}
 	select {
 	case <-rx.done:
-	case <-quit:
-		return nil, false, ErrInterrupted
 	case <-ep.stop:
 		rx.fail(ErrClosed)
 		return nil, false, ErrClosed

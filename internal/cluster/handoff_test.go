@@ -241,9 +241,8 @@ func TestHandoffScheduleDeterministic(t *testing.T) {
 // against a host serving large bulk reads. Whatever instant the owner
 // returns — including mid-blast — every read that reports success must
 // deliver the complete, correct page (served by the draining imd inside
-// its grace window, by a handoff peer, or by the hedged disk leg); a
-// read may only otherwise fail with ErrNoMem, the fall-back-to-disk
-// contract.
+// its grace window, or by a handoff peer); a read may only otherwise
+// fail with ErrNoMem, the fall-back-to-disk contract.
 func TestReclaimDuringBulkRead(t *testing.T) {
 	c, _ := handoffCluster(t, []string{"ws0", "ws1"})
 	cli := c.NewClient("app", core.Config{ClientID: 1, RefractionPeriod: 250 * time.Millisecond})

@@ -421,50 +421,6 @@ func TestHostFailureDropsAllItsDescriptors(t *testing.T) {
 	}
 }
 
-func TestDropHostPrunesLatencyHistory(t *testing.T) {
-	s := newStack(t, 1, 1<<20)
-	back := NewMemBacking(77, 1<<20)
-	fd, err := s.cli.Mopen(4096, back, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.cli.Mwrite(fd, 0, bytes.Repeat([]byte{0xaa}, 4096)); err != nil {
-		t.Fatal(err)
-	}
-	// A successful read records a latency sample for the hosting imd.
-	buf := make([]byte, 4096)
-	if _, err := s.cli.Mread(fd, 0, buf); err != nil {
-		t.Fatal(err)
-	}
-	s.cli.mu.Lock()
-	_, tracked := s.cli.hostLat[s.seg.Addr("imd0")]
-	s.cli.mu.Unlock()
-	if !tracked {
-		t.Fatal("no hostLat entry for imd0 after a successful read")
-	}
-	// Kill the host; the failing read drops its descriptors — and must
-	// drop its latency history with them, or a long-lived client in a
-	// churny cluster grows the map one dead host at a time.
-	s.seg.Partition(s.seg.Addr("imd0"))
-	if _, err := s.cli.Mread(fd, 0, buf); err != nil && !errors.Is(err, ErrNoMem) {
-		t.Fatalf("Mread on dead host = %v, want ErrNoMem or hedged disk success", err)
-	}
-	// The drop may land on a hedged read's background leg; poll briefly.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		s.cli.mu.Lock()
-		_, tracked = s.cli.hostLat[s.seg.Addr("imd0")]
-		s.cli.mu.Unlock()
-		if !tracked {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("hostLat entry for the dead host was never pruned")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
 func TestMreadOnDroppedRegionIsNoMem(t *testing.T) {
 	s := newStack(t, 1, 1<<20)
 	back := NewMemBacking(8, 1<<20)

@@ -33,29 +33,18 @@ func TestKeepAliveAckFitsOneFrame(t *testing.T) {
 	}
 }
 
-// TestHedgeAndChecksumCountersReachClusterStats: a real client's hedged
-// reads and checksum failures reach the manager's stats response on a
-// keep-alive, under the names the client gave them, with the per-host
-// breakdown beside them. Every counter the client names is listed.
-func TestHedgeAndChecksumCountersReachClusterStats(t *testing.T) {
-	s := hedgeStack(t, 1)
-	fd, err := s.cli.Mopen(8<<10, NewMemBacking(62, 1<<20), 0)
-	if err != nil {
+// TestChecksumCountersReachClusterStats: a real client's checksum
+// failures reach the manager's stats response on a keep-alive, under
+// the name the client gave them, with the per-host breakdown beside
+// them. Every counter the client names is listed.
+func TestChecksumCountersReachClusterStats(t *testing.T) {
+	s := newStack(t, 1, 1<<20)
+	if _, err := s.cli.Mopen(8<<10, NewMemBacking(62, 1<<20), 0); err != nil {
 		t.Fatal(err)
-	}
-	buf := make([]byte, 8<<10)
-	for i := 0; i < 4; i++ {
-		if _, err := s.cli.Mread(fd, 0, buf); err != nil {
-			t.Fatalf("Mread %d: %v", i, err)
-		}
 	}
 	// The client's own count of a failed page check, as a corrupt read
 	// makes it (TestCorruptReadFailsChecksum drives that path).
 	s.cli.noteCorrupt(s.seg.Addr("imd0"))
-	st := s.cli.Stats()
-	if st.HedgedReads == 0 {
-		t.Fatalf("no read was hedged: %+v", st)
-	}
 
 	ctl := bulk.NewEndpoint(host(t, s.seg, "ctl"), fastEp(), nil)
 	t.Cleanup(func() { ctl.Close() })
@@ -75,9 +64,6 @@ func TestHedgeAndChecksumCountersReachClusterStats(t *testing.T) {
 			break
 		}
 		time.Sleep(20 * time.Millisecond)
-	}
-	if got, want := byName["client.hedged_reads"], uint64(st.HedgedReads); got != want {
-		t.Errorf("client.hedged_reads = %d, want the client's %d", got, want)
 	}
 	if got := byName["client.checksum_failures"]; got != 1 {
 		t.Errorf("client.checksum_failures = %d, want 1", got)

@@ -84,7 +84,6 @@ func quietStack(t testing.TB, mut func(*Config)) (*stack, *countingTransport) {
 		ManagerAddr:      seg.Addr("cmd"),
 		ClientID:         1,
 		RefractionPeriod: 300 * time.Millisecond,
-		DisableHedging:   true,
 		Endpoint:         fastEp(),
 	}
 	if mut != nil {
@@ -223,8 +222,6 @@ func TestSmallWriteSingleExchange(t *testing.T) {
 // TestReadFastPathStats: small reads come back inline, large reads as
 // an eager transfer, and both return the written bytes.
 func TestReadFastPathStats(t *testing.T) {
-	// Hedging disabled: a hedged read's disk leg can win the race and
-	// satisfy the read without touching the eager path.
 	s, _ := quietStack(t, nil)
 	back := NewMemBacking(8, 256<<10)
 	fd := mopenRetry(t, s.cli, 256<<10, back, 0)
@@ -292,7 +289,6 @@ func TestMreadFastPathUnderLoss(t *testing.T) {
 		ManagerAddr:      seg.Addr("cmd"),
 		ClientID:         1,
 		RefractionPeriod: 50 * time.Millisecond,
-		DisableHedging:   true,
 		Endpoint:         lossyEp(),
 	})
 	t.Cleanup(func() {

@@ -79,7 +79,7 @@ func TestCorruptReadFailsChecksum(t *testing.T) {
 				corruptHost(t, host(t, seg, "bad"), zeroCrc)
 				cli := New(host(t, seg, "client"), Config{
 					ManagerAddr: seg.Addr("cmd"), ClientID: 1, RefractionPeriod: 100 * time.Millisecond,
-					DisableRecovery: true, DisableHedging: true, Endpoint: fastEp(),
+					DisableRecovery: true, Endpoint: fastEp(),
 				})
 				defer cli.Close()
 

@@ -380,7 +380,6 @@ func TestHandoffAdoptionBlockedByDiskOnlyWrites(t *testing.T) {
 		ManagerAddr: seg.Addr("cmd"), ClientID: 1,
 		RefractionPeriod: 2 * time.Second,
 		RecoveryBackoff:  250 * time.Millisecond,
-		DisableHedging:   true,
 		Endpoint:         shortCallEp(),
 	})
 	t.Cleanup(func() {

@@ -436,7 +436,7 @@ func TestPinnedInlineReadsOverUDP(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				resp, err := pc.Wait(nil)
+				resp, err := pc.Wait()
 				if err != nil {
 					t.Error(err)
 					return

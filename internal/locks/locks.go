@@ -63,8 +63,6 @@ const (
 	RankCoreClient
 	// RankBacking: core.MemBacking.mu — simulated backing store.
 	RankBacking
-	// RankReadDst: core.readDst.mu — where a remote read's bytes land.
-	RankReadDst
 	// RankBulkEndpoint: bulk.Endpoint.mu — call/transfer correlation.
 	RankBulkEndpoint
 	// RankBulkTransfer: bulk.rxTransfer.mu — one receive-side transfer.
@@ -90,7 +88,6 @@ var rankNames = map[Rank]string{
 	RankRegionCache:  "region-cache",
 	RankCoreClient:   "core-client",
 	RankBacking:      "backing",
-	RankReadDst:      "read-dst",
 	RankBulkEndpoint: "bulk-endpoint",
 	RankBulkTransfer: "bulk-transfer",
 	RankSegment:      "usocket-segment",

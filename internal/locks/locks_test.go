@@ -13,7 +13,7 @@ func TestHierarchyIsTotalOrder(t *testing.T) {
 	ordered := []Rank{
 		RankCluster, RankWorkstation, RankFaults, RankMonitor,
 		RankManager, RankIMD, RankRegionCache, RankCoreClient,
-		RankBacking, RankReadDst, RankBulkEndpoint, RankBulkTransfer,
+		RankBacking, RankBulkEndpoint, RankBulkTransfer,
 		RankSegment, RankSocket, RankUDP,
 	}
 	if len(ordered) != int(rankSentinel)-1 {

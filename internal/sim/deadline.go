@@ -18,7 +18,7 @@ import (
 // On a VirtualClock every entry fires at its exact time, in deadline
 // order, ties in scheduling order. Callbacks run with no lock held: on
 // the clock's timer goroutine (the advancing goroutine on a
-// VirtualClock), or on the caller's for FireIfDue.
+// VirtualClock).
 type Deadlines struct {
 	// dodo:unguarded — immutable after construction
 	clock Clock
@@ -114,22 +114,6 @@ func (q *Deadlines) Queued(d *Deadline) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return d.idx != 0
-}
-
-// FireIfDue fires d on the caller's goroutine if it is queued and its
-// time has come, and reports whether it did. A waiter about to block
-// calls it so that a deadline already past acts before the block, not
-// whenever the timer goroutine gets to it.
-func (q *Deadlines) FireIfDue(d *Deadline) bool {
-	q.mu.Lock()
-	if d.idx == 0 || d.at.After(q.clock.Now()) {
-		q.mu.Unlock()
-		return false
-	}
-	q.removeLocked(d.idx - 1)
-	q.mu.Unlock()
-	d.fire()
-	return true
 }
 
 // Stop cancels the timer and every queued entry; what is scheduled

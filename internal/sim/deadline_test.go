@@ -109,28 +109,6 @@ func TestDeadlinesReplaceATimerFarTooEarly(t *testing.T) {
 	}
 }
 
-// TestDeadlinesFireIfDue: a deadline already past fires on the caller's
-// goroutine, once; one not yet due does not.
-func TestDeadlinesFireIfDue(t *testing.T) {
-	clock := NewVirtualClock(time.Unix(0, 0))
-	q := NewDeadlines(clock)
-	var d Deadline
-	fired := 0
-	d.Init(func() { fired++ })
-	q.Schedule(&d, time.Second)
-	if q.FireIfDue(&d) || fired != 0 {
-		t.Fatal("fired before its time")
-	}
-	q.Schedule(&d, 0)
-	if !q.FireIfDue(&d) || fired != 1 {
-		t.Fatalf("a due deadline did not fire on FireIfDue (%d firings)", fired)
-	}
-	clock.RunUntilIdle()
-	if q.FireIfDue(&d) || fired != 1 {
-		t.Fatalf("fired %d times, want 1", fired)
-	}
-}
-
 // TestDeadlinesStop: Stop drops every entry and the timer; what is
 // scheduled afterwards never fires.
 func TestDeadlinesStop(t *testing.T) {

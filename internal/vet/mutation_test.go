@@ -276,11 +276,10 @@ func frameRow(file, pattern, test string) releaseRow {
 
 // frameMutations: a sender that keeps its pooled frame allocates a
 // 64 KB frame a send, which its package's bound on the bytes a send
-// allocates catches: UDP's SendVec, the hedged read's losing leg,
-// Notify, and sendData over a transport that is no VecSender.
+// allocates catches: UDP's SendVec, Notify, and sendData over a
+// transport that is no VecSender.
 var frameMutations = []releaseRow{
 	frameRow("transport/udp.go", "wire.PutFrame(frame)", "TestUDPSendVecRecyclesItsFrame"),
-	frameRow("core/client.go", "wire.PutFrame(priv)", "TestLosingLegRecyclesItsFrame"),
 	frameRow("bulk/endpoint.go", "defer wire.PutFrame(frame)", "TestNotifyRecyclesItsFrame"),
 	frameRow("bulk/transfer.go", "defer wire.PutFrame(frame)", "TestSendDataGathersIntoARecycledFrame"),
 }
@@ -428,7 +427,8 @@ func runRow(root, bin string, r releaseRow) error {
 // else sees them.
 var passMutations = []mutation{
 	{"core reads the wall clock", []string{"./internal/core"}, "internal/core/client.go",
-		"start: c.cfg.Clock.Now()}", 1, "clock-discipline", "start: time.Now()}"},
+		`c.logf("dodo: mopen fd %d`, 1, "clock-discipline",
+		`c.logf("dodo: mopen fd %d -> %s region %d (%d bytes) at %v", fd, ar.Region.HostAddr, ar.Region.RegionID, length, time.Now())`},
 	{"ablations draw from the global rand", []string{"./internal/experiments"}, "internal/experiments/ablations.go",
 		"if rng.Intn(3) != 0", 1, "seeded-rand", "if rand.Intn(3) != 0 || len(live) == 0 {"},
 	{"cloneRemote ignores an Mclose error", []string{"./internal/region"}, "internal/region/cache.go",

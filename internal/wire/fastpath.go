@@ -7,10 +7,9 @@ import (
 )
 
 // Frame pool: recycled buffers for the data plane. The hot path
-// encodes one BulkData frame per packet, and every bulk read stages a
-// region-sized snapshot at the imd and (hedged) a region-sized private
-// buffer at the client; allocating each from the heap made the garbage
-// collector a participant in every transfer. Buffers here are recycled
+// encodes one BulkData frame per packet, and the UDP transport receives
+// each datagram into a frame; allocating each from the heap made the
+// garbage collector a participant in every transfer. Buffers here are recycled
 // through sync.Pools instead, one per size class.
 //
 // Size classes: 64 KiB — a full frame on the largest-MTU transport
